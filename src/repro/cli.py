@@ -62,6 +62,17 @@ def _rows_table(rows: list[dict], title: str) -> str:
     return format_table(headers, body, title=title)
 
 
+# Fleets larger than this print as a count plus the first few names.
+_FLEET_INLINE = 4
+
+
+def _fleet_summary(names) -> str:
+    if len(names) <= _FLEET_INLINE:
+        return ", ".join(names)
+    head = ", ".join(names[: _FLEET_INLINE - 1])
+    return f"{len(names)} models: {head}, …"
+
+
 def _choose(
     requested: list | None, available: dict, what: str = "system"
 ) -> list[str] | None:
@@ -325,7 +336,7 @@ def _run_scenario(args) -> int:
             {
                 "scenario": spec.name,
                 "cluster": spec.cluster,
-                "models": ", ".join(spec.model_names),
+                "models": _fleet_summary(spec.model_names),
                 "events": len(spec.events),
                 "traffic (s)": f"{spec.duration:g}",
                 "description": spec.description,

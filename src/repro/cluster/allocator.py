@@ -37,6 +37,14 @@ quiesce" hold by construction.  When a lender wants its headroom back
 out) the allocator issues a :class:`ReclaimDemand` and asks borrowers —
 largest debt first — to shed their excess; the auditor holds open
 demands to a bounded reclamation latency.
+
+Blocked tenants retry the same placement every control tick.  A failed
+placement that a matching certificate proves impossible for *every*
+scorer is memoised against the cluster's capacity epoch, so identical
+retries raise without scanning the fleet until some change adds
+placement room.  Failures that are only the scorer's bad luck are never
+memoised: HRG contention and warm-cache coverage move at a fixed epoch,
+so the retry may succeed.
 """
 
 from __future__ import annotations
@@ -191,6 +199,9 @@ class GPUAllocator:
         # Observability: a FlightRecorder installed by a traced run (the
         # allocator has no simulator handle; ``_clock`` stamps events).
         self.recorder = None
+        # (model, stage bytes, excluded gids) -> capacity epoch at which
+        # the matching certificate proved the placement impossible.
+        self._infeasible: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # QoS arbitration configuration
@@ -685,7 +696,7 @@ class GPUAllocator:
             priority = int(self.qos_priority_of(model))
         self._check_share(model, sum(mem_per_stage))
         try:
-            reservations = self._place_stages(
+            reservations = self._place_memoised(
                 model, mem_per_stage, scorer, exclude, stage_scorers
             )
         except AllocationError:
@@ -717,6 +728,64 @@ class GPUAllocator:
             return
         if self._lent_out(model) > _SHARE_EPS:
             self._demand_reclaim(model, nbytes)
+
+    def _place_memoised(
+        self,
+        model: str,
+        mem_per_stage: Sequence[float],
+        scorer: Callable[[GPU], float] | None,
+        exclude: Iterable[GPU],
+        stage_scorers: Sequence[Callable[[GPU], float]] | None,
+    ) -> list[StageReservation]:
+        """:meth:`_place_stages` behind the certified-infeasible memo.
+
+        A retry of a placement certified impossible at the current
+        capacity epoch raises without scanning the fleet.
+        """
+        exclude = tuple(exclude)
+        banned = frozenset(g.gid for g in exclude)
+        key = (model, tuple(mem_per_stage), banned)
+        epoch = self.cluster.capacity_epoch
+        if self._infeasible.get(key) == epoch:
+            raise AllocationError(
+                f"no placement for {model!r}: {len(mem_per_stage)} stages "
+                f"exceed the eligible free fragments (certified at capacity "
+                f"epoch {epoch})"
+            )
+        try:
+            return self._place_stages(
+                model, mem_per_stage, scorer, exclude, stage_scorers
+            )
+        except AllocationError:
+            if not self._matching_exists(model, mem_per_stage, banned):
+                self._infeasible[key] = epoch  # one entry per key, not per retry
+            raise
+
+    def _matching_exists(
+        self, model: str, mem_per_stage: Sequence[float], banned: frozenset[str]
+    ) -> bool:
+        """Could *any* scorer place every stage on the fleet as it is now?
+
+        A stage fits an eligible GPU (not banned, not cordoned, not
+        hosting ``model``) iff the GPU's free bytes reach the stage's
+        size, so the stages' candidate sets are nested and Hall's
+        condition reduces to one sorted pass: the i-th largest free
+        fragment must hold the i-th largest stage.
+        """
+        free = sorted(
+            (
+                g.free_memory
+                for g in self.cluster.gpus
+                if g.gid not in banned
+                and not g.cordoned
+                and not g.hosts_model(model)
+            ),
+            reverse=True,
+        )
+        need = sorted(mem_per_stage, reverse=True)
+        return len(free) >= len(need) and all(
+            f >= m for f, m in zip(free, need)
+        )
 
     def _place_stages(
         self,
@@ -880,6 +949,16 @@ class GPUAllocator:
                 problems.append(
                     f"{res_id} bytes mismatch on {res.gpu.gid}: "
                     f"reservation {res.nbytes}, GPU {allocs[res_id]}"
+                )
+        # A memo entry of the current epoch must still be infeasible when
+        # the certificate is recomputed from live GPU state.
+        epoch = self.cluster.capacity_epoch
+        for (model, sizes, banned), stamp in self._infeasible.items():
+            if stamp == epoch and self._matching_exists(model, sizes, banned):
+                problems.append(
+                    f"stale placement memo: {model} {len(sizes)}-stage "
+                    f"placement certified infeasible at capacity epoch "
+                    f"{epoch} now has a matching"
                 )
         # Per-tenant running totals must mirror the live reservation set
         # exactly — the share-cap checks are only as sound as these books.

@@ -39,6 +39,10 @@ class Cluster:
         self._servers = {s.sid: s for rack in racks for s in rack.servers}
         self._gpus = {g.gid: g for rack in racks for g in rack.gpus}
         self._racks = {rack.rid: rack for rack in racks}
+        # Monotone count of capacity-adding changes (see repro.cluster.gpu).
+        self.capacity_epoch = 0
+        for gpu in self._gpus.values():
+            gpu.cluster = self
 
     @property
     def servers(self) -> list[Server]:

@@ -289,7 +289,7 @@ class FailureInjector:
         alloc_id = f"reclaimed/{stamp:.3f}"
         if alloc_id in gpu.stage_allocations:
             gpu.release(alloc_id)
-        gpu.cordoned = False
+        gpu.uncordon()
         self._blocked.pop(gpu.gid, None)
         self._block_stamp.pop(gpu.gid, None)
 

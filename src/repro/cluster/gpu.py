@@ -8,6 +8,12 @@ A GPU tracks three kinds of occupancy:
   (parameters + KV-cache reservation);
 * **busy time** — accumulated execution seconds, used for the utilization
   axes of Fig. 12 and Table 1.
+
+Every change that can *add* placement room — a release, a shrinking
+resize, a background-load decrease, an uncordon — bumps the owning
+cluster's ``capacity_epoch``; reserves, growth, background attach and
+cordons leave it alone.  The allocator keys its certified-infeasible
+placements on that epoch.
 """
 
 from __future__ import annotations
@@ -37,14 +43,17 @@ class GPU:
         self.gid = gid
         self.spec = spec or GPUSpec()
         self.server = None  # set by Server
+        self.cluster = None  # set by Cluster: owner of the capacity epoch
         # Background (fragmentation) load.
-        self.background_mem = 0.0
+        self._background_mem = 0.0
         self.background_sm_request = 0.0  # subscription, can exceed 1.0
         self.background_sm_usage = 0.0  # actual usage, <= 1.0
         # Cordoned: reclaimed by the platform — the allocator refuses new
         # serving placements here regardless of free bytes, closing the
         # window between a victim freeing memory and the blocker
-        # absorbing it.
+        # absorbing it.  Lifted through uncordon(), which moves the
+        # capacity epoch; a plain attribute because placement scans read
+        # it per GPU.
         self.cordoned = False
         # Serving load: allocation-id -> bytes.
         self._stage_mem: dict[str, float] = {}
@@ -56,6 +65,29 @@ class GPU:
         # Execution accounting.
         self.busy_seconds = 0.0
         self._busy_until = 0.0
+
+    # ------------------------------------------------------------------
+    # Capacity epoch
+    # ------------------------------------------------------------------
+    def _capacity_added(self) -> None:
+        if self.cluster is not None:
+            self.cluster.capacity_epoch += 1
+
+    @property
+    def background_mem(self) -> float:
+        return self._background_mem
+
+    @background_mem.setter
+    def background_mem(self, nbytes: float) -> None:
+        if nbytes < self._background_mem:
+            self._capacity_added()
+        self._background_mem = nbytes
+
+    def uncordon(self) -> None:
+        """Return a reclaimed GPU to serving placement."""
+        if self.cordoned:
+            self.cordoned = False
+            self._capacity_added()
 
     # ------------------------------------------------------------------
     # Memory accounting
@@ -71,7 +103,7 @@ class GPU:
 
     @property
     def used_memory(self) -> float:
-        return self.background_mem + self.serving_mem
+        return self._background_mem + self.serving_mem
 
     @property
     def free_memory(self) -> float:
@@ -107,6 +139,7 @@ class GPU:
         if alloc_id not in self._stage_mem:
             raise KeyError(f"unknown allocation id {alloc_id!r} on {self.gid}")
         nbytes = self._stage_mem.pop(alloc_id)
+        self._capacity_added()
         if model is not None:
             count = self.model_tags.get(model, 0) - 1
             if count <= 0:
@@ -126,6 +159,8 @@ class GPU:
         if nbytes - current > self.free_memory + 1e-6:
             raise ValueError(f"over-commit resizing {alloc_id!r} on {self.gid}")
         self._stage_mem[alloc_id] = nbytes
+        if nbytes < current:
+            self._capacity_added()
         if model is not None and model in self.model_bytes:
             self.model_bytes[model] = max(
                 self.model_bytes[model] + (nbytes - current), 0.0

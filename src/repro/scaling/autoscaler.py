@@ -221,11 +221,15 @@ class Autoscaler:
             try:
                 replica = self.deploy(self.profile, plan, wait_time=wait)
             except AllocationError:
+                # One event per blocked episode, not per retry: retained
+                # events must not grow with the retry rate.
                 if self._blocked_since is None:
                     self._blocked_since = now
-                self.metrics.on_event(
-                    ScalingEvent(time=now, kind="alloc_blocked", detail=plan.model_name)
-                )
+                    self.metrics.on_event(
+                        ScalingEvent(
+                            time=now, kind="alloc_blocked", detail=plan.model_name
+                        )
+                    )
                 return
             self.loading.append(replica)
         self._blocked_since = None

@@ -38,6 +38,20 @@ class TestListCommand:
         for name in EXPERIMENTS:
             assert name in out
 
+    def test_scenario_list_summarises_large_fleets(self, capsys):
+        from repro.scenarios import SCENARIOS
+
+        assert main(["scenario", "list"]) == 0
+        out = capsys.readouterr().out
+        for name in SCENARIOS:
+            assert name in out
+        assert "220 models: FLEET-0-5g, " in out
+        assert "FLEET-219-" not in out
+        # The widest row is the longest catalog description plus the
+        # fixed columns, not a 220-name fleet.
+        longest = max(len(s.description) for s in SCENARIOS.values())
+        assert max(len(line) for line in out.splitlines()) < longest + 150
+
 
 class TestRunCommand:
     def test_unknown_experiment_errors(self, capsys):

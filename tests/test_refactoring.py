@@ -333,7 +333,7 @@ class TestExecutor:
         assert executor.transitions_completed == 0
         assert replica.plan.n_stages == 2
         assert replica.anomalies == []
-        victim.cordoned = False
+        victim.uncordon()
         assert executor.refactor(replica, 4)
 
     def test_abort_on_cordon_ignores_unrelated_gpus(self, setup, llama_profile):

@@ -388,3 +388,60 @@ class TestAutoscalerShareCap:
         # desired fell to min_replicas, but scale-in still follows the
         # idle-window policy (first low tick never reclaims).
         assert released == []
+
+
+class TestAutoscalerBlockedEpisodes:
+    """A blocked tenant retries every tick but records one
+    ``alloc_blocked`` event per episode, so retained events do not grow
+    with the retry rate."""
+
+    def test_one_event_per_blocked_episode(self, ctx, llama_profile):
+        from types import SimpleNamespace
+
+        from repro.cluster.allocator import AllocationError
+        from repro.metrics.collector import MetricsCollector
+        from repro.pipeline.replica import ReplicaState
+        from repro.pipeline.router import ModelRouter
+        from repro.refactoring.monitor import WorkloadMonitor
+        from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+
+        plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        blocked = [True]
+        attempts, loading = [], []
+
+        def deploy(profile, p, *, wait_time=0.0):
+            attempts.append(wait_time)
+            if blocked[0]:
+                raise AllocationError("no room")
+            loading.append(SimpleNamespace(state=ReplicaState.LOADING))
+            return loading[-1]
+
+        metrics = MetricsCollector("test")
+        Autoscaler(
+            ctx.sim,
+            ModelRouter(ctx.sim, "LLAMA2-7B"),
+            WorkloadMonitor(),
+            llama_profile,
+            metrics,
+            deploy,
+            lambda r: None,
+            lambda cv, queue: plan,
+            AutoscalerConfig(min_replicas=1),
+        )
+
+        def blocked_events():
+            return [e for e in metrics.events if e.kind == "alloc_blocked"]
+
+        ctx.sim.run(until=5.0)  # every tick retries and fails
+        assert len(attempts) >= 5
+        assert len(blocked_events()) == 1
+        # The episode's wait still grows across retries.
+        assert attempts[-1] > attempts[1] > 0.0
+        blocked[0] = False
+        ctx.sim.run(until=6.0)  # the deploy lands: the episode closes
+        assert len(loading) == 1
+        loading[0].state = ReplicaState.RELEASED  # lost before activating
+        blocked[0] = True
+        ctx.sim.run(until=10.0)  # a second episode
+        times = [e.time for e in blocked_events()]
+        assert len(times) == 2 and times[1] > 6.0
