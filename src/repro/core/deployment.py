@@ -26,9 +26,6 @@ from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.warm_cache import HostParamCache
 from repro.workloads.requests import Request
 
-_replica_ids = itertools.count()
-
-
 class ReplicaFactory:
     """Creates and tears down pipeline replicas for one serving system."""
 
@@ -67,6 +64,8 @@ class ReplicaFactory:
         self.startup_overhead = startup_overhead
         self.warm_startup_factor = warm_startup_factor
         self.pipelined_loading = pipelined_loading
+        # Per-system, so replica names depend only on this simulation.
+        self._replica_ids = itertools.count()
         # QoS hooks (set by ServingSystem.enable_qos; None = historical
         # behaviour): class-priority batch formation inside new replicas,
         # and pending-deploy claims registered with the allocator so a
@@ -128,7 +127,7 @@ class ReplicaFactory:
             on_active=self._on_replica_active,
             on_released=self._teardown,
             interference=self.interference,
-            name=f"{model}/r{next(_replica_ids)}",
+            name=f"{model}/r{next(self._replica_ids)}",
         )
         if self.batch_priority_of is not None:
             # Class-priority batch formation from the first request on.

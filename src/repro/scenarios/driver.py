@@ -256,9 +256,10 @@ class ScenarioDriver:
     """Runs one compiled scenario end-to-end.
 
     The run is phased — :meth:`start` builds the world, :meth:`advance`
-    simulates up to a time, :meth:`finish` quiesces and reports — so a
-    shard coordinator can window-step many drivers in lock-step.
-    :meth:`run` chains the three for the classic monolithic path.
+    simulates up to a time, :meth:`finish` quiesces and reports — so the
+    scenario benchmark can time setup and simulation windows separately.
+    :meth:`run` chains the three, which is all that monolithic and
+    sharded runs need.
 
     ``server_indices`` (shard execution) restricts the driver to the
     sub-cluster owning those servers of the spec's named topology.
@@ -453,7 +454,7 @@ class ScenarioDriver:
         self._schedule_events(epoch)
 
     # ------------------------------------------------------------------
-    # Phase 2: simulate (windowed under sharding, one shot monolithically)
+    # Phase 2: simulate (one shot, or in windows under the benchmark)
     # ------------------------------------------------------------------
     def advance(self, until: float) -> None:
         """Simulate up to ``until``, crossing setup boundaries in order."""

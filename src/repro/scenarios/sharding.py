@@ -2,25 +2,24 @@
 
 ``repro scenario run --shards N`` routes each :class:`ScenarioCase`
 through :func:`run_sharded_case`: the fleet is partitioned into shard
-*groups* — one per tenant, each owning a disjoint server slice of the
-spec's named topology sized to its traffic and model footprint — and
-every group runs its own :class:`~repro.scenarios.driver.ScenarioDriver`
-(own :class:`~repro.simulation.engine.Simulator`, own seeded streams, own
-serving system) under a
-:class:`~repro.simulation.sharding.ShardCoordinator`.
+*groups* — one per tenant, or LPT-packed tenant sets on fleets larger
+than the cluster — each owning a disjoint server slice of the spec's
+named topology sized to its traffic and model footprint.  Every group
+runs its own :class:`~repro.scenarios.driver.ScenarioDriver` (own
+:class:`~repro.simulation.engine.Simulator`, own seeded streams, own
+serving system) start to finish, independently of the others: the
+groups are mapped over the experiment runner's process pool with ``N``
+workers, and the finished slices are merged into one fleet report.
 
 Two properties make the decomposition sound:
 
 * **The partition is a pure function of the spec**, never of the worker
-  count: ``--shards 2`` and ``--shards 4`` produce byte-identical
-  reports (the worker count only sets how many processes host the
-  groups).
+  count: ``--shards 1``, ``2`` and ``4`` produce byte-identical reports
+  (the worker count only sets how many processes run the groups).
 * **Tenant affinity keeps every deploy's replicas co-sharded**: a
   tenant's routers, replicas, migrations and DataMover transfers all
-  live inside one shard, so scenario shards exchange no cross-shard
-  messages and the coordinator collapses the run into one conservative
-  window.  (The generic message protocol — finite lookahead, windowed
-  delivery — is exercised directly by the simulation-layer tests.)
+  live inside one group, so groups share no state and never need to
+  synchronise mid-run.
 
 Systems that cannot partition **fall back to a single shard** with the
 reason recorded on the report:
@@ -30,7 +29,7 @@ reason recorded on the report:
 * a single-tenant fleet has nothing to split;
 * clusters too small to give every group a meaningful server slice.
 
-The auditor runs unchanged inside every shard (mid-run after each
+The auditor runs unchanged inside every group (mid-run after each
 scripted event, the full invariant set at quiesce); the merge layer adds
 one *global* check — cross-shard request conservation at quiesce.
 """
@@ -45,6 +44,7 @@ import numpy as np
 
 from repro.cluster.cluster import server_placements
 from repro.cluster.gpu import GPUSpec
+from repro.experiments.runner import ExperimentRunner
 from repro.metrics.latency import LatencyBreakdown, percentiles
 from repro.metrics.stalls import detect_stalls, recovery_times
 from repro.models.zoo import get_model
@@ -56,7 +56,6 @@ from repro.scenarios.driver import (
     TenantQoS,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation.sharding import ShardCoordinator, ShardProgram
 from repro.validation.auditor import Violation
 
 # A group must own at least this many servers to be worth isolating
@@ -270,7 +269,7 @@ def _fallback(spec: ScenarioSpec, seed: int, reason: str) -> ShardPlan:
 
 
 # ----------------------------------------------------------------------
-# The shard program (one driver per group)
+# Group execution (one driver per group)
 # ----------------------------------------------------------------------
 @dataclass
 class ShardSlice:
@@ -302,40 +301,14 @@ class ShardSlice:
     resident: int = 0
 
 
-class ScenarioShardProgram(ShardProgram):
-    """Wraps one phased :class:`ScenarioDriver` as a coordinator shard.
-
-    Tenant-affine scenario shards exchange no messages, so the lookahead
-    promise is unbounded and the coordinator runs a single window; the
-    program still advances through the driver's internal boundaries
-    (settle -> epoch hooks) exactly as the monolithic path does.
-    """
-
-    lookahead = math.inf
-
-    def __init__(self, group: ShardGroup, system: str, trace: bool = False):
-        super().__init__()
-        self.group = group
-        self.driver = ScenarioDriver(
-            ScenarioCase(group.spec, system, group.seed, trace=trace),
-            server_indices=group.server_indices,
-        )
-
-    def setup(self) -> None:
-        self.driver.start()
-
-    def advance(self, until: float) -> None:
-        self.driver.advance(until)
-
-    def next_event_time(self) -> float | None:
-        return self.driver.sim.peek()
-
-    def events_processed(self) -> int:
-        return self.driver.sim.events_processed
-
-    def finish(self) -> ShardSlice:
-        report = self.driver.finish()
-        return _build_slice(self.group, self.driver, report)
+def _run_group(item: tuple[ShardGroup, str, bool]) -> ShardSlice:
+    """Run one shard group to quiesce (module-level: it crosses the pool)."""
+    group, system, trace = item
+    driver = ScenarioDriver(
+        ScenarioCase(group.spec, system, group.seed, trace=trace),
+        server_indices=group.server_indices,
+    )
+    return _build_slice(group, driver, driver.run())
 
 
 def _build_slice(
@@ -407,9 +380,11 @@ def _build_slice(
 def run_sharded_case(case: ScenarioCase) -> ScenarioReport:
     """Run one case through the shard partitioner and merge the results.
 
-    ``case.shards`` is the worker-process budget; the group decomposition
-    comes from :func:`partition_scenario` and is identical for every
-    worker count, so reports at ``--shards 1/2/4`` are byte-identical.
+    ``case.shards`` is the worker-process budget: the groups are mapped
+    over a pool of at most that many workers (one worker runs them
+    in-process).  The group decomposition comes from
+    :func:`partition_scenario` and is identical for every worker count,
+    so reports at ``--shards 1/2/4`` are byte-identical.
     """
     plan = partition_scenario(case.spec, case.seed)
     if not plan.sharded:
@@ -419,15 +394,16 @@ def run_sharded_case(case: ScenarioCase) -> ScenarioReport:
         report.shards = 1
         report.shard_fallback = plan.fallback
         return report
-    coordinator = ShardCoordinator(
-        [
-            (ScenarioShardProgram, (group, case.system, case.trace))
-            for group in plan.groups
-        ],
-        horizon=case.spec.horizon,
-        workers=max(case.shards, 1),
+    runner = ExperimentRunner(
+        jobs=min(case.shards, len(plan.groups)), use_cache=False
     )
-    slices = coordinator.run()
+    try:
+        slices = runner.map(
+            _run_group,
+            [(group, case.system, case.trace) for group in plan.groups],
+        )
+    finally:
+        runner.close()
     return merge_shard_reports(case, plan, slices)
 
 

@@ -163,7 +163,7 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Process events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events fired by
-        this call (shard coordinators use it for per-window accounting).
+        this call.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue drains earlier, so utilization denominators stay

@@ -15,11 +15,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.scenarios.driver import ScenarioCase, run_scenario_case
+from repro.scenarios.driver import (
+    ScenarioCase,
+    ScenarioDriver,
+    run_scenario_case,
+    run_scenarios,
+)
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.sharding import (
     MIN_SERVERS_PER_GROUP,
-    ScenarioShardProgram,
+    _run_group,
     partition_scenario,
 )
 from repro.scenarios.spec import (
@@ -198,16 +203,25 @@ class TestPartitioner:
 # ----------------------------------------------------------------------
 # End-to-end determinism + merged-report sanity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", DETERMINISM_SCENARIOS)
-def test_shard_count_invariance(name):
-    """The acceptance gate: byte-identical reports at --shards 1/2/4."""
+@pytest.mark.parametrize(
+    "name,trace",
+    [(name, False) for name in DETERMINISM_SCENARIOS]
+    + [(name, True) for name in DETERMINISM_SCENARIOS],
+    ids=[*DETERMINISM_SCENARIOS, *(f"{n}-traced" for n in DETERMINISM_SCENARIOS)],
+)
+def test_shard_count_invariance(name, trace):
+    """The acceptance gate: byte-identical reports at --shards 1/2/4,
+    traced (span trees, replica names) as well as untraced."""
     spec = SCENARIOS[name].quick()
     blobs = {}
     report = None
     for workers in (1, 2, 4):
-        report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, workers))
+        report = run_scenario_case(
+            ScenarioCase(spec, "FlexPipe", 0, workers, trace=trace)
+        )
         blobs[workers] = canonical(report)
-    assert blobs[1] == blobs[2] == blobs[4]
+    # Compare as a set: a long-string diff of two huge reports is slow.
+    assert len(set(blobs.values())) == 1, "reports differ across --shards"
     assert report.ok, [v.detail for v in report.violations]
     assert report.shards >= 1
     assert report.engine_events > 0
@@ -247,13 +261,40 @@ def test_shard_program_runs_one_group():
     spec = SCENARIOS["trace-replay"].quick()
     plan = partition_scenario(spec, seed=0)
     assert plan.sharded
-    program = ScenarioShardProgram(plan.groups[0], "FlexPipe")
-    program.setup()
-    program.advance(spec.horizon)
-    piece = program.finish()
+    piece = _run_group((plan.groups[0], "FlexPipe", False))
+    assert piece.index == 0
+    assert piece.models == plan.groups[0].models
     assert piece.report.ok
-    assert piece.engine_events == program.events_processed()
+    assert piece.engine_events == piece.report.engine_events > 0
     assert piece.report.completed == len(piece.latencies)
+
+
+def test_crashing_group_becomes_harness_crash(monkeypatch):
+    """A group that raises inside a pool worker surfaces as a finding."""
+    spec = SCENARIOS["paper-multi-burst"].quick()
+    assert partition_scenario(spec, seed=0).sharded
+
+    def explode(self, until):
+        raise RuntimeError("injected shard fault")
+
+    # Patched before the pool forks, so every worker inherits it.
+    monkeypatch.setattr(ScenarioDriver, "advance", explode)
+    report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, 2))
+    assert [v.invariant for v in report.violations] == ["harness-crash"]
+    assert "injected shard fault" in report.violations[0].detail
+
+
+def test_nested_pools_match_sequential():
+    """Cells on a --jobs pool, each fanning its groups out on its own
+    --shards pool, equal the all-in-one-process sweep."""
+    specs = [SCENARIOS["paper-multi-burst"], SCENARIOS["trace-replay"]]
+    kwargs = dict(systems=["FlexPipe"], quick=True, use_cache=False)
+    nested = run_scenarios(specs, jobs=2, shards=2, **kwargs)
+    sequential = run_scenarios(specs, jobs=1, shards=1, **kwargs)
+    assert all(r.shards > 1 for r in sequential)
+    assert [canonical(r) for r in nested] == [
+        canonical(r) for r in sequential
+    ]
 
 
 # ----------------------------------------------------------------------
