@@ -42,13 +42,29 @@ class HierarchicalResourceGraph:
         self._rack_events: dict[str, deque] = {}
         self._cluster_events: deque = deque()
         self.events_registered = 0
+        # Level sums valid for one (now, events_registered) key.  Only a
+        # registration changes a deque's contents, trimming is value-neutral
+        # because the horizon only moves forward with simulated time, and
+        # the weights are frozen, so a sum is exact for as long as its key
+        # holds.  Keys: ("server", sid), ("rack", rack_id), ("cluster", "").
+        self._sums_key: tuple[float, int] | None = None
+        self._sums: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
     def register_scaling_event(self, server: Server, now: float) -> None:
-        """Record that a parameter load / KV migration started on ``server``."""
-        self._server_events.setdefault(server.sid, deque()).append(now)
-        self._rack_events.setdefault(server.rack_id, deque()).append(now)
-        self._cluster_events.append(now)
+        """Record that a parameter load / KV migration started on ``server``.
+
+        The touched deques are trimmed here too, so a server that is never
+        scored again (full, cordoned, reclaimed) keeps only its recent events.
+        """
+        horizon = self._horizon(now)
+        for events in (
+            self._server_events.setdefault(server.sid, deque()),
+            self._rack_events.setdefault(server.rack_id, deque()),
+            self._cluster_events,
+        ):
+            _trim(events, horizon)
+            events.append(now)
         self.events_registered += 1
 
     def contention_score(self, server: Server, now: float) -> float:
@@ -57,10 +73,14 @@ class HierarchicalResourceGraph:
         Higher means more contention; the scaling coordinator prefers
         low-score servers.
         """
+        key = (now, self.events_registered)
+        if key != self._sums_key:
+            self._sums_key, self._sums = key, {}
         w = self.weights
-        score = w.server * self._decayed(self._server_events.get(server.sid), now)
-        score += w.rack * self._decayed(self._rack_events.get(server.rack_id), now)
-        score += w.cluster * self._decayed(self._cluster_events, now)
+        sid, rack_id = server.sid, server.rack_id
+        score = w.server * self._sum("server", sid, self._server_events.get(sid), now)
+        score += w.rack * self._sum("rack", rack_id, self._rack_events.get(rack_id), now)
+        score += w.cluster * self._sum("cluster", "", self._cluster_events, now)
         return score
 
     def rank_servers(self, servers: list[Server], now: float) -> list[Server]:
@@ -68,11 +88,25 @@ class HierarchicalResourceGraph:
         return sorted(servers, key=lambda s: self.contention_score(s, now))
 
     # ------------------------------------------------------------------
+    def _horizon(self, now: float) -> float:
+        # Events older than five time constants no longer contribute
+        # meaningfully and are trimmed.
+        return now - 5.0 / self.weights.decay
+
+    def _sum(self, level: str, name: str, events: deque | None, now: float) -> float:
+        """``_decayed`` of one level, computed at most once per key."""
+        value = self._sums.get((level, name))
+        if value is None:
+            value = self._sums[level, name] = self._decayed(events, now)
+        return value
+
     def _decayed(self, events: deque | None, now: float) -> float:
         if not events:
             return 0.0
-        # Trim events that no longer contribute meaningfully (>5 time consts).
-        horizon = now - 5.0 / self.weights.decay
-        while events and events[0] < horizon:
-            events.popleft()
+        _trim(events, self._horizon(now))
         return sum(math.exp(-self.weights.decay * (now - t)) for t in events)
+
+
+def _trim(events: deque, horizon: float) -> None:
+    while events and events[0] < horizon:
+        events.popleft()

@@ -145,8 +145,13 @@ class FairShareLink:
             return
         bandwidth = self.spec.bandwidth
         share = bandwidth / n
-        capped = [h for h in self._active if h.max_rate is not None and h.max_rate < share]
-        uncapped = [h for h in self._active if h not in capped]
+        capped: list[TransferHandle] = []
+        uncapped: list[TransferHandle] = []
+        for handle in self._active:
+            if handle.max_rate is not None and handle.max_rate < share:
+                capped.append(handle)
+            else:
+                uncapped.append(handle)
         used = 0.0
         for handle in capped:
             handle.rate = handle.max_rate

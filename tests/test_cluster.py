@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from collections import deque
+
 import pytest
 
 from repro.cluster.allocator import AllocationError, GPUAllocator
@@ -305,3 +309,103 @@ class TestHRG:
         hrg.register_scaling_event(small_cluster.servers[0], now=0.0)
         for server in small_cluster.servers:
             assert hrg.contention_score(server, now=0.0) > 0.0
+
+
+class _ReferenceHRG:
+    """The HRG before per-instant memoisation: every score re-sums every
+    retained event, and deques are trimmed only when queried.  Kept as the
+    oracle for :class:`HierarchicalResourceGraph`."""
+
+    def __init__(self, weights: HRGWeights):
+        self.weights = weights
+        self.server_events: dict[str, deque] = {}
+        self.rack_events: dict[str, deque] = {}
+        self.cluster_events: deque = deque()
+
+    def register(self, server: Server, now: float) -> None:
+        self.server_events.setdefault(server.sid, deque()).append(now)
+        self.rack_events.setdefault(server.rack_id, deque()).append(now)
+        self.cluster_events.append(now)
+
+    def score(self, server: Server, now: float) -> float:
+        w = self.weights
+        score = w.server * self._decayed(self.server_events.get(server.sid), now)
+        score += w.rack * self._decayed(self.rack_events.get(server.rack_id), now)
+        score += w.cluster * self._decayed(self.cluster_events, now)
+        return score
+
+    def _decayed(self, events: deque | None, now: float) -> float:
+        if not events:
+            return 0.0
+        horizon = now - 5.0 / self.weights.decay
+        while events and events[0] < horizon:
+            events.popleft()
+        return sum(math.exp(-self.weights.decay * (now - t)) for t in events)
+
+
+class TestHRGMemo:
+    """The per-instant memo must reproduce the re-sum bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scores_match_reference_resum(self, sim, seed):
+        cluster = make_small_cluster(sim, n_servers=6, gpus_per_server=2)
+        weights = HRGWeights()
+        hrg = HierarchicalResourceGraph(cluster, weights)
+        ref = _ReferenceHRG(weights)
+        servers = cluster.servers
+        racks = {s.rack_id for s in servers}
+        assert len(racks) >= 2 and len(racks) < len(servers)  # shared + distinct
+        rng = random.Random(seed)
+        now, compared = 0.0, 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.05:
+                now += rng.uniform(100.0, 400.0)  # past the 100 s horizon
+            elif roll < 0.2:
+                now += rng.uniform(5.0, 60.0)  # events age across the horizon
+            elif roll < 0.5:
+                now += rng.choice([0.0, 0.0, rng.uniform(0.0, 5.0)])
+            if rng.random() < 0.35:
+                server = rng.choice(servers)
+                hrg.register_scaling_event(server, now)
+                ref.register(server, now)
+            # Repeated same-instant queries, in a shuffled server order.
+            for server in rng.sample(servers, len(servers)) * rng.randint(1, 2):
+                assert hrg.contention_score(server, now) == ref.score(server, now)
+                compared += 1
+            ranked = hrg.rank_servers(servers, now)
+            assert ranked == sorted(servers, key=lambda s: ref.score(s, now))
+        assert compared > 2000
+
+    def test_same_instant_registration_invalidates(self, sim, small_cluster):
+        hrg = HierarchicalResourceGraph(small_cluster)
+        server = small_cluster.servers[0]
+        hrg.register_scaling_event(server, now=5.0)
+        before = hrg.contention_score(server, now=7.0)
+        hrg.register_scaling_event(server, now=7.0)
+        assert hrg.contention_score(server, now=7.0) > before
+
+    def test_instances_share_no_memo_state(self, sim, small_cluster):
+        a = HierarchicalResourceGraph(small_cluster)
+        b = HierarchicalResourceGraph(small_cluster)
+        server = small_cluster.servers[0]
+        # Same key (now, events_registered) on both: a's sums must not leak.
+        a.register_scaling_event(server, now=1.0)
+        b.register_scaling_event(small_cluster.servers[-1], now=1.0)
+        score_a = a.contention_score(server, now=1.0)
+        score_b = b.contention_score(server, now=1.0)
+        assert score_a > score_b
+        ref = _ReferenceHRG(b.weights)
+        ref.register(small_cluster.servers[-1], 1.0)
+        assert score_b == ref.score(server, 1.0)
+
+    def test_unqueried_server_keeps_only_recent_events(self, sim, small_cluster):
+        hrg = HierarchicalResourceGraph(small_cluster)
+        server = small_cluster.servers[0]
+        for i in range(10_000):
+            hrg.register_scaling_event(server, now=float(i))
+        assert 5.0 / hrg.weights.decay == 100.0
+        last_100_s = [float(t) for t in range(9899, 10_000)]
+        assert list(hrg._server_events[server.sid]) == last_100_s
+        assert list(hrg._rack_events[server.rack_id]) == last_100_s
+        assert list(hrg._cluster_events) == last_100_s

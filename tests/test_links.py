@@ -2,15 +2,37 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.simulation.engine import Simulator
 from repro.transfer.datamover import DataMover, TransferCosts, TransferMethod
-from repro.transfer.links import GB, FairShareLink, LinkSpec
+from repro.transfer.links import GB, FairShareLink, LinkSpec, TransferHandle
 
 
 def make_link(sim, bandwidth=1.0 * GB, latency=0.0):
     return FairShareLink(sim, LinkSpec("test", bandwidth, latency))
+
+
+def _waterfill_two_lists(active, bandwidth):
+    """Waterfilled rates from the two-list partition (``uncapped`` built by
+    a membership scan of ``capped``), kept as the single-pass oracle."""
+    share = bandwidth / len(active)
+    capped = [h for h in active if h.max_rate is not None and h.max_rate < share]
+    uncapped = [h for h in active if h not in capped]
+    rate = {}
+    used = 0.0
+    for handle in capped:
+        rate[handle] = handle.max_rate
+        used += rate[handle]
+    if uncapped:
+        fair = max(bandwidth - used, 0.0) / len(uncapped)
+        for handle in uncapped:
+            rate[handle] = (
+                min(handle.max_rate, fair) if handle.max_rate is not None else fair
+            )
+    return [max(rate[h], 1e-9) for h in active]
 
 
 class TestFairShareLink:
@@ -109,6 +131,29 @@ class TestFairShareLink:
     def test_invalid_bandwidth_rejected(self, sim):
         with pytest.raises(ValueError):
             FairShareLink(sim, LinkSpec("bad", 0.0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_waterfill_matches_two_list_partition(self, sim, seed):
+        rng = random.Random(seed)
+        bandwidth = rng.uniform(0.5, 20.0) * GB
+        link = make_link(sim, bandwidth=bandwidth)
+        for _ in range(25):
+            n = rng.randint(1, 40)
+            share = bandwidth / n
+            handles = []
+            for _ in range(n):
+                kind = rng.choice(["none", "below", "above", "equal"])
+                cap = {
+                    "none": None,
+                    "below": share * rng.uniform(0.01, 0.999),
+                    "above": share * rng.uniform(1.001, 50.0),
+                    "equal": share,
+                }[kind]
+                handles.append(TransferHandle(GB, None, cap))
+            link._active = handles
+            expected = _waterfill_two_lists(handles, bandwidth)
+            link._waterfill()
+            assert [h.rate for h in handles] == expected
 
     def test_serial_time_helper(self):
         spec = LinkSpec("s", 2.0 * GB, latency=0.1)
