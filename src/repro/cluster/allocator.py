@@ -44,7 +44,9 @@ scorer is memoised against the cluster's capacity epoch, so identical
 retries raise without scanning the fleet until some change adds
 placement room.  Failures that are only the scorer's bad luck are never
 memoised: HRG contention and warm-cache coverage move at a fixed epoch,
-so the retry may succeed.
+so the retry may succeed.  A memoised failure hands its caller an
+:class:`InfeasibleCertificate`, which lets the autoscaler skip retries
+until the certificate lapses.
 """
 
 from __future__ import annotations
@@ -59,7 +61,36 @@ from repro.cluster.gpu import GPU
 
 
 class AllocationError(RuntimeError):
-    """Raised when an allocation request cannot be satisfied."""
+    """Raised when an allocation request cannot be satisfied.
+
+    ``certificate`` is set only when an identical retry must fail the same
+    way (see :meth:`GPUAllocator.allocate_stages`).
+    """
+
+    certificate: InfeasibleCertificate | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class InfeasibleCertificate:
+    """A placement the allocator's memo records as impossible at ``epoch``.
+
+    It holds while the memo still records ``key`` at ``epoch`` and the
+    cluster's capacity epoch has not moved past it, so the memo (which
+    :meth:`GPUAllocator.audit_balance` re-derives) stays the single
+    source of truth.
+    """
+
+    allocator: GPUAllocator
+    key: tuple
+    epoch: int
+
+    def holds(self) -> bool:
+        allocator = self.allocator
+        return (
+            allocator._infeasible.get(self.key)
+            == self.epoch
+            == allocator.cluster.capacity_epoch
+        )
 
 
 # Smallest batch memory-aware degradation will fall back to before giving
@@ -691,6 +722,11 @@ class GPUAllocator:
         strictly lower-priority *pending deploys* (never ACTIVE replicas)
         one at a time, retrying after each, before giving up — the
         preempt-or-wait rule.
+
+        A failure carries an :class:`InfeasibleCertificate` only when a
+        retry must fail the same way until capacity is added: no priority
+        (so no preempt-or-wait), no elastic contracts (so no lender is
+        pressed), and the memo proved the placement impossible.
         """
         if priority is None and self.qos_priority_of is not None:
             priority = int(self.qos_priority_of(model))
@@ -699,9 +735,11 @@ class GPUAllocator:
             reservations = self._place_memoised(
                 model, mem_per_stage, scorer, exclude, stage_scorers
             )
-        except AllocationError:
+        except AllocationError as exc:
             if priority is None:
                 self.failed_requests += 1
+                if self.elastic_shares:
+                    exc.certificate = None  # a pressed lender may free room
                 self._press_lenders_on_failure(model, sum(mem_per_stage))
                 raise
             try:
@@ -740,25 +778,29 @@ class GPUAllocator:
         """:meth:`_place_stages` behind the certified-infeasible memo.
 
         A retry of a placement certified impossible at the current
-        capacity epoch raises without scanning the fleet.
+        capacity epoch raises without scanning the fleet.  Every certified
+        failure, hit or new entry, carries its certificate.
         """
         exclude = tuple(exclude)
         banned = frozenset(g.gid for g in exclude)
         key = (model, tuple(mem_per_stage), banned)
         epoch = self.cluster.capacity_epoch
         if self._infeasible.get(key) == epoch:
-            raise AllocationError(
+            exc = AllocationError(
                 f"no placement for {model!r}: {len(mem_per_stage)} stages "
                 f"exceed the eligible free fragments (certified at capacity "
                 f"epoch {epoch})"
             )
+            exc.certificate = InfeasibleCertificate(self, key, epoch)
+            raise exc
         try:
             return self._place_stages(
                 model, mem_per_stage, scorer, exclude, stage_scorers
             )
-        except AllocationError:
+        except AllocationError as exc:
             if not self._matching_exists(model, mem_per_stage, banned):
                 self._infeasible[key] = epoch  # one entry per key, not per retry
+                exc.certificate = InfeasibleCertificate(self, key, epoch)
             raise
 
     def _matching_exists(

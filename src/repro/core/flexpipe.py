@@ -181,6 +181,10 @@ class FlexPipeSystem(ServingSystem):
                 self._make_plan_for(state),
                 scaler_config,
             )
+            # A deploy builds its placement scorer before allocating, and
+            # that reads (and may refresh) the max-CV cache; a parked tick
+            # skips the deploy, so it makes the same read.
+            state.autoscaler.on_park = self.max_cv
             self._models[spec.name] = state
         self._controller = PeriodicProcess(
             ctx.sim, cfg.control_interval, self._control_tick

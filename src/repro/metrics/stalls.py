@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,20 @@ class StallEpisode:
 
 
 def _moving_median(values: np.ndarray, window: int) -> np.ndarray:
+    """Per-point median over ``i - window//2 .. i + window//2``, truncated
+    at the series ends."""
     if window <= 1 or values.size <= window:
         return values
-    out = np.empty_like(values)
+    n = values.size
     half = window // 2
-    for i in range(values.size):
-        lo = max(i - half, 0)
-        hi = min(i + half + 1, values.size)
-        out[i] = np.median(values[lo:hi])
+    out = np.empty_like(values)
+    # Interior points see the full 2*half+1 window: one row-wise median.
+    out[half : n - half] = np.median(
+        sliding_window_view(values, 2 * half + 1), axis=1
+    )
+    # The 2*half edge points see windows truncated by the series ends.
+    for i in (*range(half), *range(n - half, n)):
+        out[i] = np.median(values[max(i - half, 0) : i + half + 1])
     return out
 
 

@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cluster.allocator import DEGRADE_FLOOR, AllocationError
+from repro.cluster.allocator import (
+    DEGRADE_FLOOR,
+    AllocationError,
+    InfeasibleCertificate,
+)
 from repro.metrics.collector import MetricsCollector, ScalingEvent
 from repro.models.profiler import ModelProfile
 from repro.partitioning.plan import PartitionPlan
@@ -83,7 +87,14 @@ class Autoscaler:
         # the allocator with deploys the cap is guaranteed to refuse.
         # None (the default) changes nothing.
         self.share_headroom: Callable[[], float] | None = None
+        # Optional hook run by a parked tick in place of the deploy it
+        # skips, for deploy paths that touch state before they allocate.
+        # None (the default) changes nothing.
+        self.on_park: Callable[[], object] | None = None
         self._blocked_since: float | None = None
+        # The plan whose scale-out last failed, with the allocator's proof
+        # that it cannot place until capacity is added (None = not parked).
+        self._parked: tuple[PartitionPlan, InfeasibleCertificate] | None = None
         self._low_since: float | None = None
         self._last_scale_out = -math.inf
         self._throughput_cache: dict[tuple, float] = {}
@@ -140,6 +151,22 @@ class Autoscaler:
             r for r in self.loading if r.state is ReplicaState.LOADING
         ]
         active = self.router.active_replicas
+        if (
+            cfg.min_replicas == 0
+            and not active
+            and not self.loading
+            and not self.router.pending
+            and self.monitor.window_count(now) == 0
+            and self.slo_pressure is None
+        ):
+            # Idle scale-to-zero tenant: the body below would compute
+            # rate = queue = 0 and desired = 0 = total, then settle; what
+            # it skips only reads state or fills value-neutral caches.
+            # (The QoS pressure hook prunes running float sums, so a
+            # tenant with one always takes the full body.)
+            self._end_blocked_episode()
+            self._low_since = None
+            return
         queue = self.router.total_queue
         cv = self.monitor.cv(now)
         rate = self.monitor.arrival_rate(now)
@@ -186,10 +213,18 @@ class Autoscaler:
             desired = min(desired, max(total + fit, total))
         if desired > total:
             self._scale_out(desired - total, plan, now)
-        elif desired < len(active) and queue == 0:
+            return
+        self._end_blocked_episode()
+        if desired < len(active) and queue == 0:
             self._maybe_scale_in(active, desired, now)
         else:
             self._low_since = None
+
+    def _end_blocked_episode(self) -> None:
+        """Demand no longer exceeds the fleet: a later failure starts a new
+        episode, and a later first-try deploy waited for nothing."""
+        self._blocked_since = None
+        self._parked = None
 
     def _replicas_within_headroom(self, plan: PartitionPlan) -> int:
         """How many more replicas of ``plan`` fit under the share cap.
@@ -216,11 +251,24 @@ class Autoscaler:
     def _scale_out(self, n: int, plan: PartitionPlan, now: float) -> None:
         if now - self._last_scale_out < self.config.scale_out_cooldown:
             return
+        parked = self._parked
+        if parked is not None and parked[0] == plan and parked[1].holds():
+            # The last deploy of this plan failed on a placement certified
+            # impossible at the current capacity epoch.  ReplicaFactory
+            # fails last on its degradation-floor batch; stage sizes grow
+            # with the batch and the matching test is monotone in them,
+            # so every rung of a new deploy would fail too: return as
+            # that deploy would.
+            if self.on_park is not None:
+                self.on_park()
+            return
         wait = now - self._blocked_since if self._blocked_since is not None else 0.0
         for _ in range(n):
             try:
                 replica = self.deploy(self.profile, plan, wait_time=wait)
-            except AllocationError:
+            except AllocationError as exc:
+                cert = exc.certificate
+                self._parked = (plan, cert) if cert is not None else None
                 # One event per blocked episode, not per retry: retained
                 # events must not grow with the retry rate.
                 if self._blocked_since is None:
@@ -232,7 +280,7 @@ class Autoscaler:
                     )
                 return
             self.loading.append(replica)
-        self._blocked_since = None
+        self._end_blocked_episode()
         self._last_scale_out = now
 
     def _maybe_scale_in(

@@ -273,3 +273,68 @@ class TestMemoHitSideEffects:
         assert scans == []
         assert allocator.failed_requests == failed + 1
         assert len(allocator.open_reclaim_demands()) == 1
+
+
+def _failure(allocator, model, sizes, **kwargs) -> AllocationError:
+    with pytest.raises(AllocationError) as info:
+        allocator.allocate_stages(model, sizes, **kwargs)
+    return info.value
+
+
+class TestInfeasibleCertificate:
+    """A failure carries a certificate only when an identical retry must
+    fail the same way until capacity is added."""
+
+    def test_new_entry_and_memo_hit_both_certify(self, sim):
+        cluster = make_small_cluster(sim, n_servers=6, gpus_per_server=2)
+        allocator = GPUAllocator(cluster)
+        fills = _leave_free(allocator, 40 * GB)
+        first = _failure(allocator, "m", [50 * GB, 50 * GB]).certificate
+        assert first is not None and first.holds()
+        hit = _failure(allocator, "m", [50 * GB, 50 * GB]).certificate
+        assert hit is not None and hit.key == first.key
+        assert hit.epoch == first.epoch
+        allocator.release(fills[0])  # capacity added: the proof lapses
+        assert not first.holds() and not hit.holds()
+
+    def test_scorer_luck_never_certifies(self, sim):
+        cluster = make_small_cluster(sim, n_servers=2, gpus_per_server=2)
+        allocator = GPUAllocator(cluster)
+        g0, g1, g2, g3 = cluster.gpus
+        for gpu, free in ((g0, 60 * GB), (g1, 30 * GB), (g2, 10 * GB), (g3, 10 * GB)):
+            allocator.reserve_on("fill", gpu, gpu.free_memory - free)
+        # The greedy scan fails, but a matching exists.
+        assert _failure(allocator, "m", [30 * GB, 60 * GB]).certificate is None
+
+    def test_prioritised_requests_never_certify(self, sim):
+        cluster = make_small_cluster(sim, n_servers=6, gpus_per_server=2)
+        allocator = GPUAllocator(cluster)
+        allocator.enable_arbitration(lambda m: 0)
+        _leave_free(allocator, 40 * GB)
+        # Preempt-or-wait may free a pending claim at this epoch.
+        for _ in range(2):
+            err = _failure(allocator, "m", [50 * GB, 50 * GB])
+            assert err.certificate is None
+        # An explicit priority on a plain allocator is the same rule.
+        plain = GPUAllocator(make_small_cluster(sim, n_servers=6, gpus_per_server=2))
+        _leave_free(plain, 40 * GB)
+        err = _failure(plain, "m", [50 * GB, 50 * GB], priority=1)
+        assert err.certificate is None
+
+    def test_elastic_shares_never_certify(self, ctx):
+        allocator = ctx.allocator
+        # Contracts without priorities: no preempt-or-wait either.
+        allocator.enable_elastic_shares(clock=lambda: ctx.sim.now)
+        _leave_free(allocator, 40 * GB)
+        for _ in range(2):  # a fresh entry, then a memo hit
+            err = _failure(allocator, "m", [50 * GB, 50 * GB])
+            assert err.certificate is None
+        assert len(allocator._infeasible) == 1
+
+    def test_certificate_tracks_the_memo(self, blocked):
+        cert = _failure(blocked.allocator, "m", [50 * GB, 50 * GB]).certificate
+        assert cert.holds()
+        # The memo is the single source of truth: dropping or re-stamping
+        # the entry ends the proof even at an unchanged epoch.
+        blocked.allocator._infeasible[cert.key] = cert.epoch - 1
+        assert not cert.holds()

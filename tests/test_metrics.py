@@ -8,7 +8,12 @@ import pytest
 from repro.metrics.collector import MetricsCollector, ScalingEvent
 from repro.metrics.latency import LatencyBreakdown, percentile, percentiles
 from repro.metrics.report import format_table, ratio_str
-from repro.metrics.stalls import detect_stalls, median_recovery, recovery_times
+from repro.metrics.stalls import (
+    _moving_median,
+    detect_stalls,
+    median_recovery,
+    recovery_times,
+)
 from repro.workloads.requests import Request
 
 
@@ -43,6 +48,41 @@ class TestLatencyStats:
         b = LatencyBreakdown(queue=1.0, execution=2.0, communication=0.5)
         assert b.total == 3.5
         assert "queue" in str(b)
+
+
+def _moving_median_loop(values: np.ndarray, window: int) -> np.ndarray:
+    """The per-point ``np.median`` loop the vectorised smoother replaced."""
+    if window <= 1 or values.size <= window:
+        return values
+    out = np.empty_like(values)
+    half = window // 2
+    for i in range(values.size):
+        lo = max(i - half, 0)
+        hi = min(i + half + 1, values.size)
+        out[i] = np.median(values[lo:hi])
+    return out
+
+
+class TestMovingMedian:
+    def test_bit_identical_to_the_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(600):
+            n = int(rng.integers(0, 61))
+            window = int(rng.integers(0, 9))
+            values = rng.lognormal(0.0, 1.0, n)
+            if n and rng.random() < 0.3:
+                values[rng.integers(0, n, size=3)] = 0.0  # ties
+            got = _moving_median(values, window)
+            want = _moving_median_loop(values, window)
+            assert got.tobytes() == want.tobytes(), (n, window)
+
+    def test_even_window_uses_the_odd_span(self):
+        values = np.array([5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 0.0])
+        # window 4 -> half 2 -> five-point interior windows.
+        assert _moving_median(values, 4).tolist() == (
+            _moving_median_loop(values, 4).tolist()
+        )
+        assert _moving_median(values, 4)[3] == np.median(values[1:6])
 
 
 class TestStallDetection:

@@ -445,3 +445,378 @@ class TestAutoscalerBlockedEpisodes:
         ctx.sim.run(until=10.0)  # a second episode
         times = [e.time for e in blocked_events()]
         assert len(times) == 2 and times[1] > 6.0
+
+
+class _ScriptedMonitor:
+    """A WorkloadMonitor stand-in whose arrival window the test sets."""
+
+    def __init__(self):
+        self.rate = 0.0
+        self.count = 0
+
+    def sample_rate(self, now):
+        pass
+
+    def cv(self, now):
+        return 0.0
+
+    def arrival_rate(self, now):
+        return self.rate
+
+    def window_count(self, now):
+        return self.count
+
+    def arrive(self):
+        self.rate, self.count = 1.0, 5
+
+    def go_quiet(self):
+        self.rate, self.count = 0.0, 0
+
+
+def _scripted_scaler(ctx, profile, deploy, plan_for, *, monitor=None, **config):
+    from repro.metrics.collector import MetricsCollector
+    from repro.pipeline.router import ModelRouter
+    from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+
+    return Autoscaler(
+        ctx.sim,
+        ModelRouter(ctx.sim, profile.spec.name),
+        monitor or _ScriptedMonitor(),
+        profile,
+        MetricsCollector("test"),
+        deploy,
+        lambda r: None,
+        plan_for,
+        AutoscalerConfig(**config),
+    )
+
+
+def _blocked_events(scaler):
+    return [e for e in scaler.metrics.events if e.kind == "alloc_blocked"]
+
+
+class TestAutoscalerIdleFastPath:
+    """A fully idle scale-to-zero tenant returns before pricing a plan."""
+
+    def _scaler(self, ctx, llama_profile, min_replicas=0):
+        plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        planned = []
+
+        def plan_for(cv, queue):
+            planned.append(queue)
+            return plan
+
+        def deploy(profile, p, *, wait_time=0.0):
+            raise AssertionError("an idle tenant never deploys")
+
+        scaler = _scripted_scaler(
+            ctx, llama_profile, deploy, plan_for, min_replicas=min_replicas
+        )
+        scaler.stop()  # ticks are driven by hand
+        return scaler, plan, planned
+
+    def test_idle_tenant_skips_the_decision(self, ctx, llama_profile):
+        scaler, _, planned = self._scaler(ctx, llama_profile)
+        scaler._low_since = 3.0
+        scaler.tick()
+        assert planned == []
+        assert scaler._low_since is None
+
+    @pytest.mark.parametrize(
+        "busy", ["floor", "arrivals", "pending", "loading", "active", "qos"]
+    )
+    def test_any_activity_takes_the_full_body(self, ctx, llama_profile, busy):
+        from types import SimpleNamespace
+
+        from repro.pipeline.replica import ReplicaState
+
+        scaler, plan, planned = self._scaler(
+            ctx, llama_profile, min_replicas=1 if busy == "floor" else 0
+        )
+        scaler.deploy = lambda profile, p, *, wait_time=0.0: SimpleNamespace(
+            state=ReplicaState.LOADING
+        )
+        if busy == "arrivals":
+            scaler.monitor.count = 1
+        elif busy == "pending":
+            scaler.router.pending.append(object())
+        elif busy == "loading":
+            scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
+        elif busy == "active":
+            scaler.router.replicas.append(
+                SimpleNamespace(
+                    accepting=True,
+                    plan=plan,
+                    max_batch=plan.max_batch,
+                    queue_length=0,
+                    activated_at=0.0,
+                )
+            )
+        elif busy == "qos":
+            scaler.slo_pressure = lambda: 0.0
+        scaler.tick()
+        assert len(planned) == 1
+
+
+class TestAutoscalerCertifiedPark:
+    """A tenant whose scale-out the allocator certified impossible stops
+    calling deploy until the certificate lapses or the plan changes."""
+
+    def _blocked(self, ctx, llama_profile):
+        from types import SimpleNamespace
+
+        from repro.cluster.allocator import degrade_until_fit
+        from repro.pipeline.replica import ReplicaState
+
+        ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
+        allocator = ctx.allocator
+        # 3 GB left everywhere: below every stage of both rungs.
+        fills = [
+            allocator.reserve_on("fill", gpu, gpu.free_memory - 3 * GB)
+            for gpu in ctx.cluster.gpus
+        ]
+        wanted = [ladder.plan(2)]
+        calls = []
+
+        def deploy(profile, plan, *, wait_time=0.0):
+            # ReplicaFactory.deploy's allocation path: degrade to the floor.
+            calls.append((ctx.sim.now, plan.n_stages))
+            kv = profile.spec.kv_bytes_per_request
+            degrade_until_fit(
+                plan.max_batch,
+                lambda b: allocator.allocate_stages(
+                    profile.spec.name, plan.memory_per_stage(b, kv)
+                ),
+            )
+            return SimpleNamespace(state=ReplicaState.LOADING)
+
+        scaler = _scripted_scaler(
+            ctx, llama_profile, deploy, lambda cv, queue: wanted[0], min_replicas=1
+        )
+        return SimpleNamespace(
+            scaler=scaler, calls=calls, fills=fills, ladder=ladder, wanted=wanted
+        )
+
+    def test_parked_tenant_makes_no_deploy_call(self, ctx, llama_profile):
+        b = self._blocked(ctx, llama_profile)
+        ctx.sim.run(until=10.0)  # twenty ticks
+        assert len(b.calls) == 1
+        assert b.scaler._parked is not None
+        assert len(_blocked_events(b.scaler)) == 1
+        assert b.scaler._blocked_since == b.calls[0][0]
+
+    def test_release_causes_exactly_one_retry(self, ctx, llama_profile):
+        b = self._blocked(ctx, llama_profile)
+        ctx.sim.run(until=5.0)
+        # One whole GPU comes back: the epoch moves, yet a 2-stage plan
+        # still cannot place, so the retry re-parks.
+        ctx.allocator.release(b.fills[0])
+        ctx.sim.run(until=10.0)
+        assert len(b.calls) == 2
+        assert 5.0 < b.calls[1][0] <= 5.5
+        assert len(_blocked_events(b.scaler)) == 1
+
+    def test_plan_change_unparks(self, ctx, llama_profile):
+        b = self._blocked(ctx, llama_profile)
+        ctx.sim.run(until=5.0)
+        b.wanted[0] = b.ladder.plan(4)
+        ctx.sim.run(until=10.0)
+        assert [n for _, n in b.calls] == [2, 4]
+        assert b.scaler._parked[0] is b.ladder.plan(4)
+
+    def test_parked_tick_runs_the_on_park_hook(self, ctx, llama_profile):
+        b = self._blocked(ctx, llama_profile)
+        parked = []
+        b.scaler.on_park = lambda: parked.append(ctx.sim.now)
+        ctx.sim.run(until=5.0)
+        # Tick 0.5 deploys; the nine later ticks are parked.
+        assert len(b.calls) == 1 and len(parked) == 9
+
+    def test_uncertified_failures_retry_every_tick(self, ctx, llama_profile):
+        from repro.cluster.allocator import AllocationError
+
+        attempts = []
+
+        def deploy(profile, plan, *, wait_time=0.0):
+            attempts.append(wait_time)
+            raise AllocationError("no room")  # no certificate attached
+
+        plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        _scripted_scaler(ctx, llama_profile, deploy, lambda cv, q: plan, min_replicas=1)
+        ctx.sim.run(until=5.0)
+        assert len(attempts) == 10
+
+
+class TestAutoscalerBlockedEpisodeEnds:
+    """A blocked episode ends when demand stops exceeding the fleet, so a
+    later first-try deploy is charged no wait and a later failure opens a
+    new episode."""
+
+    def _scaler(self, ctx, llama_profile):
+        from types import SimpleNamespace
+
+        from repro.cluster.allocator import AllocationError
+        from repro.pipeline.replica import ReplicaState
+
+        plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        blocked = [True]
+        waits = []
+
+        def deploy(profile, p, *, wait_time=0.0):
+            waits.append(wait_time)
+            if blocked[0]:
+                raise AllocationError("no room")
+            return SimpleNamespace(state=ReplicaState.LOADING)
+
+        monitor = _ScriptedMonitor()
+        scaler = _scripted_scaler(
+            ctx, llama_profile, deploy, lambda cv, q: plan, monitor=monitor,
+            min_replicas=0,
+        )
+        return scaler, monitor, blocked, waits
+
+    def test_first_try_after_quiet_spell_waited_for_nothing(self, ctx, llama_profile):
+        scaler, monitor, blocked, waits = self._scaler(ctx, llama_profile)
+        monitor.arrive()
+        ctx.sim.run(until=3.0)  # blocked from the first tick
+        assert scaler._blocked_since == 0.5
+        monitor.go_quiet()
+        ctx.sim.run(until=20.0)  # demand fell to the (empty) fleet
+        assert scaler._blocked_since is None
+        blocked[0] = False
+        monitor.arrive()
+        ctx.sim.run(until=20.5)
+        assert waits[-1] == 0.0
+
+    def test_new_failure_opens_a_new_episode(self, ctx, llama_profile):
+        scaler, monitor, _, _ = self._scaler(ctx, llama_profile)
+        monitor.arrive()
+        ctx.sim.run(until=3.0)
+        monitor.go_quiet()
+        ctx.sim.run(until=20.0)
+        monitor.arrive()
+        ctx.sim.run(until=20.5)
+        assert [e.time for e in _blocked_events(scaler)] == [0.5, 20.5]
+
+
+def _polling_autoscaler():
+    """The autoscaler before the idle fast path and the certified park:
+    every tick prices a plan and every blocked tick calls deploy."""
+    import math
+
+    from repro.cluster.allocator import AllocationError
+    from repro.metrics.collector import ScalingEvent
+    from repro.pipeline.replica import ReplicaState
+    from repro.refactoring.granularity import instance_count
+    from repro.scaling.autoscaler import Autoscaler
+
+    class PollingAutoscaler(Autoscaler):
+        def tick(self):
+            now = self.sim.now
+            cfg = self.config
+            self.monitor.sample_rate(now)
+            self.loading = [
+                r for r in self.loading if r.state is ReplicaState.LOADING
+            ]
+            active = self.router.active_replicas
+            queue = self.router.total_queue
+            cv = self.monitor.cv(now)
+            rate = self.monitor.arrival_rate(now)
+            plan = self.plan_for(cv, queue)
+            per_replica = self.replica_throughput(plan)
+            pressure = self.slo_pressure() if self.slo_pressure is not None else 0.0
+            effective_util = cfg.target_utilization / (
+                (1.0 + cfg.cv_headroom * cv) * (1.0 + pressure)
+            )
+            desired = instance_count(
+                rate / max(effective_util, 1e-6),
+                per_replica,
+                plan.n_stages,
+                beta1=cfg.beta1,
+                beta2=cfg.beta2,
+            )
+            capacity_now = sum(self.replica_capacity(r) for r in active)
+            if queue > cfg.queue_factor * max(capacity_now * cfg.interval, 1.0):
+                backlog_units = math.ceil(
+                    queue / max(per_replica * cfg.slo_deadline * 0.5, 1.0)
+                )
+                desired = max(desired, len(active) + backlog_units)
+            if cfg.min_replicas == 0 and rate <= 0.0 and queue == 0:
+                desired = 0
+            desired = min(max(desired, cfg.min_replicas), cfg.max_replicas)
+            total = len(active) + len(self.loading)
+            if self.share_headroom is not None and desired > total:
+                fit = self._replicas_within_headroom(plan)
+                desired = min(desired, max(total + fit, total))
+            if desired > total:
+                self._scale_out(desired - total, plan, now)
+            elif desired < len(active) and queue == 0:
+                self._maybe_scale_in(active, desired, now)
+            else:
+                self._low_since = None
+
+        def _scale_out(self, n, plan, now):
+            if now - self._last_scale_out < self.config.scale_out_cooldown:
+                return
+            wait = (
+                now - self._blocked_since if self._blocked_since is not None else 0.0
+            )
+            for _ in range(n):
+                try:
+                    replica = self.deploy(self.profile, plan, wait_time=wait)
+                except AllocationError:
+                    if self._blocked_since is None:
+                        self._blocked_since = now
+                        self.metrics.on_event(
+                            ScalingEvent(
+                                time=now, kind="alloc_blocked", detail=plan.model_name
+                            )
+                        )
+                    return
+                self.loading.append(replica)
+            self._blocked_since = None
+            self._last_scale_out = now
+
+    return PollingAutoscaler
+
+
+def _report_digest(spec, system, seed):
+    import dataclasses
+    import hashlib
+    import json
+
+    from repro.scenarios.driver import ScenarioCase, ScenarioDriver
+
+    report = ScenarioDriver(ScenarioCase(spec, system, seed)).run()
+    blob = json.dumps(dataclasses.asdict(report), sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestAutoscalerPollingOracle:
+    """The idle fast path and the certified park change no report: the
+    polling autoscaler they replace produces byte-identical reports."""
+
+    @pytest.mark.parametrize(
+        "scenario, system, seed",
+        [
+            # Scale-to-zero churn: idle tenants (FlexPipe) and DistServe's
+            # certified-blocked retry storm.
+            ("coldstart-economy", "FlexPipe", 5),
+            ("coldstart-economy", "DistServe", 5),
+            # FlexPipe tenants park here, so the on_park hook is covered.
+            ("reclamation-storm", "FlexPipe", 0),
+        ],
+    )
+    def test_reports_match_the_polling_autoscaler(
+        self, monkeypatch, scenario, system, seed
+    ):
+        import repro.baselines.base
+        import repro.core.flexpipe
+        from repro.scenarios.library import get_scenario
+
+        spec = get_scenario(scenario).quick()
+        new = _report_digest(spec, system, seed)
+        polling = _polling_autoscaler()
+        monkeypatch.setattr(repro.baselines.base, "Autoscaler", polling)
+        monkeypatch.setattr(repro.core.flexpipe, "Autoscaler", polling)
+        assert _report_digest(spec, system, seed) == new
