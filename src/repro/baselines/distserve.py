@@ -77,7 +77,7 @@ class DistServeSystem(StaticPipelineSystem):
             stages = self.choose_stages(spec, ladder, decode_stages)
             self.decode_plans[spec.name] = ladder.plan(stages)
             self.decode_routers[spec.name] = ModelRouter(
-                ctx.sim, f"{spec.name}/decode"
+                ctx.sim, f"{spec.name}/decode", self.fleet_queue
             )
         self.prefill_routed = 0
         self.decode_routed = 0
@@ -148,16 +148,6 @@ class DistServeSystem(StaticPipelineSystem):
         return replica
 
     # ------------------------------------------------------------------
-    def _sample(self) -> None:
-        super()._sample()
-        # The base sampler only sees the prefill routers' queues; fold the
-        # decode side into the same series so Fig. 3-style queue metrics
-        # cover both pools.
-        extra = sum(r.waiting_count for r in self.decode_routers.values())
-        if extra and self.metrics.queue_samples:
-            t, q = self.metrics.queue_samples[-1]
-            self.metrics.queue_samples[-1] = (t, q + extra)
-
     def pool_counts(self, model: str) -> tuple[int, int]:
         """Active (prefill, decode) replica counts for a model."""
         prefill = len([r for r in self.routers[model].replicas if r.accepting])

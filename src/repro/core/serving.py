@@ -14,7 +14,7 @@ from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.models.zoo import ModelSpec
 from repro.pipeline.replica import ReplicaState
-from repro.pipeline.router import ModelRouter
+from repro.pipeline.router import FleetQueue, ModelRouter
 from repro.qos.classes import DEFAULT_CLASS, SLO_CLASSES, SLOClass, request_priority
 from repro.qos.queueing import PriorityPendingQueue
 from repro.qos.signals import AttainmentTracker
@@ -43,8 +43,12 @@ class ServingSystem(abc.ABC):
         self.sim = ctx.sim
         self.specs = {spec.name: spec for spec in model_specs}
         self.profiles = {spec.name: ctx.profile(spec) for spec in model_specs}
+        # Shared by every router in all_routers() (subclasses building
+        # extra pools pass it too), so fleet backlog reads are O(1).
+        self.fleet_queue = FleetQueue()
         self.routers = {
-            spec.name: ModelRouter(ctx.sim, spec.name) for spec in model_specs
+            spec.name: ModelRouter(ctx.sim, spec.name, self.fleet_queue)
+            for spec in model_specs
         }
         self.monitors = {
             spec.name: WorkloadMonitor(window=cv_window) for spec in model_specs
@@ -213,6 +217,10 @@ class ServingSystem(abc.ABC):
         """
         return dict(self.routers)
 
+    def total_queue(self) -> int:
+        """Live backlog across every router (the admission-cap signal)."""
+        return self.fleet_queue.total_queue
+
     def all_replicas(self) -> list:
         """Every replica this system ever created, id-deduplicated.
 
@@ -255,8 +263,7 @@ class ServingSystem(abc.ABC):
     # ------------------------------------------------------------------
     def _sample(self) -> None:
         now = self.sim.now
-        waiting = sum(r.waiting_count for r in self.routers.values())
-        self.metrics.sample_queue(now, waiting)
+        self.metrics.sample_queue(now, self.fleet_queue.waiting_count)
         dt = now - self._last_sample
         if dt > 0:
             self._gpu_holding_integral += self.ctx.allocator.gpus_in_use() * dt

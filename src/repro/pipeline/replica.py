@@ -101,6 +101,9 @@ class PipelineReplica:
         self.pending_claim = None
         self.inflight_jobs = 0
         self.inflight_requests = 0
+        # The router that added this replica; while ACTIVE, every change
+        # to ``queue_length`` or ``len(batcher)`` is reported to it.
+        self.router = None
         self.accepted_requests = 0
         self.completed_requests = 0
         self._retired_stages: list[StageRuntime] = []
@@ -163,6 +166,14 @@ class PipelineReplica:
                 f"illegal transition {self.state.value} -> {new_state.value} "
                 f"at t={self.sim.now:.6f}"
             )
+        router = self.router
+        if router is not None and (self.state is ReplicaState.ACTIVE) != (
+            new_state is ReplicaState.ACTIVE
+        ):
+            # Entering or leaving ACTIVE adds or removes this replica's
+            # counts from its router's queue sums.
+            sign = 1 if new_state is ReplicaState.ACTIVE else -1
+            router.shift(sign * self.queue_length, sign * len(self.batcher))
         self.state = new_state
         self.state_history.append((self.sim.now, new_state))
 
@@ -219,6 +230,8 @@ class PipelineReplica:
         if not self.accepting:
             raise RuntimeError(f"submit() to {self.name} in state {self.state}")
         self.accepted_requests += 1
+        if self.router is not None:
+            self.router.shift(1, 1)
         self.batcher.enqueue(request)
 
     def use_priority_batcher(
@@ -268,6 +281,8 @@ class PipelineReplica:
             tracer.attach_job(job, self.name, now)
         self.inflight_jobs += 1
         self.inflight_requests += len(requests)
+        if self.router is not None and self.state is ReplicaState.ACTIVE:
+            self.router.shift(0, -len(requests))
         job.stages = self.stages  # jobs finish on the chain they started on
         chain_key = id(self.stages)
         self._chains[chain_key] = self.stages
@@ -383,6 +398,8 @@ class PipelineReplica:
             self.on_request_complete(request)
         self.inflight_jobs -= 1
         self.inflight_requests -= len(job.requests)
+        if self.router is not None and self.state is ReplicaState.ACTIVE:
+            self.router.shift(-len(job.requests), 0)
         self.completed_requests += len(job.requests)
         chain_key = id(stages)
         tracked = self._chain_jobs.get(chain_key)

@@ -191,9 +191,6 @@ def build_tenant_controller(
             "(the SLO-feasibility policy consumes its attainment tracker)"
         )
 
-    def total_queue() -> int:
-        return sum(r.total_queue for r in system.all_routers().values())
-
     def routers_of(model: str) -> list:
         # Every pool serving this tenant: the primary router plus any
         # out-of-band pools (keyed "<model>/<pool>", e.g. DistServe's
@@ -205,7 +202,7 @@ def build_tenant_controller(
             if name.split("/", 1)[0] == model
         ]
 
-    overloaded = (lambda: total_queue() > cap) if cap else (lambda: False)
+    overloaded = (lambda: system.total_queue() > cap) if cap else (lambda: False)
     controller = TenantAdmissionController(
         system.submit, on_shed=tracker.observe_shed
     )

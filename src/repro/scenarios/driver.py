@@ -424,7 +424,7 @@ class ScenarioDriver:
         else:
             # The null policy: one shared queue-cap gate (or nothing).
             policy = (
-                QueueCapPolicy(self._total_queue, int(spec.admission_cap))
+                QueueCapPolicy(system.total_queue, int(spec.admission_cap))
                 if spec.admission_cap
                 else None
             )
@@ -489,9 +489,6 @@ class ScenarioDriver:
         return report
 
     # ------------------------------------------------------------------
-    def _total_queue(self) -> int:
-        return sum(r.total_queue for r in self.system.all_routers().values())
-
     def _record(self, violations: list[Violation]) -> None:
         for violation in violations:
             self.violations.setdefault(

@@ -25,6 +25,11 @@ reduces to):
     flight — a replica cannot silently lose a routed request.
 ``router-hygiene``
     No router still lists a RELEASED replica (zombie gateway entries).
+``queue-ledger``
+    Each router's running queue sums equal a recompute over its
+    accepting replicas (Σ ``queue_length`` and Σ ``len(batcher)``), every
+    router feeds the system's fleet totals, and those totals equal the
+    recompute over all routers' pending queues and accepting replicas.
 ``request-conservation`` / ``completion-uniqueness``
     Every generated request is rejected at the admission gate, completed
     exactly once, or still resident in an accounted queue — none lost.
@@ -153,6 +158,7 @@ class InvariantAuditor:
         out += self._check_anomalies()
         out += self._check_share_caps()
         out += self._check_borrow_accounting()
+        out += self._check_queue_ledger()
         return out
 
     def audit_quiesce(self, *, expect_empty_allocator: bool = True) -> list[Violation]:
@@ -408,6 +414,45 @@ class InvariantAuditor:
                         f"router {name} still lists released replica(s) {zombies}",
                     )
                 )
+        return out
+
+    def _check_queue_ledger(self) -> list[Violation]:
+        out: list[Violation] = []
+        fleet = getattr(self.system, "fleet_queue", None)
+        pending = queued = waiting = 0
+        for name, router in self.routers().items():
+            accepting = [r for r in router.replicas if r.accepting]
+            router_queued = sum(r.queue_length for r in accepting)
+            router_waiting = sum(len(r.batcher) for r in accepting)
+            if (router.queued, router.waiting) != (router_queued, router_waiting):
+                out.append(
+                    Violation(
+                        "queue-ledger",
+                        f"router {name}: running sums queued {router.queued}/"
+                        f"waiting {router.waiting} != recompute "
+                        f"{router_queued}/{router_waiting}",
+                    )
+                )
+            if fleet is not None and router.fleet is not fleet:
+                out.append(
+                    Violation(
+                        "queue-ledger",
+                        f"router {name} does not feed the system's fleet totals",
+                    )
+                )
+            pending += len(router.pending)
+            queued += router_queued
+            waiting += router_waiting
+        totals = (pending, queued, waiting)
+        if fleet is not None and (fleet.pending, fleet.queued, fleet.waiting) != totals:
+            out.append(
+                Violation(
+                    "queue-ledger",
+                    f"fleet totals pending {fleet.pending}/queued "
+                    f"{fleet.queued}/waiting {fleet.waiting} != recompute "
+                    f"{pending}/{queued}/{waiting}",
+                )
+            )
         return out
 
     def _check_request_conservation(self) -> list[Violation]:

@@ -495,7 +495,7 @@ def _run_chaos_case(case: ChaosCase) -> ChaosReport:
         gate = build_tenant_controller(system, class_map, cap=int(cap))
     else:
         policy = (
-            QueueCapPolicy(_total_queue(system), int(cap)) if cap else None
+            QueueCapPolicy(system.total_queue, int(cap)) if cap else None
         )
         gate = AdmissionGate(system.submit, policy)
     generators = [
@@ -593,15 +593,6 @@ def _run_chaos_case(case: ChaosCase) -> ChaosReport:
             for g in generators
         },
     )
-
-
-def _total_queue(system):
-    """Live backlog across every router (admission-cap signal)."""
-
-    def total() -> int:
-        return sum(r.total_queue for r in system.all_routers().values())
-
-    return total
 
 
 def audit_seeds(

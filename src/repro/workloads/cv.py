@@ -49,6 +49,10 @@ class SlidingWindowCV:
 
     The FlexPipe monitor samples this every optimisation interval; it keeps
     only the timestamps inside the window so memory stays bounded.
+
+    ``value`` is memoised on ``(observed, trimmed)``: stamps only join at
+    the back and leave at the front, so the pair pins the window's
+    contents exactly and an unchanged window is never re-sorted.
     """
 
     def __init__(self, window: float = 60.0, min_samples: int = 4):
@@ -58,24 +62,35 @@ class SlidingWindowCV:
         self.min_samples = min_samples
         self._times: deque[float] = deque()
         self._last_arrival: float | None = None
+        self._observed = 0
+        self._trimmed = 0
+        self._memo_key: tuple[int, int] | None = None
+        self._memo = 0.0
 
     def observe(self, timestamp: float) -> None:
         if self._last_arrival is not None and timestamp < self._last_arrival - 1e-9:
             raise ValueError("arrivals must be observed in time order")
         self._times.append(timestamp)
         self._last_arrival = timestamp
+        self._observed += 1
 
     def _trim(self, now: float) -> None:
         horizon = now - self.window
         while self._times and self._times[0] < horizon:
             self._times.popleft()
+            self._trimmed += 1
 
     def value(self, now: float) -> float:
         """Current inter-arrival CV; 0.0 until enough samples arrive."""
         self._trim(now)
-        if len(self._times) < self.min_samples:
+        n = len(self._times)
+        if n < self.min_samples:
             return 0.0
-        return interarrival_cv(list(self._times))
+        key = (self._observed, self._trimmed)
+        if key != self._memo_key:
+            self._memo = interarrival_cv(np.fromiter(self._times, float, n))
+            self._memo_key = key
+        return self._memo
 
     def arrival_rate(self, now: float) -> float:
         """Requests/second over the current window."""

@@ -69,9 +69,14 @@ class LengthDistribution:
     lo: int
     hi: int
 
+    def __post_init__(self) -> None:
+        # Hoisted out of ``sample``, which runs twice per request; not a
+        # dataclass field, so equality, repr and ``asdict`` are unchanged.
+        object.__setattr__(self, "_log_median", np.log(self.median))
+
     def sample(self, rng: np.random.Generator) -> int:
-        value = rng.lognormal(np.log(self.median), self.sigma)
-        return int(np.clip(round(value), self.lo, self.hi))
+        value = rng.lognormal(self._log_median, self.sigma)
+        return min(max(round(value), self.lo), self.hi)
 
 
 def rid_namespace(name: str) -> int:

@@ -65,9 +65,10 @@ class DiurnalTrace:
             1.0 + cfg.diurnal_amplitude * np.sin(2 * np.pi * times / cfg.day_seconds),
             0.05,
         )
+        # ``times`` is sorted, so each burst [start, end) is one slice.
         in_burst = np.zeros(times.size, dtype=bool)
         for start, end in bursts:
-            in_burst |= (times >= start) & (times < end)
+            in_burst[np.searchsorted(times, start) : np.searchsorted(times, end)] = True
         rates = np.where(in_burst, rates * cfg.burst_factor, rates)
         accept = self.rng.uniform(0.0, 1.0, times.size) <= rates / max_rate
         return times[accept]
