@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from conftest import emit
 
+from repro.core.context import get_profile
 from repro.metrics.report import format_table
 from repro.models.costs import CostModel
-from repro.models.profiler import Profiler
-from repro.models.transformer import build_transformer
 from repro.models.zoo import OPT_66B
 from repro.partitioning.ladder import GranularityLadder
 from repro.refactoring.granularity import GranularityPolicy
@@ -35,7 +34,7 @@ CVS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def make_ladder():
-    profile = Profiler(CostModel()).profile(OPT_66B, build_transformer(OPT_66B))
+    profile = get_profile(OPT_66B, CostModel())
     return profile, GranularityLadder(profile, stage_counts=(2, 4, 8, 16, 32))
 
 

@@ -2,7 +2,9 @@
 
 Model graphs, profiles and granularity ladders are immutable and costly to
 build (the Eq. 2 DP over ~450 operators), so they are cached at module
-level keyed by (model, cost-config, stage set) and shared across runs.
+level keyed by (``ModelSpec.shape``, cost-config, stage set) and shared
+across runs and same-shape tenants.  An entry built for one tenant is
+bound to another's name by ``ModelProfile.bind``/``GranularityLadder.bind``.
 """
 
 from __future__ import annotations
@@ -22,40 +24,42 @@ from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.transfer.datamover import DataMover
 
-_GRAPH_CACHE: dict[str, ComputationGraph] = {}
+_GRAPH_CACHE: dict[tuple, ComputationGraph] = {}
 _PROFILE_CACHE: dict[tuple, ModelProfile] = {}
 _LADDER_CACHE: dict[tuple, GranularityLadder] = {}
 
 
 def get_graph(spec: ModelSpec) -> ComputationGraph:
-    graph = _GRAPH_CACHE.get(spec.name)
+    graph = _GRAPH_CACHE.get(spec.shape)
     if graph is None:
         graph = build_transformer(spec)
-        _GRAPH_CACHE[spec.name] = graph
+        _GRAPH_CACHE[spec.shape] = graph
     return graph
 
 
 def get_profile(spec: ModelSpec, cost_model: CostModel) -> ModelProfile:
-    key = (spec.name, cost_model.config)
+    key = (spec.shape, cost_model.config)
     profile = _PROFILE_CACHE.get(key)
     if profile is None:
         profile = ModelProfile(
             spec=spec, graph=get_graph(spec), cost_model=cost_model
         )
         _PROFILE_CACHE[key] = profile
-    return profile
+    return profile if profile.spec == spec else profile.bind(spec)
 
 
 def get_ladder(
     spec: ModelSpec, cost_model: CostModel, stage_counts: tuple[int, ...]
 ) -> GranularityLadder:
-    key = (spec.name, cost_model.config, tuple(stage_counts))
+    key = (spec.shape, cost_model.config, tuple(stage_counts))
     ladder = _LADDER_CACHE.get(key)
     if ladder is None:
         ladder = GranularityLadder(
             get_profile(spec, cost_model), stage_counts=stage_counts
         )
         _LADDER_CACHE[key] = ladder
+    if ladder.profile.spec != spec:
+        ladder = ladder.bind(get_profile(spec, cost_model))
     return ladder
 
 

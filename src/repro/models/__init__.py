@@ -20,7 +20,7 @@ from repro.models.zoo import (
     get_model,
 )
 from repro.models.costs import CostModel, CostModelConfig, floor_pow2
-from repro.models.profiler import ModelProfile, Profiler, StageProfile
+from repro.models.profiler import ModelProfile, StageProfile
 from repro.models.calibration import (
     ProfileRow,
     FitReport,
@@ -43,7 +43,6 @@ __all__ = [
     "CostModel",
     "CostModelConfig",
     "floor_pow2",
-    "Profiler",
     "ModelProfile",
     "StageProfile",
     "ProfileRow",

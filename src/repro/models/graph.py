@@ -16,9 +16,9 @@ from repro.models.operators import Operator
 
 
 class ComputationGraph:
-    """Topologically ordered operator graph for one model."""
+    """Topologically ordered operator graph for one model shape (no name)."""
 
-    def __init__(self, model_name: str, operators: list[Operator]):
+    def __init__(self, operators: list[Operator]):
         if not operators:
             raise ValueError("computation graph needs at least one operator")
         for i, op in enumerate(operators):
@@ -26,7 +26,6 @@ class ComputationGraph:
                 raise ValueError(
                     f"operator {op.name!r} has index {op.index}, expected {i}"
                 )
-        self.model_name = model_name
         self.operators = list(operators)
         # Prefix sums for O(1) range aggregation in the partitioner.
         self._param_prefix = list(itertools.accumulate(
@@ -100,6 +99,6 @@ class ComputationGraph:
         """Sanity-check the graph structure (acyclic chain, positive sizes)."""
         g = self.to_networkx()
         if not nx.is_directed_acyclic_graph(g):
-            raise ValueError(f"graph for {self.model_name} has a cycle")
+            raise ValueError("computation graph has a cycle")
         if self.total_param_bytes <= 0:
-            raise ValueError(f"graph for {self.model_name} has no parameters")
+            raise ValueError("computation graph has no parameters")

@@ -8,7 +8,7 @@ partitioner (Eq. 2) and granularity policy (Eq. 4) consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.models.costs import CostModel
 from repro.models.graph import ComputationGraph
@@ -28,11 +28,6 @@ class StageProfile:
     boundary_act_bytes_per_token: float
     boundary_quality: float
 
-    @property
-    def kv_fraction_of(self) -> float:
-        """Placeholder for clarity; use ModelProfile.kv_fraction(stage)."""
-        return self.kv_bytes_per_token
-
 
 @dataclass
 class ModelProfile:
@@ -42,7 +37,7 @@ class ModelProfile:
     partitioner's Eq. 2 DP probes the same operator ranges repeatedly, and
     batch formation re-reads the same stage aggregates on every batch.
     Profiles are immutable once built (graph and cost model never change),
-    so the caches are never invalidated.
+    so the caches are never invalidated, and :meth:`bind` shares them.
     """
 
     spec: ModelSpec
@@ -54,6 +49,12 @@ class ModelProfile:
     _max_batch_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    def bind(self, spec: ModelSpec) -> "ModelProfile":
+        """This profile, graph and memos shared, for a same-shape ``spec``."""
+        if spec.shape != self.spec.shape:
+            raise ValueError(f"{spec.name} does not have the shape of {self.spec.name}")
+        return replace(self, spec=spec)
 
     def stage(self, start: int, end: int) -> StageProfile:
         """Profile the operator range [start, end).  Memoized."""
@@ -88,9 +89,6 @@ class ModelProfile:
     def stage_compute_time(self, stage: StageProfile, batch: int) -> float:
         return self.cost_model.decode_iter_time(stage.param_bytes, batch)
 
-    def stage_prefill_time(self, stage: StageProfile, batch: int, prompt: int) -> float:
-        return self.cost_model.prefill_time(stage.flops_per_token, batch * prompt)
-
     def stage_max_batch(self, stage: StageProfile) -> int:
         key = (stage.start, stage.end)
         cached = self._max_batch_cache.get(key)
@@ -100,18 +98,3 @@ class ModelProfile:
             self._max_batch_cache[key] = cached
         return cached
 
-
-class Profiler:
-    """Builds :class:`ModelProfile` objects (cache by model name)."""
-
-    def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or CostModel()
-        self._cache: dict[str, ModelProfile] = {}
-
-    def profile(self, spec: ModelSpec, graph: ComputationGraph) -> ModelProfile:
-        cached = self._cache.get(spec.name)
-        if cached is not None and cached.graph is graph:
-            return cached
-        profile = ModelProfile(spec=spec, graph=graph, cost_model=self.cost_model)
-        self._cache[spec.name] = profile
-        return profile

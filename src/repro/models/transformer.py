@@ -70,7 +70,7 @@ def build_transformer(spec: ModelSpec) -> ComputationGraph:
                 kv_bytes_per_token=r["kv"],
             )
         )
-    graph = ComputationGraph(spec.name, operators)
+    graph = ComputationGraph(operators)
     graph.validate()
     return graph
 

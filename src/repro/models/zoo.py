@@ -8,7 +8,7 @@ are scaled proportionally so the graph's total matches it exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.transfer.links import GB
 
@@ -33,6 +33,11 @@ class ModelSpec:
             raise ValueError(f"invalid architecture for {self.name}")
         if self.checkpoint_bytes <= 0:
             raise ValueError(f"invalid checkpoint size for {self.name}")
+
+    @property
+    def shape(self) -> tuple:
+        """Every field but ``name``: the key of graphs, profiles and plans."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "name")
 
     @property
     def total_layers(self) -> int:
@@ -118,7 +123,7 @@ def _synthesize_fleet_model(name: str) -> ModelSpec | None:
     if size_gb <= 0:
         raise KeyError(f"fleet model {name!r} declares a non-positive size")
     # Depth grows slowly with size and stays small: the granularity-ladder
-    # DP is O(layers^2)-ish per rung, and 100+ tenants each build one.
+    # DP is O(layers^2)-ish per rung, and every distinct shape builds one.
     n_layers = min(8 + int(size_gb // 6) * 2, 28)
     return ModelSpec(
         name=name,

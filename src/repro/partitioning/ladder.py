@@ -10,8 +10,9 @@ requires, and split stages load only the complement.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.models.profiler import ModelProfile
 from repro.partitioning.partitioner import Partitioner, PartitionerConfig
@@ -49,11 +50,23 @@ class GranularityLadder:
             raise ValueError(
                 f"{profile.spec.name}: no feasible granularity among {counts}"
             )
-        finest = feasible[-1]
-        self.fine_plan = partitioner.plan(finest)
-        self._rungs: dict[int, LadderRung] = {}
-        for count in feasible:
-            self._rungs[count] = self._group_rung(count)
+        self.fine_plan = partitioner.plan(feasible[-1])
+        self._rungs = self._group_rungs(feasible)
+
+    def bind(self, profile: ModelProfile) -> "GranularityLadder":
+        """This ladder for ``profile``'s tenant, a model of the same shape:
+        the same rungs, with every plan carrying the tenant's name."""
+        name = profile.spec.name
+        if profile.spec.shape != self.profile.spec.shape:
+            raise ValueError(f"{name} does not have the shape of {self.profile.spec.name}")
+        bound = copy.copy(self)
+        bound.profile = profile
+        bound._rungs = {
+            n: replace(rung, plan=replace(rung.plan, model_name=name))
+            for n, rung in self._rungs.items()
+        }
+        bound.fine_plan = bound._rungs[self.finest].plan
+        return bound
 
     # ------------------------------------------------------------------
     @property
@@ -73,7 +86,8 @@ class GranularityLadder:
             return self._rungs[n_stages]
         except KeyError:
             raise KeyError(
-                f"no {n_stages}-stage rung; available: {self.stage_counts}"
+                f"{self.profile.spec.name}: no {n_stages}-stage rung; "
+                f"available: {self.stage_counts}"
             ) from None
 
     def plan(self, n_stages: int) -> PartitionPlan:
@@ -103,24 +117,19 @@ class GranularityLadder:
             out.append(count)
         return out
 
-    def _group_rung(self, n_stages: int) -> LadderRung:
-        """Min-max grouping of fine stages into ``n_stages`` coarse stages."""
+    def _group_rungs(self, counts: list[int]) -> dict[int, LadderRung]:
+        """Min-max grouping of fine stages into each of ``counts`` coarse
+        stages: one DP, as row ``k`` of its table is the same for every count."""
         fine = self.fine_plan.stages
         n_fine = len(fine)
-        if n_stages > n_fine:
-            raise ValueError(f"cannot split {n_fine} fine stages into {n_stages}")
-        if n_stages == n_fine:
-            groups = tuple((i, i + 1) for i in range(n_fine))
-            return LadderRung(n_stages, self.fine_plan, groups)
+        identity = tuple((i, i + 1) for i in range(n_fine))
+        rungs = {n_fine: LadderRung(n_fine, self.fine_plan, identity)}
+        coarse = [count for count in counts if count < n_fine]
 
-        weights = [
-            self.profile.stage_compute_time(s.profile, 1) for s in fine
-        ]
         prefix = [0.0]
-        for w in weights:
-            prefix.append(prefix[-1] + w)
         bytes_prefix = [0.0]
         for s in fine:
+            prefix.append(prefix[-1] + self.profile.stage_compute_time(s.profile, 1))
             bytes_prefix.append(bytes_prefix[-1] + s.param_bytes)
         gpu_memory = self.profile.cost_model.config.gpu_memory
 
@@ -133,10 +142,11 @@ class GranularityLadder:
             return prefix[j] - prefix[i]
 
         # dp[k][j]: min bottleneck for first k groups covering fine[0:j].
-        dp = [[infinity] * (n_fine + 1) for _ in range(n_stages + 1)]
-        arg = [[-1] * (n_fine + 1) for _ in range(n_stages + 1)]
+        top = max(coarse, default=0)
+        dp = [[infinity] * (n_fine + 1) for _ in range(top + 1)]
+        arg = [[-1] * (n_fine + 1) for _ in range(top + 1)]
         dp[0][0] = 0.0
-        for k in range(1, n_stages + 1):
+        for k in range(1, top + 1):
             for j in range(k, n_fine + 1):
                 for i in range(k - 1, j):
                     if math.isinf(dp[k - 1][i]):
@@ -145,19 +155,21 @@ class GranularityLadder:
                     if cand < dp[k][j]:
                         dp[k][j] = cand
                         arg[k][j] = i
-        if math.isinf(dp[n_stages][n_fine]):
-            raise ValueError(
-                f"{self.profile.spec.name}: no feasible {n_stages}-stage grouping"
-            )
-        # Back-track group boundaries in fine-stage space.
-        bounds = [n_fine]
-        j = n_fine
-        for k in range(n_stages, 0, -1):
-            j = arg[k][j]
-            bounds.append(j)
-        bounds.reverse()  # [0, ..., n_fine]
-        groups = tuple((bounds[i], bounds[i + 1]) for i in range(n_stages))
-        # Convert fine-stage groups to operator boundaries for the plan.
-        op_boundaries = [fine[hi - 1].end for (_, hi) in groups]
-        plan = build_plan(self.profile, op_boundaries, dp[n_stages][n_fine])
-        return LadderRung(n_stages, plan, groups)
+        for n_stages in coarse:
+            if math.isinf(dp[n_stages][n_fine]):
+                raise ValueError(
+                    f"{self.profile.spec.name}: no feasible {n_stages}-stage grouping"
+                )
+            # Back-track group boundaries in fine-stage space.
+            bounds = [n_fine]
+            j = n_fine
+            for k in range(n_stages, 0, -1):
+                j = arg[k][j]
+                bounds.append(j)
+            bounds.reverse()  # [0, ..., n_fine]
+            groups = tuple((bounds[i], bounds[i + 1]) for i in range(n_stages))
+            # Convert fine-stage groups to operator boundaries for the plan.
+            op_boundaries = [fine[hi - 1].end for (_, hi) in groups]
+            plan = build_plan(self.profile, op_boundaries, dp[n_stages][n_fine])
+            rungs[n_stages] = LadderRung(n_stages, plan, groups)
+        return rungs

@@ -71,7 +71,7 @@ class Partitioner:
             cost = self._stage_cost(0, n_ops)
             if cost is None:
                 raise InfeasiblePartition(
-                    f"{self.graph.model_name} does not fit on a single GPU"
+                    f"{self.profile.spec.name} does not fit on a single GPU"
                 )
             return build_plan(self.profile, [n_ops], cost)
 
@@ -80,26 +80,32 @@ class Partitioner:
         n_pos = len(ends)
         if n_stages > n_pos:
             raise InfeasiblePartition(
-                f"{self.graph.model_name}: cannot make {n_stages} stages from "
+                f"{self.profile.spec.name}: cannot make {n_stages} stages from "
                 f"{n_pos} legal boundaries"
             )
 
         infinity = math.inf
         # dp[k][j]: (bottleneck, total) for first k stages ending at ends[j].
         prev = [self._pair(self._stage_cost(0, ends[j])) for j in range(n_pos)]
+        # costs[j][i]: cost of the stage [ends[i], ends[j]), evaluated once
+        # per plan rather than once per stage count k.
+        costs = [
+            [self._stage_cost(ends[i], end) for i in range(j)]
+            for j, end in enumerate(ends)
+        ]
         choice: list[list[int]] = []
         for k in range(1, n_stages):
             cur = [(infinity, infinity)] * n_pos
             arg = [-1] * n_pos
             for j in range(k, n_pos):
-                end = ends[j]
+                row = costs[j]
                 best = (infinity, infinity)
                 best_i = -1
                 for i in range(k - 1, j):
                     base = prev[i]
                     if math.isinf(base[0]):
                         continue
-                    cost = self._stage_cost(ends[i], end)
+                    cost = row[i]
                     if cost is None:
                         continue
                     cand = (max(base[0], cost), base[1] + cost)
@@ -114,7 +120,7 @@ class Partitioner:
         final = prev[n_pos - 1]
         if math.isinf(final[0]):
             raise InfeasiblePartition(
-                f"{self.graph.model_name}: no feasible {n_stages}-stage plan "
+                f"{self.profile.spec.name}: no feasible {n_stages}-stage plan "
                 f"under the memory constraint"
             )
         # Back-track boundaries.

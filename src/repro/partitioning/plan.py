@@ -50,9 +50,6 @@ class PartitionPlan:
         """Operator indices at which the model is cut (stage end-exclusive)."""
         return tuple(s.end for s in self.stages[:-1])
 
-    def stage_param_bytes(self) -> list[float]:
-        return [s.param_bytes for s in self.stages]
-
     def memory_per_stage(self, batch: int, kv_bytes_per_request: float) -> list[float]:
         """Per-GPU memory demand at ``batch``: parameters + KV reservation.
 

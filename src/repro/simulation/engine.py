@@ -154,12 +154,6 @@ class Simulator:
         event._sim = None
         return event
 
-    def peek(self) -> float | None:
-        """Timestamp of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
-            self._pop()
-        return self._queue[0].time if self._queue else None
-
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Process events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events fired by

@@ -13,12 +13,10 @@ import pytest
 
 from repro.cluster.cluster import make_small_cluster
 from repro.core.admission import AdmissionGate, SLOFeasiblePolicy
-from repro.core.context import ServingContext
+from repro.core.context import ServingContext, get_profile
 from repro.core.flexpipe import FlexPipeSystem
 from repro.models.calibration import TABLE2_ROWS, fit_cost_model
 from repro.models.costs import CostModel
-from repro.models.profiler import Profiler
-from repro.models.transformer import build_transformer
 from repro.models.zoo import LLAMA2_7B, OPT_66B
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.serialize import diff_plans, plan_from_json, plan_to_json
@@ -140,9 +138,7 @@ class TestCalibrationDrivesCostModel:
 
     def test_fitted_model_profiles_a_real_graph(self):
         report = fit_cost_model(list(TABLE2_ROWS))
-        profile = Profiler(CostModel(report.config)).profile(
-            OPT_66B, build_transformer(OPT_66B)
-        )
+        profile = get_profile(OPT_66B, CostModel(report.config))
         ladder = GranularityLadder(profile, stage_counts=(4, 8))
         assert ladder.plan(8).n_stages == 8
         assert ladder.plan(4).max_batch >= ladder.plan(8).max_batch / 4

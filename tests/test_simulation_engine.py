@@ -134,12 +134,6 @@ class TestRunControl:
         drop.cancel()
         assert sim.pending_count() == 1
 
-    def test_peek_returns_next_live_event_time(self, sim):
-        drop = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert sim.peek() == 2.0
-
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i + 1), lambda: None)
