@@ -1,18 +1,17 @@
 #!/usr/bin/env python
-"""Replay an Azure-Functions-style trace through FlexPipe (Fig. 1 workload).
+"""Replay an Azure Functions trace through FlexPipe (Fig. 1 workload).
 
 The paper drives its evaluation with Azure Functions traces whose CV
-changes 7x with the measurement window.  This example synthesises a
-trace bundle with that structure, verifies the multi-window CV mismatch,
-then replays the busiest app's traffic through FlexPipe and reports how
+changes 7x with the measurement window.  This example loads one day of
+the bundled AzureFunctionsDataset2019-format fixture, measures the
+multi-window CV mismatch, then replays the busiest function's day —
+time-compressed to a 6 req/s mean — through FlexPipe and reports how
 many inflight refactors the shifting burstiness triggered.
 
 Run:  python examples/trace_replay.py
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro import (
     FlexPipeSystem,
@@ -24,47 +23,41 @@ from repro import (
 )
 from repro.cluster.fragmentation import FragmentationModel
 from repro.metrics.ascii_plot import sparkline
-from repro.workloads.azure import (
-    AzureSynthConfig,
-    TraceReplayArrivals,
-    multi_window_cv,
-    synthesize_azure_like,
+from repro.workloads.arrivals import ReplayArrivals
+from repro.workloads.azure import fig1_report
+from repro.workloads.azure2019 import (
+    BIN_SECONDS,
+    Azure2019Source,
+    iter_minted_stamps,
+    load_window_cached,
 )
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.splitwise import MixedCorpusSampler
 
-REPLAY_SECONDS = 240.0
+#: The whole fixture day, every function.
+DAY = Azure2019Source(start_minute=0, end_minute=1440, top_k=260)
+TARGET_RATE = 6.0  # mean req/s of the compressed replay
 
 
 def main() -> None:
-    rng = np.random.default_rng(11)
-
-    # 1. Synthesise a trace bundle with the Azure dataset's structure.
-    bundle = synthesize_azure_like(
-        rng,
-        AzureSynthConfig(
-            n_apps=30,
-            days=2.0,
-            mean_total_rate=25.0,
-            burst_probability=0.01,
-            burst_scale=40.0,
-        ),
-    )
-    top1 = bundle.top_apps(1)[0]
-    print(f"bundle: {len(bundle)} functions, {bundle.duration / 3600:.0f} h")
-    print(f"top app {top1.app}: {top1.total_invocations} invocations")
+    # 1. Load one day of the 2019-format fixture (no download).
+    window = load_window_cached(DAY)
+    top1 = window.functions[0]
+    print(f"dataset: {len(window.functions)} functions, "
+          f"{DAY.window_seconds / 3600:.0f} h")
+    print(f"top function {top1.function}: {top1.total} invocations")
 
     # 2. The Fig. 1 phenomenon: CV depends strongly on the window.
-    cvs = multi_window_cv(bundle.total_trace())
+    cvs = fig1_report(window)["total"]
     print("\nFig. 1 check - CV of the total trace by window:")
-    for window, cv in cvs.items():
-        label = f"{window / 3600:.1f}h" if window >= 3600 else f"{window:.0f}s"
+    for size, cv in cvs.items():
+        label = f"{size / 3600:.1f}h" if size >= 3600 else f"{size:.0f}s"
         print(f"  {label:>6}: CV = {cv:.2f}")
-    spread = max(cvs.values()) / max(min(cvs.values()), 1e-9)
-    print(f"  spread: {spread:.1f}x across windows")
-    print("  rate  : " + sparkline(top1.rate_series().tolist(), width=72))
+    print("  rate  : " + sparkline((top1.counts / BIN_SECONDS).tolist(), width=72))
 
-    # 3. Replay the top app's first minutes through FlexPipe at 12 req/s.
+    # 3. Replay the top function's whole day through FlexPipe, compressed
+    # so it averages TARGET_RATE req/s.
+    replay_seconds = top1.total / TARGET_RATE
     sim = Simulator()
     streams = RandomStreams(seed=11)
     cluster = make_paper_cluster(sim)
@@ -83,8 +76,11 @@ def main() -> None:
     system.start()
     sim.run(until=120.0)  # initial loads
 
-    arrivals = TraceReplayArrivals(
-        top1, streams.stream("replay"), target_mean_rate=6.0
+    arrivals = ReplayArrivals(
+        iter_minted_stamps(
+            top1.counts, scale=replay_seconds / DAY.window_seconds
+        ),
+        streams.stream("replay"),
     )
     sampler = MixedCorpusSampler(
         LLAMA2_7B.name,
@@ -92,14 +88,14 @@ def main() -> None:
         weights={"coding": 0.8, "conversation": 0.2},
         slo_latency=15.0,
     )
-    WorkloadGenerator(sim, arrivals, sampler, system.submit, duration=REPLAY_SECONDS)
-    sim.run(until=120.0 + REPLAY_SECONDS + 60.0)
+    WorkloadGenerator(sim, arrivals, sampler, system.submit, duration=replay_seconds)
+    sim.run(until=120.0 + replay_seconds + 60.0)
     system.shutdown()
 
     # 4. Report.
-    summary = system.summarize(REPLAY_SECONDS + 60.0)
-    print(f"\n--- replayed {summary.offered} requests from {top1.app} ---")
-    print(f"inter-arrival CV of replayed stream: {arrivals.cv():.2f}")
+    summary = system.summarize(replay_seconds + 60.0)
+    print(f"\n--- replayed {summary.offered} requests from {top1.function} ---")
+    print(f"inter-arrival CV of replayed stream: {arrivals.cv:.2f}")
     print(f"completed    : {summary.completed}/{summary.offered}")
     print(f"goodput      : {summary.goodput_rate:.1%} within 15s SLO")
     print(f"mean latency : {summary.mean_latency:.2f}s")

@@ -699,69 +699,61 @@ def _run_fuzz(args) -> int:
     return 0
 
 
-def _run_trace(args) -> str:
-    """``repro trace``: synthesise or inspect Azure-style trace bundles."""
-    import numpy as np
-
-    from repro.workloads.azure import (
-        AzureSynthConfig,
-        TraceBundle,
-        fig1_report,
-        synthesize_azure_like,
+def _run_trace(args) -> int:
+    """``repro trace synth2019`` / ``stats``: write or inspect 2019-layout
+    Azure Functions traces."""
+    from repro.workloads.azure2019 import (
+        BIN_SECONDS,
+        dataset_source,
+        load_window,
+        synthesize_2019_dataset,
+        write_2019_dataset,
     )
 
     if args.trace_command == "synth2019":
-        from repro.workloads.azure2019 import (
-            synthesize_2019_dataset,
-            write_2019_dataset,
-        )
-
         seed = args.seed if args.seed else 2019
         dataset = synthesize_2019_dataset(
             seed=seed, n_functions=args.functions, days=args.days
         )
         paths = write_2019_dataset(args.directory, dataset)
-        return (
+        print(
             f"wrote {len(paths)} file(s) to {args.directory}: "
             f"{len(dataset.functions)} functions x {dataset.days} day(s) "
             f"in the AzureFunctionsDataset2019 layout "
             f"({int(dataset.counts.sum())} invocations, seed {seed})"
         )
-    if args.trace_command == "synth":
-        rng = np.random.default_rng(args.seed)
-        bundle = synthesize_azure_like(
-            rng,
-            AzureSynthConfig(
-                n_apps=args.apps, days=args.days, mean_total_rate=args.rate
-            ),
-        )
-        bundle.write_csv(args.output)
-        total = bundle.total_trace()
-        return (
-            f"wrote {args.output}: {len(bundle)} functions / "
-            f"{len(bundle.app_ids())} apps, {total.total_invocations} "
-            f"invocations over {bundle.duration / 3600:.1f} h "
-            f"({total.mean_rate:.1f} req/s mean)"
-        )
+        return 0
     # stats
-    bundle = TraceBundle.read_csv(args.trace_file)
-    lines = [f"{args.trace_file}: {len(bundle)} functions, "
-             f"{bundle.duration / 3600:.1f} h"]
-    report = fig1_report(bundle)
+    from repro.workloads.azure import app_counts, fig1_report
+
+    try:
+        window = load_window(dataset_source(args.directory))
+        if not window.functions:
+            raise ValueError(f"{args.directory}: no invocations")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    source = window.source
+    lines = [
+        f"{args.directory}: {len(window.functions)} functions, "
+        f"{len(source.days)} day(s), {source.window_seconds / 3600:.1f} h"
+    ]
     lines.append("multi-window CV (the Fig. 1 measurement):")
-    for name, cvs in report.items():
+    for name, cvs in fig1_report(window).items():
         parts = []
-        for window, cv in cvs.items():
-            label = f"{window / 3600:g}h" if window >= 3600 else f"{window:g}s"
+        for size, cv in cvs.items():
+            label = f"{size / 3600:g}h" if size >= 3600 else f"{size:g}s"
             parts.append(f"{label}={cv:.2f}")
         lines.append(f"  {name:>6}: " + "  ".join(parts))
-    top = bundle.top_apps(1)[0]
+    app, counts = app_counts(window)[0]
+    total = int(counts.sum())
     lines.append(
-        f"top app: {top.app} ({top.total_invocations} invocations, "
-        f"{top.mean_rate:.2f} req/s)"
+        f"top app: {app} ({total} invocations, "
+        f"{total / source.window_seconds:.2f} req/s)"
     )
-    lines.append("rate: " + sparkline(top.rate_series().tolist(), width=72))
-    return "\n".join(lines)
+    lines.append("rate: " + sparkline((counts / BIN_SECONDS).tolist(), width=72))
+    print("\n".join(lines))
+    return 0
 
 
 def _run_trace_attr(args) -> int:
@@ -1106,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="causal request tracing: run a scenario with the span tracer "
         "+ fleet flight recorder armed and attribute the latency tail to "
-        "cause buckets (also: synthesise / inspect Azure-style traces)",
+        "cause buckets (also: synthesise / inspect Azure Functions traces)",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_run = trace_sub.add_parser(
@@ -1139,11 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the Perfetto/Chrome trace_event JSON to PATH",
     )
-    synth = trace_sub.add_parser("synth", help="write a synthetic trace CSV")
-    synth.add_argument("output", help="CSV path to write")
-    synth.add_argument("--apps", type=int, default=40)
-    synth.add_argument("--days", type=float, default=2.0)
-    synth.add_argument("--rate", type=float, default=20.0, help="mean req/s")
     synth2019 = trace_sub.add_parser(
         "synth2019",
         help="write a deterministic synthetic dataset in the real "
@@ -1158,8 +1145,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth2019.add_argument(
         "--days", type=int, default=1, help="day files to write (d01..dNN)"
     )
-    stats = trace_sub.add_parser("stats", help="summarise a trace CSV")
-    stats.add_argument("trace_file", help="CSV path to read")
+    stats = trace_sub.add_parser(
+        "stats",
+        help="print the Fig. 1 multi-window CV of an "
+        "AzureFunctionsDataset2019-layout directory (every day file, "
+        "every function)",
+    )
+    stats.add_argument("directory", help="directory holding the day files")
     docs_cli = sub.add_parser(
         "docs-cli",
         help="render docs/cli.md (the CLI reference) from this argparse "
@@ -1190,7 +1182,7 @@ def main(argv: list[str] | None = None) -> int:
         i = argv.index("trace")
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if nxt is not None and nxt not in (
-            "run", "synth", "synth2019", "stats", "-h", "--help",
+            "run", "synth2019", "stats", "-h", "--help",
         ):
             argv.insert(i + 1, "run")
     args = build_parser().parse_args(argv)
@@ -1217,8 +1209,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "trace":
         if args.trace_command == "run":
             return _run_trace_attr(args)
-        print(_run_trace(args))
-        return 0
+        return _run_trace(args)
     if args.command == "docs-cli":
         return _run_docs_cli(args)
     raise AssertionError(f"unhandled command {args.command!r}")

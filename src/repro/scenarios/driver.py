@@ -46,6 +46,7 @@ from repro.validation.chaos import (
 from repro.workloads.arrivals import (
     DiurnalArrivals,
     MMPPArrivals,
+    ReplayArrivals,
     make_arrivals,
 )
 from repro.workloads.generator import WorkloadGenerator
@@ -167,8 +168,6 @@ def _make_segment_arrivals(
         return DiurnalArrivals(
             segment.qps, rng, amplitude=segment.amplitude, period=segment.period
         )
-    if segment.kind == "azure":
-        return _make_azure_arrivals(segment, rng, trace_rng)
     # replay: a seeded synthetic production trace compressed into the
     # segment (one "day" per segment), scaled to the requested mean rate.
     trace = DiurnalTrace(
@@ -181,8 +180,6 @@ def _make_segment_arrivals(
             burst_mean_duration=max(segment.duration * 0.05, 1.0),
         ),
     )
-    from repro.workloads.arrivals import ReplayArrivals
-
     return ReplayArrivals(trace.generate(segment.duration), rng)
 
 
@@ -193,12 +190,11 @@ def _make_azure2019_arrivals(segment: ArrivalSegment, source, rng):
     names one function of it.  The whole window maps onto the segment's
     duration (``scale = duration / window_seconds``), so a
     time-compressed ``--quick`` run still replays every trace minute.
-    Minting is the vectorised lazy generator — ``ReplayArrivals`` takes
-    its streaming path, so the full request list never materialises —
+    Minting is the vectorised lazy generator — ``ReplayArrivals`` pulls
+    one stamp per arrival, so the full request list never materialises —
     and draws no randomness, so playback is identical under any shard
     decomposition.
     """
-    from repro.workloads.arrivals import ReplayArrivals
     from repro.workloads.azure2019 import (
         iter_minted_stamps,
         load_window_cached,
@@ -212,44 +208,6 @@ def _make_azure2019_arrivals(segment: ArrivalSegment, source, rng):
     fn = window.function(segment.trace_function)
     scale = segment.duration / source.window_seconds
     return ReplayArrivals(iter_minted_stamps(fn.counts, scale=scale), rng)
-
-
-def _make_azure_arrivals(segment: ArrivalSegment, rng, trace_rng):
-    """Replay an Azure-Functions bundle through :class:`ReplayArrivals`.
-
-    ``trace_file`` (a CSV in the ``repro trace synth`` / real-dataset
-    layout) is read when given; otherwise a seeded synthetic bundle is
-    generated in memory with the same generator the CLI uses.  The
-    bundle's busiest app — the paper's "Top-1" app, the one Fig. 1
-    measures — is rescaled and time-compressed into the segment, so the
-    trace's diurnal envelope and burst minutes survive at scenario
-    timescale and the mean rate lands on ``qps``.
-    """
-    from repro.workloads.arrivals import ReplayArrivals
-    from repro.workloads.azure import (
-        AzureSynthConfig,
-        TraceBundle,
-        counts_to_timestamps,
-        synthesize_azure_like,
-    )
-
-    if segment.trace_file:
-        bundle = TraceBundle.read_csv(segment.trace_file)
-    else:
-        bundle = synthesize_azure_like(
-            trace_rng,
-            AzureSynthConfig(
-                n_apps=12, functions_per_app=2, days=1.0,
-                mean_total_rate=max(segment.qps, 1.0),
-            ),
-        )
-    trace = bundle.top_apps(1)[0]
-    # Rescale so the *compressed* replay offers qps on average: the trace
-    # spans trace.duration seconds but plays back in segment.duration.
-    trace = trace.rescaled(segment.qps * segment.duration / trace.duration)
-    stamps = counts_to_timestamps(trace, trace_rng)
-    compression = segment.duration / trace.duration
-    return ReplayArrivals((float(t) * compression for t in stamps), rng)
 
 
 class ScenarioDriver:

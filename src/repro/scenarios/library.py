@@ -461,37 +461,6 @@ COLDSTART_ECONOMY = ScenarioSpec(
     drain=40.0,
 )
 
-AZURE_REPLAY = ScenarioSpec(
-    name="azure-replay",
-    description=(
-        "Two tenants replay the busiest apps of an Azure-Functions-style "
-        "bundle (the `repro trace synth` schema: Zipf apps, diurnal "
-        "envelope, burst minutes) compressed into the traffic window, "
-        "while the platform reclaims GPUs."
-    ),
-    cluster="small",
-    models=(
-        ModelScript(
-            "LLAMA2-7B",
-            segments=(
-                ArrivalSegment("azure", start=0.0, duration=60.0, qps=6.0),
-            ),
-        ),
-        ModelScript(
-            "WHISPER-9B",
-            segments=(
-                ArrivalSegment("azure", start=10.0, duration=45.0, qps=3.0),
-            ),
-        ),
-    ),
-    events=(
-        ScenarioEvent(at=20.0, action="reclaim"),
-        ScenarioEvent(at=35.0, action="scale_out", model="LLAMA2-7B"),
-    ),
-    admission_cap=128,
-)
-
-
 def _azure2019_fleet(
     source: Azure2019Source, duration: float
 ) -> tuple[ModelScript, ...]:
@@ -564,6 +533,59 @@ AZURE_REPLAY_2019 = ScenarioSpec(
     admission_cap=1024,
     events=(ScenarioEvent(at=25.0, action="reclaim"),),
     drain=30.0,
+)
+
+
+_AZURE_REPLAY_SOURCE = Azure2019Source(
+    dataset_dir="",  # the bundled fixture
+    start_minute=480,
+    end_minute=570,
+    top_k=2,
+)
+
+
+def _top_function_tenants(
+    source: Azure2019Source, tenants: tuple[tuple[str, float, float], ...]
+) -> tuple[ModelScript, ...]:
+    """Tenant ``i`` (model, start, duration) replays the window's rank-``i``
+    function, with ``qps`` carrying its volume as in :func:`_azure2019_fleet`."""
+    window = load_window_cached(source)
+    return tuple(
+        ModelScript(
+            model,
+            segments=(
+                ArrivalSegment(
+                    "azure2019",
+                    start=start,
+                    duration=duration,
+                    qps=fn.total / duration,
+                    trace_function=fn.key,
+                ),
+            ),
+        )
+        for (model, start, duration), fn in zip(tenants, window.functions)
+    )
+
+
+AZURE_REPLAY = ScenarioSpec(
+    name="azure-replay",
+    description=(
+        "Two tenants replay the two busiest functions of a 90-minute "
+        "AzureFunctionsDataset2019-format window (the bundled fixture), "
+        "each compressed into its traffic window, while the platform "
+        "reclaims GPUs."
+    ),
+    cluster="small",
+    models=_top_function_tenants(
+        _AZURE_REPLAY_SOURCE,
+        (("LLAMA2-7B", 0.0, 60.0), ("WHISPER-9B", 10.0, 45.0)),
+    ),
+    azure2019=_AZURE_REPLAY_SOURCE,
+    events=(
+        ScenarioEvent(at=20.0, action="reclaim"),
+        ScenarioEvent(at=35.0, action="scale_out", model="LLAMA2-7B"),
+    ),
+    admission_cap=128,
 )
 
 

@@ -22,17 +22,28 @@ simulator is :mod:`repro.scenarios.driver`'s job.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.models.zoo import get_model
 from repro.qos.classes import SLO_CLASSES
 from repro.scaling.warm_cache import CACHE_POLICIES
 from repro.workloads.azure2019 import Azure2019Source
 
-SEGMENT_KINDS = ("steady", "burst", "diurnal", "replay", "azure", "azure2019")
+SEGMENT_KINDS = ("steady", "burst", "diurnal", "replay", "azure2019")
 EVENT_ACTIONS = ("reclaim", "fail_server", "drain", "refactor", "scale_out")
 CLUSTERS = ("paper", "small")
 QOS_MODES = ("auto", "on", "off")
+
+
+def _build(cls, data: dict):
+    """``cls(**data)``, rejecting keys that are not fields of ``cls``."""
+    valid = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(data) - set(valid))
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} key(s) {unknown}; valid fields: {valid}"
+        )
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -57,14 +68,6 @@ class ArrivalSegment:
         Replays a seeded synthetic production trace
         (:class:`~repro.workloads.traces.DiurnalTrace`) scaled to ``qps``
         mean rate; ``cv`` is ignored.
-    ``azure``
-        Replays an Azure-Functions-style trace bundle (the ``repro trace
-        synth`` schema) through
-        :class:`~repro.workloads.arrivals.ReplayArrivals`: the bundle's
-        busiest app, time-compressed into the segment and rescaled to
-        ``qps`` mean rate.  ``trace_file`` names a CSV written by
-        ``repro trace synth`` (or the real dataset); empty synthesises a
-        seeded bundle in memory.  ``cv`` is ignored.
     ``azure2019``
         Replays one function of the real AzureFunctionsDataset2019
         format through the streaming mint
@@ -91,7 +94,6 @@ class ArrivalSegment:
     burst_cycle: float = 30.0  # burst: mean calm+burst episode cycle (s)
     amplitude: float = 0.6  # diurnal: peak swing as a fraction of qps
     period: float = 120.0  # diurnal: seconds per synthetic "day"
-    trace_file: str = ""  # azure: CSV bundle path ("" = seeded synthetic)
     trace_function: str = ""  # azure2019: function key inside the window
     slo_class: str | None = None  # per-segment QoS class override
 
@@ -121,10 +123,6 @@ class ArrivalSegment:
             raise ValueError(
                 f"segment period/burst_cycle must be positive: "
                 f"{self.period}/{self.burst_cycle}"
-            )
-        if self.trace_file and self.kind != "azure":
-            raise ValueError(
-                f"trace_file only applies to azure segments, not {self.kind!r}"
             )
         if self.trace_function and self.kind != "azure2019":
             raise ValueError(
@@ -392,24 +390,25 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         data = dict(data)
         data["models"] = tuple(
-            ModelScript(
-                **{
+            _build(
+                ModelScript,
+                {
                     **m,
                     "segments": tuple(
-                        ArrivalSegment(**s) for s in m.get("segments", ())
+                        _build(ArrivalSegment, s) for s in m.get("segments", ())
                     )
                     or (ArrivalSegment(),),
-                }
+                },
             )
             for m in data.get("models", ())
         )
         data["events"] = tuple(
-            ScenarioEvent(**e) for e in data.get("events", ())
+            _build(ScenarioEvent, e) for e in data.get("events", ())
         )
         source = data.get("azure2019")
         if isinstance(source, dict):
-            data["azure2019"] = Azure2019Source(**source)
-        return cls(**data)
+            data["azure2019"] = _build(Azure2019Source, source)
+        return _build(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

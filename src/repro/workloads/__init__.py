@@ -21,12 +21,6 @@ from repro.workloads.cv import (
 from repro.workloads.traces import DiurnalTrace
 from repro.workloads.slo import SLO
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.azure import (
-    FunctionTrace,
-    TraceBundle,
-    TraceReplayArrivals,
-    synthesize_azure_like,
-)
 from repro.workloads.azure2019 import (
     Azure2019Source,
     Azure2019Window,
@@ -60,10 +54,6 @@ __all__ = [
     "DiurnalTrace",
     "SLO",
     "WorkloadGenerator",
-    "FunctionTrace",
-    "TraceBundle",
-    "TraceReplayArrivals",
-    "synthesize_azure_like",
     "Azure2019Source",
     "Azure2019Window",
     "FunctionWindow",

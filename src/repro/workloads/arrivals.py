@@ -228,57 +228,33 @@ class DiurnalArrivals(ArrivalProcess):
 
 
 class ReplayArrivals(ArrivalProcess):
-    """Replays arrival timestamps (trace replay), materialised or streamed.
+    """Replays a time-ordered stream of arrival timestamps (trace replay).
 
-    Timestamps are relative to the process start; once the trace is
-    exhausted the process returns ``inf`` gaps, which any duration-bounded
-    generator interprets as "no further arrivals".
-
-    A *sized* input (list/tuple/array) is sorted and kept — the historical
-    behaviour, with the empirical rate and CV known up front.  Any other
-    iterable (generator, file reader) is consumed **lazily**, one stamp
-    per arrival, so replaying a multi-hour Azure window never holds the
-    full timestamp list in memory; the stream must already be
-    time-ordered (out-of-order stamps are clamped forward, exactly like
-    the sorted path's non-negative-gap clamp), and ``rate``/``cv`` become
-    running estimates over the consumed prefix.
+    Timestamps are relative to the process start and are consumed
+    **lazily**, one per arrival, so replaying a multi-hour Azure window
+    never holds the timestamp list in memory.  Negative stamps are
+    skipped and out-of-order stamps are clamped forward (a zero gap).
+    Once the stream is exhausted the process returns ``inf`` gaps, which
+    any duration-bounded generator interprets as "no further arrivals".
+    ``rate``/``cv`` are running estimates over the consumed prefix.
     """
 
     def __init__(self, timestamps, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        if hasattr(timestamps, "__len__"):
-            times = sorted(float(t) for t in timestamps if t >= 0.0)
-            mean_gap = (times[-1] / len(times)) if times and times[-1] > 0 else 1.0
-            super().__init__(1.0 / mean_gap if mean_gap > 0 else 1.0, rng)
-            self.timestamps: list[float] | None = times
-            self._stream = None
-        else:
-            super().__init__(1.0, rng)  # provisional; refined as consumed
-            self.timestamps = None
-            self._stream = iter(timestamps)
-        self._cursor = 0
+        super().__init__(1.0, rng)  # provisional; refined as consumed
+        self._stream = iter(timestamps)
         self._last = 0.0
-        # Running gap statistics for the streaming path (Welford).
+        # Running gap statistics (Welford).
         self._gap_count = 0
         self._gap_mean = 0.0
         self._gap_m2 = 0.0
 
-    def _next_stamp(self) -> float | None:
-        if self.timestamps is not None:
-            if self._cursor >= len(self.timestamps):
-                return None
-            t = self.timestamps[self._cursor]
-            self._cursor += 1
-            return t
+    def next_interarrival(self) -> float:
         for t in self._stream:
             t = float(t)
             if t >= 0.0:
-                return t
-        return None
-
-    def next_interarrival(self) -> float:
-        t = self._next_stamp()
-        if t is None:
+                break
+        else:
             return math.inf
         gap = max(t - self._last, 0.0)
         self._last = max(t, self._last)
@@ -286,23 +262,13 @@ class ReplayArrivals(ArrivalProcess):
         delta = gap - self._gap_mean
         self._gap_mean += delta / self._gap_count
         self._gap_m2 += delta * (gap - self._gap_mean)
-        if self._stream is not None and self._last > 0:
+        if self._last > 0:
             self.rate = self._gap_count / self._last
         return gap
 
     @property
     def cv(self) -> float:
-        """Empirical CV of the trace's inter-arrival gaps.
-
-        Sized traces report the full-trace CV up front; streamed traces
-        report the CV of the gaps consumed so far.
-        """
-        if self.timestamps is not None:
-            if len(self.timestamps) < 3:
-                return 0.0
-            gaps = np.diff(np.asarray(self.timestamps))
-            mean = float(gaps.mean())
-            return float(gaps.std() / mean) if mean > 0 else 0.0
+        """Empirical CV of the inter-arrival gaps consumed so far."""
         if self._gap_count < 3 or self._gap_mean <= 0:
             return 0.0
         std = math.sqrt(self._gap_m2 / self._gap_count)

@@ -54,6 +54,7 @@ import csv
 import hashlib
 import pathlib
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,6 +372,33 @@ def load_window(source: Azure2019Source) -> Azure2019Window:
         for key in selected
     )
     return Azure2019Window(source=source, functions=functions, stats=stats)
+
+
+def dataset_source(directory: str | pathlib.Path) -> Azure2019Source:
+    """A source spanning every invocation day-file in ``directory``.
+
+    The window runs from the first to the last day-file present (days in
+    between that are missing read as zero) and keeps every function: no
+    top-K cut.  Raises ``ValueError`` when there is no day-file.
+    """
+    days = sorted(
+        int(match.group(1))
+        for path in pathlib.Path(directory).glob(
+            INVOCATIONS_PATTERN.replace("{day:02d}", "*")
+        )
+        if (match := _DAY_RE.search(path.name))
+    )
+    if not days:
+        raise ValueError(
+            f"{directory}: no "
+            f"{INVOCATIONS_PATTERN.replace('{day:02d}', 'NN')} day-files"
+        )
+    return Azure2019Source(
+        dataset_dir=str(directory),
+        start_minute=(days[0] - 1) * MINUTES_PER_DAY,
+        end_minute=days[-1] * MINUTES_PER_DAY,
+        top_k=sys.maxsize,
+    )
 
 
 # One small memo per process: scenario drivers compile one segment per

@@ -206,11 +206,14 @@ def test_mint_is_streaming_peak_bounded_by_one_minute():
     stats = MintStats()
     stream = iter_minted_stamps(counts, stats=stats)
     arrivals = ReplayArrivals(stream)
-    # The streaming witness: a generator input never materialises the
-    # timestamp list (the sized path would have sorted it into a list).
-    assert arrivals.timestamps is None
     drained = []
     while True:
+        # The streaming witness: the replay never holds a list or array
+        # of stamps, before, during or after the drain.
+        assert not any(
+            isinstance(value, (list, tuple, np.ndarray))
+            for value in vars(arrivals).values()
+        )
         gap = arrivals.next_interarrival()
         if gap == float("inf"):
             break

@@ -1,4 +1,5 @@
-"""Tests for the Azure-Functions-style trace substrate (Fig. 1 workload)."""
+"""Tests for the Fig. 1 measurement over 2019-layout Azure Functions traces,
+and for replaying a function's counts through the lazy mint."""
 
 from __future__ import annotations
 
@@ -9,65 +10,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads.arrivals import ReplayArrivals
 from repro.workloads.azure import (
-    AzureSynthConfig,
-    FunctionTrace,
-    TraceBundle,
-    TraceReplayArrivals,
+    FIG1_WINDOWS,
+    app_counts,
     binned_count_cv,
-    counts_to_timestamps,
     fig1_report,
     multi_window_cv,
-    synthesize_azure_like,
+)
+from repro.workloads.azure2019 import (
+    Azure2019Source,
+    Azure2019Window,
+    FunctionWindow,
+    dataset_source,
+    iter_minted_stamps,
+    load_window,
+    load_window_cached,
+    synthesize_2019_dataset,
+    write_2019_dataset,
 )
 
+#: The whole bundled fixture day, every function.
+FULL_DAY = Azure2019Source(start_minute=0, end_minute=1440, top_k=260)
 
-def make_trace(counts, bin_seconds=60.0, app="app000", function="fn0"):
-    return FunctionTrace("owner", app, function, "http", np.array(counts), bin_seconds)
+
+def make_window(rows) -> Azure2019Window:
+    """A window from ``(owner, app, function, counts)`` rows."""
+    functions = tuple(
+        FunctionWindow(
+            key=f"{owner}/{app}/{function}",
+            owner=owner,
+            app=app,
+            function=function,
+            trigger="http",
+            counts=np.array(counts, dtype=np.int64),
+        )
+        for owner, app, function, counts in rows
+    )
+    minutes = len(rows[0][3])
+    return Azure2019Window(
+        Azure2019Source(end_minute=minutes, top_k=len(rows)), functions
+    )
 
 
-class TestFunctionTrace:
+def drain(process) -> list[float]:
+    """Every arrival stamp a replay emits, rebuilt from its gaps."""
+    stamps, now = [], 0.0
+    while (gap := process.next_interarrival()) != math.inf:
+        now += gap
+        stamps.append(now)
+    return stamps
+
+
+class TestFunctionWindow:
     def test_basic_stats(self):
-        t = make_trace([10, 20, 30])
-        assert t.n_bins == 3
-        assert t.duration == 180.0
-        assert t.total_invocations == 60
-        assert t.mean_rate == pytest.approx(60 / 180.0)
-
-    def test_rate_series(self):
-        t = make_trace([60, 120])
-        assert t.rate_series().tolist() == [1.0, 2.0]
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            make_trace([1, -2, 3])
-
-    def test_two_dimensional_counts_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            FunctionTrace("o", "a", "f", "http", np.ones((2, 2)))
-
-    def test_nonpositive_bin_rejected(self):
-        with pytest.raises(ValueError, match="bin_seconds"):
-            make_trace([1], bin_seconds=0.0)
-
-    def test_rescale_hits_target_rate(self):
-        t = make_trace([5, 10, 15, 20])
-        scaled = t.rescaled(target_mean_rate=2.0)
-        assert scaled.mean_rate == pytest.approx(2.0, rel=0.02)
-
-    def test_rescale_preserves_shape(self):
-        t = make_trace([100, 200, 400, 100])
-        scaled = t.rescaled(target_mean_rate=t.mean_rate * 3)
-        ratio = scaled.counts / t.counts
-        assert np.allclose(ratio, 3.0, rtol=0.05)
-
-    def test_rescale_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            make_trace([0, 0]).rescaled(1.0)
-
-    def test_rescale_bad_target_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            make_trace([1, 2]).rescaled(0.0)
+        fn = make_window([("o", "a", "f", [10, 20, 30])]).functions[0]
+        assert fn.total == 60
+        assert fn.mean_rate == pytest.approx(60 / 180.0)
+        assert fn.peak_minute == 30
 
 
 class TestBinnedCountCV:
@@ -113,160 +113,139 @@ class TestBinnedCountCV:
         assert scaled == pytest.approx(base, abs=1e-9)
 
 
-class TestTraceBundle:
-    def make_bundle(self):
-        return TraceBundle(
+class TestAppGrouping:
+    def make_window(self):
+        return make_window(
             [
-                make_trace([1, 2, 3, 4], app="appA", function="f1"),
-                make_trace([4, 3, 2, 1], app="appA", function="f2"),
-                make_trace([10, 10, 10, 10], app="appB", function="f1"),
+                ("o1", "appA", "f1", [1, 2, 3, 4]),
+                ("o1", "appA", "f2", [4, 3, 2, 1]),
+                ("o1", "appB", "f1", [10, 2, 10, 2]),
             ]
         )
 
-    def test_app_trace_sums_functions(self):
-        bundle = self.make_bundle()
-        merged = bundle.app_trace("appA")
-        assert merged.counts.tolist() == [5, 5, 5, 5]
+    def test_app_counts_sum_functions(self):
+        apps = dict(app_counts(self.make_window()))
+        assert apps["o1/appA"].tolist() == [5, 5, 5, 5]
+        assert apps["o1/appB"].tolist() == [10, 2, 10, 2]
 
-    def test_total_trace_sums_everything(self):
-        assert self.make_bundle().total_trace().counts.tolist() == [15, 15, 15, 15]
+    def test_apps_ranked_by_volume(self):
+        assert [app for app, _ in app_counts(self.make_window())] == [
+            "o1/appB",
+            "o1/appA",
+        ]
 
-    def test_top_apps_ranked_by_volume(self):
-        top = self.make_bundle().top_apps(2)
-        assert [t.app for t in top] == ["appB", "appA"]
+    def test_same_app_hash_under_two_owners_stays_apart(self):
+        window = make_window(
+            [("o1", "app", "f", [1, 1]), ("o2", "app", "f", [2, 2])]
+        )
+        assert [app for app, _ in app_counts(window)] == ["o2/app", "o1/app"]
 
-    def test_unknown_app_raises(self):
+    def test_total_sums_everything(self):
+        windows = (60.0, 120.0)
+        report = fig1_report(self.make_window(), windows)
+        assert report["total"] == multi_window_cv(
+            np.array([15, 7, 15, 7]), windows
+        )
+        assert report["top1"] == multi_window_cv(np.array([10, 2, 10, 2]), windows)
+        assert report["top2"] == multi_window_cv(np.array([5, 5, 5, 5]), windows)
+
+    def test_unknown_function_raises(self):
         with pytest.raises(KeyError):
-            self.make_bundle().app_trace("nope")
+            self.make_window().function("o1/appC/f1")
 
-    def test_mismatched_bins_rejected(self):
-        with pytest.raises(ValueError, match="share bin width"):
-            TraceBundle([make_trace([1, 2]), make_trace([1, 2, 3])])
 
-    def test_empty_bundle_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            TraceBundle([])
+class TestDatasetSource:
+    def test_dataset_roundtrip(self, tmp_path):
+        ds = synthesize_2019_dataset(seed=3, n_functions=10, days=2)
+        write_2019_dataset(tmp_path, ds)
+        source = dataset_source(tmp_path)
+        assert (source.start_minute, source.end_minute) == (0, 2880)
+        window = load_window(source)
+        assert len(window.functions) == 10  # no top-K cut
+        assert window.total == int(ds.counts.sum())
+        by_function = {fn.function: fn.counts for fn in window.functions}
+        for i, name in enumerate(ds.functions):
+            assert by_function[name].tolist() == ds.counts[i].tolist()
 
-    def test_csv_roundtrip(self, tmp_path):
-        bundle = self.make_bundle()
-        path = tmp_path / "trace.csv"
-        bundle.write_csv(path)
-        loaded = TraceBundle.read_csv(path)
-        assert len(loaded) == len(bundle)
-        for orig, back in zip(bundle.functions, loaded.functions):
-            assert back.owner == orig.owner
-            assert back.app == orig.app
-            assert back.function == orig.function
-            assert back.trigger == orig.trigger
-            assert back.counts.tolist() == orig.counts.tolist()
+    def test_span_runs_from_first_to_last_day_file(self, tmp_path):
+        write_2019_dataset(tmp_path, synthesize_2019_dataset(n_functions=4, days=3))
+        (tmp_path / "invocations_per_function_md.anon.d01.csv").unlink()
+        source = dataset_source(tmp_path)
+        assert (source.start_minute, source.end_minute) == (1440, 4320)
+
+    def test_no_day_files_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="day-files"):
+            dataset_source(tmp_path)
 
     def test_read_rejects_foreign_csv(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="Azure Functions"):
-            TraceBundle.read_csv(path)
+        (tmp_path / "invocations_per_function_md.anon.d01.csv").write_text(
+            "a,b,c\n1,2,3\n"
+        )
+        with pytest.raises(ValueError, match="2019 invocation file"):
+            load_window(dataset_source(tmp_path))
 
 
 class TestSynthesis:
     def test_deterministic_given_seed(self):
-        cfg = AzureSynthConfig(n_apps=5, days=0.25)
-        b1 = synthesize_azure_like(np.random.default_rng(7), cfg)
-        b2 = synthesize_azure_like(np.random.default_rng(7), cfg)
-        assert b1.total_trace().counts.tolist() == b2.total_trace().counts.tolist()
-
-    def test_mean_rate_near_target(self):
-        cfg = AzureSynthConfig(n_apps=10, days=1.0, mean_total_rate=20.0)
-        bundle = synthesize_azure_like(np.random.default_rng(0), cfg)
-        assert bundle.total_trace().mean_rate == pytest.approx(20.0, rel=0.25)
+        a = synthesize_2019_dataset(seed=7, n_functions=5)
+        b = synthesize_2019_dataset(seed=7, n_functions=5)
+        assert a.counts.tolist() == b.counts.tolist()
+        assert a.functions == b.functions
 
     def test_popularity_is_skewed(self):
-        cfg = AzureSynthConfig(n_apps=20, days=0.5)
-        bundle = synthesize_azure_like(np.random.default_rng(1), cfg)
-        top1, top2 = bundle.top_apps(2)
-        median_volume = np.median(
-            [bundle.app_trace(a).total_invocations for a in bundle.app_ids()]
-        )
-        assert top1.total_invocations > 3 * median_volume
+        apps = app_counts(load_window_cached(FULL_DAY))
+        median_volume = np.median([int(c.sum()) for _, c in apps])
+        assert int(apps[0][1].sum()) > 3 * median_volume
 
     def test_fig1_multi_window_cv_mismatch(self):
         """The headline Fig. 1 claim: short-window CV >> long-window CV."""
-        cfg = AzureSynthConfig(n_apps=20, days=2.0)
-        bundle = synthesize_azure_like(np.random.default_rng(42), cfg)
-        cvs = multi_window_cv(bundle.total_trace())
+        cvs = fig1_report(load_window_cached(FULL_DAY))["total"]
         short, mid, long_ = cvs[180.0], cvs[3 * 3600.0], cvs[12 * 3600.0]
-        assert short > 2 * long_  # burst minutes inflate short windows
+        assert short > 2 * long_
         assert short > mid
 
     def test_fig1_report_covers_total_and_top_apps(self):
-        cfg = AzureSynthConfig(n_apps=6, days=2.0)
-        bundle = synthesize_azure_like(np.random.default_rng(3), cfg)
-        report = fig1_report(bundle)
+        report = fig1_report(load_window_cached(FULL_DAY))
         assert set(report) == {"total", "top1", "top2"}
         for cvs in report.values():
-            assert set(cvs) == {180.0, 3 * 3600.0, 12 * 3600.0}
+            assert set(cvs) == set(FIG1_WINDOWS)
 
 
 class TestReplay:
-    def test_counts_to_timestamps_counts_match(self):
-        t = make_trace([3, 0, 5])
-        stamps = counts_to_timestamps(t, np.random.default_rng(0))
-        assert stamps.shape[0] == 8
-        assert (stamps[:3] < 60.0).all()
-        assert (stamps[3:] >= 120.0).all()
+    def test_minted_counts_match_per_minute(self):
+        stamps = list(iter_minted_stamps(np.array([3, 0, 5])))
+        assert len(stamps) == 8
+        assert all(t < 60.0 for t in stamps[:3])
+        assert all(t >= 120.0 for t in stamps[3:])
 
     def test_timestamps_sorted(self):
-        t = make_trace([10, 10, 10])
-        stamps = counts_to_timestamps(t, np.random.default_rng(0))
-        assert (np.diff(stamps) >= 0).all()
-
-    def test_start_placement_stacks_at_bin_start(self):
-        t = make_trace([4])
-        stamps = counts_to_timestamps(t, np.random.default_rng(0), placement="start")
-        assert stamps.tolist() == [0.0] * 4
-
-    def test_bad_placement_rejected(self):
-        with pytest.raises(ValueError, match="placement"):
-            counts_to_timestamps(make_trace([1]), np.random.default_rng(0), placement="mid")
+        stamps = list(iter_minted_stamps(np.array([10, 10, 10])))
+        assert stamps == sorted(stamps)
 
     def test_empty_trace_yields_no_stamps(self):
-        stamps = counts_to_timestamps(make_trace([0, 0]), np.random.default_rng(0))
-        assert stamps.shape == (0,)
+        assert list(iter_minted_stamps(np.array([0, 0]))) == []
 
     def test_replay_arrivals_reproduce_timestamps(self):
-        t = make_trace([2, 2])
-        proc = TraceReplayArrivals(t, np.random.default_rng(5))
-        stamps = []
-        now = 0.0
-        for _ in range(4):
-            gap = proc.next_interarrival()
-            now += gap
-            stamps.append(now)
-        assert proc.remaining == 0
-        assert proc.next_interarrival() == math.inf
-        assert stamps == pytest.approx(sorted(stamps))
-        assert all(s <= 120.0 for s in stamps)
+        counts = np.array([2, 2])
+        process = ReplayArrivals(iter_minted_stamps(counts))
+        assert drain(process) == pytest.approx(list(iter_minted_stamps(counts)))
+        assert process.next_interarrival() == math.inf
 
     def test_replay_rescales_on_request(self):
-        t = make_trace([10, 10, 10, 10])
-        proc = TraceReplayArrivals(
-            t, np.random.default_rng(0), target_mean_rate=2 * t.mean_rate
-        )
-        assert proc.trace.total_invocations == pytest.approx(80, abs=2)
+        counts = np.array([10, 10, 10, 10])
+        full = drain(ReplayArrivals(iter_minted_stamps(counts)))
+        half = drain(ReplayArrivals(iter_minted_stamps(counts, scale=0.5)))
+        assert half == pytest.approx([t * 0.5 for t in full])
 
     def test_replay_cv_positive_for_bursty_trace(self):
         counts = np.zeros(30, dtype=np.int64)
         counts[::10] = 50
-        proc = TraceReplayArrivals(
-            make_trace(counts.tolist()), np.random.default_rng(0)
-        )
-        assert proc.cv() > 1.0
+        process = ReplayArrivals(iter_minted_stamps(counts))
+        drain(process)
+        assert process.cv > 1.0
 
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_replay_emits_exactly_total_invocations(self, counts):
-        t = make_trace(counts)
-        proc = TraceReplayArrivals(t, np.random.default_rng(1))
-        n = 0
-        while proc.next_interarrival() != math.inf:
-            n += 1
-        assert n == t.total_invocations
+        process = ReplayArrivals(iter_minted_stamps(np.array(counts)))
+        assert len(drain(process)) == sum(counts)

@@ -5,23 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.workloads.azure import TraceBundle
+from repro.workloads.azure2019 import dataset_source, load_window
 
 
 class TestTraceParser:
     def test_synth_args(self):
         args = build_parser().parse_args(
-            ["trace", "synth", "out.csv", "--apps", "5", "--rate", "3.5"]
+            ["trace", "synth2019", "out", "--functions", "5", "--days", "2"]
         )
-        assert args.trace_command == "synth"
-        assert args.output == "out.csv"
-        assert args.apps == 5
-        assert args.rate == 3.5
+        assert args.trace_command == "synth2019"
+        assert args.directory == "out"
+        assert args.functions == 5
+        assert args.days == 2
 
     def test_stats_args(self):
-        args = build_parser().parse_args(["trace", "stats", "in.csv"])
+        args = build_parser().parse_args(["trace", "stats", "in"])
         assert args.trace_command == "stats"
-        assert args.trace_file == "in.csv"
+        assert args.directory == "in"
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -30,37 +30,45 @@ class TestTraceParser:
 
 class TestTraceCommands:
     def test_synth_writes_readable_bundle(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
         code = main(
-            ["trace", "synth", str(out), "--apps", "4", "--days", "0.5"]
+            ["trace", "synth2019", str(tmp_path), "--functions", "12", "--days", "2"]
         )
         assert code == 0
         assert "wrote" in capsys.readouterr().out
-        bundle = TraceBundle.read_csv(out)
-        assert len(bundle.app_ids()) == 4
-        assert bundle.duration == pytest.approx(0.5 * 86_400.0)
-
-    def test_synth_respects_rate(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
-        main(["trace", "synth", str(out), "--apps", "6", "--days", "1", "--rate", "8"])
-        bundle = TraceBundle.read_csv(out)
-        assert bundle.total_trace().mean_rate == pytest.approx(8.0, rel=0.35)
+        window = load_window(dataset_source(tmp_path))
+        assert len(window.functions) == 12
+        assert window.source.window_minutes == 2 * 1440
 
     def test_stats_reports_fig1_windows(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
-        main(["trace", "synth", str(out), "--apps", "4", "--days", "2"])
+        main(["trace", "synth2019", str(tmp_path), "--functions", "20"])
         capsys.readouterr()
-        code = main(["trace", "stats", str(out)])
+        code = main(["trace", "stats", str(tmp_path)])
         assert code == 0
         text = capsys.readouterr().out
+        assert "20 functions" in text
         assert "180s=" in text
         assert "12h=" in text
         assert "top app" in text
 
+    def test_stats_without_day_files_is_an_error(self, tmp_path, capsys):
+        code = main(["trace", "stats", str(tmp_path / "missing")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "day-files" in err
+
+    def test_stats_on_a_bad_header_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "invocations_per_function_md.anon.d01.csv").write_text(
+            "a,b,c\n1,2,3\n"
+        )
+        code = main(["trace", "stats", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_changes_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["--seed", "1", "trace", "synth", str(a), "--apps", "3", "--days", "0.25"])
-        main(["--seed", "2", "trace", "synth", str(b), "--apps", "3", "--days", "0.25"])
-        ta = TraceBundle.read_csv(a).total_trace().counts
-        tb = TraceBundle.read_csv(b).total_trace().counts
-        assert ta.tolist() != tb.tolist()
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["--seed", "1", "trace", "synth2019", str(a), "--functions", "3"])
+        main(["--seed", "2", "trace", "synth2019", str(b), "--functions", "3"])
+        ca = [fn.counts.tolist() for fn in load_window(dataset_source(a)).functions]
+        cb = [fn.counts.tolist() for fn in load_window(dataset_source(b)).functions]
+        assert ca != cb

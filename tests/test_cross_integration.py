@@ -23,7 +23,8 @@ from repro.partitioning.serialize import diff_plans, plan_from_json, plan_to_jso
 from repro.pipeline.paged_kv import PagedKVCache, PagedKVConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.workloads.azure import FunctionTrace, TraceReplayArrivals
+from repro.workloads.arrivals import ReplayArrivals
+from repro.workloads.azure2019 import iter_minted_stamps
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import RequestSampler
 
@@ -43,9 +44,10 @@ def serving():
 class TestTraceReplayThroughSystem:
     def test_replayed_trace_is_fully_served(self, serving):
         sim, streams, system = serving
-        counts = np.full(4, 30, dtype=np.int64)  # 2 req/s over 2 minutes
-        trace = FunctionTrace("o", "app", "fn", "http", counts, 60.0)
-        arrivals = TraceReplayArrivals(trace, streams.stream("replay"))
+        counts = np.full(4, 30, dtype=np.int64)  # 0.5 req/s over 4 minutes
+        arrivals = ReplayArrivals(
+            iter_minted_stamps(counts), streams.stream("replay")
+        )
         generator = WorkloadGenerator(
             sim,
             arrivals,
@@ -55,7 +57,7 @@ class TestTraceReplayThroughSystem:
         )
         sim.run(until=sim.now + 400.0)
         system.shutdown()
-        assert generator.offered == trace.total_invocations
+        assert generator.offered == int(counts.sum())
         assert all(r.completed for r in generator.requests)
 
 
@@ -71,9 +73,8 @@ class TestAdmissionInFrontOfSystem:
         gate = AdmissionGate(system.submit, policy)
         generator = WorkloadGenerator(
             sim,
-            TraceReplayArrivals(
-                FunctionTrace("o", "a", "f", "http", np.array([120]), 60.0),
-                streams.stream("replay"),
+            ReplayArrivals(
+                iter_minted_stamps(np.array([120])), streams.stream("replay")
             ),
             RequestSampler(LLAMA2_7B.name, streams.stream("req")),
             gate.submit,

@@ -85,7 +85,7 @@ def _apply_trace_sugar(argv: list[str]) -> list[str]:
         i = argv.index("trace")
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if nxt is not None and nxt not in (
-            "run", "synth", "synth2019", "stats", "-h", "--help",
+            "run", "synth2019", "stats", "-h", "--help",
         ):
             argv = argv[: i + 1] + ["run"] + argv[i + 1 :]
     return argv

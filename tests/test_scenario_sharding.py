@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro.scenarios import driver as driver_module
 from repro.scenarios.driver import (
     ScenarioCase,
     ScenarioDriver,
@@ -386,15 +388,73 @@ class TestStreamingGenerator:
             )
 
 
+class SizedReplayOracle:
+    """The historical sized ``ReplayArrivals``: sort every stamp up front,
+    then step a cursor.  The lazy class must reproduce its gaps exactly
+    on any time-ordered input."""
+
+    def __init__(self, timestamps):
+        self.timestamps = sorted(float(t) for t in timestamps if t >= 0.0)
+        self._cursor = 0
+        self._last = 0.0
+
+    def next_interarrival(self) -> float:
+        if self._cursor >= len(self.timestamps):
+            return math.inf
+        t = self.timestamps[self._cursor]
+        self._cursor += 1
+        gap = max(t - self._last, 0.0)
+        self._last = max(t, self._last)
+        return gap
+
+    @property
+    def cv(self) -> float:
+        if len(self.timestamps) < 3:
+            return 0.0
+        gaps = np.diff(np.asarray(self.timestamps))
+        mean = float(gaps.mean())
+        return float(gaps.std() / mean) if mean > 0 else 0.0
+
+
+def _gaps(process) -> list[float]:
+    out = []
+    while (gap := process.next_interarrival()) != math.inf:
+        out.append(gap)
+    return out
+
+
 class TestStreamingReplay:
     def test_stream_equals_sized_gaps(self):
         stamps = [0.3, 1.1, 1.9, 4.2, 4.2, 7.0]
-        sized = ReplayArrivals(list(stamps))
+        oracle = SizedReplayOracle(stamps)
         streamed = ReplayArrivals(iter(stamps))
         for _ in stamps:
-            assert streamed.next_interarrival() == sized.next_interarrival()
-        assert sized.next_interarrival() == float("inf")
+            assert streamed.next_interarrival() == oracle.next_interarrival()
+        assert oracle.next_interarrival() == float("inf")
         assert streamed.next_interarrival() == float("inf")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trace_replay_gaps_match_sized_oracle(self, seed, monkeypatch):
+        """The `replay` segment's DiurnalTrace stamps replay bit-identically
+        through the lazy class and the sized oracle."""
+        captured = []
+        monkeypatch.setattr(
+            driver_module,
+            "ReplayArrivals",
+            lambda stamps, rng: captured.append(stamps),
+        )
+        for script in SCENARIOS["trace-replay"].models:
+            for segment in script.segments:
+                driver_module._make_segment_arrivals(
+                    segment,
+                    np.random.default_rng(seed),
+                    np.random.default_rng(1000 + seed),
+                )
+        assert len(captured) == 2
+        for stamps in captured:
+            gaps = _gaps(ReplayArrivals(stamps))
+            assert len(gaps) == len(stamps) > 0
+            assert gaps == _gaps(SizedReplayOracle(stamps))
 
     def test_stream_never_materialises(self):
         def infinite():
@@ -406,18 +466,22 @@ class TestStreamingReplay:
         process = ReplayArrivals(infinite())
         for _ in range(10_000):
             assert process.next_interarrival() == 0.25
-        assert process.timestamps is None  # nothing retained
+        # Nothing retained: the instance holds no list or array.
+        assert not any(
+            isinstance(value, (list, tuple, np.ndarray))
+            for value in vars(process).values()
+        )
         assert process.rate == pytest.approx(4.0)
 
     def test_streaming_cv_converges_to_empirical(self):
         rng = np.random.default_rng(9)
         gaps = rng.exponential(0.5, size=4000)
         stamps = np.cumsum(gaps)
-        sized = ReplayArrivals(list(stamps))
+        oracle = SizedReplayOracle(list(stamps))
         streamed = ReplayArrivals(iter(float(t) for t in stamps))
         for _ in range(len(stamps)):
             streamed.next_interarrival()
-        assert streamed.cv == pytest.approx(sized.cv, rel=0.05)
+        assert streamed.cv == pytest.approx(oracle.cv, rel=0.05)
 
     def test_negative_stamps_skipped_in_stream(self):
         process = ReplayArrivals(iter([-3.0, 1.0, -0.5, 2.0]))

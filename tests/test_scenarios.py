@@ -153,6 +153,38 @@ class TestScenarioSpec:
                 events=(ScenarioEvent(at=1.0, action="drain", model="WHISPER9B"),),
             )
 
+    def test_spec_dumped_with_a_removed_field_is_a_value_error(self):
+        """A spec dumped when segments still carried ``trace_file``."""
+        data = MINI.to_dict()
+        data["models"][0]["segments"][0]["trace_file"] = ""
+        with pytest.raises(ValueError, match="trace_file") as info:
+            ScenarioSpec.from_dict(data)
+        assert "ArrivalSegment" in str(info.value)
+        assert "trace_function" in str(info.value)  # lists valid fields
+
+    @pytest.mark.parametrize(
+        "level, misspelled",
+        [
+            ("spec", "admision_cap"),
+            ("model", "slo_clas"),
+            ("segment", "qsp"),
+            ("event", "when"),
+            ("azure2019", "top"),
+        ],
+    )
+    def test_unknown_keys_named_at_every_level(self, level, misspelled):
+        data = get_scenario("azure-replay").to_dict()
+        target = {
+            "spec": data,
+            "model": data["models"][0],
+            "segment": data["models"][0]["segments"][0],
+            "event": data["events"][0],
+            "azure2019": data["azure2019"],
+        }[level]
+        target[misspelled] = 1
+        with pytest.raises(ValueError, match=misspelled):
+            ScenarioSpec.from_dict(data)
+
     def test_catalog_lookup(self):
         assert get_scenario("tenant-churn").name == "tenant-churn"
         with pytest.raises(KeyError, match="available"):
@@ -491,53 +523,39 @@ class TestGpuContentionScenario:
 
 class TestAzureReplayScenario:
     def test_azure_segment_validation(self):
-        with pytest.raises(ValueError, match="trace_file"):
-            ArrivalSegment("steady", trace_file="x.csv")
-        ArrivalSegment("azure", trace_file="x.csv")  # fine
+        # azure2019 is the only Azure trace kind.
+        with pytest.raises(ValueError, match="unknown segment kind"):
+            ArrivalSegment("azure")
+        with pytest.raises(ValueError, match="trace_function"):
+            ArrivalSegment("azure2019")
+        ArrivalSegment("azure2019", trace_function="o/a/f")  # fine
 
     def test_catalog_entry_runs_clean_and_offers_traffic(self):
-        report = run_scenario_case(
-            ScenarioCase(get_scenario("azure-replay"), "FlexPipe", seed=0)
-        )
-        assert report.ok, "\n".join(str(v) for v in report.violations)
-        for model in ("LLAMA2-7B", "WHISPER-9B"):
-            assert report.per_model[model].offered > 0
+        from repro.workloads.azure2019 import load_window_cached
 
-    def test_trace_file_bundle_feeds_replay_arrivals(self, tmp_path):
-        """The `repro trace synth` -> CSV -> scenario path end-to-end."""
-        import numpy as np
-
-        from repro.workloads.azure import AzureSynthConfig, synthesize_azure_like
-
-        csv_path = tmp_path / "bundle.csv"
-        bundle = synthesize_azure_like(
-            np.random.default_rng(7),
-            AzureSynthConfig(n_apps=6, days=1.0, mean_total_rate=8.0),
-        )
-        bundle.write_csv(csv_path)
-        spec = ScenarioSpec(
-            name="azure-file",
-            cluster="small",
-            settle=60.0,
-            drain=10.0,
-            models=(
-                ModelScript(
-                    "LLAMA2-7B",
-                    segments=(
-                        ArrivalSegment(
-                            "azure",
-                            duration=20.0,
-                            qps=5.0,
-                            trace_file=str(csv_path),
-                        ),
-                    ),
-                ),
-            ),
-        )
+        spec = get_scenario("azure-replay")
         report = run_scenario_case(ScenarioCase(spec, "FlexPipe", seed=0))
         assert report.ok, "\n".join(str(v) for v in report.violations)
-        # Rescaling targets qps over the segment: ~qps * duration offered.
-        assert report.offered == pytest.approx(100, rel=0.2)
+        # At full length every invocation of both windows is offered.
+        window = load_window_cached(spec.azure2019)
+        for model, fn in zip(spec.model_names, window.functions):
+            assert report.per_model[model].offered == fn.total
+
+    def test_tenants_replay_the_top_two_functions(self):
+        """Both tenants replay one of the scenario window's top-2
+        functions, with qps carrying the function's volume."""
+        from repro.workloads.azure2019 import load_window_cached
+
+        spec = get_scenario("azure-replay")
+        window = load_window_cached(spec.azure2019)
+        assert spec.azure2019.top_k == 2
+        segments = [m.segments[0] for m in spec.models]
+        assert [s.kind for s in segments] == ["azure2019", "azure2019"]
+        assert [s.trace_function for s in segments] == [
+            fn.key for fn in window.functions
+        ]
+        for seg, fn in zip(segments, window.functions):
+            assert seg.qps == pytest.approx(fn.total / seg.duration)
 
     def test_azure_replay_is_deterministic(self):
         spec = get_scenario("azure-replay").quick()
