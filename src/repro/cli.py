@@ -14,8 +14,9 @@ Commands
     Regenerate ``EXPERIMENTS.md`` from the bench outputs in
     ``benchmarks/_results/``.
 ``audit``
-    Seeded chaos fuzz of lifecycle interleavings (single-model small
-    cluster and multi-model paper cluster), asserting the invariants.
+    The chaos audit: one seeded scenario per seed (single-model small
+    cluster, or a multi-model paper-cluster fleet with binding elastic
+    caps) run on every system, asserting the invariants.
 ``scenario list`` / ``scenario run``
     The declarative scenario engine: scripted multi-model runs (phased
     arrivals + timed disturbances) against any system, audited.
@@ -283,8 +284,14 @@ def _run_report(args) -> str:
 
 
 def _run_audit(args) -> int:
-    """``repro audit``: the seeded chaos audit of lifecycle invariants."""
-    from repro.validation.chaos import CHAOS_SYSTEMS, audit_seeds
+    """``repro audit``: the seeded chaos audit of lifecycle invariants.
+
+    Exits 1 on any invariant violation, and also when a system ran
+    elastic-contract seeds without a single borrow: the audit would then
+    pass without ever exercising the contract paths it exists to check.
+    """
+    from repro.experiments.systems import CHAOS_SYSTEMS
+    from repro.validation.chaos import audit_seeds, chaos_spec
 
     systems = _choose(args.systems, CHAOS_SYSTEMS)
     if systems is None:
@@ -293,21 +300,30 @@ def _run_audit(args) -> int:
         seeds=args.seeds,
         systems=systems,
         runner=_runner_from(args),
-        case_kwargs={"duration": args.duration},
+        duration=args.duration,
     )
+    elastic = {s for s in range(args.seeds) if chaos_spec(s).elastic}
     rows = []
+    idle_premise = []
     for name in systems:
-        mine = [r for r in reports if r.case.system == name]
+        mine = [r for r in reports if r.system == name]
         bad = [r for r in mine if not r.ok]
+        tenants = [t for r in mine for t in r.tenants.values()]
+        borrows = sum(t.borrows for t in tenants)
+        if borrows == 0 and any(r.seed in elastic for r in mine):
+            idle_premise.append(name)
         rows.append(
             {
                 "system": name,
                 "seeds": len(mine),
                 "violations": sum(len(r.violations) for r in mine),
-                "failing seeds": ", ".join(str(r.case.seed) for r in bad) or "-",
+                "failing seeds": ", ".join(str(r.seed) for r in bad) or "-",
                 "offered": sum(r.offered for r in mine),
                 "completed": sum(r.completed for r in mine),
                 "shed": sum(r.shed for r in mine),
+                "borrows": borrows,
+                "reclaim demands": sum(t.reclaims for t in tenants),
+                "preemptions": sum(t.preemptions_won for t in tenants),
             }
         )
     print(
@@ -317,10 +333,18 @@ def _run_audit(args) -> int:
             "lifecycle invariants at quiesce",
         )
     )
-    if _report_violations(
+    failed = _report_violations(
         [r for r in reports if not r.ok],
-        lambda r: f"{r.case.system} seed={r.case.seed}",
-    ):
+        lambda r: f"{r.system} seed={r.seed}",
+    )
+    if idle_premise:
+        print(
+            f"\nelastic seeds ran without a single borrow on "
+            f"{', '.join(idle_premise)}: the contract paths went unexercised.",
+            file=sys.stderr,
+        )
+        failed = 1
+    if failed:
         return 1
     print("\nall invariants held across every seeded interleaving.")
     return 0
@@ -328,8 +352,8 @@ def _run_audit(args) -> int:
 
 def _run_scenario(args) -> int:
     """``repro scenario``: the declarative multi-model scenario engine."""
+    from repro.experiments.systems import CHAOS_SYSTEMS
     from repro.scenarios import SCENARIOS, run_scenarios
-    from repro.validation.chaos import CHAOS_SYSTEMS
 
     if args.scenario_command == "list":
         rows = [
@@ -463,8 +487,8 @@ def _run_qos(args) -> int:
     """
     from dataclasses import replace as dc_replace
 
+    from repro.experiments.systems import CHAOS_SYSTEMS
     from repro.scenarios import SCENARIOS, run_scenarios
-    from repro.validation.chaos import CHAOS_SYSTEMS
 
     if _choose([args.scenario], SCENARIOS, what="scenario") is None:
         return 2

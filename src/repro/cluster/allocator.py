@@ -412,11 +412,25 @@ class GPUAllocator:
             uncovered = reserved - limit - self._borrowed_total(model)
             if uncovered > self.tenant_overage_peak.get(model, 0.0):
                 self.tenant_overage_peak[model] = uncovered
-            own = reserved - self._borrowed_total(model)
-            lent = self._lent_out(model)
-            if lent > 0 and own + lent > limit + eps:
-                self._demand_reclaim(model, own + lent - limit)
+            self._press_if_over_committed(model)
         self._settle_demands()
+
+    def _over_commit(self, model: str) -> float:
+        """Bytes by which a lender's own holding plus what it has lent out
+        exceeds its cap (0 when within the cap or lending nothing)."""
+        limit = self._limit_of(model)
+        lent = self._lent_out(model)
+        if limit is None or lent <= 0.0:
+            return 0.0
+        reserved = self.tenant_reserved.get(model, 0.0)
+        over = reserved - self._borrowed_total(model) + lent - limit
+        return over if over > _share_eps(max(limit, reserved)) else 0.0
+
+    def _press_if_over_committed(self, model: str) -> None:
+        """An over-committed lender presses its borrowers for the excess."""
+        over = self._over_commit(model)
+        if over > 0.0:
+            self._demand_reclaim(model, over)
 
     def _borrow(self, borrower: str, need: float) -> None:
         # Largest idle headroom first (name-ordered tiebreak keeps the
@@ -545,12 +559,19 @@ class GPUAllocator:
                 remaining -= ask
 
     def _settle_demands(self) -> None:
+        settled = []
         for demand in self.reclaim_demands:
             if demand.resolved_at is None and (
                 self._lent_out(demand.lender)
                 <= demand.target_lent + _share_eps(demand.nbytes)
             ):
                 demand.resolved_at = self._clock()
+                settled.append(demand.lender)
+        # A demand is met at its issue-time target, but the lender's own
+        # holding may have grown while it was open (no second demand
+        # stacks on an open one): press again for what is still over.
+        for lender in settled:
+            self._press_if_over_committed(lender)
 
     def open_reclaim_demands(self) -> list[ReclaimDemand]:
         return [d for d in self.reclaim_demands if d.resolved_at is None]
@@ -750,9 +771,10 @@ class GPUAllocator:
                 self._press_lenders_on_failure(model, sum(mem_per_stage))
                 raise
         self.granted_requests += 1
-        if self.elastic_shares:
-            # The lender got what it wanted — its open demand (if any) is
-            # moot regardless of how much is still lent out.
+        if self.elastic_shares and not self._over_commit(model):
+            # The lender got what it wanted and is within its cap — its
+            # open demand (if any) is moot.  An over-committed lender
+            # keeps the demand its booking issued or kept open.
             for demand in self.reclaim_demands:
                 if demand.resolved_at is None and demand.lender == model:
                     demand.resolved_at = self._clock()

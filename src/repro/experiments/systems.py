@@ -177,7 +177,7 @@ def make_distserve(
 
 # The registry the paper-figure sweeps iterate.  DistServe is kept out of
 # it (the paper's headline comparisons exclude it) but is exercised by
-# the chaos audit via ``repro.validation.chaos.CHAOS_SYSTEMS``.
+# the scenario engine and the chaos audit via ``CHAOS_SYSTEMS``.
 SYSTEM_FACTORIES: dict[str, Callable[..., ServingSystem]] = {
     "FlexPipe": make_flexpipe,
     "AlpaServe": make_alpaserve,
@@ -185,6 +185,20 @@ SYSTEM_FACTORIES: dict[str, Callable[..., ServingSystem]] = {
     "ServerlessLLM": make_serverlessllm,
     "Tetris": make_tetris,
 }
+
+
+def _chaos_distserve(ctx, cfg, **overrides):
+    """DistServe sized for the small chaos cluster (its paper-provisioned
+    defaults — 16 decode stages, peak-fraction replica counts — cannot
+    even start on 16 fragmented GPUs)."""
+    overrides.setdefault("initial_replicas", 2)
+    overrides.setdefault("decode_stages", 8)
+    return make_distserve(ctx, cfg, **overrides)
+
+
+# Every system the scenario engine and the chaos audit run: the
+# figure-sweep systems plus DistServe.
+CHAOS_SYSTEMS = dict(SYSTEM_FACTORIES, DistServe=_chaos_distserve)
 
 
 def make_system(name: str, ctx: ServingContext, cfg: ExperimentConfig, **overrides):

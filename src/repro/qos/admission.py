@@ -160,7 +160,7 @@ class TenantAdmissionController:
 
 
 # ----------------------------------------------------------------------
-# The standard composition (used by the scenario driver and chaos harness)
+# The standard composition (used by the scenario driver)
 # ----------------------------------------------------------------------
 def build_tenant_controller(
     system,

@@ -32,17 +32,12 @@ from repro.experiments.common import (
     build_environment,
     make_workload_sampler,
 )
+from repro.experiments.systems import CHAOS_SYSTEMS
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.qos.admission import build_tenant_controller
 from repro.qos.classes import DEFAULT_CLASS, get_slo_class
 from repro.scenarios.spec import ArrivalSegment, ScenarioSpec
 from repro.validation.auditor import InvariantAuditor, Violation
-from repro.validation.chaos import (
-    CHAOS_SYSTEMS,
-    action_drain,
-    action_refactor,
-    action_scale_out,
-)
 from repro.workloads.arrivals import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -148,6 +143,83 @@ class ScenarioReport:
 
 
 # ----------------------------------------------------------------------
+# Lifecycle actions behind the scripted events.  All work strictly
+# through public interfaces (factories, routers, executors).
+# ----------------------------------------------------------------------
+def pick_model(system, rng) -> str:
+    names = sorted(system.specs)
+    return names[int(rng.integers(len(names)))]
+
+
+def action_scale_out(system, rng, model: str | None = None) -> str:
+    """Deploy one more replica for ``model`` (random if omitted)."""
+    model = model or pick_model(system, rng)
+    profile = system.profiles[model]
+    states = getattr(system, "_models", None)
+    deploy_decode = getattr(system, "_deploy_decode", None)
+    if states is not None:  # FlexPipe: random ladder rung
+        ladder = states[model].ladder
+        counts = ladder.stage_counts
+        plan = ladder.plan(int(counts[int(rng.integers(len(counts)))]))
+        deploy = lambda: system.factory.deploy(
+            profile, plan, batch_cap=system.batch_cap
+        )
+    elif deploy_decode is not None and rng.random() < 0.5:
+        # DistServe: also churn the decode pool, or drains could
+        # empty it permanently with no event ever re-growing it.
+        deploy = lambda: deploy_decode(profile, model)
+    else:  # baselines: their fixed granularity
+        plan = system.plans[model]
+        deploy = lambda: system._deploy(profile, plan)
+    try:
+        deploy()
+    except AllocationError:
+        return "blocked"
+    return "ok"
+
+
+def action_drain(system, rng, model: str | None = None) -> str:
+    """Release one live replica (of ``model`` when given)."""
+    factory = system.factory
+    live = factory.live_replicas()
+    if model is not None:
+        live = [r for r in live if r.profile.spec.name == model]
+    if not live:
+        return "noop"
+    factory.release(live[int(rng.integers(len(live)))])
+    return "ok"
+
+
+def action_refactor(
+    system, rng, model: str | None = None, target_stages: int | None = None
+) -> str:
+    """Force an inflight refactor of one active replica (FlexPipe only)."""
+    states = getattr(system, "_models", None)
+    if not states:
+        return "unsupported"
+    model = model or pick_model(system, rng)
+    state = states[model]
+    active = system.routers[model].active_replicas
+    if not active:
+        return "noop"
+    replica = active[int(rng.integers(len(active)))]
+    if target_stages is not None:
+        counts = state.ladder.stage_counts
+        target = min(counts, key=lambda c: abs(c - target_stages))
+        if target == replica.plan.n_stages:
+            return "noop"
+    else:
+        targets = [
+            c for c in state.ladder.stage_counts if c != replica.plan.n_stages
+        ]
+        if not targets:
+            return "noop"
+        target = int(targets[int(rng.integers(len(targets)))])
+    started = state.executor.refactor(replica, int(target))
+    return "ok" if started else "declined"
+
+
+# ----------------------------------------------------------------------
 # Segment compilation
 # ----------------------------------------------------------------------
 def _make_segment_arrivals(
@@ -224,11 +296,7 @@ class ScenarioDriver:
     """
 
     def __init__(self, case: ScenarioCase, *, server_indices=None):
-        if case.system not in CHAOS_SYSTEMS:
-            raise KeyError(
-                f"unknown system {case.system!r}; "
-                f"available: {sorted(CHAOS_SYSTEMS)}"
-            )
+        resolve_systems([case.system])
         self.case = case
         self.spec = case.spec
         self.generators: dict[str, list[WorkloadGenerator]] = {
@@ -648,6 +716,17 @@ class ScenarioDriver:
 # ----------------------------------------------------------------------
 # Case execution + fan-out
 # ----------------------------------------------------------------------
+def resolve_systems(systems: list[str] | None) -> list[str]:
+    """``systems`` checked against the registry (``None`` = every one)."""
+    chosen = list(systems) if systems else sorted(CHAOS_SYSTEMS)
+    unknown = [s for s in chosen if s not in CHAOS_SYSTEMS]
+    if unknown:
+        raise KeyError(
+            f"unknown system(s) {unknown}; available: {sorted(CHAOS_SYSTEMS)}"
+        )
+    return chosen
+
+
 def run_scenario_case(case: ScenarioCase) -> ScenarioReport:
     """Run one scenario case; any crash becomes a ``harness-crash`` finding
     on the report (the (scenario, system, seed) reproducer contract)."""
@@ -722,12 +801,7 @@ def run_scenarios(
     """
     from repro.experiments.runner import make_runner
 
-    chosen = list(systems) if systems else sorted(CHAOS_SYSTEMS)
-    unknown = [s for s in chosen if s not in CHAOS_SYSTEMS]
-    if unknown:
-        raise KeyError(
-            f"unknown system(s) {unknown}; available: {sorted(CHAOS_SYSTEMS)}"
-        )
+    chosen = resolve_systems(systems)
     cases = [
         ScenarioCase(spec.quick() if quick else spec, system, seed, max(shards, 0))
         for spec in specs

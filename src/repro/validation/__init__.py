@@ -1,4 +1,4 @@
-"""Lifecycle-invariant validation: the auditor and the chaos fuzz harness.
+"""Lifecycle-invariant validation: the auditor, the chaos audit, fuzzers.
 
 FlexPipe's central claim (§6, Fig. 6) is that inflight refactoring drops
 no request and leaks no resource while stage chains are swapped live.
@@ -6,11 +6,15 @@ This package turns that claim into machine-checked conservation laws:
 
 * :class:`InvariantAuditor` — checks the invariants over a live serving
   system (cheap subset mid-run, the full set at simulation quiesce);
-* :class:`ChaosSchedule` / :func:`run_chaos_case` — seeded random
-  interleavings of refactor / scale-out / scale-in / drain / failure
-  injection against random workloads — single-model small-cluster and
-  multi-model paper-cluster shapes — asserting the auditor after each
-  run (``repro audit --seeds N`` fans cases out via the parallel runner);
+* :mod:`repro.validation.chaos` — a seeded
+  :class:`~repro.scenarios.spec.ScenarioSpec` generator: random
+  interleavings of refactor / scale-out / drain / GPU reclamation
+  against random workloads — single-model small-cluster and multi-class,
+  elastic-capped paper-cluster fleets — run on every system by the
+  scenario engine's driver with the auditor attached (``repro audit
+  --seeds N`` fans cases out via the parallel runner).  It imports the
+  scenario engine, which imports this package's auditor, so its names
+  are not re-exported here;
 * :mod:`repro.validation.migration_fuzz` — direct fuzzing of the
   transfer/migration layer: random :class:`MigrationItem` sets against
   the LPT planner's scheduling invariants and random contention
@@ -22,17 +26,6 @@ from repro.validation.auditor import (
     InvariantViolationError,
     Violation,
 )
-from repro.validation.chaos import (
-    CHAOS_SYSTEMS,
-    PAPER_FLEET_CLASSES,
-    PAPER_FLEETS,
-    ChaosCase,
-    ChaosReport,
-    ChaosSchedule,
-    audit_seeds,
-    paper_case,
-    run_chaos_case,
-)
 from repro.validation.migration_fuzz import (
     MigrationFuzzCase,
     MigrationFuzzReport,
@@ -43,22 +36,13 @@ from repro.validation.migration_fuzz import (
 )
 
 __all__ = [
-    "CHAOS_SYSTEMS",
-    "PAPER_FLEETS",
-    "PAPER_FLEET_CLASSES",
-    "ChaosCase",
-    "ChaosReport",
-    "ChaosSchedule",
     "InvariantAuditor",
     "InvariantViolationError",
     "MigrationFuzzCase",
     "MigrationFuzzReport",
     "Violation",
-    "audit_seeds",
     "check_method_selection",
     "check_schedule",
     "fuzz_migration_case",
     "fuzz_seeds",
-    "paper_case",
-    "run_chaos_case",
 ]

@@ -1,6 +1,6 @@
 """Direct fuzzing of the transfer/migration layer.
 
-The chaos harness exercises migration only as a side effect of refactors;
+The chaos audit exercises migration only as a side effect of refactors;
 this module fuzzes the planning and link layers *directly*, where the
 scheduling invariants can be stated exactly:
 

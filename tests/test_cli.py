@@ -113,3 +113,34 @@ class TestReport:
             "sensitivity_alpha", "sensitivity_sigma", "sensitivity_eq11",
         }
         assert stems == paper_artefacts | extras
+
+
+class TestAuditCommand:
+    ARGS = ["--jobs", "1", "audit", "--seeds", "4", "--systems", "FlexPipe"]
+
+    def test_audit_sums_contract_traffic(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        for column in ("borrows", "reclaim demands", "preemptions"):
+            assert column in out
+
+    def test_audit_fails_when_elastic_seeds_never_borrow(
+        self, capsys, monkeypatch
+    ):
+        """Caps loose enough never to bind (the audit's old 40-45%) keep
+        every invariant clean, but the contract paths go unexercised:
+        the premise check must fail the run."""
+        from repro.validation import chaos
+
+        monkeypatch.setattr(
+            chaos,
+            "PAPER_FLEET_CAPS",
+            tuple(
+                tuple((m, 0.45) for m, _ in caps)
+                for caps in chaos.PAPER_FLEET_CAPS
+            ),
+        )
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert "all invariants held" not in captured.out
+        assert "without a single borrow on FlexPipe" in captured.err

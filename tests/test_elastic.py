@@ -5,6 +5,8 @@ fuzzer coverage that watches them."""
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,12 +22,12 @@ from repro.refactoring.executor import (
     plan_inplace_delta,
 )
 from repro.scaling.warm_cache import HostParamCache
-from repro.scenarios.driver import TenantQoS
+from repro.scenarios.driver import ScenarioCase, TenantQoS, run_scenario_case
 from repro.scenarios.library import ELASTIC_CONTRACTS
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ModelScript, ScenarioSpec
 from repro.simulation.randomness import RandomStreams
 from repro.validation.auditor import InvariantAuditor
-from repro.validation.chaos import ChaosCase, paper_case
+from repro.validation.chaos import chaos_spec
 from repro.validation.migration_fuzz import (
     check_inplace_delta,
     fuzz_inplace_round,
@@ -34,6 +36,7 @@ from repro.validation.migration_fuzz import (
 from repro.workloads.requests import RequestSampler
 
 GB = 2**30
+PINNED_BINDING_CAPS = Path(__file__).parent / "data" / "chaos-3-binding-caps.json"
 
 # Priorities for the preemption tests: the refactoring tenant is
 # batch-grade so an interactive claimant can cancel its preparation.
@@ -356,6 +359,58 @@ class TestBorrowLedger:
         assert allocator.open_reclaim_demands() == []
         assert demands[0].resolved_at is not None
 
+    def _lend_a_tenth(self, ctx):
+        """``it`` borrows 0.1 of the fleet from ``batch`` (cap 0.3)."""
+        allocator = _enable_elastic(
+            ctx, {"it": 0.1, "batch": 0.3}, reclaim=lambda b, n: None
+        )
+        fleet = allocator.fleet_memory()
+        allocator.allocate_stages("it", [0.06 * fleet, 0.04 * fleet])
+        small = allocator.allocate_stages("it", [0.02 * fleet])
+        allocator.allocate_stages("it", [0.04 * fleet, 0.04 * fleet])
+        assert allocator._lent_out("batch") == pytest.approx(0.1 * fleet)
+        held = allocator.allocate_stages("batch", [0.05 * fleet] * 4)
+        # own 0.2 + lent 0.1 sits exactly at the 0.3 cap: no demand yet.
+        assert allocator.open_reclaim_demands() == []
+        return allocator, fleet, small[0], held
+
+    def test_lender_over_committed_by_its_own_deploy_keeps_a_demand(self, ctx):
+        """A lender whose successful deploy pushes own + lent over its cap
+        must be left with an open demand — placing is not the same as
+        getting the lent headroom back."""
+        allocator, fleet, small, _ = self._lend_a_tenth(ctx)
+        allocator.allocate_stages("batch", [0.02 * fleet])
+        (demand,) = allocator.open_reclaim_demands()
+        assert demand.lender == "batch"
+        assert demand.nbytes == pytest.approx(0.02 * fleet)
+        assert _stub_auditor(ctx)._check_borrow_accounting() == []
+        # Repaying the excess resolves it; the lender is back at its cap.
+        allocator.release(small)
+        assert allocator.open_reclaim_demands() == []
+        assert _stub_auditor(ctx)._check_borrow_accounting() == []
+
+    def test_lender_still_over_committed_after_its_demand_resolves(self, ctx):
+        """A demand met at its issue-time target must not leave its lender
+        over-committed and unpressed.  While one demand is open the
+        lender's own reservations keep growing (no second demand stacks),
+        so when the borrower repays just that first demand the lender is
+        still over its cap and needs a fresh demand."""
+        allocator, fleet, small, held = self._lend_a_tenth(ctx)
+        allocator.resize(held[0], 0.07 * fleet)
+        (first,) = allocator.open_reclaim_demands()
+        assert first.target_lent == pytest.approx(0.08 * fleet)
+        # The lender keeps growing while its demand is open.
+        allocator.resize(held[1], 0.08 * fleet)
+        assert allocator.open_reclaim_demands() == [first]
+        # Repaying 0.02 meets the first demand's target, but own 0.25 +
+        # lent 0.08 is still over the cap: a second demand takes over.
+        allocator.release(small)
+        assert first.resolved_at is not None
+        (second,) = allocator.open_reclaim_demands()
+        assert second.lender == "batch"
+        assert second.nbytes == pytest.approx(0.03 * fleet)
+        assert _stub_auditor(ctx)._check_borrow_accounting() == []
+
     def test_share_headroom_includes_lendable_contracts(self, ctx):
         allocator = _enable_elastic(ctx, {"it": 0.1, "batch": 0.3})
         fleet = allocator.fleet_memory()
@@ -517,41 +572,61 @@ class TestInplaceFuzzOracle:
 # Chaos/scenario configuration surface
 # ----------------------------------------------------------------------
 class TestElasticConfig:
-    CLASSED = (("LLAMA2-7B", "interactive"),)
+    ELASTIC_SEEDS = (3, 7)  # paper-cluster seeds on the capped fleets
 
     def test_chaos_caps_must_name_a_tenant(self):
+        # A cap is a field of a tenant's script, and a tenant must be a
+        # known model: a cap on anything else is rejected.
+        spec = chaos_spec(3)
         with pytest.raises(ValueError):
-            ChaosCase(
-                slo_classes=self.CLASSED, share_caps=(("NOPE", 0.5),)
+            replace(
+                spec, models=spec.models + (ModelScript("NOPE", share_cap=0.5),)
             )
 
     def test_chaos_caps_must_be_a_fraction(self):
-        with pytest.raises(ValueError):
-            ChaosCase(
-                slo_classes=self.CLASSED, share_caps=(("LLAMA2-7B", 1.5),)
-            )
+        spec = chaos_spec(3)
+        with pytest.raises(ValueError, match="share_cap"):
+            replace(spec.models[0], share_cap=1.5)
 
     def test_chaos_elastic_needs_classes(self):
-        with pytest.raises(ValueError):
-            ChaosCase(elastic=True)
+        # Elastic contracts only act through the QoS control plane, so
+        # every elastic chaos spec is a fully classed fleet.
+        elastic = [s for s in map(chaos_spec, range(32)) if s.elastic]
+        assert elastic
+        for spec in elastic:
+            assert spec.qos_enabled
+            assert all(m.slo_class is not None for m in spec.models)
 
-    def test_paper_case_arms_caps_and_elastic(self):
-        armed = [
-            paper_case("FlexPipe", seed)
-            for seed in range(6)
-            if paper_case("FlexPipe", seed).share_caps
-        ]
-        assert armed  # the rotation includes capped fleets
-        for case in armed:
-            assert case.elastic
-            assert set(case.caps_of) <= set(case.models)
+    def test_chaos_spec_arms_caps_and_elastic(self):
+        armed = [s for s in map(chaos_spec, range(24)) if s.elastic]
+        assert {int(s.name.split("-")[1]) for s in armed} >= set(
+            self.ELASTIC_SEEDS
+        )
+        for spec in armed:
+            assert spec.cluster == "paper"
+            # At least two capped tenants, so one can lend to the other.
+            assert sum(m.share_cap is not None for m in spec.models) >= 2
         # ...and the OPT-66B fleet stays uncapped and static.
         uncapped = [
-            paper_case("FlexPipe", seed)
-            for seed in range(6)
-            if not paper_case("FlexPipe", seed).share_caps
+            s
+            for s in map(chaos_spec, range(24))
+            if "OPT-66B" in s.model_names
         ]
-        assert uncapped and all(not c.elastic for c in uncapped)
+        assert uncapped and all(not s.elastic for s in uncapped)
+        assert all(m.share_cap is None for s in uncapped for m in s.models)
+
+    @pytest.mark.parametrize("system", ("FlexPipe", "DistServe"))
+    def test_binding_caps_borrow_and_audit_clean(self, system):
+        """Regression, pinned as generated (``chaos_spec(3)``): with
+        binding 3% caps this spec used to leave a lender over-committed
+        with no open reclaim demand — its own deploy's demand was dropped
+        as moot, and a demand met at its issue-time target was never
+        renewed although the lender had grown past it."""
+        spec = ScenarioSpec.from_json(PINNED_BINDING_CAPS.read_text())
+        report = run_scenario_case(ScenarioCase(spec, system, 3))
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+        assert sum(t.borrows for t in report.tenants.values()) > 0
+        assert sum(t.reclaims for t in report.tenants.values()) > 0
 
     def test_scenario_spec_elastic_round_trips(self):
         assert ELASTIC_CONTRACTS.elastic

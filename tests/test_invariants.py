@@ -1,10 +1,13 @@
-"""Lifecycle invariant auditor + seeded chaos harness (tier-1).
+"""Lifecycle invariant auditor + seeded chaos audit (tier-1).
 
-The chaos tests replay fixed seeds, so they are deterministic; the
-auditor tests poison a known-clean run and assert each invariant fires.
+The chaos tests replay fixed seeds of the :func:`chaos_spec` generator
+through the scenario driver, so they are deterministic; the auditor
+tests poison a known-clean run and assert each invariant fires.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -12,20 +15,15 @@ from repro.cluster.allocator import AllocationError, GPUAllocator
 from repro.cluster.cluster import make_small_cluster
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
+from repro.experiments.systems import CHAOS_SYSTEMS
 from repro.models.zoo import LLAMA2_7B
 from repro.pipeline.replica import ReplicaState
+from repro.scenarios.driver import ScenarioCase, run_scenario_case
+from repro.scenarios.spec import ModelScript
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.validation import (
-    CHAOS_SYSTEMS,
-    PAPER_FLEETS,
-    ChaosCase,
-    InvariantAuditor,
-    InvariantViolationError,
-    audit_seeds,
-    paper_case,
-    run_chaos_case,
-)
+from repro.validation import InvariantAuditor, InvariantViolationError
+from repro.validation.chaos import PAPER_FLEETS, audit_seeds, chaos_spec
 from repro.workloads.arrivals import make_arrivals
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import LengthDistribution, RequestSampler
@@ -33,83 +31,84 @@ from repro.workloads.requests import LengthDistribution, RequestSampler
 CHAOS_SEEDS = (0, 1, 2)
 
 
+def run_chaos(system: str, seed: int, spec=None):
+    """One chaos case: ``chaos_spec(seed)`` (or ``spec``) on ``system``."""
+    spec = chaos_spec(seed) if spec is None else spec
+    return run_scenario_case(ScenarioCase(spec, system, seed))
+
+
+def offered_by_model(report) -> dict[str, int]:
+    return {m: t.offered for m, t in report.tenants.items()}
+
+
 # ----------------------------------------------------------------------
-# Chaos fuzz harness (fixed seeds, every system)
+# Chaos audit (fixed seeds, every system)
 # ----------------------------------------------------------------------
 class TestChaosHarness:
     @pytest.mark.parametrize("system", sorted(CHAOS_SYSTEMS))
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_seeded_interleavings_hold_all_invariants(self, system, seed):
-        report = run_chaos_case(ChaosCase(system=system, seed=seed))
+        report = run_chaos(system, seed)
         assert report.ok, "\n".join(str(v) for v in report.violations)
         assert report.offered > 0
 
     def test_chaos_actually_exercises_the_lifecycle(self):
-        """The harness must drive drains, failures and scale-outs — a
+        """The schedule must drive drains, reclaims and scale-outs — a
         quiet schedule would vacuously satisfy every invariant."""
         merged: dict[str, int] = {}
         for seed in range(4):
-            report = run_chaos_case(ChaosCase(system="FlexPipe", seed=seed))
-            for key, count in report.actions.items():
+            for key, count in run_chaos("FlexPipe", seed).events.items():
                 merged[key] = merged.get(key, 0) + count
         assert merged.get("drain:ok", 0) > 0
-        assert merged.get("fail:ok", 0) > 0
+        assert merged.get("reclaim:ok", 0) > 0
         assert merged.get("scale_out:ok", 0) > 0
 
     def test_refactor_interleavings_occur_on_flexpipe(self):
-        """At least one seed must land a live refactor so the harness
+        """At least one seed must land a live refactor so the audit
         genuinely covers the inflight-refactoring paths."""
         assert any(
-            run_chaos_case(ChaosCase(system="FlexPipe", seed=seed)).actions.get(
-                "refactor:ok", 0
-            )
-            > 0
+            run_chaos("FlexPipe", seed).events.get("refactor:ok", 0) > 0
             for seed in range(6)
         )
 
     def test_audit_seeds_fans_out_and_reports(self):
         reports = audit_seeds(seeds=2, systems=["FlexPipe"], jobs=1)
         assert len(reports) == 2
-        assert [r.case.seed for r in reports] == [0, 1]
+        assert [r.seed for r in reports] == [0, 1]
+        assert [r.scenario for r in reports] == ["chaos-0", "chaos-1"]
         assert all(r.ok for r in reports)
 
     def test_audit_seeds_mixes_in_paper_cluster_cases(self):
         """Every 4th seed runs the multi-model paper-cluster shape, so
         ``repro audit`` covers the paper's fragmented multiplexing
         setting, not just one model on the small cluster."""
-        reports = audit_seeds(seeds=4, systems=["FlexPipe"], jobs=1)
-        kinds = [(r.case.cluster, r.case.models) for r in reports]
+        kinds = [(s.cluster, s.model_names) for s in map(chaos_spec, range(4))]
         assert kinds[:3] == [("small", ("LLAMA2-7B",))] * 3
         assert kinds[3][0] == "paper" and len(kinds[3][1]) >= 2
+        reports = audit_seeds(seeds=4, systems=["FlexPipe"], jobs=1)
+        assert set(reports[3].tenants) == set(kinds[3][1])
         assert all(r.ok for r in reports), [
             str(v) for r in reports for v in r.violations
         ]
 
-    def test_audit_seeds_paper_mix_can_be_disabled(self):
+    def test_duration_pass_through_survives_the_paper_mix(self):
+        """``duration`` reaches every generated spec, paper seeds too,
+        and the schedule stays inside the traffic window."""
+        specs = [chaos_spec(seed, duration=10.0) for seed in range(4)]
+        assert specs[3].cluster == "paper"  # the mix still applies
+        for spec in specs:
+            assert all(
+                seg.duration == 10.0 for m in spec.models for seg in m.segments
+            )
+            assert all(e.at < 10.0 for e in spec.events)
         reports = audit_seeds(
-            seeds=4, systems=["FlexPipe"], jobs=1, paper_every=None
+            seeds=1, systems=["FlexPipe"], jobs=1, duration=10.0
         )
-        assert all(r.case.cluster == "small" for r in reports)
+        assert reports[0].ok and reports[0].offered > 0
 
-    def test_case_kwargs_pass_through_survives_the_paper_mix(self):
-        """``case_kwargs`` may pin any ChaosCase field — including ones
-        the paper shape also sets — without crashing on paper seeds;
-        explicit kwargs win over the fleet defaults."""
-        reports = audit_seeds(
-            seeds=4,
-            systems=["FlexPipe"],
-            jobs=1,
-            case_kwargs={"model": "LLAMA2-7B", "duration": 10.0},
-        )
-        assert [r.case.model for r in reports] == ["LLAMA2-7B"] * 4
-        assert all(r.case.duration == 10.0 for r in reports)
-        assert reports[3].case.cluster == "paper"  # mix still applies
-        # A pinned primary coinciding with a fleet member is deduped, not
-        # doubled (ChaosCase rejects duplicate tenants outright).
-        case = paper_case("FlexPipe", 11, model="LLAMA2-7B")
-        assert case.models.count("LLAMA2-7B") == 1
-        with pytest.raises(ValueError, match="repeats a tenant"):
-            ChaosCase(model="LLAMA2-7B", extra_models=("LLAMA2-7B",))
+    def test_specs_are_system_independent_and_reproducible(self):
+        assert chaos_spec(5) == chaos_spec(5)
+        assert chaos_spec(5) != chaos_spec(6)
 
 
 class TestPaperClusterChaos:
@@ -122,14 +121,18 @@ class TestPaperClusterChaos:
     @pytest.mark.parametrize("system", ("FlexPipe", "DistServe"))
     @pytest.mark.parametrize("seed", (3, 7))
     def test_paper_multimodel_interleavings_hold_invariants(self, system, seed):
-        case = paper_case(system, seed)
-        assert case.cluster == "paper" and len(case.models) >= 2
-        report = run_chaos_case(case)
+        spec = chaos_spec(seed)
+        assert spec.cluster == "paper" and len(spec.models) >= 2
+        report = run_chaos(system, seed, spec)
         assert report.ok, "\n".join(str(v) for v in report.violations)
         assert report.offered > 0
 
     def test_fleets_rotate_and_cover_the_zoo_breadth(self):
-        fleets = {paper_case("FlexPipe", s).models for s in range(6)}
+        fleets = {
+            s.model_names
+            for s in map(chaos_spec, range(24))
+            if s.cluster == "paper"
+        }
         assert len(fleets) == len(PAPER_FLEETS)
         assert any("OPT-66B" in fleet for fleet in fleets)
 
@@ -137,13 +140,13 @@ class TestPaperClusterChaos:
         """Each co-resident tenant must actually offer and complete
         requests — a fleet where only the primary sees traffic would
         vacuously pass the invariants."""
-        case = paper_case("FlexPipe", 3)
-        report = run_chaos_case(case)
+        spec = chaos_spec(3)
+        report = run_chaos("FlexPipe", 3, spec)
         assert report.ok
-        assert set(report.offered_by_model) == set(case.models)
-        for model in case.models:
-            assert report.offered_by_model[model] > 0, model
-            assert report.completed_by_model.get(model, 0) > 0, model
+        assert set(report.tenants) == set(spec.model_names)
+        for model in spec.model_names:
+            assert report.tenants[model].offered > 0, model
+            assert report.tenants[model].completed > 0, model
 
     def test_audit_seeds_rejects_unknown_system(self):
         with pytest.raises(KeyError):
@@ -154,17 +157,17 @@ class TestPaperClusterChaos:
     ):
         """A regression that makes an interleaving raise must surface as
         a (system, seed, harness-crash) finding, not abort the audit."""
-        import repro.validation.chaos as chaos_mod
+        import repro.scenarios.driver as driver_mod
 
-        def boom(case):
+        def boom(self):
             raise RuntimeError("synthetic crash")
 
-        monkeypatch.setattr(chaos_mod, "_run_chaos_case", boom)
-        report = chaos_mod.run_chaos_case(ChaosCase(system="FlexPipe", seed=3))
+        monkeypatch.setattr(driver_mod.ScenarioDriver, "run", boom)
+        report = run_chaos("FlexPipe", 3)
         assert not report.ok
         assert report.violations[0].invariant == "harness-crash"
         assert "synthetic crash" in report.violations[0].detail
-        assert report.case.seed == 3
+        assert (report.system, report.seed) == ("FlexPipe", 3)
 
 
 # ----------------------------------------------------------------------
@@ -392,44 +395,60 @@ class TestAllocatorBalanceProperty:
 # ----------------------------------------------------------------------
 class TestMultiClassChaos:
     def test_paper_fleets_are_class_annotated(self):
-        """Every paper-cluster chaos case is a multi-class fleet, so the
+        """Every paper-cluster chaos spec is a multi-class fleet, so the
         audit exercises priority routing + per-tenant admission under
         reclaim/drain/refactor interleavings."""
-        for seed in range(6):
-            case = paper_case("FlexPipe", seed)
-            classes = case.class_of
-            assert set(classes) == set(case.models)
+        for spec in map(chaos_spec, range(24)):
+            if spec.cluster != "paper":
+                continue
+            classes = {m.model: m.slo_class for m in spec.models}
+            assert None not in classes.values()
             assert "interactive" in classes.values()
+            assert spec.qos_enabled
 
     def test_case_kwargs_can_override_class_annotations(self):
-        case = paper_case("FlexPipe", 3, slo_classes=())
-        assert case.slo_classes == ()
+        """A test pins spec fields with ``dataclasses.replace``: stripping
+        the annotations leaves a valid, unclassed spec."""
+        spec = chaos_spec(3)
+        plain = replace(
+            spec,
+            models=tuple(
+                replace(m, slo_class=None, share_cap=None) for m in spec.models
+            ),
+            elastic=False,
+        )
+        assert not plain.qos_enabled
 
     def test_annotations_validated(self):
-        with pytest.raises(ValueError, match="not a tenant"):
-            ChaosCase(slo_classes=(("BERT-21B", "batch"),))
+        spec = chaos_spec(3)
+        with pytest.raises(ValueError, match="repeats a model"):
+            replace(spec, models=spec.models + spec.models[:1])
         with pytest.raises(ValueError, match="SLO class"):
-            ChaosCase(slo_classes=(("LLAMA2-7B", "gold"),))
+            replace(spec.models[0], slo_class="gold")
 
     @pytest.mark.parametrize("system", ("FlexPipe", "Tetris"))
     def test_multiclass_small_cluster_case_holds_invariants(self, system):
         """A small-cluster two-tenant case with explicit classes: the
         shed-accounting invariant (admitted + shed == offered, per
         tenant; sheds exactly once) holds under chaos."""
-        case = ChaosCase(
-            system=system,
-            seed=5,
-            extra_models=("BERT-21B",),
-            slo_classes=(
-                ("LLAMA2-7B", "interactive"),
-                ("BERT-21B", "batch"),
+        base = chaos_spec(5)
+        (primary,) = base.models
+        spec = replace(
+            base,
+            models=(
+                replace(primary, slo_class="interactive"),
+                ModelScript(
+                    "BERT-21B", segments=primary.segments, slo_class="batch"
+                ),
             ),
         )
-        report = run_chaos_case(case)
+        report = run_chaos(system, 5, spec)
         assert report.ok, "\n".join(str(v) for v in report.violations)
-        for model in case.models:
-            assert report.offered_by_model[model] > 0
-        assert report.shed_by_model.keys() == report.offered_by_model.keys()
+        assert report.qos_enabled
+        for model in spec.model_names:
+            tenant = report.tenants[model]
+            assert tenant.offered > 0
+            assert tenant.admitted + tenant.shed == tenant.offered
 
 
 class TestShedAccountingDetection:

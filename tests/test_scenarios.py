@@ -19,7 +19,7 @@ from repro.scenarios import (
     run_scenario_case,
     run_scenarios,
 )
-from repro.validation.chaos import CHAOS_SYSTEMS
+from repro.experiments.systems import CHAOS_SYSTEMS
 
 # A small, fast scenario exercising every segment kind and several event
 # actions — the workhorse of the driver tests below.
