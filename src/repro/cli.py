@@ -26,7 +26,8 @@ Commands
     and shed tables, gated on the interactive tenants actually winning.
 ``fuzz``
     Direct migration/link-layer fuzzing (scheduling invariants, link
-    physics).
+    physics, in-place deltas over random lattices and the zoo models'
+    real ladders).
 
 The heavy experiments (full five-system sweeps) are the same code the
 benches call; expect minutes of wall-clock for those.
@@ -693,9 +694,10 @@ def _run_coldstart(args) -> int:
 
 def _run_fuzz(args) -> int:
     """``repro fuzz``: direct migration/link-layer fuzzing."""
-    from repro.validation.migration_fuzz import fuzz_seeds
+    from repro.validation.migration_fuzz import check_zoo_ladders, fuzz_seeds
 
     reports = fuzz_seeds(seeds=args.seeds, runner=_runner_from(args))
+    ladder_violations, pairs = check_zoo_ladders()
     rows = [
         {
             "seed": r.case.seed,
@@ -714,10 +716,17 @@ def _run_fuzz(args) -> int:
             "invariants + fair-share link physics + in-place resize deltas",
         )
     )
-    if _report_violations(
+    print(
+        f"\nin-place deltas over the zoo models' ladders: {pairs} rung "
+        f"pair(s), {len(ladder_violations)} violation(s)"
+    )
+    failed = _report_violations(
         [r for r in reports if not r.ok],
         lambda r: f"seed={r.case.seed}",
-    ):
+    )
+    for violation in ladder_violations:
+        print(f"  zoo ladders: {violation}", file=sys.stderr)
+    if failed or ladder_violations:
         return 1
     print("\nall migration schedules and link workloads held their invariants.")
     return 0

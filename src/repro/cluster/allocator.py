@@ -122,6 +122,20 @@ def degrade_until_fit(batch, attempt, *, floor: int = DEGRADE_FLOOR):
             batch //= 2
 
 
+def full_batch(plan, batch_cap: int | None) -> int:
+    """The batch a deploy or transition starts :func:`degrade_until_fit`
+    from: the plan's max batch under ``batch_cap``."""
+    return max(min(plan.max_batch, batch_cap or plan.max_batch), 1)
+
+
+def floor_footprint(plan, batch_cap: int | None, kv_bytes_per_request: float) -> float:
+    """Bytes of ``plan`` at the degradation floor: the smallest footprint
+    :func:`degrade_until_fit` accepts when it starts from
+    :func:`full_batch`."""
+    floor = max(min(full_batch(plan, batch_cap), DEGRADE_FLOOR), 1)
+    return sum(plan.memory_per_stage(floor, kv_bytes_per_request))
+
+
 @dataclass
 class StageReservation:
     """One stage's memory reservation on one GPU."""

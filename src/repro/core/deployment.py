@@ -14,6 +14,7 @@ from typing import Callable
 from repro.cluster.allocator import (
     StageReservation,
     degrade_until_fit,
+    full_batch,
 )
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
@@ -101,7 +102,7 @@ class ReplicaFactory:
         """
         sim = self.ctx.sim
         model = profile.spec.name
-        batch = max(min(plan.max_batch, batch_cap or plan.max_batch), 1)
+        batch = full_batch(plan, batch_cap)
         if scorer is None and self.coordinator is not None:
             scorer = self.coordinator.scorer(model, sim.now)
         stage_scorers = self._coverage_scorers(profile, plan, scorer)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cluster.allocator import DEGRADE_FLOOR
+from repro.cluster.allocator import floor_footprint
 from repro.core.config import FlexPipeConfig
 from repro.core.context import ServingContext
 from repro.core.deployment import ReplicaFactory
@@ -289,8 +289,7 @@ class FlexPipeSystem(ServingSystem):
             # prepared-chain claims, so arbitration can cancel a
             # lower-class tenant's in-flight preparation.
             for state in self._models.values():
-                state.executor.enable_inplace = True
-                state.executor.preemptible_claims = True
+                state.executor.elastic = True
 
     def _qos_ordered_states(self) -> list[_ModelState]:
         """Control-loop visit order: most urgent tenant first under QoS."""
@@ -357,17 +356,16 @@ class FlexPipeSystem(ServingSystem):
         headroom = self.ctx.allocator.share_headroom(state.spec.name)
         if math.isinf(headroom):
             return True
-        if state.executor.enable_inplace:
+        if state.executor.elastic:
             # In-place transitions only need the parameter/KV *delta*;
             # the executor's prepare does the real byte-level checks (and
             # falls back between modes), so a cap that cannot host a full
             # prepared chain no longer vetoes the attempt up front.
             return True
-        plan = state.ladder.plan(state.current_stages)
-        start = max(min(plan.max_batch, self.batch_cap or plan.max_batch), 1)
-        floor = max(min(start, DEGRADE_FLOOR), 1)
-        need = sum(
-            plan.memory_per_stage(floor, state.spec.kv_bytes_per_request)
+        need = floor_footprint(
+            state.ladder.plan(state.current_stages),
+            self.batch_cap,
+            state.spec.kv_bytes_per_request,
         )
         return headroom >= need
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,45 @@ class RunSummary:
     reclaims: int = 0
 
 
+@dataclass
+class Populations:
+    """One run's measured-epoch populations: everything a
+    :class:`RunSummary` is computed from except the GPU accounting.
+
+    Sharded runs ship each shard's populations to the merge, which
+    concatenates them (:meth:`merge`) and summarises the result exactly
+    as a monolithic run summarises its own.
+    """
+
+    offered: int = 0
+    goodput: int = 0
+    latencies: list[float] = field(default_factory=list)
+    queue: list[float] = field(default_factory=list)
+    execution: list[float] = field(default_factory=list)
+    comm: list[float] = field(default_factory=list)
+    prefill: list[float] = field(default_factory=list)
+    qlens: list[int] = field(default_factory=list)
+    recoveries: list[float] = field(default_factory=list)
+    # One entry per measured scale-out.
+    init_times: list[float] = field(default_factory=list)
+    wait_times: list[float] = field(default_factory=list)
+    warm_starts: int = 0
+    refactor_count: int = 0
+
+    @classmethod
+    def merge(cls, parts: list["Populations"]) -> "Populations":
+        """Concatenate populations and sum counts, in ``parts`` order."""
+        merged = cls()
+        for part in parts:
+            for f in fields(cls):
+                value = getattr(part, f.name)
+                if isinstance(value, list):
+                    getattr(merged, f.name).extend(value)
+                else:
+                    setattr(merged, f.name, getattr(merged, f.name) + value)
+        return merged
+
+
 class MetricsCollector:
     """Accumulates request records, queue samples and operational events."""
 
@@ -91,6 +130,47 @@ class MetricsCollector:
         self.events.append(event)
 
     # ------------------------------------------------------------------
+    def populations(self, measure_from: float = 0.0) -> Populations:
+        """Populations of requests arriving at/after ``measure_from``
+        (warm-up transients excluded from the measured epoch)."""
+        done = [
+            r
+            for r in self.records
+            if r.completed and r.arrival_time >= measure_from
+        ]
+        episodes = detect_stalls(
+            [r.completion_time for r in done], [r.latency for r in done]
+        )
+        # Events obey the measurement epoch like every other population:
+        # warm-up deploys must not pollute warm_start_rate / init-time /
+        # alloc-wait means (nor refactor_count) of the measured window.
+        scale_outs = [
+            e
+            for e in self.events
+            if e.kind == "scale_out" and e.time >= measure_from
+        ]
+        return Populations(
+            offered=sum(1 for t in self.submit_times if t >= measure_from),
+            goodput=sum(1 for r in done if r.slo_met),
+            latencies=[r.latency for r in done],
+            queue=[r.queue_time for r in done],
+            execution=[r.exec_time for r in done],
+            comm=[r.comm_time for r in done],
+            prefill=[
+                r.prefill_latency for r in done if r.prefill_latency is not None
+            ],
+            qlens=[q for t, q in self.queue_samples if t >= measure_from],
+            recoveries=list(recovery_times(episodes)),
+            init_times=[e.init_time for e in scale_outs],
+            wait_times=[e.wait_time for e in scale_outs],
+            warm_starts=sum(1 for e in scale_outs if e.warm),
+            refactor_count=sum(
+                1
+                for e in self.events
+                if e.kind == "refactor" and e.time >= measure_from
+            ),
+        )
+
     def summarize(
         self,
         duration: float,
@@ -100,82 +180,66 @@ class MetricsCollector:
         total_gpus: int = 0,
         measure_from: float = 0.0,
     ) -> RunSummary:
-        """Summarise requests arriving at/after ``measure_from`` (warm-up
-        transients excluded from the measured epoch)."""
-        offered = sum(1 for t in self.submit_times if t >= measure_from)
-        done = [
-            r
-            for r in self.records
-            if r.completed and r.arrival_time >= measure_from
-        ]
-        latencies = np.array([r.latency for r in done]) if done else np.array([])
-        goodput = sum(1 for r in done if r.slo_met)
-        queue = np.array([r.queue_time for r in done]) if done else np.array([])
-        execution = np.array([r.exec_time for r in done]) if done else np.array([])
-        comm = np.array([r.comm_time for r in done]) if done else np.array([])
-        prefill = np.array(
-            [r.prefill_latency for r in done if r.prefill_latency is not None]
-        )
-        qlens = np.array(
-            [q for t, q in self.queue_samples if t >= measure_from]
-        )
-        episodes = detect_stalls(
-            [r.completion_time for r in done], [r.latency for r in done]
-        )
-        recoveries = recovery_times(episodes)
-        # Events obey the measurement epoch like every other population:
-        # warm-up deploys must not pollute warm_start_rate / init-time /
-        # alloc-wait means (nor refactor_count) of the measured window.
-        scale_outs = [
-            e
-            for e in self.events
-            if e.kind == "scale_out" and e.time >= measure_from
-        ]
-        refactors = [
-            e
-            for e in self.events
-            if e.kind == "refactor" and e.time >= measure_from
-        ]
-        denominator = max(gpus_used, 1) * duration
-        return RunSummary(
-            system=self.system,
-            duration=duration,
-            offered=offered,
-            completed=len(done),
-            goodput=goodput,
-            goodput_rate=goodput / offered if offered else 0.0,
-            breakdown=LatencyBreakdown(
-                queue=float(queue.mean()) if queue.size else 0.0,
-                execution=float(execution.mean()) if execution.size else 0.0,
-                communication=float(comm.mean()) if comm.size else 0.0,
-            ),
-            latency_percentiles=percentiles(latencies),
-            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-            mean_prefill_latency=float(prefill.mean()) if prefill.size else 0.0,
-            gpu_utilization=min(gpu_busy_seconds / denominator, 1.0)
-            if denominator > 0
-            else 0.0,
+        """Summarise requests arriving at/after ``measure_from``."""
+        return summarize_populations(
+            self.system,
+            duration,
+            self.populations(measure_from),
+            gpu_busy_seconds=gpu_busy_seconds,
             gpus_used=gpus_used,
-            mean_queue_length=float(qlens.mean()) if qlens.size else 0.0,
-            p95_queue_length=float(np.percentile(qlens, 95)) if qlens.size else 0.0,
-            stall_cycle=float(np.mean(recoveries)) if recoveries else 0.0,
-            median_recovery=float(np.median(recoveries)) if recoveries else 0.0,
-            refactor_count=len(refactors),
-            scale_out_count=len(scale_outs),
-            warm_start_rate=(
-                sum(1 for e in scale_outs if e.warm) / len(scale_outs)
-                if scale_outs
-                else 0.0
-            ),
-            mean_init_time=(
-                float(np.mean([e.init_time for e in scale_outs]))
-                if scale_outs
-                else 0.0
-            ),
-            mean_alloc_wait=(
-                float(np.mean([e.wait_time for e in scale_outs]))
-                if scale_outs
-                else 0.0
-            ),
-            p99_ttft=float(np.percentile(prefill, 99)) if prefill.size else 0.0,
         )
+
+
+def summarize_populations(
+    system: str,
+    duration: float,
+    pops: Populations,
+    *,
+    gpu_busy_seconds: float,
+    gpus_used: int,
+) -> RunSummary:
+    """A :class:`RunSummary` from measured-epoch populations.
+
+    The one place the population -> summary arithmetic lives: a run's
+    own :meth:`MetricsCollector.summarize` and the sharded merge (over
+    every shard's populations, concatenated) both call it.
+    """
+    latencies = np.array(pops.latencies)
+    queue = np.array(pops.queue)
+    execution = np.array(pops.execution)
+    comm = np.array(pops.comm)
+    prefill = np.array(pops.prefill)
+    qlens = np.array(pops.qlens)
+    recoveries = pops.recoveries
+    scale_outs = len(pops.init_times)
+    denominator = max(gpus_used, 1) * duration
+    return RunSummary(
+        system=system,
+        duration=duration,
+        offered=pops.offered,
+        completed=len(pops.latencies),
+        goodput=pops.goodput,
+        goodput_rate=pops.goodput / pops.offered if pops.offered else 0.0,
+        breakdown=LatencyBreakdown(
+            queue=float(queue.mean()) if queue.size else 0.0,
+            execution=float(execution.mean()) if execution.size else 0.0,
+            communication=float(comm.mean()) if comm.size else 0.0,
+        ),
+        latency_percentiles=percentiles(latencies),
+        mean_latency=float(latencies.mean()) if latencies.size else 0.0,
+        mean_prefill_latency=float(prefill.mean()) if prefill.size else 0.0,
+        gpu_utilization=min(gpu_busy_seconds / denominator, 1.0)
+        if denominator > 0
+        else 0.0,
+        gpus_used=gpus_used,
+        mean_queue_length=float(qlens.mean()) if qlens.size else 0.0,
+        p95_queue_length=float(np.percentile(qlens, 95)) if qlens.size else 0.0,
+        stall_cycle=float(np.mean(recoveries)) if recoveries else 0.0,
+        median_recovery=float(np.median(recoveries)) if recoveries else 0.0,
+        refactor_count=pops.refactor_count,
+        scale_out_count=scale_outs,
+        warm_start_rate=pops.warm_starts / scale_outs if scale_outs else 0.0,
+        mean_init_time=float(np.mean(pops.init_times)) if scale_outs else 0.0,
+        mean_alloc_wait=float(np.mean(pops.wait_times)) if scale_outs else 0.0,
+        p99_ttft=float(np.percentile(prefill, 99)) if prefill.size else 0.0,
+    )

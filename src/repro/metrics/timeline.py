@@ -1,10 +1,10 @@
 """Time-series recording and export.
 
-The figure benches need per-window series (Fig. 9's response-time
-timeline, Fig. 1's CV-vs-window measurement, the case study's reservation
-curve).  :class:`Timeline` records named scalar series against simulated
-time and exports them as CSV/JSON for offline plotting; window helpers
-aggregate raw event times into the binned statistics the figures show.
+:class:`Timeline` records named scalar series against simulated time
+and exports them as CSV/JSON for offline plotting; window helpers
+aggregate raw event times into binned statistics.  It is a standalone
+utility: the figure benches compute their series directly and no run
+path imports it.
 """
 
 from __future__ import annotations

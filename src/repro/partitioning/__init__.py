@@ -12,14 +12,6 @@ from repro.partitioning.partitioner import Partitioner, PartitionerConfig
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.batch_scaling import activation_bytes, fit_alpha
 from repro.partitioning.validate import validate_ladder, validate_plan
-from repro.partitioning.serialize import (
-    TransitionDiff,
-    diff_plans,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
-)
 
 __all__ = [
     "PartitionPlan",
@@ -31,10 +23,4 @@ __all__ = [
     "fit_alpha",
     "validate_plan",
     "validate_ladder",
-    "TransitionDiff",
-    "diff_plans",
-    "plan_to_dict",
-    "plan_to_json",
-    "plan_from_dict",
-    "plan_from_json",
 ]

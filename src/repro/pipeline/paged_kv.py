@@ -3,8 +3,8 @@
 The paper's refactoring protocol (Eq. 10) reasons about KV state at token
 granularity; production engines (vLLM [21], which the related-work section
 positions FlexPipe against) store KV in fixed-size *blocks* so stage memory
-can be packed without fragmentation.  This module provides the block
-manager the stage runtimes use to account for KV residency:
+can be packed without fragmentation.  This module is a standalone block
+manager for KV residency accounting (no serving path imports it):
 
 * :class:`BlockPool` — fixed pool of reference-counted blocks (refcounts
   support copy-on-write prefix sharing across forked sequences);

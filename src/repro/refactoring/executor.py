@@ -2,14 +2,14 @@
 
 Transition between ladder rungs without pausing service:
 
-1. **Plan** — map every target stage onto the fine-stage lattice; stages
-   whose leading fine range already resides on a GPU *reuse* it (splits
-   load nothing on the retained GPU; merges load only the complement).
-2. **Prepare** — reserve target memory (transiently co-resident with the
-   old stage, falling back to fresh GPUs when a device cannot hold both),
-   load missing parameters from the best source (peer GPU via RDMA /
-   sendfile, host-memory warm cache, or cold storage), and migrate KV
-   shards asynchronously while the old chain keeps serving.
+1. **Plan** — map every target stage onto the fine-stage lattice
+   (:func:`reuse_plan`, the one retention rule): a stage whose leading
+   fine range already resides on a GPU *reuses* it (splits load nothing
+   on the retained GPU; merges load only the complement).
+2. **Prepare** — reserve target memory, load missing parameters from the
+   best source (peer GPU via RDMA / sendfile, host-memory warm cache, or
+   cold storage), and migrate KV shards asynchronously while the old
+   chain keeps serving.
 3. **Switch** — a metadata gateway update plus a delta KV sync pause of a
    few milliseconds; new batches run on the new chain, in-flight batches
    finish on the old one, old reservations release as their stages retire.
@@ -18,25 +18,30 @@ The Eq. 10 consistency protocol is exercised for a representative request
 on every migration (snapshot -> decode continues -> delta sync) and the
 invariant is asserted.
 
-Two opt-in extensions (both inert until their flag is set):
+Both transition modes run through one preparation path and differ only in
+how a retained stage keeps its GPU:
 
-* **In-place transitions** (``enable_inplace``) — following PipeLive,
-  a transition whose target stages mostly survive on their current GPUs
-  resizes the *live* reservations in place instead of standing up a full
-  second chain: only the parameter/KV delta moves, reused devices hold
-  old + delta (not old + full new stage), and unchanged stages serve
-  throughout.  A cost model picks in-place vs. chain per transition from
-  the delta bytes, the tenant's share headroom, and disturbance risk.
-* **Preemptible prepared claims** (``preemptible_claims``) — the
-  prepared chain registers as a first-class ``PendingClaim`` with the
-  allocator, so QoS preempt-or-wait can cancel a lower-class tenant's
-  in-flight preparation; the executor rolls back to the still-serving
-  old chain through the normal exactly-once release path.
+* **Chain** (the default) — the retained stage gets a co-resident copy on
+  its old GPU (falling back to a fresh GPU when the device cannot hold
+  both), so the replica briefly holds two full chains.
+* **In-place** — following PipeLive, the retained stage's *live*
+  reservation grows by the parameter/KV delta only, and is trimmed back
+  to the target footprint when the old chain retires; unchanged stages
+  serve throughout.
+
+Elastic mode (``elastic``, inert until armed) lets a cost model pick the
+mode per transition from the delta bytes, the tenant's share headroom and
+disturbance risk, and registers every preparation as a preemptible
+``PendingClaim`` over the reservations it owns, so QoS preempt-or-wait can
+cancel a lower-class tenant's in-flight preparation; the executor rolls
+back to the still-serving old chain through the normal exactly-once
+release path.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.allocator import (
@@ -44,6 +49,7 @@ from repro.cluster.allocator import (
     PendingClaim,
     StageReservation,
     degrade_until_fit,
+    full_batch,
 )
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
@@ -55,112 +61,74 @@ from repro.scaling.warm_cache import HostParamCache
 
 
 @dataclass
-class TransitionPlan:
-    """Everything needed to execute one granularity transition."""
+class Transition:
+    """Everything needed to execute one granularity transition.
 
-    target_stages: int
-    reservations: list[StageReservation]
-    load_duration: float
-    kv_duration: float
-    kv_bytes: float
-    reused_gpus: int
-    fresh_gpus: int
-    # Batch the target chain was sized for; under memory degradation this
-    # is below the rung's max_batch and becomes the post-switch batch cap.
-    batch: int
-    # Prepared-chain claim (preemptible-claims mode) and a unique token
-    # the auditor uses to assert switched/aborted disjointness.
-    claim: PendingClaim | None = None
-    token: int = 0
-    # Per-stage load completion times (pipelined mode): the switch happens
-    # once stage 0 is ready; later stages open their gates as they land.
-    stage_load_times: tuple[float, ...] = ()
-
-    @property
-    def duration(self) -> float:
-        return max(self.load_duration, self.kv_duration)
-
-
-@dataclass
-class InPlaceTransition:
-    """A live transition that mutates the serving chain's reservations.
-
-    Reused stages keep their ``StageReservation`` object — grown by the
-    parameter/KV delta for the co-residency window and shrunk back to the
-    target footprint when the old chain retires — so the replica never
-    holds a second full copy of the pipeline.  ``fresh`` lists the stages
-    that could not survive in place and were allocated normally.
+    ``reservations`` is the target chain, one per stage.  ``owned`` are
+    the reservations the transition created — the whole chain for a
+    prepared-chain transition, the stages that could not survive for an
+    in-place one.  ``grown`` lists the live reservations an in-place
+    transition resized, as (reservation, bytes before, target bytes): the
+    same ``StageReservation`` serves both chains, grown by the delta for
+    the co-residency window and trimmed to the target once the old chain
+    retires.  It is empty for a chain transition.
     """
 
     target_stages: int
     reservations: list[StageReservation]
-    # (reservation, bytes before the transition, target bytes) per reused
-    # stage; rollback restores the first, retirement shrinks to the second.
-    resized: list[tuple[StageReservation, float, float]]
-    fresh: list[StageReservation]
+    owned: list[StageReservation]
+    grown: list[tuple[StageReservation, float, float]]
     load_duration: float
     kv_duration: float
     kv_bytes: float
+    # Bytes the preparation added to the cluster (owned + growth).
     delta_bytes: float
     reused_gpus: int
-    fresh_gpus: int
+    # Batch the target chain was sized for; under memory degradation this
+    # is below the rung's max_batch and becomes the post-switch batch cap.
     batch: int
+    # Per-stage load completion times (pipelined chain transitions): the
+    # switch happens once stage 0 is ready; later stages open their gates
+    # as they land.
+    stage_load_times: tuple[float, ...] = ()
     started_at: float = 0.0
+    # Prepared-chain claim (elastic mode) and a unique token the auditor
+    # uses to assert switched/aborted disjointness.
     claim: PendingClaim | None = None
     token: int = 0
+
+    @property
+    def inplace(self) -> bool:
+        return bool(self.grown)
+
+    @property
+    def fresh_gpus(self) -> int:
+        return len(self.reservations) - self.reused_gpus
 
     @property
     def duration(self) -> float:
         return max(self.load_duration, self.kv_duration)
 
 
-def plan_inplace_delta(
-    old_groups: list[tuple[int, int]],
-    new_groups: list[tuple[int, int]],
-    unit_param_bytes: list[float],
-    unit_kv_bytes: list[float],
-) -> list[dict]:
-    """Pure in-place planning math over a fine-stage lattice.
+def reuse_plan(
+    old_groups: Sequence[tuple[int, int]], new_groups: Sequence[tuple[int, int]]
+) -> list[tuple[int, bool]]:
+    """The retention rule over the fine-stage lattice (§6.3, Fig. 6).
 
-    ``old_groups``/``new_groups`` are ``(first_fine, last_fine_exclusive)``
-    spans; the byte vectors are per fine unit.  Returns one dict per new
-    stage: whether it reuses its leading owner's device, the parameter
-    bytes that must move (the delta beyond what is already resident), and
-    the KV bytes that change devices.  The executor and the migration
-    fuzzer share this function, so the fuzzer exercises exactly the
-    delta rule the executor plans with.
+    Groups are ``(first_fine, last_fine_exclusive)`` spans.  For each new
+    stage: the old stage that hosts its leading fine unit today, and
+    whether the new stage starts at that owner's head — the only case in
+    which the owner's device already holds the new stage's leading range
+    and may keep it.  Everything else is loaded or migrated.
     """
     fine_owner: dict[int, int] = {}
     for j, (lo, hi) in enumerate(old_groups):
         for f in range(lo, hi):
             fine_owner[f] = j
-    claimed: set[int] = set()
-    out: list[dict] = []
-    for lo, hi in new_groups:
-        owner = fine_owner[lo]
-        owner_group = old_groups[owner]
-        reused = owner_group[0] == lo and owner not in claimed
-        new_params = float(sum(unit_param_bytes[lo:hi]))
-        stage_kv = float(sum(unit_kv_bytes[lo:hi]))
-        if reused:
-            claimed.add(owner)
-            stay_hi = min(hi, owner_group[1])
-            resident = float(sum(unit_param_bytes[lo:stay_hi]))
-            kv_stays = float(sum(unit_kv_bytes[lo:stay_hi]))
-        else:
-            resident = 0.0
-            kv_stays = 0.0
-        out.append(
-            {
-                "reused": reused,
-                "owner": owner,
-                "resident_param_bytes": resident,
-                "param_delta_bytes": max(new_params - resident, 0.0),
-                "kv_moved_bytes": max(stage_kv - kv_stays, 0.0),
-                "kv_total_bytes": stage_kv,
-            }
-        )
-    return out
+    return [
+        (fine_owner[lo], old_groups[fine_owner[lo]][0] == lo)
+        for lo, _hi in new_groups
+    ]
 
 
 class RefactoringExecutor:
@@ -199,10 +167,11 @@ class RefactoringExecutor:
         # In-flight transitions by replica name; kept so a platform
         # reclamation can abort them (and free their prepared
         # reservations) the moment a victim GPU is cordoned.
-        self._transitions: dict[str, tuple[PipelineReplica, object, object]] = {}
-        # --- opt-in extensions (inert until armed) ---
-        self.enable_inplace = False
-        self.preemptible_claims = False
+        self._transitions: dict[str, tuple[PipelineReplica, Transition, object]] = {}
+        # Elastic mode (inert until armed): the cost model may pick an
+        # in-place transition, and every preparation registers as a
+        # preemptible prepared-chain claim.
+        self.elastic = False
         self.transitions_inplace = 0
         self.transitions_chain = 0
         self._token_counter = itertools.count(1)
@@ -228,12 +197,9 @@ class RefactoringExecutor:
         if target_stages == replica.plan.n_stages:
             return False
         plan = None
-        for mode in self._mode_attempts(replica, target_stages):
+        for inplace in self._mode_attempts(replica, target_stages):
             try:
-                if mode == "inplace":
-                    plan = self._prepare_inplace(replica, target_stages)
-                else:
-                    plan = self._prepare(replica, target_stages)
+                plan = self._prepare(replica, target_stages, inplace)
                 break
             except AllocationError:
                 continue
@@ -258,22 +224,22 @@ class RefactoringExecutor:
                 replica=replica.name,
                 model=self.profile.spec.name,
                 target_stages=plan.target_stages,
-                inplace=isinstance(plan, InPlaceTransition),
+                inplace=plan.inplace,
                 expected_latency=total,
             )
         return True
 
     def _mode_attempts(
         self, replica: PipelineReplica, target_stages: int
-    ) -> tuple[str, ...]:
-        """Preferred mode first; with in-place armed the other mode is the
-        fallback when preparation cannot place."""
-        if not self.enable_inplace:
-            return ("chain",)
-        mode = self._choose_mode(replica, target_stages)
-        return (mode, "inplace" if mode == "chain" else "chain")
+    ) -> tuple[bool, ...]:
+        """Whether to prepare in place, preferred mode first; in elastic
+        mode the other mode is the fallback when preparation cannot place."""
+        if not self.elastic:
+            return (False,)
+        inplace = self._prefer_inplace(replica, target_stages)
+        return (inplace, not inplace)
 
-    def _choose_mode(self, replica: PipelineReplica, target_stages: int) -> str:
+    def _prefer_inplace(self, replica: PipelineReplica, target_stages: int) -> bool:
         """Cost-model choice between in-place and prepared-chain.
 
         Inputs: the transient byte cost of each mode (in-place pays only
@@ -283,81 +249,62 @@ class RefactoringExecutor:
         serving chain's reservations, so it must buy a real byte saving
         when plenty of KV is in flight).
         """
-        est = self._estimate_modes(replica, target_stages)
-        if est is None:
-            return "chain"
-        inplace_bytes, chain_bytes, reuse_frac = est
-        if reuse_frac <= 0.0:
-            return "chain"  # nothing survives: in-place degenerates to a chain
+        inplace_bytes, chain_bytes = self._estimate_modes(replica, target_stages)
         headroom = self.ctx.allocator.share_headroom(self.profile.spec.name)
         if headroom < chain_bytes:
-            return "inplace"
+            return True
         total_params = max(self.profile.graph.param_bytes(0, None), 1.0)
         risk = min(replica.kv_bytes_in_flight() / total_params, 1.0)
-        return "inplace" if inplace_bytes * (1.0 + risk) < chain_bytes else "chain"
+        return inplace_bytes * (1.0 + risk) < chain_bytes
 
     def _estimate_modes(
         self, replica: PipelineReplica, target_stages: int
-    ) -> tuple[float, float, float] | None:
-        """(in-place transient bytes, chain transient bytes, reuse fraction)
-        for the full-batch target — estimated without reserving anything."""
+    ) -> tuple[float, float]:
+        """(in-place transient bytes, chain transient bytes) for the
+        full-batch target — estimated without reserving anything.
+
+        The new first stage always leads on the old first stage's GPU, so
+        some stage always survives and in-place never degenerates into a
+        full second chain.
+        """
         old_rung = self.ladder.rung(replica.plan.n_stages)
         new_rung = self.ladder.rung(target_stages)
         new_plan = new_rung.plan
-        batch = max(
-            min(new_plan.max_batch, self.batch_cap or new_plan.max_batch), 1
-        )
         mems = new_plan.memory_per_stage(
-            batch, self.profile.spec.kv_bytes_per_request
+            full_batch(new_plan, self.batch_cap),
+            self.profile.spec.kv_bytes_per_request,
         )
-        fine_owner: dict[int, int] = {}
-        for j, (lo, hi) in enumerate(old_rung.groups):
-            for f in range(lo, hi):
-                fine_owner[f] = j
-        claimed: set[int] = set()
         inplace_bytes = 0.0
-        reused = 0
-        for k, (lo, hi) in enumerate(new_rung.groups):
-            owner = fine_owner[lo]
-            owner_group = old_rung.groups[owner]
-            if owner_group[0] == lo and owner not in claimed:
-                claimed.add(owner)
-                reused += 1
-                stage_plan = new_plan.stages[k]
-                owner_plan = replica.stages[owner].plan
-                resident_lo = max(stage_plan.start, owner_plan.start)
-                resident_hi = min(stage_plan.end, owner_plan.end)
-                resident = (
-                    self.profile.graph.param_bytes(resident_lo, resident_hi)
-                    if resident_lo < resident_hi
-                    else 0.0
-                )
-                inplace_bytes += max(mems[k] - resident, 0.0)
-            else:
-                inplace_bytes += mems[k]
-        chain_bytes = float(sum(mems))
-        return inplace_bytes, chain_bytes, reused / max(len(new_rung.groups), 1)
+        for k, (owner, leads) in enumerate(
+            reuse_plan(old_rung.groups, new_rung.groups)
+        ):
+            resident = (
+                self._resident_bytes(new_plan.stages[k], replica.stages[owner].plan)
+                if leads
+                else 0.0
+            )
+            inplace_bytes += max(mems[k] - resident, 0.0)
+        return inplace_bytes, float(sum(mems))
 
-    def _register_claim(self, replica: PipelineReplica, plan) -> None:
+    def _resident_bytes(self, stage_plan, owner_plan) -> float:
+        """Parameter bytes of ``stage_plan`` already resident on the device
+        of the old stage ``owner_plan``."""
+        lo = max(stage_plan.start, owner_plan.start)
+        hi = min(stage_plan.end, owner_plan.end)
+        return self.profile.graph.param_bytes(lo, hi) if lo < hi else 0.0
+
+    def _register_claim(self, replica: PipelineReplica, plan: Transition) -> None:
         """Register the preparation as a preemptible prepared-chain claim.
 
         Only the bytes a preemption could actually free are claimed: the
-        whole prepared chain for a chain transition, the fresh stages for
-        an in-place one (the shared reservations back the serving chain
-        and are never preemptible).
+        reservations the transition owns (grown reservations back the
+        serving chain and are never preemptible).
         """
-        if not self.preemptible_claims:
-            return
-        preemptible = (
-            plan.fresh
-            if isinstance(plan, InPlaceTransition)
-            else plan.reservations
-        )
-        if not preemptible:
+        if not self.elastic or not plan.owned:
             return
         plan.claim = self.ctx.allocator.register_pending_deploy(
             self.profile.spec.name,
-            preemptible,
+            plan.owned,
             cancel=lambda n=replica.name, t=plan.token: self._abort_transition(
                 n, "(preempted)", token=t
             ),
@@ -404,7 +351,7 @@ class RefactoringExecutor:
         # Resolving is a no-op for a preempted claim (its state must stay
         # "preempted" for the auditor) and for claim=None.
         self.ctx.allocator.claim_resolved(plan.claim, activated=False)
-        self._rollback(plan)
+        self._rollback(plan.owned, plan.grown)
         self._inflight.discard(name)
         self.transitions_aborted += 1
         if plan.token:
@@ -430,262 +377,131 @@ class RefactoringExecutor:
         )
         return True
 
-    def _rollback(self, plan) -> None:
+    def _rollback(
+        self,
+        owned: list[StageReservation],
+        grown: list[tuple[StageReservation, float, float]],
+    ) -> None:
         """Return a preparation's resources; the old chain keeps serving."""
-        if isinstance(plan, InPlaceTransition):
-            for reservation in plan.fresh:
-                if not reservation.released:
-                    self.ctx.allocator.release(reservation)
-            for reservation, old_bytes, _final in plan.resized:
-                if not reservation.released and reservation.nbytes > old_bytes:
-                    self.ctx.allocator.resize(reservation, old_bytes)
-        else:
-            for reservation in plan.reservations:
-                if not reservation.released:
-                    self.ctx.allocator.release(reservation)
+        for reservation in owned:
+            if not reservation.released:
+                self.ctx.allocator.release(reservation)
+        for reservation, old_bytes, _final in grown:
+            if not reservation.released and reservation.nbytes > old_bytes:
+                self.ctx.allocator.resize(reservation, old_bytes)
 
     # ------------------------------------------------------------------
     def _prepare(
-        self, replica: PipelineReplica, target_stages: int
-    ) -> TransitionPlan:
-        mover = self.ctx.data_mover
+        self, replica: PipelineReplica, target_stages: int, inplace: bool
+    ) -> Transition:
+        """Plan and reserve a transition to ``target_stages``.
+
+        A chain transition stands up a full second chain, each retained
+        stage as a co-resident copy on its old GPU.  An in-place one
+        (PipeLive-style) grows each retained stage's live reservation by
+        the delta only.  Either way the old chain serves untouched for the
+        whole preparation window.
+        """
         old_rung = self.ladder.rung(replica.plan.n_stages)
         new_rung = self.ladder.rung(target_stages)
-        new_plan = new_rung.plan
-        batch = max(min(new_plan.max_batch, self.batch_cap or new_plan.max_batch), 1)
         # Memory-aware degradation (same policy as ReplicaFactory.deploy):
         # when the fragmented cluster cannot host the target rung at the
         # full batch's KV reservation, halve the batch until it fits
         # rather than abandoning the transition outright.
-        batch, (reservations, stage_times, kv_bytes_moving, reused, fresh) = (
+        batch, (reservations, owned, grown, stage_times, kv_moving, reused) = (
             degrade_until_fit(
-                batch,
-                lambda b: self._reserve_target(replica, old_rung, new_rung, b),
+                full_batch(new_rung.plan, self.batch_cap),
+                lambda b: self._reserve(replica, old_rung, new_rung, b, inplace),
             )
         )
-        # Pipelined mode swaps once the first stage is ready (later stages
-        # stay gated until their own loads land); classic mode waits for
-        # the slowest stage.
-        if self.pipelined_loading and stage_times:
-            load_duration = stage_times[0]
-        else:
-            load_duration = max(stage_times, default=0.0)
-
-        kv_plan = mover.plan(
-            kv_bytes_moving, same_server=False, src_rdma=True, dst_rdma=True
-        )
-        self._exercise_consistency_protocol(replica)
-        return TransitionPlan(
-            target_stages=target_stages,
-            reservations=reservations,
-            load_duration=load_duration,
-            kv_duration=kv_plan.duration if kv_bytes_moving > 0 else 0.0,
-            kv_bytes=kv_bytes_moving,
-            reused_gpus=reused,
-            fresh_gpus=fresh,
-            batch=batch,
-            stage_load_times=tuple(stage_times),
-        )
-
-    def _reserve_target(
-        self,
-        replica: PipelineReplica,
-        old_rung,
-        new_rung,
-        batch: int,
-    ) -> tuple[list[StageReservation], list[float], float, int, int]:
-        """Reserve the target chain at ``batch``; all-or-nothing.
-
-        Returns the per-stage best-source load times (callers reduce them
-        to a single duration depending on pipelined vs. classic mode).
-        """
-        model = self.profile.spec.name
-        new_plan = new_rung.plan
-        mems = new_plan.memory_per_stage(
-            batch, self.profile.spec.kv_bytes_per_request
-        )
-
-        # Which old stage hosts each fine stage today?
-        fine_owner: dict[int, int] = {}
-        for j, (lo, hi) in enumerate(old_rung.groups):
-            for f in range(lo, hi):
-                fine_owner[f] = j
-        old_stage_runtime = {j: replica.stages[j] for j in range(len(replica.stages))}
-
-        reservations: list[StageReservation] = []
-        claimed: set[str] = set()
-        stage_times: list[float] = []
-        kv_bytes_moving = 0.0
-        reused = fresh = 0
-        try:
-            for k, (lo, hi) in enumerate(new_rung.groups):
-                stage_plan = new_plan.stages[k]
-                owner_idx = fine_owner[lo]
-                owner_group = old_rung.groups[owner_idx]
-                owner_stage = old_stage_runtime[owner_idx]
-                gpu = owner_stage.gpu
-                reservation = None
-                # Reuse: the new stage leads on a GPU that already holds its
-                # leading fine range, and no other new stage claimed it.
-                if owner_group[0] == lo and gpu.gid not in claimed:
-                    try:
-                        reservation = self.ctx.allocator.reserve_on(
-                            model, gpu, mems[k], allow_same_model=True
-                        )
-                        claimed.add(gpu.gid)
-                        reused += 1
-                    except AllocationError:
-                        reservation = None  # cannot co-reside: fall through
-                if reservation is None:
-                    exclude = [
-                        r.gpu for r in reservations
-                    ] + [s.gpu for s in replica.stages]
-                    got = self.ctx.allocator.allocate_stages(
-                        model, [mems[k]], exclude=exclude
-                    )
-                    reservation = got[0]
-                    fresh += 1
-                reservations.append(reservation)
-                stage_times.append(
-                    self._stage_load_time(
-                        stage_plan, reservation, owner_stage, reused=gpu is reservation.gpu
-                    )
-                )
-                # Fine ranges that change GPUs carry their KV shards along.
-                moved_fraction = self._moved_kv_fraction(
-                    lo, hi, owner_group, reservation.gpu is gpu
-                )
-                kv_bytes_moving += (
-                    replica.kv_bytes_in_flight()
-                    * self.profile.kv_fraction(stage_plan.profile)
-                    * moved_fraction
-                )
-        except AllocationError:
-            for reservation in reservations:
-                self.ctx.allocator.release(reservation)
-            raise
-        return reservations, stage_times, kv_bytes_moving, reused, fresh
-
-    def _prepare_inplace(
-        self, replica: PipelineReplica, target_stages: int
-    ) -> InPlaceTransition:
-        """Plan and reserve an in-place transition (PipeLive-style).
-
-        Surviving stages grow their live reservation by the delta only;
-        stages that cannot survive are allocated fresh.  The old chain
-        serves untouched for the whole preparation window.
-        """
-        mover = self.ctx.data_mover
-        old_rung = self.ladder.rung(replica.plan.n_stages)
-        new_rung = self.ladder.rung(target_stages)
-        new_plan = new_rung.plan
-        batch = max(min(new_plan.max_batch, self.batch_cap or new_plan.max_batch), 1)
-        batch, (reservations, resized, fresh_list, load_duration, kv_moving) = (
-            degrade_until_fit(
-                batch,
-                lambda b: self._reserve_inplace(replica, old_rung, new_rung, b),
-            )
-        )
-        if not resized:
+        if inplace and not grown:
             # Nothing survived in place — roll back and let the caller
             # fall through to the chain path, which handles this shape.
-            for reservation in fresh_list:
-                if not reservation.released:
-                    self.ctx.allocator.release(reservation)
+            self._rollback(owned, grown)
             raise AllocationError(
                 f"in-place transition for {replica.name} reuses no stage"
             )
-        kv_plan = mover.plan(
+        # Pipelined chain transitions swap once the first stage is ready
+        # (later stages stay gated until their own loads land); otherwise
+        # the switch waits for the slowest stage.
+        pipelined = self.pipelined_loading and not inplace and bool(stage_times)
+        load_duration = (
+            stage_times[0] if pipelined else max(stage_times, default=0.0)
+        )
+        kv_plan = self.ctx.data_mover.plan(
             kv_moving, same_server=False, src_rdma=True, dst_rdma=True
         )
         self._exercise_consistency_protocol(replica)
-        delta_bytes = sum(
-            res.nbytes - old_bytes for res, old_bytes, _final in resized
-        ) + sum(res.nbytes for res in fresh_list)
-        return InPlaceTransition(
+        return Transition(
             target_stages=target_stages,
             reservations=reservations,
-            resized=resized,
-            fresh=fresh_list,
+            owned=owned,
+            grown=grown,
             load_duration=load_duration,
             kv_duration=kv_plan.duration if kv_moving > 0 else 0.0,
             kv_bytes=kv_moving,
-            delta_bytes=delta_bytes,
-            reused_gpus=len(resized),
-            fresh_gpus=len(fresh_list),
+            delta_bytes=sum(res.nbytes - old for res, old, _final in grown)
+            + sum(res.nbytes for res in owned),
+            reused_gpus=reused,
             batch=batch,
+            stage_load_times=tuple(stage_times) if pipelined else (),
             started_at=self.ctx.sim.now,
         )
 
-    def _reserve_inplace(
+    def _reserve(
         self,
         replica: PipelineReplica,
         old_rung,
         new_rung,
         batch: int,
+        inplace: bool,
     ) -> tuple[
         list[StageReservation],
-        list[tuple[StageReservation, float, float]],
         list[StageReservation],
+        list[tuple[StageReservation, float, float]],
+        list[float],
         float,
-        float,
+        int,
     ]:
-        """Grow surviving reservations / allocate the rest; all-or-nothing."""
+        """Reserve the target chain at ``batch``; all-or-nothing.
+
+        Returns (target reservations, owned, grown, per-stage best-source
+        load times, KV bytes moving, stages retained on their old GPU).
+        """
         model = self.profile.spec.name
         new_plan = new_rung.plan
         mems = new_plan.memory_per_stage(
             batch, self.profile.spec.kv_bytes_per_request
         )
-        fine_owner: dict[int, int] = {}
-        for j, (lo, hi) in enumerate(old_rung.groups):
-            for f in range(lo, hi):
-                fine_owner[f] = j
-        old_stage_runtime = {j: replica.stages[j] for j in range(len(replica.stages))}
-
         reservations: list[StageReservation] = []
-        resized: list[tuple[StageReservation, float, float]] = []
-        fresh_list: list[StageReservation] = []
+        owned: list[StageReservation] = []
+        grown: list[tuple[StageReservation, float, float]] = []
         claimed: set[str] = set()
-        load_duration = 0.0
+        stage_times: list[float] = []
         kv_bytes_moving = 0.0
+        reused = 0
         try:
-            for k, (lo, hi) in enumerate(new_rung.groups):
+            for k, ((lo, hi), (owner, leads)) in enumerate(
+                zip(new_rung.groups, reuse_plan(old_rung.groups, new_rung.groups))
+            ):
                 stage_plan = new_plan.stages[k]
-                owner_idx = fine_owner[lo]
-                owner_group = old_rung.groups[owner_idx]
-                owner_stage = old_stage_runtime[owner_idx]
+                owner_stage = replica.stages[owner]
                 gpu = owner_stage.gpu
                 reservation = None
-                live = owner_stage.reservation
-                if (
-                    owner_group[0] == lo
-                    and gpu.gid not in claimed
-                    and not live.released
-                ):
-                    # Survive in place: grow the live reservation by the
-                    # target footprint minus what is already resident
-                    # (old params + old KV stay until the chain retires).
-                    resident_lo = max(stage_plan.start, owner_stage.plan.start)
-                    resident_hi = min(stage_plan.end, owner_stage.plan.end)
-                    resident = (
-                        self.profile.graph.param_bytes(resident_lo, resident_hi)
-                        if resident_lo < resident_hi
-                        else 0.0
-                    )
-                    old_bytes = live.nbytes
-                    grow_to = old_bytes + max(mems[k] - resident, 0.0)
-                    try:
-                        self.ctx.allocator.resize(live, grow_to)
-                    except (AllocationError, ValueError):
-                        # Share cap says no (AllocationError) or the
-                        # device itself cannot hold the delta (the GPU's
-                        # over-commit ValueError): place a fresh stage.
-                        reservation = None
+                resident = 0.0
+                # Reuse: the new stage leads on a GPU that already holds its
+                # leading fine range, and no other new stage claimed it.
+                if leads and gpu.gid not in claimed:
+                    resident = self._resident_bytes(stage_plan, owner_stage.plan)
+                    if inplace:
+                        reservation = self._grow(
+                            owner_stage.reservation, mems[k], resident, grown
+                        )
                     else:
-                        reservation = live
-                        resized.append((live, old_bytes, mems[k]))
-                        claimed.add(gpu.gid)
-                if reservation is None:
+                        reservation = self._co_reside(gpu, mems[k], owned)
+                kept = reservation is not None
+                if not kept:
+                    resident = 0.0
                     exclude = [
                         r.gpu for r in reservations
                     ] + [s.gpu for s in replica.stages]
@@ -693,53 +509,76 @@ class RefactoringExecutor:
                         model, [mems[k]], exclude=exclude
                     )
                     reservation = got[0]
-                    fresh_list.append(reservation)
+                    owned.append(reservation)
+                else:
+                    claimed.add(gpu.gid)
+                    reused += 1
                 reservations.append(reservation)
-                load_duration = max(
-                    load_duration,
+                stage_times.append(
                     self._stage_load_time(
-                        stage_plan,
-                        reservation,
-                        owner_stage,
-                        reused=reservation is live,
-                    ),
+                        stage_plan, reservation, owner_stage, resident
+                    )
                 )
-                moved_fraction = self._moved_kv_fraction(
-                    lo, hi, owner_group, reservation is live
-                )
+                # Fine ranges that change GPUs carry their KV shards along.
+                stay = min(hi, old_rung.groups[owner][1]) - lo if kept else 0
                 kv_bytes_moving += (
                     replica.kv_bytes_in_flight()
                     * self.profile.kv_fraction(stage_plan.profile)
-                    * moved_fraction
+                    * ((hi - lo - stay) / (hi - lo))
                 )
         except AllocationError:
-            for reservation in fresh_list:
-                if not reservation.released:
-                    self.ctx.allocator.release(reservation)
-            for reservation, old_bytes, _final in resized:
-                if not reservation.released and reservation.nbytes > old_bytes:
-                    self.ctx.allocator.resize(reservation, old_bytes)
+            self._rollback(owned, grown)
             raise
-        return reservations, resized, fresh_list, load_duration, kv_bytes_moving
+        return reservations, owned, grown, stage_times, kv_bytes_moving, reused
+
+    def _co_reside(
+        self, gpu, nbytes: float, owned: list[StageReservation]
+    ) -> StageReservation | None:
+        """Chain mode's reuse: a full copy of the new stage beside the old
+        one on its GPU, or None when the device cannot hold both."""
+        try:
+            reservation = self.ctx.allocator.reserve_on(
+                self.profile.spec.name, gpu, nbytes, allow_same_model=True
+            )
+        except AllocationError:
+            return None
+        owned.append(reservation)
+        return reservation
+
+    def _grow(
+        self,
+        live: StageReservation,
+        nbytes: float,
+        resident: float,
+        grown: list[tuple[StageReservation, float, float]],
+    ) -> StageReservation | None:
+        """In-place reuse: grow the live reservation by the target footprint
+        minus what is already resident (old params + old KV stay until the
+        chain retires), or None when it cannot grow."""
+        if live.released:
+            return None
+        old_bytes = live.nbytes
+        try:
+            self.ctx.allocator.resize(
+                live, old_bytes + max(nbytes - resident, 0.0)
+            )
+        except (AllocationError, ValueError):
+            # Share cap says no (AllocationError) or the device itself
+            # cannot hold the delta (the GPU's over-commit ValueError).
+            return None
+        grown.append((live, old_bytes, nbytes))
+        return live
 
     def _stage_load_time(
         self,
         stage_plan,
         reservation: StageReservation,
         owner_stage,
-        *,
-        reused: bool,
+        resident: float,
     ) -> float:
         """Best-source load time for one target stage's missing parameters."""
         cm = self.ctx.cost_model
         mover = self.ctx.data_mover
-        resident_lo = max(stage_plan.start, owner_stage.plan.start)
-        resident_hi = min(stage_plan.end, owner_stage.plan.end)
-        resident = (
-            self.profile.graph.param_bytes(resident_lo, resident_hi)
-            if resident_lo < resident_hi and reused
-            else 0.0
-        )
         missing = max(stage_plan.param_bytes - resident, 0.0)
         if missing <= 0:
             return 0.0
@@ -770,17 +609,6 @@ class RefactoringExecutor:
                 )
         options.append(cm.cold_load_time(missing))
         return min(options)
-
-    @staticmethod
-    def _moved_kv_fraction(
-        lo: int, hi: int, owner_group: tuple[int, int], reused: bool
-    ) -> float:
-        """Fraction of the new stage's fine ranges that changed GPUs."""
-        if not reused:
-            return 1.0
-        span = hi - lo
-        stay = max(min(hi, owner_group[1]) - max(lo, owner_group[0]), 0)
-        return (span - stay) / span if span else 0.0
 
     def _exercise_consistency_protocol(self, replica: PipelineReplica) -> None:
         """Run the Eq. 10 snapshot/delta protocol for a representative shard."""
@@ -824,13 +652,12 @@ class RefactoringExecutor:
             )
         self.ctx.allocator.release(reservation)
 
-    def _switch(self, replica: PipelineReplica, plan) -> None:
+    def _switch(self, replica: PipelineReplica, plan: Transition) -> None:
         sim = self.ctx.sim
         self._inflight.discard(replica.name)
         self._transitions.pop(replica.name, None)
         if sim.tracer is not None:
             sim.tracer.refactor_end(replica.name, sim.now)
-        inplace = isinstance(plan, InPlaceTransition)
         if replica.state in (ReplicaState.DRAINING, ReplicaState.RELEASED) or any(
             r.gpu.cordoned for r in plan.reservations
         ):
@@ -842,40 +669,34 @@ class RefactoringExecutor:
             # reclaimed device for its whole downtime.  Either way, give
             # the prepared resources straight back instead of swapping.
             self.ctx.allocator.claim_resolved(plan.claim, activated=False)
-            self._rollback(plan)
+            self._rollback(plan.owned, plan.grown)
             return
         self.ctx.allocator.claim_resolved(plan.claim, activated=True)
         old_n = replica.plan.n_stages
         new_plan = self.ladder.plan(plan.target_stages)
-        if inplace:
-            for reservation, _old_bytes, final in plan.resized:
-                self._shrink_to[reservation.res_id] = final
+        for reservation, _old_bytes, final in plan.grown:
+            self._shrink_to[reservation.res_id] = final
         replica.on_stage_retired = self._retire_stage
         # The prepared chain only holds KV for ``plan.batch`` requests; a
         # degraded transition therefore also caps the batcher until the
         # next transition re-sizes it.
-        if inplace:
-            replica.swap_stages_inplace(
-                new_plan, plan.reservations, batch_cap=plan.batch
-            )
-        else:
-            replica.swap_stages(new_plan, plan.reservations, batch_cap=plan.batch)
-            if self.pipelined_loading and plan.stage_load_times:
-                # The swap happened once stage 0 was ready; stages whose
-                # loads outlast the preparation window stay gated (jobs
-                # queue there) and open exactly when their load lands.
-                elapsed = plan.duration + self.switch_pause
-                for stage, load_time in zip(
-                    replica.stages, plan.stage_load_times
-                ):
-                    extra = load_time - elapsed
-                    if extra > 1e-9:
-                        stage.gate_load()
-                        sim.schedule(extra, stage.mark_loaded)
+        swap = replica.swap_stages_inplace if plan.inplace else replica.swap_stages
+        swap(new_plan, plan.reservations, batch_cap=plan.batch)
+        if plan.stage_load_times:
+            # Pipelined chain transition: the swap happened once stage 0
+            # was ready; stages whose loads outlast the preparation window
+            # stay gated (jobs queue there) and open exactly when their
+            # load lands.
+            elapsed = plan.duration + self.switch_pause
+            for stage, load_time in zip(replica.stages, plan.stage_load_times):
+                extra = load_time - elapsed
+                if extra > 1e-9:
+                    stage.gate_load()
+                    sim.schedule(extra, stage.mark_loaded)
         self.transitions_completed += 1
         if plan.token:
             self.switched_tokens.add(plan.token)
-        if inplace:
+        if plan.inplace:
             self.transitions_inplace += 1
             self.inplace_spans.append((replica, plan.started_at, sim.now))
             detail = (
@@ -898,7 +719,7 @@ class RefactoringExecutor:
                 replica=replica.name,
                 model=self.profile.spec.name,
                 stages=f"{old_n}->{plan.target_stages}",
-                inplace=inplace,
+                inplace=plan.inplace,
                 reused_gpus=plan.reused_gpus,
                 fresh_gpus=plan.fresh_gpus,
                 kv_bytes=plan.kv_bytes,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.allocator import (
-    DEGRADE_FLOOR,
     AllocationError,
     InfeasibleCertificate,
+    floor_footprint,
 )
 from repro.metrics.collector import MetricsCollector, ScalingEvent
 from repro.models.profiler import ModelProfile
@@ -237,11 +237,8 @@ class Autoscaler:
         headroom = self.share_headroom()
         if math.isinf(headroom):
             return self.config.max_replicas
-        cfg = self.config
-        batch = max(min(plan.max_batch, cfg.batch_cap or plan.max_batch), 1)
-        floor = max(min(batch, DEGRADE_FLOOR), 1)
-        replica_bytes = sum(
-            plan.memory_per_stage(floor, self.profile.spec.kv_bytes_per_request)
+        replica_bytes = floor_footprint(
+            plan, self.config.batch_cap, self.profile.spec.kv_bytes_per_request
         )
         if replica_bytes <= 0:
             return self.config.max_replicas

@@ -40,15 +40,11 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.cluster.cluster import server_placements
 from repro.cluster.gpu import GPUSpec
 from repro.experiments.runner import ExperimentRunner
-from repro.metrics.latency import LatencyBreakdown, percentiles
-from repro.metrics.stalls import detect_stalls, recovery_times
 from repro.models.zoo import get_model
-from repro.metrics.collector import RunSummary
+from repro.metrics.collector import Populations, RunSummary, summarize_populations
 from repro.scenarios.driver import (
     ScenarioCase,
     ScenarioDriver,
@@ -276,7 +272,7 @@ class ShardSlice:
     """One shard's picklable contribution to the merged report.
 
     Carries the shard's own :class:`ScenarioReport` plus the *raw* merge
-    inputs (epoch-filtered latency/queue/utilization populations), so the
+    inputs (epoch-filtered populations and utilization integrals), so the
     merged aggregate is computed exactly — not approximated from
     per-shard summaries.
     """
@@ -285,19 +281,9 @@ class ShardSlice:
     models: tuple[str, ...]
     report: ScenarioReport
     engine_events: int = 0
-    latencies: list[float] = field(default_factory=list)
-    queue_times: list[float] = field(default_factory=list)
-    exec_times: list[float] = field(default_factory=list)
-    comm_times: list[float] = field(default_factory=list)
-    prefill_latencies: list[float] = field(default_factory=list)
-    qlen_samples: list[int] = field(default_factory=list)
-    recoveries: list[float] = field(default_factory=list)
+    populations: Populations = field(default_factory=Populations)
     gpu_busy_seconds: float = 0.0
     gpu_holding_integral: float = 0.0
-    init_times: list[float] = field(default_factory=list)
-    wait_times: list[float] = field(default_factory=list)
-    warm_starts: int = 0
-    refactor_count: int = 0
     resident: int = 0
 
 
@@ -314,23 +300,6 @@ def _run_group(item: tuple[ShardGroup, str, bool]) -> ShardSlice:
 def _build_slice(
     group: ShardGroup, driver: ScenarioDriver, report: ScenarioReport
 ) -> ShardSlice:
-    epoch = driver.epoch
-    metrics = driver.system.metrics
-    done = [
-        r
-        for r in metrics.records
-        if r.completed and r.arrival_time >= epoch
-    ]
-    episodes = detect_stalls(
-        [r.completion_time for r in done], [r.latency for r in done]
-    )
-    # Epoch-filtered like the collector's summarize: pre-epoch warm-up
-    # deploys/refactors stay out of the merged warm-start accounting.
-    scale_outs = [
-        e
-        for e in metrics.events
-        if e.kind == "scale_out" and e.time >= epoch
-    ]
     system = driver.system
     # Requests still parked in an accounted queue at quiesce (the same
     # residency the auditor's request-conservation invariant credits):
@@ -347,29 +316,11 @@ def _build_slice(
         models=group.models,
         report=report,
         engine_events=driver.sim.events_processed,
-        latencies=[r.latency for r in done],
-        queue_times=[r.queue_time for r in done],
-        exec_times=[r.exec_time for r in done],
-        comm_times=[r.comm_time for r in done],
-        prefill_latencies=[
-            r.prefill_latency for r in done if r.prefill_latency is not None
-        ],
-        qlen_samples=[q for t, q in metrics.queue_samples if t >= epoch],
-        recoveries=list(recovery_times(episodes)),
-        gpu_busy_seconds=sum(
-            g.busy_seconds for g in driver.system.ctx.cluster.gpus
-        ),
-        gpu_holding_integral=driver.system._gpu_holding_integral,
-        init_times=[e.init_time for e in scale_outs],
-        wait_times=[e.wait_time for e in scale_outs],
-        warm_starts=sum(1 for e in scale_outs if e.warm),
-        refactor_count=len(
-            [
-                e
-                for e in metrics.events
-                if e.kind == "refactor" and e.time >= epoch
-            ]
-        ),
+        # Epoch-filtered like the collector's summarize: pre-epoch warm-up
+        # deploys/refactors stay out of the merged accounting.
+        populations=system.metrics.populations(driver.epoch),
+        gpu_busy_seconds=sum(g.busy_seconds for g in system.ctx.cluster.gpus),
+        gpu_holding_integral=system._gpu_holding_integral,
         resident=resident,
     )
 
@@ -495,60 +446,15 @@ def merge_shard_reports(
     )
 
 
-def _concat(slices: list[ShardSlice], attr: str) -> np.ndarray:
-    values = [v for s in slices for v in getattr(s, attr)]
-    return np.array(values) if values else np.array([])
-
-
 def _merge_aggregate(
     system: str, slices: list[ShardSlice], measured: float
 ) -> RunSummary:
-    aggregates = [s.report.aggregate for s in slices]
-    offered = sum(a.offered for a in aggregates)
-    completed = sum(a.completed for a in aggregates)
-    goodput = sum(a.goodput for a in aggregates)
-    latencies = _concat(slices, "latencies")
-    queue = _concat(slices, "queue_times")
-    execution = _concat(slices, "exec_times")
-    comm = _concat(slices, "comm_times")
-    prefill = _concat(slices, "prefill_latencies")
-    qlens = _concat(slices, "qlen_samples")
-    recoveries = [v for s in slices for v in s.recoveries]
-    init_times = [v for s in slices for v in s.init_times]
-    wait_times = [v for s in slices for v in s.wait_times]
-    scale_out_count = len(init_times)
-    warm_starts = sum(s.warm_starts for s in slices)
-    busy = sum(s.gpu_busy_seconds for s in slices)
     holding = sum(s.gpu_holding_integral for s in slices)
     avg_gpus = holding / measured if measured > 0 else 0.0
-    gpus_used = max(round(avg_gpus), 1)
-    denominator = gpus_used * measured
-    return RunSummary(
-        system=system,
-        duration=measured,
-        offered=offered,
-        completed=completed,
-        goodput=goodput,
-        goodput_rate=goodput / offered if offered else 0.0,
-        breakdown=LatencyBreakdown(
-            queue=float(queue.mean()) if queue.size else 0.0,
-            execution=float(execution.mean()) if execution.size else 0.0,
-            communication=float(comm.mean()) if comm.size else 0.0,
-        ),
-        latency_percentiles=percentiles(latencies),
-        mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-        mean_prefill_latency=float(prefill.mean()) if prefill.size else 0.0,
-        gpu_utilization=min(busy / denominator, 1.0) if denominator > 0 else 0.0,
-        gpus_used=gpus_used,
-        mean_queue_length=float(qlens.mean()) if qlens.size else 0.0,
-        p95_queue_length=float(np.percentile(qlens, 95)) if qlens.size else 0.0,
-        stall_cycle=float(np.mean(recoveries)) if recoveries else 0.0,
-        median_recovery=float(np.median(recoveries)) if recoveries else 0.0,
-        refactor_count=sum(s.refactor_count for s in slices),
-        scale_out_count=scale_out_count,
-        warm_start_rate=(
-            warm_starts / scale_out_count if scale_out_count else 0.0
-        ),
-        mean_init_time=float(np.mean(init_times)) if init_times else 0.0,
-        mean_alloc_wait=float(np.mean(wait_times)) if wait_times else 0.0,
+    return summarize_populations(
+        system,
+        measured,
+        Populations.merge([s.populations for s in slices]),
+        gpu_busy_seconds=sum(s.gpu_busy_seconds for s in slices),
+        gpus_used=max(round(avg_gpus), 1),
     )

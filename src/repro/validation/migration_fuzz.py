@@ -27,12 +27,13 @@ scheduling invariants can be stated exactly:
       bandwidth, recomputed independently from the cost table (a plan
       that claims RDMA but schedules at sendfile speed is caught).
 
-:func:`check_inplace_delta` (the executor's live resize planning math)
+:func:`check_inplace_delta` (the executor's retention rule, in the
+fine-unit byte view :func:`plan_inplace_delta` gives it)
     * **only the delta moves** — a reused stage's parameter traffic is
       exactly its new span minus the bytes already resident (restated
-      here by set arithmetic over fine units, independent of the
-      executor's slice sums), and KV moves only for units that change
-      devices;
+      here by set arithmetic over fine units, independent of
+      :func:`~repro.refactoring.executor.reuse_plan`), and KV moves only
+      for units that change devices;
     * **conservation** — every fine unit lands in exactly one new stage,
       so resident + delta bytes across stages equal the total, and KV
       totals are preserved;
@@ -43,7 +44,8 @@ scheduling invariants can be stated exactly:
       broken (``fuzz-detection-power``).
     The planned deltas then flow through :class:`MigrationPlanner` and
     :func:`check_schedule`, so the resize traffic also honours channel
-    exclusivity and the makespan bounds.
+    exclusivity and the makespan bounds.  :func:`check_zoo_ladders` runs
+    the same oracle over every rung pair of the zoo models' real ladders.
 
 :func:`fuzz_link_case` (for :class:`~repro.transfer.links.FairShareLink`)
     * every transfer completes, exactly once;
@@ -57,6 +59,7 @@ parallel experiment runner (``repro fuzz --seeds N``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.simulation.engine import Simulator
@@ -323,6 +326,44 @@ def random_groups(rng, n_units: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
+def plan_inplace_delta(
+    old_groups: Sequence[tuple[int, int]],
+    new_groups: Sequence[tuple[int, int]],
+    unit_param_bytes: Sequence[float],
+    unit_kv_bytes: Sequence[float],
+) -> list[dict]:
+    """The fine-unit byte view of the executor's retention rule.
+
+    Applies :func:`~repro.refactoring.executor.reuse_plan` (the rule the
+    executor plans with) to per-fine-unit byte vectors.  Returns one dict
+    per new stage: whether it reuses its leading owner's device, the
+    parameter bytes resident there, the bytes that must move (the delta
+    beyond what is resident), and the KV bytes that change devices.
+    """
+    from repro.refactoring.executor import reuse_plan
+
+    out: list[dict] = []
+    for (lo, hi), (owner, reused) in zip(
+        new_groups, reuse_plan(old_groups, new_groups)
+    ):
+        new_params = float(sum(unit_param_bytes[lo:hi]))
+        stage_kv = float(sum(unit_kv_bytes[lo:hi]))
+        stay_hi = min(hi, old_groups[owner][1]) if reused else lo
+        resident = float(sum(unit_param_bytes[lo:stay_hi]))
+        kv_stays = float(sum(unit_kv_bytes[lo:stay_hi]))
+        out.append(
+            {
+                "reused": reused,
+                "owner": owner,
+                "resident_param_bytes": resident,
+                "param_delta_bytes": max(new_params - resident, 0.0),
+                "kv_moved_bytes": max(stage_kv - kv_stays, 0.0),
+                "kv_total_bytes": stage_kv,
+            }
+        )
+    return out
+
+
 def check_inplace_delta(
     old_groups: list[tuple[int, int]],
     new_groups: list[tuple[int, int]],
@@ -347,16 +388,13 @@ def check_inplace_delta(
             )
         )
         return out
-    fine_owner = {
-        f: j for j, (lo, hi) in enumerate(old_groups) for f in range(lo, hi)
-    }
     claimed: set[int] = set()
     resident_total = delta_total = kv_seen = 0.0
     for j, ((lo, hi), d) in enumerate(zip(new_groups, deltas)):
         span = set(range(lo, hi))
         stage_params = sum(unit_params[f] for f in span)
         stage_kv = sum(unit_kv[f] for f in span)
-        owner = fine_owner[lo]
+        owner = next(j for j, (a, b) in enumerate(old_groups) if a <= lo < b)
         can_reuse = old_groups[owner][0] == lo and owner not in claimed
         if d["reused"] and not can_reuse:
             out.append(
@@ -438,8 +476,6 @@ def fuzz_inplace_round(rng) -> tuple[list[Violation], int]:
 
     Returns (violations, migration items scheduled).
     """
-    from repro.refactoring.executor import plan_inplace_delta
-
     out: list[Violation] = []
     n_units = int(rng.integers(4, 25))
     unit_params = [
@@ -522,6 +558,41 @@ def fuzz_inplace_round(rng) -> tuple[list[Violation], int]:
 # ----------------------------------------------------------------------
 # Random item sets
 # ----------------------------------------------------------------------
+def check_zoo_ladders() -> tuple[list[Violation], int]:
+    """:func:`check_inplace_delta` over every rung pair of the zoo models'
+    real ladders — the groups the executor actually plans over.
+
+    Fine-unit bytes come from each ladder's finest plan (parameter bytes
+    and KV bytes per token of every fine stage).  Returns (violations,
+    rung pairs checked).
+    """
+    from repro.core.config import FlexPipeConfig
+    from repro.core.context import get_ladder
+    from repro.models.costs import CostModel
+    from repro.models.zoo import MODEL_ZOO
+
+    out: list[Violation] = []
+    pairs = 0
+    cost_model = CostModel()
+    for spec in MODEL_ZOO.values():
+        ladder = get_ladder(spec, cost_model, FlexPipeConfig().stage_counts)
+        fine = ladder.fine_plan.stages
+        unit_params = [s.param_bytes for s in fine]
+        unit_kv = [s.profile.kv_bytes_per_token for s in fine]
+        for a in ladder.stage_counts:
+            for b in ladder.stage_counts:
+                old, new = ladder.rung(a).groups, ladder.rung(b).groups
+                deltas = plan_inplace_delta(old, new, unit_params, unit_kv)
+                out += [
+                    Violation(v.invariant, f"{spec.name} {a}->{b}: {v.detail}")
+                    for v in check_inplace_delta(
+                        old, new, unit_params, unit_kv, deltas
+                    )
+                ]
+                pairs += 1
+    return out, pairs
+
+
 def random_costs(rng) -> TransferCosts:
     """A random (but physical) transfer cost table spanning the §8 regimes."""
     gb = 1024 * MB

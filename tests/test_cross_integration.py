@@ -1,7 +1,7 @@
 """Cross-module integration: new subsystems driving the live serving stack.
 
 Each test wires several of the later-added components (trace replay,
-admission control, plan serialization/diffing, paged KV, calibration)
+admission control, paged KV, calibration)
 through the same public API an application would use, catching interface
 drift that unit tests cannot.
 """
@@ -19,7 +19,6 @@ from repro.models.calibration import TABLE2_ROWS, fit_cost_model
 from repro.models.costs import CostModel
 from repro.models.zoo import LLAMA2_7B, OPT_66B
 from repro.partitioning.ladder import GranularityLadder
-from repro.partitioning.serialize import diff_plans, plan_from_json, plan_to_json
 from repro.pipeline.paged_kv import PagedKVCache, PagedKVConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
@@ -86,21 +85,6 @@ class TestAdmissionInFrontOfSystem:
         assert gate.stats.admitted == system.metrics.offered
         admitted = [r for r in generator.requests if not r.rejected]
         assert all(r.completed for r in admitted)
-
-
-class TestPlanRoundTripDrivesDiff:
-    def test_serialized_plans_diff_like_originals(self, llama_profile):
-        ladder = GranularityLadder(llama_profile, stage_counts=(2, 4, 8))
-        coarse, fine = ladder.plan(2), ladder.plan(8)
-        coarse2 = plan_from_json(plan_to_json(coarse), llama_profile)
-        fine2 = plan_from_json(plan_to_json(fine), llama_profile)
-        original = diff_plans(coarse, fine)
-        roundtrip = diff_plans(coarse2, fine2)
-        assert roundtrip.kind == original.kind == "split"
-        assert roundtrip.reused_gpus == original.reused_gpus
-        assert roundtrip.total_load_bytes == pytest.approx(
-            original.total_load_bytes
-        )
 
 
 class TestPagedKVSizedFromProfile:

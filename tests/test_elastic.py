@@ -16,11 +16,7 @@ from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
 from repro.pipeline.replica import PipelineReplica, ReplicaState
-from repro.refactoring.executor import (
-    InPlaceTransition,
-    RefactoringExecutor,
-    plan_inplace_delta,
-)
+from repro.refactoring.executor import RefactoringExecutor
 from repro.scaling.warm_cache import HostParamCache
 from repro.scenarios.driver import ScenarioCase, TenantQoS, run_scenario_case
 from repro.scenarios.library import ELASTIC_CONTRACTS
@@ -31,6 +27,7 @@ from repro.validation.chaos import chaos_spec
 from repro.validation.migration_fuzz import (
     check_inplace_delta,
     fuzz_inplace_round,
+    plan_inplace_delta,
     random_groups,
 )
 from repro.workloads.requests import RequestSampler
@@ -98,7 +95,7 @@ class TestInPlaceTransitions:
         executor = RefactoringExecutor(
             ctx, llama_profile, ladder, metrics, warm_cache=HostParamCache()
         )
-        executor.enable_inplace = True
+        executor.elastic = True
         return ctx, ladder, metrics, executor
 
     def test_cost_model_prefers_inplace_for_split(self, setup, llama_profile):
@@ -106,7 +103,7 @@ class TestInPlaceTransitions:
         replica = self._deploy(ctx, llama_profile, ladder, 2, [])
         # Both rung boundaries survive a 2->4 split, so the delta is far
         # below a full second copy and the cost model picks in-place.
-        assert executor._choose_mode(replica, 4) == "inplace"
+        assert executor._prefer_inplace(replica, 4)
 
     def test_split_reuses_surviving_reservations(self, setup, llama_profile):
         ctx, ladder, metrics, executor = setup
@@ -114,16 +111,16 @@ class TestInPlaceTransitions:
         old_res = [s.reservation for s in replica.stages]
         assert executor.refactor(replica, 4)
         _, plan, _ = executor._transitions[replica.name]
-        assert isinstance(plan, InPlaceTransition)
+        assert plan.inplace
         # A 2->4 split keeps both old stage heads in place.
-        assert len(plan.resized) == 2 and len(plan.fresh) == 2
+        assert len(plan.grown) == 2 and len(plan.owned) == 2
         ctx.sim.run_until_idle()
         assert replica.plan.n_stages == 4
         assert executor.transitions_inplace == 1
         assert executor.transitions_chain == 0
         assert replica.inplace_swaps == 1
         new_res = [s.reservation for s in replica.stages]
-        for reservation, _old_bytes, final in plan.resized:
+        for reservation, _old_bytes, final in plan.grown:
             # The same StageReservation object serves the new chain,
             # trimmed to its target footprint once the old chain retired.
             assert reservation in old_res and reservation in new_res
@@ -154,16 +151,16 @@ class TestInPlaceTransitions:
         replica = self._deploy(ctx, llama_profile, ladder, 2, completed)
         assert executor.refactor(replica, 4)
         _, plan, _ = executor._transitions[replica.name]
-        assert executor.abort_on_cordon(plan.fresh[0].gpu) == 1
+        assert executor.abort_on_cordon(plan.owned[0].gpu) == 1
         assert executor.transitions_aborted == 1
         assert plan.token in executor.aborted_tokens
         # The old chain never stopped serving: 2 stages, grown shared
         # reservations resized back, fresh stages returned.
         assert replica.state is ReplicaState.ACTIVE
         assert replica.plan.n_stages == 2
-        for reservation, old_bytes, _final in plan.resized:
+        for reservation, old_bytes, _final in plan.grown:
             assert reservation.nbytes == pytest.approx(old_bytes)
-        assert all(r.released for r in plan.fresh)
+        assert all(r.released for r in plan.owned)
         sampler = RequestSampler("LLAMA2-7B", RandomStreams(0).stream("r"))
         replica.submit(sampler.sample(ctx.sim.now))
         ctx.sim.run_until_idle()
@@ -187,7 +184,7 @@ class TestInPlaceTransitions:
         executor = RefactoringExecutor(
             ctx, llama_profile, ladder, MetricsCollector("test")
         )
-        assert not executor.enable_inplace
+        assert not executor.elastic
         replica = self._deploy(ctx, llama_profile, ladder, 2, [])
         assert executor.refactor(replica, 4)
         ctx.sim.run_until_idle()
@@ -205,7 +202,7 @@ class TestPreparedClaims:
         executor = RefactoringExecutor(
             ctx, llama_profile, ladder, MetricsCollector("test")
         )
-        executor.preemptible_claims = True
+        executor.elastic = True
         return ctx, ladder, executor
 
     def _deploy(self, ctx, profile, ladder, n_stages, completed):
@@ -258,6 +255,31 @@ class TestPreparedClaims:
         assert len(completed) == 1
         auditor = _stub_auditor(ctx, {"LLAMA2-7B": executor})
         assert auditor._check_prepared_claims() == []
+
+    @pytest.mark.parametrize("inplace", [False, True], ids=["chain", "inplace"])
+    def test_claim_covers_exactly_the_owned_reservations(
+        self, setup, llama_profile, inplace
+    ):
+        ctx, ladder, executor = setup
+        ctx.allocator.enable_arbitration(lambda m: PRIO.get(m, 1))
+        replica = self._deploy(ctx, llama_profile, ladder, 2, [])
+        live = [s.reservation for s in replica.stages]
+        plan = executor._prepare(replica, 4, inplace)
+        executor._register_claim(replica, plan)
+        # A chain transition owns its whole prepared chain; an in-place
+        # one owns only the stages that could not survive — the grown
+        # reservations back the serving chain and are never preemptible.
+        assert plan.claim.reservations == plan.owned
+        if inplace:
+            assert [r for r, _old, _final in plan.grown] == live
+            assert len(plan.owned) == 2
+        else:
+            assert plan.grown == [] and plan.owned == plan.reservations
+        assert not set(map(id, plan.owned)) & set(map(id, live))
+        ctx.allocator.claim_resolved(plan.claim, activated=False)
+        executor._rollback(plan.owned, plan.grown)
+        assert ctx.allocator.live == {r.res_id: r for r in live}
+        assert ctx.allocator.audit_balance() == []
 
     def test_cordon_resolves_prepared_claim(self, setup, llama_profile):
         ctx, ladder, executor = setup

@@ -26,7 +26,9 @@ from repro.scenarios.driver import (
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.sharding import (
     MIN_SERVERS_PER_GROUP,
+    _build_slice,
     _run_group,
+    merge_shard_reports,
     partition_scenario,
 )
 from repro.scenarios.spec import (
@@ -251,6 +253,34 @@ def test_merged_report_sanity():
     assert report.events  # the reclaim events fired somewhere
 
 
+def test_merged_aggregate_keeps_the_ttft_tail():
+    """The merged p99 TTFT is the 99th percentile of every shard's
+    measured prefill latencies, concatenated — the population the
+    monolithic ``summarize`` reads."""
+    spec = SCENARIOS["paper-multi-burst"].quick()
+    plan = partition_scenario(spec, seed=0)
+    slices, prefill = [], []
+    for group in plan.groups:
+        driver = ScenarioDriver(
+            ScenarioCase(group.spec, "FlexPipe", group.seed),
+            server_indices=group.server_indices,
+        )
+        slices.append(_build_slice(group, driver, driver.run()))
+        prefill += [
+            r.prefill_latency
+            for r in driver.system.metrics.records
+            if r.completed
+            and r.arrival_time >= driver.epoch
+            and r.prefill_latency is not None
+        ]
+    merged = merge_shard_reports(
+        ScenarioCase(spec, "FlexPipe", 0, 2), plan, slices
+    )
+    p99 = float(np.percentile(prefill, 99))
+    assert p99 > 0.0
+    assert merged.aggregate.p99_ttft == p99
+
+
 def test_fallback_case_still_runs_and_reports():
     spec = SCENARIOS["gpu-contention"].quick()
     report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, 4))
@@ -268,7 +298,7 @@ def test_shard_program_runs_one_group():
     assert piece.models == plan.groups[0].models
     assert piece.report.ok
     assert piece.engine_events == piece.report.engine_events > 0
-    assert piece.report.completed == len(piece.latencies)
+    assert piece.report.completed == len(piece.populations.latencies)
 
 
 def test_crashing_group_becomes_harness_crash(monkeypatch):
