@@ -738,7 +738,7 @@ class GPUAllocator:
         mem_per_stage: Sequence[float],
         *,
         scorer: Callable[[GPU], float] | None = None,
-        stage_scorers: Sequence[Callable[[GPU], float]] | None = None,
+        stage_bonuses: Sequence[Callable[[GPU], float]] | None = None,
         exclude: Iterable[GPU] = (),
         priority: int | None = None,
     ) -> list[StageReservation]:
@@ -746,10 +746,10 @@ class GPUAllocator:
 
         ``scorer`` returns higher-is-better preference per GPU; ties and the
         no-scorer case fall back to most-free-memory-first, which steers
-        placement away from fragmented devices.  ``stage_scorers`` (one per
-        stage, overriding ``scorer``) lets a caller express *per-stage*
-        preferences — e.g. warm-cache coverage of a stage's byte range on a
-        specific server.
+        placement away from fragmented devices.  ``stage_bonuses`` (one per
+        stage, added to ``scorer``'s value, or used alone when there is no
+        ``scorer``) lets a caller express *per-stage* preferences — e.g.
+        warm-cache coverage of a stage's byte range on a specific server.
 
         ``priority`` is the requesting tenant's strict-priority rank; when
         arbitration is on it defaults to the tenant's registered class.  A
@@ -768,7 +768,7 @@ class GPUAllocator:
         self._check_share(model, sum(mem_per_stage))
         try:
             reservations = self._place_memoised(
-                model, mem_per_stage, scorer, exclude, stage_scorers
+                model, mem_per_stage, scorer, exclude, stage_bonuses
             )
         except AllocationError as exc:
             if priority is None:
@@ -779,7 +779,7 @@ class GPUAllocator:
                 raise
             try:
                 reservations = self._place_with_preemption(
-                    model, mem_per_stage, scorer, exclude, priority, stage_scorers
+                    model, mem_per_stage, scorer, exclude, priority, stage_bonuses
                 )
             except AllocationError:
                 self._press_lenders_on_failure(model, sum(mem_per_stage))
@@ -809,7 +809,7 @@ class GPUAllocator:
         mem_per_stage: Sequence[float],
         scorer: Callable[[GPU], float] | None,
         exclude: Iterable[GPU],
-        stage_scorers: Sequence[Callable[[GPU], float]] | None,
+        stage_bonuses: Sequence[Callable[[GPU], float]] | None,
     ) -> list[StageReservation]:
         """:meth:`_place_stages` behind the certified-infeasible memo.
 
@@ -831,7 +831,7 @@ class GPUAllocator:
             raise exc
         try:
             return self._place_stages(
-                model, mem_per_stage, scorer, exclude, stage_scorers
+                model, mem_per_stage, scorer, exclude, stage_bonuses
             )
         except AllocationError as exc:
             if not self._matching_exists(model, mem_per_stage, banned):
@@ -871,26 +871,54 @@ class GPUAllocator:
         mem_per_stage: Sequence[float],
         scorer: Callable[[GPU], float] | None,
         exclude: Iterable[GPU],
-        stage_scorers: Sequence[Callable[[GPU], float]] | None = None,
+        stage_bonuses: Sequence[Callable[[GPU], float]] | None = None,
     ) -> list[StageReservation]:
+        """Choose one GPU per stage in a single scan of the fleet.
+
+        Nothing changes between the stages of one placement (reservations
+        happen after every stage is chosen), so one ``candidates`` call at
+        the smallest stage's size covers every stage, each GPU's free
+        memory is read once and its base score is computed at most once.
+        Per stage the list is filtered by that stage's size and the GPUs
+        already chosen; the winner is the first maximum of
+        ``(base + bonus, free_memory)`` — or of free memory alone when
+        neither is given — exactly as a per-stage ``max`` over a rescan.
+        """
+        if not mem_per_stage:
+            return []
+        pool = self.candidates(min(mem_per_stage), model=model, exclude=exclude)
+        free = [gpu.free_memory for gpu in pool]
+        base: list[float | None] = [None] * len(pool)
+        taken = [False] * len(pool)
         chosen: list[GPU] = []
-        banned = {g.gid for g in exclude}
         for idx, mem in enumerate(mem_per_stage):
-            pool = [
-                g for g in self.candidates(mem, model=model) if g.gid not in banned
-            ]
-            if not pool:
+            bonus = stage_bonuses[idx] if stage_bonuses else None
+            best = -1
+            best_score = best_free = 0.0
+            for i, gpu in enumerate(pool):
+                f = free[i]
+                if taken[i] or f < mem:
+                    continue
+                s = 0.0  # unscored: free memory alone decides
+                if scorer is not None:
+                    s = base[i]
+                    if s is None:
+                        s = base[i] = scorer(gpu)
+                if bonus is not None:
+                    s += bonus(gpu)
+                if (
+                    best < 0
+                    or s > best_score
+                    or (s == best_score and f > best_free)
+                ):
+                    best, best_score, best_free = i, s, f
+            if best < 0:
                 raise AllocationError(
                     f"no GPU with {mem / 2**30:.1f} GiB free for model "
                     f"{model!r} (stage {len(chosen)})"
                 )
-            stage_scorer = stage_scorers[idx] if stage_scorers else scorer
-            if stage_scorer is not None:
-                best = max(pool, key=lambda g: (stage_scorer(g), g.free_memory))
-            else:
-                best = max(pool, key=lambda g: g.free_memory)
-            chosen.append(best)
-            banned.add(best.gid)  # one stage per GPU within this replica
+            taken[best] = True  # one stage per GPU within this replica
+            chosen.append(pool[best])
         return [
             self.reserve_on(model, gpu, mem)
             for gpu, mem in zip(chosen, mem_per_stage)
@@ -903,7 +931,7 @@ class GPUAllocator:
         scorer: Callable[[GPU], float] | None,
         exclude: Iterable[GPU],
         priority: int,
-        stage_scorers: Sequence[Callable[[GPU], float]] | None = None,
+        stage_bonuses: Sequence[Callable[[GPU], float]] | None = None,
     ) -> list[StageReservation]:
         while True:
             victims = self._preemptible_victims(priority)
@@ -931,7 +959,7 @@ class GPUAllocator:
                 self._preempt(claim, model, priority)
             try:
                 return self._place_stages(
-                    model, mem_per_stage, scorer, exclude, stage_scorers
+                    model, mem_per_stage, scorer, exclude, stage_bonuses
                 )
             except AllocationError:
                 # A scorer can steer the real placement off the dry-run's

@@ -105,14 +105,14 @@ class ReplicaFactory:
         batch = full_batch(plan, batch_cap)
         if scorer is None and self.coordinator is not None:
             scorer = self.coordinator.scorer(model, sim.now)
-        stage_scorers = self._coverage_scorers(profile, plan, scorer)
+        stage_bonuses = self._coverage_bonuses(profile, plan)
         # Memory-aware degradation: a fragmented cluster may not offer the
         # full KV reservation for the target batch — halve the batch (and
         # with it the KV pool) until the plan fits, rather than failing.
         def attempt(b: int) -> list[StageReservation]:
             mems = plan.memory_per_stage(b, profile.spec.kv_bytes_per_request)
             return self.ctx.allocator.allocate_stages(
-                model, mems, scorer=scorer, stage_scorers=stage_scorers
+                model, mems, scorer=scorer, stage_bonuses=stage_bonuses
             )
 
         batch, reservations = degrade_until_fit(batch, attempt)
@@ -150,27 +150,25 @@ class ReplicaFactory:
         self.replicas.append(replica)
         return replica
 
-    def _coverage_scorers(
-        self,
-        profile: ModelProfile,
-        plan: PartitionPlan,
-        base: Callable | None,
+    def _coverage_bonuses(
+        self, profile: ModelProfile, plan: PartitionPlan
     ) -> list[Callable] | None:
-        """Per-stage scorers that prefer servers already holding a stage's
-        byte range in the warm cache.
+        """Per-stage score bonuses that prefer servers already holding a
+        stage's byte range in the warm cache.
 
         The server-level affinity scorer cannot see *which* stage it is
         placing, so on a multi-server cluster a redeploy scatters stage
         ranges onto servers whose caches hold different bytes and every
         restart rides the cold path.  The coverage bonus (weighted by tier,
-        host above SSD) pins each stage back onto its bytes whenever memory
-        allows; with no cache configured the allocator sees no per-stage
-        scorers and behaves exactly as before.
+        host above SSD), which the allocator adds to the base scorer's
+        value, pins each stage back onto its bytes whenever memory allows;
+        with no cache configured the allocator sees no per-stage bonuses
+        and behaves exactly as before.
         """
         cache = self.warm_cache
         if cache is None:
             return None
-        scorers: list[Callable] = []
+        bonuses: list[Callable] = []
         for sp in plan.stages:
             memo: dict[str, float] = {}
 
@@ -188,11 +186,8 @@ class ReplicaFactory:
                     memo[server.sid] = value
                 return value
 
-            if base is None:
-                scorers.append(bonus)
-            else:
-                scorers.append(lambda g, b=bonus: base(g) + b(g))
-        return scorers
+            bonuses.append(bonus)
+        return bonuses
 
     def _on_replica_active(self, replica: PipelineReplica) -> None:
         """Loading finished: the deploy is no longer a preemptible claim."""

@@ -11,7 +11,6 @@ from repro.partitioning.plan import PartitionPlan, StagePlan
 from repro.partitioning.partitioner import Partitioner, PartitionerConfig
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.batch_scaling import activation_bytes, fit_alpha
-from repro.partitioning.validate import validate_ladder, validate_plan
 
 __all__ = [
     "PartitionPlan",
@@ -21,6 +20,4 @@ __all__ = [
     "GranularityLadder",
     "activation_bytes",
     "fit_alpha",
-    "validate_plan",
-    "validate_ladder",
 ]

@@ -554,8 +554,12 @@ class RefactoringExecutor:
     ) -> StageReservation | None:
         """In-place reuse: grow the live reservation by the target footprint
         minus what is already resident (old params + old KV stay until the
-        chain retires), or None when it cannot grow."""
-        if live.released:
+        chain retires), or None when it cannot grow.
+
+        A reservation still awaiting the previous transition's trim is
+        never grown: that trim fires when the previous old chain retires
+        and would cut this growth away with it."""
+        if live.released or live.res_id in self._shrink_to:
             return None
         old_bytes = live.nbytes
         try:

@@ -138,33 +138,48 @@ class FairShareLink:
         if handle.callback is not None:
             handle.callback()
 
-    def _waterfill(self) -> None:
-        """Assign each active handle its rate (two-pass waterfilling)."""
-        n = len(self._active)
-        if n == 0:
-            return
+    def _waterfill(self) -> TransferHandle | None:
+        """Assign each active handle its rate (two-pass waterfilling) and
+        return the soonest finisher, in two plain passes over ``_active``.
+
+        A stream is capped iff its ``max_rate`` is below the equal share;
+        capped streams run at their cap, and the leftover (summed in
+        ``_active`` order) splits evenly over the rest, each still bounded
+        by its own cap.  Rates are floored at 1e-9 for the completion
+        math.  The soonest finisher is the first handle with the least
+        ``remaining / rate``.
+        """
+        active = self._active
+        if not active:
+            return None
         bandwidth = self.spec.bandwidth
-        share = bandwidth / n
-        capped: list[TransferHandle] = []
-        uncapped: list[TransferHandle] = []
-        for handle in self._active:
-            if handle.max_rate is not None and handle.max_rate < share:
-                capped.append(handle)
-            else:
-                uncapped.append(handle)
+        share = bandwidth / len(active)
         used = 0.0
-        for handle in capped:
-            handle.rate = handle.max_rate
-            used += handle.rate
-        if uncapped:
-            fair = max(bandwidth - used, 0.0) / len(uncapped)
-            for handle in uncapped:
-                handle.rate = (
-                    min(handle.max_rate, fair) if handle.max_rate is not None else fair
-                )
-        # Guard: rates must stay positive for completion math.
-        for handle in self._active:
-            handle.rate = max(handle.rate, 1e-9)
+        n_uncapped = 0
+        for handle in active:
+            cap = handle.max_rate
+            if cap is not None and cap < share:
+                used += cap
+            else:
+                n_uncapped += 1
+        fair = max(bandwidth - used, 0.0) / n_uncapped if n_uncapped else 0.0
+        soonest = None
+        soonest_time = 0.0
+        for handle in active:
+            cap = handle.max_rate
+            if cap is None:
+                rate = fair
+            elif cap < share or cap <= fair:
+                rate = cap  # capped, or min(cap, fair) picking the cap
+            else:
+                rate = fair
+            if rate < 1e-9:
+                rate = 1e-9  # rates must stay positive for completion math
+            handle.rate = rate
+            finish = handle.remaining / rate
+            if soonest is None or finish < soonest_time:
+                soonest, soonest_time = handle, finish
+        return soonest
 
     def _drain_progress(self) -> None:
         """Account bytes moved since the last state change."""
@@ -181,10 +196,9 @@ class FairShareLink:
         if self._next_completion is not None:
             self._next_completion.cancel()
             self._next_completion = None
-        if not self._active:
+        soonest = self._waterfill()
+        if soonest is None:
             return
-        self._waterfill()
-        soonest = min(self._active, key=lambda h: h.remaining / h.rate)
         delay = soonest.remaining / soonest.rate
         if math.isnan(delay) or math.isinf(delay):
             raise RuntimeError(f"invalid completion delay on {self.spec.name}")

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster.allocator import AllocationError
+from repro.cluster.cluster import make_paper_cluster
+from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -21,6 +23,7 @@ from repro.scaling.warm_cache import HostParamCache
 from repro.scenarios.driver import ScenarioCase, TenantQoS, run_scenario_case
 from repro.scenarios.library import ELASTIC_CONTRACTS
 from repro.scenarios.spec import ModelScript, ScenarioSpec
+from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.validation.auditor import InvariantAuditor
 from repro.validation.chaos import chaos_spec
@@ -190,6 +193,60 @@ class TestInPlaceTransitions:
         ctx.sim.run_until_idle()
         assert executor.transitions_chain == 1
         assert executor.transitions_inplace == 0
+
+
+class TestRepeatedInPlaceTransitions:
+    """A second in-place transition that starts before the first one's old
+    chain has retired must not lose its growth to the first one's trim."""
+
+    @pytest.fixture
+    def switched(self, llama_profile):
+        """LLAMA2-7B at ``batch_cap=8`` on the paper cluster, 8 requests in
+        flight, switched 2 -> 4 in place; the old chain still serves."""
+        sim = Simulator()
+        ctx = ServingContext.create(sim, make_paper_cluster(sim), RandomStreams(0))
+        ladder = GranularityLadder(llama_profile, stage_counts=(2, 4, 8))
+        executor = RefactoringExecutor(
+            ctx, llama_profile, ladder, MetricsCollector("test"), batch_cap=8
+        )
+        replica = TestInPlaceTransitions._deploy(
+            self, ctx, llama_profile, ladder, 2, []
+        )
+        sampler = RequestSampler("LLAMA2-7B", RandomStreams(0).stream("r"))
+        for _ in range(8):
+            replica.submit(sampler.sample(sim.now))
+        first = executor._prepare(replica, 4, True)
+        executor._switch(replica, first)
+        assert executor._shrink_to  # the old chain has not retired yet
+        return ctx, executor, replica
+
+    @staticmethod
+    def _retire_first_chain(ctx, executor):
+        while executor._shrink_to and ctx.sim.pending_count():
+            ctx.sim.run(max_events=1)
+        assert not executor._shrink_to
+
+    def test_first_retirement_keeps_second_growth(self, switched):
+        ctx, executor, replica = switched
+        second = executor._prepare(replica, 8, True)
+        assert second.inplace
+        prepared = {r.res_id: r.nbytes for r in second.reservations}
+        self._retire_first_chain(ctx, executor)
+        for reservation in second.reservations:
+            assert reservation.nbytes >= prepared[reservation.res_id], (
+                reservation.res_id
+            )
+        assert ctx.allocator.audit_balance() == []
+
+    def test_rollback_after_first_retirement_restores_old_bytes(self, switched):
+        ctx, executor, replica = switched
+        second = executor._prepare(replica, 8, True)
+        self._retire_first_chain(ctx, executor)
+        executor._rollback(second.owned, second.grown)
+        for reservation, old_bytes, _final in second.grown:
+            assert reservation.nbytes == old_bytes, reservation.res_id
+        assert all(r.released for r in second.owned)
+        assert ctx.allocator.audit_balance() == []
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.models.costs import CostModel
+from repro.models.graph import ComputationGraph
 from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
 from repro.models.zoo import BERT_21B, LLAMA2_7B, OPT_66B, WHISPER_9B
@@ -16,8 +17,55 @@ from repro.partitioning.partitioner import (
     Partitioner,
     PartitionerConfig,
 )
-from repro.partitioning.validate import validate_ladder, validate_plan
+from repro.partitioning.plan import PartitionPlan
 from repro.transfer.links import GB
+
+
+# ----------------------------------------------------------------------
+# Test oracles: the structural invariants of a plan and a ladder (§6.1)
+# ----------------------------------------------------------------------
+def validate_plan(
+    plan: PartitionPlan, graph: ComputationGraph, gpu_memory: float
+) -> None:
+    """Raise ``AssertionError`` if a plan violates any structural invariant."""
+    stages = plan.stages
+    assert stages, "plan has no stages"
+    assert stages[0].start == 0, "first stage must start at operator 0"
+    assert stages[-1].end == len(graph), "last stage must end at the last operator"
+    for a, b in zip(stages, stages[1:]):
+        assert a.end == b.start, f"gap/overlap between stages {a.index} and {b.index}"
+    for stage in stages:
+        assert stage.start < stage.end, f"empty stage {stage.index}"
+        assert (
+            stage.param_bytes <= gpu_memory + 1e-6
+        ), f"stage {stage.index} exceeds GPU memory"
+        if stage.end < len(graph):
+            cut_op = graph.operators[stage.end - 1]
+            assert cut_op.cuttable_after, (
+                f"stage {stage.index} cuts after un-cuttable operator "
+                f"{cut_op.name!r}"
+            )
+    total = sum(s.param_bytes for s in stages)
+    assert abs(total - graph.total_param_bytes) < 1e-3, "parameter bytes not conserved"
+
+
+def validate_ladder(ladder) -> None:
+    """Check the nesting property: coarse cuts ⊆ fine cuts."""
+    fine_cuts = set(ladder.fine_plan.cuts)
+    for count in ladder.stage_counts:
+        rung = ladder.rung(count)
+        for cut in rung.plan.cuts:
+            assert cut in fine_cuts, (
+                f"{count}-stage rung cut at op {cut} is not a fine-plan cut; "
+                "ladder is not nested"
+            )
+        # Groups must tile the fine stages exactly.
+        tiles = [g for g in rung.groups]
+        assert tiles[0][0] == 0
+        assert tiles[-1][1] == ladder.fine_plan.n_stages
+        for (a, b), (c, d) in zip(tiles, tiles[1:]):
+            assert b == c, "fine-stage groups must tile contiguously"
+            assert a < b and c < d, "empty fine-stage group"
 
 
 @pytest.fixture(scope="module")
