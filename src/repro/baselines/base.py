@@ -8,7 +8,7 @@ from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
 from repro.partitioning.ladder import GranularityLadder
 from repro.refactoring.placement import interference_multiplier, make_eq6_scorer
-from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
 
 BASELINE_STAGE_COUNTS = (1, 2, 4, 8, 16, 32)
 
@@ -64,6 +64,7 @@ class StaticPipelineSystem(ServingSystem):
         self.plans = {}
         self.ladders: dict[str, GranularityLadder] = {}
         self.autoscalers: dict[str, Autoscaler] = {}
+        sweep = ControlSweep(ctx.sim, scale_interval)
         for spec in model_specs:
             ladder = ctx.ladder(spec, BASELINE_STAGE_COUNTS)
             self.ladders[spec.name] = ladder
@@ -80,7 +81,6 @@ class StaticPipelineSystem(ServingSystem):
                     output_tokens=output_tokens,
                     batch_cap=batch_cap,
                 )
-                plan = self.plans[spec.name]
                 self.autoscalers[spec.name] = Autoscaler(
                     ctx.sim,
                     self.routers[spec.name],
@@ -89,8 +89,9 @@ class StaticPipelineSystem(ServingSystem):
                     self.metrics,
                     self._deploy,
                     self.factory.release,
-                    lambda cv, queue, p=plan: p,  # granularity is fixed
+                    self.plans[spec.name],  # granularity is fixed
                     config,
+                    sweep=sweep,
                 )
 
     # ------------------------------------------------------------------

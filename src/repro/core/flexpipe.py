@@ -2,7 +2,7 @@
 
 Per control interval, for every model:
 
-1. monitor request intensity λ_t, its gradient, and the inter-arrival CV ν_t;
+1. monitor request intensity λ_t and the inter-arrival CV ν_t;
 2. score every ladder rung with Eq. 4 and select g*;
 3. if g* differs from the current granularity (with hysteresis), trigger
    inflight refactoring of the active replicas — staggered one replica per
@@ -31,7 +31,7 @@ from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import GranularityPolicy
 from repro.refactoring.placement import interference_multiplier
 from repro.scaling.affinity import AffinityScheduler, AffinityWeights
-from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
 from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.decision import scaling_granularity
 from repro.scaling.warm_cache import HostParamCache
@@ -138,6 +138,7 @@ class FlexPipeSystem(ServingSystem):
             cv_headroom=cfg.cv_headroom,
         )
         self._models: dict[str, _ModelState] = {}
+        sweep = ControlSweep(ctx.sim, scaler_config.interval)
         for spec in model_specs:
             profile = self.profiles[spec.name]
             ladder = ctx.ladder(spec, cfg.stage_counts)
@@ -180,6 +181,7 @@ class FlexPipeSystem(ServingSystem):
                 self.factory.release,
                 self._make_plan_for(state),
                 scaler_config,
+                sweep=sweep,
             )
             # A deploy builds its placement scorer before allocating, and
             # that reads (and may refresh) the max-CV cache; a parked tick

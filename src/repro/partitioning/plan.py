@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.models.profiler import ModelProfile, StageProfile
 
@@ -40,9 +41,12 @@ class PartitionPlan:
     def n_stages(self) -> int:
         return len(self.stages)
 
-    @property
+    @cached_property
     def max_batch(self) -> int:
-        """Pipeline batch capacity = the most constrained stage's capacity."""
+        """Pipeline batch capacity = the most constrained stage's capacity.
+
+        Computed once per plan: the plan is frozen, and the autoscaler
+        reads this on every tick."""
         return min(s.max_batch for s in self.stages)
 
     @property

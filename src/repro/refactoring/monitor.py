@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.workloads.cv import SlidingWindowCV
 
 
 class WorkloadMonitor:
     """Tracks one model's arrival process online.
 
-    Provides the inter-arrival CV ν_t over a sliding window, the arrival
-    rate λ_t, and the intensity gradient ∂λ/∂t the paper uses for
-    *proactive* adaptation (reacting to the rate trend before queues grow).
+    Provides the inter-arrival CV ν_t and the arrival rate λ_t over a
+    sliding window, plus ``total_observed``, a running arrival count whose
+    movement tells a sleeping autoscaler that its window is no longer
+    empty.
     """
 
-    def __init__(self, window: float = 30.0, gradient_samples: int = 8):
+    def __init__(self, window: float = 30.0):
         self._cv = SlidingWindowCV(window=window)
-        self._rates: deque[tuple[float, float]] = deque(maxlen=gradient_samples)
         self.total_observed = 0
 
     def observe(self, timestamp: float) -> None:
@@ -30,19 +28,6 @@ class WorkloadMonitor:
 
     def arrival_rate(self, now: float) -> float:
         return self._cv.arrival_rate(now)
-
-    def sample_rate(self, now: float) -> None:
-        """Record a rate sample (called once per control interval)."""
-        self._rates.append((now, self.arrival_rate(now)))
-
-    def intensity_gradient(self, now: float) -> float:
-        """∂λ/∂t estimated over the recorded control-interval samples."""
-        if len(self._rates) < 2:
-            return 0.0
-        (t0, r0), (t1, r1) = self._rates[0], self._rates[-1]
-        if t1 <= t0:
-            return 0.0
-        return (r1 - r0) / (t1 - t0)
 
     def window_count(self, now: float) -> int:
         return self._cv.count(now)

@@ -4,6 +4,10 @@ FlexPipe wires this with the Eq. 11 granularity decision (fine-grained
 scale-out units during bursts) and Eq. 5 coordination-aware capacity;
 reactive baselines use it with a fixed granularity; static baselines do
 not create one at all.
+
+A serving system ticks all of its autoscalers from one
+:class:`ControlSweep`; a tenant whose ticks provably decide nothing
+sleeps until an input of its decision moves.
 """
 
 from __future__ import annotations
@@ -50,8 +54,77 @@ class AutoscalerConfig:
     cv_headroom: float = 0.0
 
 
+def _never() -> bool:
+    return False
+
+
+def _has_accepting(router: ModelRouter) -> bool:
+    for replica in router.replicas:
+        if replica.accepting:
+            return True
+    return False
+
+
+class ControlSweep:
+    """One periodic process ticking every autoscaler of a serving system.
+
+    Per-tenant periodic processes created at one instant fire the ticks of
+    each grid instant back to back, in creation order, with no other
+    event between them.  One process that ticks its members in joining
+    order is therefore the same control loop, one engine event per
+    instant instead of one per tenant.  Members join at the instant the
+    sweep is created, and the process starts when the first one joins,
+    so it takes that member's place in the event queue.
+
+    A sleeping member (``Autoscaler._wake`` set) is not ticked: the sweep
+    asks its O(1) wake check instead, and ticks it at the first grid
+    instant the check fires.
+    """
+
+    def __init__(self, sim: Simulator, interval: float):
+        self.sim = sim
+        self.interval = interval
+        self._members: tuple[Autoscaler, ...] = ()
+        self._process: PeriodicProcess | None = None
+        self._origin = sim.now
+
+    def join(self, scaler: "Autoscaler") -> None:
+        if scaler.config.interval != self.interval:
+            raise ValueError(
+                f"autoscaler interval {scaler.config.interval} differs from "
+                f"the sweep's {self.interval}"
+            )
+        if self.sim.now != self._origin:
+            # A later member's own process would tick on a shifted grid.
+            raise ValueError(
+                f"autoscalers join a sweep at its creation instant "
+                f"t={self._origin}, not t={self.sim.now}"
+            )
+        if self._process is None:
+            self._process = PeriodicProcess(self.sim, self.interval, self._tick)
+        self._members += (scaler,)
+
+    def leave(self, scaler: "Autoscaler") -> None:
+        """Drop ``scaler``; the process stops with the last member."""
+        self._members = tuple(m for m in self._members if m is not scaler)
+        if not self._members and self._process is not None:
+            self._process.stop()
+
+    def _tick(self) -> None:
+        for scaler in self._members:
+            wake = scaler._wake
+            if wake is None or wake():
+                scaler.tick()
+
+
 class Autoscaler:
-    """Reconciles a model's replica count with its live workload."""
+    """Reconciles a model's replica count with its live workload.
+
+    ``plan_for`` is either a fixed :class:`PartitionPlan` (reactive
+    baselines) or a callable choosing the scale-out plan from the live
+    CV and queue.  ``sweep`` is the serving system's shared
+    :class:`ControlSweep`; without one the autoscaler gets its own.
+    """
 
     def __init__(
         self,
@@ -62,8 +135,10 @@ class Autoscaler:
         metrics: MetricsCollector,
         deploy: Callable[..., PipelineReplica],
         release: Callable[[PipelineReplica], None],
-        plan_for: Callable[[float, int], PartitionPlan],
+        plan_for: PartitionPlan | Callable[[float, int], PartitionPlan],
         config: AutoscalerConfig | None = None,
+        *,
+        sweep: ControlSweep | None = None,
     ):
         self.sim = sim
         self.router = router
@@ -72,7 +147,12 @@ class Autoscaler:
         self.metrics = metrics
         self.deploy = deploy
         self.release_replica = release
-        self.plan_for = plan_for
+        if isinstance(plan_for, PartitionPlan):
+            self.fixed_plan: PartitionPlan | None = plan_for
+            self.plan_for = lambda cv, queue, p=plan_for: p
+        else:
+            self.fixed_plan = None
+            self.plan_for = plan_for
         self.config = config or AutoscalerConfig()
         self.loading: list[PipelineReplica] = []
         # Optional QoS hook: a callable returning the tenant's scale-out
@@ -98,10 +178,18 @@ class Autoscaler:
         self._low_since: float | None = None
         self._last_scale_out = -math.inf
         self._throughput_cache: dict[tuple, float] = {}
-        self._process = PeriodicProcess(sim, self.config.interval, self.tick)
+        # The sleeping tenant's wake check (None = awake), and the arrival
+        # count an idle sleeper went to sleep at.
+        self._wake: Callable[[], bool] | None = None
+        self._observed = 0
+        self._sweep = sweep if sweep is not None else ControlSweep(
+            sim, self.config.interval
+        )
+        self._sweep.join(self)
 
     def stop(self) -> None:
-        self._process.stop()
+        self._wake = _never  # a member stopped mid-sweep is not ticked
+        self._sweep.leave(self)
 
     # ------------------------------------------------------------------
     def replica_throughput(
@@ -146,7 +234,7 @@ class Autoscaler:
     def tick(self) -> None:
         now = self.sim.now
         cfg = self.config
-        self.monitor.sample_rate(now)
+        self._wake = None
         self.loading = [
             r for r in self.loading if r.state is ReplicaState.LOADING
         ]
@@ -166,6 +254,10 @@ class Autoscaler:
             # tenant with one always takes the full body.)
             self._end_blocked_episode()
             self._low_since = None
+            # Every later tick takes this path too until an input moves,
+            # and it rewrites only what it just wrote: sleep.
+            self._observed = self.monitor.total_observed
+            self._wake = self._idle_woken
             return
         queue = self.router.total_queue
         cv = self.monitor.cv(now)
@@ -220,6 +312,47 @@ class Autoscaler:
         else:
             self._low_since = None
 
+    def _idle_woken(self) -> bool:
+        """Whether an idle sleeper's tick could leave the fast path.
+
+        The window only loses stamps between arrivals, so it stays empty
+        until ``total_observed`` moves; the other inputs are read as the
+        tick would read them.
+        """
+        return (
+            self.monitor.total_observed != self._observed
+            or bool(self.router.pending)
+            or bool(self.loading)
+            or self.slo_pressure is not None
+            or _has_accepting(self.router)
+        )
+
+    def _sleeps_while_parked(self) -> bool:
+        """Whether every tick parks again while the inputs below hold.
+
+        With a fixed plan, no replica and a floor of at least one,
+        ``desired > total`` whatever the rate, CV or queue, so the tick
+        reaches this park; without hooks it only reads state on the way.
+        """
+        cfg = self.config
+        return (
+            self.fixed_plan is not None
+            and min(cfg.min_replicas, cfg.max_replicas) >= 1
+            and self.share_headroom is None
+            and self.slo_pressure is None
+            and not self.loading
+            and not _has_accepting(self.router)
+        )
+
+    def _parked_woken(self) -> bool:
+        """Whether a parked sleeper's tick could do anything but park:
+        a hook or a replica appeared, or the certificate lapsed."""
+        return (
+            self.on_park is not None
+            or not self._sleeps_while_parked()
+            or not self._parked[1].holds()
+        )
+
     def _end_blocked_episode(self) -> None:
         """Demand no longer exceeds the fleet: a later failure starts a new
         episode, and a later first-try deploy waited for nothing."""
@@ -258,6 +391,8 @@ class Autoscaler:
             # that deploy would.
             if self.on_park is not None:
                 self.on_park()
+            elif self._sleeps_while_parked():
+                self._wake = self._parked_woken
             return
         wait = now - self._blocked_since if self._blocked_since is not None else 0.0
         for _ in range(n):

@@ -7,6 +7,11 @@ reduces to):
     Every live :class:`StageReservation` is backed by a matching
     allocation on its GPU (same id, same bytes), and no GPU's serving +
     background occupancy exceeds its capacity.
+``reservation-footprint``
+    Every unreleased reservation of a live replica's current chain holds
+    at least its stage's share of ``plan.memory_per_stage(max_batch,
+    kv)``: no resize or trim ever cuts a serving stage below what its
+    batch needs.
 ``replica-state-machine``
     Replicas only move LOADING -> ACTIVE -> DRAINING -> RELEASED (with
     LOADING -> DRAINING as the cancel-during-load path).
@@ -78,6 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.cluster.allocator import _share_eps
 from repro.pipeline.replica import (
     ALLOWED_TRANSITIONS,
     PipelineReplica,
@@ -155,6 +161,7 @@ class InvariantAuditor:
         """
         out: list[Violation] = []
         out += self._check_memory_accounting()
+        out += self._check_reservation_footprint()
         out += self._check_anomalies()
         out += self._check_share_caps()
         out += self._check_borrow_accounting()
@@ -210,6 +217,31 @@ class InvariantAuditor:
                         f"of {gpu.spec.memory:.0f} bytes",
                     )
                 )
+        return out
+
+    def _check_reservation_footprint(self) -> list[Violation]:
+        out: list[Violation] = []
+        for replica in self.replicas():
+            if replica.state is ReplicaState.RELEASED:
+                continue
+            need = replica.plan.memory_per_stage(
+                replica.max_batch, replica.profile.spec.kv_bytes_per_request
+            )
+            for stage, nbytes in zip(replica.stages, need):
+                reservation = stage.reservation
+                if reservation.released:
+                    continue
+                if reservation.nbytes < nbytes - _share_eps(nbytes):
+                    out.append(
+                        Violation(
+                            "reservation-footprint",
+                            f"{replica.name} stage {stage.index}: "
+                            f"{reservation.res_id} holds "
+                            f"{reservation.nbytes:.0f} bytes, below its "
+                            f"footprint {nbytes:.0f} at batch "
+                            f"{replica.max_batch}",
+                        )
+                    )
         return out
 
     def _check_state_machines(self) -> list[Violation]:

@@ -229,6 +229,25 @@ class TestAuditorDetection:
         gpu.release(res.res_id)  # GPU side vanishes, allocator side stays
         assert "memory-accounting" in invariants_of(auditor.audit_quiesce())
 
+    def test_reservation_below_footprint_flagged(self):
+        sim = Simulator()
+        ctx = ServingContext.create(sim, make_small_cluster(sim), RandomStreams(7))
+        system = FlexPipeSystem(ctx, [LLAMA2_7B], initial_replicas=1)
+        system.start()
+        sim.run(until=60.0)
+        auditor = InvariantAuditor(system)
+        assert auditor.audit_running() == []
+        (replica,) = system.all_replicas()
+        reservation = replica.stages[-1].reservation
+        need = replica.plan.memory_per_stage(
+            replica.max_batch, LLAMA2_7B.kv_bytes_per_request
+        )[-1]
+        assert reservation.nbytes >= need  # deploys reserve the footprint
+        ctx.allocator.resize(reservation, need - 1024.0)  # a trim too deep
+        found = auditor.audit_running()
+        assert invariants_of(found) == {"reservation-footprint"}
+        assert reservation.res_id in found[0].detail
+
     def test_lost_request_flagged(self, clean_run):
         _, _, system, auditor = clean_run
         assert system.metrics.records, "fixture must have completed requests"

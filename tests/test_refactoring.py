@@ -36,20 +36,6 @@ class TestMonitor:
             monitor.observe(t)
         assert monitor.cv(t) == pytest.approx(1.0, rel=0.3)
 
-    def test_gradient_detects_rising_intensity(self):
-        monitor = WorkloadMonitor(window=10.0)
-        t = 0.0
-        for i in range(100):
-            gap = 1.0 / (1.0 + i * 0.3)  # accelerating arrivals
-            t += gap
-            monitor.observe(t)
-            if i % 10 == 0:
-                monitor.sample_rate(t)
-        assert monitor.intensity_gradient(t) > 0
-
-    def test_gradient_zero_without_samples(self):
-        assert WorkloadMonitor().intensity_gradient(0.0) == 0.0
-
 
 class TestGranularityPolicy:
     @pytest.fixture(scope="class")

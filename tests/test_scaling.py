@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.hrg import HierarchicalResourceGraph
@@ -453,9 +455,7 @@ class _ScriptedMonitor:
     def __init__(self):
         self.rate = 0.0
         self.count = 0
-
-    def sample_rate(self, now):
-        pass
+        self.total_observed = 0
 
     def cv(self, now):
         return 0.0
@@ -468,6 +468,7 @@ class _ScriptedMonitor:
 
     def arrive(self):
         self.rate, self.count = 1.0, 5
+        self.total_observed += 5
 
     def go_quiet(self):
         self.rate, self.count = 0.0, 0
@@ -700,21 +701,35 @@ class TestAutoscalerBlockedEpisodeEnds:
 
 
 def _polling_autoscaler():
-    """The autoscaler before the idle fast path and the certified park:
-    every tick prices a plan and every blocked tick calls deploy."""
-    import math
-
+    """The autoscaler before the control sweep, the idle fast path and the
+    certified park: one periodic process per tenant, no tenant ever
+    sleeps, every tick prices a plan and every blocked tick calls
+    deploy."""
     from repro.cluster.allocator import AllocationError
     from repro.metrics.collector import ScalingEvent
     from repro.pipeline.replica import ReplicaState
     from repro.refactoring.granularity import instance_count
     from repro.scaling.autoscaler import Autoscaler
+    from repro.simulation.processes import PeriodicProcess
+
+    class OwnProcess:
+        """Stands in for the system's sweep: a process per tenant."""
+
+        def join(self, scaler):
+            self.process = PeriodicProcess(
+                scaler.sim, scaler.config.interval, scaler.tick
+            )
+
+        def leave(self, scaler):
+            self.process.stop()
 
     class PollingAutoscaler(Autoscaler):
+        def __init__(self, *args, sweep=None, **kwargs):
+            super().__init__(*args, sweep=OwnProcess(), **kwargs)
+
         def tick(self):
             now = self.sim.now
             cfg = self.config
-            self.monitor.sample_rate(now)
             self.loading = [
                 r for r in self.loading if r.state is ReplicaState.LOADING
             ]
@@ -750,7 +765,9 @@ def _polling_autoscaler():
                 desired = min(desired, max(total + fit, total))
             if desired > total:
                 self._scale_out(desired - total, plan, now)
-            elif desired < len(active) and queue == 0:
+                return
+            self._blocked_since = None  # the blocked episode ends
+            if desired < len(active) and queue == 0:
                 self._maybe_scale_in(active, desired, now)
             else:
                 self._low_since = None
@@ -781,6 +798,8 @@ def _polling_autoscaler():
 
 
 def _report_digest(spec, system, seed):
+    """Report hash with ``engine_events`` masked: a sleeping tenant's
+    skipped ticks are engine events, and nothing else may move."""
     import dataclasses
     import hashlib
     import json
@@ -788,23 +807,40 @@ def _report_digest(spec, system, seed):
     from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 
     report = ScenarioDriver(ScenarioCase(spec, system, seed)).run()
-    blob = json.dumps(dataclasses.asdict(report), sort_keys=True, default=repr)
+    fields = dataclasses.asdict(report)
+    fields["engine_events"] = None
+    blob = json.dumps(fields, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _pinned_binding_caps():
+    from pathlib import Path
+
+    from repro.scenarios.spec import ScenarioSpec
+
+    path = Path(__file__).parent / "data" / "chaos-3-binding-caps.json"
+    return ScenarioSpec.from_json(path.read_text())
+
+
 class TestAutoscalerPollingOracle:
-    """The idle fast path and the certified park change no report: the
-    polling autoscaler they replace produces byte-identical reports."""
+    """The control sweep, its sleeping tenants, the idle fast path and the
+    certified park change no report: per-tenant polling produces
+    byte-identical reports (engine event counts aside)."""
 
     @pytest.mark.parametrize(
         "scenario, system, seed",
         [
             # Scale-to-zero churn: idle tenants (FlexPipe) and DistServe's
-            # certified-blocked retry storm.
+            # certified-blocked retry storm, whose tenants sleep parked.
             ("coldstart-economy", "FlexPipe", 5),
             ("coldstart-economy", "DistServe", 5),
             # FlexPipe tenants park here, so the on_park hook is covered.
             ("reclamation-storm", "FlexPipe", 0),
+            # Hundreds of trace-replayed tenants, most of them idle.
+            ("azure-replay-2019", "FlexPipe", 0),
+            # Elastic QoS with binding caps: hooks installed mid-set-up.
+            ("chaos-3-binding-caps", "FlexPipe", 3),
+            ("chaos-3-binding-caps", "DistServe", 3),
         ],
     )
     def test_reports_match_the_polling_autoscaler(
@@ -814,9 +850,236 @@ class TestAutoscalerPollingOracle:
         import repro.core.flexpipe
         from repro.scenarios.library import get_scenario
 
-        spec = get_scenario(scenario).quick()
+        if scenario == "chaos-3-binding-caps":
+            spec = _pinned_binding_caps()
+        else:
+            spec = get_scenario(scenario).quick()
         new = _report_digest(spec, system, seed)
         polling = _polling_autoscaler()
         monkeypatch.setattr(repro.baselines.base, "Autoscaler", polling)
         monkeypatch.setattr(repro.core.flexpipe, "Autoscaler", polling)
         assert _report_digest(spec, system, seed) == new
+
+
+class TestControlSweep:
+    """One sweep ticks a system's autoscalers; idle and certified-parked
+    tenants sleep until an input of their decision moves, then tick at
+    the next grid instant."""
+
+    def _scaler(self, sim, profile, plan_for, *, sweep=None, **config):
+        from types import SimpleNamespace
+
+        from repro.metrics.collector import MetricsCollector
+        from repro.pipeline.replica import ReplicaState
+        from repro.pipeline.router import ModelRouter
+        from repro.refactoring.monitor import WorkloadMonitor
+        from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+
+        deployed = []
+
+        def deploy(profile, p, *, wait_time=0.0):
+            deployed.append(sim.now)
+            return SimpleNamespace(state=ReplicaState.LOADING)
+
+        scaler = Autoscaler(
+            sim,
+            ModelRouter(sim, profile.spec.name),
+            WorkloadMonitor(),
+            profile,
+            MetricsCollector("test"),
+            deploy,
+            lambda r: None,
+            plan_for,
+            AutoscalerConfig(**config),
+            sweep=sweep,
+        )
+        return scaler, _tick_times(scaler), deployed
+
+    def _plan(self, profile):
+        return GranularityLadder(profile, stage_counts=(2, 4)).plan(2)
+
+    def test_idle_tenant_sleeps_after_one_tick(self, sim, llama_profile):
+        scaler, ticks, _ = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=0
+        )
+        sim.run(until=10.0)
+        assert ticks == [0.5]
+        assert scaler._wake is not None
+
+    def test_idle_tenants_add_no_events(self, llama_profile):
+        from repro.scaling.autoscaler import ControlSweep
+        from repro.simulation.engine import Simulator
+
+        events = {}
+        for n in (1, 12):
+            sim = Simulator()
+            sweep = ControlSweep(sim, 0.5)
+            for _ in range(n):
+                self._scaler(
+                    sim, llama_profile, self._plan(llama_profile),
+                    sweep=sweep, min_replicas=0,
+                )
+            sim.run(until=10.0)
+            events[n] = sim.events_processed
+        assert events[12] == events[1] == 20  # one sweep event per instant
+
+    def test_arrival_wakes_at_the_next_grid_instant(self, sim, llama_profile):
+        scaler, ticks, deployed = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=0
+        )
+        sim.schedule_at(3.2, scaler.monitor.observe, 3.2)
+        sim.run(until=10.0)
+        assert ticks[:2] == [0.5, 3.5]
+        assert deployed == [3.5]
+
+    def test_pending_request_wakes(self, sim, llama_profile):
+        scaler, ticks, deployed = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=0
+        )
+        sim.schedule_at(2.2, scaler.router.pending.append, object())
+        sim.run(until=10.0)
+        assert ticks[:2] == [0.5, 2.5]
+        assert deployed == [2.5]
+
+    def test_scenario_scale_out_wakes(self, ctx):
+        """A replica the scenario deploys behind the autoscaler's back
+        wakes it at the first grid instant after the replica activates."""
+        import numpy as np
+
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+        from repro.scenarios.driver import action_scale_out
+
+        system = FlexPipeSystem(
+            ctx, [LLAMA2_7B], initial_replicas=0, min_replicas=0
+        )
+        scaler = system._models[LLAMA2_7B.name].autoscaler
+        ticks = _tick_times(scaler)
+        outcome = []
+        ctx.sim.schedule_at(
+            1.2,
+            lambda: outcome.append(
+                # Seed 1 draws a rung the 12-GPU cluster can place.
+                action_scale_out(
+                    system, np.random.default_rng(1), model=LLAMA2_7B.name
+                )
+            ),
+        )
+        ctx.sim.run(until=60.0)
+        assert outcome == ["ok"]
+        (replica,) = system.all_replicas()
+        activated = replica.activated_at
+        assert activated is not None and activated > 1.2
+        woke = math.floor(activated / 0.5) * 0.5 + 0.5
+        assert ticks[:2] == [0.5, woke]
+
+    def test_capacity_epoch_wakes_a_parked_sleeper(self, ctx, llama_profile):
+        from repro.cluster.allocator import degrade_until_fit
+
+        allocator = ctx.allocator
+        # 3 GB left everywhere: below every stage of the plan.
+        fills = [
+            allocator.reserve_on("fill", gpu, gpu.free_memory - 3 * GB)
+            for gpu in ctx.cluster.gpus
+        ]
+        plan = self._plan(llama_profile)
+        calls = []
+
+        def deploy(profile, p, *, wait_time=0.0):
+            calls.append(ctx.sim.now)
+            kv = profile.spec.kv_bytes_per_request
+            return degrade_until_fit(
+                p.max_batch,
+                lambda b: allocator.allocate_stages(
+                    profile.spec.name, p.memory_per_stage(b, kv)
+                ),
+            )
+
+        scaler, ticks, _ = self._scaler(ctx.sim, llama_profile, plan, min_replicas=1)
+        scaler.deploy = deploy
+        ctx.sim.schedule_at(5.2, allocator.release, fills[0])
+        ctx.sim.run(until=10.0)
+        # 0.5 fails with a certificate, 1.0 parks and sleeps; the release
+        # moves the capacity epoch, so 5.5 retries (and parks again).
+        assert calls == [0.5, 5.5]
+        assert ticks == [0.5, 1.0, 5.5, 6.0]
+
+    def test_a_plan_choice_never_sleeps_parked(self, ctx, llama_profile):
+        from repro.cluster.allocator import AllocationError, InfeasibleCertificate
+
+        plan = self._plan(llama_profile)
+        error = AllocationError("no room")
+        error.certificate = InfeasibleCertificate(
+            ctx.allocator, ("k",), ctx.cluster.capacity_epoch
+        )
+        ctx.allocator._infeasible[("k",)] = ctx.cluster.capacity_epoch
+
+        def deploy(profile, p, *, wait_time=0.0):
+            raise error
+
+        scaler, ticks, _ = self._scaler(
+            ctx.sim, llama_profile, lambda cv, queue: plan, min_replicas=1
+        )
+        scaler.deploy = deploy
+        ctx.sim.run(until=5.0)
+        assert len(ticks) == 10
+        assert scaler._wake is None
+
+    def test_enable_qos_wakes(self, ctx):
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+        from repro.qos.classes import get_slo_class
+
+        system = FlexPipeSystem(
+            ctx, [LLAMA2_7B], initial_replicas=0, min_replicas=0
+        )
+        scaler = system._models[LLAMA2_7B.name].autoscaler
+        ticks = _tick_times(scaler)
+        ctx.sim.schedule_at(
+            2.2,
+            system.enable_qos,
+            {LLAMA2_7B.name: get_slo_class("interactive")},
+        )
+        ctx.sim.run(until=4.0)
+        # The pressure hook is an input of every tick: no more sleep.
+        assert ticks == [0.5, 2.5, 3.0, 3.5, 4.0]
+
+    def test_stop_cancels_the_sweep(self, sim, llama_profile):
+        from repro.scaling.autoscaler import ControlSweep
+
+        sweep = ControlSweep(sim, 0.5)
+        plan = self._plan(llama_profile)
+        first, _, _ = self._scaler(sim, llama_profile, plan, sweep=sweep)
+        second, ticks, _ = self._scaler(sim, llama_profile, plan, sweep=sweep)
+        sim.run(until=1.0)
+        first.stop()
+        sim.run(until=2.0)
+        assert ticks == [0.5, 1.0, 1.5, 2.0]
+        assert sim.pending_count() == 1
+        second.stop()
+        assert sim.pending_count() == 0
+
+    def test_members_share_the_sweep_grid(self, sim, llama_profile):
+        from repro.scaling.autoscaler import ControlSweep
+
+        sweep = ControlSweep(sim, 0.5)
+        plan = self._plan(llama_profile)
+        with pytest.raises(ValueError):
+            self._scaler(sim, llama_profile, plan, sweep=sweep, interval=1.0)
+        self._scaler(sim, llama_profile, plan, sweep=sweep)
+        sim.run(until=0.2)
+        with pytest.raises(ValueError):
+            self._scaler(sim, llama_profile, plan, sweep=sweep)
+
+
+def _tick_times(scaler):
+    """Record the simulated time of every tick the sweep runs."""
+    times = []
+    tick = scaler.tick
+
+    def counted():
+        times.append(scaler.sim.now)
+        tick()
+
+    scaler.tick = counted
+    return times
