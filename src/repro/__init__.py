@@ -44,7 +44,6 @@ from repro.workloads import (
     MMPPArrivals,
     PoissonArrivals,
     RequestSampler,
-    SLO,
     WorkloadGenerator,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "MMPPArrivals",
     "PoissonArrivals",
     "RequestSampler",
-    "SLO",
     "WorkloadGenerator",
     "__version__",
 ]

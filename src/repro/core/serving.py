@@ -155,9 +155,9 @@ class ServingSystem(abc.ABC):
                 clock=lambda: self.sim.now,
                 reclaim=self._reclaim_borrower_excess,
             )
-        # Class-priority batch formation inside the replica, mirroring the
-        # router's priority queue: mixed-class traffic on one model meets
-        # FIFO nowhere between admission and the GPU.
+        # Class-priority batch formation inside the replica, on the same
+        # queue class as the router's: mixed-class traffic on one model
+        # meets FIFO nowhere between admission and the GPU.
         def batch_priority(request: Request) -> int:
             return request_priority(request, self.qos_class_of(request.model))
 

@@ -7,12 +7,12 @@ window is what amortises the per-iteration weight-streaming cost across
 requests — dispatching singletons eagerly would cap throughput at the
 batch-1 iteration rate.
 
-:class:`PriorityBatcher` is the QoS variant: the accumulation window and
-dispatch policy are identical, but each batch is *formed* in strict SLO
-class-priority order (FIFO within a class, optional aging for
-anti-starvation) — mirroring the router's
-:class:`~repro.qos.queueing.PriorityPendingQueue` so mixed-class traffic
-on one model meets FIFO nowhere between admission and the GPU.
+The queue is a FIFO ``deque`` with a parallel deque of enqueue times.
+Under QoS, :meth:`DynamicBatcher.use_priority_queue` swaps in a
+:class:`~repro.qos.queueing.PriorityPendingQueue` (the router's pending
+queue class): the window and dispatch policy are unchanged, but each
+batch is *formed* in strict SLO class-priority order, FIFO within a
+class, with optional aging.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.qos.queueing import PriorityPendingQueue
 from repro.simulation.engine import Event, Simulator
 from repro.workloads.requests import Request
 
@@ -44,9 +45,10 @@ class DynamicBatcher:
     accept a batch right now; ``dispatch`` consumes a list of requests.
     The owner must call :meth:`pump` whenever the entry stage frees up.
 
-    Queue storage is behind the ``_append`` / ``_pop_batch`` /
-    ``_oldest_time`` / ``entries`` hooks so :class:`PriorityBatcher` can
-    change *pop order* without touching the window/dispatch policy.
+    ``queue`` holds the waiting requests: a ``deque`` whose enqueue times
+    sit in ``_enqueued_at``, or, once :meth:`use_priority_queue` ran, a
+    :class:`~repro.qos.queueing.PriorityPendingQueue` that stamps them
+    itself (``_enqueued_at`` is then None).
     """
 
     def __init__(
@@ -60,8 +62,8 @@ class DynamicBatcher:
         self.config = config
         self.can_dispatch = can_dispatch
         self.dispatch = dispatch
-        self.queue: deque[Request] = deque()
-        self._enqueued_at: deque[float] = deque()
+        self.queue: deque[Request] | PriorityPendingQueue = deque()
+        self._enqueued_at: deque[float] | None = deque()
         self._timer: Event | None = None
         self.batches_formed = 0
         self.requests_batched = 0
@@ -69,30 +71,48 @@ class DynamicBatcher:
     def __len__(self) -> int:
         return len(self.queue)
 
-    # ------------------------------------------------------------------
-    # Queue storage hooks (overridden by PriorityBatcher)
-    # ------------------------------------------------------------------
-    def _append(self, request: Request, enqueued_at: float) -> None:
-        self.queue.append(request)
-        self._enqueued_at.append(enqueued_at)
+    def use_priority_queue(self, queue: PriorityPendingQueue) -> None:
+        """Form batches in ``queue``'s class-priority order from now on.
+
+        Queued requests migrate in arrival order with their original
+        enqueue times, so the ``max_wait`` window and every counter the
+        auditor reads (queue length, batches formed) are unchanged; only
+        the order future batches pull requests in differs.
+        """
+        for request, enqueued_at in self.entries():
+            queue.append(request, enqueued_at)
+        self._disarm_timer()
+        self.queue = queue
+        self._enqueued_at = None
+        if len(queue):
+            self._arm_timer()
+
+    def entries(self) -> list[tuple[Request, float]]:
+        """Queued (request, enqueue-time) pairs in arrival order."""
+        if self._enqueued_at is None:
+            return self.queue.entries()
+        return list(zip(self.queue, self._enqueued_at))
 
     def _pop_batch(self, n: int) -> list[Request]:
-        batch = [self.queue.popleft() for _ in range(n)]
-        for _ in range(n):
-            self._enqueued_at.popleft()
+        popleft = self.queue.popleft
+        batch = [popleft() for _ in range(n)]
+        stamps = self._enqueued_at
+        if stamps is not None:
+            for _ in range(n):
+                stamps.popleft()
         return batch
 
     def _oldest_time(self) -> float | None:
-        return self._enqueued_at[0] if self._enqueued_at else None
-
-    def entries(self) -> list[tuple[Request, float]]:
-        """Queued (request, enqueue-time) pairs in arrival order (used when
-        migrating the queue into a different batcher implementation)."""
-        return list(zip(self.queue, self._enqueued_at))
+        stamps = self._enqueued_at
+        if stamps is None:
+            return self.queue.oldest()
+        return stamps[0] if stamps else None
 
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> None:
-        self._append(request, self.sim.now)
+        self.queue.append(request)
+        if self._enqueued_at is not None:
+            self._enqueued_at.append(self.sim.now)
         if len(self) >= self.config.max_batch and self.can_dispatch():
             self._emit()
         elif self._timer is None:
@@ -152,89 +172,9 @@ class DynamicBatcher:
             # Entry stage busy: it will pump() on completion; keep a
             # heartbeat so the wait bound survives pathological schedules.
             self._timer = self.sim.schedule(self.config.max_wait, self._timeout)
+
     @property
     def mean_batch_size(self) -> float:
         if self.batches_formed == 0:
             return 0.0
         return self.requests_batched / self.batches_formed
-
-
-class PriorityBatcher(DynamicBatcher):
-    """Class-priority batch formation inside a replica.
-
-    Same accumulation window and dispatch policy as
-    :class:`DynamicBatcher`, but each emitted batch pulls requests in
-    strict SLO-class priority order: lower rank first, FIFO within a
-    class, and an optional *aging* knob that improves a request's
-    effective rank by one per ``aging`` seconds waited so a batch backlog
-    cannot starve forever behind sustained interactive pressure.  With a
-    single class present pop order is exactly FIFO, so installing it on an
-    unclassed tenant changes nothing.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        config: BatcherConfig,
-        can_dispatch: Callable[[], bool],
-        dispatch: Callable[[list[Request]], None],
-        *,
-        priority_of: Callable[[Request], int],
-        aging: float | None = None,
-    ):
-        super().__init__(sim, config, can_dispatch, dispatch)
-        if aging is not None and aging <= 0:
-            raise ValueError(f"aging must be positive (or None), got {aging}")
-        self.priority_of = priority_of
-        self.aging = aging
-        self._buckets: dict[int, deque[tuple[int, float, Request]]] = {}
-        self._seq = 0
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    # ------------------------------------------------------------------
-    def _append(self, request: Request, enqueued_at: float) -> None:
-        priority = int(self.priority_of(request))
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            bucket = self._buckets[priority] = deque()
-        bucket.append((self._seq, enqueued_at, request))
-        self._seq += 1
-        self._len += 1
-
-    def _pop_one(self) -> Request:
-        now = self.sim.now
-        best_key: tuple[int, int] | None = None
-        best_priority = 0
-        for priority in sorted(self._buckets):
-            bucket = self._buckets[priority]
-            if not bucket:
-                continue
-            seq, enqueued, _ = bucket[0]
-            effective = priority
-            if self.aging is not None:
-                effective -= int((now - enqueued) / self.aging)
-            key = (effective, seq)
-            if best_key is None or key < best_key:
-                best_key, best_priority = key, priority
-        _, _, request = self._buckets[best_priority].popleft()
-        self._len -= 1
-        return request
-
-    def _pop_batch(self, n: int) -> list[Request]:
-        return [self._pop_one() for _ in range(n)]
-
-    def _oldest_time(self) -> float | None:
-        # Buckets are FIFO, so each head is its class's oldest entrant.
-        heads = [bucket[0][1] for bucket in self._buckets.values() if bucket]
-        return min(heads) if heads else None
-
-    def entries(self) -> list[tuple[Request, float]]:
-        rows = sorted(
-            (seq, enqueued, request)
-            for bucket in self._buckets.values()
-            for seq, enqueued, request in bucket
-        )
-        return [(request, enqueued) for _, enqueued, request in rows]

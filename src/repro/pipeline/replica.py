@@ -19,14 +19,13 @@ import itertools
 import statistics
 from typing import Callable
 
-import numpy as np
-
 from repro.cluster.allocator import StageReservation
 from repro.models.profiler import ModelProfile
 from repro.partitioning.batch_scaling import activation_bytes
 from repro.partitioning.plan import PartitionPlan
-from repro.pipeline.batching import BatcherConfig, DynamicBatcher, PriorityBatcher
+from repro.pipeline.batching import BatcherConfig, DynamicBatcher
 from repro.pipeline.stage import BatchJob, StageRuntime
+from repro.qos.queueing import PriorityPendingQueue
 from repro.simulation.engine import Simulator
 from repro.workloads.requests import Request
 
@@ -131,12 +130,6 @@ class PipelineReplica:
             )
             for s in plan.stages
         ]
-        # Vectorized batch formation reads these per-stage columns on every
-        # job; ``_act_vec`` drops the exit stage (no handoff after it).
-        consts = np.array(self._stage_consts, dtype=np.float64)
-        self._flops_vec = np.ascontiguousarray(consts[:, 0])
-        self._param_vec = np.ascontiguousarray(consts[:, 1])
-        self._act_vec = np.ascontiguousarray(consts[:-1, 2])
 
     def _build_stages(
         self, plan: PartitionPlan, reservations: list[StageReservation]
@@ -240,33 +233,15 @@ class PipelineReplica:
         *,
         aging: float | None = None,
     ) -> None:
-        """Swap the FIFO batcher for class-priority batch formation (QoS).
-
-        Queued requests migrate with their original enqueue times, so the
-        ``max_wait`` window and every conservation counter the auditor
-        reads (queue length, batches formed) are unchanged; only the order
-        future batches pull requests in differs.  Safe mid-run, idempotent
-        per replica.
-        """
-        old = self.batcher
-        if isinstance(old, PriorityBatcher):
+        """Form batches in class-priority order (QoS); see
+        :meth:`DynamicBatcher.use_priority_queue`.  Safe mid-run,
+        idempotent per replica."""
+        if isinstance(self.batcher.queue, PriorityPendingQueue):
             return
-        new = PriorityBatcher(
-            self.sim,
-            old.config,
-            self._can_dispatch,
-            self._dispatch,
-            priority_of=priority_of,
-            aging=aging,
+        sim = self.sim
+        self.batcher.use_priority_queue(
+            PriorityPendingQueue(lambda: sim.now, priority_of, aging=aging)
         )
-        for request, enqueued_at in old.entries():
-            new._append(request, enqueued_at)
-        old._disarm_timer()
-        new.batches_formed = old.batches_formed
-        new.requests_batched = old.requests_batched
-        self.batcher = new
-        if len(new):
-            new._arm_timer()
 
     def _can_dispatch(self) -> bool:
         return self.stages[0].idle
@@ -290,54 +265,9 @@ class PipelineReplica:
         self.stages[0].enqueue(job)
 
     def _make_job(self, requests: list[Request]) -> BatchJob:
-        """Vectorized batch formation (the dispatch hot path).
-
-        All per-stage cost terms are computed as numpy column operations
-        over the constants hoisted in :meth:`_set_plan`.  Every expression
-        mirrors the scalar cost model's operation order elementwise, so
-        the produced times are bit-identical to :meth:`_make_job_scalar`
-        (asserted by the test suite); single-stage plans skip the array
-        overhead entirely.
-        """
-        if len(self._stage_consts) == 1:
-            return self._make_job_scalar(requests)
-        cfg = self.profile.cost_model.config
-        batch = len(requests)
-        mean_prompt = statistics.fmean(r.prompt_tokens for r in requests)
-        mean_out = statistics.fmean(r.output_tokens for r in requests)
-        # prefill_time(flops, batch*prompt) per stage.
-        stage_prefill = (
-            cfg.prefill_overhead
-            + (batch * mean_prompt) * self._flops_vec / cfg.peak_flops
-        )
-        # decode_iter_time(params, batch): weight stream + batched compute.
-        decode_iter = (
-            cfg.compute_fixed + self._param_vec * cfg.compute_per_byte
-        ) + batch * self._param_vec / cfg.peak_flops
-        stage_busy = stage_prefill + mean_out * decode_iter
-        # hop_time over the batch-scaled boundary activations; the scale
-        # factor depends only on the batch, so it is computed once through
-        # the scalar model (identical rounding) and applied per column.
-        factor = activation_bytes(1.0, batch)
-        acts = self._act_vec
-        handoff = (
-            cfg.hop_overhead
-            + (acts * mean_prompt) * factor / cfg.network_bandwidth
-        ) + mean_out * (
-            cfg.hop_overhead + acts * factor / cfg.network_bandwidth
-        )
-        return BatchJob(
-            jid=next(_job_ids),
-            requests=requests,
-            stage_busy=stage_busy.tolist(),
-            stage_prefill=stage_prefill.tolist(),
-            handoff=handoff.tolist(),
-            created_at=self.sim.now,
-        )
-
-    def _make_job_scalar(self, requests: list[Request]) -> BatchJob:
-        """Reference scalar batch formation (single-stage plans; also the
-        bit-identity oracle for the vectorized path)."""
+        """Batch formation: each stage's busy and prefill time and each
+        inter-stage handoff, from the cost model at the batch's mean
+        prompt and output lengths."""
         cm = self.profile.cost_model
         batch = len(requests)
         mean_prompt = statistics.fmean(r.prompt_tokens for r in requests)

@@ -2,12 +2,12 @@
 class-aware admission, attainment signals, and resource arbitration.
 
 Five layers consume this package: admission (per-tenant policy chains in
-:mod:`repro.qos.admission`), routing (the priority pending queue in
-:mod:`repro.qos.queueing`), scaling (the attainment pressure signal in
-:mod:`repro.qos.signals`), resources (class ranks drive the allocator's
-priority contention/preempt-or-wait and per-tenant share caps in
-:mod:`repro.cluster.allocator`, and class-priority batch formation via
-:class:`repro.pipeline.batching.PriorityBatcher`), and observability
+:mod:`repro.qos.admission`), routing and batch formation (the router's
+pending queue and the replica batcher's queue both become the one
+class-priority queue in :mod:`repro.qos.queueing`), scaling (the
+attainment pressure signal in :mod:`repro.qos.signals`), resources (class
+ranks drive the allocator's priority contention/preempt-or-wait and
+per-tenant share caps in :mod:`repro.cluster.allocator`), and observability
 (per-tenant attainment/shed/GPU-share rows in the scenario reports and
 the ``repro qos`` CLI).
 

@@ -1,14 +1,21 @@
-"""Priority-aware pending queue for class-differentiated routing.
+"""The class-priority queue of the request path.
 
-:class:`PriorityPendingQueue` is a drop-in for the ``deque`` a
-:class:`~repro.pipeline.router.ModelRouter` keeps its pending requests in:
-strict priority across SLO classes, FIFO within a class, with an optional
-*aging* knob for anti-starvation — a request's effective priority improves
-by one rank per ``aging`` seconds waited, so a batch backlog eventually
-drains even under sustained interactive pressure (``aging=None`` is pure
-strict priority).
+:class:`PriorityPendingQueue` is the one owner of class-priority pop
+order: strict priority across SLO classes, FIFO within a class, with an
+optional *aging* knob for anti-starvation — a request's effective
+priority improves by one rank per ``aging`` seconds waited, so a batch
+backlog eventually drains even under sustained interactive pressure
+(``aging=None`` is pure strict priority).
 
-The queue preserves the router's invariants: ``len`` counts every waiting
+Under QoS it replaces the FIFO ``deque`` in two places: a
+:class:`~repro.pipeline.router.ModelRouter`'s pending queue and a
+:class:`~repro.pipeline.batching.DynamicBatcher`'s batch queue, so
+mixed-class traffic on one model meets FIFO nowhere between admission
+and the GPU.  Both install it by migrating their waiting requests in
+arrival order; the batcher passes each request's original enqueue time,
+so its accumulation window (:meth:`oldest`) is unchanged by the swap.
+
+The queue preserves its owners' invariants: ``len`` counts every waiting
 request (the auditor's residency term), iteration yields every request,
 and with a single class present pop order is exactly FIFO — so installing
 the queue on an unclassed tenant changes nothing.
@@ -42,18 +49,17 @@ class PriorityPendingQueue:
         self._len = 0
 
     # ------------------------------------------------------------------
-    def append(self, request: Request) -> None:
+    def append(self, request: Request, enqueued_at: float | None = None) -> None:
+        """Queue ``request``, stamped ``enqueued_at`` (default: now)."""
         priority = int(self._priority_of(request))
         bucket = self._buckets.get(priority)
         if bucket is None:
             bucket = self._buckets[priority] = deque()
-        bucket.append((self._seq, self._clock(), request))
+        if enqueued_at is None:
+            enqueued_at = self._clock()
+        bucket.append((self._seq, enqueued_at, request))
         self._seq += 1
         self._len += 1
-
-    def extend(self, requests) -> None:
-        for request in requests:
-            self.append(request)
 
     def popleft(self) -> Request:
         if not self._len:
@@ -75,6 +81,21 @@ class PriorityPendingQueue:
         _, _, request = self._buckets[best_priority].popleft()
         self._len -= 1
         return request
+
+    def oldest(self) -> float | None:
+        """The earliest enqueue stamp still queued (None when empty)."""
+        # Buckets are FIFO, so each head is its class's oldest entrant.
+        heads = [bucket[0][1] for bucket in self._buckets.values() if bucket]
+        return min(heads) if heads else None
+
+    def entries(self) -> list[tuple[Request, float]]:
+        """Queued (request, enqueue-time) pairs in arrival order."""
+        rows = sorted(
+            (seq, enqueued, request)
+            for bucket in self._buckets.values()
+            for seq, enqueued, request in bucket
+        )
+        return [(request, enqueued) for _, enqueued, request in rows]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -1,4 +1,4 @@
-"""Workload generation: arrivals with controlled CV, traces, prompts, SLOs.
+"""Workload generation: arrivals with controlled CV, traces and prompts.
 
 Every evaluation figure in the paper is parameterised by the coefficient of
 variation (CV) of request inter-arrival times.  ``GammaArrivals`` provides
@@ -19,7 +19,6 @@ from repro.workloads.cv import (
     SlidingWindowCV,
 )
 from repro.workloads.traces import DiurnalTrace
-from repro.workloads.slo import SLO
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.azure2019 import (
     Azure2019Source,
@@ -52,7 +51,6 @@ __all__ = [
     "count_cv",
     "SlidingWindowCV",
     "DiurnalTrace",
-    "SLO",
     "WorkloadGenerator",
     "Azure2019Source",
     "Azure2019Window",

@@ -1,12 +1,13 @@
-"""Tests for the dynamic batcher's accumulation-window policy and the
-class-priority batch-formation variant."""
+"""Tests for the dynamic batcher's accumulation-window policy and
+class-priority batch formation (the batcher on a priority queue)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.pipeline.batching import BatcherConfig, DynamicBatcher, PriorityBatcher
+from repro.pipeline.batching import BatcherConfig, DynamicBatcher
 from repro.qos.classes import request_priority
+from repro.qos.queueing import PriorityPendingQueue
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.requests import Request, RequestSampler
 
@@ -123,15 +124,9 @@ def classed_request(rid, slo_class=None):
 def make_priority_batcher(
     sim, max_batch=8, max_wait=0.1, dispatchable=True, aging=None
 ):
-    batches = []
-    state = {"ok": dispatchable}
-    batcher = PriorityBatcher(
-        sim,
-        BatcherConfig(max_batch=max_batch, max_wait=max_wait),
-        can_dispatch=lambda: state["ok"],
-        dispatch=batches.append,
-        priority_of=request_priority,
-        aging=aging,
+    batcher, batches, state = make_batcher(sim, max_batch, max_wait, dispatchable)
+    batcher.use_priority_queue(
+        PriorityPendingQueue(lambda: sim.now, request_priority, aging=aging)
     )
     return batcher, batches, state
 
@@ -217,6 +212,19 @@ class TestPriorityBatcher:
         with pytest.raises(ValueError, match="aging"):
             make_priority_batcher(sim, aging=0.0)
 
+    def test_swap_keeps_the_window_of_queued_requests(self, sim):
+        """Requests migrate with their enqueue times: a request queued at
+        t=0 still dispatches when its own window closes, not one window
+        after the swap."""
+        batcher, batches, _ = make_batcher(sim, max_batch=8, max_wait=0.2)
+        batcher.enqueue(classed_request(0, "batch"))
+        sim.run(until=0.15)
+        batcher.use_priority_queue(
+            PriorityPendingQueue(lambda: sim.now, request_priority)
+        )
+        sim.run(until=0.25)
+        assert [[r.rid for r in b] for b in batches] == [[0]]
+
 
 class TestUsePriorityBatcher:
     """Mid-run migration of a replica's batcher (ServingSystem.enable_qos)."""
@@ -243,15 +251,16 @@ class TestUsePriorityBatcher:
         replica.activate()
         for i, cls in enumerate(("batch", "interactive", "batch")):
             replica.submit(classed_request(i, cls))
-        old = replica.batcher
+        old = replica.batcher.queue
+        formed = replica.batcher.batches_formed
         replica.use_priority_batcher(request_priority, aging=10.0)
-        assert isinstance(replica.batcher, PriorityBatcher)
-        assert replica.batcher is not old
+        assert isinstance(replica.batcher.queue, PriorityPendingQueue)
+        assert replica.batcher.queue is not old
         assert len(replica.batcher) == 3
-        assert replica.batcher.batches_formed == old.batches_formed
+        assert replica.batcher.batches_formed == formed
         # Enqueue times migrated: the oldest request still anchors the
         # accumulation window.
-        assert replica.batcher._oldest_time() == 0.0
+        assert replica.batcher.queue.oldest() == 0.0
         # The migrated queue still serves: nothing lost across the swap.
         ctx.sim.run(until=5.0)
         assert replica.completed_requests == 3
@@ -259,6 +268,6 @@ class TestUsePriorityBatcher:
     def test_swap_is_idempotent(self, ctx, llama_profile):
         replica = self._replica(ctx, llama_profile)
         replica.use_priority_batcher(request_priority)
-        swapped = replica.batcher
+        swapped = replica.batcher.queue
         replica.use_priority_batcher(request_priority)
-        assert replica.batcher is swapped
+        assert replica.batcher.queue is swapped

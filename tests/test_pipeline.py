@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.allocator import GPUAllocator
+from repro.cluster.cluster import make_small_cluster
+from repro.partitioning.batch_scaling import activation_bytes
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
 from repro.pipeline.replica import PipelineReplica, ReplicaState
@@ -155,6 +157,47 @@ class TestReplicaLifecycle:
         replica.submit(sampler.sample(0.0))
         sim.run_until_idle()
         assert all(s.gpu.busy_seconds > 0 for s in replica.stages)
+
+
+class TestBatchFormation:
+    """A ``BatchJob``'s times are the per-stage cost model at the batch's
+    mean prompt and output lengths."""
+
+    @pytest.mark.parametrize("n_stages", [2, 4, 32])
+    def test_job_times_follow_the_cost_model(self, sim, llama_profile, n_stages):
+        plan = GranularityLadder(llama_profile, stage_counts=(n_stages,)).plan(
+            n_stages
+        )
+        cluster = make_small_cluster(sim, n_servers=16, gpus_per_server=2)
+        replica, _ = deploy_replica(sim, cluster, llama_profile, plan, [])
+        sampler = RequestSampler("LLAMA2-7B", RandomStreams(3).stream("r"))
+        requests = [sampler.sample(0.0) for _ in range(5)]
+        job = replica._make_job(requests)
+
+        cm = llama_profile.cost_model
+        batch = len(requests)
+        prompt = sum(r.prompt_tokens for r in requests) / batch
+        out = sum(r.output_tokens for r in requests) / batch
+        prefill = [
+            cm.prefill_time(s.profile.flops_per_token, batch * prompt)
+            for s in plan.stages
+        ]
+        busy = [
+            p + out * cm.decode_iter_time(s.param_bytes, batch)
+            for p, s in zip(prefill, plan.stages)
+        ]
+        handoff = []
+        for s in plan.stages[:-1]:
+            base = 128 * s.profile.boundary_act_bytes_per_token
+            handoff.append(
+                cm.hop_time(activation_bytes(base * prompt, batch))
+                + out * cm.hop_time(activation_bytes(base, batch))
+            )
+        assert len(job.handoff) == n_stages - 1
+        assert job.stage_prefill == pytest.approx(prefill, rel=1e-12)
+        assert job.stage_busy == pytest.approx(busy, rel=1e-12)
+        assert job.handoff == pytest.approx(handoff, rel=1e-12)
+        assert job.requests is requests
 
 
 class TestInflightSwap:

@@ -170,6 +170,23 @@ class TestPriorityPendingQueue:
         with pytest.raises(ValueError, match="aging"):
             self.make_queue(aging=0.0)
 
+    def test_explicit_stamps_oldest_and_arrival_order(self):
+        """Stamps default to the clock; an explicit one is kept as given.
+        ``oldest`` is the earliest stamp across classes and ``entries``
+        lists arrival order, not pop order."""
+        queue = self.make_queue(clock=lambda: 7.0)
+        assert queue.oldest() is None
+        queue.append(make_request(0, slo_class="interactive"))
+        queue.append(make_request(1, slo_class="batch"), 2.0)
+        queue.append(make_request(2, slo_class="batch"), 5.0)
+        assert queue.oldest() == 2.0
+        assert [(r.rid, t) for r, t in queue.entries()] == [
+            (0, 7.0), (1, 2.0), (2, 5.0)
+        ]
+        assert queue.popleft().rid == 0
+        assert queue.popleft().rid == 1
+        assert queue.oldest() == 5.0
+
 
 # ----------------------------------------------------------------------
 # Weighted-fair shedding
@@ -429,17 +446,17 @@ class TestEnableQoS:
     def test_enable_installs_priority_batchers(self, system):
         """Existing replicas swap to class-priority batch formation; the
         factory mints future replicas with it directly."""
-        from repro.pipeline.batching import PriorityBatcher
-
         system.start()
         system.sim.run(until=120.0)  # initial loads complete
         replicas = system.all_replicas()
         assert replicas
         assert all(
-            not isinstance(r.batcher, PriorityBatcher) for r in replicas
+            not isinstance(r.batcher.queue, PriorityPendingQueue) for r in replicas
         )
         system.enable_qos({"LLAMA2-7B": SLO_CLASSES["interactive"]})
-        assert all(isinstance(r.batcher, PriorityBatcher) for r in replicas)
+        assert all(
+            isinstance(r.batcher.queue, PriorityPendingQueue) for r in replicas
+        )
         assert system.factory.batch_priority_of is not None
         # A classed request of the interactive tenant outranks the other
         # tenant's standard default inside the same replica.

@@ -16,7 +16,6 @@ from repro.workloads.arrivals import (
 from repro.workloads.cv import SlidingWindowCV, count_cv, interarrival_cv
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import LengthDistribution, RequestSampler
-from repro.workloads.slo import SLO
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
 
@@ -165,18 +164,6 @@ class TestRequestSampler:
         req = RequestSampler("m", rng, slo_latency=10.0).sample(0.0)
         req.completion_time = 2.0
         assert req.slo_met
-
-
-class TestSLO:
-    def test_met_boundary(self):
-        slo = SLO(latency_target=2.0)
-        assert slo.met(2.0)
-        assert not slo.met(2.0001)
-        assert not slo.met(None)
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            SLO(latency_target=0.0)
 
 
 class TestWorkloadGenerator:
