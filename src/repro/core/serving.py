@@ -61,10 +61,11 @@ class ServingSystem(abc.ABC):
         self._gpu_holding_integral = 0.0
         self._last_sample = ctx.sim.now
         self._epoch_start = ctx.sim.now
-        # Max-over-monitors CV, recomputed at most once per ``cv_refresh``
-        # of simulated time: the windowed CV estimate is O(window arrivals)
-        # and consumers (Eq. 9 interference, placement scoring) query it on
-        # every stage start — far more often than it meaningfully changes.
+        # Max-over-monitors CV, refreshed at most once per ``cv_refresh``
+        # of simulated time.  Consumers (Eq. 9 interference, placement
+        # scoring) query it on every stage start; the value held for a
+        # control interval is part of the interference model, so reading
+        # the monitors live would change decisions, not just cost.
         self._cv_refresh = cv_refresh
         self._cv_cache = 0.0
         self._cv_cache_time = -math.inf

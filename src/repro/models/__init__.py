@@ -21,12 +21,6 @@ from repro.models.zoo import (
 )
 from repro.models.costs import CostModel, CostModelConfig, floor_pow2
 from repro.models.profiler import ModelProfile, StageProfile
-from repro.models.calibration import (
-    ProfileRow,
-    FitReport,
-    fit_cost_model,
-    TABLE2_ROWS,
-)
 
 __all__ = [
     "Operator",
@@ -45,8 +39,4 @@ __all__ = [
     "floor_pow2",
     "ModelProfile",
     "StageProfile",
-    "ProfileRow",
-    "FitReport",
-    "fit_cost_model",
-    "TABLE2_ROWS",
 ]

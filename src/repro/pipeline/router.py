@@ -128,14 +128,19 @@ class ModelRouter:
         target.submit(request)
 
     def _pick(self) -> PipelineReplica | None:
-        active = [r for r in self.replicas if r.accepting]
-        if not active:
-            return None
         # Normalise queue depth by the replica's *effective* batch: a
         # replica deployed degraded (halved batch under fragmentation)
         # serves at a fraction of its plan's capacity and must attract
-        # proportionally less load.
-        return min(active, key=lambda r: (r.queue_length / max(r.max_batch, 1)))
+        # proportionally less load.  One scan; the strict ``<`` keeps the
+        # first least-loaded replica, as ``min`` would.
+        best = None
+        best_load = 0.0
+        for replica in self.replicas:
+            if replica.accepting:
+                load = replica.queue_length / max(replica.max_batch, 1)
+                if best is None or load < best_load:
+                    best, best_load = replica, load
+        return best
 
     def _drain_pending(self) -> None:
         while self.pending:

@@ -35,6 +35,10 @@ reduces to):
     accepting replicas (Σ ``queue_length`` and Σ ``len(batcher)``), every
     router feeds the system's fleet totals, and those totals equal the
     recompute over all routers' pending queues and accepting replicas.
+``cv-window``
+    Every workload monitor's running inter-arrival CV equals
+    :func:`~repro.workloads.cv.interarrival_cv` (the Eq. 4 definition)
+    over the same in-window stamps, within ``1e-9 × max(1, cv)``.
 ``request-conservation`` / ``completion-uniqueness``
     Every generated request is rejected at the admission gate, completed
     exactly once, or still resident in an accounted queue — none lost.
@@ -89,6 +93,7 @@ from repro.pipeline.replica import (
     PipelineReplica,
     ReplicaState,
 )
+from repro.workloads.cv import interarrival_cv
 
 # Capacity comparisons happen at the 10^10-byte scale, where one float64
 # ulp is ~1.5e-5 bytes — an exactly-full GPU (the reclamation blocker
@@ -166,6 +171,7 @@ class InvariantAuditor:
         out += self._check_share_caps()
         out += self._check_borrow_accounting()
         out += self._check_queue_ledger()
+        out += self._check_cv_window()
         return out
 
     def audit_quiesce(self, *, expect_empty_allocator: bool = True) -> list[Violation]:
@@ -485,6 +491,24 @@ class InvariantAuditor:
                     f"{pending}/{queued}/{waiting}",
                 )
             )
+        return out
+
+    def _check_cv_window(self) -> list[Violation]:
+        out: list[Violation] = []
+        now = self.system.sim.now
+        for model, monitor in self.system.monitors.items():
+            window = monitor.window
+            stamps = window.stamps(now)
+            ref = interarrival_cv(stamps) if len(stamps) >= window.min_samples else 0.0
+            got = window.value(now)
+            if abs(got - ref) > 1e-9 * max(1.0, ref):
+                out.append(
+                    Violation(
+                        "cv-window",
+                        f"monitor {model}: running CV {got!r} != recompute "
+                        f"{ref!r} over {len(stamps)} stamps",
+                    )
+                )
         return out
 
     def _check_request_conservation(self) -> list[Violation]:

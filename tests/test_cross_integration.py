@@ -1,7 +1,7 @@
 """Cross-module integration: new subsystems driving the live serving stack.
 
 Each test wires several of the later-added components (trace replay,
-admission control, paged KV, calibration)
+admission control, paged KV)
 through the same public API an application would use, catching interface
 drift that unit tests cannot.
 """
@@ -13,11 +13,9 @@ import pytest
 
 from repro.cluster.cluster import make_small_cluster
 from repro.core.admission import AdmissionGate, SLOFeasiblePolicy
-from repro.core.context import ServingContext, get_profile
+from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
-from repro.models.calibration import TABLE2_ROWS, fit_cost_model
-from repro.models.costs import CostModel
-from repro.models.zoo import LLAMA2_7B, OPT_66B
+from repro.models.zoo import LLAMA2_7B
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.paged_kv import PagedKVCache, PagedKVConfig
 from repro.simulation.engine import Simulator
@@ -110,20 +108,3 @@ class TestPagedKVSizedFromProfile:
         assert cache.can_admit(4096) and cache.can_admit(2 * 4096)
         assert not cache.can_admit(3 * 4096)
         cache.check_invariants()
-
-
-class TestCalibrationDrivesCostModel:
-    def test_fitted_model_reproduces_table2_load_curve(self):
-        report = fit_cost_model(list(TABLE2_ROWS))
-        fitted = CostModel(report.config)
-        for row in TABLE2_ROWS:
-            assert fitted.cold_load_time(row.param_bytes) == pytest.approx(
-                row.load_time, rel=0.01
-            )
-
-    def test_fitted_model_profiles_a_real_graph(self):
-        report = fit_cost_model(list(TABLE2_ROWS))
-        profile = get_profile(OPT_66B, CostModel(report.config))
-        ladder = GranularityLadder(profile, stage_counts=(4, 8))
-        assert ladder.plan(8).n_stages == 8
-        assert ladder.plan(4).max_batch >= ladder.plan(8).max_batch / 4

@@ -7,7 +7,8 @@ to the recompute they replaced: after every engine event of seeded
 scenario cells that drain, fail, reclaim, refactor live, run QoS priority
 queues and DistServe decode pools, and through the auditor's
 ``queue-ledger`` invariant (including its power to catch a corrupted
-counter).
+counter).  The ``cv-window`` invariant, which holds the monitors' running
+inter-arrival CV to its recompute, is checked here the same way.
 """
 
 from __future__ import annotations
@@ -312,3 +313,23 @@ def test_auditor_flags_a_router_off_the_fleet_ledger():
     system.routers[next(iter(system.routers))].fleet = FleetQueue()
     found = _ledger_violations(driver.auditor.audit_running())
     assert len(found) == 1 and "does not feed" in found[0].detail
+
+
+@pytest.mark.parametrize("system", ["FlexPipe", "DistServe"])
+def test_auditor_flags_a_corrupted_cv_window(system):
+    """The ``cv-window`` invariant holds every monitor's running CV to the
+    Eq. 4 recompute over the same stamps."""
+    driver = _driver(system)
+    now = driver.system.sim.now
+
+    def cv_violations():
+        found = driver.auditor.audit_running()
+        return [v for v in found if v.invariant == "cv-window"]
+
+    assert cv_violations() == []
+    model, monitor = next(
+        (m, w) for m, w in driver.system.monitors.items() if w.cv(now) > 0
+    )
+    monitor.window._sq *= 1.01
+    found = cv_violations()
+    assert len(found) == 1 and f"monitor {model}:" in found[0].detail

@@ -3,8 +3,9 @@
 Each oracle below keeps the code a fast path replaced: the per-call
 ``np.log``/``np.clip`` length sampler, the full-array burst mask of
 :meth:`DiurnalTrace.generate`, and the recompute-on-every-read
-:class:`SlidingWindowCV`.  The fast paths must reproduce them exactly
-(same integers, same arrays, same float bits).
+:class:`SlidingWindowCV`.  The sampler and the trace must reproduce
+them exactly (same integers, same arrays, same float bits); the running
+CV must agree with the recompute within ``1e-9 x max(1, ref)``.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ def test_burst_mask_edges_are_half_open():
 
 
 # ----------------------------------------------------------------------
-# Windowed CV memo
+# Windowed CV: running state against the recompute
 # ----------------------------------------------------------------------
 class _ReferenceSlidingWindowCV:
-    """The recompute-on-every-read window the memo replaced."""
+    """The recompute-on-every-read window the running sums replaced."""
 
     def __init__(self, window: float, min_samples: int = 4):
         self.window = window
@@ -185,54 +186,147 @@ class _ReferenceSlidingWindowCV:
         return len(self._times)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_memoised_cv_equals_a_fresh_recompute(seed):
-    rng = np.random.default_rng(seed)
-    window = float(rng.choice([0.5, 5.0, 30.0]))
+def _assert_close(got: float, ref: float, where) -> None:
+    """The running estimate's contract: within 1e-9 x max(1, ref)."""
+    assert abs(got - ref) <= 1e-9 * max(1.0, ref), (where, got, ref)
+
+
+def _replay(window: float, ops) -> int:
+    """Feed ``("observe" | "read", t)`` ops to both windows, checking every
+    read; returns how many reads had a non-zero reference CV."""
     fast = SlidingWindowCV(window=window)
     reference = _ReferenceSlidingWindowCV(window)
+    nonzero = 0
+    last_read = None
+    for op, t in ops:
+        if op == "observe":
+            fast.observe(t)
+            reference.observe(t)
+            last_read = None
+            continue
+        got, ref = fast.value(t), reference.value(t)
+        _assert_close(got, ref, t)
+        if last_read is not None and last_read[0] == t:
+            assert got == last_read[1]  # a repeated read is the same value
+        last_read = (t, got)
+        assert fast.count(t) == reference.count(t)
+        nonzero += ref != 0.0
+    return nonzero
+
+
+def _random_ops(rng, window: float):
     now = 0.0
-    hits = 0
     for _ in range(1500):
         op = rng.random()
         if op < 0.45:  # an arrival: often a burst of equal stamps
             now += float(rng.exponential(0.2)) if rng.random() < 0.7 else 0.0
             for _ in range(int(rng.integers(1, 4))):
-                fast.observe(now)
-                reference.observe(now)
+                yield "observe", now
         elif op < 0.9:  # a read, often repeated at the same instant
-            got = fast.value(now)
-            assert got == reference.value(now)
-            hits += got != 0.0
+            yield "read", now
             if rng.random() < 0.5:
-                assert fast.value(now) == got
+                yield "read", now
         elif op < 0.97:  # time passes without arrivals
             now += float(rng.exponential(window / 4))
         else:  # a long gap expires the whole window
             now += window * float(rng.uniform(1.0, 3.0))
-        assert fast.count(now) == reference.count(now)
-    assert hits > 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_memoised_cv_equals_a_fresh_recompute(seed):
+    """The running window (which replaced the memo) against the recompute
+    on seeded join/trim/burst schedules, within 1e-9 x max(1, ref)."""
+    rng = np.random.default_rng(seed)
+    window = float(rng.choice([0.5, 5.0, 30.0]))
+    assert _replay(window, _random_ops(rng, window)) > 0
+
+
+def _equal_stamp_bursts(rng):
+    """Bursts of equal stamps: windows whose mean gap is exactly 0, or
+    is carried by a handful of non-zero gaps among many zero ones."""
+    now = 100.0
+    for _ in range(300):
+        for _ in range(int(rng.integers(1, 20))):
+            yield "observe", now
+            yield "read", now
+        now += float(rng.exponential(0.5)) if rng.random() < 0.8 else 6.0
+
+
+def _idle_gap_then_tiny_gaps(rng):
+    """One stamp, a long idle gap, then hundreds of ~0.1 ms gaps.  Reads
+    after the old stamp leaves see only the tiny gaps: the idle gap's
+    square left the running sum, cancelling all but ~1e-8 of it."""
+    now = 0.0
+    for _ in range(6):
+        start = now
+        yield "observe", now
+        now += float(rng.uniform(20.0, 29.0))
+        for _ in range(400):
+            yield "observe", now
+            now += float(rng.exponential(1e-4))
+        yield "read", now
+        for k in range(1, 40):
+            yield "read", start + 30.0 + k * 0.05
+        now = start + 30.0 + 2.0 + 30.0  # the whole window expires
+
+
+def _near_periodic(rng):
+    """Near-periodic arrivals (CV -> 0) far from t=0, whose period jumps
+    midway: the running mean leaves the pivot behind."""
+    now = float(rng.uniform(500.0, 5000.0))
+    period = float(rng.uniform(0.01, 0.5))
+    jitter = float(rng.choice([0.0, 1e-9, 1e-6]))
+    for k in range(3000):
+        yield "observe", now
+        yield "read", now
+        now += period * (1.0 + jitter * float(rng.standard_normal()))
+        if k == 1500:
+            period *= float(rng.uniform(0.3, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "schedule", [_equal_stamp_bursts, _idle_gap_then_tiny_gaps, _near_periodic]
+)
+def test_running_cv_on_adversarial_schedules(schedule, seed):
+    window = 5.0 if schedule is _equal_stamp_bursts else 30.0
+    assert _replay(window, schedule(np.random.default_rng(seed))) > 0
+
+
+def test_reads_never_change_the_running_state():
+    """The estimate at an instant depends on the arrivals alone, not on
+    when or how often the window was read (or counted) before — what
+    keeps reports identical across shards and with tracing on."""
+    rng = np.random.default_rng(7)
+    often, rarely = SlidingWindowCV(window=5.0), SlidingWindowCV(window=5.0)
+    checked = 0
+    for op, t in _random_ops(rng, 5.0):
+        if op == "observe":
+            often.observe(t)
+            rarely.observe(t)
+        else:
+            got = often.value(t)
+            often.count(t)
+            if rng.random() < 0.05:
+                assert rarely.value(t) == got
+                checked += got != 0.0
+    assert checked > 0
 
 
 def test_unchanged_window_is_not_recomputed(monkeypatch):
-    calls = []
+    """No window is ever recomputed: observe and value never call
+    ``interarrival_cv``, changed window or not."""
     real = cv_module.interarrival_cv
 
-    def counting(timestamps):
-        calls.append(len(timestamps))
-        return real(timestamps)
+    def forbidden(timestamps):
+        raise AssertionError("the running window recomputed from scratch")
 
-    monkeypatch.setattr(cv_module, "interarrival_cv", counting)
+    monkeypatch.setattr(cv_module, "interarrival_cv", forbidden)
     window = SlidingWindowCV(window=10.0)
-    for t in (0.0, 1.0, 1.5, 3.0, 3.0):
+    stamps = [0.0, 1.0, 1.5, 3.0, 3.0, 9.5]
+    for t in stamps:
         window.observe(t)
-    first = window.value(5.0)
-    assert window.value(5.0) == window.value(9.0) == first
-    assert calls == [5]
-    window.observe(9.5)  # an arrival changes the window
-    window.value(9.5)
-    window.value(10.5)  # the 0.0 stamp leaves: the window changed again
-    assert calls == [5, 6, 5]
-    window.value(60.0)  # everything expired: below min_samples, no compute
-    assert calls == [5, 6, 5]
-    assert window.value(60.0) == 0.0
+        window.value(t)
+    _assert_close(window.value(9.5), real(stamps), 9.5)
+    _assert_close(window.value(10.5), real(stamps[1:]), 10.5)  # 0.0 leaves
+    assert window.value(60.0) == 0.0  # everything expired
