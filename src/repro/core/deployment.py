@@ -168,12 +168,15 @@ class ReplicaFactory:
         cache = self.warm_cache
         if cache is None:
             return None
+        model = profile.spec.name
         bonuses: list[Callable] = []
         for sp in plan.stages:
             memo: dict[str, float] = {}
 
             def bonus(gpu, sp=sp, memo=memo) -> float:
                 server = gpu.server
+                if not cache.holds(server, model):
+                    return 0.0  # exactly what the empty coverage scores
                 value = memo.get(server.sid)
                 if value is None:
                     # now=None: a placement *probe* is not a use — touching

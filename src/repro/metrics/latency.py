@@ -20,7 +20,7 @@ def percentiles(values, qs=(50, 75, 90, 95, 99)) -> dict[int, float]:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         return {int(q): 0.0 for q in qs}
-    return {int(q): float(np.percentile(arr, q)) for q in qs}
+    return {int(q): float(v) for q, v in zip(qs, np.percentile(arr, qs))}
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,16 @@ Eviction policy is pluggable per cache instance (``CACHE_POLICIES``):
 
 Ranges are trimmed on insert and unioned on query, so overlapping entries
 never double-charge host memory nor double-count coverage.
+
+A per-model holder index counts, per server, the host and SSD entries of
+each model.  It changes only where entries are added or evicted, and lets
+``coverage_by_tier`` and placement probes answer 0.0 at once for a server
+that holds none of the model's bytes — the common case on a large fleet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.server import Server
 from repro.models.profiler import ModelProfile
@@ -95,6 +100,8 @@ class HostParamCache:
         self._ssd: dict[str, list[CacheEntry]] = {}
         # GDSF aging clock, per (server, tier).
         self._clock: dict[tuple[str, str], float] = {}
+        # model -> {sid: host + SSD entries of that model on the server}.
+        self._holders: dict[str, dict[str, int]] = {}
         self.hits = 0.0  # bytes served warm
         self.misses = 0.0  # bytes that had to come from storage
         # Observability: a FlightRecorder installed by a traced run (the
@@ -182,6 +189,10 @@ class HostParamCache:
                 return False
             victim = self._pick_victim(entries, sid, tier)
             entries.remove(victim)
+            held = self._holders[victim.model]
+            held[sid] -= 1
+            if not held[sid]:
+                del held[sid]
             release(victim.nbytes)
             if self.recorder is not None:
                 # The cache keeps no clock; the inserting entry's
@@ -203,6 +214,8 @@ class HostParamCache:
             if tier == "host":
                 self._demote(server, victim)
         entries.append(entry)
+        held = self._holders.setdefault(entry.model, {})
+        held[sid] = held.get(sid, 0) + 1
         return True
 
     def _demote(self, server: Server, victim: CacheEntry) -> None:
@@ -228,6 +241,10 @@ class HostParamCache:
             )
 
     # ------------------------------------------------------------------
+    def holds(self, server: Server, model: str) -> bool:
+        """Whether ``server`` caches any bytes of ``model`` (either tier)."""
+        return server.sid in self._holders.get(model, ())
+
     def _tier_coverage(
         self,
         tier: str,
@@ -288,6 +305,8 @@ class HostParamCache:
         Host takes precedence: SSD counts only bytes *not* host-covered,
         so the two never overlap and ``host + ssd <= stage_bytes``.
         """
+        if not self.holds(server, profile.spec.name):
+            return 0.0, 0.0
         stage_bytes = profile.graph.param_bytes(start, end)
         host, host_segs = self._tier_coverage(
             "host", server, profile, start, end, now

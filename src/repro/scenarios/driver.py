@@ -629,8 +629,13 @@ class ScenarioDriver:
         aggregate = self.system.summarize(measured)
         per_model: dict[str, RunSummary] = {}
         tenants: dict[str, TenantQoS] = {}
+        records_of: dict[str, list] = {}
+        for record in self.system.metrics.records:
+            records_of.setdefault(record.model, []).append(record)
         for script in spec.models:
-            summary = self._model_summary(script.model, measured, epoch)
+            summary = self._model_summary(
+                script.model, records_of.get(script.model, []), measured, epoch
+            )
             row = self._tenant_row(script, summary)
             tenants[script.model] = row
             per_model[script.model] = replace(
@@ -696,7 +701,7 @@ class ScenarioDriver:
         )
 
     def _model_summary(
-        self, model: str, measured: float, epoch: float
+        self, model: str, records: list, measured: float, epoch: float
     ) -> RunSummary:
         """Per-tenant summary of *admitted* and completed work.
 
@@ -704,12 +709,11 @@ class ScenarioDriver:
         here (the summary's ``offered`` means admitted); the report's
         top-level ``offered`` counts everything generated, with ``shed``
         carrying the difference.  The collector was fed at arrival time
-        (streaming), so only completion records are attached here.
+        (streaming), so only the tenant's completion ``records`` (in
+        completion order) are attached here.
         """
         collector = self.collectors[model]
-        collector.records = [
-            r for r in self.system.metrics.records if r.model == model
-        ]
+        collector.records = records
         return collector.summarize(measured, measure_from=epoch)
 
 

@@ -22,7 +22,7 @@ simulator is :mod:`repro.scenarios.driver`'s job.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from repro.models.zoo import get_model
 from repro.qos.classes import SLO_CLASSES
@@ -35,15 +35,64 @@ CLUSTERS = ("paper", "small")
 QOS_MODES = ("auto", "on", "off")
 
 
-def _build(cls, data: dict):
-    """``cls(**data)``, rejecting keys that are not fields of ``cls``."""
+# JSON value kinds accepted per annotated field type (``X | None`` also
+# takes null); a bool is never a number here.
+_JSON_KINDS = {
+    "float": ((int, float), "a number"),
+    "int": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
+def _build(cls, data: dict, where: str = ""):
+    """``cls(**data)`` from one JSON object (an entry of the list field
+    ``where``, if given).  Malformed input — not an object, an unknown or
+    missing key, a value of the wrong JSON kind — raises ``ValueError``
+    naming the class and the field."""
+    owner = cls.__name__
+    if not isinstance(data, dict):
+        place = f" in {where!r}" if where else ""
+        raise ValueError(f"{owner}: expected an object{place}, got {data!r}")
     valid = sorted(f.name for f in fields(cls))
     unknown = sorted(set(data) - set(valid))
     if unknown:
         raise ValueError(
-            f"unknown {cls.__name__} key(s) {unknown}; valid fields: {valid}"
+            f"unknown {owner} key(s) {unknown}; valid fields: {valid}"
         )
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{owner}: missing required field {f.name!r}")
+            continue
+        value = data[f.name]
+        base = f.type.removesuffix(" | None")
+        if base not in _JSON_KINDS or (value is None and base != f.type):
+            continue
+        kinds, expected = _JSON_KINDS[base]
+        if isinstance(value, bool) != (base == "bool") or not isinstance(value, kinds):
+            raise ValueError(
+                f"{owner}: field {f.name!r} must be {expected}, got {value!r}"
+            )
     return cls(**data)
+
+
+def _entries(owner: str, data: dict, key: str):
+    """The JSON array under ``key`` (empty when absent)."""
+    value = data.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{owner}: field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _model_script(data: dict) -> "ModelScript":
+    if isinstance(data, dict):
+        segments = tuple(
+            _build(ArrivalSegment, s, "segments")
+            for s in _entries("ModelScript", data, "segments")
+        )
+        data = {**data, "segments": segments or (ArrivalSegment(),)}
+    return _build(ModelScript, data, "models")
 
 
 @dataclass(frozen=True)
@@ -388,26 +437,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__}: expected an object, got {data!r}")
         data = dict(data)
         data["models"] = tuple(
-            _build(
-                ModelScript,
-                {
-                    **m,
-                    "segments": tuple(
-                        _build(ArrivalSegment, s) for s in m.get("segments", ())
-                    )
-                    or (ArrivalSegment(),),
-                },
-            )
-            for m in data.get("models", ())
+            _model_script(m) for m in _entries("ScenarioSpec", data, "models")
         )
         data["events"] = tuple(
-            _build(ScenarioEvent, e) for e in data.get("events", ())
+            _build(ScenarioEvent, e, "events")
+            for e in _entries("ScenarioSpec", data, "events")
         )
         source = data.get("azure2019")
-        if isinstance(source, dict):
-            data["azure2019"] = _build(Azure2019Source, source)
+        if source is not None:
+            data["azure2019"] = _build(Azure2019Source, source, "azure2019")
         return _build(cls, data)
 
     @classmethod

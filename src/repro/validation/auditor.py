@@ -39,6 +39,13 @@ reduces to):
     Every workload monitor's running inter-arrival CV equals
     :func:`~repro.workloads.cv.interarrival_cv` (the Eq. 4 definition)
     over the same in-window stamps, within ``1e-9 × max(1, cv)``.
+``link-rates``
+    Every fair-share link (cluster storage, each server's PCIe/NIC/SSD,
+    each rack's uplink) holds the two-pass rate rule recomputed from its
+    in-flight caps: each stream's class (capped / own-paced / fair-paced)
+    matches, its held rate is within ``1e-9`` relative, its remaining
+    bytes lie in ``[0, bytes it joined with]``, and the held rates sum to
+    at most ``bandwidth × (1 + 1e-9)``.
 ``request-conservation`` / ``completion-uniqueness``
     Every generated request is rejected at the admission gate, completed
     exactly once, or still resident in an accounted queue — none lost.
@@ -84,6 +91,7 @@ reduces to):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -172,6 +180,7 @@ class InvariantAuditor:
         out += self._check_borrow_accounting()
         out += self._check_queue_ledger()
         out += self._check_cv_window()
+        out += self._check_link_rates()
         return out
 
     def audit_quiesce(self, *, expect_empty_allocator: bool = True) -> list[Violation]:
@@ -510,6 +519,19 @@ class InvariantAuditor:
                     )
                 )
         return out
+
+    def _check_link_rates(self) -> list[Violation]:
+        cluster = self._cluster
+        links = [cluster.storage]
+        for server in cluster.servers:
+            links += (server.pcie, server.nic, server.ssd)
+        links += (rack.uplink for rack in cluster.racks)
+        return [
+            Violation("link-rates", f"link {link.spec.name}: {problem}")
+            for link in links
+            if link.active_count
+            for problem in link_rate_problems(link)
+        ]
 
     def _check_request_conservation(self) -> list[Violation]:
         out: list[Violation] = []
@@ -916,3 +938,47 @@ class InvariantAuditor:
                     )
                 )
         return out
+
+
+def link_rate_problems(link) -> list[str]:
+    """Where ``link``'s held state departs from the two-pass rate rule
+    recomputed from its in-flight caps (the ``link-rates`` invariant)."""
+    streams = link.in_flight()
+    if not streams:
+        return []
+    bandwidth, latency = link.spec.bandwidth, link.spec.latency
+    share = bandwidth / len(streams)
+    capped = [
+        h.max_rate for h in streams if h.max_rate is not None and h.max_rate < share
+    ]
+    n_open = len(streams) - len(capped)
+    fair = max(bandwidth - math.fsum(capped), 0.0) / n_open if n_open else 0.0
+    vtime = link.virtual_time(link.sim.now)
+    out: list[str] = []
+    for i, h in enumerate(streams):
+        cap = h.max_rate
+        if cap is not None and cap < share:
+            kind, rate = "capped", cap
+        elif cap is not None and cap <= fair:
+            kind, rate = "own", cap
+        else:
+            kind, rate = "fair", fair
+        rate = max(rate, 1e-9)
+        held = link.stream_class(h)
+        # A cap within 1e-9 of ``fair`` runs at the same rate either way.
+        if held != kind and not (
+            cap is not None and abs(cap - fair) <= 1e-9 * fair
+        ):
+            out.append(f"stream #{i} held {held!r}, rule says {kind!r}")
+        if abs(h.rate - rate) > 1e-9 * rate:
+            out.append(f"stream #{i} rate {h.rate!r} != recompute {rate!r}")
+        joined = h.nbytes + latency * min(cap or bandwidth, bandwidth)
+        remaining = h.remaining
+        if not 0.0 <= remaining <= joined + 1e-9 * max(1.0, joined, vtime):
+            out.append(
+                f"stream #{i} remaining {remaining!r} outside [0, {joined!r}]"
+            )
+    total = math.fsum(h.rate for h in streams)
+    if total > bandwidth * (1 + 1e-9):
+        out.append(f"held rates sum to {total!r} > bandwidth {bandwidth!r}")
+    return out

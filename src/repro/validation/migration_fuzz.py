@@ -51,7 +51,10 @@ fine-unit byte view :func:`plan_inplace_delta` gives it)
     * every transfer completes, exactly once;
     * no transfer beats its physics: duration >= latency +
       bytes / min(bandwidth, rate cap);
-    * the link conserves work: busy time covers the bytes moved.
+    * the link conserves work: busy time covers the bytes moved;
+    * the lazily kept rates follow the two-pass rule at every
+      completion (the auditor's ``link-rates`` check), also in one
+      many-stream round per case (hundreds of concurrent streams).
 
 Cases are seeded and picklable; ``fuzz_seeds`` fans them out through the
 parallel experiment runner (``repro fuzz --seeds N``).
@@ -74,7 +77,7 @@ from repro.transfer.migration import (
     MigrationSchedule,
     channels_of,
 )
-from repro.validation.auditor import Violation
+from repro.validation.auditor import Violation, link_rate_problems
 
 _EPS = 1e-6
 
@@ -668,6 +671,11 @@ def fuzz_migration_case(case: MigrationFuzzCase) -> MigrationFuzzReport:
         for _ in range(case.link_rounds):
             report.violations += fuzz_link_case(link_rng)
             report.transfers += 1
+        # One many-stream round, on its own stream so that the other
+        # rounds draw the same cases as before it existed.
+        many_rng = RandomStreams(case.seed).stream("link-fuzz-many")
+        report.violations += fuzz_link_case(many_rng, streams=(300, 800))
+        report.transfers += 1
         # Own stream: the migration/link rounds above draw byte-identical
         # sequences whether or not in-place fuzzing runs.
         inplace_rng = RandomStreams(case.seed).stream("inplace-fuzz")
@@ -686,15 +694,22 @@ def fuzz_migration_case(case: MigrationFuzzCase) -> MigrationFuzzReport:
 # ----------------------------------------------------------------------
 # FairShareLink fuzz
 # ----------------------------------------------------------------------
-def fuzz_link_case(rng) -> list[Violation]:
-    """One random contention workload against a FairShareLink."""
+def fuzz_link_case(rng, *, streams=(1, 24)) -> list[Violation]:
+    """One random contention workload against a FairShareLink;
+    ``streams`` bounds the transfer count (``[lo, hi)``)."""
     out: list[Violation] = []
     sim = Simulator()
     bandwidth = float(rng.uniform(0.5, 32.0)) * 1024 * MB
     latency = float(rng.choice([0.0, 1e-4, 1e-3]))
     link = FairShareLink(sim, LinkSpec("fuzz-link", bandwidth, latency))
-    n = int(rng.integers(1, 24))
+    n = int(rng.integers(*streams))
     handles = []
+    problems: list[str] = []
+
+    def check_rates() -> None:
+        if not problems:  # the first broken state is the reproducer
+            problems.extend(link_rate_problems(link))
+
     for i in range(n):
         nbytes = 0.0 if rng.random() < 0.08 else float(
             rng.lognormal(mean=0.0, sigma=2.0) * 16 * MB
@@ -708,10 +723,11 @@ def fuzz_link_case(rng) -> list[Violation]:
         sim.schedule(
             start_at,
             lambda nb=nbytes, c=cap: handles.append(
-                link.transfer(nb, max_rate=c)
+                link.transfer(nb, check_rates, max_rate=c)
             ),
         )
     sim.run_until_idle()
+    out += [Violation("link-rates", problem) for problem in problems]
 
     done = [h for h in handles if h.done]
     if len(done) != n:

@@ -204,6 +204,87 @@ class TestTwoTier:
         assert entry.freq == 2
 
 
+class TestHolderIndex:
+    """The per-model holder index against a scan of the entries.
+
+    Seeded put sequences on small host/SSD tiers force evictions and
+    demotions; after every put the index must equal a recount of every
+    server's host and SSD entries, and the placement bonuses (which skip
+    non-holders through the index) must equal the unindexed coverage
+    scan."""
+
+    @staticmethod
+    def _scan_index(cache, servers):
+        index: dict[str, dict[str, int]] = {}
+        for server in servers:
+            for tier in ("host", "ssd"):
+                for entry in cache.entries_for(server, tier):
+                    held = index.setdefault(entry.model, {})
+                    held[server.sid] = held.get(server.sid, 0) + 1
+        return index
+
+    @staticmethod
+    def _scan_bonus(cache, server, profile, sp) -> float:
+        """The bonus from the entry scan alone (no index)."""
+        stage_bytes = profile.graph.param_bytes(sp.start, sp.end)
+        host, segs = cache._tier_coverage(
+            "host", server, profile, sp.start, sp.end, None
+        )
+        ssd, _ = cache._tier_coverage(
+            "ssd", server, profile, sp.start, sp.end, None, exclude=segs
+        )
+        host = min(host, stage_bytes)
+        ssd = min(ssd, stage_bytes - host)
+        return (2.0 * host + 1.0 * ssd) / max(sp.param_bytes, 1.0)
+
+    @pytest.mark.parametrize("policy", ["lru", "gdsf"])
+    def test_index_and_bonuses_match_the_scan(self, ctx, llama_profile, policy):
+        rng = random.Random(f"holders-{policy}")
+        cache = HostParamCache(policy=policy)
+        servers = ctx.cluster.servers
+        for server in servers:
+            server.host_memory = 6 * GB
+            server.ssd_capacity = 9 * GB
+        profiles = {
+            name: SimpleNamespace(
+                spec=SimpleNamespace(name=name), graph=llama_profile.graph
+            )
+            for name in ("m0", "m1", "m2", "m3", "m4")
+        }
+        plan = ctx.ladder(LLAMA2_7B, (2, 4)).plan(4)
+        factory, _, _ = _factory(ctx, warm_cache=cache)
+        n_ops = len(llama_profile.graph)
+        for step in range(400):
+            server = rng.choice(servers)
+            name = rng.choice(sorted(profiles))
+            lo = rng.randrange(0, n_ops - 1)
+            hi = rng.randrange(lo + 1, n_ops + 1)
+            cache.put(
+                server,
+                name,
+                lo,
+                hi,
+                rng.uniform(0.3, 2.5) * GB,
+                now=float(step),
+                load_cost=rng.uniform(1.0, 20.0),
+            )
+            held = {m: h for m, h in cache._holders.items() if h}
+            assert held == self._scan_index(cache, servers)
+            if step % 20:
+                continue
+            for name, profile in profiles.items():
+                bonuses = factory._coverage_bonuses(profile, plan)
+                for bonus, sp in zip(bonuses, plan.stages):
+                    for gpu in ctx.cluster.gpus:
+                        assert bonus(gpu) == self._scan_bonus(
+                            cache, gpu.server, profile, sp
+                        )
+        # The sequence really evicted and demoted, on several servers.
+        assert sum(cache.entry_count(s, "ssd") for s in servers) > 0
+        assert sum(s.ssd_used for s in servers) > 0
+        assert len({sid for h in cache._holders.values() for sid in h}) > 1
+
+
 class TestPipelinedLoading:
     def test_pipelined_activates_before_full_load(self, ctx):
         plan = ctx.ladder(LLAMA2_7B, (2, 4)).plan(4)

@@ -19,9 +19,11 @@ from repro.experiments.systems import CHAOS_SYSTEMS
 from repro.models.zoo import LLAMA2_7B
 from repro.pipeline.replica import ReplicaState
 from repro.scenarios.driver import ScenarioCase, run_scenario_case
+from repro.scenarios.library import get_scenario
 from repro.scenarios.spec import ModelScript
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
+from repro.transfer.links import GB, FairShareLink
 from repro.validation import InvariantAuditor, InvariantViolationError
 from repro.validation.chaos import PAPER_FLEETS, audit_seeds, chaos_spec
 from repro.workloads.arrivals import make_arrivals
@@ -527,3 +529,84 @@ class TestShedAccountingDetection:
         gate.stats.admitted -= 1
         gate.stats.rejected += 1
         assert "shed-accounting" in invariants_of(auditor.audit_quiesce())
+
+
+# ----------------------------------------------------------------------
+# link-rates: the lazy fair-share links against the two-pass recompute
+# ----------------------------------------------------------------------
+class TestLinkRates:
+    """A corrupted stream class, held rate or remaining on a fair-share
+    link is flagged mid-run and by the quiesce entry point."""
+
+    @pytest.fixture
+    def loading(self):
+        """DistServe cold-starting ``coldstart-economy``: 200 checkpoint
+        loads share the cluster storage link."""
+        from repro.scenarios.driver import ScenarioDriver
+
+        driver = ScenarioDriver(
+            ScenarioCase(get_scenario("coldstart-economy").quick(), "DistServe", 0)
+        )
+        driver.start()
+        driver.advance(1.0)
+        storage = driver.system.ctx.cluster.storage
+        assert storage.active_count >= 100
+        return InvariantAuditor(driver.system), storage
+
+    @staticmethod
+    def _link_rates(violations):
+        return [v for v in violations if v.invariant == "link-rates"]
+
+    def _flagged(self, auditor, text):
+        running = self._link_rates(auditor.audit_running())
+        quiesce = self._link_rates(
+            auditor.audit_quiesce(expect_empty_allocator=False)
+        )
+        return [
+            found
+            for found in (running, quiesce)
+            if any(text in v.detail for v in found)
+        ]
+
+    def test_clean_links_audit_clean(self, loading):
+        auditor, _storage = loading
+        assert self._link_rates(auditor.audit_running()) == []
+
+    def test_corrupted_group_flagged(self, loading):
+        auditor, storage = loading
+        handle = storage.in_flight()[3]
+        assert storage.stream_class(handle) == "fair"
+        handle._own = True  # filed as own-paced at the fair rate
+        handle._rate = storage._fair_rate
+        handle._r0, handle._t0 = handle.nbytes, storage.sim.now
+        assert len(self._flagged(auditor, "held 'own', rule says 'fair'")) == 2
+
+    def test_corrupted_rate_flagged(self, loading):
+        auditor, storage = loading
+        storage._fair_rate *= 1.01
+        assert len(self._flagged(auditor, "!= recompute")) == 2
+
+    def test_corrupted_remaining_flagged(self, loading):
+        auditor, storage = loading
+        storage.in_flight()[0]._key += 100 * GB
+        assert len(self._flagged(auditor, "outside [0,")) == 2
+
+    def test_every_link_event_holds_the_rule(self, monkeypatch):
+        """The per-event oracle: after every start and finish on every link
+        of a real cold-start cell, the held state is the rule's."""
+        from repro.validation.auditor import link_rate_problems
+
+        reschedule = FairShareLink._reschedule
+        checked, problems = [0], []
+
+        def audited(link):
+            reschedule(link)
+            if link.active_count:
+                checked[0] += 1
+                problems.extend(link_rate_problems(link))
+
+        monkeypatch.setattr(FairShareLink, "_reschedule", audited)
+        spec = get_scenario("coldstart-economy").quick()
+        report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0))
+        assert report.violations == [] and problems == []
+        assert checked[0] > 500

@@ -8,7 +8,7 @@ import pytest
 
 from repro.simulation.engine import Simulator
 from repro.transfer.datamover import DataMover, TransferCosts, TransferMethod
-from repro.transfer.links import GB, FairShareLink, LinkSpec, TransferHandle
+from repro.transfer.links import GB, FairShareLink, LinkSpec
 
 
 def make_link(sim, bandwidth=1.0 * GB, latency=0.0):
@@ -16,23 +16,28 @@ def make_link(sim, bandwidth=1.0 * GB, latency=0.0):
 
 
 def _waterfill_two_lists(active, bandwidth):
-    """Waterfilled rates from the two-list partition (``uncapped`` built by
-    a membership scan of ``capped``), kept as the single-pass oracle."""
+    """Rates and classes from the two-list partition (``uncapped`` built by
+    a membership scan of ``capped``), kept as the rate-rule oracle.
+
+    A stream is ``"capped"`` when it lands in the capped list, ``"own"``
+    when the uncapped ``min(cap, fair)`` picks its cap, else ``"fair"``."""
     share = bandwidth / len(active)
     capped = [h for h in active if h.max_rate is not None and h.max_rate < share]
     uncapped = [h for h in active if h not in capped]
     rate = {}
+    kind = {}
     used = 0.0
     for handle in capped:
         rate[handle] = handle.max_rate
+        kind[handle] = "capped"
         used += rate[handle]
     if uncapped:
         fair = max(bandwidth - used, 0.0) / len(uncapped)
         for handle in uncapped:
-            rate[handle] = (
-                min(handle.max_rate, fair) if handle.max_rate is not None else fair
-            )
-    return [max(rate[h], 1e-9) for h in active]
+            own = handle.max_rate is not None and handle.max_rate <= fair
+            rate[handle] = handle.max_rate if own else fair
+            kind[handle] = "own" if own else "fair"
+    return [max(rate[h], 1e-9) for h in active], [kind[h] for h in active]
 
 
 class TestFairShareLink:
@@ -133,14 +138,16 @@ class TestFairShareLink:
             FairShareLink(sim, LinkSpec("bad", 0.0))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_waterfill_matches_two_list_partition(self, sim, seed):
+    def test_waterfill_matches_two_list_partition(self, seed):
+        """The same cap mixes, started through ``transfer()`` and read
+        through the public ``rate``: classes identical, rates within 1e-12
+        relative of the two-list partition."""
         rng = random.Random(seed)
         bandwidth = rng.uniform(0.5, 20.0) * GB
-        link = make_link(sim, bandwidth=bandwidth)
         for _ in range(25):
             n = rng.randint(1, 40)
             share = bandwidth / n
-            handles = []
+            caps = []
             for _ in range(n):
                 kind = rng.choice(["none", "below", "above", "equal"])
                 cap = {
@@ -149,11 +156,14 @@ class TestFairShareLink:
                     "above": share * rng.uniform(1.001, 50.0),
                     "equal": share,
                 }[kind]
-                handles.append(TransferHandle(GB, None, cap))
-            link._active = handles
-            expected = _waterfill_two_lists(handles, bandwidth)
-            link._waterfill()
-            assert [h.rate for h in handles] == expected
+                caps.append(cap)
+            sim = Simulator()
+            link = make_link(sim, bandwidth=bandwidth)
+            handles = [link.transfer(GB, max_rate=cap) for cap in caps]
+            rates, classes = _waterfill_two_lists(handles, bandwidth)
+            assert [link.stream_class(h) for h in handles] == classes
+            for handle, want in zip(handles, rates):
+                assert handle.rate == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_serial_time_helper(self):
         spec = LinkSpec("s", 2.0 * GB, latency=0.1)

@@ -44,6 +44,19 @@ class TestLatencyStats:
         ordered = [ps[q] for q in (50, 75, 90, 95, 99)]
         assert ordered == sorted(ordered)
 
+    def test_percentiles_match_the_per_q_loop_exactly(self):
+        """One vectorised ``np.percentile`` call equals one call per ``q``,
+        bit for bit, over seeded arrays (sizes 1, 2, ties, all-equal)."""
+        qs = (50, 75, 90, 95, 99)
+        rng = np.random.default_rng(7)
+        arrays = [np.array([3.25]), np.array([1.0, 2.5]), np.full(17, 0.125)]
+        for size in (3, 10, 57, 300):
+            arrays.append(rng.lognormal(0.0, 1.5, size))
+            arrays.append(rng.integers(0, 5, size).astype(float))
+        for values in arrays:
+            loop = {q: float(np.percentile(values, q)) for q in qs}
+            assert percentiles(values, qs) == loop
+
     def test_breakdown_total(self):
         b = LatencyBreakdown(queue=1.0, execution=2.0, communication=0.5)
         assert b.total == 3.5

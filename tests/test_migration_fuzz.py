@@ -173,6 +173,23 @@ class TestLinkProperties:
             violations = fuzz_link_case(rng)
             assert violations == [], "\n".join(map(str, violations))
 
+    def test_many_stream_round_audits_the_rate_rule(self, monkeypatch):
+        """Hundreds of streams hold the two-pass rule at every completion,
+        and a skewed fair-group rate is caught (detection power)."""
+        def round_():
+            rng = RandomStreams(0).stream("links-many")
+            return fuzz_link_case(rng, streams=(300, 400))
+
+        assert round_() == []
+        rebalance = FairShareLink._rebalance
+
+        def skewed(link, now):
+            rebalance(link, now)
+            link._fair_rate *= 1.001
+
+        monkeypatch.setattr(FairShareLink, "_rebalance", skewed)
+        assert "link-rates" in invariants_of(round_())
+
     def test_contention_never_speeds_a_stream_up(self):
         """Fair sharing: adding background streams cannot make a transfer
         finish earlier than it does alone."""

@@ -185,6 +185,74 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=misspelled):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "document, owner, field",
+        [
+            ('{"models": [{"model": "LLAMA2-7B"}]}', "ScenarioSpec", "'name'"),
+            ('{"name": "x", "models": [{"qps": 1.0}]}', "ModelScript", "'model'"),
+            ('{"name": "x", "models": [3]}', "ModelScript", "'models'"),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B", "segments": [7]}]}',
+                "ArrivalSegment",
+                "'segments'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}], "events": null}',
+                "ScenarioSpec",
+                "'events'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}], "settle": "abc"}',
+                "ScenarioSpec",
+                "'settle'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B",'
+                ' "segments": [{"qps": "fast"}]}]}',
+                "ArrivalSegment",
+                "'qps'",
+            ),
+            ("[]", "ScenarioSpec", "object"),
+            ("5", "ScenarioSpec", "object"),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}],'
+                ' "fragmentation": "no"}',
+                "ScenarioSpec",
+                "'fragmentation'",
+            ),
+            (
+                '{"name": 5, "models": [{"model": "LLAMA2-7B"}]}',
+                "ScenarioSpec",
+                "'name'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}], "azure2019": 5}',
+                "Azure2019Source",
+                "'azure2019'",
+            ),
+        ],
+        ids=[
+            "missing-name",
+            "missing-model",
+            "model-not-object",
+            "segment-not-object",
+            "events-null",
+            "settle-string",
+            "qps-string",
+            "document-list",
+            "document-number",
+            "bool-string",
+            "name-number",
+            "trace-source-number",
+        ],
+    )
+    def test_malformed_spec_is_a_value_error(self, document, owner, field):
+        """Malformed JSON specs fail with a ValueError naming the class and
+        the field, never a TypeError traceback."""
+        with pytest.raises(ValueError) as info:
+            ScenarioSpec.from_json(document)
+        assert owner in str(info.value) and field in str(info.value)
+
     def test_catalog_lookup(self):
         assert get_scenario("tenant-churn").name == "tenant-churn"
         with pytest.raises(KeyError, match="available"):
