@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-import statistics
+import math
 from typing import Callable
 
 from repro.cluster.allocator import StageReservation
@@ -119,17 +119,26 @@ class PipelineReplica:
     # Construction helpers
     # ------------------------------------------------------------------
     def _set_plan(self, plan: PartitionPlan) -> None:
-        """Install a plan and hoist the per-stage constants batch formation
-        reads on every job (the profile aggregates never change per plan)."""
+        """Install a plan and drop the per-batch-size stage costs memoised
+        for the previous one (see :meth:`_batch_costs`)."""
         self.plan = plan
-        self._stage_consts = [
-            (
-                s.profile.flops_per_token,
-                s.param_bytes,
-                128 * s.profile.boundary_act_bytes_per_token,  # Eq. 3 base batch
-            )
-            for s in plan.stages
-        ]
+        self._costs_by_batch: dict[int, tuple] = {}
+
+    def _batch_costs(self, batch: int) -> tuple:
+        """The batch-size-only factors of :meth:`_make_job`, built once per
+        plan and batch size: the Eq. 3 activation factor and, per stage,
+        ``(flops_per_token, decode_iter_time, act_base, decode_hop)``.
+        Building through the cost model runs its argument checks here."""
+        cm = self.profile.cost_model
+        last = self.plan.n_stages - 1
+        per_stage = []
+        for k, s in enumerate(self.plan.stages):
+            act_base = 128 * s.profile.boundary_act_bytes_per_token  # Eq. 3 base batch
+            hop = cm.hop_time(activation_bytes(act_base, batch)) if k < last else 0.0
+            iter_time = cm.decode_iter_time(s.param_bytes, batch)
+            per_stage.append((s.profile.flops_per_token, iter_time, act_base, hop))
+        costs = self._costs_by_batch[batch] = (activation_bytes(1.0, batch), per_stage)
+        return costs
 
     def _build_stages(
         self, plan: PartitionPlan, reservations: list[StageReservation]
@@ -267,25 +276,27 @@ class PipelineReplica:
     def _make_job(self, requests: list[Request]) -> BatchJob:
         """Batch formation: each stage's busy and prefill time and each
         inter-stage handoff, from the cost model at the batch's mean
-        prompt and output lengths."""
-        cm = self.profile.cost_model
+        prompt and output lengths.  Every float is computed in the cost
+        model's own expression order, so it is bit-equal to calling
+        ``prefill_time``, ``decode_iter_time`` and ``hop_time``."""
         batch = len(requests)
-        mean_prompt = statistics.fmean(r.prompt_tokens for r in requests)
-        mean_out = statistics.fmean(r.output_tokens for r in requests)
+        factor, per_stage = self._costs_by_batch.get(batch) or self._batch_costs(batch)
+        cfg = self.profile.cost_model.config
+        prefill_overhead, peak_flops = cfg.prefill_overhead, cfg.peak_flops
+        hop_overhead, bandwidth = cfg.hop_overhead, cfg.network_bandwidth
+        mean_prompt = math.fsum([r.prompt_tokens for r in requests]) / batch
+        mean_out = math.fsum([r.output_tokens for r in requests]) / batch
+        tokens = batch * mean_prompt
         stage_busy, stage_prefill, handoff = [], [], []
-        consts = self._stage_consts
-        last = len(consts) - 1
-        for k, (flops_per_token, param_bytes, act_base) in enumerate(consts):
-            prefill = cm.prefill_time(flops_per_token, batch * mean_prompt)
-            decode = mean_out * cm.decode_iter_time(param_bytes, batch)
+        for flops_per_token, iter_time, act_base, decode_hop in per_stage:
+            prefill = prefill_overhead + tokens * flops_per_token / peak_flops
             stage_prefill.append(prefill)
-            stage_busy.append(prefill + decode)
-            if k < last:
-                act_prefill = activation_bytes(act_base * mean_prompt, batch)
-                act_decode = activation_bytes(act_base, batch)
-                handoff.append(
-                    cm.hop_time(act_prefill) + mean_out * cm.hop_time(act_decode)
-                )
+            stage_busy.append(prefill + mean_out * iter_time)
+            handoff.append(
+                (hop_overhead + act_base * mean_prompt * factor / bandwidth)
+                + mean_out * decode_hop
+            )
+        handoff.pop()  # the last stage hands off to nobody
         return BatchJob(
             jid=next(_job_ids),
             requests=requests,

@@ -12,7 +12,7 @@ from repro.partitioning.plan import StagePlan
 from repro.simulation.engine import Simulator
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchJob:
     """One batch travelling through the pipeline.
 
@@ -129,18 +129,20 @@ class StageRuntime:
             return
         job, enqueued_at = self.queue.popleft()
         self.busy = True
+        now = self.sim.now
+        gpu = self.gpu
         if self.first_started_at is None:
-            self.first_started_at = self.sim.now
-        waited = self.sim.now - enqueued_at
+            self.first_started_at = now
         if self.index > 0:
-            self.stall_seconds += waited
-        duration = job.stage_busy[self.index] * self.interference(self.gpu)
-        job.stage_started.append(self.sim.now)
+            self.stall_seconds += now - enqueued_at
+        busy = job.stage_busy[self.index]
+        duration = busy * self.interference(gpu)
+        job.stage_started.append(now)
         if job.exec_start is None:
-            job.exec_start = self.sim.now
+            job.exec_start = now
         job.exec_time += duration
         # Serialise on the GPU: other models' stages may also occupy it.
-        completion = self.gpu.occupy(self.sim.now, duration)
+        completion = gpu.occupy(now, duration)
         self.busy_seconds += duration
         marks = job.marks
         if marks is not None:
@@ -150,7 +152,6 @@ class StageRuntime:
             gate_wait = 0.0
             if self.was_gated and self.loaded_at is not None:
                 gate_wait = max(0.0, self.loaded_at - enqueued_at)
-            busy = job.stage_busy[self.index]
             prefill_scaled = (
                 duration * (job.stage_prefill[self.index] / busy)
                 if busy > 0.0
@@ -160,14 +161,14 @@ class StageRuntime:
                 (
                     self.index,
                     enqueued_at,
-                    self.sim.now,
+                    now,
                     gate_wait,
-                    completion - self.sim.now - duration,
+                    completion - now - duration,
                     completion,
                     prefill_scaled,
                 )
             )
-        self.sim.schedule(completion - self.sim.now, self._complete, job)
+        self.sim.schedule(completion - now, self._complete, job)
 
     def _complete(self, job: BatchJob) -> None:
         self.busy = False

@@ -10,6 +10,10 @@ Determinism guarantees:
 * events scheduled for the same timestamp fire in scheduling (FIFO) order;
 * cancelled events are skipped without side effects.
 
+The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+``heapq`` orders entries by ``(time, seq)`` with C tuple comparisons and
+never reaches the :class:`Event` handle itself.
+
 Bookkeeping is O(1): the simulator maintains a live-event counter so
 ``pending_count`` / ``run_until_idle`` never scan the heap, and cancelled
 events are compacted out of the heap once they dominate it, keeping both
@@ -19,8 +23,8 @@ under cancel-heavy workloads (batch timers, scale-in watchdogs).
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 # Compact the heap when it holds more than this many cancelled entries and
@@ -60,11 +64,6 @@ class Event:
             # Still queued: keep the simulator's live/dead counts exact.
             sim._on_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -82,7 +81,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -103,10 +102,12 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if math.isnan(delay) or math.isinf(delay):
+        if not 0.0 <= delay < math.inf:  # one test on the hot path
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
             raise SimulationError(f"invalid delay: {delay}")
+        # Every entry point goes through schedule_at: tests audit the
+        # program after each event by wrapping this one seam.
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -115,10 +116,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time, self._seq, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args)
         event._sim = self
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -137,22 +139,14 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries.
 
-        Heapify preserves the fire order because ``Event.__lt__`` is a total
-        order over (time, seq) — determinism is unaffected.
+        Heapify preserves the fire order because the ``(time, seq)`` key
+        is a total order — determinism is unaffected.  The list is rebuilt
+        in place: :meth:`run` holds a reference to it.
         """
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapify(queue)
         self._dead = 0
-
-    def _pop(self) -> Event:
-        """Pop the heap top, keeping counters exact."""
-        event = heapq.heappop(self._queue)
-        if event.cancelled:
-            self._dead -= 1
-        else:
-            self._live -= 1
-        event._sim = None
-        return event
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Process events until the queue drains, ``until`` is reached, or
@@ -167,24 +161,29 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while self._queue and not self._stopped:
-                event = self._queue[0]
+            while queue and not self._stopped:
+                time, seq, event = heappop(queue)
                 if event.cancelled:
-                    self._pop()
+                    self._dead -= 1
                     continue
-                if until is not None and event.time > until:
+                if time > horizon:
+                    heappush(queue, (time, seq, event))  # not due: put back
                     break
-                self._pop()
-                self._now = event.time
+                self._live -= 1
+                event._sim = None
+                self._now = time
                 event.callback(*event.args)
-                self.events_processed += 1
                 fired += 1
-                if max_events is not None and fired >= max_events:
+                if fired >= limit:
                     break
         finally:
             self._running = False
+            self.events_processed += fired
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return fired

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One inference request plus its measured lifecycle.
 

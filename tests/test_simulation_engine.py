@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
+import pathlib
+import random
+
 import pytest
 
-from repro.simulation.engine import SimulationError
+from repro.scenarios.driver import ScenarioCase, ScenarioDriver
+from repro.scenarios.library import get_scenario
+from repro.simulation.engine import SimulationError, Simulator
 from repro.simulation.processes import PeriodicProcess
 from repro.simulation.randomness import RandomStreams
 
@@ -145,7 +152,8 @@ class TestLiveEventCounter:
     """The O(1) bookkeeping behind pending_count / run_until_idle."""
 
     def _brute_count(self, sim):
-        return sum(1 for e in sim._queue if not e.cancelled)
+        # Heap entries are (time, seq, event) tuples.
+        return sum(1 for _, _, e in sim._queue if not e.cancelled)
 
     def test_counter_tracks_schedule_fire_cancel(self, sim):
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
@@ -204,6 +212,148 @@ class TestLiveEventCounter:
         sim.schedule(0.5, lambda: None)
         sim.run_until_idle()  # must not raise: only one live event existed
         assert sim.pending_count() == 0
+
+
+# The seed engine: a heap of ``Event`` objects ordered by ``Event.__lt__``,
+# no live counter, no compaction.  It is the reference the (time, seq)
+# tuple heap must match event for event.
+_REFERENCE_ENGINE = (
+    pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "_seed_engine.py"
+)
+# A small set of delays, so equal timestamps (FIFO ties) are common.
+_DELAYS = (0.0, 0.5, 1.0, 1.0, 1.5, 2.0)
+
+
+def _reference_simulator():
+    spec = importlib.util.spec_from_file_location("reference_engine", _REFERENCE_ENGINE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Simulator()
+
+
+class _Program:
+    """One engine under a random program; records every firing.
+
+    What a firing does depends only on its tag, so two engines that fire
+    the same tags in the same order take the same actions."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired: list[tuple[int, float]] = []
+        self.handles = []
+        self._tags = itertools.count()
+
+    def add(self, delay: float, absolute: bool = False) -> None:
+        tag = next(self._tags)
+        if absolute:
+            handle = self.sim.schedule_at(self.sim.now + delay, self.fire, tag)
+        else:
+            handle = self.sim.schedule(delay, self.fire, tag)
+        self.handles.append(handle)
+
+    def fire(self, tag: int) -> None:
+        self.fired.append((tag, self.sim.now))
+        rng = random.Random(tag)
+        roll = rng.random()
+        if roll < 0.3:
+            self.add(rng.choice(_DELAYS), absolute=rng.random() < 0.5)
+        elif roll < 0.4:
+            # Any handle: pending, already fired, or this very event.
+            self.handles[rng.randrange(len(self.handles))].cancel()
+        elif roll < 0.43:
+            self.sim.stop()
+
+
+class TestDifferentialAgainstReference:
+    """The tuple-keyed heap against the seed engine's heap of Event
+    objects, stepped in lockstep through the same seeded program."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_fire_order_and_counters(self, seed):
+        new, ref = _Program(Simulator()), _Program(_reference_simulator())
+        rng = random.Random(seed)
+        compacted = False
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.3:
+                delay, absolute = rng.choice(_DELAYS), rng.random() < 0.5
+                for program in (new, ref):
+                    program.add(delay, absolute)
+            elif op < 0.4:
+                # A cancel-heavy burst: enough dead entries to compact.
+                first = len(new.handles)
+                delays = [rng.choice(_DELAYS) + rng.random() for _ in range(150)]
+                doomed = [i for i in range(150) if rng.random() < 0.9]
+                for program in (new, ref):
+                    for delay in delays:
+                        program.add(delay)
+                    for i in doomed:
+                        program.handles[first + i].cancel()
+            elif op < 0.55:
+                i = rng.randrange(len(new.handles)) if new.handles else None
+                for program in (new, ref):
+                    if i is not None:
+                        program.handles[i].cancel()
+            elif op < 0.75:
+                until = new.sim.now + rng.choice(_DELAYS) * 3
+                before = new.sim.events_processed
+                assert new.sim.run(until=until) == new.sim.events_processed - before
+                ref.sim.run(until=until)
+            elif op < 0.9:
+                budget = rng.randint(1, 20)
+                new.sim.run(max_events=budget)
+                ref.sim.run(max_events=budget)
+            else:
+                new.sim.run()
+                ref.sim.run()
+            compacted |= len(new.sim._queue) < len(ref.sim._queue)
+            assert new.fired == ref.fired
+            assert new.sim.now == ref.sim.now
+            assert new.sim.events_processed == ref.sim.events_processed
+            assert new.sim.pending_count() == ref.sim.pending_count()
+            # Both O(1) counters agree with a scan of the heap entries.
+            dead = sum(1 for _, _, e in new.sim._queue if e.cancelled)
+            assert (new.sim._live, new.sim._dead) == (len(new.sim._queue) - dead, dead)
+        assert compacted, "the program never triggered a heap compaction"
+        assert len(new.fired) > 300
+
+    def test_events_processed_exact_when_a_callback_raises(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.events_processed == 1  # the raising event did not finish
+        assert sim.pending_count() == 1
+        sim.run()
+        assert sim.events_processed == 2
+
+
+class TestScheduleSeam:
+    """Every event enters the heap through ``Simulator.schedule_at``:
+    tests audit the program after each event by wrapping that one seam
+    (see ``test_queue_ledger``), so no entry point may bypass it."""
+
+    def test_schedule_at_sees_every_scheduled_event(self, monkeypatch):
+        calls = [0]
+        original = Simulator.schedule_at
+
+        def counting(sim, time, callback, *args):
+            calls[0] += 1
+            return original(sim, time, callback, *args)
+
+        monkeypatch.setattr(Simulator, "schedule_at", counting)
+        case = ScenarioCase(get_scenario("reclamation-storm").quick(), "FlexPipe", 0)
+        driver = ScenarioDriver(case)
+        driver.start()
+        report = driver.finish()
+        # One sequence number per heap entry; each came through the seam.
+        assert calls[0] == driver.sim._seq
+        assert calls[0] >= report.engine_events > 0
+        assert report.completed > 0
 
 
 class TestPeriodicProcess:
