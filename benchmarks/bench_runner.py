@@ -30,9 +30,9 @@ PERF_FILE = REPO_ROOT / "BENCH_perf.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.common import ExperimentConfig, sweep_cv  # noqa: E402
+from repro.experiments.figures import figure_spec  # noqa: E402
 from repro.experiments.runner import ExperimentRunner  # noqa: E402
-from repro.experiments.systems import SYSTEM_FACTORIES  # noqa: E402
+from repro.scenarios.driver import ScenarioCase, run_cases  # noqa: E402
 
 SYSTEMS = ("FlexPipe", "AlpaServe", "ServerlessLLM", "Tetris")
 CVS = (1.0, 2.0, 4.0)
@@ -42,16 +42,17 @@ CVS = (1.0, 2.0, 4.0)
 PARALLEL_SPEEDUP_FLOOR = 1.2
 
 
-def run_sweep(jobs: int) -> tuple[float, dict]:
+def run_sweep(jobs: int) -> tuple[float, list]:
     """One full 4-system x 3-CV sweep; cache off so the timing is honest."""
-    factories = {name: SYSTEM_FACTORIES[name] for name in SYSTEMS}
-    cfg = ExperimentConfig(
-        duration=180.0, settle_time=150.0, warmup_time=40.0, drain_time=30.0
-    )
+    cases = [
+        ScenarioCase(figure_spec("runner", cv=cv), name)
+        for cv in CVS
+        for name in SYSTEMS
+    ]
     runner = ExperimentRunner(jobs=jobs, use_cache=False)
     start = time.perf_counter()
-    sweep = sweep_cv(factories, cfg, CVS, runner=runner)
-    return time.perf_counter() - start, sweep
+    reports = run_cases(cases, runner=runner)
+    return time.perf_counter() - start, reports
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,6 +87,11 @@ def main(argv: list[str] | None = None) -> int:
     sequential_s, sequential_sweep = run_sweep(1)
     print(f"sequential: {sequential_s:.1f}s")
 
+    failed = [r for r in parallel_sweep if r.violations]
+    if failed:
+        for r in failed:
+            print(f"FAIL: {r.scenario}/{r.system}/seed{r.seed}: {r.violations}")
+        return 1
     if parallel_sweep != sequential_sweep:
         print("FAIL: parallel sweep differs from sequential (determinism!)")
         return 1

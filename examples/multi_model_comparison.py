@@ -10,23 +10,20 @@ Run:  python examples/multi_model_comparison.py        (~1 minute)
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentConfig, run_system
+from repro.experiments.figures import audited_summary, figure_spec
 from repro.experiments.systems import SYSTEM_FACTORIES
 from repro.metrics.report import format_table
+from repro.scenarios.driver import ScenarioCase, run_cases
 
 
 def main() -> None:
-    cfg = ExperimentConfig(
-        cv=4.0,
-        duration=180.0,
-        background_model="BERT-21B",
-        settle_time=150.0,
-        warmup_time=40.0,
-        drain_time=30.0,
+    spec = figure_spec("comparison", cv=4.0, background="BERT-21B")
+    reports = run_cases(
+        [ScenarioCase(spec, name) for name in SYSTEM_FACTORIES], use_cache=False
     )
     rows = []
-    for name, factory in SYSTEM_FACTORIES.items():
-        summary, _ = run_system(factory, cfg)
+    for name, report in zip(SYSTEM_FACTORIES, reports):
+        summary = audited_summary(report)
         rows.append(
             [
                 name,
@@ -44,7 +41,7 @@ def main() -> None:
         format_table(
             ["system", "goodput", "mean RT", "queue s", "comm s", "P99", "util", "GPUs", "refactors"],
             rows,
-            title=f"Five systems, {cfg.model} + {cfg.background_model}, CV={cfg.cv} bursts",
+            title=f"Five systems, {' + '.join(spec.model_names)}, CV=4 bursts",
         )
     )
 

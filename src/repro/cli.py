@@ -8,7 +8,7 @@ Commands
     Run one experiment driver and print its paper-vs-measured table
     (figures also render an ASCII shape preview).
 ``demo``
-    A 60-second FlexPipe serving run on a small fragmented cluster —
+    A 60-second FlexPipe serving run on the fragmented paper cluster —
     the quickest end-to-end sanity check.
 ``report``
     Regenerate ``EXPERIMENTS.md`` from the bench outputs in
@@ -247,20 +247,17 @@ def _run_ablations(args) -> str:
 
 
 def _run_demo(args) -> str:
-    from repro.experiments.common import ExperimentConfig, run_system
-    from repro.experiments.systems import make_flexpipe
+    from repro.experiments.figures import audited_summary, figure_spec
+    from repro.scenarios.driver import ScenarioCase, run_scenario_case
 
-    cfg = ExperimentConfig(
-        cv=2.0,
-        qps=10.0,
-        duration=60.0,
-        settle_time=120.0,
-        warmup_time=20.0,
-        drain_time=20.0,
-        seed=args.seed,
+    spec = figure_spec(
+        "demo", cv=2.0, qps=10.0, duration=60.0, settle=120.0, warmup=20.0,
+        drain=20.0,
     )
     started = time.time()
-    summary, _system = run_system(make_flexpipe, cfg)
+    summary = audited_summary(
+        run_scenario_case(ScenarioCase(spec, "FlexPipe", args.seed))
+    )
     elapsed = time.time() - started
     rows = [
         {"metric": "offered requests", "value": summary.offered},

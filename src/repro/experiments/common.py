@@ -1,27 +1,22 @@
-"""Shared experiment harness.
+"""Shared run environment: the config the factories read, the world
+builder and the per-tenant request sampler.
 
-Every run builds a fresh simulator + fragmented cluster from the same
-seed, deploys one serving system, lets it settle (initial loads), replays
-the seeded workload, then allows a drain window before summarising.  Seeded
+``ScenarioDriver`` builds every run — catalog scenarios, the chaos audit
+and the paper-figure cells — from these pieces: a fresh simulator and
+fragmented cluster from the seed, then one sampler per tenant.  Seeded
 random streams are per-subsystem, so two systems compared under the same
-config observe byte-identical arrival processes.
+seed observe byte-identical arrival processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster, make_paper_cluster, make_small_cluster
 from repro.cluster.fragmentation import FragmentationModel
-from repro.core.context import ServingContext
-from repro.core.serving import ServingSystem
-from repro.metrics.collector import RunSummary
 from repro.models.zoo import ModelSpec, get_model
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.workloads.arrivals import ArrivalProcess, MMPPArrivals, make_arrivals
-from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import (
     LengthDistribution,
     RequestSampler,
@@ -31,35 +26,26 @@ from repro.workloads.requests import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One workload scenario (model + arrival process + horizon)."""
+    """What the environment builder and the system factories read.
+
+    ``ScenarioDriver`` derives one from each ``ScenarioSpec`` (the spec
+    owns the workload, the horizon and the warm-up); the factories
+    provision from the primary ``model``'s peak ``qps`` and request shape,
+    and deploy every tenant in ``specs``.
+    """
 
     model: str = "OPT-66B"
     qps: float = 20.0  # the paper's baseline QPS (§9.1)
-    cv: float = 1.0
-    duration: float = 240.0
     seed: int = 0
     slo_latency: float = 10.0
-    settle_time: float = 150.0  # initial loads complete before traffic starts
-    warmup_time: float = 60.0  # traffic before the measured epoch begins
-    drain_time: float = 40.0
     prompt_median: int = 128
     output_median: int = 8
     batch_cap: int = 32  # uniform serving batch limit across systems
     cluster: str = "paper"  # "paper" | "small"
     fragmentation: bool = True
-    # Sustained MMPP bursts (the "varying peak loads" of §9.1) rather than
-    # renewal-process micro-clumping; applies for cv > 1.
-    use_mmpp: bool = True
-    burst_cycle: float = 60.0
-    # Optional second tenant: gives GPU-sharing systems (MuxServe, Tetris)
-    # something to multiplex with, as in the paper's multi-model cluster.
-    background_model: str | None = None
-    background_qps: float = 6.0
-    # Additional co-resident tenants beyond the primary (and optional
-    # background) model: the scenario engine and multi-model chaos cases
-    # deploy a whole fleet through the same factories.
+    # Co-resident tenants beyond the primary model: the scenario engine
+    # deploys a whole fleet through the same factories.
     extra_models: tuple[str, ...] = ()
-    max_events: int = 30_000_000
 
     @property
     def spec(self) -> ModelSpec:
@@ -68,10 +54,8 @@ class ExperimentConfig:
     @property
     def specs(self) -> list[ModelSpec]:
         out = [get_model(self.model)]
-        if self.background_model is not None:
-            out.append(get_model(self.background_model))
         for name in self.extra_models:
-            if name != self.model and name != self.background_model:
+            if name != self.model:
                 out.append(get_model(name))
         return out
 
@@ -106,8 +90,7 @@ def build_environment(
 def make_workload_sampler(
     cfg: ExperimentConfig,
     streams: RandomStreams,
-    model: str | None = None,
-    tag: str = "",
+    tag: str,
     slo_class: str | None = None,
 ) -> RequestSampler:
     """Build one tenant's request sampler.
@@ -122,131 +105,13 @@ def make_workload_sampler(
 
         slo_latency = get_slo_class(slo_class).latency_target
     return RequestSampler(
-        model or cfg.model,
+        cfg.model,
         streams.stream(f"requests{tag}"),
         prompt=LengthDistribution(median=cfg.prompt_median, sigma=0.6, lo=16, hi=4096),
         output=LengthDistribution(median=cfg.output_median, sigma=0.7, lo=1, hi=256),
         slo_latency=slo_latency,
-        # Tagged samplers (background/extra tenants) mint rids in their own
-        # namespace so multi-tenant runs keep ids globally unique.
+        # Each tenant's tag mints rids in its own namespace so
+        # multi-tenant runs keep ids globally unique.
         rid_base=rid_namespace(tag),
         slo_class=slo_class,
     )
-
-
-def make_arrival_process(
-    cfg: ExperimentConfig, streams: RandomStreams, tag: str = ""
-) -> ArrivalProcess:
-    rng = streams.stream(f"arrivals{tag}")
-    if cfg.use_mmpp and cfg.cv > 1.0:
-        return MMPPArrivals.with_cv(cfg.qps, cfg.cv, rng, mean_cycle=cfg.burst_cycle)
-    return make_arrivals(cfg.qps, cfg.cv, rng)
-
-
-def run_system(
-    system_factory: Callable[[ServingContext, ExperimentConfig], ServingSystem],
-    cfg: ExperimentConfig,
-) -> tuple[RunSummary, ServingSystem]:
-    """Run one system under one workload; returns (summary, system).
-
-    The system object is returned for experiment-specific introspection
-    (refactor counts, warm-start rates, per-request records).
-    """
-    sim, cluster, streams, fragmentation = build_environment(cfg)
-    ctx = ServingContext.create(sim, cluster, streams)
-    system = system_factory(ctx, cfg)
-    system.start()
-    sim.run(until=cfg.settle_time, max_events=cfg.max_events)
-    # The measured epoch begins after a traffic warm-up, so steady-state
-    # numbers are not polluted by initial scale-to-fit transients.
-    sim.schedule(cfg.warmup_time, system.reset_measurement_epoch)
-    generator = WorkloadGenerator(
-        sim,
-        make_arrival_process(cfg, streams),
-        make_workload_sampler(cfg, streams),
-        system.submit,
-        cfg.duration,
-    )
-    if cfg.background_model is not None:
-        WorkloadGenerator(
-            sim,
-            make_arrivals(cfg.background_qps, cfg.cv, streams.stream("arrivals_bg")),
-            make_workload_sampler(cfg, streams, model=cfg.background_model, tag="_bg"),
-            system.submit,
-            cfg.duration,
-        )
-    horizon = cfg.settle_time + cfg.duration + cfg.drain_time
-    sim.run(until=horizon, max_events=cfg.max_events)
-    system.shutdown()
-    if fragmentation is not None:
-        fragmentation.stop()
-    measured = max(cfg.duration - cfg.warmup_time, 1.0) + cfg.drain_time
-    summary = system.summarize(measured)
-    return summary, system
-
-
-def run_comparison(
-    factories: dict[str, Callable[[ServingContext, ExperimentConfig], ServingSystem]],
-    cfg: ExperimentConfig,
-    *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    runner=None,
-) -> dict[str, RunSummary]:
-    """Run every system against an identical seeded workload.
-
-    Registered factories fan out through the parallel runner (and its
-    result cache); ad-hoc callables — closures a test or figure cooked up
-    — run in-process, since they cannot cross the pool boundary.
-    """
-    from repro.experiments.runner import as_task, make_runner
-
-    exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
-    entries = [
-        (name, factory, as_task(name, factory, cfg))
-        for name, factory in factories.items()
-    ]
-    results = iter(
-        exp_runner.run_tasks([task for _, _, task in entries if task is not None])
-    )
-    out: dict[str, RunSummary] = {}
-    for name, factory, task in entries:
-        if task is None:
-            out[name], _ = run_system(factory, cfg)
-        else:
-            out[name] = next(results).summary
-    return out
-
-
-def sweep_cv(
-    factories: dict[str, Callable],
-    cfg: ExperimentConfig,
-    cvs: tuple[float, ...],
-    *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    runner=None,
-) -> dict[float, dict[str, RunSummary]]:
-    """The common CV-sweep pattern of Figs. 3, 4, 8, 10, 11, 12.
-
-    The whole (cv x system) grid is flattened into one runner batch so a
-    4-way pool stays saturated across CV levels, not just within one.
-    """
-    from repro.experiments.runner import as_task, make_runner
-
-    exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
-    grid = [
-        (cv, name, factory, as_task(name, factory, replace(cfg, cv=cv)))
-        for cv in cvs
-        for name, factory in factories.items()
-    ]
-    results = iter(
-        exp_runner.run_tasks([task for *_, task in grid if task is not None])
-    )
-    out: dict[float, dict[str, RunSummary]] = {cv: {} for cv in cvs}
-    for cv, name, factory, task in grid:
-        if task is None:
-            out[cv][name], _ = run_system(factory, replace(cfg, cv=cv))
-        else:
-            out[cv][name] = next(results).summary
-    return out

@@ -3,6 +3,11 @@
 Each driver runs the relevant simulation(s) and returns printable rows;
 the benchmarks under ``benchmarks/`` wrap these with pytest-benchmark and
 paper-vs-measured reporting.  EXPERIMENTS.md records the outcomes.
+
+Every system run is a :class:`ScenarioCase` over a :func:`figure_spec`
+workload, run by ``ScenarioDriver`` with the invariant auditor attached.
+A figure raises rather than render a cell that broke an invariant or
+crashed (:func:`audited_summary`).
 """
 
 from __future__ import annotations
@@ -12,28 +17,128 @@ import numpy as np
 
 from repro.core.context import ServingContext
 from repro.experiments.common import ExperimentConfig, build_environment
-from repro.experiments.runner import RunTask, make_runner
+from repro.experiments.runner import make_runner
 from repro.experiments.systems import (
     SERVERLESS_FRACTION,
     STATIC_FRACTION,
     SYSTEM_FACTORIES,
 )
+from repro.metrics.collector import RunSummary
 from repro.models.costs import CostModel
 from repro.models.zoo import OPT_66B
 from repro.partitioning.batch_scaling import activation_bytes
+from repro.scenarios.driver import (
+    ScenarioCase,
+    ScenarioDriver,
+    ScenarioReport,
+    crash_report,
+    run_cases,
+)
+from repro.scenarios.spec import ArrivalSegment, ModelScript, ScenarioSpec
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.cv import count_cv
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
-# Shorter horizons for the multi-run sweeps so the full benchmark suite
-# stays tractable; single-run experiments use longer horizons.
-SWEEP = dict(duration=180.0, settle_time=150.0, warmup_time=40.0, drain_time=30.0)
-
-# Every multi-run driver below accepts (jobs, use_cache, runner): the runs
+# Every multi-run driver below accepts (jobs, use_cache, runner): the cells
 # fan out across processes through repro.experiments.runner and land in its
 # on-disk cache, so re-rendering a figure recomputes nothing unless the
-# config or the code changed.
+# spec or the code changed.
+
+
+# ----------------------------------------------------------------------
+# The figure workload and the audited run path
+# ----------------------------------------------------------------------
+def figure_spec(
+    label: str,
+    *,
+    model: str = "OPT-66B",
+    qps: float = 20.0,
+    cv: float = 1.0,
+    background: str | None = None,
+    duration: float = 180.0,
+    settle: float = 150.0,
+    warmup: float = 40.0,
+    drain: float = 30.0,
+) -> ScenarioSpec:
+    """One paper-figure workload on the fragmented paper cluster.
+
+    The primary tenant offers ``qps`` with inter-arrival ``cv``: renewal
+    arrivals up to CV 1, sustained MMPP bursts above it (the "varying
+    peak loads" of §9.1).  An optional ``background`` tenant at 6 QPS
+    gives GPU-sharing systems (MuxServe, Tetris) something to multiplex
+    with, as in the paper's multi-model cluster.  The defaults are the
+    shortened multi-run sweep horizons: traffic starts after a 150 s
+    settle (initial loads) and is measured from 40 s in.
+    """
+    primary = ArrivalSegment(
+        "burst" if cv > 1.0 else "steady",
+        duration=duration,
+        qps=qps,
+        cv=cv,
+        burst_cycle=60.0,  # the MMPP episode timescale (bursts only)
+    )
+    models = [ModelScript(model, (primary,), stream="")]
+    if background is not None:
+        segment = ArrivalSegment(duration=duration, qps=6.0, cv=cv)
+        models.append(ModelScript(background, (segment,), stream="_bg"))
+    return ScenarioSpec(
+        f"{label}-cv{cv:g}",
+        tuple(models),
+        cluster="paper",
+        batch_cap=32,
+        settle=settle,
+        warmup=warmup,
+        drain=drain,
+    )
+
+
+def audited_summary(report: ScenarioReport) -> RunSummary:
+    """The cell's aggregate summary; raises if the cell broke an invariant
+    or crashed, naming the scenario, system, seed and invariant."""
+    if report.violations:
+        found = "; ".join(f"{v.invariant}: {v.detail}" for v in report.violations)
+        raise RuntimeError(
+            f"figure cell {report.scenario} / {report.system} / seed "
+            f"{report.seed} failed the audit: {found}"
+        )
+    return report.aggregate
+
+
+def _summaries(cases, runner, jobs, use_cache) -> list[RunSummary]:
+    reports = run_cases(cases, runner=runner, jobs=jobs, use_cache=use_cache)
+    return [audited_summary(report) for report in reports]
+
+
+def live_cell(item) -> tuple[ScenarioReport, object]:
+    """Run ``(case, extract)`` and return ``extract(live system)`` beside
+    the report: plain data pulled out where the system object exists
+    (module-level, so it crosses the runner's pool)."""
+    case, extract = item
+    try:
+        driver = ScenarioDriver(case)
+        report = driver.run()
+    except Exception as exc:  # noqa: BLE001 - a crash is a finding
+        return crash_report(case, exc), None
+    return report, extract(driver.system)
+
+
+def completed_records(system) -> list[tuple]:
+    """Per-request ``(arrival, completion, latency)`` of completed work."""
+    return [
+        (r.arrival_time, r.completion_time, r.latency)
+        for r in system.metrics.records
+        if r.completed
+    ]
+
+
+def initial_init_times(system) -> list[float]:
+    """Init durations of the system's initial replica loads."""
+    return [
+        e.init_time
+        for e in system.metrics.events
+        if e.kind == "initial" and e.init_time > 0
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -144,18 +249,17 @@ def fig3_rows(
     """A static 4-stage OPT-66B deployment under growing burstiness."""
     # historical_cv=1.0 is the Eq. 4 setpoint of a 4-stage pipeline
     # ((eta/4)^2), i.e. the paper's static 4-stage configuration.
-    tasks = [
-        RunTask.create(
+    cases = [
+        ScenarioCase(
+            figure_spec("fig3", cv=cv),
             "AlpaServe",
-            ExperimentConfig(cv=cv, seed=seed, **SWEEP),
-            {"n_stages": 4, "historical_cv": 1.0},
+            seed,
+            overrides={"n_stages": 4, "historical_cv": 1.0},
         )
         for cv in cvs
     ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
     rows = []
-    for cv, result in zip(cvs, results):
-        summary = result.summary
+    for cv, summary in zip(cvs, _summaries(cases, runner, jobs, use_cache)):
         rows.append(
             {
                 "cv": cv,
@@ -185,23 +289,25 @@ def fig4_rows(
     runner=None,
 ):
     grid = [(cv, k) for cv in cvs for k in stage_counts]
-    tasks = [
-        RunTask.create(
+    cases = [
+        ScenarioCase(
+            figure_spec("fig4", cv=cv),
             "AlpaServe",
-            ExperimentConfig(cv=cv, seed=seed, **SWEEP),
-            {"n_stages": k, "historical_cv": (k / 4.0) ** 2},
+            seed,
+            overrides={"n_stages": k, "historical_cv": (k / 4.0) ** 2},
         )
         for cv, k in grid
     ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
     return [
         {
             "cv": cv,
             "stages": k,
-            "mean_latency": result.summary.mean_latency,
-            "p95": result.summary.latency_percentiles[95],
+            "mean_latency": summary.mean_latency,
+            "p95": summary.latency_percentiles[95],
         }
-        for (cv, k), result in zip(grid, results)
+        for (cv, k), summary in zip(
+            grid, _summaries(cases, runner, jobs, use_cache)
+        )
     ]
 
 
@@ -217,7 +323,7 @@ def system_sweep(
     jobs: int | None = None,
     use_cache: bool | None = None,
     runner=None,
-) -> dict[float, dict[str, object]]:
+) -> dict[float, dict[str, RunSummary]]:
     """Run the comparison systems across CVs; reused by Figs. 8, 10-12.
 
     The full (cv x system) grid goes through the parallel runner as one
@@ -225,19 +331,17 @@ def system_sweep(
     """
     chosen = systems or tuple(SYSTEM_FACTORIES)
     grid = [(cv, name) for cv in cvs for name in chosen]
-    tasks = [
-        RunTask.create(
-            name,
-            ExperimentConfig(
-                cv=cv, seed=seed, background_model=background_model, **SWEEP
-            ),
+    cases = [
+        ScenarioCase(
+            figure_spec("sweep", cv=cv, background=background_model), name, seed
         )
         for cv, name in grid
     ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
-    out: dict[float, dict[str, object]] = {cv: {} for cv in cvs}
-    for (cv, name), result in zip(grid, results):
-        out[cv][name] = result.summary
+    out: dict[float, dict[str, RunSummary]] = {cv: {} for cv in cvs}
+    for (cv, name), summary in zip(
+        grid, _summaries(cases, runner, jobs, use_cache)
+    ):
+        out[cv][name] = summary
     return out
 
 
@@ -301,19 +405,6 @@ def fig12_rows(sweep) -> list[dict]:
 # ----------------------------------------------------------------------
 # Fig. 9 — burst absorption timeline at CV=8
 # ----------------------------------------------------------------------
-def extract_completed_records(task, summary, system) -> list[tuple]:
-    """Worker-side extractor: per-request (arrival, completion, latency).
-
-    Runs inside the pool worker where the live system object exists; only
-    these plain tuples cross the process boundary (and enter the cache).
-    """
-    return [
-        (r.arrival_time, r.completion_time, r.latency)
-        for r in system.metrics.records
-        if r.completed
-    ]
-
-
 def fig9_series(
     seed: int = 0,
     window: float = 15.0,
@@ -325,25 +416,21 @@ def fig9_series(
     # The paper plots a 300 s slice of a long-running (warm) deployment, so
     # traffic runs 150 s before the plotted window opens; the second tenant
     # gives MuxServe something to multiplex with, as in the paper's cluster.
-    cfg = ExperimentConfig(
-        cv=8.0, seed=seed, duration=450.0, settle_time=150.0,
-        warmup_time=150.0, drain_time=30.0, background_model="BERT-21B",
+    # The per-request series needs the live system, so the cells run
+    # through ``live_cell`` (uncached).
+    spec = figure_spec(
+        "fig9", cv=8.0, background="BERT-21B", duration=450.0, warmup=150.0
     )
     names = ("FlexPipe", "AlpaServe", "MuxServe")
-    tasks = [
-        RunTask.create(
-            name, cfg, extract="repro.experiments.figures:extract_completed_records"
-        )
-        for name in names
-    ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
+    results = make_runner(runner, jobs=jobs, use_cache=use_cache).map(
+        live_cell,
+        [(ScenarioCase(spec, name, seed), completed_records) for name in names],
+    )
     out = {}
-    start = cfg.settle_time + cfg.warmup_time
-    for name, result in zip(names, results):
-        summary = result.summary
-        records = sorted(
-            (r for r in result.extra if r[1] >= start), key=lambda r: r[1]
-        )
+    start = spec.epoch
+    for name, (report, completed) in zip(names, results):
+        summary = audited_summary(report)
+        records = sorted((r for r in completed if r[1] >= start), key=lambda r: r[1])
         buckets: dict[int, list[float]] = {}
         arrivals: dict[int, int] = {}
         for arrival_time, completion_time, latency in records:
@@ -374,37 +461,30 @@ def fig13_rows(
     models = ("WHISPER-9B", "LLAMA2-7B", "BERT-21B", "OPT-66B")
     systems = ("FlexPipe", "AlpaServe", "ServerlessLLM")
     grid = [(model, name) for model in models for name in systems]
-    tasks = [
-        RunTask.create(
+    cases = [
+        ScenarioCase(
+            figure_spec(f"fig13-{model}", model=model, cv=2.0, qps=12.0),
             name,
-            ExperimentConfig(model=model, cv=2.0, seed=seed, qps=12.0, **SWEEP),
+            seed,
         )
         for model, name in grid
     ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
     return [
         {
             "model": model,
             "system": name,
-            "prefill_s": result.summary.mean_prefill_latency,
-            "p95_latency": result.summary.latency_percentiles[95],
+            "prefill_s": summary.mean_prefill_latency,
+            "p95_latency": summary.latency_percentiles[95],
         }
-        for (model, name), result in zip(grid, results)
+        for (model, name), summary in zip(
+            grid, _summaries(cases, runner, jobs, use_cache)
+        )
     ]
 
 
 # ----------------------------------------------------------------------
 # §9.6 — production case study: reservation, wait time, init latency
 # ----------------------------------------------------------------------
-def extract_initial_init_times(task, summary, system) -> list[float]:
-    """Worker-side extractor: init durations of the initial replica loads."""
-    return [
-        e.init_time
-        for e in system.metrics.events
-        if e.kind == "initial" and e.init_time > 0
-    ]
-
-
 def case_study_rows(
     seed: int = 0,
     *,
@@ -420,24 +500,18 @@ def case_study_rows(
     and that elastic fine-grained scale-outs initialise much faster than a
     cold whole-pipeline deployment.
     """
-    cfg = ExperimentConfig(cv=4.0, seed=seed, **SWEEP)
-    flex_result, static_result = make_runner(
-        runner, jobs=jobs, use_cache=use_cache
-    ).run_tasks(
-        [
-            RunTask.create("FlexPipe", cfg),
-            RunTask.create(
-                "AlpaServe",
-                cfg,
-                extract="repro.experiments.figures:extract_initial_init_times",
-            ),
-        ]
+    spec = figure_spec("case-study", cv=4.0)
+    exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
+    (flex,) = _summaries(
+        [ScenarioCase(spec, "FlexPipe", seed)], exp_runner, jobs, use_cache
     )
-    flex, static = flex_result.summary, static_result.summary
     # Cold whole-pipeline deployment time, measured from the static
     # system's own initial loads (the baseline every elastic scale-out of
     # FlexPipe is compared against).
-    initial_inits = static_result.extra
+    ((static_report, initial_inits),) = exp_runner.map(
+        live_cell, [(ScenarioCase(spec, "AlpaServe", seed), initial_init_times)]
+    )
+    static = audited_summary(static_report)
     cold_init = float(np.mean(initial_inits)) if initial_inits else 0.0
     init_reduction = 1.0 - flex.mean_init_time / cold_init if cold_init else 0.0
     return {
@@ -474,21 +548,22 @@ def ablation_rows(
         "no-hrg": {"enable_hrg": False},
         "no-affinity": {"enable_affinity": False},
     }
-    cfg = ExperimentConfig(cv=cv, seed=seed, **SWEEP)
-    tasks = [
-        RunTask.create("FlexPipe", cfg, overrides)
+    spec = figure_spec("ablations", cv=cv)
+    cases = [
+        ScenarioCase(spec, "FlexPipe", seed, overrides=overrides)
         for overrides in variants.values()
     ]
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).run_tasks(tasks)
     return [
         {
             "variant": name,
-            "goodput_pct": result.summary.goodput_rate * 100,
-            "mean_latency": result.summary.mean_latency,
-            "p99": result.summary.latency_percentiles[99],
-            "refactors": result.summary.refactor_count,
-            "warm_rate": result.summary.warm_start_rate,
-            "mean_init": result.summary.mean_init_time,
+            "goodput_pct": summary.goodput_rate * 100,
+            "mean_latency": summary.mean_latency,
+            "p99": summary.latency_percentiles[99],
+            "refactors": summary.refactor_count,
+            "warm_rate": summary.warm_start_rate,
+            "mean_init": summary.mean_init_time,
         }
-        for name, result in zip(variants, results)
+        for name, summary in zip(
+            variants, _summaries(cases, runner, jobs, use_cache)
+        )
     ]

@@ -2,11 +2,11 @@
 
 Every paper figure replays the same seeded workload against 4-6 systems;
 the runs are independent (per-run ``Simulator`` + ``RandomStreams`` built
-from the config seed), so they fan out across processes with byte-identical
+from the case seed), so they fan out across processes with byte-identical
 results to a sequential sweep.  A content-addressed cache keyed by the
-experiment config, the system + overrides, and a fingerprint of the
-``repro`` source tree means re-running a figure only recomputes cells whose
-inputs actually changed — edit one baseline and only its runs rerun.
+caller's content hash (``scenario_cache_key`` for scenario cases) and a
+fingerprint of the ``repro`` source tree means re-running a figure only
+recomputes cells whose inputs actually changed.
 
 Environment knobs (CLI flags take precedence):
 
@@ -18,101 +18,11 @@ Environment knobs (CLI flags take precedence):
 from __future__ import annotations
 
 import hashlib
-import importlib
-import json
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
-
-from repro.experiments.common import ExperimentConfig, run_system
-from repro.metrics.collector import RunSummary
-
-_CACHE_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Task description
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunTask:
-    """One (system, config) cell of a figure sweep.
-
-    ``system`` names a factory in ``SYSTEM_FACTORIES``; ``overrides`` are
-    keyword arguments forwarded to it (sorted tuple so the task hashes).
-    ``extract`` optionally names a ``module:function`` run on
-    ``(task, summary, system)`` inside the worker to pull extra *picklable*
-    data out of the live system (per-request records, scaling events) that
-    the system object itself — full of simulator state — cannot carry
-    across the process boundary.
-    """
-
-    system: str
-    cfg: ExperimentConfig
-    overrides: tuple[tuple[str, Any], ...] = ()
-    extract: str | None = None
-
-    @classmethod
-    def create(
-        cls,
-        system: str,
-        cfg: ExperimentConfig,
-        overrides: dict[str, Any] | None = None,
-        extract: str | None = None,
-    ) -> "RunTask":
-        return cls(system, cfg, tuple(sorted((overrides or {}).items())), extract)
-
-
-@dataclass
-class RunResult:
-    task: RunTask
-    summary: RunSummary
-    extra: Any = None
-    cached: bool = False
-
-
-def as_task(
-    name: str, factory: Callable, cfg: ExperimentConfig
-) -> RunTask | None:
-    """Map a ``(name, factory)`` pair back to a registry task, if possible.
-
-    ``run_comparison`` accepts arbitrary factory callables; only the ones
-    that *are* the registered factories can cross a process boundary (and
-    be cache-keyed by name).  Others run in-process.
-    """
-    from repro.experiments.systems import SYSTEM_FACTORIES
-
-    if SYSTEM_FACTORIES.get(name) is factory:
-        return RunTask.create(name, cfg)
-    return None
-
-
-# ----------------------------------------------------------------------
-# Worker entry point (must be module-level for pickling)
-# ----------------------------------------------------------------------
-def _resolve_extractor(spec: str) -> Callable:
-    module_name, _, func_name = spec.partition(":")
-    if not func_name:
-        raise ValueError(f"extract spec must be 'module:function', got {spec!r}")
-    module = importlib.import_module(module_name)
-    return getattr(module, func_name)
-
-
-def execute_task(task: RunTask) -> tuple[RunSummary, Any]:
-    """Run one task to completion; the worker-side body of the pool."""
-    from repro.experiments.systems import SYSTEM_FACTORIES
-
-    factory = SYSTEM_FACTORIES[task.system]
-    overrides = dict(task.overrides)
-    summary, system = run_system(
-        lambda ctx, cfg: factory(ctx, cfg, **overrides), task.cfg
-    )
-    extra = None
-    if task.extract is not None:
-        extra = _resolve_extractor(task.extract)(task, summary, system)
-    return summary, extra
 
 
 # ----------------------------------------------------------------------
@@ -149,25 +59,12 @@ def default_cache_dir() -> Path:
     return (Path(base) if base else Path.home() / ".cache") / "repro-flexpipe"
 
 
-def cache_key(task: RunTask, fingerprint: str | None = None) -> str:
-    payload = {
-        "version": _CACHE_VERSION,
-        "code": fingerprint if fingerprint is not None else code_fingerprint(),
-        "system": task.system,
-        "overrides": list(task.overrides),
-        "extract": task.extract,
-        "cfg": asdict(task.cfg),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 class ResultCache:
     """Pickle-per-key cache of ``(value, reserved)`` pairs.
 
-    Figure cells store ``value = (RunSummary, extra)``; scenario cells
-    store their report.  The second slot is reserved (always ``None``)
-    so a ``None`` value stays distinguishable from a miss.
+    Scenario cells store their report.  The second slot is reserved
+    (always ``None``) so a ``None`` value stays distinguishable from a
+    miss.
     """
 
     def __init__(self, root: Path | str | None = None):
@@ -176,7 +73,7 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
-    def get(self, key: str) -> tuple[RunSummary, Any] | None:
+    def get(self, key: str) -> tuple[Any, None] | None:
         path = self._path(key)
         try:
             with path.open("rb") as fh:
@@ -184,7 +81,7 @@ class ResultCache:
         except (OSError, pickle.PickleError, EOFError, AttributeError):
             return None  # missing or unreadable: treat as a miss
 
-    def put(self, key: str, value: tuple[RunSummary, Any]) -> None:
+    def put(self, key: str, value: tuple[Any, None]) -> None:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             path = self._path(key)
@@ -251,7 +148,7 @@ class ExperimentRunner:
     def _get_pool(self) -> ProcessPoolExecutor:
         """Lazily create — and then keep — the worker pool.
 
-        Reusing workers across ``run_tasks`` batches preserves their warm
+        Reusing workers across batches preserves their warm
         module-level graph/profile/ladder caches (the Eq. 2 DP cold start)
         instead of re-forking a cold pool per figure.
         """
@@ -267,23 +164,11 @@ class ExperimentRunner:
             self._pool = None
 
     # ------------------------------------------------------------------
-    def run_tasks(self, tasks: list[RunTask]) -> list[RunResult]:
-        """Run every task, returning results in task order."""
-        pairs = self._cached_map(execute_task, tasks, cache_key)
-        return [
-            RunResult(task, summary, extra, cached=cached)
-            for task, ((summary, extra), cached) in zip(tasks, pairs)
-        ]
-
-    def run_task(self, task: RunTask) -> RunResult:
-        return self.run_tasks([task])[0]
-
     def map(self, fn: Callable, items: list) -> list:
         """Fan an arbitrary pure function over items on this runner's pool.
 
-        Generic counterpart of :meth:`run_tasks` for work that is not a
-        figure cell (e.g. chaos-audit cases): order-stable, no caching.
-        ``fn`` and every item must be picklable when ``jobs > 1``.
+        Order-stable, no caching (see :meth:`cached_map`).  ``fn`` and
+        every item must be picklable when ``jobs > 1``.
         """
         items = list(items)
         if self.jobs > 1 and len(items) > 1:
@@ -301,42 +186,20 @@ class ExperimentRunner:
         """Like :meth:`map`, but consulting the result cache per item.
 
         ``key_fn(item, fingerprint)`` must return the item's content
-        hash.  Figure cells (:meth:`run_tasks`) and ad-hoc workloads
-        (scenario cells) both run through the same underlying protocol,
-        so fingerprint epoch, hit/run counters and get/put ordering live
-        in exactly one place.  ``cacheable(value)`` may veto persisting
-        an individual result (e.g. a report describing a transient
-        harness crash, which must re-execute next time).
-        """
-        return [
-            value
-            for value, _ in self._cached_map(
-                fn, items, key_fn, cacheable=cacheable
-            )
-        ]
-
-    def _cached_map(
-        self,
-        fn: Callable,
-        items: list,
-        key_fn: Callable,
-        *,
-        cacheable: Callable[[Any], bool] | None = None,
-    ) -> list[tuple[Any, bool]]:
-        """The cache protocol: ``(value, was_cached)`` per item, in order.
-
-        Values round-trip on disk as ``(value, None)`` pairs (the second
-        slot is reserved), so a legitimately-``None`` value is still
-        distinguishable from a cache miss.
+        hash.  ``cacheable(value)`` may veto persisting an individual
+        result (e.g. a report describing a transient harness crash, which
+        must re-execute next time).  Values round-trip on disk as
+        ``(value, None)`` pairs (the second slot is reserved), so a
+        legitimately-``None`` value is still distinguishable from a miss.
         """
         items = list(items)
-        results: list[tuple[Any, bool] | None] = [None] * len(items)
+        results: list[Any] = [None] * len(items)
         pending: list[int] = []
         for i, item in enumerate(items):
             if self.use_cache:
                 hit = self.cache.get(key_fn(item, self._fingerprint))
                 if hit is not None:
-                    results[i] = (hit[0], True)
+                    results[i] = hit[0]
                     self.cache_hits += 1
                     continue
             pending.append(i)
@@ -344,12 +207,12 @@ class ExperimentRunner:
             outcomes = self.map(fn, [items[i] for i in pending])
             for i, value in zip(pending, outcomes):
                 self.simulations_run += 1
-                results[i] = (value, False)
+                results[i] = value
                 if self.use_cache and (cacheable is None or cacheable(value)):
                     self.cache.put(
                         key_fn(items[i], self._fingerprint), (value, None)
                     )
-        return results  # type: ignore[return-value]
+        return results
 
 
 def make_runner(

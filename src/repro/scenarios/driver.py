@@ -6,9 +6,10 @@ use, schedules every arrival segment and scripted event as simulator
 processes, attaches the :class:`~repro.validation.auditor.InvariantAuditor`
 (mid-run after every scripted event, the full set at quiesce) and emits
 per-model plus aggregate :class:`~repro.metrics.collector.RunSummary`
-rows.  Cases are plain data, so ``run_scenarios`` fans them out through
-the parallel experiment runner and caches results exactly like figure
-cells (same ``.runcache/``, same code-fingerprint invalidation).
+rows.  Cases are plain data, so ``run_cases`` fans them out through the
+parallel experiment runner and caches their reports in ``.runcache/``
+under the code fingerprint.  Catalog scenarios, the chaos audit and every
+paper-figure cell run this one path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 from repro.cluster.allocator import AllocationError
 from repro.cluster.failures import (
@@ -62,6 +63,13 @@ class ScenarioCase:
 
     ``trace``: arm the observability taps (span tracer + fleet flight
     recorder) for this run.  Traced runs never consult the result cache.
+
+    ``overrides``: keyword arguments forwarded to the system factory
+    (the ablation switches, AlpaServe's ``n_stages``/``historical_cv``).
+    Given as a dict or pairs, stored as sorted ``(key, value)`` pairs so
+    equal overrides hash and cache-key alike.  A key that one of the
+    spec's knobs already sets (``min_replicas`` under ``scale_to_zero``)
+    raises ``ValueError``.
     """
 
     spec: ScenarioSpec
@@ -69,6 +77,19 @@ class ScenarioCase:
     seed: int = 0
     shards: int = 0
     trace: bool = False
+    overrides: tuple[tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        pairs = tuple(sorted(dict(self.overrides).items()))
+        object.__setattr__(self, "overrides", pairs)
+        clash = sorted(
+            set(dict(pairs)) & set(spec_overrides(self.spec, self.system))
+        )
+        if clash:
+            raise ValueError(
+                f"ScenarioCase: field 'overrides' {clash} clash with knobs "
+                f"of scenario {self.spec.name!r}"
+            )
 
 
 @dataclass
@@ -324,11 +345,8 @@ class ScenarioDriver:
         cfg = ExperimentConfig(
             model=primary.model,
             qps=max(s.qps for s in primary.segments),
-            cv=max(s.cv for s in primary.segments),
-            duration=spec.duration,
             seed=case.seed,
             slo_latency=primary.slo_latency,
-            settle_time=spec.settle,
             prompt_median=primary.prompt_median,
             output_median=primary.output_median,
             batch_cap=spec.batch_cap,
@@ -357,23 +375,10 @@ class ScenarioDriver:
                 cluster.storage.spec, bandwidth=spec.storage_gbps * 2**30
             )
         ctx = ServingContext.create(sim, cluster, streams)
-        overrides = (
-            {}
-            if spec.initial_replicas is None
-            else {"initial_replicas": spec.initial_replicas}
-        )
-        if case.system == "FlexPipe":
-            # Cold-start economy knobs exist only on FlexPipe; the baseline
-            # factories have fixed signatures and keep their historical
-            # loading behaviour.
-            if spec.cache_policy != "lru":
-                overrides["cache_policy"] = spec.cache_policy
-            if spec.pipelined_loading:
-                overrides["pipelined_loading"] = True
-            if spec.scale_to_zero:
-                overrides["min_replicas"] = 0
-            if spec.idle_window is not None:
-                overrides["scale_in_idle_window"] = spec.idle_window
+        overrides = {
+            **spec_overrides(spec, case.system),
+            **dict(case.overrides),
+        }
         system = CHAOS_SYSTEMS[case.system](ctx, cfg, **overrides)
         self.system = system
         self.tracer = None
@@ -387,8 +392,8 @@ class ScenarioDriver:
             # fleet; the system serves with what it got (atomic per
             # replica) and its control loops recover — part of the test.
             pass
-        self.epoch = spec.settle
-        self.horizon = spec.settle + spec.duration + spec.drain
+        self.epoch = spec.epoch  # the measured epoch (settle + warmup)
+        self.horizon = spec.horizon
         # Time boundaries at which setup hooks run mid-simulation; advance()
         # crosses them in order regardless of the caller's window sizes.
         self._boundaries: list[tuple[float, Callable[[], None]]] = [
@@ -422,11 +427,16 @@ class ScenarioDriver:
             cache.recorder = self.recorder
 
     def _open_epoch(self) -> None:
-        """At the traffic epoch: arm gates, auditor, injector, workloads."""
+        """At the traffic epoch: arm gates, auditor, injector, workloads.
+
+        Measurement opens ``spec.warmup`` seconds later (at
+        ``self.epoch``); traffic and scripted events start now."""
         spec, sim = self.spec, self.sim
-        epoch = self.epoch
         system = self.system
-        system.reset_measurement_epoch()
+        if spec.warmup:
+            sim.schedule(spec.warmup, system.reset_measurement_epoch)
+        else:
+            system.reset_measurement_epoch()
         if spec.qos_enabled:
             # The QoS control plane: class-aware routing + attainment
             # signals on the system, one admission chain per tenant.
@@ -476,8 +486,8 @@ class ScenarioDriver:
                 choice=VictimChoice.SERVING_BIASED,
             ),
         )
-        self._schedule_segments(epoch)
-        self._schedule_events(epoch)
+        self._schedule_segments(spec.settle)
+        self._schedule_events(spec.settle)
 
     # ------------------------------------------------------------------
     # Phase 2: simulate (one shot, or in windows under the benchmark)
@@ -508,7 +518,7 @@ class ScenarioDriver:
         all_generators = [g for gens in self.generators.values() for g in gens]
         self.auditor.generators = all_generators
         self._record(self.auditor.audit_quiesce())
-        report = self._report(self.epoch)
+        report = self._report()
         if self.tracer is not None:
             report.traces = list(self.tracer.finalized)
             report.fleet_events = list(self.recorder.events)
@@ -546,7 +556,7 @@ class ScenarioDriver:
         self, script, model_cfg: ExperimentConfig, segment: ArrivalSegment, index: int
     ) -> None:
         model = script.model
-        tag = f"_{model}_s{index}"
+        tag = f"_{model}_s{index}" if script.stream is None else script.stream
         arrivals = _make_segment_arrivals(
             segment,
             self.streams.stream(f"arrivals{tag}"),
@@ -556,7 +566,6 @@ class ScenarioDriver:
         sampler = make_workload_sampler(
             model_cfg,
             self.streams,
-            model=model,
             tag=tag,
             # Segment override wins over the tenant class; unclassed
             # tenants keep minting historical (class-free) requests.
@@ -623,9 +632,9 @@ class ScenarioDriver:
         return "ok" if fired else "noop"
 
     # ------------------------------------------------------------------
-    def _report(self, epoch: float) -> ScenarioReport:
+    def _report(self) -> ScenarioReport:
         spec = self.spec
-        measured = max(spec.duration, 1.0) + spec.drain
+        measured = spec.measured
         aggregate = self.system.summarize(measured)
         per_model: dict[str, RunSummary] = {}
         tenants: dict[str, TenantQoS] = {}
@@ -634,7 +643,7 @@ class ScenarioDriver:
             records_of.setdefault(record.model, []).append(record)
         for script in spec.models:
             summary = self._model_summary(
-                script.model, records_of.get(script.model, []), measured, epoch
+                script.model, records_of.get(script.model, []), measured
             )
             row = self._tenant_row(script, summary)
             tenants[script.model] = row
@@ -701,7 +710,7 @@ class ScenarioDriver:
         )
 
     def _model_summary(
-        self, model: str, records: list, measured: float, epoch: float
+        self, model: str, records: list, measured: float
     ) -> RunSummary:
         """Per-tenant summary of *admitted* and completed work.
 
@@ -714,12 +723,34 @@ class ScenarioDriver:
         """
         collector = self.collectors[model]
         collector.records = records
-        return collector.summarize(measured, measure_from=epoch)
+        return collector.summarize(measured, measure_from=self.spec.epoch)
 
 
 # ----------------------------------------------------------------------
 # Case execution + fan-out
 # ----------------------------------------------------------------------
+def spec_overrides(spec: ScenarioSpec, system: str) -> dict[str, Any]:
+    """Factory keyword arguments that the spec's own knobs set."""
+    overrides: dict[str, Any] = (
+        {}
+        if spec.initial_replicas is None
+        else {"initial_replicas": spec.initial_replicas}
+    )
+    if system == "FlexPipe":
+        # Cold-start economy knobs exist only on FlexPipe; the baseline
+        # factories have fixed signatures and keep their historical
+        # loading behaviour.
+        if spec.cache_policy != "lru":
+            overrides["cache_policy"] = spec.cache_policy
+        if spec.pipelined_loading:
+            overrides["pipelined_loading"] = True
+        if spec.scale_to_zero:
+            overrides["min_replicas"] = 0
+        if spec.idle_window is not None:
+            overrides["scale_in_idle_window"] = spec.idle_window
+    return overrides
+
+
 def resolve_systems(systems: list[str] | None) -> list[str]:
     """``systems`` checked against the registry (``None`` = every one)."""
     chosen = list(systems) if systems else sorted(CHAOS_SYSTEMS)
@@ -741,17 +772,20 @@ def run_scenario_case(case: ScenarioCase) -> ScenarioReport:
             return run_sharded_case(case)
         return ScenarioDriver(case).run()
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
-        return ScenarioReport(
-            scenario=case.spec.name,
-            system=case.system,
-            seed=case.seed,
-            violations=[
-                Violation("harness-crash", f"{type(exc).__name__}: {exc}")
-            ],
-        )
+        return crash_report(case, exc)
 
 
-_CACHE_VERSION = 5
+def crash_report(case: ScenarioCase, exc: Exception) -> ScenarioReport:
+    """A crashed case as a report carrying one ``harness-crash`` finding."""
+    return ScenarioReport(
+        scenario=case.spec.name,
+        system=case.system,
+        seed=case.seed,
+        violations=[Violation("harness-crash", f"{type(exc).__name__}: {exc}")],
+    )
+
+
+_CACHE_VERSION = 6
 
 
 def scenario_cache_key(case: ScenarioCase, fingerprint: str) -> str:
@@ -774,6 +808,7 @@ def scenario_cache_key(case: ScenarioCase, fingerprint: str) -> str:
         "system": case.system,
         "seed": case.seed,
         "sharded": case.shards > 0,
+        "overrides": list(case.overrides),
         "spec": case.spec.to_dict(),
     }
     if case.spec.azure2019 is not None:
@@ -797,20 +832,33 @@ def run_scenarios(
 ) -> list[ScenarioReport]:
     """Run every (scenario, system) cell, order-stable.
 
-    Cells fan out through the parallel experiment runner and consult its
-    on-disk result cache: re-running a scenario sweep only recomputes
-    cells whose spec, seed, or the source tree changed.  ``shards >= 1``
-    routes each cell through the shard partitioner with that many worker
-    processes (results are shard-count-invariant).
+    ``shards >= 1`` routes each cell through the shard partitioner with
+    that many worker processes (results are shard-count-invariant).
     """
-    from repro.experiments.runner import make_runner
-
     chosen = resolve_systems(systems)
     cases = [
         ScenarioCase(spec.quick() if quick else spec, system, seed, max(shards, 0))
         for spec in specs
         for system in chosen
     ]
+    return run_cases(cases, runner=runner, jobs=jobs, use_cache=use_cache)
+
+
+def run_cases(
+    cases: list[ScenarioCase],
+    *,
+    runner=None,
+    jobs: int | None = None,
+    use_cache: bool | None = None,
+) -> list[ScenarioReport]:
+    """Run every case, order-stable, one report each.
+
+    Cases fan out through the parallel experiment runner and consult its
+    on-disk result cache: re-running a sweep only recomputes cells whose
+    spec, system, seed, overrides or the source tree changed.
+    """
+    from repro.experiments.runner import make_runner
+
     exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
     return exp_runner.cached_map(
         run_scenario_case,

@@ -287,11 +287,14 @@ class ShardSlice:
     resident: int = 0
 
 
-def _run_group(item: tuple[ShardGroup, str, bool]) -> ShardSlice:
-    """Run one shard group to quiesce (module-level: it crosses the pool)."""
-    group, system, trace = item
+def _run_group(item: tuple[ShardGroup, ScenarioCase]) -> ShardSlice:
+    """Run one shard group to quiesce (module-level: it crosses the pool).
+
+    The group's case is the parent's (system, trace, overrides) bound to
+    the group's sub-spec and seed."""
+    group, case = item
     driver = ScenarioDriver(
-        ScenarioCase(group.spec, system, group.seed, trace=trace),
+        replace(case, spec=group.spec, seed=group.seed, shards=0),
         server_indices=group.server_indices,
     )
     return _build_slice(group, driver, driver.run())
@@ -339,9 +342,7 @@ def run_sharded_case(case: ScenarioCase) -> ScenarioReport:
     """
     plan = partition_scenario(case.spec, case.seed)
     if not plan.sharded:
-        report = ScenarioDriver(
-            ScenarioCase(case.spec, case.system, case.seed, trace=case.trace)
-        ).run()
+        report = ScenarioDriver(replace(case, shards=0)).run()
         report.shards = 1
         report.shard_fallback = plan.fallback
         return report
@@ -351,7 +352,7 @@ def run_sharded_case(case: ScenarioCase) -> ScenarioReport:
     try:
         slices = runner.map(
             _run_group,
-            [(group, case.system, case.trace) for group in plan.groups],
+            [(group, case) for group in plan.groups],
         )
     finally:
         runner.close()
@@ -373,7 +374,7 @@ def merge_shard_reports(
     spec = case.spec
     slices = sorted(slices, key=lambda s: s.index)
     reports = [s.report for s in slices]
-    measured = max(spec.duration, 1.0) + spec.drain
+    measured = spec.measured
 
     violations: list[Violation] = []
     for s in slices:

@@ -216,6 +216,11 @@ class ModelScript:
     slo_latency: float = 10.0
     slo_class: str | None = None
     share_cap: float | None = None
+    # Names the tenant's ``arrivals…``/``requests…`` random streams
+    # (``None`` = the per-segment ``_{model}_s{i}`` tag).  Paper-figure
+    # specs set ``""`` (primary) and ``"_bg"`` (background): the seeded
+    # traffic their recorded tables and bench asserts were measured on.
+    stream: str | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -234,6 +239,19 @@ class ModelScript:
             raise ValueError(
                 f"{self.model}: share_cap must be in (0, 1], got {self.share_cap}"
             )
+        if self.stream is not None:
+            if not isinstance(self.stream, str):
+                raise ValueError(
+                    f"ModelScript {self.model}: field 'stream' must be a "
+                    f"string, got {self.stream!r}"
+                )
+            if len(self.segments) != 1:
+                # One named stream per tenant: a second segment would mint
+                # request ids from the same namespace.
+                raise ValueError(
+                    f"ModelScript {self.model}: field 'stream' needs exactly "
+                    f"one segment, got {len(self.segments)}"
+                )
 
     @property
     def horizon(self) -> float:
@@ -297,6 +315,10 @@ class ScenarioSpec:
     fragmentation: bool = True
     settle: float = 60.0  # initial loads complete before the traffic epoch
     drain: float = 20.0  # grace window after the last segment ends
+    # Traffic before the measured epoch: measurement opens at
+    # ``settle + warmup`` so steady-state numbers skip the initial
+    # scale-to-fit transients (see ``epoch`` and ``measured``).
+    warmup: float = 0.0
     admission_cap: int = 0  # backlog cap across all routers; 0 = no gate
     batch_cap: int = 16
     downtime_mean: float = 10.0  # reclamation downtime (s, exponential)
@@ -372,6 +394,21 @@ class ScenarioSpec:
                 )
         if self.settle < 0 or self.drain < 0:
             raise ValueError("settle/drain cannot be negative")
+        if self.warmup < 0:
+            raise ValueError(
+                f"ScenarioSpec: field 'warmup' cannot be negative: {self.warmup}"
+            )
+        if self.warmup >= self.duration:
+            raise ValueError(
+                f"ScenarioSpec: field 'warmup' ({self.warmup:g} s) must be "
+                f"shorter than the traffic window ({self.duration:g} s)"
+            )
+        streams = [m.stream for m in self.models if m.stream is not None]
+        if len(streams) != len(set(streams)):
+            raise ValueError(
+                f"ScenarioSpec {self.name!r}: tenants share a field 'stream' "
+                f"value: {streams}"
+            )
         if self.min_duration < 0:
             raise ValueError("min_duration cannot be negative")
         if self.cache_policy not in CACHE_POLICIES:
@@ -407,6 +444,17 @@ class ScenarioSpec:
     def horizon(self) -> float:
         """Total simulated time: settle + traffic + drain."""
         return self.settle + self.duration + self.drain
+
+    @property
+    def epoch(self) -> float:
+        """When the measured epoch opens: traffic starts at ``settle``,
+        measurement ``warmup`` seconds later."""
+        return self.settle + self.warmup
+
+    @property
+    def measured(self) -> float:
+        """The measured window: the denominator of every summary rate."""
+        return max(self.duration - self.warmup, 1.0) + self.drain
 
     @property
     def model_names(self) -> tuple[str, ...]:
@@ -496,6 +544,7 @@ class ScenarioSpec:
             ),
             events=tuple(replace(e, at=e.at / effective) for e in self.events),
             settle=self.settle,  # load times do not compress
+            warmup=self.warmup / effective,  # traffic time: it compresses
             drain=max(self.drain / effective, 10.0),
             # The scale-in window is part of the churn shape: keep its
             # ratio to the (compressed) wave spacing.

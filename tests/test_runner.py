@@ -2,7 +2,8 @@
 
 The determinism contract is the load-bearing one: seeded runs are
 order-independent, so a parallel sweep must be *equal* — every RunSummary
-field — to the sequential sweep, at any job count.
+field — to the sequential sweep, at any job count.  Every figure cell is
+a ``ScenarioCase`` keyed by ``scenario_cache_key``.
 """
 
 from __future__ import annotations
@@ -12,32 +13,26 @@ import dataclasses
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.common import ExperimentConfig, run_comparison, sweep_cv
 from repro.experiments.runner import (
     ExperimentRunner,
     ResultCache,
-    RunTask,
-    as_task,
-    cache_key,
     code_fingerprint,
-    execute_task,
 )
-from repro.experiments.systems import SYSTEM_FACTORIES, make_flexpipe
+from repro.scenarios.driver import ScenarioCase, run_cases, scenario_cache_key
 
-# Short horizons keep each simulation under a second; determinism claims
-# are horizon-independent.
-FAST = dict(
-    qps=10.0,
-    duration=40.0,
-    settle_time=120.0,
-    warmup_time=10.0,
-    drain_time=10.0,
-)
+
+def fast_spec(cv: float = 2.0):
+    """A figure workload on short horizons: each simulation stays under a
+    second, and determinism claims are horizon-independent."""
+    return figures.figure_spec(
+        "fast", cv=cv, qps=10.0, duration=40.0, settle=120.0, warmup=10.0,
+        drain=10.0,
+    )
 
 
 @pytest.fixture
-def fast_cfg() -> ExperimentConfig:
-    return ExperimentConfig(cv=2.0, seed=0, **FAST)
+def fast_case() -> ScenarioCase:
+    return ScenarioCase(fast_spec(), "FlexPipe", 0)
 
 
 def seq_runner() -> ExperimentRunner:
@@ -48,31 +43,27 @@ def par_runner(jobs: int = 4) -> ExperimentRunner:
     return ExperimentRunner(jobs=jobs, use_cache=False)
 
 
-class TestRunTask:
-    def test_overrides_are_canonicalised(self, fast_cfg):
-        a = RunTask.create("FlexPipe", fast_cfg, {"b": 1, "a": 2})
-        b = RunTask.create("FlexPipe", fast_cfg, {"a": 2, "b": 1})
+def key(case: ScenarioCase) -> str:
+    return scenario_cache_key(case, "codeprint")
+
+
+class TestCacheKey:
+    def test_overrides_are_canonicalised(self, fast_case):
+        a = dataclasses.replace(fast_case, overrides={"b": 1, "a": 2})
+        b = dataclasses.replace(fast_case, overrides=(("a", 2), ("b", 1)))
         assert a == b
-        assert cache_key(a) == cache_key(b)
+        assert a.overrides == (("a", 2), ("b", 1))
+        assert key(a) == key(b)
 
-    def test_as_task_resolves_registered_factories(self, fast_cfg):
-        task = as_task("FlexPipe", SYSTEM_FACTORIES["FlexPipe"], fast_cfg)
-        assert task is not None and task.system == "FlexPipe"
-
-    def test_as_task_rejects_adhoc_callables(self, fast_cfg):
-        assert as_task("FlexPipe", lambda ctx, c: None, fast_cfg) is None
-
-    def test_cache_key_differs_by_config_and_overrides(self, fast_cfg):
-        base = RunTask.create("FlexPipe", fast_cfg)
-        other_cfg = RunTask.create(
-            "FlexPipe", dataclasses.replace(fast_cfg, seed=1)
+    def test_cache_key_differs_by_config_and_overrides(self, fast_case):
+        other_seed = dataclasses.replace(fast_case, seed=1)
+        other_sys = dataclasses.replace(fast_case, system="AlpaServe")
+        other_spec = dataclasses.replace(fast_case, spec=fast_spec(cv=4.0))
+        overridden = dataclasses.replace(
+            fast_case, overrides={"enable_refactoring": False}
         )
-        other_sys = RunTask.create("AlpaServe", fast_cfg)
-        overridden = RunTask.create(
-            "FlexPipe", fast_cfg, {"enable_refactoring": False}
-        )
-        keys = {cache_key(t) for t in (base, other_cfg, other_sys, overridden)}
-        assert len(keys) == 4
+        cases = (fast_case, other_seed, other_sys, other_spec, overridden)
+        assert len({key(c) for c in cases}) == len(cases)
 
     def test_code_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
@@ -80,44 +71,39 @@ class TestRunTask:
 
 
 class TestDeterminism:
-    def test_parallel_comparison_identical_to_sequential(self, fast_cfg):
-        factories = {
-            name: SYSTEM_FACTORIES[name] for name in ("FlexPipe", "AlpaServe")
-        }
-        seq = run_comparison(factories, fast_cfg, runner=seq_runner())
-        par = run_comparison(factories, fast_cfg, runner=par_runner())
-        assert seq == par  # every RunSummary field, p50/p99/goodput included
-        for name in factories:
-            assert seq[name].latency_percentiles == par[name].latency_percentiles
-            assert seq[name].goodput == par[name].goodput
+    def test_parallel_comparison_identical_to_sequential(self):
+        cases = [
+            ScenarioCase(fast_spec(), name, 0) for name in ("FlexPipe", "AlpaServe")
+        ]
+        seq = run_cases(cases, runner=seq_runner())
+        par = run_cases(cases, runner=par_runner())
+        assert seq == par  # every report field, aggregate summaries included
+        for a, b in zip(seq, par):
+            assert a.aggregate.latency_percentiles == b.aggregate.latency_percentiles
+            assert a.aggregate.goodput == b.aggregate.goodput
 
-    def test_jobs_1_vs_jobs_4_sweep_identical(self, fast_cfg):
-        factories = {"FlexPipe": SYSTEM_FACTORIES["FlexPipe"]}
-        one = sweep_cv(factories, fast_cfg, (1.0, 4.0), runner=par_runner(1))
-        four = sweep_cv(factories, fast_cfg, (1.0, 4.0), runner=par_runner(4))
+    def test_jobs_1_vs_jobs_4_sweep_identical(self):
+        kwargs = dict(cvs=(1.0, 4.0), systems=("FlexPipe", "AlpaServe"))
+        one = figures.system_sweep(runner=par_runner(1), **kwargs)
+        four = figures.system_sweep(runner=par_runner(4), **kwargs)
         assert one == four
-
-    def test_adhoc_factories_still_run_in_process(self, fast_cfg):
-        factories = {
-            "FlexPipe": SYSTEM_FACTORIES["FlexPipe"],
-            "custom": lambda ctx, c: make_flexpipe(ctx, c, enable_refactoring=False),
-        }
-        out = run_comparison(factories, fast_cfg, runner=par_runner())
-        assert set(out) == {"FlexPipe", "custom"}
-        assert out["custom"].offered == out["FlexPipe"].offered
+        for cv in kwargs["cvs"]:
+            for name in kwargs["systems"]:
+                assert dataclasses.asdict(one[cv][name]) == dataclasses.asdict(
+                    four[cv][name]
+                )
 
 
 class TestResultCache:
-    def test_second_invocation_runs_zero_simulations(self, fast_cfg, tmp_path):
-        task = RunTask.create("FlexPipe", fast_cfg)
+    def test_second_invocation_runs_zero_simulations(self, fast_case, tmp_path):
         first = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
-        r1 = first.run_task(task)
-        assert first.simulations_run == 1 and not r1.cached
+        (r1,) = run_cases([fast_case], runner=first)
+        assert first.simulations_run == 1 and first.cache_hits == 0
         second = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
-        r2 = second.run_task(task)
+        (r2,) = run_cases([fast_case], runner=second)
         assert second.simulations_run == 0
-        assert second.cache_hits == 1 and r2.cached
-        assert r1.summary == r2.summary
+        assert second.cache_hits == 1
+        assert r1 == r2
 
     def test_figure_second_invocation_is_pure_cache(self, tmp_path):
         kwargs = dict(cvs=(1.0,), seed=0)
@@ -130,45 +116,38 @@ class TestResultCache:
         assert second.cache_hits == len(kwargs["cvs"])
         assert rows1 == rows2
 
-    def test_config_change_misses_the_cache(self, fast_cfg, tmp_path):
+    def test_config_change_misses_the_cache(self, fast_case, tmp_path):
         runner = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
-        runner.run_task(RunTask.create("FlexPipe", fast_cfg))
-        runner.run_task(
-            RunTask.create("FlexPipe", dataclasses.replace(fast_cfg, seed=1))
-        )
+        run_cases([fast_case], runner=runner)
+        run_cases([dataclasses.replace(fast_case, seed=1)], runner=runner)
         assert runner.simulations_run == 2
 
-    def test_corrupt_cache_entry_is_a_miss(self, fast_cfg, tmp_path):
-        task = RunTask.create("FlexPipe", fast_cfg)
-        cache = ResultCache(tmp_path)
-        key = cache_key(task)
-        cache.root.mkdir(exist_ok=True)
-        (cache.root / f"{key}.pkl").write_bytes(b"not a pickle")
-        assert cache.get(key) is None
+    def test_corrupt_cache_entry_is_a_miss(self, fast_case, tmp_path):
         runner = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
-        runner.run_task(task)
+        entry = scenario_cache_key(fast_case, runner._fingerprint)
+        runner.cache.root.mkdir(exist_ok=True)
+        (runner.cache.root / f"{entry}.pkl").write_bytes(b"not a pickle")
+        assert ResultCache(tmp_path).get(entry) is None
+        run_cases([fast_case], runner=runner)
         assert runner.simulations_run == 1
+        assert runner.cache.get(entry) is not None  # rewritten on the miss
 
-    def test_clear_empties_the_cache(self, fast_cfg, tmp_path):
+    def test_clear_empties_the_cache(self, fast_case, tmp_path):
         runner = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
-        runner.run_task(RunTask.create("FlexPipe", fast_cfg))
+        run_cases([fast_case], runner=runner)
         assert runner.cache.clear() == 1
         assert runner.cache.clear() == 0
 
 
 class TestExtractors:
-    def test_extractor_output_crosses_the_pool(self, fast_cfg):
-        task = RunTask.create(
-            "AlpaServe",
-            fast_cfg,
-            extract="repro.experiments.figures:extract_initial_init_times",
+    def test_extractor_output_crosses_the_pool(self):
+        cases = [ScenarioCase(fast_spec(cv=cv), "AlpaServe", 0) for cv in (1.0, 2.0)]
+        results = par_runner(2).map(
+            figures.live_cell,
+            [(case, figures.initial_init_times) for case in cases],
         )
-        summary, extra = execute_task(task)
-        assert summary.completed > 0
-        assert isinstance(extra, list) and extra
-        assert all(t > 0 for t in extra)
-
-    def test_bad_extractor_spec_rejected(self, fast_cfg):
-        task = RunTask.create("FlexPipe", fast_cfg, extract="no-colon")
-        with pytest.raises(ValueError, match="module:function"):
-            execute_task(task)
+        for report, init_times in results:
+            assert report.ok
+            assert report.aggregate.completed > 0
+            assert isinstance(init_times, list) and init_times
+            assert all(t > 0 for t in init_times)

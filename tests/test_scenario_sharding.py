@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,12 +294,50 @@ def test_shard_program_runs_one_group():
     spec = SCENARIOS["trace-replay"].quick()
     plan = partition_scenario(spec, seed=0)
     assert plan.sharded
-    piece = _run_group((plan.groups[0], "FlexPipe", False))
+    piece = _run_group((plan.groups[0], ScenarioCase(spec, "FlexPipe", 0, 1)))
     assert piece.index == 0
     assert piece.models == plan.groups[0].models
     assert piece.report.ok
     assert piece.engine_events == piece.report.engine_events > 0
     assert piece.report.completed == len(piece.populations.latencies)
+
+
+@pytest.mark.parametrize("tenants", [1, 2], ids=["fallback", "partitioned"])
+def test_sharded_warmup_and_overrides_match_unsharded(tenants):
+    """``--shards 1/2`` on a spec with a warm-up and a factory override:
+    the shards run exactly what the unsharded driver runs, and the merged
+    report measures over the spec's one measured window."""
+    spec = two_tenant_spec(warmup=4.0)
+    spec = replace(spec, models=spec.models[:tenants])
+    overrides = {"initial_replicas": 2}
+    one, two = (
+        run_scenario_case(
+            ScenarioCase(spec, "FlexPipe", 0, workers, overrides=overrides)
+        )
+        for workers in (1, 2)
+    )
+    assert canonical(one) == canonical(two)
+    assert one.ok, [v.detail for v in one.violations]
+    assert one.aggregate.duration == spec.measured
+    plan = partition_scenario(spec, seed=0)
+    assert plan.sharded == (tenants > 1)
+    for group in plan.groups:
+        case = ScenarioCase(group.spec, "FlexPipe", group.seed, overrides=overrides)
+        alone = ScenarioDriver(case, server_indices=group.server_indices).run()
+        plain = ScenarioDriver(
+            replace(case, overrides=()), server_indices=group.server_indices
+        ).run()
+        for name in group.models:
+            assert one.per_model[name] == alone.per_model[name]
+            # The override changes the run, so dropping it would show.
+            assert one.per_model[name] != plain.per_model[name]
+    if tenants == 1:
+        unsharded = run_scenario_case(
+            ScenarioCase(spec, "FlexPipe", 0, overrides=overrides)
+        )
+        assert canonical(replace(one, shards=0, shard_fallback="")) == canonical(
+            unsharded
+        )
 
 
 def test_crashing_group_becomes_harness_crash(monkeypatch):

@@ -230,6 +230,21 @@ class TestScenarioSpec:
                 "Azure2019Source",
                 "'azure2019'",
             ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}], "warmup": -1}',
+                "ScenarioSpec",
+                "'warmup'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B"}], "warmup": 30}',
+                "ScenarioSpec",
+                "'warmup'",
+            ),
+            (
+                '{"name": "x", "models": [{"model": "LLAMA2-7B", "stream": 5}]}',
+                "ModelScript",
+                "'stream'",
+            ),
         ],
         ids=[
             "missing-name",
@@ -244,6 +259,9 @@ class TestScenarioSpec:
             "bool-string",
             "name-number",
             "trace-source-number",
+            "warmup-negative",
+            "warmup-past-traffic",
+            "stream-number",
         ],
     )
     def test_malformed_spec_is_a_value_error(self, document, owner, field):
@@ -252,6 +270,63 @@ class TestScenarioSpec:
         with pytest.raises(ValueError) as info:
             ScenarioSpec.from_json(document)
         assert owner in str(info.value) and field in str(info.value)
+
+    def test_warmup_and_stream_round_trip(self):
+        spec = replace(
+            MINI,
+            warmup=5.0,
+            models=(
+                ModelScript("LLAMA2-7B", (ArrivalSegment(duration=20.0),), stream=""),
+                ModelScript("WHISPER-9B", (ArrivalSegment(duration=9.0),), stream="_bg"),
+            ),
+            events=(),
+        )
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert spec.epoch == spec.settle + 5.0
+        assert spec.measured == spec.duration - 5.0 + spec.drain
+
+    def test_quick_scales_warmup_with_the_segments(self):
+        spec = replace(MINI, warmup=6.0)
+        quick = spec.quick()
+        shrink = spec.duration / quick.duration
+        assert quick.warmup == pytest.approx(6.0 / shrink)
+
+    def test_default_fields_keep_the_historical_window(self):
+        assert MINI.epoch == MINI.settle
+        assert MINI.measured == max(MINI.duration, 1.0) + MINI.drain
+
+    def test_direct_stream_misuse_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'stream'"):
+            ModelScript("LLAMA2-7B", stream=5)
+        with pytest.raises(ValueError, match="'stream'"):
+            ModelScript(
+                "LLAMA2-7B",
+                (ArrivalSegment(), ArrivalSegment(start=30.0)),
+                stream="",
+            )
+        with pytest.raises(ValueError, match="'stream'"):
+            ScenarioSpec(
+                name="x",
+                models=(
+                    ModelScript("LLAMA2-7B", stream="_a"),
+                    ModelScript("WHISPER-9B", stream="_a"),
+                ),
+            )
+
+    def test_case_override_clashing_with_a_spec_knob_raises(self):
+        spec = replace(MINI, scale_to_zero=True)
+        with pytest.raises(ValueError, match="min_replicas") as info:
+            ScenarioCase(spec, "FlexPipe", overrides={"min_replicas": 1})
+        assert "'overrides'" in str(info.value)
+        # Baselines take no cold-start knobs, so nothing clashes there;
+        # an initial_replicas knob clashes on every system.
+        ScenarioCase(spec, "AlpaServe", overrides={"min_replicas": 1})
+        with pytest.raises(ValueError, match="initial_replicas"):
+            ScenarioCase(
+                replace(MINI, initial_replicas=2),
+                "Tetris",
+                overrides={"initial_replicas": 1},
+            )
 
     def test_catalog_lookup(self):
         assert get_scenario("tenant-churn").name == "tenant-churn"

@@ -2,37 +2,34 @@
 
 These run short simulations on the full paper cluster with fragmentation,
 exercising the complete stack (allocation -> loading -> batching ->
-pipelined execution -> scaling/refactoring -> metrics).
+pipelined execution -> scaling/refactoring -> metrics), through
+``ScenarioDriver`` with the invariant auditor attached.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, run_system
-from repro.experiments.systems import (
-    SYSTEM_FACTORIES,
-    make_alpaserve,
-    make_flexpipe,
-    make_muxserve,
-    make_serverlessllm,
-    make_tetris,
-    replicas_for_fraction,
-)
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.figures import figure_spec
+from repro.experiments.systems import SYSTEM_FACTORIES, replicas_for_fraction
+from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 
-FAST = dict(
-    duration=60.0,
-    settle_time=120.0,
-    warmup_time=20.0,
-    drain_time=20.0,
-    qps=10.0,
-)
+FAST = dict(duration=60.0, settle=120.0, warmup=20.0, drain=20.0, qps=10.0)
+
+
+def run_audited(name: str, overrides=None, **workload):
+    """One audited run of system ``name``: ``(summary, live system)``."""
+    spec = figure_spec("integration", **{**FAST, **workload})
+    driver = ScenarioDriver(ScenarioCase(spec, name, overrides=overrides or {}))
+    report = driver.run()
+    assert report.ok, [str(v) for v in report.violations]
+    return report.aggregate, driver.system
 
 
 @pytest.fixture(scope="module")
 def flexpipe_run():
-    cfg = ExperimentConfig(cv=2.0, **FAST)
-    return run_system(make_flexpipe, cfg)
+    return run_audited("FlexPipe", cv=2.0)
 
 
 class TestFlexPipeEndToEnd:
@@ -72,8 +69,7 @@ class TestFlexPipeEndToEnd:
 class TestAllSystemsEndToEnd:
     @pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
     def test_system_completes_workload(self, name):
-        cfg = ExperimentConfig(cv=1.0, **FAST)
-        summary, system = run_system(SYSTEM_FACTORIES[name], cfg)
+        summary, system = run_audited(name, cv=1.0)
         assert summary.completed > 0, f"{name} completed nothing"
         assert summary.completed >= 0.9 * summary.offered
         assert summary.goodput_rate > 0.3
@@ -81,51 +77,42 @@ class TestAllSystemsEndToEnd:
         assert system_names == {system.name}
 
     def test_static_systems_never_scale(self):
-        cfg = ExperimentConfig(cv=2.0, **FAST)
-        for factory in (make_alpaserve, make_muxserve):
-            summary, _ = run_system(factory, cfg)
+        for name in ("AlpaServe", "MuxServe"):
+            summary, _ = run_audited(name, cv=2.0)
             assert summary.scale_out_count == 0
             assert summary.refactor_count == 0
 
     def test_reactive_systems_scale_out_under_load(self):
-        cfg = ExperimentConfig(cv=2.0, qps=20.0, duration=90.0,
-                               settle_time=120.0, warmup_time=20.0, drain_time=20.0)
-        summary, _ = run_system(make_serverlessllm, cfg)
+        summary, _ = run_audited("ServerlessLLM", cv=2.0, qps=20.0, duration=90.0)
         assert summary.scale_out_count > 0
 
     def test_flexpipe_refactors_under_cv_shift(self):
-        cfg = ExperimentConfig(cv=4.0, qps=15.0, duration=90.0,
-                               settle_time=120.0, warmup_time=20.0, drain_time=20.0)
-        summary, system = run_system(make_flexpipe, cfg)
+        summary, system = run_audited("FlexPipe", cv=4.0, qps=15.0, duration=90.0)
         assert summary.refactor_count > 0
-        granularity = system.current_granularity(cfg.model)
+        granularity = system.current_granularity("OPT-66B")
         assert granularity >= 4  # moved away from nothing; sanity
 
     def test_muxserve_packs_fewer_gpus_than_alpaserve(self):
-        cfg = ExperimentConfig(cv=1.0, background_model="BERT-21B", **FAST)
-        alpa, _ = run_system(make_alpaserve, cfg)
-        mux, _ = run_system(make_muxserve, cfg)
+        alpa, _ = run_audited("AlpaServe", cv=1.0, background="BERT-21B")
+        mux, _ = run_audited("MuxServe", cv=1.0, background="BERT-21B")
         assert mux.gpus_used <= alpa.gpus_used
 
     def test_same_seed_same_workload_across_systems(self):
-        cfg = ExperimentConfig(cv=1.0, **FAST)
-        a, _ = run_system(make_alpaserve, cfg)
-        b, _ = run_system(make_tetris, cfg)
+        a, _ = run_audited("AlpaServe", cv=1.0)
+        b, _ = run_audited("Tetris", cv=1.0)
         assert a.offered == b.offered  # identical arrival stream
 
 
 class TestAblations:
     def test_refactoring_off_never_refactors(self):
-        cfg = ExperimentConfig(cv=4.0, **FAST)
-        summary, _ = run_system(
-            lambda ctx, c: make_flexpipe(ctx, c, enable_refactoring=False), cfg
+        summary, _ = run_audited(
+            "FlexPipe", {"enable_refactoring": False}, cv=4.0
         )
         assert summary.refactor_count == 0
 
     def test_warm_cache_off_disables_warm_starts(self):
-        cfg = ExperimentConfig(cv=4.0, **FAST)
-        summary, _ = run_system(
-            lambda ctx, c: make_flexpipe(ctx, c, enable_warm_cache=False), cfg
+        summary, _ = run_audited(
+            "FlexPipe", {"enable_warm_cache": False}, cv=4.0
         )
         assert summary.warm_start_rate == 0.0
 
