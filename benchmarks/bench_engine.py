@@ -16,6 +16,9 @@ Usage::
 ``--check`` compares the measured *speedup over the seed engine* against
 the recorded one: the ratio is hardware-independent, so the gate holds on
 CI runners that are faster or slower than the machine that recorded it.
+The speedup is the median of per-pair ratios over interleaved seed/current
+runs (``--pairs``), so host load that shifts between runs moves both sides
+of a ratio together instead of skewing one engine's best-of-N.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import importlib.util
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -77,21 +81,35 @@ def drive(sim_cls, horizon: float = 400.0, chains: int = 32) -> tuple[int, float
     return sim.events_processed, time.perf_counter() - start
 
 
-def measure(horizon: float, repeats: int = 3) -> dict:
-    """Best-of-N events/sec for both engines on the identical scenario."""
+def measure(horizon: float, pairs: int = 5) -> dict:
+    """Median per-pair speedup over ``pairs`` interleaved seed/current runs.
+
+    Each pair drives both engines back to back on the identical scenario,
+    alternating which goes first, so both sides of a ratio see the same
+    host load; the median ratio then drops the pairs a load spike hit.
+    The recorded rates are each engine's median.
+    """
     import repro.simulation.engine as current_engine
 
-    seed_engine = _load_seed_engine()
-    out: dict = {}
-    for label, module in (("seed", seed_engine), ("current", current_engine)):
-        best_rate, events = 0.0, 0
-        for _ in range(repeats):
-            events, elapsed = drive(module.Simulator, horizon=horizon)
-            best_rate = max(best_rate, events / elapsed)
-        out[label] = {"events": events, "events_per_sec": round(best_rate)}
-    out["speedup"] = round(
-        out["current"]["events_per_sec"] / out["seed"]["events_per_sec"], 3
-    )
+    engines = {"seed": _load_seed_engine(), "current": current_engine}
+    rates: dict[str, list[float]] = {"seed": [], "current": []}
+    events: dict[str, int] = {}
+    ratios = []
+    for i in range(pairs):
+        order = ("seed", "current") if i % 2 == 0 else ("current", "seed")
+        for label in order:
+            events[label], elapsed = drive(engines[label].Simulator, horizon=horizon)
+            rates[label].append(events[label] / elapsed)
+        ratios.append(rates["current"][-1] / rates["seed"][-1])
+    out: dict = {
+        label: {
+            "events": events[label],
+            "events_per_sec": round(statistics.median(rates[label])),
+        }
+        for label in engines
+    }
+    out["pairs"] = pairs
+    out["speedup"] = round(statistics.median(ratios), 3)
     return out
 
 
@@ -109,13 +127,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizon", type=float, default=400.0,
                         help="simulated seconds to drive (default 400)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="take the best of N runs (default 3)")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="interleaved seed/current run pairs; the gate "
+                        "reads their median speedup (default 5)")
     parser.add_argument("--check", action="store_true",
                         help="compare against BENCH_perf.json instead of recording")
     args = parser.parse_args(argv)
 
-    result = measure(args.horizon, args.repeats)
+    result = measure(args.horizon, args.pairs)
     print(
         f"seed engine:    {result['seed']['events_per_sec']:>10,} events/s "
         f"({result['seed']['events']} events)"
@@ -124,7 +143,10 @@ def main(argv: list[str] | None = None) -> int:
         f"current engine: {result['current']['events_per_sec']:>10,} events/s "
         f"({result['current']['events']} events)"
     )
-    print(f"speedup over seed: {result['speedup']:.2f}x")
+    print(
+        f"speedup over seed: {result['speedup']:.2f}x "
+        f"(median of {result['pairs']} interleaved pairs)"
+    )
 
     if result["seed"]["events"] != result["current"]["events"]:
         print("FAIL: engines processed different event counts (determinism!)")

@@ -55,8 +55,10 @@ class GPU:
         # capacity epoch; a plain attribute because placement scans read
         # it per GPU.
         self.cordoned = False
-        # Serving load: allocation-id -> bytes.
+        # Serving load: allocation-id -> bytes, and its sum (None = stale;
+        # reserve/release/resize, the only writers, invalidate it).
         self._stage_mem: dict[str, float] = {}
+        self._serving_mem: float | None = None
         # Models with a stage resident here (anti-affinity rule, §6.2).
         self.model_tags: dict[str, int] = {}
         # Serving bytes per resident model (share-cap observability: which
@@ -94,7 +96,12 @@ class GPU:
     # ------------------------------------------------------------------
     @property
     def serving_mem(self) -> float:
-        return sum(self._stage_mem.values())
+        """``sum`` over the live allocations, recomputed only after a
+        write, so every read equals the recompute bit for bit."""
+        total = self._serving_mem
+        if total is None:
+            total = self._serving_mem = sum(self._stage_mem.values())
+        return total
 
     @property
     def stage_allocations(self) -> dict[str, float]:
@@ -129,6 +136,7 @@ class GPU:
                 f"free {self.free_memory / GB:.2f} GB"
             )
         self._stage_mem[alloc_id] = nbytes
+        self._serving_mem = None
         if model is not None:
             self.model_tags[model] = self.model_tags.get(model, 0) + 1
             self.model_bytes[model] = self.model_bytes.get(model, 0.0) + nbytes
@@ -139,6 +147,7 @@ class GPU:
         if alloc_id not in self._stage_mem:
             raise KeyError(f"unknown allocation id {alloc_id!r} on {self.gid}")
         nbytes = self._stage_mem.pop(alloc_id)
+        self._serving_mem = None
         self._capacity_added()
         if model is not None:
             count = self.model_tags.get(model, 0) - 1
@@ -159,6 +168,7 @@ class GPU:
         if nbytes - current > self.free_memory + 1e-6:
             raise ValueError(f"over-commit resizing {alloc_id!r} on {self.gid}")
         self._stage_mem[alloc_id] = nbytes
+        self._serving_mem = None
         if nbytes < current:
             self._capacity_added()
         if model is not None and model in self.model_bytes:

@@ -77,8 +77,8 @@ class ControlSweep:
     so it takes that member's place in the event queue.
 
     A sleeping member (``Autoscaler._wake`` set) is not ticked: the sweep
-    asks its O(1) wake check instead, and ticks it at the first grid
-    instant the check fires.
+    asks its wake check instead (O(fleet) at most), and ticks it at the
+    first grid instant the check fires.
     """
 
     def __init__(self, sim: Simulator, interval: float):
@@ -154,6 +154,9 @@ class Autoscaler:
             self.fixed_plan = None
             self.plan_for = plan_for
         self.config = config or AutoscalerConfig()
+        # The fleet an idle tick settles at: desired with rate = CV =
+        # queue = 0 (Eq. 5 floors at one replica, scale-to-zero at zero).
+        self._floor = min(self.config.min_replicas, self.config.max_replicas)
         self.loading: list[PipelineReplica] = []
         # Optional QoS hook: a callable returning the tenant's scale-out
         # urgency (>= 0, see AttainmentTracker.pressure).  While the
@@ -235,31 +238,30 @@ class Autoscaler:
         now = self.sim.now
         cfg = self.config
         self._wake = None
-        self.loading = [
-            r for r in self.loading if r.state is ReplicaState.LOADING
-        ]
+        if self.loading:
+            self.loading = [
+                r for r in self.loading if r.state is ReplicaState.LOADING
+            ]
         active = self.router.active_replicas
+        queue = self.router.total_queue
         if (
-            cfg.min_replicas == 0
-            and not active
-            and not self.loading
-            and not self.router.pending
-            and self.monitor.window_count(now) == 0
+            queue == 0
             and self.slo_pressure is None
+            and len(active) + len(self.loading) == self._floor
+            and self.monitor.window_count(now) == 0
         ):
-            # Idle scale-to-zero tenant: the body below would compute
-            # rate = queue = 0 and desired = 0 = total, then settle; what
-            # it skips only reads state or fills value-neutral caches.
-            # (The QoS pressure hook prunes running float sums, so a
-            # tenant with one always takes the full body.)
+            # Idle at the floor: the body below would compute rate = CV =
+            # queue = 0, so desired is exactly the floor, equal to the
+            # fleet, and settle.  What it skips only reads state or fills
+            # value-neutral caches.  (The QoS pressure hook prunes running
+            # float sums, so a tenant with one always takes the full body.)
             self._end_blocked_episode()
             self._low_since = None
             # Every later tick takes this path too until an input moves,
             # and it rewrites only what it just wrote: sleep.
             self._observed = self.monitor.total_observed
-            self._wake = self._idle_woken
+            self._wake = self._floor_woken
             return
-        queue = self.router.total_queue
         cv = self.monitor.cv(now)
         rate = self.monitor.arrival_rate(now)
         plan = self.plan_for(cv, queue)
@@ -282,8 +284,11 @@ class Autoscaler:
         )
         # Burst pressure: queued work the current capacity cannot clear in
         # one SLO budget demands more instances now (Eq. 12 spirit).
-        capacity_now = sum(self.replica_capacity(r) for r in active)
-        if queue > cfg.queue_factor * max(capacity_now * cfg.interval, 1.0):
+        # The right-hand side is at least queue_factor (>= 0), so below it
+        # the fleet's capacity cannot matter and is not summed.
+        if queue > cfg.queue_factor and queue > cfg.queue_factor * max(
+            sum(self.replica_capacity(r) for r in active) * cfg.interval, 1.0
+        ):
             backlog_units = math.ceil(
                 queue / max(per_replica * cfg.slo_deadline * 0.5, 1.0)
             )
@@ -312,44 +317,52 @@ class Autoscaler:
         else:
             self._low_since = None
 
-    def _idle_woken(self) -> bool:
-        """Whether an idle sleeper's tick could leave the fast path.
+    def _floor_woken(self) -> bool:
+        """Whether a floor sleeper's tick could leave the idle path.
 
         The window only loses stamps between arrivals, so it stays empty
-        until ``total_observed`` moves; the other inputs are read as the
-        tick would read them.
+        until ``total_observed`` moves; the queue, the hook and the fleet
+        (accepting replicas plus ``loading`` still LOADING) are read as
+        the tick would read them.
         """
-        return (
+        if (
             self.monitor.total_observed != self._observed
-            or bool(self.router.pending)
-            or bool(self.loading)
+            or self.router.total_queue
             or self.slo_pressure is not None
-            or _has_accepting(self.router)
-        )
+        ):
+            return True
+        fleet = 0
+        for replica in self.router.replicas:
+            if replica.accepting:
+                fleet += 1
+        for replica in self.loading:
+            if replica.state is ReplicaState.LOADING:
+                fleet += 1
+        return fleet != self._floor
 
     def _sleeps_while_parked(self) -> bool:
-        """Whether every tick parks again while the inputs below hold.
+        """Whether every tick parks again until the wake check fires.
 
         With a fixed plan, no replica and a floor of at least one,
         ``desired > total`` whatever the rate, CV or queue, so the tick
         reaches this park; without hooks it only reads state on the way.
         """
-        cfg = self.config
         return (
             self.fixed_plan is not None
-            and min(cfg.min_replicas, cfg.max_replicas) >= 1
-            and self.share_headroom is None
-            and self.slo_pressure is None
-            and not self.loading
-            and not _has_accepting(self.router)
+            and self._floor >= 1
+            and not self._parked_woken()
         )
 
     def _parked_woken(self) -> bool:
         """Whether a parked sleeper's tick could do anything but park:
-        a hook or a replica appeared, or the certificate lapsed."""
+        a hook or a replica appeared, or the certificate lapsed.  (The
+        plan and the floor are fixed, so they are not read again.)"""
         return (
             self.on_park is not None
-            or not self._sleeps_while_parked()
+            or self.share_headroom is not None
+            or self.slo_pressure is not None
+            or bool(self.loading)
+            or _has_accepting(self.router)
             or not self._parked[1].holds()
         )
 
@@ -401,6 +414,9 @@ class Autoscaler:
             except AllocationError as exc:
                 cert = exc.certificate
                 self._parked = (plan, cert) if cert is not None else None
+                if cert is not None and self._sleeps_while_parked():
+                    # The next tick would reach the park above: sleep now.
+                    self._wake = self._parked_woken
                 # One event per blocked episode, not per retry: retained
                 # events must not grow with the retry rate.
                 if self._blocked_since is None:

@@ -5,8 +5,9 @@ reduces to):
 
 ``memory-accounting``
     Every live :class:`StageReservation` is backed by a matching
-    allocation on its GPU (same id, same bytes), and no GPU's serving +
-    background occupancy exceeds its capacity.
+    allocation on its GPU (same id, same bytes), each GPU's cached
+    ``serving_mem`` equals the sum over its allocations exactly, and no
+    GPU's serving + background occupancy exceeds its capacity.
 ``reservation-footprint``
     Every unreleased reservation of a live replica's current chain holds
     at least its stage's share of ``plan.memory_per_stage(max_batch,
@@ -224,6 +225,16 @@ class InvariantAuditor:
             for problem in self._allocator.audit_balance()
         ]
         for gpu in self._cluster.gpus:
+            cached = gpu.serving_mem
+            recomputed = sum(gpu.stage_allocations.values())
+            if cached != recomputed:
+                out.append(
+                    Violation(
+                        "memory-accounting",
+                        f"{gpu.gid} cached serving bytes {cached!r} differ "
+                        f"from the recompute {recomputed!r}",
+                    )
+                )
             if gpu.used_memory > gpu.spec.memory + _CAPACITY_EPS:
                 out.append(
                     Violation(

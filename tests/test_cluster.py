@@ -91,6 +91,31 @@ class TestGPU:
         with pytest.raises(ValueError):
             GPUSpec(memory=-1.0)
 
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_cached_serving_mem_equals_the_recompute(self, seed):
+        """The cached ``serving_mem`` is the very float the sum over the
+        live allocations gives, after every reserve, resize and release
+        (rejected ones included), read between writes or not."""
+        rng = random.Random(seed)
+        gpu = GPU("g0")
+        live: list[str] = []
+        for step in range(400):
+            op = rng.choice(("reserve", "reserve", "resize", "release"))
+            try:
+                if op == "reserve":
+                    alloc_id = f"a{step}"
+                    gpu.reserve(alloc_id, rng.uniform(0.01, 12.0) * GB)
+                    live.append(alloc_id)
+                elif op == "resize" and live:
+                    gpu.resize(rng.choice(live), rng.uniform(0.01, 20.0) * GB)
+                elif op == "release" and live:
+                    gpu.release(live.pop(rng.randrange(len(live))))
+            except ValueError:
+                pass  # over-commit: rejected before any write
+            if rng.random() < 0.7:  # some writes are never read
+                assert gpu.serving_mem == sum(gpu.stage_allocations.values())
+        assert gpu.serving_mem == sum(gpu.stage_allocations.values())
+
 
 class TestServer:
     def test_host_memory_accounting(self, sim):

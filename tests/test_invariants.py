@@ -231,6 +231,14 @@ class TestAuditorDetection:
         gpu.release(res.res_id)  # GPU side vanishes, allocator side stays
         assert "memory-accounting" in invariants_of(auditor.audit_quiesce())
 
+    def test_stale_serving_mem_cache_flagged(self, clean_run):
+        _, ctx, _, auditor = clean_run
+        gpu = ctx.cluster.gpus[0]
+        gpu._serving_mem = gpu.serving_mem + 1.0  # a write that missed it
+        found = auditor.audit_quiesce()
+        assert "memory-accounting" in invariants_of(found)
+        assert any(gpu.gid in v.detail for v in found)
+
     def test_reservation_below_footprint_flagged(self):
         sim = Simulator()
         ctx = ServingContext.create(sim, make_small_cluster(sim), RandomStreams(7))

@@ -701,7 +701,7 @@ class TestAutoscalerBlockedEpisodeEnds:
 
 
 def _polling_autoscaler():
-    """The autoscaler before the control sweep, the idle fast path and the
+    """The autoscaler before the control sweep, the floor rule and the
     certified park: one periodic process per tenant, no tenant ever
     sleeps, every tick prices a plan and every blocked tick calls
     deploy."""
@@ -823,7 +823,7 @@ def _pinned_binding_caps():
 
 
 class TestAutoscalerPollingOracle:
-    """The control sweep, its sleeping tenants, the idle fast path and the
+    """The control sweep, its sleeping tenants, the floor rule and the
     certified park change no report: per-tenant polling produces
     byte-identical reports (engine event counts aside)."""
 
@@ -841,6 +841,17 @@ class TestAutoscalerPollingOracle:
             # Elastic QoS with binding caps: hooks installed mid-set-up.
             ("chaos-3-binding-caps", "FlexPipe", 3),
             ("chaos-3-binding-caps", "DistServe", 3),
+            # Tenants asleep at a floor of one lose a replica to a reclaim
+            # and wake on the fleet recount alone.
+            ("paper-multi-burst", "FlexPipe", 1),
+            ("paper-multi-burst", "ServerlessLLM", 1),
+            ("paper-multi-burst", "Tetris", 0),
+            # Server failures, and scenario scale-outs and drains, around
+            # tenants that sleep at their floor until traffic starts.
+            ("failure-cascade", "FlexPipe", 0),
+            ("failure-cascade", "DistServe", 0),
+            ("tenant-churn", "FlexPipe", 0),
+            ("tenant-churn", "DistServe", 0),
         ],
     )
     def test_reports_match_the_polling_autoscaler(
@@ -862,9 +873,9 @@ class TestAutoscalerPollingOracle:
 
 
 class TestControlSweep:
-    """One sweep ticks a system's autoscalers; idle and certified-parked
-    tenants sleep until an input of their decision moves, then tick at
-    the next grid instant."""
+    """One sweep ticks a system's autoscalers; tenants idle at their floor
+    and certified-parked tenants sleep until an input of their decision
+    moves, then tick at the next grid instant."""
 
     def _scaler(self, sim, profile, plan_for, *, sweep=None, **config):
         from types import SimpleNamespace
@@ -973,6 +984,108 @@ class TestControlSweep:
         woke = math.floor(activated / 0.5) * 0.5 + 0.5
         assert ticks[:2] == [0.5, woke]
 
+    def test_floor_tenant_sleeps_after_one_tick(self, sim, llama_profile):
+        from types import SimpleNamespace
+
+        from repro.pipeline.replica import ReplicaState
+
+        scaler, ticks, deployed = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=1
+        )
+        scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
+        sim.run(until=10.0)
+        assert ticks == [0.5]
+        assert deployed == []
+        assert scaler._wake is not None
+
+    def test_floor_two_sleeps_with_one_loading_one_active(
+        self, sim, llama_profile
+    ):
+        from types import SimpleNamespace
+
+        from repro.pipeline.replica import ReplicaState
+
+        scaler, ticks, deployed = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=2
+        )
+        scaler.router.replicas.append(SimpleNamespace(accepting=True))
+        scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
+        sim.run(until=10.0)
+        assert ticks == [0.5]
+        assert deployed == []
+
+    def test_requeued_request_wakes_a_floor_sleeper(self, sim, llama_profile):
+        """A request back in the queue without a new arrival wakes the
+        tenant: the window stays empty and the fleet is unchanged, so only
+        the queue test sees it."""
+        from types import SimpleNamespace
+
+        from repro.pipeline.replica import ReplicaState
+
+        scaler, ticks, _ = self._scaler(
+            sim, llama_profile, self._plan(llama_profile), min_replicas=1
+        )
+        scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
+        sim.schedule_at(2.2, scaler.router.pending.append, object())
+        sim.run(until=4.0)
+        # Queued work keeps every later tick awake.
+        assert ticks == [0.5, 2.5, 3.0, 3.5, 4.0]
+
+    def test_release_wakes_a_floor_sleeper_which_redeploys(self, ctx):
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+
+        system = FlexPipeSystem(ctx, [LLAMA2_7B], initial_replicas=1)
+        scaler = system._models[LLAMA2_7B.name].autoscaler
+        ticks = _tick_times(scaler)
+        system.start()
+        ctx.sim.run(until=20.0)
+        # One loading, then active, replica at a floor of one: asleep.
+        assert ticks == [0.5]
+        (first,) = system.all_replicas()
+        assert first.accepting
+        ctx.sim.schedule_at(20.2, system.factory.release, first)
+        ctx.sim.run(until=21.0)
+        assert ticks == [0.5, 20.5, 21.0]
+        replacement = [r for r in system.all_replicas() if r is not first]
+        assert len(replacement) == 1
+        assert replacement[0].created_at == 20.5
+        assert scaler._wake is not None  # asleep again at the floor
+
+    def test_replica_added_behind_its_back_wakes_into_scale_in(self, ctx):
+        import numpy as np
+
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+        from repro.scenarios.driver import action_scale_out
+
+        system = FlexPipeSystem(
+            ctx, [LLAMA2_7B], initial_replicas=1, scale_in_idle_window=5.0
+        )
+        scaler = system._models[LLAMA2_7B.name].autoscaler
+        ticks = _tick_times(scaler)
+        system.start()
+        outcome = []
+        ctx.sim.schedule_at(
+            20.2,
+            lambda: outcome.append(
+                action_scale_out(
+                    system, np.random.default_rng(1), model=LLAMA2_7B.name
+                )
+            ),
+        )
+        ctx.sim.run(until=120.0)
+        assert outcome == ["ok"]
+        first, extra = system.all_replicas()
+        woke = math.floor(extra.activated_at / 0.5) * 0.5 + 0.5
+        assert ticks[:2] == [0.5, woke]
+        # Awake above the floor until the idle window reclaims the extra
+        # replica (the newest), then asleep at the floor again.
+        assert ticks[-1] == woke + 5.5
+        assert ticks[1:] == [woke + 0.5 * i for i in range(12)]
+        assert first.accepting and not extra.accepting
+        assert scaler._wake is not None
+
     def test_capacity_epoch_wakes_a_parked_sleeper(self, ctx, llama_profile):
         from repro.cluster.allocator import degrade_until_fit
 
@@ -999,10 +1112,10 @@ class TestControlSweep:
         scaler.deploy = deploy
         ctx.sim.schedule_at(5.2, allocator.release, fills[0])
         ctx.sim.run(until=10.0)
-        # 0.5 fails with a certificate, 1.0 parks and sleeps; the release
-        # moves the capacity epoch, so 5.5 retries (and parks again).
+        # 0.5 fails with a certificate and sleeps; the release moves the
+        # capacity epoch, so 5.5 retries (and sleeps again).
         assert calls == [0.5, 5.5]
-        assert ticks == [0.5, 1.0, 5.5, 6.0]
+        assert ticks == [0.5, 5.5]
 
     def test_a_plan_choice_never_sleeps_parked(self, ctx, llama_profile):
         from repro.cluster.allocator import AllocationError, InfeasibleCertificate
@@ -1051,6 +1164,8 @@ class TestControlSweep:
         plan = self._plan(llama_profile)
         first, _, _ = self._scaler(sim, llama_profile, plan, sweep=sweep)
         second, ticks, _ = self._scaler(sim, llama_profile, plan, sweep=sweep)
+        # A pressure hook keeps the second tenant awake at its floor.
+        second.slo_pressure = lambda: 0.0
         sim.run(until=1.0)
         first.stop()
         sim.run(until=2.0)
