@@ -95,17 +95,12 @@ class DistServeSystem(StaticPipelineSystem):
         ratio = request.prompt_tokens / max(request.output_tokens, 1)
         return "prefill" if ratio >= self.phase_ratio_threshold else "decode"
 
-    def submit(self, request: Request) -> None:
-        if request.model not in self.routers:
-            raise KeyError(f"{self.name} does not serve model {request.model!r}")
-        self.metrics.on_submit(request)
-        self.monitors[request.model].observe(self.sim.now)
+    def _router_for(self, request: Request) -> ModelRouter:
         if self.classify(request) == "prefill":
             self.prefill_routed += 1
-            self.routers[request.model].submit(request)
-        else:
-            self.decode_routed += 1
-            self.decode_routers[request.model].submit(request)
+            return self.routers[request.model]
+        self.decode_routed += 1
+        return self.decode_routers[request.model]
 
     # ------------------------------------------------------------------
     def start(self) -> None:

@@ -45,7 +45,6 @@ class FlexPipeConfig:
     beta_sigmoid: float = 40.0  # β in Eq. 11
     gamma_sigmoid: float = 10.0  # γ in Eq. 11
     queue_capacity: int = 512  # Q_max for q̂ normalisation
-    scale_out_queue_factor: float = 1.5  # queue > factor×capacity ⇒ scale out
     scale_in_idle_window: float = 300.0  # paper's 5-minute reclamation window (§9.4)
     min_replicas: int = 1
     max_replicas: int = 16
@@ -59,7 +58,6 @@ class FlexPipeConfig:
     affinity_decay: float = 1.0 / 120.0  # λ: temporal decay of warm hosts
 
     # --- provisioning ---
-    always_on_fraction: float = 0.30  # paper: 30% of peak always-ready
     batcher_max_wait: float = 0.3
 
     def __post_init__(self) -> None:

@@ -83,7 +83,11 @@ class ServingSystem(abc.ABC):
             tracer.begin(request)
         self.metrics.on_submit(request)
         self.monitors[request.model].observe(self.sim.now)
-        self.routers[request.model].submit(request)
+        self._router_for(request).submit(request)
+
+    def _router_for(self, request: Request) -> ModelRouter:
+        """The router an accepted request queues on (one per model here)."""
+        return self.routers[request.model]
 
     def _on_request_complete(self, request: Request) -> None:
         self.metrics.on_complete(request)

@@ -9,12 +9,6 @@ communication components of Fig. 8.
 
 from repro.pipeline.kvcache import KVCacheState, ValidityMask
 from repro.pipeline.batching import BatcherConfig, DynamicBatcher
-from repro.pipeline.paged_kv import (
-    BlockPool,
-    CapacityError,
-    PagedKVCache,
-    PagedKVConfig,
-)
 from repro.pipeline.stage import StageRuntime
 from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.router import ModelRouter
@@ -22,10 +16,6 @@ from repro.pipeline.router import ModelRouter
 __all__ = [
     "KVCacheState",
     "ValidityMask",
-    "BlockPool",
-    "CapacityError",
-    "PagedKVCache",
-    "PagedKVConfig",
     "BatcherConfig",
     "DynamicBatcher",
     "StageRuntime",

@@ -23,7 +23,6 @@ from repro.qos.classes import (
     DEFAULT_CLASS,
     SLO_CLASSES,
     SLOClass,
-    class_of,
     effective_deadline,
     get_slo_class,
     request_priority,
@@ -55,7 +54,6 @@ __all__ = [
     "TenantAdmissionController",
     "WeightedFairShedPolicy",
     "build_tenant_controller",
-    "class_of",
     "effective_deadline",
     "get_slo_class",
     "request_priority",

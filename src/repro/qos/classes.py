@@ -88,12 +88,6 @@ def get_slo_class(name: str) -> SLOClass:
         ) from None
 
 
-def class_of(request: "Request") -> SLOClass:
-    """The class governing one request (``standard`` when unclassed)."""
-    name = getattr(request, "slo_class", None)
-    return SLO_CLASSES[name] if name else SLO_CLASSES[DEFAULT_CLASS]
-
-
 def effective_deadline(request: "Request") -> float:
     """The admission/scheduling deadline for one request.
 

@@ -908,16 +908,27 @@ class InvariantAuditor:
         return out
 
     def _check_span_conservation(self) -> list[Violation]:
-        """Traced runs only: finalized spans tile each latency interval."""
+        """Traced runs only: every accepted request began a trace, and
+        finalized spans tile each latency interval."""
         tracer = getattr(getattr(self.system, "sim", None), "tracer", None)
         if tracer is None:
             return []
         from repro.observability.attribution import conservation_violations
 
-        return [
+        out = [
             Violation("span-conservation", problem)
             for problem in conservation_violations(tracer.finalized)
         ]
+        accepted = self.system.metrics.offered
+        if tracer.begun != accepted:
+            out.append(
+                Violation(
+                    "span-conservation",
+                    f"{accepted} request(s) accepted but {tracer.begun} "
+                    "trace(s) begun",
+                )
+            )
+        return out
 
     def _check_allocator_empty(self) -> list[Violation]:
         out: list[Violation] = []

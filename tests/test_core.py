@@ -11,6 +11,7 @@ from repro.core.context import get_graph
 from repro.core.deployment import ReplicaFactory
 from repro.core.flexpipe import FlexPipeSystem
 from repro.core.serving import ServingSystem
+from repro.experiments.systems import SERVERLESS_FRACTION
 from repro.metrics.collector import MetricsCollector
 from repro.models.zoo import LLAMA2_7B, OPT_66B
 from repro.pipeline.replica import ReplicaState
@@ -24,7 +25,7 @@ class TestConfig:
     def test_defaults_follow_paper(self):
         cfg = FlexPipeConfig()
         assert cfg.decision_latency < 0.005  # "<5ms" (§6.3)
-        assert cfg.always_on_fraction == pytest.approx(0.30)
+        assert SERVERLESS_FRACTION == pytest.approx(0.30)  # always-on floor
         assert 4 in cfg.stage_counts and 32 in cfg.stage_counts
 
     def test_validation(self):

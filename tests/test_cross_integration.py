@@ -1,9 +1,8 @@
 """Cross-module integration: new subsystems driving the live serving stack.
 
 Each test wires several of the later-added components (trace replay,
-admission control, paged KV)
-through the same public API an application would use, catching interface
-drift that unit tests cannot.
+admission control) through the same public API an application would use,
+catching interface drift that unit tests cannot.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from repro.core.admission import AdmissionGate, SLOFeasiblePolicy
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.models.zoo import LLAMA2_7B
-from repro.partitioning.ladder import GranularityLadder
-from repro.pipeline.paged_kv import PagedKVCache, PagedKVConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.arrivals import ReplayArrivals
@@ -83,28 +80,3 @@ class TestAdmissionInFrontOfSystem:
         assert gate.stats.admitted == system.metrics.offered
         admitted = [r for r in generator.requests if not r.rejected]
         assert all(r.completed for r in admitted)
-
-
-class TestPagedKVSizedFromProfile:
-    def test_stage_kv_pool_from_model_profile(self, opt_profile):
-        """Size a paged pool exactly like a stage reservation would."""
-        ladder = GranularityLadder(opt_profile, stage_counts=(4,))
-        stage = ladder.plan(4).stages[0]
-        per_token = stage.profile.kv_bytes_per_token
-        assert per_token > 0
-        pool_bytes = 8 * 2**30  # an 8 GiB KV slice of the stage reservation
-        config = PagedKVConfig(
-            n_blocks=int(pool_bytes / (16 * per_token)),
-            block_tokens=16,
-            bytes_per_token=per_token,
-        )
-        cache = PagedKVCache(config)
-        cache.register(1, prompt_tokens=4096)
-        assert cache.resident_bytes >= 4096 * per_token
-        # One max-length context costs ~2.3 GiB of stage KV (576 KiB/token
-        # on a 4-stage OPT-66B shard): the 8 GiB slice holds ~3 of them —
-        # the same physics that caps Table 2's max batch.
-        assert 0.1 < cache.utilization < 0.5
-        assert cache.can_admit(4096) and cache.can_admit(2 * 4096)
-        assert not cache.can_admit(3 * 4096)
-        cache.check_invariants()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.scenarios import (
     ScenarioCase,
     ScenarioEvent,
     ScenarioSpec,
+    get_scenario,
     run_scenario_case,
 )
 from repro.scenarios.driver import ScenarioDriver
@@ -355,8 +357,9 @@ class TestAuditorWiring:
             self.tracer = tracer
 
     class _System:
-        def __init__(self, tracer):
+        def __init__(self, tracer, offered=0):
             self.sim = TestAuditorWiring._Sim(tracer)
+            self.metrics = SimpleNamespace(offered=offered)
 
     def test_untraced_system_is_exempt(self):
         auditor = InvariantAuditor(self._System(None))
@@ -370,6 +373,24 @@ class TestAuditorWiring:
         auditor = InvariantAuditor(self._System(tracer))
         (violation,) = auditor._check_span_conservation()
         assert violation.invariant == "span-conservation"
+
+    def test_untraced_ingress_is_a_violation(self):
+        auditor = InvariantAuditor(self._System(SpanTracer(), offered=3))
+        (violation,) = auditor._check_span_conservation()
+        assert violation.invariant == "span-conservation"
+        assert "3 request(s) accepted but 0 trace(s) begun" in violation.detail
+
+    def test_traced_distserve_traces_every_request(self):
+        """DistServe routes through the shared ingress, so its split
+        prefill/decode pools trace every request like the others."""
+        spec = get_scenario("paper-multi-burst").quick()
+        driver = ScenarioDriver(ScenarioCase(spec, "DistServe", 0, trace=True))
+        report = driver.run()
+        assert report.violations == []
+        system = driver.system
+        assert driver.tracer.begun == system.metrics.offered > 0
+        assert system.prefill_routed and system.decode_routed
+        assert len(report.traces) == report.completed
 
 
 # ----------------------------------------------------------------------
