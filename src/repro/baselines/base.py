@@ -46,7 +46,6 @@ class StaticPipelineSystem(ServingSystem):
     ):
         super().__init__(ctx, model_specs)
         self.initial_replicas = initial_replicas
-        self.batch_cap = batch_cap
         self.prefer_colocation = prefer_colocation
         self._gamma0 = gamma0
         self._alpha_mux = alpha_mux
@@ -58,6 +57,7 @@ class StaticPipelineSystem(ServingSystem):
             warm_cache=None,  # the host-memory cache is FlexPipe's mechanism
             coordinator=None,
             interference=self._interference,
+            batch_cap=batch_cap,
             loading_speedup=loading_speedup,
             cache_on_release=False,
         )
@@ -123,7 +123,6 @@ class StaticPipelineSystem(ServingSystem):
         return self.factory.deploy(
             profile,
             plan,
-            batch_cap=self.batch_cap,
             scorer=self._scorer(profile.spec.name),
             wait_time=wait_time,
             **kwargs,

@@ -122,7 +122,6 @@ class DistServeSystem(StaticPipelineSystem):
         replica = self.factory.deploy(
             profile,
             plan,
-            batch_cap=self.batch_cap,
             scorer=self._scorer(model),
             event_kind="initial",
         )

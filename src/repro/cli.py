@@ -288,10 +288,10 @@ def _run_audit(args) -> int:
     elastic-contract seeds without a single borrow: the audit would then
     pass without ever exercising the contract paths it exists to check.
     """
-    from repro.experiments.systems import CHAOS_SYSTEMS
+    from repro.experiments.systems import SYSTEMS
     from repro.validation.chaos import audit_seeds, chaos_spec
 
-    systems = _choose(args.systems, CHAOS_SYSTEMS)
+    systems = _choose(args.systems, SYSTEMS)
     if systems is None:
         return 2
     reports = audit_seeds(
@@ -350,7 +350,7 @@ def _run_audit(args) -> int:
 
 def _run_scenario(args) -> int:
     """``repro scenario``: the declarative multi-model scenario engine."""
-    from repro.experiments.systems import CHAOS_SYSTEMS
+    from repro.experiments.systems import SYSTEMS
     from repro.scenarios import SCENARIOS, run_scenarios
 
     if args.scenario_command == "list":
@@ -389,7 +389,7 @@ def _run_scenario(args) -> int:
     names = _choose(args.scenarios, SCENARIOS, what="scenario")
     if names is None:
         return 2
-    systems = _choose(args.systems, CHAOS_SYSTEMS)
+    systems = _choose(args.systems, SYSTEMS)
     if systems is None:
         return 2
     reports = run_scenarios(
@@ -485,12 +485,12 @@ def _run_qos(args) -> int:
     """
     from dataclasses import replace as dc_replace
 
-    from repro.experiments.systems import CHAOS_SYSTEMS
+    from repro.experiments.systems import SYSTEMS
     from repro.scenarios import SCENARIOS, run_scenarios
 
     if _choose([args.scenario], SCENARIOS, what="scenario") is None:
         return 2
-    if _choose([args.system], CHAOS_SYSTEMS) is None:
+    if _choose([args.system], SYSTEMS) is None:
         return 2
     base = SCENARIOS[args.scenario]
     specs = [dc_replace(base, qos="on"), dc_replace(base, qos="off")]
@@ -818,10 +818,15 @@ def _run_trace_attr(args) -> int:
     traces = report.traces
 
     sharded = f", {report.shards} shard(s)" if report.shards else ""
+    # Every accepted request begins a trace (the auditor's
+    # span-conservation check), but only finished ones are finalized.
+    unfinished = report.offered - report.shed - len(traces)
     print(
         f"Traced {report.scenario} x {report.system} seed={report.seed}"
         f"{sharded}: {len(traces)} request trace(s), "
-        f"{len(report.fleet_events)} control-plane event(s)"
+        f"{len(report.fleet_events)} control-plane event(s)\n"
+        f"{unfinished} accepted request(s) unfinished at the horizon; "
+        f"the tails below cover finished requests only"
     )
 
     tails = [

@@ -93,11 +93,6 @@ class InfeasibleCertificate:
         )
 
 
-# Smallest batch memory-aware degradation will fall back to before giving
-# up: deployment and inflight refactoring share this policy, so a degraded
-# replica's effective batch never depends on which path created its chain.
-DEGRADE_FLOOR = 8
-
 # Share-cap comparisons happen at the 10^12-byte scale, where running
 # +=/-= totals accumulate float error well past any fixed absolute
 # epsilon; comparisons therefore use an epsilon relative to the quantity
@@ -107,33 +102,6 @@ _SHARE_EPS = 1e-3
 
 def _share_eps(scale: float) -> float:
     return max(_SHARE_EPS, 1e-9 * abs(scale))
-
-
-def degrade_until_fit(batch, attempt, *, floor: int = DEGRADE_FLOOR):
-    """Run ``attempt(batch)``, halving the batch on :class:`AllocationError`
-    until it fits; at the floor the error propagates.  Returns
-    ``(batch, result)`` with the batch that actually fit."""
-    while True:
-        try:
-            return batch, attempt(batch)
-        except AllocationError:
-            if batch <= floor:
-                raise
-            batch //= 2
-
-
-def full_batch(plan, batch_cap: int | None) -> int:
-    """The batch a deploy or transition starts :func:`degrade_until_fit`
-    from: the plan's max batch under ``batch_cap``."""
-    return max(min(plan.max_batch, batch_cap or plan.max_batch), 1)
-
-
-def floor_footprint(plan, batch_cap: int | None, kv_bytes_per_request: float) -> float:
-    """Bytes of ``plan`` at the degradation floor: the smallest footprint
-    :func:`degrade_until_fit` accepts when it starts from
-    :func:`full_batch`."""
-    floor = max(min(full_batch(plan, batch_cap), DEGRADE_FLOOR), 1)
-    return sum(plan.memory_per_stage(floor, kv_bytes_per_request))
 
 
 @dataclass

@@ -17,7 +17,6 @@ from repro.core.admission import (
     AlwaysAdmit,
     QueueCapPolicy,
     SLOFeasiblePolicy,
-    TokenBucketPolicy,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "AlwaysAdmit",
     "QueueCapPolicy",
     "SLOFeasiblePolicy",
-    "TokenBucketPolicy",
 ]

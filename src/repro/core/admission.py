@@ -94,35 +94,6 @@ class SLOFeasiblePolicy(AdmissionPolicy):
         return estimate <= effective_deadline(request) * self.headroom
 
 
-class TokenBucketPolicy(AdmissionPolicy):
-    """Classic rate limiting: sustained ``rate`` with ``burst`` headroom.
-
-    Uses the request's own arrival timestamp as the clock, so the policy
-    is simulation-driven and needs no timer process.
-    """
-
-    def __init__(self, rate: float, burst: float):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._last = 0.0
-
-    def admit(self, request: Request) -> bool:
-        now = request.arrival_time
-        self._tokens = min(
-            self.burst, self._tokens + (now - self._last) * self.rate
-        )
-        self._last = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
-
-
 @dataclass
 class GateStats:
     """What the gate saw and what it shed."""

@@ -11,11 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from repro.cluster.allocator import (
-    StageReservation,
-    degrade_until_fit,
-    full_batch,
-)
+from repro.cluster.allocator import StageReservation
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
 from repro.models.profiler import ModelProfile
@@ -23,6 +19,7 @@ from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.batching import BatcherConfig
 from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.router import ModelRouter
+from repro.pipeline.sizing import degrade_until_fit, full_batch
 from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.warm_cache import HostParamCache
 from repro.workloads.requests import Request
@@ -40,6 +37,12 @@ class ReplicaFactory:
         warm_cache: HostParamCache | None = None,
         coordinator: ScalingCoordinator | None = None,
         interference: Callable | None = None,
+        # The system's operating batch cap: every replica this factory
+        # deploys serves (and reserves KV) at ``full_batch(plan, cap)``.
+        # Uncapped, a replica reserves KV for ``plan.max_batch`` — for a
+        # small model the whole GPU — so a handful of scale-outs would
+        # exhaust the cluster and later cold starts block on allocation.
+        batch_cap: int | None = None,
         loading_speedup: float = 1.0,
         cache_on_release: bool = True,
         batcher_max_wait: float = 0.3,
@@ -59,6 +62,7 @@ class ReplicaFactory:
         self.warm_cache = warm_cache
         self.coordinator = coordinator
         self.interference = interference
+        self.batch_cap = batch_cap
         self.loading_speedup = loading_speedup
         self.cache_on_release = cache_on_release
         self.batcher_max_wait = batcher_max_wait
@@ -90,7 +94,6 @@ class ReplicaFactory:
         profile: ModelProfile,
         plan: PartitionPlan,
         *,
-        batch_cap: int | None = None,
         scorer: Callable | None = None,
         wait_time: float = 0.0,
         event_kind: str = "scale_out",
@@ -102,7 +105,7 @@ class ReplicaFactory:
         """
         sim = self.ctx.sim
         model = profile.spec.name
-        batch = full_batch(plan, batch_cap)
+        batch = full_batch(plan, self.batch_cap)
         if scorer is None and self.coordinator is not None:
             scorer = self.coordinator.scorer(model, sim.now)
         stage_bonuses = self._coverage_bonuses(profile, plan)

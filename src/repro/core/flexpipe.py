@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cluster.allocator import floor_footprint
 from repro.core.config import FlexPipeConfig
 from repro.core.context import ServingContext
 from repro.core.deployment import ReplicaFactory
@@ -27,6 +26,7 @@ from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.plan import PartitionPlan
+from repro.pipeline.sizing import floor_footprint
 from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import GranularityPolicy
 from repro.refactoring.placement import interference_multiplier
@@ -87,7 +87,6 @@ class FlexPipeSystem(ServingSystem):
         cfg = self.config
         self.enable_refactoring = enable_refactoring
         self.initial_replicas = initial_replicas
-        self.batch_cap = batch_cap
         self.pipelined_loading = pipelined_loading
         self.warm_cache = (
             HostParamCache(policy=cache_policy) if enable_warm_cache else None
@@ -110,6 +109,7 @@ class FlexPipeSystem(ServingSystem):
             warm_cache=self.warm_cache,
             coordinator=self.coordinator,
             interference=self._interference,
+            batch_cap=batch_cap,
             batcher_max_wait=cfg.batcher_max_wait,
             pipelined_loading=pipelined_loading,
         )
@@ -177,7 +177,7 @@ class FlexPipeSystem(ServingSystem):
                 self.monitors[spec.name],
                 profile,
                 self.metrics,
-                self._autoscaler_deploy,
+                self.factory.deploy,
                 self.factory.release,
                 self._make_plan_for(state),
                 scaler_config,
@@ -236,17 +236,6 @@ class FlexPipeSystem(ServingSystem):
         )
 
     # ------------------------------------------------------------------
-    def _autoscaler_deploy(self, profile, plan, **kwargs):
-        """Scale-out deploys honour the operating batch cap.
-
-        Without the cap a scale-out replica reserves KV for
-        ``plan.max_batch`` — for small models that is the whole GPU, so a
-        handful of deploys exhaust the cluster and every later tenant's
-        cold start blocks on allocation instead of on loading.
-        """
-        return self.factory.deploy(profile, plan, batch_cap=self.batch_cap, **kwargs)
-
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Deploy the always-on replica set at the initial granularity."""
         for state in self._models.values():
@@ -255,7 +244,6 @@ class FlexPipeSystem(ServingSystem):
                 replica = self.factory.deploy(
                     self.profiles[state.spec.name],
                     plan,
-                    batch_cap=self.batch_cap,
                     event_kind="initial",
                 )
                 state.autoscaler.loading.append(replica)
@@ -366,7 +354,7 @@ class FlexPipeSystem(ServingSystem):
             return True
         need = floor_footprint(
             state.ladder.plan(state.current_stages),
-            self.batch_cap,
+            self.factory.batch_cap,
             state.spec.kv_bytes_per_request,
         )
         return headroom >= need

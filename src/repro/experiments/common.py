@@ -1,4 +1,4 @@
-"""Shared run environment: the config the factories read, the world
+"""Shared run environment: the config the systems registry reads, the world
 builder and the per-tenant request sampler.
 
 ``ScenarioDriver`` builds every run — catalog scenarios, the chaos audit
@@ -26,12 +26,12 @@ from repro.workloads.requests import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What the environment builder and the system factories read.
+    """What the environment builder and the systems registry read.
 
     ``ScenarioDriver`` derives one from each ``ScenarioSpec`` (the spec
-    owns the workload, the horizon and the warm-up); the factories
-    provision from the primary ``model``'s peak ``qps`` and request shape,
-    and deploy every tenant in ``specs``.
+    owns the workload, the horizon and the warm-up); the registry
+    provisions from the primary ``model``'s peak ``qps`` and request shape,
+    and every system deploys each tenant in ``specs``.
     """
 
     model: str = "OPT-66B"
@@ -44,7 +44,7 @@ class ExperimentConfig:
     cluster: str = "paper"  # "paper" | "small"
     fragmentation: bool = True
     # Co-resident tenants beyond the primary model: the scenario engine
-    # deploys a whole fleet through the same factories.
+    # deploys a whole fleet through the same registry.
     extra_models: tuple[str, ...] = ()
 
     @property

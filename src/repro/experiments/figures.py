@@ -19,9 +19,9 @@ from repro.core.context import ServingContext
 from repro.experiments.common import ExperimentConfig, build_environment
 from repro.experiments.runner import make_runner
 from repro.experiments.systems import (
+    PAPER_SYSTEMS,
     SERVERLESS_FRACTION,
     STATIC_FRACTION,
-    SYSTEM_FACTORIES,
 )
 from repro.metrics.collector import RunSummary
 from repro.models.costs import CostModel
@@ -329,7 +329,7 @@ def system_sweep(
     The full (cv x system) grid goes through the parallel runner as one
     batch — 15 independent full-cluster simulations.
     """
-    chosen = systems or tuple(SYSTEM_FACTORIES)
+    chosen = systems or PAPER_SYSTEMS
     grid = [(cv, name) for cv in cvs for name in chosen]
     cases = [
         ScenarioCase(

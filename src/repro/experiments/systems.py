@@ -1,15 +1,18 @@
-"""System factories with the paper's provisioning methodology.
+"""The systems registry: every serving system, provisioned as in §9.
 
 Static systems (AlpaServe, MuxServe) provision for peak: ~75% of peak
 capacity always-on (§3.1's "conservative scaling strategies").  Serverless
 systems (FlexPipe, ServerlessLLM, Tetris) hold a smaller always-on share —
 FlexPipe's headline is 30% — and rely on elasticity for the rest.
+:data:`SYSTEMS` states each system's provisioning as one row and
+:func:`build_system` is the one builder over it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.baselines import (
     AlpaServeSystem,
@@ -22,6 +25,7 @@ from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.core.serving import ServingSystem
 from repro.experiments.common import ExperimentConfig
+from repro.pipeline.sizing import operating_batch
 from repro.refactoring.granularity import estimate_throughput
 
 PEAK_MULTIPLIER = 3.0  # short-window peak rate over the mean at high CV
@@ -51,7 +55,7 @@ def replicas_for_fraction(
     throughput = estimate_throughput(
         profile,
         plan,
-        batch=min(OPERATING_BATCH, plan.max_batch),
+        batch=operating_batch(plan, OPERATING_BATCH),
         prompt_tokens=cfg.prompt_median,
         output_tokens=cfg.output_median,
     )
@@ -59,36 +63,81 @@ def replicas_for_fraction(
     return max(int(math.ceil(fraction * peak / throughput)), 1)
 
 
-def make_flexpipe(
-    ctx: ServingContext, cfg: ExperimentConfig, **overrides
-) -> FlexPipeSystem:
-    initial = overrides.pop(
-        "initial_replicas",
-        replicas_for_fraction(ctx, cfg, 4, SERVERLESS_FRACTION),
-    )
-    overrides.setdefault("batch_cap", cfg.batch_cap)
-    return FlexPipeSystem(
+@dataclass(frozen=True)
+class Provisioning:
+    """How one system is provisioned for an experiment.
+
+    ``always_on`` is the share of estimated peak demand its always-on
+    replicas cover, planned at ``plan_stages`` stages — or, when that is
+    None, at the plan the system itself chose (AlpaServe's and MuxServe's
+    offline optimisers).  A row whose ``fixed`` overrides set
+    ``initial_replicas`` has no ``always_on`` share.  ``fixed`` holds
+    keyword arguments the system always gets unless the caller overrides
+    them; every system but Tetris also serves at the experiment's batch
+    cap.
+    """
+
+    system: type[ServingSystem]
+    always_on: float | None
+    plan_stages: int | None = None
+    fixed: tuple[tuple[str, Any], ...] = ()
+    shares_batch_cap: bool = True
+
+
+SYSTEMS: dict[str, Provisioning] = {
+    "FlexPipe": Provisioning(FlexPipeSystem, SERVERLESS_FRACTION, 4),
+    "AlpaServe": Provisioning(AlpaServeSystem, STATIC_FRACTION),
+    "MuxServe": Provisioning(MuxServeSystem, STATIC_FRACTION),
+    "ServerlessLLM": Provisioning(ServerlessLLMSystem, SERVERLESS_FRACTION, 4),
+    # Tetris keeps its own batch cap (16): no pipeline-aware batching.
+    "Tetris": Provisioning(
+        TetrisSystem, SERVERLESS_FRACTION, 1, shares_batch_cap=False
+    ),
+    # Sized for the small chaos cluster: DistServe's paper defaults
+    # (16 decode stages, peak-fraction replica counts) cannot even start
+    # on 16 fragmented GPUs.
+    "DistServe": Provisioning(
+        DistServeSystem,
+        None,
+        fixed=(("initial_replicas", 2), ("decode_stages", 8)),
+    ),
+}
+
+# The systems the paper-figure sweeps compare.  DistServe is left out
+# (the paper's headline comparisons exclude it); the scenario engine and
+# the chaos audit run every system in ``SYSTEMS``.
+PAPER_SYSTEMS = ("FlexPipe", "AlpaServe", "MuxServe", "ServerlessLLM", "Tetris")
+
+
+def build_system(
+    name: str, ctx: ServingContext, cfg: ExperimentConfig, **overrides
+) -> ServingSystem:
+    """Build system ``name`` as its :data:`SYSTEMS` row provisions it for
+    ``cfg``; ``overrides`` win over the row."""
+    try:
+        row = SYSTEMS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown system {name!r}; available: {sorted(SYSTEMS)}"
+        ) from None
+    kwargs = dict(row.fixed)
+    if row.shares_batch_cap:
+        kwargs["batch_cap"] = cfg.batch_cap
+    kwargs.update(overrides)
+    initial = kwargs.pop("initial_replicas", None)
+    chosen_plan = row.plan_stages is None and row.always_on is not None
+    if initial is None and not chosen_plan:
+        initial = replicas_for_fraction(ctx, cfg, row.plan_stages, row.always_on)
+    system = row.system(
         ctx,
         cfg.specs,
-        initial_replicas=initial,
+        # A statically provisioned system never scales out, so it always
+        # starts at least one replica.
+        initial_replicas=(initial or 1) if chosen_plan else initial,
         prompt_tokens=cfg.prompt_median,
         output_tokens=cfg.output_median,
         slo_deadline=cfg.slo_latency,
-        **overrides,
-    )
-
-
-def make_alpaserve(ctx: ServingContext, cfg: ExperimentConfig, **overrides) -> AlpaServeSystem:
-    initial = overrides.pop("initial_replicas", None)
-    overrides.setdefault("batch_cap", cfg.batch_cap)
-    system = AlpaServeSystem(
-        ctx,
-        cfg.specs,
-        initial_replicas=initial or 1,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
-        **overrides,
+        **kwargs,
     )
     if initial is None:
         # Provision for peak at the granularity the offline optimiser
@@ -96,116 +145,6 @@ def make_alpaserve(ctx: ServingContext, cfg: ExperimentConfig, **overrides) -> A
         # would systematically under- or over-provision).
         stages = system.plans[cfg.model].n_stages
         system.initial_replicas = replicas_for_fraction(
-            ctx, cfg, stages, STATIC_FRACTION
+            ctx, cfg, stages, row.always_on
         )
     return system
-
-
-def make_muxserve(ctx: ServingContext, cfg: ExperimentConfig, **overrides) -> MuxServeSystem:
-    initial = overrides.pop("initial_replicas", None)
-    overrides.setdefault("batch_cap", cfg.batch_cap)
-    system = MuxServeSystem(
-        ctx,
-        cfg.specs,
-        initial_replicas=initial or 1,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
-        **overrides,
-    )
-    if initial is None:
-        stages = system.plans[cfg.model].n_stages
-        system.initial_replicas = replicas_for_fraction(
-            ctx, cfg, stages, STATIC_FRACTION
-        )
-    return system
-
-
-def make_serverlessllm(
-    ctx: ServingContext, cfg: ExperimentConfig, **overrides
-) -> ServerlessLLMSystem:
-    initial = overrides.pop(
-        "initial_replicas",
-        replicas_for_fraction(ctx, cfg, 4, SERVERLESS_FRACTION),
-    )
-    overrides.setdefault("batch_cap", cfg.batch_cap)
-    return ServerlessLLMSystem(
-        ctx,
-        cfg.specs,
-        initial_replicas=initial,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
-        **overrides,
-    )
-
-
-def make_tetris(ctx: ServingContext, cfg: ExperimentConfig, **overrides) -> TetrisSystem:
-    initial = overrides.pop(
-        "initial_replicas",
-        replicas_for_fraction(ctx, cfg, 1, SERVERLESS_FRACTION),
-    )
-    return TetrisSystem(
-        ctx,
-        cfg.specs,
-        initial_replicas=initial,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
-        **overrides,
-    )
-
-
-def make_distserve(
-    ctx: ServingContext, cfg: ExperimentConfig, **overrides
-) -> DistServeSystem:
-    initial = overrides.pop(
-        "initial_replicas",
-        replicas_for_fraction(ctx, cfg, 4, STATIC_FRACTION),
-    )
-    overrides.setdefault("batch_cap", cfg.batch_cap)
-    return DistServeSystem(
-        ctx,
-        cfg.specs,
-        initial_replicas=initial,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
-        **overrides,
-    )
-
-
-# The registry the paper-figure sweeps iterate.  DistServe is kept out of
-# it (the paper's headline comparisons exclude it) but is exercised by
-# the scenario engine and the chaos audit via ``CHAOS_SYSTEMS``.
-SYSTEM_FACTORIES: dict[str, Callable[..., ServingSystem]] = {
-    "FlexPipe": make_flexpipe,
-    "AlpaServe": make_alpaserve,
-    "MuxServe": make_muxserve,
-    "ServerlessLLM": make_serverlessllm,
-    "Tetris": make_tetris,
-}
-
-
-def _chaos_distserve(ctx, cfg, **overrides):
-    """DistServe sized for the small chaos cluster (its paper-provisioned
-    defaults — 16 decode stages, peak-fraction replica counts — cannot
-    even start on 16 fragmented GPUs)."""
-    overrides.setdefault("initial_replicas", 2)
-    overrides.setdefault("decode_stages", 8)
-    return make_distserve(ctx, cfg, **overrides)
-
-
-# Every system the scenario engine and the chaos audit run: the
-# figure-sweep systems plus DistServe.
-CHAOS_SYSTEMS = dict(SYSTEM_FACTORIES, DistServe=_chaos_distserve)
-
-
-def make_system(name: str, ctx: ServingContext, cfg: ExperimentConfig, **overrides):
-    try:
-        factory = SYSTEM_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown system {name!r}; available: {sorted(SYSTEM_FACTORIES)}"
-        ) from None
-    return factory(ctx, cfg, **overrides)

@@ -7,32 +7,21 @@ exceeds 1.5x the P25 baseline, recovered when back under 1.2x).
 """
 
 from repro.metrics.collector import MetricsCollector, RunSummary
-from repro.metrics.latency import LatencyBreakdown, percentile, percentiles
+from repro.metrics.latency import LatencyBreakdown, percentiles
 from repro.metrics.stalls import StallEpisode, detect_stalls, recovery_times
-from repro.metrics.report import format_table, ratio_str
-from repro.metrics.timeline import Series, Timeline
-from repro.metrics.ascii_plot import (
-    bar_chart,
-    grouped_bar_chart,
-    histogram,
-    sparkline,
-)
+from repro.metrics.report import format_table
+from repro.metrics.ascii_plot import bar_chart, histogram, sparkline
 
 __all__ = [
     "MetricsCollector",
     "RunSummary",
     "LatencyBreakdown",
-    "percentile",
     "percentiles",
     "StallEpisode",
     "detect_stalls",
     "recovery_times",
     "format_table",
-    "ratio_str",
-    "Series",
-    "Timeline",
     "sparkline",
     "bar_chart",
-    "grouped_bar_chart",
     "histogram",
 ]

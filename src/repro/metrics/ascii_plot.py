@@ -79,37 +79,6 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    groups: list[str],
-    series: dict[str, list[float]],
-    *,
-    width: int = 30,
-    unit: str = "",
-    title: str | None = None,
-) -> str:
-    """Several series per group (Fig. 8's stacked system comparison).
-
-    Bars are scaled against the global maximum so groups are comparable.
-    """
-    for name, values in series.items():
-        if len(values) != len(groups):
-            raise ValueError(
-                f"series {name!r} has {len(values)} values for {len(groups)} groups"
-            )
-    vmax = max((max(v) for v in series.values() if v), default=0.0)
-    name_w = max((len(n) for n in series), default=0)
-    lines = []
-    if title:
-        lines.append(title)
-    for gi, group in enumerate(groups):
-        lines.append(f"{group}:")
-        for name, values in series.items():
-            v = values[gi]
-            n = 0 if vmax == 0 else int(round(v / vmax * width))
-            lines.append(f"  {name:<{name_w}} | {_BAR_CHAR * n} {v:.3g}{unit}")
-    return "\n".join(lines)
-
-
 def histogram(
     values: list[float],
     *,

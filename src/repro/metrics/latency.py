@@ -7,14 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def percentile(values, q: float) -> float:
-    """q-th percentile (q in [0, 100]); 0.0 for empty input."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
-
-
 def percentiles(values, qs=(50, 75, 90, 95, 99)) -> dict[int, float]:
     """The Fig. 10 percentile set."""
     arr = np.asarray(list(values), dtype=float)

@@ -20,13 +20,6 @@ def format_table(headers: list[str], rows: list[list], title: str | None = None)
     return "\n".join(lines)
 
 
-def ratio_str(measured: float, paper: float) -> str:
-    """'measured (paper X, ratio Y)' comparison cell."""
-    if paper == 0:
-        return f"{measured:.3g} (paper 0)"
-    return f"{measured:.3g} (paper {paper:.3g}, x{measured / paper:.2f})"
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         if value == 0:

@@ -82,10 +82,3 @@ def detect_stalls(
 
 def recovery_times(episodes: list[StallEpisode]) -> list[float]:
     return [e.duration for e in episodes]
-
-
-def median_recovery(episodes: list[StallEpisode]) -> float:
-    times = recovery_times(episodes)
-    if not times:
-        return 0.0
-    return float(np.median(times))

@@ -5,10 +5,8 @@ allocator borrows/reclaims/preemptions, refactor switches) are appended
 by hooks in the control plane whenever a :class:`FlightRecorder` is
 installed (``sim.recorder``, plus the cache/allocator ``recorder``
 attributes for components without a simulator handle).  The buffer is a
-``deque(maxlen=...)`` — overhead is bounded no matter how long the run —
-and per-kind deterministic counter sampling (keep every Nth event of a
-kind) bounds the append rate without any RNG draw, so traced runs stay
-reproducible.
+``deque(maxlen=...)``, so its memory is bounded no matter how long the
+run; the oldest events fall off the ring first.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field, replace
 class FleetEvent:
     """One structured control-plane event."""
 
-    seq: int  # global arrival index (pre-sampling), unique per recorder
+    seq: int  # global arrival index, unique per recorder
     time: float
     kind: str
     detail: dict = field(default_factory=dict)
@@ -32,37 +30,20 @@ class FleetEvent:
 
 
 class FlightRecorder:
-    """Bounded, sampled event bus for fleet control-plane telemetry."""
+    """Bounded event bus for fleet control-plane telemetry."""
 
-    def __init__(self, capacity: int = 65536, sample_every: int = 1):
+    def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.capacity = capacity
-        self.sample_every = sample_every
         self.events: deque[FleetEvent] = deque(maxlen=capacity)
-        self.seen = 0  # every offered event
-        self.recorded = 0  # survived sampling (may since be ring-evicted)
-        self.kind_counts: dict[str, int] = {}
+        self.seen = 0  # every recorded event, ring-evicted ones included
 
     def record(self, time: float, kind: str, **detail) -> None:
         self.seen += 1
-        count = self.kind_counts.get(kind, 0)
-        self.kind_counts[kind] = count + 1
-        if count % self.sample_every:
-            return
-        self.recorded += 1
         self.events.append(FleetEvent(self.seen, time, kind, detail))
 
     @property
-    def sampled_out(self) -> int:
-        return self.seen - self.recorded
-
-    @property
     def evicted(self) -> int:
-        """Events that survived sampling but fell off the ring."""
-        return self.recorded - len(self.events)
-
-    def by_kind(self, kind: str) -> list[FleetEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """Events that fell off the ring."""
+        return self.seen - len(self.events)

@@ -145,7 +145,6 @@ class RequestTrace:
         "parked_at",
         "unparked_at",
         "routed_at",
-        "shed_at",
         "job",
     )
 
@@ -157,7 +156,6 @@ class RequestTrace:
         self.parked_at: float | None = None
         self.unparked_at: float | None = None
         self.routed_at: float | None = None
-        self.shed_at: float | None = None
         self.job: JobMarks | None = None
 
 
@@ -166,7 +164,6 @@ class SpanTracer:
 
     def __init__(self):
         self.begun = 0
-        self.shed_count = 0
         self.finalized: list[FinalTrace] = []
         # replica name -> [start, end] transition windows (end None while
         # the transition is still in flight).  Lives here — not in the
@@ -182,12 +179,6 @@ class SpanTracer:
         request.trace = trace
         self.begun += 1
         return trace
-
-    def shed(self, request: Request, now: float) -> None:
-        trace = request.trace
-        if trace is not None:
-            trace.shed_at = now
-            self.shed_count += 1
 
     def attach_job(self, job, replica: str, now: float) -> JobMarks:
         marks = JobMarks(job.jid, replica, now)

@@ -24,6 +24,7 @@ from repro.models.profiler import ModelProfile
 from repro.partitioning.batch_scaling import activation_bytes
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.batching import BatcherConfig, DynamicBatcher
+from repro.pipeline.sizing import full_batch
 from repro.pipeline.stage import BatchJob, StageRuntime
 from repro.qos.queueing import PriorityPendingQueue
 from repro.simulation.engine import Simulator
@@ -390,9 +391,9 @@ class PipelineReplica:
             stage.retired = True
         self._set_plan(new_plan)
         self.stages = self._build_stages(new_plan, new_reservations)
-        max_batch = min(new_plan.max_batch, batch_cap or new_plan.max_batch)
         self.batcher.config = BatcherConfig(
-            max_batch=max(max_batch, 1), max_wait=self.batcher.config.max_wait
+            max_batch=full_batch(new_plan, batch_cap),
+            max_wait=self.batcher.config.max_wait,
         )
         self.reconfig_count += 1
         # A chain with no in-flight work retires immediately.

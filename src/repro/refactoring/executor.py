@@ -48,8 +48,6 @@ from repro.cluster.allocator import (
     AllocationError,
     PendingClaim,
     StageReservation,
-    degrade_until_fit,
-    full_batch,
 )
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
@@ -57,6 +55,7 @@ from repro.models.profiler import ModelProfile
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.kvcache import KVCacheState, delta_sync, snapshot_transfer
 from repro.pipeline.replica import PipelineReplica, ReplicaState
+from repro.pipeline.sizing import degrade_until_fit, full_batch
 from repro.scaling.warm_cache import HostParamCache
 
 

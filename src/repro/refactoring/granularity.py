@@ -14,6 +14,7 @@ from repro.models.profiler import ModelProfile
 from repro.partitioning.batch_scaling import activation_bytes
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.plan import PartitionPlan
+from repro.pipeline.sizing import operating_batch
 
 
 def estimate_throughput(
@@ -116,7 +117,7 @@ class GranularityPolicy:
         self.estimates: dict[int, RungEstimate] = {}
         for count in ladder.stage_counts:
             plan = ladder.plan(count)
-            batch = min(plan.max_batch, batch_cap or plan.max_batch)
+            batch = operating_batch(plan, batch_cap)
             self.estimates[count] = RungEstimate(
                 n_stages=count,
                 batch=batch,

@@ -16,16 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cluster.allocator import (
-    AllocationError,
-    InfeasibleCertificate,
-    floor_footprint,
-)
+from repro.cluster.allocator import AllocationError, InfeasibleCertificate
 from repro.metrics.collector import MetricsCollector, ScalingEvent
 from repro.models.profiler import ModelProfile
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.router import ModelRouter
+from repro.pipeline.sizing import floor_footprint, operating_batch
 from repro.refactoring.granularity import estimate_throughput, instance_count
 from repro.refactoring.monitor import WorkloadMonitor
 from repro.simulation.engine import Simulator
@@ -205,11 +202,7 @@ class Autoscaler:
         degradation.
         """
         cfg = self.config
-        effective = min(
-            batch if batch is not None else plan.max_batch,
-            cfg.batch_cap or plan.max_batch,
-        )
-        effective = max(effective, 1)
+        effective = max(operating_batch(plan, cfg.batch_cap, batch), 1)
         key = (plan.n_stages, effective)
         value = self._throughput_cache.get(key)
         if value is None:

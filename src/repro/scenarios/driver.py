@@ -1,10 +1,11 @@
 """Compiles a :class:`ScenarioSpec` onto the simulator and runs it.
 
 One :class:`ScenarioCase` = (spec, system, seed).  The driver builds the
-cluster, deploys the system through the same factories the paper sweeps
-use, schedules every arrival segment and scripted event as simulator
-processes, attaches the :class:`~repro.validation.auditor.InvariantAuditor`
-(mid-run after every scripted event, the full set at quiesce) and emits
+cluster, builds the system through the systems registry
+(:func:`~repro.experiments.systems.build_system`), schedules every
+arrival segment and scripted event as simulator processes, attaches
+the :class:`~repro.validation.auditor.InvariantAuditor` (mid-run after
+every scripted event, the full set at quiesce) and emits
 per-model plus aggregate :class:`~repro.metrics.collector.RunSummary`
 rows.  Cases are plain data, so ``run_cases`` fans them out through the
 parallel experiment runner and caches their reports in ``.runcache/``
@@ -33,7 +34,7 @@ from repro.experiments.common import (
     build_environment,
     make_workload_sampler,
 )
-from repro.experiments.systems import CHAOS_SYSTEMS
+from repro.experiments.systems import SYSTEMS, build_system
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.qos.admission import build_tenant_controller
 from repro.qos.classes import DEFAULT_CLASS, get_slo_class
@@ -182,9 +183,7 @@ def action_scale_out(system, rng, model: str | None = None) -> str:
         ladder = states[model].ladder
         counts = ladder.stage_counts
         plan = ladder.plan(int(counts[int(rng.integers(len(counts)))]))
-        deploy = lambda: system.factory.deploy(
-            profile, plan, batch_cap=system.batch_cap
-        )
+        deploy = lambda: system.factory.deploy(profile, plan)
     elif deploy_decode is not None and rng.random() < 0.5:
         # DistServe: also churn the decode pool, or drains could
         # empty it permanently with no event ever re-growing it.
@@ -379,7 +378,7 @@ class ScenarioDriver:
             **spec_overrides(spec, case.system),
             **dict(case.overrides),
         }
-        system = CHAOS_SYSTEMS[case.system](ctx, cfg, **overrides)
+        system = build_system(case.system, ctx, cfg, **overrides)
         self.system = system
         self.tracer = None
         self.recorder = None
@@ -730,16 +729,15 @@ class ScenarioDriver:
 # Case execution + fan-out
 # ----------------------------------------------------------------------
 def spec_overrides(spec: ScenarioSpec, system: str) -> dict[str, Any]:
-    """Factory keyword arguments that the spec's own knobs set."""
+    """System keyword arguments that the spec's own knobs set."""
     overrides: dict[str, Any] = (
         {}
         if spec.initial_replicas is None
         else {"initial_replicas": spec.initial_replicas}
     )
     if system == "FlexPipe":
-        # Cold-start economy knobs exist only on FlexPipe; the baseline
-        # factories have fixed signatures and keep their historical
-        # loading behaviour.
+        # Cold-start economy knobs exist only on FlexPipe; the baselines
+        # take none of them and keep their historical loading behaviour.
         if spec.cache_policy != "lru":
             overrides["cache_policy"] = spec.cache_policy
         if spec.pipelined_loading:
@@ -753,11 +751,11 @@ def spec_overrides(spec: ScenarioSpec, system: str) -> dict[str, Any]:
 
 def resolve_systems(systems: list[str] | None) -> list[str]:
     """``systems`` checked against the registry (``None`` = every one)."""
-    chosen = list(systems) if systems else sorted(CHAOS_SYSTEMS)
-    unknown = [s for s in chosen if s not in CHAOS_SYSTEMS]
+    chosen = list(systems) if systems else sorted(SYSTEMS)
+    unknown = [s for s in chosen if s not in SYSTEMS]
     if unknown:
         raise KeyError(
-            f"unknown system(s) {unknown}; available: {sorted(CHAOS_SYSTEMS)}"
+            f"unknown system(s) {unknown}; available: {sorted(SYSTEMS)}"
         )
     return chosen
 

@@ -176,26 +176,3 @@ class MigrationPlanner:
             schedule.transfers.append(ScheduledTransfer(item, plan, start, end))
         schedule.transfers.sort(key=lambda t: (t.start, t.item.tag))
         return schedule
-
-
-def refactor_items(
-    stage_moves: list[tuple[Endpoint, Endpoint, float]],
-    kv_moves: list[tuple[Endpoint, Endpoint, float, str]],
-) -> list[MigrationItem]:
-    """Build the item list for a transition.
-
-    ``stage_moves`` are (src, dst, param_bytes) triples for stages whose
-    parameters can be peer-sourced; ``kv_moves`` are (src, dst, kv_bytes,
-    request_tag) for in-flight requests' shards.  Zero-byte entries are
-    skipped (stages already resident, requests with no KV yet).
-    """
-    items: list[MigrationItem] = []
-    for i, (src, dst, nbytes) in enumerate(stage_moves):
-        if nbytes > 0:
-            items.append(
-                MigrationItem(ItemKind.PARAMS, nbytes, src, dst, tag=f"stage{i}")
-            )
-    for src, dst, nbytes, tag in kv_moves:
-        if nbytes > 0:
-            items.append(MigrationItem(ItemKind.KV, nbytes, src, dst, tag=tag))
-    return items

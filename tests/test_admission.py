@@ -9,7 +9,6 @@ from repro.core.admission import (
     AlwaysAdmit,
     QueueCapPolicy,
     SLOFeasiblePolicy,
-    TokenBucketPolicy,
 )
 from repro.workloads.requests import Request
 
@@ -112,42 +111,6 @@ class TestSLOFeasible:
         policy = self.make_policy(queue=100, capacity=10.0, service=1.0)
         assert policy.admit(make_request(slo=2.5, slo_class="batch"))
         assert not policy.admit(make_request(slo=2.5))
-
-
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        policy = TokenBucketPolicy(rate=1.0, burst=3.0)
-        # Three arrivals at t=0 drain the bucket; the fourth is shed.
-        results = [policy.admit(make_request(i, t=0.0)) for i in range(4)]
-        assert results == [True, True, True, False]
-
-    def test_tokens_refill_over_time(self):
-        policy = TokenBucketPolicy(rate=1.0, burst=1.0)
-        assert policy.admit(make_request(0, t=0.0))
-        assert not policy.admit(make_request(1, t=0.2))
-        assert policy.admit(make_request(2, t=1.5))  # refilled
-
-    def test_bucket_never_exceeds_burst(self):
-        policy = TokenBucketPolicy(rate=100.0, burst=2.0)
-        policy.admit(make_request(0, t=0.0))
-        # Long idle: tokens cap at burst=2, so only two admits back-to-back.
-        results = [policy.admit(make_request(i, t=100.0)) for i in range(1, 4)]
-        assert results == [True, True, False]
-
-    def test_sustained_rate_approximates_target(self):
-        policy = TokenBucketPolicy(rate=5.0, burst=5.0)
-        admitted = sum(
-            policy.admit(make_request(i, t=i * 0.05)) for i in range(400)
-        )  # offered at 20/s for 20s
-        # With burst headroom the long-run admit rate tracks the token rate
-        # (tight bucket caps drop fractional refills at the cap boundary).
-        assert admitted == pytest.approx(5.0 * 20.0, rel=0.15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            TokenBucketPolicy(rate=0.0, burst=1.0)
-        with pytest.raises(ValueError, match="burst"):
-            TokenBucketPolicy(rate=1.0, burst=0.5)
 
 
 class TestEndToEndGoodputProtection:

@@ -262,6 +262,7 @@ class TestFactoryArbitration:
             routers=routers,
             metrics=MetricsCollector("test"),
             on_request_complete=lambda r: None,
+            batch_cap=8,
         )
         profiles = {m.name: ctx.profile(m) for m in (llama, bert)}
         plans = {
@@ -273,16 +274,12 @@ class TestFactoryArbitration:
         factory, profiles, plans = self._factory(ctx)
         allocator = ctx.allocator
         enable(allocator)
-        victim = factory.deploy(
-            profiles["BERT-21B"], plans["BERT-21B"], batch_cap=8
-        )
+        victim = factory.deploy(profiles["BERT-21B"], plans["BERT-21B"])
         assert victim.state is ReplicaState.LOADING
         assert victim.pending_claim is not None
         held = list(victim.live_reservations())
         fill_gpus(allocator)  # nothing else is feasible now
-        winner = factory.deploy(
-            profiles["LLAMA2-7B"], plans["LLAMA2-7B"], batch_cap=8
-        )
+        winner = factory.deploy(profiles["LLAMA2-7B"], plans["LLAMA2-7B"])
         # The loading batch deploy was drained through the normal teardown
         # path: reservations back exactly once, replica RELEASED, and the
         # interactive deploy holds the freed fragment.
@@ -300,9 +297,7 @@ class TestFactoryArbitration:
     def test_claims_resolve_on_normal_activation(self, ctx):
         factory, profiles, plans = self._factory(ctx)
         enable(ctx.allocator)
-        replica = factory.deploy(
-            profiles["LLAMA2-7B"], plans["LLAMA2-7B"], batch_cap=8
-        )
+        replica = factory.deploy(profiles["LLAMA2-7B"], plans["LLAMA2-7B"])
         assert replica.pending_claim.state == "pending"
         ctx.sim.run_until_idle()
         assert replica.pending_claim.state == "active"
@@ -321,13 +316,11 @@ class TestFactoryArbitration:
                 "BERT-21B": 1.5 * replica_bytes / allocator.fleet_memory()
             },
         )
-        factory.deploy(profiles["BERT-21B"], plans["BERT-21B"], batch_cap=8)
+        factory.deploy(profiles["BERT-21B"], plans["BERT-21B"])
         with pytest.raises(AllocationError, match="share cap"):
-            factory.deploy(profiles["BERT-21B"], plans["BERT-21B"], batch_cap=8)
+            factory.deploy(profiles["BERT-21B"], plans["BERT-21B"])
         # The race's loser leaves the fragment to the interactive tenant.
-        winner = factory.deploy(
-            profiles["LLAMA2-7B"], plans["LLAMA2-7B"], batch_cap=8
-        )
+        winner = factory.deploy(profiles["LLAMA2-7B"], plans["LLAMA2-7B"])
         assert winner.state is ReplicaState.LOADING
 
 

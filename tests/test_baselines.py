@@ -69,7 +69,7 @@ class TestTetris:
 
     def test_modest_batch_and_slow_scaling(self, ctx):
         system = TetrisSystem(ctx, [LLAMA2_7B])
-        assert system.batch_cap == 16
+        assert system.factory.batch_cap == 16
         scaler = system.autoscalers[LLAMA2_7B.name]
         assert scaler.config.interval >= 2.0
         assert scaler.config.scale_out_cooldown >= 5.0

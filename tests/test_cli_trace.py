@@ -72,3 +72,38 @@ class TestTraceCommands:
         ca = [fn.counts.tolist() for fn in load_window(dataset_source(a)).functions]
         cb = [fn.counts.tolist() for fn in load_window(dataset_source(b)).functions]
         assert ca != cb
+
+
+class TestTraceAttribution:
+    def test_header_counts_unfinished_requests(self, monkeypatch, capsys):
+        """The tails cover finalized traces only; the header says how many
+        accepted requests never finished, so they are not silently missing."""
+        import repro.scenarios.driver as driver
+
+        reports = []
+        run = driver.run_scenario_case
+
+        def capture(case):
+            reports.append(run(case))
+            return reports[-1]
+
+        monkeypatch.setattr(driver, "run_scenario_case", capture)
+        main(
+            [
+                "--no-cache",
+                "trace",
+                "paper-multi-burst",
+                "--quick",
+                "--system",
+                "DistServe",
+            ]
+        )
+        (report,) = reports
+        unfinished = report.offered - report.shed - len(report.traces)
+        assert unfinished > 0  # this cell ends with requests in flight
+        header = capsys.readouterr().out.splitlines()[:2]
+        assert f"{len(report.traces)} request trace(s)" in header[0]
+        assert header[1] == (
+            f"{unfinished} accepted request(s) unfinished at the horizon; "
+            "the tails below cover finished requests only"
+        )

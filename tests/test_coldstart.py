@@ -423,7 +423,7 @@ class TestFlexPipeBatchCap:
         profile = ctx.profile(LLAMA2_7B)
         plan = ctx.ladder(LLAMA2_7B, (2, 4)).plan(2)
         assert plan.max_batch > 4  # the cap must actually bind
-        replica = system._autoscaler_deploy(profile, plan)
+        replica = system._models[LLAMA2_7B.name].autoscaler.deploy(profile, plan)
         assert replica.batcher.config.max_batch <= 4
 
 

@@ -113,9 +113,9 @@ class TestReplicaFactory:
         """A fragmented cluster shrinks the KV pool instead of failing."""
         for gpu in ctx.cluster.gpus:
             gpu.background_mem = 55 * 1024**3
-        factory, _, _ = make_factory(ctx)
+        factory, _, _ = make_factory(ctx, batch_cap=512)
         plan = ctx.ladder(LLAMA2_7B, (2, 4)).plan(2)
-        replica = factory.deploy(ctx.profile(LLAMA2_7B), plan, batch_cap=512)
+        replica = factory.deploy(ctx.profile(LLAMA2_7B), plan)
         assert replica.batcher.config.max_batch < 512
 
     def test_release_returns_memory(self, ctx):

@@ -1,5 +1,5 @@
-"""Tests for the experiment harness, the figure workloads and the system
-factories."""
+"""Tests for the experiment harness, the figure workloads and the systems
+registry."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.common import ExperimentConfig, build_environment
-from repro.experiments.systems import make_system
+from repro.core.context import ServingContext
+from repro.experiments.systems import SYSTEMS, build_system
+from repro.scenarios import SCENARIOS
 from repro.scenarios.driver import (
     ScenarioCase,
     ScenarioDriver,
@@ -111,14 +113,108 @@ class TestFigureAudit:
             figures.audited_summary(report)
 
 
-class TestFactories:
+class TestBuildSystem:
     def test_unknown_system_raises_with_options(self, ctx):
         with pytest.raises(KeyError, match="available"):
-            make_system("vLLM", ctx, ExperimentConfig())
+            build_system("vLLM", ctx, ExperimentConfig())
 
-    def test_make_system_builds_each(self, ctx):
+    def test_builds_each(self, ctx):
         cfg = ExperimentConfig(cluster="small", fragmentation=False, qps=5.0)
-        for name in ("FlexPipe", "AlpaServe", "MuxServe", "ServerlessLLM", "Tetris"):
-            system = make_system(name, ctx, cfg)
+        for name in SYSTEMS:
+            system = build_system(name, ctx, cfg)
             assert system.name == name
             system.shutdown()
+
+
+def _provisioned(system) -> tuple:
+    """(class, initial replicas, factory batch cap, stages per model); a
+    DistServe model's stages are its (prefill, decode) pair."""
+    stages = {}
+    for model in sorted(system.specs):
+        if hasattr(system, "current_granularity"):
+            stages[model] = system.current_granularity(model)
+        elif hasattr(system, "decode_plans"):
+            stages[model] = (
+                system.plans[model].n_stages,
+                system.decode_plans[model].n_stages,
+            )
+        else:
+            stages[model] = system.plans[model].n_stages
+    return (
+        type(system).__name__,
+        system.initial_replicas,
+        system.factory.batch_cap,
+        stages,
+    )
+
+
+class TestProvisioningWitness:
+    """What the registry builds, pinned to the values the per-system
+    factory functions it replaced built (OPT-66B, 20 QPS, paper cluster)."""
+
+    DEFAULT = {
+        "AlpaServe": ("AlpaServeSystem", 5, 32, {"OPT-66B": 4}),
+        "DistServe": ("DistServeSystem", 2, 32, {"OPT-66B": (4, 8)}),
+        "FlexPipe": ("FlexPipeSystem", 2, 32, {"OPT-66B": 4}),
+        "MuxServe": ("MuxServeSystem", 5, 32, {"OPT-66B": 4}),
+        "ServerlessLLM": ("ServerlessLLMSystem", 2, 32, {"OPT-66B": 4}),
+        "Tetris": ("TetrisSystem", 4, 16, {"OPT-66B": 2}),
+    }
+    # An explicit zero: scale-to-zero for every system that scales out;
+    # the statically provisioned ones still start one replica.
+    ZERO = {
+        "AlpaServe": 1,
+        "DistServe": 0,
+        "FlexPipe": 0,
+        "MuxServe": 1,
+        "ServerlessLLM": 0,
+        "Tetris": 0,
+    }
+    MULTI = ("BERT-21B", "LLAMA2-7B", "WHISPER-9B")
+    # paper-multi-burst: three tenants, batch cap 16, sized from the spec.
+    PAPER_MULTI_BURST = {
+        "AlpaServe": ("AlpaServeSystem", 1, 16, dict.fromkeys(MULTI, 4)),
+        "DistServe": ("DistServeSystem", 2, 16, dict.fromkeys(MULTI, (4, 8))),
+        "FlexPipe": ("FlexPipeSystem", 1, 16, dict.fromkeys(MULTI, 4)),
+        "MuxServe": ("MuxServeSystem", 1, 16, dict.fromkeys(MULTI, 4)),
+        "ServerlessLLM": ("ServerlessLLMSystem", 1, 16, dict.fromkeys(MULTI, 4)),
+        "Tetris": ("TetrisSystem", 1, 16, dict.fromkeys(MULTI, 1)),
+    }
+
+    @staticmethod
+    def _build(name, **overrides):
+        cfg = ExperimentConfig()
+        sim, cluster, streams, _ = build_environment(cfg)
+        ctx = ServingContext.create(sim, cluster, streams)
+        return build_system(name, ctx, cfg, **overrides)
+
+    def test_registry_lists_every_system(self):
+        assert sorted(SYSTEMS) == sorted(self.DEFAULT)
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT))
+    def test_paper_config(self, name):
+        system = self._build(name)
+        assert _provisioned(system) == self.DEFAULT[name]
+        system.shutdown()
+
+    @pytest.mark.parametrize("name", sorted(ZERO))
+    def test_explicit_zero_replicas(self, name):
+        system = self._build(name, initial_replicas=0)
+        assert system.initial_replicas == self.ZERO[name]
+        system.shutdown()
+
+    @pytest.mark.parametrize("name", sorted(PAPER_MULTI_BURST))
+    def test_multi_tenant_catalog_spec(self, name):
+        driver = ScenarioDriver(
+            ScenarioCase(SCENARIOS["paper-multi-burst"], name, 0)
+        )
+        driver.start()
+        assert _provisioned(driver.system) == self.PAPER_MULTI_BURST[name]
+
+    def test_spec_replica_count_beats_a_fixed_override(self):
+        # gpu-contention pins one replica per system, DistServe included.
+        driver = ScenarioDriver(
+            ScenarioCase(SCENARIOS["gpu-contention"], "DistServe", 0)
+        )
+        driver.start()
+        assert driver.system.initial_replicas == 1

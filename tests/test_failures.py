@@ -83,9 +83,7 @@ class TestInjection:
         sim, cluster, streams, system = live_system
         state = system._models[LLAMA2_7B.name]
         plan = state.ladder.plan(state.current_stages)
-        loading = system.factory.deploy(
-            system.profiles[LLAMA2_7B.name], plan, batch_cap=system.batch_cap
-        )
+        loading = system.factory.deploy(system.profiles[LLAMA2_7B.name], plan)
         assert loading.state.value == "loading"
         injector = FailureInjector(
             sim, cluster, streams.stream("failures"), system,

@@ -15,7 +15,7 @@ from repro.cluster.allocator import AllocationError, GPUAllocator
 from repro.cluster.cluster import make_small_cluster
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
-from repro.experiments.systems import CHAOS_SYSTEMS
+from repro.experiments.systems import SYSTEMS
 from repro.models.zoo import LLAMA2_7B
 from repro.pipeline.replica import ReplicaState
 from repro.scenarios.driver import ScenarioCase, run_scenario_case
@@ -47,7 +47,7 @@ def offered_by_model(report) -> dict[str, int]:
 # Chaos audit (fixed seeds, every system)
 # ----------------------------------------------------------------------
 class TestChaosHarness:
-    @pytest.mark.parametrize("system", sorted(CHAOS_SYSTEMS))
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_seeded_interleavings_hold_all_invariants(self, system, seed):
         report = run_chaos(system, seed)

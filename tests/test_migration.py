@@ -13,7 +13,6 @@ from repro.transfer.migration import (
     ItemKind,
     MigrationItem,
     MigrationPlanner,
-    refactor_items,
 )
 
 
@@ -159,21 +158,3 @@ class TestScheduling:
                 busy.setdefault(c, []).append((t.start, t.end))
         assert schedule.busiest_channel_time() <= schedule.makespan + 1e-9
         assert schedule.makespan <= schedule.serial_time + 1e-9
-
-
-class TestRefactorItems:
-    def test_builds_param_and_kv_items(self):
-        items = refactor_items(
-            stage_moves=[(ep("s1"), ep("s2"), 5.0), (ep("s1"), ep("s1"), 0.0)],
-            kv_moves=[(ep("s1"), ep("s2"), 3.0, "req7")],
-        )
-        kinds = [i.kind for i in items]
-        assert kinds == [ItemKind.PARAMS, ItemKind.KV]
-        assert items[1].tag == "req7"
-
-    def test_skips_zero_byte_moves(self):
-        items = refactor_items(
-            stage_moves=[(ep("a"), ep("b"), 0.0)],
-            kv_moves=[(ep("a"), ep("b"), 0.0, "r")],
-        )
-        assert items == []

@@ -172,29 +172,11 @@ class TestFlightRecorder:
         assert len(recorder.events) == 4
         assert [e.detail["i"] for e in recorder.events] == [6, 7, 8, 9]
         assert recorder.evicted == 6
-        assert recorder.recorded == 10
-
-    def test_counter_sampling_is_deterministic(self):
-        recorder = FlightRecorder(sample_every=3)
-        for i in range(9):
-            recorder.record(float(i), "tick", i=i)
-        assert [e.detail["i"] for e in recorder.events] == [0, 3, 6]
-        assert recorder.sampled_out == 6
-        assert recorder.seen == 9
-
-    def test_sampling_counts_per_kind(self):
-        recorder = FlightRecorder(sample_every=2)
-        for i in range(4):
-            recorder.record(float(i), "a", i=i)
-            recorder.record(float(i), "b", i=i)
-        assert [e.detail["i"] for e in recorder.by_kind("a")] == [0, 2]
-        assert [e.detail["i"] for e in recorder.by_kind("b")] == [0, 2]
+        assert recorder.seen == 10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             FlightRecorder(capacity=0)
-        with pytest.raises(ValueError, match="sample_every"):
-            FlightRecorder(sample_every=0)
 
     def test_retagged_event(self):
         event = FleetEvent(1, 2.0, "deploy")

@@ -333,7 +333,7 @@ class TestAutoscalerShareCap:
     def _replica_bytes(self, scaler, plan):
         # The clamp sizes replicas at the degradation floor batch — the
         # smallest deploy the factory would actually accept.
-        from repro.cluster.allocator import DEGRADE_FLOOR
+        from repro.pipeline.sizing import DEGRADE_FLOOR
 
         batch = max(min(plan.max_batch, DEGRADE_FLOOR), 1)
         return sum(
@@ -566,7 +566,7 @@ class TestAutoscalerCertifiedPark:
     def _blocked(self, ctx, llama_profile):
         from types import SimpleNamespace
 
-        from repro.cluster.allocator import degrade_until_fit
+        from repro.pipeline.sizing import degrade_until_fit
         from repro.pipeline.replica import ReplicaState
 
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
@@ -1087,7 +1087,7 @@ class TestControlSweep:
         assert scaler._wake is not None
 
     def test_capacity_epoch_wakes_a_parked_sleeper(self, ctx, llama_profile):
-        from repro.cluster.allocator import degrade_until_fit
+        from repro.pipeline.sizing import degrade_until_fit
 
         allocator = ctx.allocator
         # 3 GB left everywhere: below every stage of the plan.

@@ -19,7 +19,7 @@ from repro.scenarios import (
     run_scenario_case,
     run_scenarios,
 )
-from repro.experiments.systems import CHAOS_SYSTEMS
+from repro.experiments.systems import SYSTEMS
 
 # A small, fast scenario exercising every segment kind and several event
 # actions — the workhorse of the driver tests below.
@@ -413,7 +413,7 @@ class TestScenarioDriver:
         assert "synthetic scenario crash" in report.violations[0].detail
         assert report.seed == 5
 
-    @pytest.mark.parametrize("system", sorted(CHAOS_SYSTEMS))
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_every_system_survives_the_mini_scenario(self, system):
         report = run_scenario_case(ScenarioCase(MINI, system, seed=2))
         assert report.ok, "\n".join(str(v) for v in report.violations)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.figures import figure_spec
-from repro.experiments.systems import SYSTEM_FACTORIES, replicas_for_fraction
+from repro.experiments.systems import PAPER_SYSTEMS, replicas_for_fraction
 from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 
 FAST = dict(duration=60.0, settle=120.0, warmup=20.0, drain=20.0, qps=10.0)
@@ -67,7 +67,7 @@ class TestFlexPipeEndToEnd:
 
 
 class TestAllSystemsEndToEnd:
-    @pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(PAPER_SYSTEMS))
     def test_system_completes_workload(self, name):
         summary, system = run_audited(name, cv=1.0)
         assert summary.completed > 0, f"{name} completed nothing"
