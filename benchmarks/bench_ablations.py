@@ -1,40 +1,5 @@
-"""Ablations A1-A4 — each FlexPipe mechanism removed in turn (CV=4).
-
-Not in the paper as a figure, but DESIGN.md calls these out to attribute
-the gains: inflight refactoring, the host-memory warm cache, HRG
-coordination, and affinity scheduling.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""Ablations — each FlexPipe mechanism removed in turn."""
 
 
-def test_ablations(benchmark, runner):
-    rows = benchmark.pedantic(figures.ablation_rows, kwargs={'runner': runner}, rounds=1, iterations=1)
-    emit(
-        "ablations",
-        format_table(
-            ["variant", "goodput %", "mean lat s", "P99 s", "refactors", "warm rate", "mean init s"],
-            [
-                [
-                    r["variant"],
-                    f"{r['goodput_pct']:.0f}",
-                    f"{r['mean_latency']:.2f}",
-                    f"{r['p99']:.2f}",
-                    r["refactors"],
-                    f"{r['warm_rate']:.2f}",
-                    f"{r['mean_init']:.1f}",
-                ]
-                for r in rows
-            ],
-            title="Ablations - FlexPipe mechanisms removed one at a time (CV=4)",
-        ),
-    )
-    get = {r["variant"]: r for r in rows}
-    assert get["no-refactoring"]["refactors"] == 0
-    assert get["full"]["refactors"] > 0
-    assert get["no-warm-cache"]["warm_rate"] == 0.0
+def test_ablations(benchmark, judge):
+    judge("ablations", benchmark)

@@ -1,46 +1,5 @@
-"""§9.6 — production case study: reservation, wait time, init latency.
-
-Paper: always-on GPU reservation cut from 75% to 30% of peak *without
-compromising service quality*; allocation wait −85%; instance
-initialization −72%.  The reservation shares are provisioning policy
-(reproduced by construction); the measured claims are service parity at
-the reduced reservation and the elastic-init speedup over cold
-whole-pipeline deployment.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""§9.6 — production case study."""
 
 
-def test_case_study_reservation_reduction(benchmark, runner):
-    stats = benchmark.pedantic(figures.case_study_rows, kwargs={'runner': runner}, rounds=1, iterations=1)
-    rows = [
-        ["Always-on reservation (FlexPipe)", f"{stats['flex_reserved_frac']:.0%} of peak (paper: 30%)"],
-        ["Always-on reservation (static)", f"{stats['static_reserved_frac']:.0%} of peak (paper: 75%)"],
-        ["GPUs held (FlexPipe)", f"{stats['flex_gpus']}"],
-        ["GPUs held (static baseline)", f"{stats['static_gpus']}"],
-        ["FlexPipe goodput", f"{stats['flex_goodput']:.2f}"],
-        ["Static goodput", f"{stats['static_goodput']:.2f}"],
-        ["FlexPipe mean alloc wait (s)", f"{stats['flex_alloc_wait']:.2f}"],
-        ["Static mean alloc wait (s)", f"{stats['static_alloc_wait']:.2f}"],
-        ["Elastic scale-out init (s)", f"{stats['flex_init']:.2f}"],
-        ["Cold whole-pipeline init (s)", f"{stats['cold_init']:.2f}"],
-        ["Init reduction", f"{stats['init_reduction']:.0%} (paper: 72%)"],
-        ["FlexPipe warm-start rate", f"{stats['flex_warm_rate']:.2f}"],
-    ]
-    emit(
-        "case_study",
-        format_table(["metric", "value"], rows, title="§9.6 - production case study (CV=4)"),
-    )
-    # Service quality holds at 30% always-on vs 75% (the headline claim).
-    assert stats["flex_goodput"] >= 0.6 * stats["static_goodput"]
-    # Elastic fine-grained scale-outs initialise far faster than a cold
-    # whole-pipeline deployment (paper: -72%).
-    assert stats["init_reduction"] > 0.4
-    # Topology-aware allocation keeps FlexPipe's allocation waits at or
-    # below the static baseline's.
-    assert stats["flex_alloc_wait"] <= stats["static_alloc_wait"] + 1.0
+def test_case_study_reservation_reduction(benchmark, judge):
+    judge("case-study", benchmark)

@@ -1,28 +1,5 @@
-"""Fig. 1 — request-distribution CV depends strongly on the window size.
-
-Paper: CVs computed at 180s / 3h / 12h windows differ by up to 7x on the
-Alibaba and Azure traces — the mismatch motivating runtime adaptation.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""Fig. 1 — request CV across measurement windows."""
 
 
-def test_fig1_cv_window_mismatch(benchmark):
-    rows = benchmark.pedantic(figures.fig1_rows, rounds=1, iterations=1)
-    emit(
-        "fig1",
-        format_table(
-            ["window", "count CV"],
-            [[r["window"], f"{r['cv']:.2f}"] for r in rows],
-            title="Fig. 1 - CV of request counts vs measurement window (synthetic diurnal trace)",
-        ),
-    )
-    spread = rows[-1]["cv"]
-    assert spread >= 3.0, "window-size CV mismatch should be several-fold"
-    values = {r["window"]: r["cv"] for r in rows[:-1]}
-    assert len(values) == 3
+def test_fig1_cv_window_mismatch(benchmark, judge):
+    judge("fig1", benchmark)

@@ -1,51 +1,5 @@
-"""Fig. 11 — pipeline-stall recovery time across systems and CVs.
-
-Paper: FlexPipe recovers in 9 ms at CV=4 (44% faster than AlpaServe, 82%
-faster than MuxServe/ServerlessLLM) by refactoring the topology instead of
-waiting for queues to drain.  Recovery is measured with the §9.3
-methodology (stall = latency > 1.5x P25 baseline; recovered < 1.2x).
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
-
-PAPER_CV4_MS = {
-    "FlexPipe": 9.0,
-    "AlpaServe": 16.0,
-    "MuxServe": 48.0,
-    "ServerlessLLM": 50.0,
-}
+"""Fig. 11 — pipeline-stall recovery time."""
 
 
-def test_fig11_stall_recovery(benchmark, cv_sweep):
-    rows = benchmark.pedantic(
-        figures.fig11_rows, args=(cv_sweep,), rounds=1, iterations=1
-    )
-    emit(
-        "fig11",
-        format_table(
-            ["CV", "system", "median recovery (ms)", "paper CV=4 (ms)"],
-            [
-                [
-                    r["cv"],
-                    r["system"],
-                    f"{r['median_recovery_ms']:.0f}",
-                    PAPER_CV4_MS.get(r["system"], "-") if r["cv"] == 4.0 else "",
-                ]
-                for r in rows
-            ],
-            title="Fig. 11 - stall recovery time (§9.3 methodology)",
-        ),
-    )
-    get = {(r["cv"], r["system"]): r["median_recovery_ms"] for r in rows}
-    # Recovery times are well-defined (systems do stall and do recover).
-    measured = [v for v in get.values() if v > 0]
-    assert measured, "no stall episodes detected anywhere"
-    # FlexPipe's recovery at CV=4 is not slower than the multiplexing
-    # baseline trapped in queue drains.
-    if get.get((4.0, "FlexPipe"), 0) > 0 and get.get((4.0, "MuxServe"), 0) > 0:
-        assert get[(4.0, "FlexPipe")] <= 2.5 * get[(4.0, "MuxServe")]
+def test_fig11_stall_recovery(benchmark, judge):
+    judge("fig11", benchmark)

@@ -1,46 +1,5 @@
-"""Fig. 12 — resource efficiency: goodput vs GPU utilization.
-
-Paper: FlexPipe reaches maximum goodput at 33-43% utilization; Tetris
-burns 85% utilization for a fraction of the goodput at CV=4 (8.5x
-efficiency gap).  High utilization in static systems is contention, not
-useful work.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""Fig. 12 — goodput vs GPU utilization."""
 
 
-def test_fig12_resource_efficiency(benchmark, cv_sweep):
-    rows = benchmark.pedantic(
-        figures.fig12_rows, args=(cv_sweep,), rounds=1, iterations=1
-    )
-    emit(
-        "fig12",
-        format_table(
-            ["CV", "system", "GPU util %", "goodput req/s", "req/s per util-%"],
-            [
-                [
-                    r["cv"],
-                    r["system"],
-                    f"{r['gpu_util_pct']:.0f}",
-                    f"{r['goodput_rps']:.1f}",
-                    f"{r['efficiency']:.2f}",
-                ]
-                for r in rows
-            ],
-            title="Fig. 12 - goodput vs GPU utilization across CVs",
-        ),
-    )
-    get = {(r["cv"], r["system"]): r for r in rows}
-    for cv in (2.0, 4.0):
-        flex = get[(cv, "FlexPipe")]
-        mux = get[(cv, "MuxServe")]
-        # The headline: FlexPipe converts utilization to goodput far more
-        # efficiently than the multiplexing baseline under bursty load.
-        assert flex["efficiency"] > 1.5 * mux["efficiency"]
-        # High utilization != high goodput for the sharing systems.
-        assert mux["gpu_util_pct"] > flex["gpu_util_pct"]
+def test_fig12_resource_efficiency(benchmark, judge):
+    judge("fig12", benchmark)

@@ -1,69 +1,5 @@
-"""Fig. 2 — GPU subscription rate and scattered availability.
-
-Paper: (a) subscription averages 216% (two services per GPU) with
-excursions far above 100%; (b) the availability heatmap shows free GPUs
-scattered across servers, so P(one GPU ≥85% free) ≈ 8.7% while
-P(4 co-located free GPUs on one server) collapses to ≈ 0.02%.
-
-The fragmentation churn is fitted to exactly these statistics, so this
-bench verifies the fit holds over time and that co-location probability
-collapses with group size — the property that forces tensor-parallel
-placements to degrade to pipelines (§3.1).
-"""
-
-from __future__ import annotations
-
-import numpy as np
-from conftest import emit
-
-from repro.experiments.common import ExperimentConfig, build_environment
-from repro.metrics.report import format_table
-
-PAPER_SUBSCRIPTION = 216.0  # percent
-PAPER_P_FREE_GPU = 8.7  # percent, one GPU >= 85% free
-PAPER_P_COLOCATED4 = 0.02  # percent, four co-located free GPUs
+"""Fig. 2 — GPU subscription and scattered availability."""
 
 
-def fig2_stats(seed: int = 0, samples: int = 30) -> dict:
-    cfg = ExperimentConfig(seed=seed)
-    sim, cluster, streams, frag = build_environment(cfg)
-    subs, p_free, p_pairs, p_quads = [], [], [], []
-    for _ in range(samples):
-        sim.run(until=sim.now + 30.0)
-        subs.append(cluster.subscription_rate() * 100)
-        p_free.append(cluster.free_gpu_probability() * 100)
-        p_pairs.append(cluster.colocated_probability(2) * 100)
-        p_quads.append(cluster.colocated_probability(4) * 100)
-    frag.stop()
-    return {
-        "subscription_mean": float(np.mean(subs)),
-        "subscription_max": float(np.max(subs)),
-        "p_free_gpu": float(np.mean(p_free)),
-        "p_colocated2": float(np.mean(p_pairs)),
-        "p_colocated4": float(np.mean(p_quads)),
-    }
-
-
-def test_fig2_fragmentation_statistics(benchmark):
-    stats = benchmark.pedantic(fig2_stats, rounds=1, iterations=1)
-    emit(
-        "fig2",
-        format_table(
-            ["metric", "measured", "paper"],
-            [
-                ["GPU subscription mean (%)", f"{stats['subscription_mean']:.0f}", PAPER_SUBSCRIPTION],
-                ["GPU subscription max (%)", f"{stats['subscription_max']:.0f}", "~900 peak"],
-                ["P(GPU >=85% free) (%)", f"{stats['p_free_gpu']:.1f}", PAPER_P_FREE_GPU],
-                ["P(2 co-located free) (%)", f"{stats['p_colocated2']:.2f}", "-"],
-                ["P(4 co-located free) (%)", f"{stats['p_colocated4']:.3f}", PAPER_P_COLOCATED4],
-            ],
-            title="Fig. 2 - fragmentation: subscription and scattered availability",
-        ),
-    )
-    # (a) Sustained overcommitment near the paper's 216% average.
-    assert 150.0 <= stats["subscription_mean"] <= 300.0
-    # (b) Single free GPUs are rare; co-located groups collapse with size.
-    assert stats["p_free_gpu"] < 25.0
-    assert stats["p_colocated2"] <= stats["p_free_gpu"]
-    assert stats["p_colocated4"] <= stats["p_colocated2"]
-    assert stats["p_colocated4"] < 1.0  # far below one percent of servers
+def test_fig2_fragmentation_statistics(benchmark, judge):
+    judge("fig2", benchmark)

@@ -1,130 +1,9 @@
-"""§8 ablation — hierarchical transfer vs NCCL for refactoring migration.
-
-The implementation section's claim: using NCCL for post-refactoring KV
-migration would pay *seconds* of connection establishment, so FlexPipe
-uses RDMA with a sendfile fallback.  This bench builds the migration
-workload of a representative 8→16 split (8 fresh parameter shards + KV
-shards for 64 in-flight requests) and schedules it three ways:
-
-* hierarchy (RDMA/sendfile/local, the §8 design);
-* sendfile-only (no RDMA NICs anywhere);
-* forced NCCL (the ablation).
-
-Shape target: NCCL's makespan is dominated by per-stream setup and sits
-an order of magnitude above the hierarchy; the KV portion finishes in
-milliseconds under the hierarchy (the "us-level inflight reconstruction"
-of Fig. 6 depends on this).
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.metrics.report import format_table
-from repro.transfer.datamover import DataMover, TransferCosts
-from repro.transfer.links import GB
-from repro.transfer.migration import (
-    Endpoint,
-    ItemKind,
-    MigrationItem,
-    MigrationPlanner,
-)
-
-N_FRESH_STAGES = 8  # an 8->16 split loads 8 complement shards
-STAGE_BYTES = 120 * GB / 16  # OPT-66B spread over 16 stages
-N_INFLIGHT = 64  # requests with live KV during the transition
-KV_BYTES = 96e6  # ~660-token context per request, per §4 calibration
+"""§8 ablation — hierarchical transfer vs NCCL."""
 
 
-def build_items(rdma: bool) -> list[MigrationItem]:
-    items = []
-    for k in range(N_FRESH_STAGES):
-        src = Endpoint(f"server{k % 4}", f"g{k}", rdma=rdma)
-        dst = Endpoint(f"server{4 + k % 8}", f"g{k}", rdma=rdma)
-        items.append(
-            MigrationItem(ItemKind.PARAMS, STAGE_BYTES, src, dst, tag=f"stage{k}")
-        )
-    for r in range(N_INFLIGHT):
-        src = Endpoint(f"server{r % 4}", f"g{r % 2}", rdma=rdma)
-        dst = Endpoint(f"server{4 + r % 8}", f"g{r % 2}", rdma=rdma)
-        items.append(MigrationItem(ItemKind.KV, KV_BYTES, src, dst, tag=f"req{r}"))
-    return items
+def test_migration_hierarchy_vs_nccl(benchmark, judge):
+    judge("migration", benchmark)
 
 
-def run_variants() -> dict[str, dict]:
-    variants = {
-        "hierarchy (RDMA)": (MigrationPlanner(), True),
-        "sendfile fallback": (MigrationPlanner(), False),
-        "forced NCCL": (MigrationPlanner(force_nccl=True), True),
-    }
-    out = {}
-    for name, (planner, rdma) in variants.items():
-        schedule = planner.schedule(build_items(rdma))
-        out[name] = {
-            "makespan": schedule.makespan,
-            "kv_makespan": schedule.kv_makespan(),
-            "serial": schedule.serial_time,
-            "bytes": schedule.total_bytes,
-            "methods": {
-                m.value: b / GB for m, b in schedule.bytes_by_method().items()
-            },
-        }
-    return out
-
-
-def test_migration_hierarchy_vs_nccl(benchmark):
-    results = benchmark.pedantic(run_variants, rounds=1, iterations=1)
-    rows = [
-        [
-            name,
-            f"{r['makespan']:.3f}",
-            f"{r['kv_makespan'] * 1e3:.1f}",
-            f"{r['serial']:.3f}",
-            ", ".join(f"{m}:{g:.1f}GB" for m, g in sorted(r["methods"].items())),
-        ]
-        for name, r in results.items()
-    ]
-    emit(
-        "migration",
-        format_table(
-            ["variant", "makespan (s)", "KV done (ms)", "serial bound (s)", "bytes by method"],
-            rows,
-            title="§8 ablation - migration transfer hierarchy (8->16 split, 64 inflight)",
-        ),
-    )
-    hierarchy = results["hierarchy (RDMA)"]
-    sendfile = results["sendfile fallback"]
-    nccl = results["forced NCCL"]
-    # The §8 claim: NCCL connection setup dominates - an order of magnitude
-    # slower than the hierarchical mechanism for the same bytes.
-    assert nccl["makespan"] > 5 * hierarchy["makespan"]
-    # The sendfile fallback degrades gracefully (no setup blow-up).
-    assert sendfile["makespan"] < 2.5 * hierarchy["makespan"]
-    # KV consistency work (the switchover-critical part) finishes fast
-    # under the hierarchy even while parameter loads continue.
-    assert hierarchy["kv_makespan"] < 0.5 * hierarchy["makespan"]
-    # Every variant moves identical bytes.
-    assert hierarchy["bytes"] == nccl["bytes"] == sendfile["bytes"]
-
-
-def test_nccl_setup_dominates_small_kv(benchmark):
-    """Per-stream view: for MB-scale KV deltas NCCL is pure overhead."""
-
-    def single_stream():
-        mover = DataMover(TransferCosts())
-        fast = mover.plan(64e6, same_server=False, src_rdma=True, dst_rdma=True)
-        slow = mover.plan(
-            64e6, same_server=False, src_rdma=True, dst_rdma=True, force_nccl=True
-        )
-        return fast.duration, slow.duration
-
-    fast, slow = benchmark.pedantic(single_stream, rounds=1, iterations=1)
-    emit(
-        "migration_single",
-        format_table(
-            ["method", "64 MB KV shard (ms)"],
-            [["RDMA", f"{fast * 1e3:.2f}"], ["NCCL", f"{slow * 1e3:.1f}"]],
-            title="Single-stream KV migration: RDMA vs NCCL",
-        ),
-    )
-    assert slow > 50 * fast
+def test_nccl_setup_dominates_small_kv(benchmark, judge):
+    judge("migration-single", benchmark)

@@ -1,55 +1,5 @@
-"""Eq. 1 validation — the G/G/S model vs the simulated pipeline.
-
-Checks the two analytic claims of §3.3: queueing delay grows with CV for a
-fixed pipeline, and at high CV deeper pipelines (S ∝ sqrt(CV)) reduce
-total delay.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.metrics.report import format_table
-from repro.queueing.ggs import GGSModel, optimal_stage_count
+"""Eq. 1 — the extended G/G/S pipeline delay model."""
 
 
-def _sweep():
-    rows = []
-    for cv in (0.5, 1.0, 2.0, 4.0, 8.0):
-        for stages in (4, 8, 16, 32):
-            model = GGSModel(
-                arrival_rate=8.0,
-                cv_arrival=cv,
-                stage_service_rates=(2.5 * stages,) * stages,
-            )
-            rows.append(
-                {
-                    "cv": cv,
-                    "stages": stages,
-                    "delay": model.total_delay(),
-                    "optimal": optimal_stage_count(cv),
-                }
-            )
-    return rows
-
-
-def test_eq1_ggs_model(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    emit(
-        "queueing",
-        format_table(
-            ["CV", "stages", "Eq.1 total delay", "S* = 8*sqrt(CV)"],
-            [
-                [r["cv"], r["stages"], f"{r['delay']:.3f}", r["optimal"]]
-                for r in rows
-            ],
-            title="Eq. 1 - extended G/G/S pipeline delay model",
-        ),
-    )
-    get = {(r["cv"], r["stages"]): r["delay"] for r in rows}
-    # Delay grows with CV at fixed depth.
-    assert get[(8.0, 4)] > get[(0.5, 4)]
-    # At high CV, deeper pipelines win (Insight 3).
-    assert get[(8.0, 16)] < get[(8.0, 4)]
-    # The S ∝ sqrt(CV) rule anchors at the paper's data point.
-    assert optimal_stage_count(4.0) == 16
+def test_eq1_ggs_model(benchmark, judge):
+    judge("queueing", benchmark)

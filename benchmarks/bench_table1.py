@@ -1,43 +1,5 @@
-"""Table 1 + Fig. 2 — cluster fragmentation statistics.
-
-Paper targets: mean SM utilization 16.9-23.7%, P50 well below P95,
-216% subscription, 8.7% single-free-GPU probability, 0.02% four-co-located
-probability.
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""Table 1 — cluster fragmentation statistics."""
 
 
-def test_table1_fragmentation_statistics(benchmark):
-    stats = benchmark.pedantic(figures.table1_rows, rounds=1, iterations=1)
-    rows = [
-        ["SM util mean (%)", f"{stats['sm_mean']:.1f}", "16.9 - 23.7"],
-        ["SM util P50 (%)", f"{stats['sm_p50']:.1f}", "9.2 - 10.9"],
-        ["SM util P95 (%)", f"{stats['sm_p95']:.1f}", "80.5 - 85.4"],
-        ["SM in 10-30% band (%)", f"{stats['sm_10_30']:.1f}", "21.0 - 31.3"],
-        ["Mem util mean (%)", f"{stats['mem_mean']:.1f}", "43.5 - 50.9"],
-        ["Mem util P50 (%)", f"{stats['mem_p50']:.1f}", "28.8 - 53.7"],
-        ["Mem util P95 (%)", f"{stats['mem_p95']:.1f}", "99.1 - 99.3"],
-        ["GPU subscription (%)", f"{stats['subscription']:.0f}", "216"],
-        ["P(GPU >=85% free) (%)", f"{stats['p_free_gpu']:.1f}", "8.7"],
-        ["P(4 co-located free) (%)", f"{stats['p_colocated4']:.2f}", "0.02"],
-    ]
-    emit(
-        "table1",
-        format_table(
-            ["metric", "measured", "paper"],
-            rows,
-            title="Table 1 / Fig. 2 - GPU cluster fragmentation statistics",
-        ),
-    )
-    # Shape: heavy oversubscription with low actual SM use; scarce
-    # co-located capacity.
-    assert stats["subscription"] > 150
-    assert stats["sm_mean"] < stats["subscription"] / 3
-    assert stats["p_colocated4"] <= 5.0
-    assert stats["mem_p95"] > stats["mem_p50"]
+def test_table1_fragmentation_statistics(benchmark, judge):
+    judge("table1", benchmark)

@@ -1,47 +1,5 @@
-"""Table 2 — performance metrics per pipeline granularity (OPT-66B).
-
-The core calibration artefact: load time falls ~8.7x from 4 to 32 stages,
-per-stage compute falls ~7x, communication rises ~10x, and max batch grows
-8x (128 -> 1024).
-"""
-
-from __future__ import annotations
-
-from conftest import emit
-
-from repro.experiments import figures
-from repro.metrics.report import format_table
+"""Table 2 — pipeline granularity profile (OPT-66B)."""
 
 
-def test_table2_granularity_profile(benchmark):
-    rows = benchmark.pedantic(figures.table2_rows, rounds=1, iterations=1)
-    table = [
-        [
-            r["stages"],
-            f"{r['load_s']:.2f} ({r['paper_load']})",
-            f"{r['compute_ms']:.2f} ({r['paper_compute']})",
-            f"{r['comm_ms']:.1f} ({r['paper_comm']})",
-            f"{r['max_batch']} ({r['paper_batch']})",
-        ]
-        for r in rows
-    ]
-    emit(
-        "table2",
-        format_table(
-            ["Stages", "Load(s) (paper)", "Compute(ms) (paper)", "Comm(ms) (paper)", "Max Batch (paper)"],
-            table,
-            title="Table 2 - OPT-66B pipeline granularity profile, measured (paper)",
-        ),
-    )
-    by_k = {r["stages"]: r for r in rows}
-    # Max batch reproduces the paper exactly (KV-capacity physics).
-    for k in (4, 8, 16, 32):
-        assert by_k[k]["max_batch"] == by_k[k]["paper_batch"]
-    # Load and compute within 25% of every paper row; comm within 15%.
-    for r in rows:
-        assert abs(r["load_s"] / r["paper_load"] - 1) < 0.25
-        assert abs(r["compute_ms"] / r["paper_compute"] - 1) < 0.25
-        assert abs(r["comm_ms"] / r["paper_comm"] - 1) < 0.15
-    # Endpoint ratios hold: ~8.7x faster loading at 32 stages.
-    assert by_k[4]["load_s"] / by_k[32]["load_s"] > 6.0
-    assert by_k[32]["comm_ms"] > 8.0 * by_k[4]["comm_ms"]
+def test_table2_granularity_profile(benchmark, judge):
+    judge("table2", benchmark)

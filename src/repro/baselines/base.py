@@ -79,7 +79,6 @@ class StaticPipelineSystem(ServingSystem):
                     scale_out_cooldown=scale_cooldown,
                     prompt_tokens=prompt_tokens,
                     output_tokens=output_tokens,
-                    batch_cap=batch_cap,
                 )
                 self.autoscalers[spec.name] = Autoscaler(
                     ctx.sim,
@@ -92,6 +91,7 @@ class StaticPipelineSystem(ServingSystem):
                     self.plans[spec.name],  # granularity is fixed
                     config,
                     sweep=sweep,
+                    factory=self.factory,
                 )
 
     # ------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Commands
 --------
 ``list``
-    Show every reproducible experiment with its paper artefact.
-``run EXPERIMENT``
-    Run one experiment driver and print its paper-vs-measured table
-    (figures also render an ASCII shape preview).
+    Show every reproducible paper artefact.
+``run ARTEFACT``
+    Run one artefact's cells and print its paper-vs-measured table:
+    exactly what its bench writes to ``benchmarks/_results/``.
 ``demo``
     A 60-second FlexPipe serving run on the fragmented paper cluster —
     the quickest end-to-end sanity check.
@@ -20,17 +20,26 @@ Commands
 ``scenario list`` / ``scenario run``
     The declarative scenario engine: scripted multi-model runs (phased
     arrivals + timed disturbances) against any system, audited.
-``qos``
-    The QoS control-plane report: one scenario run twice (control plane
-    on vs the null policy) over identical traffic, per-tenant attainment
-    and shed tables, gated on the interactive tenants actually winning.
+``qos`` / ``coldstart``
+    The policy gates: one scenario's variants over identical traffic
+    (QoS control plane on vs the null policy; GDSF vs LRU eviction and
+    pipelined vs load-then-activate loading), exiting 1 on an invariant
+    violation or a failed claim.
 ``fuzz``
     Direct migration/link-layer fuzzing (scheduling invariants, link
     physics, in-place deltas over random lattices and the zoo models'
     real ladders).
+``trace``
+    Causal request tracing with tail-latency attribution for one
+    scenario; also writes or inspects AzureFunctionsDataset2019-layout
+    traces (``trace synth2019`` / ``trace stats``).
+``docs-cli``
+    Render (or ``--check``) the generated CLI reference, docs/cli.md.
 
-The heavy experiments (full five-system sweeps) are the same code the
-benches call; expect minutes of wall-clock for those.
+Artefacts and gates are rows of one table,
+:data:`repro.experiments.artefacts.ARTEFACTS`; the benches assert its
+claims and the gates judge them.  All 20 paper benches take about 12 s
+on 2 vCPUs (``REPRO_JOBS=2``).
 """
 
 from __future__ import annotations
@@ -38,30 +47,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
 
-from repro.metrics.ascii_plot import bar_chart, sparkline
-from repro.metrics.report import format_table
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One runnable reproduction target."""
-
-    name: str
-    artefact: str
-    runner: Callable[[argparse.Namespace], str]
-    heavy: bool = False
-
-
-def _rows_table(rows: list[dict], title: str) -> str:
-    """Generic dict-rows renderer used by drivers without bespoke tables."""
-    if not rows:
-        return f"{title}\n(no rows)"
-    headers = list(rows[0])
-    body = [[row.get(h, "") for h in headers] for row in rows]
-    return format_table(headers, body, title=title)
+from repro.metrics.ascii_plot import sparkline
+from repro.metrics.report import format_rows
 
 
 # Fleets larger than this print as a count plus the first few names.
@@ -119,133 +107,6 @@ def _runner_from(args):
     )
 
 
-def _run_table1(args) -> str:
-    from repro.experiments import figures
-
-    stats = figures.table1_rows(seed=args.seed)
-    rows = [{"metric": k, "value": v} for k, v in stats.items()]
-    return _rows_table(rows, "Table 1 - simulated cluster utilization statistics")
-
-
-def _run_table2(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.table2_rows(), "Table 2 - OPT-66B granularity profile"
-    )
-
-
-def _run_fig1(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig1_rows(seed=args.seed),
-        "Fig. 1 - request CV across measurement windows",
-    )
-
-
-def _run_fig3(args) -> str:
-    from repro.experiments import figures
-
-    rows = figures.fig3_rows(seed=args.seed, runner=_runner_from(args))
-    table = _rows_table(rows, "Fig. 3 - static 4-stage pipeline vs workload CV")
-    chart = bar_chart(
-        [str(r["cv"]) for r in rows],
-        [r["goodput_rps"] for r in rows],
-        title="goodput (req/s) by CV",
-        width=34,
-    )
-    return f"{table}\n\n{chart}"
-
-
-def _run_fig4(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig4_rows(seed=args.seed, runner=_runner_from(args)),
-        "Fig. 4 - latency by pipeline granularity and CV",
-    )
-
-
-def _sweep_figs(args) -> dict:
-    from repro.experiments import figures
-
-    return figures.system_sweep(seed=args.seed, runner=_runner_from(args))
-
-
-def _run_fig8(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig8_rows(_sweep_figs(args)), "Fig. 8 - E2E latency breakdown"
-    )
-
-
-def _run_fig9(args) -> str:
-    from repro.experiments import figures
-
-    data = figures.fig9_series(seed=args.seed, runner=_runner_from(args))
-    lines = ["Fig. 9 - response time under CV=8 burst workload (300 s, 15 s windows)"]
-    for system, stats in data.items():
-        values = list(stats["rt_series"].values())
-        lines.append(
-            f"{system:>10}: {sparkline(values, width=60)}  "
-            f"mean={stats['mean_latency']:.2f}s p99={stats['p99']:.2f}s"
-        )
-    return "\n".join(lines)
-
-
-def _run_fig10(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig10_rows(_sweep_figs(args)), "Fig. 10 - latency percentiles"
-    )
-
-
-def _run_fig11(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig11_rows(_sweep_figs(args)), "Fig. 11 - stall recovery times"
-    )
-
-
-def _run_fig12(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig12_rows(_sweep_figs(args)),
-        "Fig. 12 - goodput vs GPU utilization",
-    )
-
-
-def _run_fig13(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.fig13_rows(seed=args.seed, runner=_runner_from(args)),
-        "Fig. 13 - prefill latency by model",
-    )
-
-
-def _run_case_study(args) -> str:
-    from repro.experiments import figures
-
-    stats = figures.case_study_rows(seed=args.seed, runner=_runner_from(args))
-    rows = [{"metric": k, "value": v} for k, v in stats.items()]
-    return _rows_table(rows, "§9.6 case study - production rollout")
-
-
-def _run_ablations(args) -> str:
-    from repro.experiments import figures
-
-    return _rows_table(
-        figures.ablation_rows(seed=args.seed, runner=_runner_from(args)),
-        "Ablations - FlexPipe mechanisms",
-    )
-
-
 def _run_demo(args) -> str:
     from repro.experiments.figures import audited_summary, figure_spec
     from repro.scenarios.driver import ScenarioCase, run_scenario_case
@@ -271,7 +132,7 @@ def _run_demo(args) -> str:
         {"metric": "GPU utilization", "value": f"{summary.gpu_utilization:.1%}"},
         {"metric": "wall-clock (s)", "value": f"{elapsed:.1f}"},
     ]
-    return _rows_table(rows, "FlexPipe demo - 60 s of CV=2 traffic at 10 QPS")
+    return format_rows(rows, "FlexPipe demo - 60 s of CV=2 traffic at 10 QPS")
 
 
 def _run_report(args) -> str:
@@ -325,7 +186,7 @@ def _run_audit(args) -> int:
             }
         )
     print(
-        _rows_table(
+        format_rows(
             rows,
             f"Chaos audit - {args.seeds} seed(s)/system, "
             "lifecycle invariants at quiesce",
@@ -366,7 +227,7 @@ def _run_scenario(args) -> int:
             for spec in SCENARIOS.values()
         ]
         print(
-            _rows_table(
+            format_rows(
                 rows, "Scenario catalog (python -m repro scenario run <name>)"
             )
         )
@@ -430,7 +291,7 @@ def _run_scenario(args) -> int:
             }
         )
     print(
-        _rows_table(
+        format_rows(
             rows,
             f"Scenario sweep - {len(names)} scenario(s) x "
             f"{len(systems)} system(s), invariants audited",
@@ -463,7 +324,7 @@ def _run_scenario(args) -> int:
                     }
                 )
         print()
-        print(_rows_table(model_rows, "Per-model breakdown"))
+        print(format_rows(model_rows, "Per-model breakdown"))
     if _report_violations(
         [r for r in reports if not r.ok],
         lambda r: f"{r.scenario} x {r.system} seed={r.seed}",
@@ -473,220 +334,40 @@ def _run_scenario(args) -> int:
     return 0
 
 
+def _run_gate(name: str, args, **options) -> int:
+    """``repro qos`` / ``repro coldstart``: run a gate's variants over
+    identical traffic, print its table, and exit 1 on an invariant
+    violation or a failed claim."""
+    from repro.experiments.artefacts import ARTEFACTS
+
+    gate = ARTEFACTS[name]
+    run = gate.cells(args.seed, _runner_from(args), **options)
+    print(gate.render(run))
+    if _report_violations(
+        [r for r in run.reports.values() if not r.ok],
+        lambda r: f"{r.scenario} x {r.system} seed={r.seed}",
+    ):
+        return 1
+    failed = gate.failed(run)
+    for claim in failed:
+        print(f"\n{name} gate failed: {claim.text}", file=sys.stderr)
+    if failed:
+        return 1
+    print("\n" + "\n".join(f"{name} gate held: {c.text}" for c in gate.claims))
+    return 0
+
+
 def _run_qos(args) -> int:
-    """``repro qos``: the control-plane on/off comparison report.
-
-    Runs one scenario twice against the same system and seed — QoS
-    control plane enabled vs the null policy (one shared queue-cap gate,
-    FIFO routing) — over byte-identical traffic, prints the per-tenant
-    QoS tables, and gates: both runs must hold every lifecycle invariant,
-    and every interactive-class tenant must attain strictly more of its
-    SLO with the control plane than without (the point of having one).
-    """
-    from dataclasses import replace as dc_replace
-
     from repro.experiments.systems import SYSTEMS
-    from repro.scenarios import SCENARIOS, run_scenarios
+    from repro.scenarios import SCENARIOS
 
     if _choose([args.scenario], SCENARIOS, what="scenario") is None:
         return 2
     if _choose([args.system], SYSTEMS) is None:
         return 2
-    base = SCENARIOS[args.scenario]
-    specs = [dc_replace(base, qos="on"), dc_replace(base, qos="off")]
-    enabled, null = run_scenarios(
-        specs,
-        [args.system],
-        seed=args.seed,
-        quick=args.quick,
-        runner=_runner_from(args),
+    return _run_gate(
+        "qos", args, scenario=args.scenario, system=args.system, quick=args.quick
     )
-
-    rows = []
-    for label, report in (("qos", enabled), ("null", null)):
-        for model, tenant in report.tenants.items():
-            rows.append(
-                {
-                    "policy": label,
-                    "model": model,
-                    "class": tenant.slo_class or "-",
-                    "offered": tenant.offered,
-                    "admitted": tenant.admitted,
-                    "shed": tenant.shed,
-                    "shed rate": f"{tenant.shed_rate:.1%}",
-                    "goodput": tenant.goodput,
-                    "attainment": f"{tenant.attainment:.1%}",
-                    # Per-tenant GPU-share row: high-water fraction of
-                    # fleet memory vs the tenant's configured cap.
-                    "gpu peak": f"{tenant.gpu_share_peak:.1%}",
-                    "cap": f"{tenant.share_cap:.0%}"
-                    if tenant.share_cap is not None
-                    else "-",
-                    # Arbitration + elastic-contract traffic: preemptions
-                    # this tenant won/lost at the allocator, borrow
-                    # grants received, reclaim demands issued.
-                    "pre w/l": f"{tenant.preemptions_won}/"
-                    f"{tenant.preemptions_lost}",
-                    "borrows": tenant.borrows,
-                    "reclaims": tenant.reclaims,
-                }
-            )
-    print(
-        _rows_table(
-            rows,
-            f"QoS control plane vs null policy - {base.name} x "
-            f"{args.system}, seed {args.seed}, identical traffic",
-        )
-    )
-    failures = [r for r in (enabled, null) if not r.ok]
-    if _report_violations(
-        failures, lambda r: f"{r.scenario} x {r.system} seed={r.seed}"
-    ):
-        return 1
-    interactive = [
-        m
-        for m, t in enabled.tenants.items()
-        if t.slo_class == "interactive"
-    ]
-    # Strict improvement required — except when both policies already
-    # saturate at full attainment, where there is no headroom to win.
-    losers = [
-        m
-        for m in interactive
-        if enabled.tenants[m].attainment <= null.tenants[m].attainment
-        and not (
-            enabled.tenants[m].attainment >= 1.0
-            and null.tenants[m].attainment >= 1.0
-        )
-    ]
-    if losers:
-        print(
-            f"\nQoS control plane did NOT improve interactive attainment "
-            f"for: {', '.join(losers)}",
-            file=sys.stderr,
-        )
-        return 1
-    if interactive:
-        gains = ", ".join(
-            f"{m} {null.tenants[m].attainment:.1%} -> "
-            f"{enabled.tenants[m].attainment:.1%}"
-            for m in interactive
-        )
-        print(f"\ninteractive SLO attainment improved: {gains}")
-    else:
-        print("\n(no interactive-class tenant in this scenario; no gate)")
-    return 0
-
-
-def _run_coldstart(args) -> int:
-    """``repro coldstart``: the cold-start economy comparison report.
-
-    Runs the ``coldstart-economy`` scenario three times on FlexPipe over
-    byte-identical traffic — cost-aware GDSF eviction with pipelined
-    loading (the shipped configuration), recency-only LRU eviction, and
-    load-then-activate (non-pipelined) loading — and gates: every run
-    must hold all lifecycle invariants, GDSF must beat LRU on the hot
-    tenants' mean p99 TTFT and warm-start rate, and pipelined loading
-    must beat load-then-activate on the same TTFT stat.
-    """
-    from dataclasses import replace as dc_replace
-    from statistics import mean
-
-    from repro.scenarios import SCENARIOS, run_scenarios
-
-    base = SCENARIOS["coldstart-economy"]
-    variants = {
-        "gdsf+pipelined": base,
-        "lru+pipelined": dc_replace(
-            base, name="coldstart-economy-lru", cache_policy="lru"
-        ),
-        "gdsf+sequential": dc_replace(
-            base, name="coldstart-economy-seq", pipelined_loading=False
-        ),
-    }
-    reports = dict(
-        zip(
-            variants,
-            run_scenarios(
-                list(variants.values()),
-                ["FlexPipe"],
-                seed=args.seed,
-                quick=args.quick,
-                runner=_runner_from(args),
-            ),
-        )
-    )
-
-    def hot_p99(report) -> float:
-        # The hot tenants (FLEET-0..7) are the ones whose restarts the
-        # cache policy decides; tail sweepers are cold by construction.
-        return mean(
-            stats.p99_ttft
-            for model, stats in report.per_model.items()
-            if int(model.split("-")[1]) < 100
-        )
-
-    rows = [
-        {
-            "variant": label,
-            "violations": len(report.violations),
-            "completed": f"{report.completed}/{report.offered}",
-            "warm rate": f"{report.aggregate.warm_start_rate:.2f}"
-            if report.aggregate
-            else "-",
-            "mean init (s)": f"{report.aggregate.mean_init_time:.2f}"
-            if report.aggregate
-            else "-",
-            "hot p99 TTFT (s)": f"{hot_p99(report):.2f}"
-            if report.aggregate
-            else "-",
-        }
-        for label, report in reports.items()
-    ]
-    print(
-        _rows_table(
-            rows,
-            f"Cold-start economy - coldstart-economy x FlexPipe, "
-            f"seed {args.seed}, identical traffic",
-        )
-    )
-    failures = [r for r in reports.values() if not r.ok]
-    if _report_violations(
-        failures, lambda r: f"{r.scenario} x {r.system} seed={r.seed}"
-    ):
-        return 1
-    gdsf, lru, seq = (
-        reports["gdsf+pipelined"],
-        reports["lru+pipelined"],
-        reports["gdsf+sequential"],
-    )
-    losses = []
-    if hot_p99(gdsf) >= hot_p99(lru):
-        losses.append(
-            f"GDSF did not beat LRU on hot p99 TTFT "
-            f"({hot_p99(gdsf):.2f} vs {hot_p99(lru):.2f})"
-        )
-    if gdsf.aggregate.warm_start_rate < lru.aggregate.warm_start_rate:
-        losses.append(
-            f"GDSF warm-start rate below LRU "
-            f"({gdsf.aggregate.warm_start_rate:.2f} vs "
-            f"{lru.aggregate.warm_start_rate:.2f})"
-        )
-    if hot_p99(gdsf) >= hot_p99(seq):
-        losses.append(
-            f"pipelined loading did not beat load-then-activate "
-            f"({hot_p99(gdsf):.2f} vs {hot_p99(seq):.2f})"
-        )
-    if losses:
-        for loss in losses:
-            print(f"\ncold-start gate failed: {loss}", file=sys.stderr)
-        return 1
-    print(
-        f"\ncold-start gates held: GDSF {hot_p99(gdsf):.2f}s < "
-        f"LRU {hot_p99(lru):.2f}s, pipelined {hot_p99(gdsf):.2f}s < "
-        f"sequential {hot_p99(seq):.2f}s hot p99 TTFT"
-    )
-    return 0
 
 
 def _run_fuzz(args) -> int:
@@ -707,7 +388,7 @@ def _run_fuzz(args) -> int:
         for r in reports
     ]
     print(
-        _rows_table(
+        format_rows(
             rows,
             f"Migration-layer fuzz - {args.seeds} seed(s): LPT scheduling "
             "invariants + fair-share link physics + in-place resize deltas",
@@ -850,7 +531,7 @@ def _run_trace_attr(args) -> int:
         ]
         print()
         print(
-            _rows_table(
+            format_rows(
                 rows,
                 f"p{tail.percentile:g} {tail.metric.upper()} tail - "
                 f"{tail.tail_count} request(s) >= {tail.threshold:.2f}s, "
@@ -875,7 +556,7 @@ def _run_trace_attr(args) -> int:
                 }
             )
         print()
-        print(_rows_table(rows, "p99 TTFT tail by tenant"))
+        print(format_rows(rows, "p99 TTFT tail by tenant"))
 
     kinds: dict[str, int] = {}
     for event in report.fleet_events:
@@ -949,51 +630,33 @@ def _run_docs_cli(args) -> int:
     return 0
 
 
-EXPERIMENTS: dict[str, Experiment] = {
-    e.name: e
-    for e in [
-        Experiment("table1", "Table 1 (cluster stats)", _run_table1),
-        Experiment("table2", "Table 2 (granularity profile)", _run_table2),
-        Experiment("fig1", "Fig. 1 (CV vs window)", _run_fig1),
-        Experiment("fig3", "Fig. 3 (static pipeline vs CV)", _run_fig3, heavy=True),
-        Experiment("fig4", "Fig. 4 (granularity vs CV)", _run_fig4, heavy=True),
-        Experiment("fig8", "Fig. 8 (latency breakdown)", _run_fig8, heavy=True),
-        Experiment("fig9", "Fig. 9 (burst absorption)", _run_fig9, heavy=True),
-        Experiment("fig10", "Fig. 10 (percentiles)", _run_fig10, heavy=True),
-        Experiment("fig11", "Fig. 11 (stall recovery)", _run_fig11, heavy=True),
-        Experiment("fig12", "Fig. 12 (resource efficiency)", _run_fig12, heavy=True),
-        Experiment("fig13", "Fig. 13 (prefill latency)", _run_fig13, heavy=True),
-        Experiment("case-study", "§9.6 production case study", _run_case_study, heavy=True),
-        Experiment("ablations", "mechanism ablations", _run_ablations, heavy=True),
-    ]
-}
+def _runnable() -> dict:
+    """The artefacts ``repro run`` takes: those with a bench."""
+    from repro.experiments.artefacts import ARTEFACTS
+
+    return {n: a for n, a in ARTEFACTS.items() if a.bench}
 
 
 def _cmd_list(_args) -> int:
     rows = [
-        {
-            "experiment": e.name,
-            "paper artefact": e.artefact,
-            "cost": "minutes" if e.heavy else "seconds",
-        }
-        for e in EXPERIMENTS.values()
+        {"experiment": a.name, "paper artefact": a.artefact}
+        for a in _runnable().values()
     ]
-    print(_rows_table(rows, "Reproducible experiments (python -m repro run <name>)"))
+    print(format_rows(rows, "Reproducible experiments (python -m repro run <name>)"))
     return 0
 
 
 def _cmd_run(args) -> int:
-    experiment = EXPERIMENTS.get(args.experiment)
-    if experiment is None:
+    artefacts = _runnable()
+    artefact = artefacts.get(args.experiment)
+    if artefact is None:
         print(
             f"unknown experiment {args.experiment!r}; "
-            f"choose from: {', '.join(EXPERIMENTS)}",
+            f"choose from: {', '.join(artefacts)}",
             file=sys.stderr,
         )
         return 2
-    if experiment.heavy:
-        print(f"[{experiment.name}] full simulation sweep - this takes minutes...")
-    print(experiment.runner(args))
+    print(artefact.render(artefact.measure(args.seed, _runner_from(args))))
     return 0
 
 
@@ -1238,7 +901,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "qos":
         return _run_qos(args)
     if args.command == "coldstart":
-        return _run_coldstart(args)
+        return _run_gate("coldstart", args, quick=args.quick)
     if args.command == "fuzz":
         return _run_fuzz(args)
     if args.command == "trace":

@@ -134,7 +134,6 @@ class FlexPipeSystem(ServingSystem):
             beta2=cfg.beta2,
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
-            batch_cap=batch_cap,
             cv_headroom=cfg.cv_headroom,
         )
         self._models: dict[str, _ModelState] = {}
@@ -150,7 +149,7 @@ class FlexPipeSystem(ServingSystem):
                 cv_setpoint_scale=cfg.cv_setpoint_scale,
                 prompt_tokens=prompt_tokens,
                 output_tokens=output_tokens,
-                batch_cap=batch_cap,
+                batch_cap=self.factory.batch_cap,
             )
             executor = RefactoringExecutor(
                 ctx,
@@ -159,7 +158,7 @@ class FlexPipeSystem(ServingSystem):
                 self.metrics,
                 warm_cache=self.warm_cache,
                 decision_latency=cfg.decision_latency,
-                batch_cap=batch_cap,
+                factory=self.factory,
                 pipelined_loading=pipelined_loading,
             )
             initial = self._initial_stages(ladder)
@@ -182,6 +181,7 @@ class FlexPipeSystem(ServingSystem):
                 self._make_plan_for(state),
                 scaler_config,
                 sweep=sweep,
+                factory=self.factory,
             )
             # A deploy builds its placement scorer before allocating, and
             # that reads (and may refresh) the max-CV cache; a parked tick

@@ -1,8 +1,8 @@
-"""Experiment drivers: one function per table/figure of the paper.
+"""Experiment drivers: the cells of every paper artefact and policy gate.
 
-Each driver runs the relevant simulation(s) and returns printable rows;
-the benchmarks under ``benchmarks/`` wrap these with pytest-benchmark and
-paper-vs-measured reporting.  EXPERIMENTS.md records the outcomes.
+Each driver runs the relevant simulation(s) or model sweep and returns
+rows; :mod:`repro.experiments.artefacts` renders and judges them, and
+EXPERIMENTS.md records the outcomes.
 
 Every system run is a :class:`ScenarioCase` over a :func:`figure_spec`
 workload, run by ``ScenarioDriver`` with the invariant auditor attached.
@@ -13,9 +13,12 @@ crashed (:func:`audited_summary`).
 from __future__ import annotations
 
 
+from dataclasses import dataclass, replace
+from statistics import mean
+
 import numpy as np
 
-from repro.core.context import ServingContext
+from repro.core.context import ServingContext, get_profile
 from repro.experiments.common import ExperimentConfig, build_environment
 from repro.experiments.runner import make_runner
 from repro.experiments.systems import (
@@ -27,16 +30,30 @@ from repro.metrics.collector import RunSummary
 from repro.models.costs import CostModel
 from repro.models.zoo import OPT_66B
 from repro.partitioning.batch_scaling import activation_bytes
+from repro.partitioning.ladder import GranularityLadder
+from repro.queueing.ggs import GGSModel, optimal_stage_count
+from repro.refactoring.granularity import GranularityPolicy
+from repro.scaling.decision import scaling_granularity
 from repro.scenarios.driver import (
     ScenarioCase,
     ScenarioDriver,
     ScenarioReport,
     crash_report,
     run_cases,
+    run_scenarios,
 )
+from repro.scenarios.library import SCENARIOS
 from repro.scenarios.spec import ArrivalSegment, ModelScript, ScenarioSpec
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
+from repro.transfer.datamover import DataMover, TransferCosts
+from repro.transfer.links import GB
+from repro.transfer.migration import (
+    Endpoint,
+    ItemKind,
+    MigrationItem,
+    MigrationPlanner,
+)
 from repro.workloads.cv import count_cv
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
@@ -168,6 +185,32 @@ def table1_rows(seed: int = 0) -> dict:
         "subscription": cluster.subscription_rate() * 100,
         "p_free_gpu": cluster.free_gpu_probability() * 100,
         "p_colocated4": cluster.colocated_probability(4) * 100,
+    }
+
+
+def fig2_rows(seed: int = 0, samples: int = 30) -> dict:
+    """Fig. 2: subscription rate and scattered availability over time.
+
+    The fragmentation churn is fitted to the paper's statistics, so this
+    checks the fit holds as the churn runs, and that co-location
+    probability collapses with group size: the property that forces
+    tensor-parallel placements to degrade to pipelines (§3.1).
+    """
+    sim, cluster, streams, frag = build_environment(ExperimentConfig(seed=seed))
+    subs, p_free, p_pairs, p_quads = [], [], [], []
+    for _ in range(samples):
+        sim.run(until=sim.now + 30.0)
+        subs.append(cluster.subscription_rate() * 100)
+        p_free.append(cluster.free_gpu_probability() * 100)
+        p_pairs.append(cluster.colocated_probability(2) * 100)
+        p_quads.append(cluster.colocated_probability(4) * 100)
+    frag.stop()
+    return {
+        "subscription_mean": float(np.mean(subs)),
+        "subscription_max": float(np.max(subs)),
+        "p_free_gpu": float(np.mean(p_free)),
+        "p_colocated2": float(np.mean(p_pairs)),
+        "p_colocated4": float(np.mean(p_quads)),
     }
 
 
@@ -567,3 +610,184 @@ def ablation_rows(
             variants, _summaries(cases, runner, jobs, use_cache)
         )
     ]
+
+
+# ----------------------------------------------------------------------
+# Eq. 1 — the extended G/G/S pipeline delay model
+# ----------------------------------------------------------------------
+def eq1_rows() -> list[dict]:
+    """Eq. 1's total delay over CV x depth at a fixed per-stage load."""
+    rows = []
+    for cv in (0.5, 1.0, 2.0, 4.0, 8.0):
+        for stages in (4, 8, 16, 32):
+            model = GGSModel(
+                arrival_rate=8.0,
+                cv_arrival=cv,
+                stage_service_rates=(2.5 * stages,) * stages,
+            )
+            rows.append(
+                {
+                    "cv": cv,
+                    "stages": stages,
+                    "delay": model.total_delay(),
+                    "optimal": optimal_stage_count(cv),
+                }
+            )
+    return rows
+
+
+# ----------------------------------------------------------------------
+# §8 — hierarchical transfer vs NCCL for refactoring migration
+# ----------------------------------------------------------------------
+# The migration workload of a representative 8->16 split: 8 fresh
+# parameter shards (OPT-66B over 16 stages) plus KV shards for 64
+# in-flight requests (~660-token contexts, per the §4 calibration).
+N_FRESH_STAGES = 8
+STAGE_BYTES = 120 * GB / 16
+N_INFLIGHT = 64
+KV_BYTES = 96e6
+
+
+def _migration_items(rdma: bool) -> list[MigrationItem]:
+    items = []
+    for k in range(N_FRESH_STAGES):
+        src = Endpoint(f"server{k % 4}", f"g{k}", rdma=rdma)
+        dst = Endpoint(f"server{4 + k % 8}", f"g{k}", rdma=rdma)
+        items.append(
+            MigrationItem(ItemKind.PARAMS, STAGE_BYTES, src, dst, tag=f"stage{k}")
+        )
+    for r in range(N_INFLIGHT):
+        src = Endpoint(f"server{r % 4}", f"g{r % 2}", rdma=rdma)
+        dst = Endpoint(f"server{4 + r % 8}", f"g{r % 2}", rdma=rdma)
+        items.append(MigrationItem(ItemKind.KV, KV_BYTES, src, dst, tag=f"req{r}"))
+    return items
+
+
+def migration_rows() -> dict[str, dict]:
+    """The split's migration scheduled three ways: the §8 hierarchy
+    (RDMA/sendfile/local), sendfile only (no RDMA NICs), forced NCCL."""
+    variants = {
+        "hierarchy (RDMA)": (MigrationPlanner(), True),
+        "sendfile fallback": (MigrationPlanner(), False),
+        "forced NCCL": (MigrationPlanner(force_nccl=True), True),
+    }
+    out = {}
+    for name, (planner, rdma) in variants.items():
+        schedule = planner.schedule(_migration_items(rdma))
+        out[name] = {
+            "makespan": schedule.makespan,
+            "kv_makespan": schedule.kv_makespan(),
+            "serial": schedule.serial_time,
+            "bytes": schedule.total_bytes,
+            "methods": {
+                m.value: b / GB for m, b in schedule.bytes_by_method().items()
+            },
+        }
+    return out
+
+
+def single_stream_kv() -> tuple[float, float]:
+    """One 64 MB KV shard over RDMA and over NCCL: (fast, slow) seconds."""
+    mover = DataMover(TransferCosts())
+    fast = mover.plan(64e6, same_server=False, src_rdma=True, dst_rdma=True)
+    slow = mover.plan(
+        64e6, same_server=False, src_rdma=True, dst_rdma=True, force_nccl=True
+    )
+    return fast.duration, slow.duration
+
+
+# ----------------------------------------------------------------------
+# Design-choice sensitivity: Eq. 4's alpha and sigma, Eq. 11's sigmoid
+# ----------------------------------------------------------------------
+# Cached performance profiles only, no cluster simulation: cheap and exact.
+SENSITIVITY_CVS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def selection_sweep(knob: str, values: tuple[float, ...]) -> dict[float, list[int]]:
+    """Stage count Eq. 4 selects at each CV, per value of ``knob``
+    (``alpha``: throughput-latency weight; ``sigma``: adaptation
+    sensitivity), on OPT-66B's 2-32 stage ladder at batch cap 32."""
+    profile = get_profile(OPT_66B, CostModel())
+    ladder = GranularityLadder(profile, stage_counts=(2, 4, 8, 16, 32))
+    rows = {}
+    for value in values:
+        policy = GranularityPolicy(profile, ladder, batch_cap=32, **{knob: value})
+        rows[value] = [policy.select(cv) for cv in SENSITIVITY_CVS]
+    return rows
+
+
+EQ11_CVS = (0.1, 1.0, 2.0, 4.0, 8.0)
+EQ11_QUEUES = (0, 64, 256, 512)
+
+
+def eq11_rows() -> list[tuple[float, int, int]]:
+    """Eq. 11's scaling-unit granularity ``(cv, queue, m_j)`` over CV x queue."""
+    return [
+        (cv, q, scaling_granularity(cv, q, g_max=32, queue_capacity=512))
+        for cv in EQ11_CVS
+        for q in EQ11_QUEUES
+    ]
+
+
+# ----------------------------------------------------------------------
+# Policy gates: one catalog scenario's variants over identical traffic
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GateRun:
+    """A gate's reports by variant label, all at one scenario, system and
+    seed over identical traffic."""
+
+    scenario: str
+    system: str
+    seed: int
+    reports: dict[str, ScenarioReport]
+
+
+def _gate(base: ScenarioSpec, variants: dict, system, seed, runner, quick) -> GateRun:
+    reports = run_scenarios(
+        list(variants.values()), [system], seed=seed, quick=quick, runner=runner
+    )
+    return GateRun(base.name, system, seed, dict(zip(variants, reports)))
+
+
+def qos_run(
+    seed: int = 0,
+    runner=None,
+    *,
+    scenario: str = "priority-inversion",
+    system: str = "FlexPipe",
+    quick: bool = False,
+) -> GateRun:
+    """The QoS control plane on vs the null policy (one shared queue-cap
+    gate, FIFO routing) on one catalog scenario."""
+    base = SCENARIOS[scenario]
+    variants = {"qos": replace(base, qos="on"), "null": replace(base, qos="off")}
+    return _gate(base, variants, system, seed, runner, quick)
+
+
+def coldstart_run(seed: int = 0, runner=None, *, quick: bool = False) -> GateRun:
+    """``coldstart-economy`` on FlexPipe three ways: cost-aware GDSF
+    eviction with pipelined loading (the shipped configuration),
+    recency-only LRU eviction, and load-then-activate loading."""
+    base = SCENARIOS["coldstart-economy"]
+    variants = {
+        "gdsf+pipelined": base,
+        "lru+pipelined": replace(
+            base, name="coldstart-economy-lru", cache_policy="lru"
+        ),
+        "gdsf+sequential": replace(
+            base, name="coldstart-economy-seq", pipelined_loading=False
+        ),
+    }
+    return _gate(base, variants, "FlexPipe", seed, runner, quick)
+
+
+def hot_p99_ttft(report: ScenarioReport) -> float:
+    """Mean p99 TTFT over the hot tenants (fleet index below 100): the
+    ones whose restarts the cache policy decides; tail sweepers are cold
+    by construction."""
+    return mean(
+        stats.p99_ttft
+        for model, stats in report.per_model.items()
+        if int(model.split("-")[1]) < 100
+    )

@@ -10,7 +10,7 @@ from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.metrics.latency import LatencyBreakdown, percentiles
 from repro.metrics.stalls import StallEpisode, detect_stalls, recovery_times
 from repro.metrics.report import format_table
-from repro.metrics.ascii_plot import bar_chart, histogram, sparkline
+from repro.metrics.ascii_plot import histogram, sparkline
 
 __all__ = [
     "MetricsCollector",
@@ -22,6 +22,5 @@ __all__ = [
     "recovery_times",
     "format_table",
     "sparkline",
-    "bar_chart",
     "histogram",
 ]

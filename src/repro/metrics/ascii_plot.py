@@ -1,12 +1,6 @@
-"""Terminal rendering of the paper's figures.
+"""Terminal rendering of series and distributions, without a plotting stack.
 
-Every bench prints its table; the CLI additionally renders the *shape* of
-each figure as ASCII so the reproduction can be eyeballed without a
-plotting stack (the evaluation environment has no display).  Three
-renderers cover the paper's figure types:
-
-* :func:`sparkline` — one-line series (Fig. 9 timelines, Fig. 1 CV);
-* :func:`bar_chart` — grouped bars (Fig. 8 latency breakdown, Fig. 11);
+* :func:`sparkline` — one-line series (trace arrival rates);
 * :func:`histogram` — distribution shape (Fig. 4b, Fig. 13b).
 """
 
@@ -50,33 +44,6 @@ def sparkline(values: list[float], width: int | None = None) -> str:
         level = 0 if span == 0 else int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
         chars.append(_SPARK_LEVELS[level])
     return "".join(chars)
-
-
-def bar_chart(
-    labels: list[str],
-    values: list[float],
-    *,
-    width: int = 40,
-    unit: str = "",
-    title: str | None = None,
-) -> str:
-    """Horizontal bar chart with aligned labels and value annotations."""
-    if len(labels) != len(values):
-        raise ValueError(
-            f"{len(labels)} labels for {len(values)} values"
-        )
-    if not labels:
-        return title or ""
-    vmax = max(max(values), 0.0)
-    label_w = max(len(str(l)) for l in labels)
-    lines = []
-    if title:
-        lines.append(title)
-    for label, value in zip(labels, values):
-        n = 0 if vmax == 0 else int(round(value / vmax * width))
-        bar = _BAR_CHAR * max(n, 0)
-        lines.append(f"{str(label):<{label_w}} | {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
 
 
 def histogram(

@@ -28,3 +28,12 @@ def _fmt(value) -> str:
             return f"{value:.3g}"
         return f"{value:.3f}".rstrip("0").rstrip(".")
     return str(value)
+
+
+def format_rows(rows: list[dict], title: str) -> str:
+    """Render dict rows as a table whose headers are the first row's keys."""
+    if not rows:
+        return f"{title}\n(no rows)"
+    headers = list(rows[0])
+    body = [[row.get(h, "") for h in headers] for row in rows]
+    return format_table(headers, body, title=title)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cluster.allocator import (
     AllocationError,
@@ -57,6 +58,9 @@ from repro.pipeline.kvcache import KVCacheState, delta_sync, snapshot_transfer
 from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.sizing import degrade_until_fit, full_batch
 from repro.scaling.warm_cache import HostParamCache
+
+if TYPE_CHECKING:
+    from repro.core.deployment import ReplicaFactory
 
 
 @dataclass
@@ -143,7 +147,9 @@ class RefactoringExecutor:
         warm_cache: HostParamCache | None = None,
         decision_latency: float = 0.002,
         switch_pause: float = 0.001,
-        batch_cap: int | None = None,
+        # The ReplicaFactory that deploys this model's replicas: it owns
+        # the batch cap new chains are sized at (none: uncapped).
+        factory: ReplicaFactory | None = None,
         # Pipelined chain transitions: switch to the new chain as soon as
         # its first stage has loaded, gating later stages until their own
         # loads complete (mirrors ReplicaFactory's pipelined deploys).
@@ -156,7 +162,7 @@ class RefactoringExecutor:
         self.warm_cache = warm_cache
         self.decision_latency = decision_latency
         self.switch_pause = switch_pause
-        self.batch_cap = batch_cap
+        self.factory = factory
         self.pipelined_loading = pipelined_loading
         self.transitions_started = 0
         self.transitions_completed = 0
@@ -184,6 +190,11 @@ class RefactoringExecutor:
         self._shrink_to: dict[str, float] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def batch_cap(self) -> int | None:
+        """The batch cap new chains are sized at, owned by the factory."""
+        return None if self.factory is None else self.factory.batch_cap
+
     def refactoring(self, replica: PipelineReplica) -> bool:
         return replica.name in self._inflight
 

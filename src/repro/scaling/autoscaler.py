@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.allocator import AllocationError, InfeasibleCertificate
 from repro.metrics.collector import MetricsCollector, ScalingEvent
@@ -27,6 +27,9 @@ from repro.refactoring.granularity import estimate_throughput, instance_count
 from repro.refactoring.monitor import WorkloadMonitor
 from repro.simulation.engine import Simulator
 from repro.simulation.processes import PeriodicProcess
+
+if TYPE_CHECKING:
+    from repro.core.deployment import ReplicaFactory
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class AutoscalerConfig:
     beta2: float = 0.02
     prompt_tokens: int = 512
     output_tokens: int = 16
-    batch_cap: int | None = None  # operating batch for capacity estimates
     # Eq. 12's burst-feasibility headroom: effective target utilization is
     # divided by (1 + cv_headroom * CV), so bursty workloads hold spare
     # capacity proportional to their variability.  0 disables (baselines
@@ -121,6 +123,8 @@ class Autoscaler:
     baselines) or a callable choosing the scale-out plan from the live
     CV and queue.  ``sweep`` is the serving system's shared
     :class:`ControlSweep`; without one the autoscaler gets its own.
+    ``factory`` is the :class:`ReplicaFactory` that sizes the tenant's
+    replicas; capacity estimates read its batch cap (none: uncapped).
     """
 
     def __init__(
@@ -136,8 +140,10 @@ class Autoscaler:
         config: AutoscalerConfig | None = None,
         *,
         sweep: ControlSweep | None = None,
+        factory: ReplicaFactory | None = None,
     ):
         self.sim = sim
+        self.factory = factory
         self.router = router
         self.monitor = monitor
         self.profile = profile
@@ -192,6 +198,11 @@ class Autoscaler:
         self._sweep.leave(self)
 
     # ------------------------------------------------------------------
+    @property
+    def batch_cap(self) -> int | None:
+        """The operating batch cap, owned by the deploying factory."""
+        return None if self.factory is None else self.factory.batch_cap
+
     def replica_throughput(
         self, plan: PartitionPlan, batch: int | None = None
     ) -> float:
@@ -202,7 +213,7 @@ class Autoscaler:
         degradation.
         """
         cfg = self.config
-        effective = max(operating_batch(plan, cfg.batch_cap, batch), 1)
+        effective = max(operating_batch(plan, self.batch_cap, batch), 1)
         key = (plan.n_stages, effective)
         value = self._throughput_cache.get(key)
         if value is None:
@@ -377,7 +388,7 @@ class Autoscaler:
         if math.isinf(headroom):
             return self.config.max_replicas
         replica_bytes = floor_footprint(
-            plan, self.config.batch_cap, self.profile.spec.kv_bytes_per_request
+            plan, self.batch_cap, self.profile.spec.kv_bytes_per_request
         )
         if replica_bytes <= 0:
             return self.config.max_replicas

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.metrics.ascii_plot import bar_chart, histogram, sparkline
+from repro.metrics.ascii_plot import histogram, sparkline
 
 
 class TestSparkline:
@@ -31,26 +31,6 @@ class TestSparkline:
         line = sparkline(list(range(100)), width=10)
         assert len(line) == 10
         assert line[0] == "▁" and line[-1] == "█"
-
-
-class TestBarCharts:
-    def test_bar_chart_scales_to_max(self):
-        out = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("█") == 5
-        assert lines[1].count("█") == 10
-
-    def test_bar_chart_title_and_unit(self):
-        out = bar_chart(["x"], [3.0], title="T", unit="s")
-        assert out.startswith("T\n")
-        assert "3s" in out
-
-    def test_bar_chart_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="labels"):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_bar_chart_empty(self):
-        assert bar_chart([], [], title="t") == "t"
 
 
 class TestHistogram:

@@ -192,6 +192,15 @@ class TestFlexPipeSystem:
         assert not system.coordinator.use_affinity
         system.shutdown()
 
+    def test_factory_owns_the_batch_cap(self, ctx):
+        """The autoscaler and the refactoring executor read the cap from
+        the factory, so changing it there changes it everywhere."""
+        system = FlexPipeSystem(ctx, [LLAMA2_7B], batch_cap=32)
+        state = system._models[LLAMA2_7B.name]
+        system.factory.batch_cap = 8
+        assert state.autoscaler.batch_cap == state.executor.batch_cap == 8
+        system.shutdown()
+
     def test_initial_stages_snap_to_feasible_rung(self, ctx):
         # OPT-66B has no 1-stage rung; requesting coarse snaps to a legal one.
         config = FlexPipeConfig(stage_counts=(2, 4, 8), initial_stages=2)

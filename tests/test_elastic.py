@@ -14,6 +14,7 @@ import pytest
 from repro.cluster.allocator import AllocationError
 from repro.cluster.cluster import make_paper_cluster
 from repro.core.context import ServingContext
+from repro.core.deployment import ReplicaFactory
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -206,8 +207,16 @@ class TestRepeatedInPlaceTransitions:
         sim = Simulator()
         ctx = ServingContext.create(sim, make_paper_cluster(sim), RandomStreams(0))
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4, 8))
+        metrics = MetricsCollector("test")
+        factory = ReplicaFactory(
+            ctx,
+            routers={},
+            metrics=metrics,
+            on_request_complete=lambda r: None,
+            batch_cap=8,
+        )
         executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, MetricsCollector("test"), batch_cap=8
+            ctx, llama_profile, ladder, metrics, factory=factory
         )
         replica = TestInPlaceTransitions._deploy(
             self, ctx, llama_profile, ladder, 2, []

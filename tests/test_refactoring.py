@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.deployment import ReplicaFactory
 from repro.metrics.collector import MetricsCollector
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -347,7 +348,13 @@ class TestExecutor:
             ladder,
             metrics,
             warm_cache=HostParamCache(),
-            batch_cap=32,
+            factory=ReplicaFactory(
+                ctx,
+                routers={},
+                metrics=metrics,
+                on_request_complete=lambda r: None,
+                batch_cap=32,
+            ),
         )
         completed = []
         replica = self._deploy(ctx, llama_profile, ladder, 2, completed)
