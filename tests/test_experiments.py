@@ -3,6 +3,8 @@ registry."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import figures
@@ -148,6 +150,117 @@ def _provisioned(system) -> tuple:
     )
 
 
+def _scaler_values(scaler) -> dict | None:
+    """The effective ``AutoscalerConfig`` of one tenant (None: no scaler)."""
+    if scaler is None:
+        return None
+    cfg = scaler.config
+    return {
+        "interval": cfg.interval,
+        "idle_window": cfg.idle_window,
+        "min_replicas": cfg.min_replicas,
+        "max_replicas": cfg.max_replicas,
+        "cooldown": cfg.scale_out_cooldown,
+        "cv_headroom": cfg.cv_headroom,
+        "target_utilization": cfg.target_utilization,
+        "beta": (cfg.beta1, cfg.beta2),
+        "queue_factor": cfg.queue_factor,
+    }
+
+
+def _eq9(system) -> tuple[float, float]:
+    """(γ0, α) of Eq. 9 as the system's interference path applies them."""
+    gpu = SimpleNamespace(colocated_model_count=2)
+    system.max_cv = lambda: 0.0
+    calm = system._interference(gpu) - 1.0  # γ0
+    system.max_cv = lambda: 2.0
+    bursty = system._interference(gpu) - 1.0  # γ0 (1 + 4α)
+    del system.max_cv
+    return round(calm, 12), round((bursty / calm - 1.0) / 4.0, 12)
+
+
+def _hyperparameters(system, model: str) -> dict:
+    """Every paper hyper-parameter one system applies to ``model``."""
+    monitor = system.monitors[model]
+    factory = system.factory
+    out = {
+        "eq9": _eq9(system),
+        "cv_window": monitor.window.window,
+        "cv_refresh": system._cv_refresh,
+        "queue_sample_interval": system._sampler.interval,
+        "batcher_max_wait": factory.batcher_max_wait,
+        "startup": (factory.startup_overhead, factory.warm_startup_factor),
+    }
+    if type(system).__name__ != "FlexPipeSystem":
+        out["autoscaler"] = _scaler_values(system.autoscalers.get(model))
+        return out
+    state = system._models[model]
+    cfg = system.config
+    weights = system.affinity.weights
+    out.update(
+        autoscaler=_scaler_values(state.autoscaler),
+        eq4=(
+            state.policy.alpha,
+            state.policy.sigma,
+            {k: e.cv_setpoint for k, e in state.policy.estimates.items()},
+        ),
+        # Eq. 11's scale-out rung at calm, mid-burst and saturated inputs.
+        eq11=[
+            state.autoscaler.plan_for(cv, queue).n_stages
+            for cv, queue in ((0.0, 0), (2.0, 100), (4.0, 512))
+        ],
+        control_interval=system._controller.interval,
+        refactor_dwell=cfg.refactor_dwell,
+        switch_margin=cfg.switch_margin,
+        affinity=(weights.w_t, weights.w_g, weights.decay),
+        decision=(
+            state.executor.decision_latency,
+            state.executor.switch_pause,
+        ),
+    )
+    return out
+
+
+# The pinned hyper-parameters of TestProvisioningWitness (paper baseline).
+_SHARED = {
+    "eq9": (0.08, 0.25),
+    "cv_window": 30.0,
+    "cv_refresh": 0.5,
+    "queue_sample_interval": 0.25,
+    "batcher_max_wait": 0.3,
+    "startup": (5.0, 0.2),
+}
+_REACTIVE = {
+    "interval": 0.5,
+    "idle_window": 30.0,
+    "min_replicas": 1,
+    "max_replicas": 8,
+    "cooldown": 1.0,
+    "cv_headroom": 0.0,
+    "target_utilization": 0.6,
+    "beta": (1.0, 0.02),
+    "queue_factor": 1.5,
+}
+_FLEXPIPE = {
+    **_SHARED,
+    "cv_refresh": 1.0,
+    "autoscaler": {
+        **_REACTIVE,
+        "idle_window": 300.0,
+        "min_replicas": 2,
+        "max_replicas": 16,
+        "cv_headroom": 0.25,
+    },
+    "eq4": (0.5, 1.2, {2: 0.25, 4: 1.0, 8: 4.0, 16: 16.0, 32: 64.0}),
+    "eq11": [4, 32, 32],
+    "control_interval": 1.0,
+    "refactor_dwell": 20.0,
+    "switch_margin": 1.35,
+    "affinity": (1.0, 0.25, 1.0 / 120.0),
+    "decision": (0.002, 0.001),
+}
+
+
 class TestProvisioningWitness:
     """What the registry builds, pinned to the values the per-system
     factory functions it replaced built (OPT-66B, 20 QPS, paper cluster)."""
@@ -181,12 +294,31 @@ class TestProvisioningWitness:
         "Tetris": ("TetrisSystem", 1, 16, dict.fromkeys(MULTI, 1)),
     }
 
+    HYPERPARAMETERS = {
+        "AlpaServe": {**_SHARED, "autoscaler": None},
+        "DistServe": {**_SHARED, "autoscaler": _REACTIVE},
+        "FlexPipe": _FLEXPIPE,
+        "MuxServe": {**_SHARED, "eq9": (0.12, 0.25), "autoscaler": None},
+        "ServerlessLLM": {
+            **_SHARED,
+            "startup": (12.0, 0.2),
+            "autoscaler": {**_REACTIVE, "idle_window": 10.0},
+        },
+        "Tetris": {
+            **_SHARED,
+            "autoscaler": {**_REACTIVE, "interval": 2.0, "cooldown": 5.0},
+        },
+    }
+
     @staticmethod
     def _build(name, **overrides):
-        cfg = ExperimentConfig()
-        sim, cluster, streams, _ = build_environment(cfg)
-        ctx = ServingContext.create(sim, cluster, streams)
-        return build_system(name, ctx, cfg, **overrides)
+        # figure_spec's defaults are the paper baseline: OPT-66B at 20 QPS,
+        # 128/8-token requests, batch cap 32 on the fragmented paper cluster.
+        driver = ScenarioDriver(
+            ScenarioCase(figures.figure_spec("witness"), name, 0, overrides=overrides)
+        )
+        driver.start()
+        return driver.system
 
     def test_registry_lists_every_system(self):
         assert sorted(SYSTEMS) == sorted(self.DEFAULT)
@@ -196,6 +328,34 @@ class TestProvisioningWitness:
         system = self._build(name)
         assert _provisioned(system) == self.DEFAULT[name]
         system.shutdown()
+
+    @pytest.mark.parametrize("name", sorted(HYPERPARAMETERS))
+    def test_paper_hyperparameters(self, name):
+        system = self._build(name)
+        assert _hyperparameters(system, "OPT-66B") == self.HYPERPARAMETERS[name]
+        system.shutdown()
+
+    def test_coldstart_economy_routes_flexpipe_overrides(self):
+        # cache_policy, pipelined_loading, scale_to_zero and idle_window
+        # reach FlexPipe through spec_overrides; the rest stay the paper's.
+        driver = ScenarioDriver(
+            ScenarioCase(SCENARIOS["coldstart-economy"], "FlexPipe", 0)
+        )
+        driver.start()
+        system = driver.system
+        assert system.warm_cache.policy == "gdsf"
+        assert system.pipelined_loading and system.factory.pipelined_loading
+        expected = {
+            **_FLEXPIPE,
+            "autoscaler": {
+                **_FLEXPIPE["autoscaler"],
+                "idle_window": 8.0,
+                "min_replicas": 0,
+            },
+            "eq4": (0.5, 1.2, {2: 0.25, 4: 1.0, 8: 4.0, 16: 16.0}),
+            "eq11": [4, 16, 16],
+        }
+        assert _hyperparameters(system, "FLEET-0-10g") == expected
 
     @pytest.mark.parametrize("name", sorted(ZERO))
     def test_explicit_zero_replicas(self, name):
