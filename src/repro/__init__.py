@@ -32,7 +32,7 @@ from repro.models import (
     CostModel,
     get_model,
 )
-from repro.core import FlexPipeConfig, FlexPipeSystem, ServingContext
+from repro.core import FlexPipeSystem, ServingContext
 from repro.baselines import (
     AlpaServeSystem,
     MuxServeSystem,
@@ -64,7 +64,6 @@ __all__ = [
     "WHISPER_9B",
     "CostModel",
     "get_model",
-    "FlexPipeConfig",
     "FlexPipeSystem",
     "ServingContext",
     "AlpaServeSystem",

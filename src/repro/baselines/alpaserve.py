@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.baselines.base import StaticPipelineSystem
 from repro.core.context import ServingContext
 from repro.models.zoo import ModelSpec
-from repro.refactoring.granularity import GranularityPolicy
 
 
 class AlpaServeSystem(StaticPipelineSystem):
@@ -27,29 +26,13 @@ class AlpaServeSystem(StaticPipelineSystem):
         *,
         historical_cv: float = 1.0,
         initial_replicas: int = 1,
-        prompt_tokens: int = 512,
-        output_tokens: int = 16,
         **kwargs,
     ):
-        self._historical_cv = historical_cv
-        self._offline_prompt = prompt_tokens
-        self._offline_output = output_tokens
         super().__init__(
             ctx,
             model_specs,
             initial_replicas=initial_replicas,
             reactive=False,  # static provisioning for peak
-            prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens,
+            historical_cv=historical_cv,  # offline optimisation
             **kwargs,
         )
-
-    def choose_stages(self, spec: ModelSpec, ladder, requested: int) -> int:
-        """Offline optimisation: best rung for the *historical* CV."""
-        policy = GranularityPolicy(
-            self.profiles[spec.name],
-            ladder,
-            prompt_tokens=self._offline_prompt,
-            output_tokens=self._offline_output,
-        )
-        return policy.select(self._historical_cv)

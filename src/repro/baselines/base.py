@@ -7,10 +7,16 @@ from repro.core.deployment import ReplicaFactory
 from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
 from repro.partitioning.ladder import GranularityLadder
-from repro.refactoring.placement import interference_multiplier, make_eq6_scorer
+from repro.refactoring.granularity import GranularityPolicy
+from repro.refactoring.placement import (
+    GAMMA0,
+    interference_multiplier,
+    make_eq6_scorer,
+)
 from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
 
 BASELINE_STAGE_COUNTS = (1, 2, 4, 8, 16, 32)
+MAX_REPLICAS = 8  # a reactive baseline's replica cap per model
 
 
 class StaticPipelineSystem(ServingSystem):
@@ -19,6 +25,10 @@ class StaticPipelineSystem(ServingSystem):
     Subclasses choose the stage count policy, scaling behaviour, loading
     speed and GPU-sharing preference; none of them can change pipeline
     granularity at runtime — the capability FlexPipe adds.
+
+    ``historical_cv`` selects the offline optimiser (AlpaServe, MuxServe):
+    each model is served at the Eq. 4 best rung for that CV and the
+    experiment's request shape, and ``n_stages`` is ignored.
     """
 
     name = "static"
@@ -34,21 +44,22 @@ class StaticPipelineSystem(ServingSystem):
         loading_speedup: float = 1.0,
         prefer_colocation: bool = False,
         batch_cap: int | None = None,
-        max_replicas: int = 8,
+        historical_cv: float | None = None,
         idle_window: float = 30.0,
         scale_interval: float = 0.5,
         scale_cooldown: float = 1.0,
         prompt_tokens: int = 512,
         output_tokens: int = 16,
         slo_deadline: float = 5.0,
-        gamma0: float = 0.08,
-        alpha_mux: float = 0.25,
+        gamma0: float = GAMMA0,
     ):
         super().__init__(ctx, model_specs)
         self.initial_replicas = initial_replicas
         self.prefer_colocation = prefer_colocation
         self._gamma0 = gamma0
-        self._alpha_mux = alpha_mux
+        self._historical_cv = historical_cv
+        self._prompt_tokens = prompt_tokens
+        self._output_tokens = output_tokens
         self.factory = ReplicaFactory(
             ctx,
             routers=self.routers,
@@ -75,7 +86,7 @@ class StaticPipelineSystem(ServingSystem):
                     interval=scale_interval,
                     slo_deadline=slo_deadline,
                     idle_window=idle_window,
-                    max_replicas=max_replicas,
+                    max_replicas=MAX_REPLICAS,
                     scale_out_cooldown=scale_cooldown,
                     prompt_tokens=prompt_tokens,
                     output_tokens=output_tokens,
@@ -98,7 +109,16 @@ class StaticPipelineSystem(ServingSystem):
     def choose_stages(
         self, spec: ModelSpec, ladder: GranularityLadder, requested: int
     ) -> int:
-        """Snap the requested stage count to a feasible ladder rung."""
+        """The offline optimiser's rung, or else the requested stage count
+        snapped to a feasible ladder rung."""
+        if self._historical_cv is not None:
+            policy = GranularityPolicy(
+                self.profiles[spec.name],
+                ladder,
+                prompt_tokens=self._prompt_tokens,
+                output_tokens=self._output_tokens,
+            )
+            return policy.select(self._historical_cv)
         counts = ladder.stage_counts
         if requested in counts:
             return requested
@@ -110,14 +130,11 @@ class StaticPipelineSystem(ServingSystem):
         return make_eq6_scorer(
             lambda: monitor.cv(self.sim.now),
             gamma0=self._gamma0,
-            alpha=self._alpha_mux,
             prefer_colocation=self.prefer_colocation,
         )
 
     def _interference(self, gpu) -> float:
-        return interference_multiplier(
-            gpu, self.max_cv(), gamma0=self._gamma0, alpha=self._alpha_mux
-        )
+        return interference_multiplier(gpu, self.max_cv(), gamma0=self._gamma0)
 
     def _deploy(self, profile, plan, *, wait_time: float = 0.0, **kwargs):
         return self.factory.deploy(

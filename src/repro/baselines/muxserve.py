@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.baselines.base import StaticPipelineSystem
 from repro.core.context import ServingContext
 from repro.models.zoo import ModelSpec
-from repro.refactoring.granularity import GranularityPolicy
 
 
 class MuxServeSystem(StaticPipelineSystem):
@@ -28,7 +27,6 @@ class MuxServeSystem(StaticPipelineSystem):
         initial_replicas: int = 1,
         **kwargs,
     ):
-        self._historical_cv = historical_cv
         super().__init__(
             ctx,
             model_specs,
@@ -36,9 +34,6 @@ class MuxServeSystem(StaticPipelineSystem):
             reactive=False,  # multiplexing instead of scaling
             prefer_colocation=True,
             gamma0=0.12,  # sharing-heavy placement amplifies interference
+            historical_cv=historical_cv,
             **kwargs,
         )
-
-    def choose_stages(self, spec: ModelSpec, ladder, requested: int) -> int:
-        policy = GranularityPolicy(self.profiles[spec.name], ladder)
-        return policy.select(self._historical_cv)

@@ -1,4 +1,4 @@
-"""FlexPipe core: configuration, serving-system base, and the controller.
+"""FlexPipe core: serving-system base, deployment and the controller.
 
 ``FlexPipeSystem`` composes the three innovations (fine-grained
 partitioning, inflight refactoring, adaptive scaling) over the shared
@@ -6,7 +6,6 @@ substrate; the baselines in ``repro.baselines`` reuse the same base class
 and deployment machinery so comparisons isolate *policy* differences.
 """
 
-from repro.core.config import FlexPipeConfig
 from repro.core.context import ServingContext
 from repro.core.serving import ServingSystem
 from repro.core.deployment import ReplicaFactory
@@ -20,7 +19,6 @@ from repro.core.admission import (
 )
 
 __all__ = [
-    "FlexPipeConfig",
     "ServingContext",
     "ServingSystem",
     "ReplicaFactory",

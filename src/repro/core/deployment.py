@@ -24,6 +24,10 @@ from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.warm_cache import HostParamCache
 from repro.workloads.requests import Request
 
+# A warm start (§7) pays this share of the serverless start-up overhead.
+WARM_STARTUP_FACTOR = 0.2
+
+
 class ReplicaFactory:
     """Creates and tears down pipeline replicas for one serving system."""
 
@@ -45,11 +49,9 @@ class ReplicaFactory:
         batch_cap: int | None = None,
         loading_speedup: float = 1.0,
         cache_on_release: bool = True,
-        batcher_max_wait: float = 0.3,
         # Serverless container/runtime initialization paid on every scale-up
         # in addition to parameter loading; warm starts (§7) skip most of it.
         startup_overhead: float = 5.0,
-        warm_startup_factor: float = 0.2,
         # PipeBoost-style pipelined loading: stage transfers are sequenced
         # front-to-back, the replica activates once stage 0 lands, and
         # later stages open their gates as their own transfers complete.
@@ -65,9 +67,7 @@ class ReplicaFactory:
         self.batch_cap = batch_cap
         self.loading_speedup = loading_speedup
         self.cache_on_release = cache_on_release
-        self.batcher_max_wait = batcher_max_wait
         self.startup_overhead = startup_overhead
-        self.warm_startup_factor = warm_startup_factor
         self.pipelined_loading = pipelined_loading
         # Per-system, so replica names depend only on this simulation.
         self._replica_ids = itertools.count()
@@ -124,9 +124,7 @@ class ReplicaFactory:
             profile,
             plan,
             reservations,
-            batcher_config=BatcherConfig(
-                max_batch=batch, max_wait=self.batcher_max_wait
-            ),
+            batcher_config=BatcherConfig(max_batch=batch),
             on_request_complete=self.on_request_complete,
             on_active=self._on_replica_active,
             on_released=self._teardown,
@@ -271,8 +269,7 @@ class ReplicaFactory:
             total = state["warm_bytes"] + state["cold_bytes"]
             warm = total > 0 and state["warm_bytes"] >= 0.5 * total
             return (
-                self.startup_overhead
-                * (self.warm_startup_factor if warm else 1.0),
+                self.startup_overhead * (WARM_STARTUP_FACTOR if warm else 1.0),
                 warm,
             )
 

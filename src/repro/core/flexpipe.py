@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.config import FlexPipeConfig
 from repro.core.context import ServingContext
 from repro.core.deployment import ReplicaFactory
 from repro.core.serving import ServingSystem
@@ -30,12 +29,26 @@ from repro.pipeline.sizing import floor_footprint
 from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import GranularityPolicy
 from repro.refactoring.placement import interference_multiplier
-from repro.scaling.affinity import AffinityScheduler, AffinityWeights
+from repro.scaling.affinity import AffinityScheduler
 from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
 from repro.scaling.coordinator import ScalingCoordinator
-from repro.scaling.decision import scaling_granularity
+from repro.scaling.decision import G_MAX, scaling_granularity
 from repro.scaling.warm_cache import HostParamCache
 from repro.simulation.processes import PeriodicProcess
+
+# Algorithm 1's control interval; the max-CV cache refreshes on it too.
+CONTROL_INTERVAL = 1.0
+# The candidate granularities G and the rung each model starts at.
+STAGE_COUNTS = (2, 4, 8, 16, 32)
+INITIAL_STAGES = 4
+SWITCH_MARGIN = 1.35  # hysteresis: a new rung's Eq. 4 score must win decisively
+REFACTOR_DWELL = 20.0  # min seconds between refactors per model
+IDLE_WINDOW = 300.0  # the paper's 5-minute reclamation window (§9.4)
+MIN_REPLICAS = 1
+MAX_REPLICAS = 16
+# Eq. 12 burst-feasibility headroom: the target utilization divides by
+# (1 + CV_HEADROOM * CV), holding spare capacity under bursty load.
+CV_HEADROOM = 0.25
 
 
 @dataclass
@@ -58,7 +71,6 @@ class FlexPipeSystem(ServingSystem):
         self,
         ctx: ServingContext,
         model_specs: list[ModelSpec],
-        config: FlexPipeConfig | None = None,
         *,
         initial_replicas: int = 1,
         enable_refactoring: bool = True,
@@ -69,31 +81,21 @@ class FlexPipeSystem(ServingSystem):
         prompt_tokens: int = 512,
         output_tokens: int = 16,
         slo_deadline: float = 5.0,
-        max_replicas: int | None = None,
         cache_policy: str = "lru",
         pipelined_loading: bool = False,
-        # None keeps the historical floor max(cfg.min_replicas,
+        # None keeps the historical floor max(MIN_REPLICAS,
         # initial_replicas); 0 enables full scale-to-zero serverless churn.
         min_replicas: int | None = None,
         scale_in_idle_window: float | None = None,
     ):
-        self.config = config or FlexPipeConfig()
-        super().__init__(
-            ctx,
-            model_specs,
-            cv_window=self.config.cv_window,
-            cv_refresh=self.config.control_interval,
-        )
-        cfg = self.config
+        super().__init__(ctx, model_specs, cv_refresh=CONTROL_INTERVAL)
         self.enable_refactoring = enable_refactoring
         self.initial_replicas = initial_replicas
         self.pipelined_loading = pipelined_loading
         self.warm_cache = (
             HostParamCache(policy=cache_policy) if enable_warm_cache else None
         )
-        self.affinity = AffinityScheduler(
-            AffinityWeights(cfg.affinity_w_t, cfg.affinity_w_g, cfg.affinity_decay)
-        )
+        self.affinity = AffinityScheduler()
         self.coordinator = ScalingCoordinator(
             ctx.hrg,
             self.affinity,
@@ -110,43 +112,34 @@ class FlexPipeSystem(ServingSystem):
             coordinator=self.coordinator,
             interference=self._interference,
             batch_cap=batch_cap,
-            batcher_max_wait=cfg.batcher_max_wait,
             pipelined_loading=pipelined_loading,
         )
         scaler_config = AutoscalerConfig(
             slo_deadline=slo_deadline,
             idle_window=(
-                cfg.scale_in_idle_window
-                if scale_in_idle_window is None
-                else scale_in_idle_window
+                IDLE_WINDOW if scale_in_idle_window is None else scale_in_idle_window
             ),
             # The always-on reservation (30% of peak) is a floor: elastic
             # capacity above it is reclaimed, the floor never is (§9.6).
             # An explicit min_replicas overrides it (0 = scale-to-zero).
             min_replicas=(
-                max(cfg.min_replicas, initial_replicas)
+                max(MIN_REPLICAS, initial_replicas)
                 if min_replicas is None
                 else min_replicas
             ),
-            max_replicas=max_replicas or cfg.max_replicas,
-            target_utilization=cfg.target_utilization,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
+            max_replicas=MAX_REPLICAS,
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
-            cv_headroom=cfg.cv_headroom,
+            cv_headroom=CV_HEADROOM,
         )
         self._models: dict[str, _ModelState] = {}
         sweep = ControlSweep(ctx.sim, scaler_config.interval)
         for spec in model_specs:
             profile = self.profiles[spec.name]
-            ladder = ctx.ladder(spec, cfg.stage_counts)
+            ladder = ctx.ladder(spec, STAGE_COUNTS)
             policy = GranularityPolicy(
                 profile,
                 ladder,
-                alpha=cfg.alpha_tradeoff,
-                sigma=cfg.sigma_sensitivity,
-                cv_setpoint_scale=cfg.cv_setpoint_scale,
                 prompt_tokens=prompt_tokens,
                 output_tokens=output_tokens,
                 batch_cap=self.factory.batch_cap,
@@ -157,7 +150,6 @@ class FlexPipeSystem(ServingSystem):
                 ladder,
                 self.metrics,
                 warm_cache=self.warm_cache,
-                decision_latency=cfg.decision_latency,
                 factory=self.factory,
                 pipelined_loading=pipelined_loading,
             )
@@ -189,31 +181,23 @@ class FlexPipeSystem(ServingSystem):
             state.autoscaler.on_park = self.max_cv
             self._models[spec.name] = state
         self._controller = PeriodicProcess(
-            ctx.sim, cfg.control_interval, self._control_tick
+            ctx.sim, CONTROL_INTERVAL, self._control_tick
         )
 
     # ------------------------------------------------------------------
     def _initial_stages(self, ladder: GranularityLadder) -> int:
-        wanted = self.config.initial_stages
         counts = ladder.stage_counts
-        if wanted in counts:
-            return wanted
+        if INITIAL_STAGES in counts:
+            return INITIAL_STAGES
         # Fall back to the closest feasible rung (large models may not
         # support very coarse granularities under the memory cap).
-        return min(counts, key=lambda c: abs(c - wanted))
+        return min(counts, key=lambda c: abs(c - INITIAL_STAGES))
 
     def _make_plan_for(self, state: _ModelState):
-        cfg = self.config
-
         def plan_for(cv: float, queue: int) -> PartitionPlan:
             """Scale-out granularity: Eq. 11, snapped to a ladder rung."""
             m = scaling_granularity(
-                cv,
-                queue,
-                g_max=min(cfg.g_max, state.ladder.finest),
-                beta=cfg.beta_sigmoid,
-                gamma=cfg.gamma_sigmoid,
-                queue_capacity=cfg.queue_capacity,
+                cv, queue, g_max=min(G_MAX, state.ladder.finest)
             )
             counts = state.ladder.stage_counts
             snapped = min(
@@ -230,10 +214,7 @@ class FlexPipeSystem(ServingSystem):
         Uses the control-interval CV cache: this runs on *every* stage
         start, and the windowed CV only moves on the control-loop timescale.
         """
-        cfg = self.config
-        return interference_multiplier(
-            gpu, self.max_cv(), gamma0=cfg.gamma0, alpha=cfg.alpha_mux
-        )
+        return interference_multiplier(gpu, self.max_cv())
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -301,7 +282,6 @@ class FlexPipeSystem(ServingSystem):
     def _control_tick(self) -> None:
         """Algorithm 1's main loop body."""
         now = self.sim.now
-        cfg = self.config
         for state in self._qos_ordered_states():
             if not self.enable_refactoring:
                 continue
@@ -310,7 +290,7 @@ class FlexPipeSystem(ServingSystem):
             # A tenant actively missing its class SLO halves its dwell:
             # the refactoring monitor reacts on the violation timescale,
             # not the calm-weather hysteresis timescale.
-            dwell = cfg.refactor_dwell
+            dwell = REFACTOR_DWELL
             if state.autoscaler.slo_pressure is not None and (
                 state.autoscaler.slo_pressure() > 0
             ):
@@ -322,7 +302,7 @@ class FlexPipeSystem(ServingSystem):
                 target = state.policy.select(cv)
                 if target != state.current_stages:
                     scores = state.policy.scores(cv)
-                    if scores[target] >= cfg.switch_margin * scores[
+                    if scores[target] >= SWITCH_MARGIN * scores[
                         state.current_stages
                     ]:
                         state.current_stages = target

@@ -22,6 +22,8 @@ from repro.refactoring.monitor import WorkloadMonitor
 from repro.simulation.processes import PeriodicProcess
 from repro.workloads.requests import Request
 
+QUEUE_SAMPLE_INTERVAL = 0.25  # queue-length and GPU-holding sampling period
+
 
 class ServingSystem(abc.ABC):
     """A serving system instance bound to one simulated cluster."""
@@ -33,8 +35,6 @@ class ServingSystem(abc.ABC):
         ctx: ServingContext,
         model_specs: list[ModelSpec],
         *,
-        queue_sample_interval: float = 0.25,
-        cv_window: float = 30.0,
         cv_refresh: float = 0.5,
     ):
         if not model_specs:
@@ -51,7 +51,7 @@ class ServingSystem(abc.ABC):
             for spec in model_specs
         }
         self.monitors = {
-            spec.name: WorkloadMonitor(window=cv_window) for spec in model_specs
+            spec.name: WorkloadMonitor() for spec in model_specs
         }
         self.metrics = MetricsCollector(self.name)
         # QoS control plane: disabled until enable_qos() installs the
@@ -70,7 +70,7 @@ class ServingSystem(abc.ABC):
         self._cv_cache = 0.0
         self._cv_cache_time = -math.inf
         self._sampler = PeriodicProcess(
-            ctx.sim, queue_sample_interval, self._sample, start_delay=0.0
+            ctx.sim, QUEUE_SAMPLE_INTERVAL, self._sample, start_delay=0.0
         )
 
     # ------------------------------------------------------------------

@@ -308,12 +308,13 @@ def _qos(run: GateRun) -> str:
 
 def _interactive_improves(run: GateRun) -> bool:
     on, null = run.reports["qos"].tenants, run.reports["null"].tenants
-    return all(
+    interactive = [m for m, tenant in on.items() if tenant.slo_class == "interactive"]
+    # A scenario without an interactive tenant has nothing to check.
+    return bool(interactive) and all(
         on[m].attainment > null[m].attainment
         # No headroom to win when both policies already attain 100%.
         or (on[m].attainment >= 1.0 and null[m].attainment >= 1.0)
-        for m, tenant in on.items()
-        if tenant.slo_class == "interactive"
+        for m in interactive
     )
 
 
@@ -963,9 +964,10 @@ _TABLE = [
         _qos,
         (
             Claim(
-                "Every interactive-class tenant attains strictly more of its "
-                "SLO with the control plane than under the null policy, "
-                "unless both attain 100%.",
+                "The scenario has an interactive-class tenant, and every "
+                "interactive-class tenant attains strictly more of its SLO "
+                "with the control plane than under the null policy, unless "
+                "both attain 100%.",
                 _interactive_improves,
             ),
         ),

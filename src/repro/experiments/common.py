@@ -1,5 +1,5 @@
-"""Shared run environment: the config the systems registry reads, the world
-builder and the per-tenant request sampler.
+"""Shared run environment: the world builder and the per-tenant request
+sampler.
 
 ``ScenarioDriver`` builds every run — catalog scenarios, the chaos audit
 and the paper-figure cells — from these pieces: a fresh simulator and
@@ -10,11 +10,10 @@ seed observe byte-identical arrival processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cluster.cluster import Cluster, make_paper_cluster, make_small_cluster
 from repro.cluster.fragmentation import FragmentationModel
-from repro.models.zoo import ModelSpec, get_model
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.requests import (
@@ -23,92 +22,67 @@ from repro.workloads.requests import (
     rid_namespace,
 )
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """What the environment builder and the systems registry read.
-
-    ``ScenarioDriver`` derives one from each ``ScenarioSpec`` (the spec
-    owns the workload, the horizon and the warm-up); the registry
-    provisions from the primary ``model``'s peak ``qps`` and request shape,
-    and every system deploys each tenant in ``specs``.
-    """
-
-    model: str = "OPT-66B"
-    qps: float = 20.0  # the paper's baseline QPS (§9.1)
-    seed: int = 0
-    slo_latency: float = 10.0
-    prompt_median: int = 128
-    output_median: int = 8
-    batch_cap: int = 32  # uniform serving batch limit across systems
-    cluster: str = "paper"  # "paper" | "small"
-    fragmentation: bool = True
-    # Co-resident tenants beyond the primary model: the scenario engine
-    # deploys a whole fleet through the same registry.
-    extra_models: tuple[str, ...] = ()
-
-    @property
-    def spec(self) -> ModelSpec:
-        return get_model(self.model)
-
-    @property
-    def specs(self) -> list[ModelSpec]:
-        out = [get_model(self.model)]
-        for name in self.extra_models:
-            if name != self.model:
-                out.append(get_model(name))
-        return out
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ModelScript
 
 
 def build_environment(
-    cfg: ExperimentConfig,
+    seed: int,
+    cluster: str = "paper",
+    fragmentation: bool = True,
     *,
     server_indices=None,
 ) -> tuple[Simulator, Cluster, RandomStreams, FragmentationModel | None]:
-    """Build one run's world.  ``server_indices`` (sharded execution)
-    restricts the cluster to that subset of the named topology's servers —
-    same names, racks and RDMA striping as the full build."""
+    """Build one run's world: the named ``cluster`` ("paper" | "small"),
+    warmed by background fragmentation churn unless ``fragmentation`` is
+    off.  ``server_indices`` (sharded execution) restricts the cluster to
+    that subset of the named topology's servers — same names, racks and
+    RDMA striping as the full build."""
     sim = Simulator()
-    streams = RandomStreams(cfg.seed)
+    streams = RandomStreams(seed)
     if server_indices is not None:
         from repro.cluster.cluster import make_cluster_subset
 
-        cluster = make_cluster_subset(sim, cfg.cluster, server_indices)
-    elif cfg.cluster == "paper":
-        cluster = make_paper_cluster(sim)
-    elif cfg.cluster == "small":
-        cluster = make_small_cluster(sim)
+        world = make_cluster_subset(sim, cluster, server_indices)
+    elif cluster == "paper":
+        world = make_paper_cluster(sim)
+    elif cluster == "small":
+        world = make_small_cluster(sim)
     else:
-        raise ValueError(f"unknown cluster kind {cfg.cluster!r}")
-    fragmentation = None
-    if cfg.fragmentation:
-        fragmentation = FragmentationModel(sim, cluster, streams)
-        fragmentation.warm_up()
-    return sim, cluster, streams, fragmentation
+        raise ValueError(f"unknown cluster kind {cluster!r}")
+    churn = None
+    if fragmentation:
+        churn = FragmentationModel(sim, world, streams)
+        churn.warm_up()
+    return sim, world, streams, churn
 
 
 def make_workload_sampler(
-    cfg: ExperimentConfig,
+    script: ModelScript,
     streams: RandomStreams,
     tag: str,
     slo_class: str | None = None,
 ) -> RequestSampler:
     """Build one tenant's request sampler.
 
-    ``slo_class`` stamps requests with a QoS class and replaces the
-    config's SLO latency with the class's own target, so a classed
-    tenant's goodput is judged against the deadline its class promises.
+    Requests are judged against the tenant's goodput deadline; a
+    ``slo_class`` (a segment's override of the tenant's class) stamps them
+    with that class and judges them against its own latency target.
     """
-    slo_latency = cfg.slo_latency
+    slo_latency = script.effective_slo
     if slo_class is not None:
         from repro.qos.classes import get_slo_class
 
         slo_latency = get_slo_class(slo_class).latency_target
     return RequestSampler(
-        cfg.model,
+        script.model,
         streams.stream(f"requests{tag}"),
-        prompt=LengthDistribution(median=cfg.prompt_median, sigma=0.6, lo=16, hi=4096),
-        output=LengthDistribution(median=cfg.output_median, sigma=0.7, lo=1, hi=256),
+        prompt=LengthDistribution(
+            median=script.prompt_median, sigma=0.6, lo=16, hi=4096
+        ),
+        output=LengthDistribution(
+            median=script.output_median, sigma=0.7, lo=1, hi=256
+        ),
         slo_latency=slo_latency,
         # Each tenant's tag mints rids in its own namespace so
         # multi-tenant runs keep ids globally unique.

@@ -19,7 +19,8 @@ from statistics import mean
 import numpy as np
 
 from repro.core.context import ServingContext, get_profile
-from repro.experiments.common import ExperimentConfig, build_environment
+from repro.core.flexpipe import STAGE_COUNTS
+from repro.experiments.common import build_environment
 from repro.experiments.runner import make_runner
 from repro.experiments.systems import (
     PAPER_SYSTEMS,
@@ -163,13 +164,11 @@ def initial_init_times(system) -> list[float]:
 # ----------------------------------------------------------------------
 def table1_rows(seed: int = 0) -> dict:
     """Simulated cluster utilization statistics vs the paper's Table 1."""
-    sim = Simulator()
-    cfg = ExperimentConfig(seed=seed)
-    sim2, cluster, streams, frag = build_environment(cfg)
+    sim, cluster, _, frag = build_environment(seed)
     # Let the churn run a while and sample repeatedly, like a fleet scrape.
     sm, mem = [], []
     for _ in range(20):
-        sim2.run(until=sim2.now + 30.0)
+        sim.run(until=sim.now + 30.0)
         sm.extend(frag.sm_utilization_samples())
         mem.extend(frag.memory_utilization_samples())
     frag.stop()
@@ -196,7 +195,7 @@ def fig2_rows(seed: int = 0, samples: int = 30) -> dict:
     probability collapses with group size: the property that forces
     tensor-parallel placements to degrade to pipelines (§3.1).
     """
-    sim, cluster, streams, frag = build_environment(ExperimentConfig(seed=seed))
+    sim, cluster, _, frag = build_environment(seed)
     subs, p_free, p_pairs, p_quads = [], [], [], []
     for _ in range(samples):
         sim.run(until=sim.now + 30.0)
@@ -708,7 +707,7 @@ def selection_sweep(knob: str, values: tuple[float, ...]) -> dict[float, list[in
     (``alpha``: throughput-latency weight; ``sigma``: adaptation
     sensitivity), on OPT-66B's 2-32 stage ladder at batch cap 32."""
     profile = get_profile(OPT_66B, CostModel())
-    ladder = GranularityLadder(profile, stage_counts=(2, 4, 8, 16, 32))
+    ladder = GranularityLadder(profile, stage_counts=STAGE_COUNTS)
     rows = {}
     for value in values:
         policy = GranularityPolicy(profile, ladder, batch_cap=32, **{knob: value})
@@ -723,7 +722,7 @@ EQ11_QUEUES = (0, 64, 256, 512)
 def eq11_rows() -> list[tuple[float, int, int]]:
     """Eq. 11's scaling-unit granularity ``(cv, queue, m_j)`` over CV x queue."""
     return [
-        (cv, q, scaling_granularity(cv, q, g_max=32, queue_capacity=512))
+        (cv, q, scaling_granularity(cv, q))
         for cv in EQ11_CVS
         for q in EQ11_QUEUES
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.baselines import (
     AlpaServeSystem,
@@ -24,9 +24,12 @@ from repro.baselines import (
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.core.serving import ServingSystem
-from repro.experiments.common import ExperimentConfig
+from repro.models.zoo import get_model
 from repro.pipeline.sizing import operating_batch
 from repro.refactoring.granularity import estimate_throughput
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
 
 PEAK_MULTIPLIER = 3.0  # short-window peak rate over the mean at high CV
 STATIC_FRACTION = 0.75  # always-on share for statically provisioned systems
@@ -36,17 +39,20 @@ OPERATING_BATCH = 8  # planning batch (capacity planners do not assume max)
 
 def replicas_for_fraction(
     ctx: ServingContext,
-    cfg: ExperimentConfig,
+    spec: ScenarioSpec,
     n_stages: int,
     fraction: float,
 ) -> int:
-    """Replica count covering ``fraction`` of estimated peak demand.
+    """Replica count covering ``fraction`` of the primary tenant's
+    estimated peak demand.
 
     Capacity planning uses a conservative operating batch rather than the
     granularity's maximum: the latter is only reached during deep bursts.
     """
-    profile = ctx.profile(cfg.spec)
-    ladder = ctx.ladder(cfg.spec, (1, 2, 4, 8, 16, 32))
+    primary = spec.models[0]
+    model = get_model(primary.model)
+    profile = ctx.profile(model)
+    ladder = ctx.ladder(model, (1, 2, 4, 8, 16, 32))
     counts = ladder.stage_counts
     stages = n_stages if n_stages in counts else min(
         counts, key=lambda c: abs(c - n_stages)
@@ -56,10 +62,10 @@ def replicas_for_fraction(
         profile,
         plan,
         batch=operating_batch(plan, OPERATING_BATCH),
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
+        prompt_tokens=primary.prompt_median,
+        output_tokens=primary.output_median,
     )
-    peak = cfg.qps * PEAK_MULTIPLIER
+    peak = max(s.qps for s in primary.segments) * PEAK_MULTIPLIER
     return max(int(math.ceil(fraction * peak / throughput)), 1)
 
 
@@ -110,10 +116,14 @@ PAPER_SYSTEMS = ("FlexPipe", "AlpaServe", "MuxServe", "ServerlessLLM", "Tetris")
 
 
 def build_system(
-    name: str, ctx: ServingContext, cfg: ExperimentConfig, **overrides
+    name: str, ctx: ServingContext, spec: ScenarioSpec, **overrides
 ) -> ServingSystem:
     """Build system ``name`` as its :data:`SYSTEMS` row provisions it for
-    ``cfg``; ``overrides`` win over the row."""
+    ``spec``; ``overrides`` win over the row.
+
+    The system serves every tenant of the spec, sized and shaped for the
+    primary tenant (the first): its peak QPS, request shape and SLO.
+    """
     try:
         row = SYSTEMS[name]
     except KeyError:
@@ -122,29 +132,30 @@ def build_system(
         ) from None
     kwargs = dict(row.fixed)
     if row.shares_batch_cap:
-        kwargs["batch_cap"] = cfg.batch_cap
+        kwargs["batch_cap"] = spec.batch_cap
     kwargs.update(overrides)
     initial = kwargs.pop("initial_replicas", None)
     chosen_plan = row.plan_stages is None and row.always_on is not None
     if initial is None and not chosen_plan:
-        initial = replicas_for_fraction(ctx, cfg, row.plan_stages, row.always_on)
+        initial = replicas_for_fraction(ctx, spec, row.plan_stages, row.always_on)
+    primary = spec.models[0]
     system = row.system(
         ctx,
-        cfg.specs,
+        [get_model(script.model) for script in spec.models],
         # A statically provisioned system never scales out, so it always
         # starts at least one replica.
         initial_replicas=(initial or 1) if chosen_plan else initial,
-        prompt_tokens=cfg.prompt_median,
-        output_tokens=cfg.output_median,
-        slo_deadline=cfg.slo_latency,
+        prompt_tokens=primary.prompt_median,
+        output_tokens=primary.output_median,
+        slo_deadline=primary.slo_latency,
         **kwargs,
     )
     if initial is None:
         # Provision for peak at the granularity the offline optimiser
         # actually chose (capacity planned at a different stage count
         # would systematically under- or over-provision).
-        stages = system.plans[cfg.model].n_stages
+        stages = system.plans[primary.model].n_stages
         system.initial_replicas = replicas_for_fraction(
-            ctx, cfg, stages, row.always_on
+            ctx, spec, stages, row.always_on
         )
     return system

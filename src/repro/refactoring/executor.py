@@ -62,6 +62,9 @@ from repro.scaling.warm_cache import HostParamCache
 if TYPE_CHECKING:
     from repro.core.deployment import ReplicaFactory
 
+DECISION_LATENCY = 0.002  # "<5ms across 2-32 stages" (§6.3)
+SWITCH_PAUSE = 0.001  # the delta KV sync of the switch step
+
 
 @dataclass
 class Transition:
@@ -145,8 +148,6 @@ class RefactoringExecutor:
         metrics: MetricsCollector,
         *,
         warm_cache: HostParamCache | None = None,
-        decision_latency: float = 0.002,
-        switch_pause: float = 0.001,
         # The ReplicaFactory that deploys this model's replicas: it owns
         # the batch cap new chains are sized at (none: uncapped).
         factory: ReplicaFactory | None = None,
@@ -160,8 +161,6 @@ class RefactoringExecutor:
         self.ladder = ladder
         self.metrics = metrics
         self.warm_cache = warm_cache
-        self.decision_latency = decision_latency
-        self.switch_pause = switch_pause
         self.factory = factory
         self.pipelined_loading = pipelined_loading
         self.transitions_started = 0
@@ -220,7 +219,7 @@ class RefactoringExecutor:
         self.transitions_started += 1
         # Decision latency, then the asynchronous preparation window (old
         # chain keeps serving), then the switch pause.
-        total = self.decision_latency + plan.duration + self.switch_pause
+        total = DECISION_LATENCY + plan.duration + SWITCH_PAUSE
         event = self.ctx.sim.schedule(total, self._switch, replica, plan)
         self._transitions[replica.name] = (replica, plan, event)
         self._register_claim(replica, plan)
@@ -701,7 +700,7 @@ class RefactoringExecutor:
             # was ready; stages whose loads outlast the preparation window
             # stay gated (jobs queue there) and open exactly when their
             # load lands.
-            elapsed = plan.duration + self.switch_pause
+            elapsed = plan.duration + SWITCH_PAUSE
             for stage, load_time in zip(replica.stages, plan.stage_load_times):
                 extra = load_time - elapsed
                 if extra > 1e-9:
@@ -746,7 +745,7 @@ class RefactoringExecutor:
                 # Full client-visible transition latency: the decision,
                 # the asynchronous preparation window, and the switch
                 # pause — matching what ``refactor`` actually scheduled.
-                init_time=self.decision_latency + plan.duration + self.switch_pause,
+                init_time=DECISION_LATENCY + plan.duration + SWITCH_PAUSE,
                 warm=plan.fresh_gpus == 0,
             )
         )

@@ -16,6 +16,10 @@ from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.sizing import operating_batch
 
+# Eq. 5's coordination overhead: a g-stage replica delivers T / (β1 + β2·g).
+BETA1 = 1.0
+BETA2 = 0.02
+
 
 def estimate_throughput(
     profile: ModelProfile,
@@ -66,17 +70,12 @@ def estimate_latency(
 
 
 def instance_count(
-    required_rate: float,
-    rung_throughput: float,
-    n_stages: int,
-    *,
-    beta1: float = 1.0,
-    beta2: float = 0.02,
+    required_rate: float, rung_throughput: float, n_stages: int
 ) -> int:
     """Eq. 5: M(g_k) = ceil(mu_total / mu_k), mu_k = T_k / (b1 + b2*eta_k)."""
     if rung_throughput <= 0:
         raise ValueError("rung_throughput must be positive")
-    mu_k = rung_throughput / (beta1 + beta2 * n_stages)
+    mu_k = rung_throughput / (BETA1 + BETA2 * n_stages)
     return max(int(math.ceil(required_rate / mu_k)), 1)
 
 
@@ -99,8 +98,12 @@ class GranularityPolicy:
         profile: ModelProfile,
         ladder: GranularityLadder,
         *,
-        alpha: float = 0.5,
-        sigma: float = 1.2,
+        alpha: float = 0.5,  # α: throughput-latency weight
+        sigma: float = 1.2,  # σ: CV-matching sharpness
+        # ν_k = (η_k / scale)²: the Insight-3 law S ∝ sqrt(CV), with the
+        # constant calibrated to this substrate (the paper's testbed
+        # constant is 8; our cost model's comm/compute balance puts the
+        # optimum at 4).
         cv_setpoint_scale: float = 4.0,
         prompt_tokens: int = 512,
         output_tokens: int = 16,

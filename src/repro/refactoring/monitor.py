@@ -16,7 +16,7 @@ class WorkloadMonitor:
     invariant holds to the Eq. 4 recompute.
     """
 
-    def __init__(self, window: float = 30.0):
+    def __init__(self, window: float = 30.0):  # ν_t's sliding window (s)
         self.window = SlidingWindowCV(window=window)
         self.total_observed = 0
 

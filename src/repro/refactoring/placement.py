@@ -12,19 +12,18 @@ from typing import Callable
 
 from repro.cluster.gpu import GPU
 
+GAMMA0 = 0.08  # γ0: base multiplexing penalty
+ALPHA = 0.25  # α: CV² sensitivity of the penalty
 
-def multiplexing_penalty(
-    cv: float, *, gamma0: float = 0.08, alpha: float = 0.25
-) -> float:
+
+def multiplexing_penalty(cv: float, *, gamma0: float = GAMMA0) -> float:
     """Eq. 9: gamma(CV) = gamma0 * (1 + alpha * CV^2)."""
-    if gamma0 < 0 or alpha < 0:
-        raise ValueError("penalty coefficients must be non-negative")
-    return gamma0 * (1.0 + alpha * cv * cv)
+    if gamma0 < 0:
+        raise ValueError("penalty coefficient gamma0 must be non-negative")
+    return gamma0 * (1.0 + ALPHA * cv * cv)
 
 
-def interference_multiplier(
-    gpu: GPU, cv: float, *, gamma0: float = 0.08, alpha: float = 0.25
-) -> float:
+def interference_multiplier(gpu: GPU, cv: float, *, gamma0: float = GAMMA0) -> float:
     """Execution-time inflation on a shared GPU.
 
     The indicator of Eq. 6 applies the penalty only when more than one
@@ -34,14 +33,13 @@ def interference_multiplier(
     others = max(gpu.colocated_model_count - 1, 0)
     if others == 0:
         return 1.0
-    return 1.0 + multiplexing_penalty(cv, gamma0=gamma0, alpha=alpha) * others
+    return 1.0 + multiplexing_penalty(cv, gamma0=gamma0) * others
 
 
 def make_eq6_scorer(
     cv_of_model: Callable[[], float],
     *,
-    gamma0: float = 0.08,
-    alpha: float = 0.25,
+    gamma0: float = GAMMA0,
     prefer_colocation: bool = False,
 ) -> Callable[[GPU], float]:
     """Placement scorer implementing the Eq. 6 objective.
@@ -55,7 +53,7 @@ def make_eq6_scorer(
     def score(gpu: GPU) -> float:
         free_frac = gpu.free_fraction  # throughput-per-memory proxy (T/m)
         shared = gpu.colocated_model_count > 0
-        penalty = multiplexing_penalty(cv_of_model(), gamma0=gamma0, alpha=alpha)
+        penalty = multiplexing_penalty(cv_of_model(), gamma0=gamma0)
         if prefer_colocation:
             return free_frac + (0.5 if shared else 0.0)
         return free_frac - (penalty if shared else 0.0)

@@ -10,23 +10,18 @@ placing new stages there converts cold starts into warm starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.cluster.server import Server
 
-
-@dataclass(frozen=True)
-class AffinityWeights:
-    w_t: float = 1.0
-    w_g: float = 0.25
-    decay: float = 1.0 / 120.0
+W_T = 1.0  # w_t: weight of the temporal (warm-host) term
+W_G = 0.25  # w_g: weight of the GPU-availability term
+DECAY = 1.0 / 120.0  # λ: temporal decay of warm hosts
 
 
 class AffinityScheduler:
     """Tracks placement history per model and scores candidate servers."""
 
-    def __init__(self, weights: AffinityWeights | None = None):
-        self.weights = weights or AffinityWeights()
+    def __init__(self) -> None:
         # model -> server id -> last time the model had parameters there
         self._history: dict[str, dict[str, float]] = {}
 
@@ -40,15 +35,14 @@ class AffinityScheduler:
         self, model: str, server: Server, now: float, min_free_bytes: float = 0.0
     ) -> float:
         """Eq. 13 score; servers never visited score on GPU availability only."""
-        w = self.weights
         last = self._history.get(model, {}).get(server.sid)
         temporal = (
-            w.w_t * math.exp(-w.decay * max(now - last, 0.0))
+            W_T * math.exp(-DECAY * max(now - last, 0.0))
             if last is not None
             else 0.0
         )
         available = len(server.free_gpus(min_free_bytes))
-        return temporal + w.w_g * available
+        return temporal + W_G * available
 
     def rank(
         self,

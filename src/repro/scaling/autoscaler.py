@@ -32,18 +32,18 @@ if TYPE_CHECKING:
     from repro.core.deployment import ReplicaFactory
 
 
+QUEUE_FACTOR = 1.5  # queue > factor x capacity-per-interval => burst
+TARGET_UTILIZATION = 0.6  # Eq. 5 capacity headroom for μ_total
+
+
 @dataclass(frozen=True)
 class AutoscalerConfig:
     interval: float = 0.5
     slo_deadline: float = 5.0
-    queue_factor: float = 1.5  # queue > factor x capacity-per-interval => burst
     idle_window: float = 30.0  # reclamation window before scale-in
     min_replicas: int = 1
     max_replicas: int = 8
-    target_utilization: float = 0.6
     scale_out_cooldown: float = 1.0
-    beta1: float = 1.0  # Eq. 5 coordination overhead
-    beta2: float = 0.02
     prompt_tokens: int = 512
     output_tokens: int = 16
     # Eq. 12's burst-feasibility headroom: effective target utilization is
@@ -276,21 +276,17 @@ class Autoscaler:
         # the live CV rises, and QoS attainment pressure lowering it
         # further while the tenant's class SLO is being missed.
         pressure = self.slo_pressure() if self.slo_pressure is not None else 0.0
-        effective_util = cfg.target_utilization / (
+        effective_util = TARGET_UTILIZATION / (
             (1.0 + cfg.cv_headroom * cv) * (1.0 + pressure)
         )
         desired = instance_count(
-            rate / max(effective_util, 1e-6),
-            per_replica,
-            plan.n_stages,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
+            rate / max(effective_util, 1e-6), per_replica, plan.n_stages
         )
         # Burst pressure: queued work the current capacity cannot clear in
         # one SLO budget demands more instances now (Eq. 12 spirit).
-        # The right-hand side is at least queue_factor (>= 0), so below it
+        # The right-hand side is at least QUEUE_FACTOR (>= 0), so below it
         # the fleet's capacity cannot matter and is not summed.
-        if queue > cfg.queue_factor and queue > cfg.queue_factor * max(
+        if queue > QUEUE_FACTOR and queue > QUEUE_FACTOR * max(
             sum(self.replica_capacity(r) for r in active) * cfg.interval, 1.0
         ):
             backlog_units = math.ceil(

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+G_MAX = 32  # finest scaling granularity
+
 
 def scaling_granularity(
     cv: float,
     queue_length: int,
     *,
-    g_max: int = 32,
+    g_max: int = G_MAX,
     beta: float = 40.0,
     gamma: float = 10.0,
     queue_capacity: int = 512,

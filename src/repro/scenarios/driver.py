@@ -29,16 +29,12 @@ from repro.cluster.failures import (
 )
 from repro.core.admission import AdmissionGate, QueueCapPolicy
 from repro.core.context import ServingContext
-from repro.experiments.common import (
-    ExperimentConfig,
-    build_environment,
-    make_workload_sampler,
-)
+from repro.experiments.common import build_environment, make_workload_sampler
 from repro.experiments.systems import SYSTEMS, build_system
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.qos.admission import build_tenant_controller
 from repro.qos.classes import DEFAULT_CLASS, get_slo_class
-from repro.scenarios.spec import ArrivalSegment, ScenarioSpec
+from repro.scenarios.spec import ArrivalSegment, ModelScript, ScenarioSpec
 from repro.validation.auditor import InvariantAuditor, Violation
 from repro.workloads.arrivals import (
     DiurnalArrivals,
@@ -340,22 +336,11 @@ class ScenarioDriver:
     # ------------------------------------------------------------------
     def start(self) -> None:
         spec, case = self.spec, self.case
-        primary = spec.models[0]
-        cfg = ExperimentConfig(
-            model=primary.model,
-            qps=max(s.qps for s in primary.segments),
-            seed=case.seed,
-            slo_latency=primary.slo_latency,
-            prompt_median=primary.prompt_median,
-            output_median=primary.output_median,
-            batch_cap=spec.batch_cap,
-            cluster=spec.cluster,
-            fragmentation=spec.fragmentation,
-            extra_models=tuple(m.model for m in spec.models[1:]),
-        )
-        self.cfg = cfg
         sim, cluster, streams, fragmentation = build_environment(
-            cfg, server_indices=self._server_indices
+            case.seed,
+            spec.cluster,
+            spec.fragmentation,
+            server_indices=self._server_indices,
         )
         self.sim = sim
         self.streams = streams
@@ -378,7 +363,7 @@ class ScenarioDriver:
             **spec_overrides(spec, case.system),
             **dict(case.overrides),
         }
-        system = build_system(case.system, ctx, cfg, **overrides)
+        system = build_system(case.system, ctx, spec, **overrides)
         self.system = system
         self.tracer = None
         self.recorder = None
@@ -533,26 +518,13 @@ class ScenarioDriver:
     # ------------------------------------------------------------------
     def _schedule_segments(self, epoch: float) -> None:
         for script in self.spec.models:
-            model_cfg = replace(
-                self.cfg,
-                model=script.model,
-                prompt_median=script.prompt_median,
-                output_median=script.output_median,
-                slo_latency=script.effective_slo,
-                extra_models=(),
-            )
             for i, segment in enumerate(script.segments):
                 self.sim.schedule_at(
-                    epoch + segment.start,
-                    self._start_segment,
-                    script,
-                    model_cfg,
-                    segment,
-                    i,
+                    epoch + segment.start, self._start_segment, script, segment, i
                 )
 
     def _start_segment(
-        self, script, model_cfg: ExperimentConfig, segment: ArrivalSegment, index: int
+        self, script: ModelScript, segment: ArrivalSegment, index: int
     ) -> None:
         model = script.model
         tag = f"_{model}_s{index}" if script.stream is None else script.stream
@@ -563,7 +535,7 @@ class ScenarioDriver:
             azure2019=self.spec.azure2019,
         )
         sampler = make_workload_sampler(
-            model_cfg,
+            script,
             self.streams,
             tag=tag,
             # Segment override wins over the tenant class; unclassed

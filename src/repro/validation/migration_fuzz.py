@@ -569,8 +569,8 @@ def check_zoo_ladders() -> tuple[list[Violation], int]:
     and KV bytes per token of every fine stage).  Returns (violations,
     rung pairs checked).
     """
-    from repro.core.config import FlexPipeConfig
     from repro.core.context import get_ladder
+    from repro.core.flexpipe import STAGE_COUNTS
     from repro.models.costs import CostModel
     from repro.models.zoo import MODEL_ZOO
 
@@ -578,7 +578,7 @@ def check_zoo_ladders() -> tuple[list[Violation], int]:
     pairs = 0
     cost_model = CostModel()
     for spec in MODEL_ZOO.values():
-        ladder = get_ladder(spec, cost_model, FlexPipeConfig().stage_counts)
+        ladder = get_ladder(spec, cost_model, STAGE_COUNTS)
         fine = ladder.fine_plan.stages
         unit_params = [s.param_bytes for s in fine]
         unit_kv = [s.profile.kv_bytes_per_token for s in fine]

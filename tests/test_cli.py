@@ -171,6 +171,16 @@ class TestGateCommands:
         assert f"qos gate failed: {ARTEFACTS['qos'].claims[0].text}" in err
         assert "gate held" not in out
 
+    def test_qos_without_an_interactive_tenant_fails(self, capsys):
+        # paper-multi-burst has no classed tenant: the gate has nothing to
+        # compare, so it must not report that it held.
+        code, out, err = self._gate(
+            capsys, "qos", "--scenario", "paper-multi-burst", "--quick"
+        )
+        assert code == 1
+        assert f"qos gate failed: {ARTEFACTS['qos'].claims[0].text}" in err
+        assert "gate held" not in out
+
     def test_coldstart_quick_passes(self, capsys):
         code, out, err = self._gate(capsys, "coldstart", "--quick")
         assert code == 0, err

@@ -200,7 +200,6 @@ class TestFragmentation:
         config = FragmentationConfig(mean_lifetime=10.0)
         frag = FragmentationModel(sim, cluster, RandomStreams(0), config)
         frag.warm_up(rounds=20)
-        population = len(frag.tenants)
         # Tenant attach/detach must conserve memory accounting.
         sim.run(until=100.0)
         frag.stop()

@@ -1,4 +1,5 @@
-"""Tests for the FlexPipe core: config, context, deployment, controller."""
+"""Tests for the FlexPipe core: hyper-parameters, context, deployment,
+controller."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import pytest
 
 from types import SimpleNamespace
 
-from repro.core.config import FlexPipeConfig
+from repro.core import flexpipe
 from repro.core.context import get_graph
 from repro.core.deployment import ReplicaFactory
 from repro.core.flexpipe import FlexPipeSystem
@@ -16,25 +17,29 @@ from repro.metrics.collector import MetricsCollector
 from repro.models.zoo import LLAMA2_7B, OPT_66B
 from repro.pipeline.replica import ReplicaState
 from repro.pipeline.router import ModelRouter
+from repro.refactoring.executor import DECISION_LATENCY
+from repro.refactoring.granularity import GranularityPolicy
 from repro.scaling.warm_cache import HostParamCache
+from repro.simulation.processes import PeriodicProcess
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.requests import RequestSampler
 
 
 class TestConfig:
     def test_defaults_follow_paper(self):
-        cfg = FlexPipeConfig()
-        assert cfg.decision_latency < 0.005  # "<5ms" (§6.3)
+        assert DECISION_LATENCY < 0.005  # "<5ms" (§6.3)
         assert SERVERLESS_FRACTION == pytest.approx(0.30)  # always-on floor
-        assert 4 in cfg.stage_counts and 32 in cfg.stage_counts
+        assert 4 in flexpipe.STAGE_COUNTS and 32 in flexpipe.STAGE_COUNTS
 
-    def test_validation(self):
+    def test_validation(self, ctx):
+        # Each hyper-parameter's owner checks it: Eq. 4's α in the
+        # policy, the control interval in its periodic process.
+        ladder = ctx.ladder(LLAMA2_7B, flexpipe.STAGE_COUNTS)
         with pytest.raises(ValueError):
-            FlexPipeConfig(alpha_tradeoff=2.0)
+            GranularityPolicy(ctx.profile(LLAMA2_7B), ladder, alpha=2.0)
         with pytest.raises(ValueError):
-            FlexPipeConfig(control_interval=0.0)
-        with pytest.raises(ValueError):
-            FlexPipeConfig(initial_stages=3)  # not in stage_counts
+            PeriodicProcess(ctx.sim, 0.0, lambda: None)
+        assert flexpipe.INITIAL_STAGES in flexpipe.STAGE_COUNTS
 
 
 class TestContextCaches:
@@ -86,7 +91,7 @@ class TestReplicaFactory:
         cache = HostParamCache()
         factory, _, _ = make_factory(ctx, warm_cache=cache)
         plan = ctx.ladder(LLAMA2_7B, (2, 4)).plan(2)
-        replica = factory.deploy(ctx.profile(LLAMA2_7B), plan)
+        factory.deploy(ctx.profile(LLAMA2_7B), plan)
         ctx.sim.run_until_idle()
         total_cached = sum(
             cache.server_bytes(s) for s in ctx.cluster.servers
@@ -103,7 +108,7 @@ class TestReplicaFactory:
         cold_init = metrics.events[-1].init_time
         factory.release(first)
         ctx.sim.run_until_idle()
-        second = factory.deploy(profile, plan)
+        factory.deploy(profile, plan)
         ctx.sim.run_until_idle()
         warm_event = metrics.events[-1]
         assert warm_event.warm
@@ -201,10 +206,11 @@ class TestFlexPipeSystem:
         assert state.autoscaler.batch_cap == state.executor.batch_cap == 8
         system.shutdown()
 
-    def test_initial_stages_snap_to_feasible_rung(self, ctx):
+    def test_initial_stages_snap_to_feasible_rung(self, ctx, monkeypatch):
         # OPT-66B has no 1-stage rung; requesting coarse snaps to a legal one.
-        config = FlexPipeConfig(stage_counts=(2, 4, 8), initial_stages=2)
-        system = FlexPipeSystem(ctx, [OPT_66B], config=config)
+        monkeypatch.setattr(flexpipe, "STAGE_COUNTS", (2, 4, 8))
+        monkeypatch.setattr(flexpipe, "INITIAL_STAGES", 2)
+        system = FlexPipeSystem(ctx, [OPT_66B])
         assert system.current_granularity(OPT_66B.name) in (2, 4, 8)
         system.shutdown()
 

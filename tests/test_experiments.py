@@ -7,10 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import deployment, flexpipe
 from repro.experiments import figures
-from repro.experiments.common import ExperimentConfig, build_environment
-from repro.core.context import ServingContext
+from repro.experiments.common import build_environment
 from repro.experiments.systems import SYSTEMS, build_system
+from repro.refactoring import executor, granularity
+from repro.scaling import affinity, autoscaler
 from repro.scenarios import SCENARIOS
 from repro.scenarios.driver import (
     ScenarioCase,
@@ -23,30 +25,38 @@ from repro.workloads.arrivals import GammaArrivals, MMPPArrivals, PoissonArrival
 
 
 class TestExperimentConfig:
-    def test_defaults_match_paper_baseline(self):
-        cfg = ExperimentConfig()
-        assert cfg.qps == 20.0  # §9.1: "baseline of 20 QPS"
-        assert cfg.model == "OPT-66B"
+    """A figure experiment's configuration: ``figure_spec``'s paper
+    baseline and the world ``build_environment`` makes from it."""
 
-    def test_specs_include_background_model(self):
-        cfg = ExperimentConfig(extra_models=("BERT-21B",))
-        assert [s.name for s in cfg.specs] == ["OPT-66B", "BERT-21B"]
-        assert len(ExperimentConfig().specs) == 1
+    def test_defaults_match_paper_baseline(self):
+        spec = figures.figure_spec("t")
+        (primary,) = spec.models
+        assert primary.segments[0].qps == 20.0  # §9.1: "baseline of 20 QPS"
+        assert primary.model == "OPT-66B"
+        assert (primary.prompt_median, primary.output_median) == (128, 8)
+        assert (spec.cluster, spec.batch_cap) == ("paper", 32)
+
+    def test_specs_include_background_model(self, ctx):
+        spec = figures.figure_spec("t", background="BERT-21B")
+        system = build_system("FlexPipe", ctx, spec)
+        assert list(system.specs) == ["OPT-66B", "BERT-21B"]
+        system.shutdown()
+        system = build_system("FlexPipe", ctx, figures.figure_spec("t"))
+        assert list(system.specs) == ["OPT-66B"]
+        system.shutdown()
 
     def test_unknown_cluster_kind_rejected(self):
         with pytest.raises(ValueError):
-            build_environment(ExperimentConfig(cluster="exotic"))
+            build_environment(0, "exotic")
 
     def test_build_environment_warms_fragmentation(self):
-        sim, cluster, streams, frag = build_environment(ExperimentConfig())
+        sim, cluster, streams, frag = build_environment(0)
         assert frag is not None
         assert cluster.subscription_rate() > 1.0
         frag.stop()
 
     def test_fragmentation_can_be_disabled(self):
-        _, cluster, _, frag = build_environment(
-            ExperimentConfig(fragmentation=False)
-        )
+        _, cluster, _, frag = build_environment(0, fragmentation=False)
         assert frag is None
         assert cluster.subscription_rate() == 0.0
 
@@ -118,12 +128,12 @@ class TestFigureAudit:
 class TestBuildSystem:
     def test_unknown_system_raises_with_options(self, ctx):
         with pytest.raises(KeyError, match="available"):
-            build_system("vLLM", ctx, ExperimentConfig())
+            build_system("vLLM", ctx, figures.figure_spec("t"))
 
     def test_builds_each(self, ctx):
-        cfg = ExperimentConfig(cluster="small", fragmentation=False, qps=5.0)
+        spec = figures.figure_spec("t", qps=5.0)
         for name in SYSTEMS:
-            system = build_system(name, ctx, cfg)
+            system = build_system(name, ctx, spec)
             assert system.name == name
             system.shutdown()
 
@@ -151,7 +161,7 @@ def _provisioned(system) -> tuple:
 
 
 def _scaler_values(scaler) -> dict | None:
-    """The effective ``AutoscalerConfig`` of one tenant (None: no scaler)."""
+    """The effective autoscaler settings of one tenant (None: no scaler)."""
     if scaler is None:
         return None
     cfg = scaler.config
@@ -162,9 +172,9 @@ def _scaler_values(scaler) -> dict | None:
         "max_replicas": cfg.max_replicas,
         "cooldown": cfg.scale_out_cooldown,
         "cv_headroom": cfg.cv_headroom,
-        "target_utilization": cfg.target_utilization,
-        "beta": (cfg.beta1, cfg.beta2),
-        "queue_factor": cfg.queue_factor,
+        "target_utilization": autoscaler.TARGET_UTILIZATION,
+        "beta": (granularity.BETA1, granularity.BETA2),
+        "queue_factor": autoscaler.QUEUE_FACTOR,
     }
 
 
@@ -182,21 +192,24 @@ def _eq9(system) -> tuple[float, float]:
 def _hyperparameters(system, model: str) -> dict:
     """Every paper hyper-parameter one system applies to ``model``."""
     monitor = system.monitors[model]
-    factory = system.factory
+    replica = system.factory.deploy(
+        system.profiles[model], system.ctx.ladder(system.specs[model], (4,)).plan(4)
+    )
     out = {
         "eq9": _eq9(system),
         "cv_window": monitor.window.window,
         "cv_refresh": system._cv_refresh,
         "queue_sample_interval": system._sampler.interval,
-        "batcher_max_wait": factory.batcher_max_wait,
-        "startup": (factory.startup_overhead, factory.warm_startup_factor),
+        "batcher_max_wait": replica.batcher.config.max_wait,
+        "startup": (
+            system.factory.startup_overhead,
+            deployment.WARM_STARTUP_FACTOR,
+        ),
     }
     if type(system).__name__ != "FlexPipeSystem":
         out["autoscaler"] = _scaler_values(system.autoscalers.get(model))
         return out
     state = system._models[model]
-    cfg = system.config
-    weights = system.affinity.weights
     out.update(
         autoscaler=_scaler_values(state.autoscaler),
         eq4=(
@@ -210,13 +223,10 @@ def _hyperparameters(system, model: str) -> dict:
             for cv, queue in ((0.0, 0), (2.0, 100), (4.0, 512))
         ],
         control_interval=system._controller.interval,
-        refactor_dwell=cfg.refactor_dwell,
-        switch_margin=cfg.switch_margin,
-        affinity=(weights.w_t, weights.w_g, weights.decay),
-        decision=(
-            state.executor.decision_latency,
-            state.executor.switch_pause,
-        ),
+        refactor_dwell=flexpipe.REFACTOR_DWELL,
+        switch_margin=flexpipe.SWITCH_MARGIN,
+        affinity=(affinity.W_T, affinity.W_G, affinity.DECAY),
+        decision=(executor.DECISION_LATENCY, executor.SWITCH_PAUSE),
     )
     return out
 

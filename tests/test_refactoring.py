@@ -9,6 +9,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
 from repro.pipeline.replica import PipelineReplica, ReplicaState
+from repro.refactoring import executor as executor_module
 from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import (
     GranularityPolicy,
@@ -377,19 +378,20 @@ class TestExecutor:
         assert replica.max_batch <= 16  # degraded below the 32 cap
 
     def test_refactor_event_includes_decision_latency(
-        self, setup, llama_profile
+        self, setup, llama_profile, monkeypatch
     ):
         """Fig. 6-style accounting: the recorded transition time must be
         decision latency + preparation window + switch pause — what the
         executor actually scheduled."""
         ctx, ladder, metrics, _ = setup
+        # A latency far above the preparation window makes it visible.
+        monkeypatch.setattr(executor_module, "DECISION_LATENCY", 5.0)
         executor = RefactoringExecutor(
             ctx,
             llama_profile,
             ladder,
             metrics,
             warm_cache=HostParamCache(),
-            decision_latency=5.0,
         )
         replica = self._deploy(ctx, llama_profile, ladder, 2, [])
         start = ctx.sim.now

@@ -10,7 +10,8 @@ from repro.cluster.hrg import HierarchicalResourceGraph
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
 from repro.pipeline.replica import PipelineReplica
-from repro.scaling.affinity import AffinityScheduler, AffinityWeights
+from repro.scaling.affinity import W_G, AffinityScheduler
+from repro.scaling.autoscaler import QUEUE_FACTOR, TARGET_UTILIZATION
 from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.decision import scaling_granularity, slo_feasible_stages
 from repro.scaling.warm_cache import HostParamCache
@@ -87,7 +88,7 @@ class TestAffinity:
         assert ranked[0] is warm
 
     def test_temporal_decay_erodes_affinity(self, small_cluster):
-        sched = AffinityScheduler(AffinityWeights(decay=1.0))
+        sched = AffinityScheduler()
         server = small_cluster.servers[0]
         sched.record_placement("m", server, now=0.0)
         fresh = sched.score("m", server, now=0.1)
@@ -104,8 +105,10 @@ class TestAffinity:
         )
 
     def test_unknown_server_scores_on_availability_only(self, small_cluster):
-        sched = AffinityScheduler(AffinityWeights(w_g=0.0))
-        assert sched.score("m", small_cluster.servers[0], now=0.0) == 0.0
+        sched = AffinityScheduler()
+        server = small_cluster.servers[0]
+        expected = W_G * len(server.free_gpus())
+        assert sched.score("m", server, now=0.0) == expected
 
 
 class TestScalingDecisions:
@@ -283,8 +286,8 @@ class TestAutoscalerEffectiveCapacity:
             }
             # A backlog between the two burst thresholds: above the
             # degraded fleet's clearing capacity, below the healthy one's.
-            lo = cfg.queue_factor * max(capacity["degraded"] * cfg.interval, 1.0)
-            hi = cfg.queue_factor * max(capacity["healthy"] * cfg.interval, 1.0)
+            lo = QUEUE_FACTOR * max(capacity["degraded"] * cfg.interval, 1.0)
+            hi = QUEUE_FACTOR * max(capacity["healthy"] * cfg.interval, 1.0)
             assert lo < hi, "degraded fleet must have lower capacity"
             queue = int(lo) + 1
             assert queue <= hi
@@ -740,18 +743,14 @@ def _polling_autoscaler():
             plan = self.plan_for(cv, queue)
             per_replica = self.replica_throughput(plan)
             pressure = self.slo_pressure() if self.slo_pressure is not None else 0.0
-            effective_util = cfg.target_utilization / (
+            effective_util = TARGET_UTILIZATION / (
                 (1.0 + cfg.cv_headroom * cv) * (1.0 + pressure)
             )
             desired = instance_count(
-                rate / max(effective_util, 1e-6),
-                per_replica,
-                plan.n_stages,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
+                rate / max(effective_util, 1e-6), per_replica, plan.n_stages
             )
             capacity_now = sum(self.replica_capacity(r) for r in active)
-            if queue > cfg.queue_factor * max(capacity_now * cfg.interval, 1.0):
+            if queue > QUEUE_FACTOR * max(capacity_now * cfg.interval, 1.0):
                 backlog_units = math.ceil(
                     queue / max(per_replica * cfg.slo_deadline * 0.5, 1.0)
                 )

@@ -505,7 +505,7 @@ class TestScenarioRunner:
         assert not r1[0].ok and first.simulations_run == 1
         second = ExperimentRunner(jobs=1, use_cache=True, cache_dir=tmp_path)
         r2 = run_scenarios([MINI], ["FlexPipe"], runner=second)
-        assert second.cache_hits == 0
+        assert not r2[0].ok and second.cache_hits == 0
         assert second.simulations_run == 1  # re-executed, not replayed
 
 

@@ -136,7 +136,7 @@ class TestRunControl:
             sim.run_until_idle(max_events=100)
 
     def test_pending_count_skips_cancelled(self, sim):
-        keep = sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
         drop = sim.schedule(2.0, lambda: None)
         drop.cancel()
         assert sim.pending_count() == 1

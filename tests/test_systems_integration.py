@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig
 from repro.experiments.figures import figure_spec
 from repro.experiments.systems import PAPER_SYSTEMS, replicas_for_fraction
 from repro.scenarios.driver import ScenarioCase, ScenarioDriver
@@ -119,7 +118,7 @@ class TestAblations:
 
 class TestProvisioning:
     def test_static_fraction_gets_more_replicas(self, ctx):
-        cfg = ExperimentConfig()
-        low = replicas_for_fraction(ctx, cfg, 4, 0.30)
-        high = replicas_for_fraction(ctx, cfg, 4, 0.75)
+        spec = figure_spec("t")
+        low = replicas_for_fraction(ctx, spec, 4, 0.30)
+        high = replicas_for_fraction(ctx, spec, 4, 0.75)
         assert high >= low >= 1
