@@ -271,6 +271,84 @@ _FLEXPIPE = {
 }
 
 
+def _hardware(system, model: str) -> dict:
+    """The calibration and hardware values one live system reads: the
+    Table 2 cost model, the Eq. 2 partitioner, the devices and links."""
+    from repro.partitioning.partitioner import Partitioner
+
+    cost = system.ctx.cost_model.config
+    partitioner = Partitioner(system.profiles[model]).config
+    cluster = system.ctx.cluster
+    return {
+        "cost_model": {
+            "compute_fixed": cost.compute_fixed,
+            "compute_per_byte": cost.compute_per_byte,
+            "peak_flops": cost.peak_flops,
+            "prefill_overhead": cost.prefill_overhead,
+            "hop_overhead": cost.hop_overhead,
+            "hop_bandwidth": cost.network_bandwidth,
+            "load_points": tuple(cost.load_points),
+            "warm_load_overhead": cost.warm_load_overhead,
+            "pcie_bandwidth": cost.pcie_bandwidth,
+            "gpu_memory": cost.gpu_memory,
+            "runtime_reserved": cost.runtime_reserved,
+            "max_batch_cap": cost.max_batch_cap,
+        },
+        "eq2": {
+            "bandwidth": partitioner.bandwidth,
+            "overlap_budget": partitioner.overlap_budget,
+            "boundary_weight": partitioner.boundary_weight,
+            "reference_batch": partitioner.reference_batch,
+            "gpu_memory": partitioner.gpu_memory or cost.gpu_memory,
+            "min_boundary_quality": partitioner.min_boundary_quality,
+        },
+        "gpu_memory": {g.spec.memory for g in cluster.gpus},
+        "server_links": {
+            (s.pcie.spec.bandwidth, s.nic.spec.bandwidth, s.ssd.spec.bandwidth)
+            for s in cluster.servers
+        },
+        "rack_uplinks": {rack.uplink.spec.bandwidth for rack in cluster.racks},
+        "local_transfer": system.ctx.data_mover.costs.local_bandwidth,
+    }
+
+
+_GIB = 1024**3
+# The pinned hardware values of TestProvisioningWitness (Table 2, §9.1).
+_HARDWARE = {
+    "cost_model": {
+        "compute_fixed": 1.06e-3,
+        "compute_per_byte": 2.296e-3 / _GIB,
+        "peak_flops": 150e12,
+        "prefill_overhead": 0.5e-3,
+        "hop_overhead": 1.9e-3,
+        "hop_bandwidth": 12.5 * _GIB,
+        "load_points": (
+            (3.75 * _GIB, 5.43),
+            (7.5 * _GIB, 9.19),
+            (15.0 * _GIB, 13.05),
+            (30.0 * _GIB, 47.14),
+        ),
+        "warm_load_overhead": 0.05,
+        "pcie_bandwidth": 24.0 * _GIB,
+        "gpu_memory": 80.0 * _GIB,
+        "runtime_reserved": 0.0,
+        "max_batch_cap": 1024,
+    },
+    "eq2": {
+        "bandwidth": 12.5 * _GIB,
+        "overlap_budget": 2.0,
+        "boundary_weight": 5e-3,
+        "reference_batch": 1,
+        "gpu_memory": 80.0 * _GIB,
+        "min_boundary_quality": 0.5,
+    },
+    "gpu_memory": {80.0 * _GIB},
+    "server_links": {(24.0 * _GIB, 12.5 * _GIB, 6.0 * _GIB)},
+    "rack_uplinks": {50.0 * _GIB},
+    "local_transfer": 24.0 * _GIB,
+}
+
+
 class TestProvisioningWitness:
     """What the registry builds, pinned to the values the per-system
     factory functions it replaced built (OPT-66B, 20 QPS, paper cluster)."""
@@ -343,6 +421,12 @@ class TestProvisioningWitness:
     def test_paper_hyperparameters(self, name):
         system = self._build(name)
         assert _hyperparameters(system, "OPT-66B") == self.HYPERPARAMETERS[name]
+        system.shutdown()
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT))
+    def test_paper_hardware(self, name):
+        system = self._build(name)
+        assert _hardware(system, "OPT-66B") == _HARDWARE
         system.shutdown()
 
     def test_coldstart_economy_routes_flexpipe_overrides(self):
