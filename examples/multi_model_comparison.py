@@ -11,6 +11,7 @@ Run:  python examples/multi_model_comparison.py        (~1 minute)
 from __future__ import annotations
 
 from repro.experiments.figures import audited_summary, figure_spec
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.systems import PAPER_SYSTEMS
 from repro.metrics.report import format_table
 from repro.scenarios.driver import ScenarioCase, run_cases
@@ -19,7 +20,8 @@ from repro.scenarios.driver import ScenarioCase, run_cases
 def main() -> None:
     spec = figure_spec("comparison", cv=4.0, background="BERT-21B")
     reports = run_cases(
-        [ScenarioCase(spec, name) for name in PAPER_SYSTEMS], use_cache=False
+        [ScenarioCase(spec, name) for name in PAPER_SYSTEMS],
+        runner=ExperimentRunner(use_cache=False),
     )
     rows = []
     for name, report in zip(PAPER_SYSTEMS, reports):

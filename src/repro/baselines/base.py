@@ -6,7 +6,7 @@ from repro.core.context import ServingContext
 from repro.core.deployment import ReplicaFactory
 from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
-from repro.partitioning.ladder import GranularityLadder
+from repro.partitioning.ladder import FULL_LADDER, GranularityLadder
 from repro.refactoring.granularity import GranularityPolicy
 from repro.refactoring.placement import (
     GAMMA0,
@@ -14,8 +14,8 @@ from repro.refactoring.placement import (
     make_eq6_scorer,
 )
 from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
+from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS, SLO_LATENCY
 
-BASELINE_STAGE_COUNTS = (1, 2, 4, 8, 16, 32)
 MAX_REPLICAS = 8  # a reactive baseline's replica cap per model
 
 
@@ -48,9 +48,9 @@ class StaticPipelineSystem(ServingSystem):
         idle_window: float = 30.0,
         scale_interval: float = 0.5,
         scale_cooldown: float = 1.0,
-        prompt_tokens: int = 512,
-        output_tokens: int = 16,
-        slo_deadline: float = 5.0,
+        prompt_tokens: int = PROMPT_TOKENS,
+        output_tokens: int = OUTPUT_TOKENS,
+        slo_deadline: float = SLO_LATENCY,
         gamma0: float = GAMMA0,
     ):
         super().__init__(ctx, model_specs)
@@ -77,7 +77,7 @@ class StaticPipelineSystem(ServingSystem):
         self.autoscalers: dict[str, Autoscaler] = {}
         sweep = ControlSweep(ctx.sim, scale_interval)
         for spec in model_specs:
-            ladder = ctx.ladder(spec, BASELINE_STAGE_COUNTS)
+            ladder = ctx.ladder(spec, FULL_LADDER)
             self.ladders[spec.name] = ladder
             stages = self.choose_stages(spec, ladder, n_stages)
             self.plans[spec.name] = ladder.plan(stages)

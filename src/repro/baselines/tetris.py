@@ -13,6 +13,10 @@ from repro.baselines.base import StaticPipelineSystem
 from repro.core.context import ServingContext
 from repro.models.zoo import ModelSpec
 
+# A slow reconciliation loop: Tetris scales out late and seldom.
+SCALE_INTERVAL = 2.0
+SCALE_COOLDOWN = 5.0
+
 
 class TetrisSystem(StaticPipelineSystem):
     name = "Tetris"
@@ -25,8 +29,6 @@ class TetrisSystem(StaticPipelineSystem):
         initial_replicas: int = 1,
         batch_cap: int = 16,  # no paged/pipeline-aware batching
         loading_speedup: float = 1.3,  # tensor sharing skips duplicate loads
-        scale_interval: float = 2.0,  # slow reconciliation loop
-        scale_cooldown: float = 5.0,
         **kwargs,
     ):
         super().__init__(
@@ -37,8 +39,8 @@ class TetrisSystem(StaticPipelineSystem):
             batch_cap=batch_cap,
             loading_speedup=loading_speedup,
             prefer_colocation=True,  # pack instances densely
-            scale_interval=scale_interval,
-            scale_cooldown=scale_cooldown,
+            scale_interval=SCALE_INTERVAL,
+            scale_cooldown=SCALE_COOLDOWN,
             **kwargs,
         )
 

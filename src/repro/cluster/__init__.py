@@ -7,7 +7,7 @@ stages through, and provides the Hierarchical Resource Graph used for
 topology-aware scaling coordination (§7).
 """
 
-from repro.cluster.gpu import GPU, GPUSpec
+from repro.cluster.gpu import GPU
 from repro.cluster.server import Server
 from repro.cluster.topology import Rack
 from repro.cluster.cluster import Cluster, make_paper_cluster, make_small_cluster
@@ -17,7 +17,6 @@ from repro.cluster.hrg import HierarchicalResourceGraph
 
 __all__ = [
     "GPU",
-    "GPUSpec",
     "Server",
     "Rack",
     "Cluster",

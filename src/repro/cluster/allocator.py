@@ -274,7 +274,7 @@ class GPUAllocator:
     def fleet_memory(self) -> float:
         """Total static GPU memory of the cluster (stable denominator)."""
         if self._fleet_memory is None:
-            self._fleet_memory = sum(g.spec.memory for g in self.cluster.gpus)
+            self._fleet_memory = sum(g.memory for g in self.cluster.gpus)
         return self._fleet_memory
 
     def tenant_share(self, model: str) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.gpu import GPU, GPUSpec
+from repro.cluster.gpu import GPU
 from repro.cluster.server import Server
 from repro.cluster.topology import Rack
 from repro.simulation.engine import Simulator
@@ -112,21 +112,21 @@ class ServerPlacement:
     gpu_start: int  # global index of the server's first GPU
 
 
-# (layout, rdma_fraction, n_racks) for each named reference topology.
-_KIND_PARAMS: dict[str, tuple[list[int], float, int]] = {
-    "paper": ([1] * 10 + [2] * 28 + [4] * 4, 0.5, 6),  # 42 servers, 82 GPUs
-    "small": ([2] * 8, 0.5, 2),
+# Share of servers with an RDMA-capable NIC, striped across the fleet.
+RDMA_FRACTION = 0.5
+# (layout, n_racks) for each named reference topology.
+_KINDS: dict[str, tuple[list[int], int]] = {
+    "paper": ([1] * 10 + [2] * 28 + [4] * 4, 6),  # 42 servers, 82 GPUs
+    "small": ([2] * 8, 2),
 }
 
 
-def _placements(
-    layout: list[int], rdma_fraction: float, n_racks: int
-) -> list[ServerPlacement]:
+def _placements(layout: list[int], n_racks: int) -> list[ServerPlacement]:
     out = []
     gpu_index = 0
     for i, n_gpus in enumerate(layout):
         # Deterministic striping of RDMA-capable servers across the fleet.
-        rdma = (i * rdma_fraction) % 1.0 + rdma_fraction >= 1.0 if rdma_fraction > 0 else False
+        rdma = (i * RDMA_FRACTION) % 1.0 + RDMA_FRACTION >= 1.0
         out.append(ServerPlacement(i, n_gpus, i % n_racks, rdma, gpu_index))
         gpu_index += n_gpus
     return out
@@ -134,47 +134,27 @@ def _placements(
 
 def server_placements(kind: str) -> list[ServerPlacement]:
     """The full placement list of a named reference topology."""
-    if kind not in _KIND_PARAMS:
+    if kind not in _KINDS:
         raise ValueError(
-            f"unknown cluster kind {kind!r}; available: {sorted(_KIND_PARAMS)}"
+            f"unknown cluster kind {kind!r}; available: {sorted(_KINDS)}"
         )
-    layout, rdma_fraction, n_racks = _KIND_PARAMS[kind]
-    return _placements(layout, rdma_fraction, n_racks)
+    return _placements(*_KINDS[kind])
 
 
-def make_paper_cluster(
-    sim: Simulator,
-    *,
-    gpu_spec: GPUSpec | None = None,
-    rdma_fraction: float = 0.5,
-    n_racks: int = 6,
-) -> Cluster:
+def make_paper_cluster(sim: Simulator) -> Cluster:
     """Build the 42-server / 82-GPU topology of the paper's evaluation."""
-    layout = [1] * 10 + [2] * 28 + [4] * 4  # 42 servers, 82 GPUs
-    return _build(sim, layout, gpu_spec, rdma_fraction, n_racks)
+    return _build(sim, *_KINDS["paper"])
 
 
 def make_small_cluster(
-    sim: Simulator,
-    *,
-    n_servers: int = 8,
-    gpus_per_server: int = 2,
-    gpu_spec: GPUSpec | None = None,
-    rdma_fraction: float = 0.5,
-    n_racks: int = 2,
+    sim: Simulator, *, n_servers: int = 8, gpus_per_server: int = 2
 ) -> Cluster:
     """A small topology for unit tests and quick examples."""
-    layout = [gpus_per_server] * n_servers
-    return _build(sim, layout, gpu_spec, rdma_fraction, n_racks)
+    _, n_racks = _KINDS["small"]
+    return _build(sim, [gpus_per_server] * n_servers, n_racks)
 
 
-def make_cluster_subset(
-    sim: Simulator,
-    kind: str,
-    server_indices,
-    *,
-    gpu_spec: GPUSpec | None = None,
-) -> Cluster:
+def make_cluster_subset(sim: Simulator, kind: str, server_indices) -> Cluster:
     """Build the sub-cluster of a named topology owning ``server_indices``.
 
     Server names, GPU names, rack membership and RDMA capability all match
@@ -192,16 +172,12 @@ def make_cluster_subset(
             f"server indices {chosen} out of range for {kind!r} "
             f"({len(placements)} servers)"
         )
-    spec = gpu_spec or GPUSpec()
     total_gpus = sum(p.n_gpus for p in placements)
     racks: dict[int, Rack] = {}
     sub_gpus = 0
     for i in chosen:
         placement = placements[i]
-        gpus = [
-            GPU(f"gpu-{placement.gpu_start + j}", spec)
-            for j in range(placement.n_gpus)
-        ]
+        gpus = [GPU(f"gpu-{placement.gpu_start + j}") for j in range(placement.n_gpus)]
         sub_gpus += placement.n_gpus
         server = Server(sim, f"server-{i}", gpus, rdma=placement.rdma)
         rack = racks.setdefault(
@@ -216,20 +192,10 @@ def make_cluster_subset(
     )
 
 
-def _build(
-    sim: Simulator,
-    layout: list[int],
-    gpu_spec: GPUSpec | None,
-    rdma_fraction: float,
-    n_racks: int,
-) -> Cluster:
-    spec = gpu_spec or GPUSpec()
+def _build(sim: Simulator, layout: list[int], n_racks: int) -> Cluster:
     racks = [Rack(sim, f"rack-{r}") for r in range(n_racks)]
-    for placement in _placements(layout, rdma_fraction, n_racks):
-        gpus = [
-            GPU(f"gpu-{placement.gpu_start + j}", spec)
-            for j in range(placement.n_gpus)
-        ]
+    for placement in _placements(layout, n_racks):
+        gpus = [GPU(f"gpu-{placement.gpu_start + j}") for j in range(placement.n_gpus)]
         server = Server(
             sim, f"server-{placement.index}", gpus, rdma=placement.rdma
         )

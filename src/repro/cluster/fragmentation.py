@@ -153,5 +153,5 @@ class FragmentationModel:
 
     def memory_utilization_samples(self) -> list[float]:
         return [
-            min(g.used_memory / g.spec.memory, 1.0) * 100.0 for g in self.cluster.gpus
+            min(g.used_memory / g.memory, 1.0) * 100.0 for g in self.cluster.gpus
         ]

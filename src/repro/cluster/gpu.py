@@ -18,30 +18,19 @@ placements on that epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.transfer.links import GB
 
-
-@dataclass(frozen=True)
-class GPUSpec:
-    """Static GPU parameters (defaults model an 80 GB A100)."""
-
-    name: str = "A100-80G"
-    memory: float = 80.0 * GB
-    sm_count: int = 108
-
-    def __post_init__(self) -> None:
-        if self.memory <= 0:
-            raise ValueError(f"GPU memory must be positive, got {self.memory}")
+# Every device is an 80 GB A100: the memory the cost model sizes batches
+# against and Eq. 2 partitions under.
+GPU_MEMORY = 80.0 * GB
 
 
 class GPU:
     """A single accelerator inside a :class:`~repro.cluster.server.Server`."""
 
-    def __init__(self, gid: str, spec: GPUSpec | None = None):
+    def __init__(self, gid: str):
         self.gid = gid
-        self.spec = spec or GPUSpec()
+        self.memory = GPU_MEMORY
         self.server = None  # set by Server
         self.cluster = None  # set by Cluster: owner of the capacity epoch
         # Background (fragmentation) load.
@@ -114,11 +103,11 @@ class GPU:
 
     @property
     def free_memory(self) -> float:
-        return self.spec.memory - self.used_memory
+        return self.memory - self.used_memory
 
     @property
     def free_fraction(self) -> float:
-        return max(self.free_memory, 0.0) / self.spec.memory
+        return max(self.free_memory, 0.0) / self.memory
 
     def reserve(self, alloc_id: str, nbytes: float, model: str | None = None) -> None:
         """Reserve ``nbytes`` for a stage allocation.

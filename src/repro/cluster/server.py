@@ -4,7 +4,18 @@ from __future__ import annotations
 
 from repro.cluster.gpu import GPU
 from repro.simulation.engine import Simulator
-from repro.transfer.links import GB, FairShareLink, LinkSpec
+from repro.transfer.links import (
+    GB,
+    NIC_BANDWIDTH,
+    PCIE_BANDWIDTH,
+    FairShareLink,
+    LinkSpec,
+)
+
+# The local NVMe drive behind the warm cache's demotion tier (sequential
+# read rate); a scenario may resize the drive, never its rate.
+SSD_CAPACITY = 2048.0 * GB
+SSD_BANDWIDTH = 6.0 * GB
 
 
 class Server:
@@ -28,31 +39,26 @@ class Server:
         sid: str,
         gpus: list[GPU],
         *,
-        rack_id: str = "rack-0",
         host_memory: float = 256.0 * GB,
         rdma: bool = False,
-        pcie_bandwidth: float = 24.0 * GB,
-        nic_bandwidth: float = 12.5 * GB,  # 100 Gbps
-        ssd_capacity: float = 2048.0 * GB,
-        ssd_bandwidth: float = 6.0 * GB,  # NVMe sequential read
     ):
         if not gpus:
             raise ValueError(f"server {sid} must have at least one GPU")
         self.sim = sim
         self.sid = sid
-        self.rack_id = rack_id
+        self.rack_id = "rack-0"  # set by Rack.add_server
         self.gpus = list(gpus)
         for gpu in self.gpus:
             gpu.server = self
         self.host_memory = host_memory
         self.host_memory_used = 0.0
         self.rdma = rdma
-        self.ssd_capacity = ssd_capacity
-        self.ssd_bandwidth = ssd_bandwidth
+        self.ssd_capacity = SSD_CAPACITY
+        self.ssd_bandwidth = SSD_BANDWIDTH
         self.ssd_used = 0.0
-        self.pcie = FairShareLink(sim, LinkSpec(f"{sid}/pcie", pcie_bandwidth, 10e-6))
-        self.nic = FairShareLink(sim, LinkSpec(f"{sid}/nic", nic_bandwidth, 100e-6))
-        self.ssd = FairShareLink(sim, LinkSpec(f"{sid}/ssd", ssd_bandwidth, 50e-6))
+        self.pcie = FairShareLink(sim, LinkSpec(f"{sid}/pcie", PCIE_BANDWIDTH, 10e-6))
+        self.nic = FairShareLink(sim, LinkSpec(f"{sid}/nic", NIC_BANDWIDTH, 100e-6))
+        self.ssd = FairShareLink(sim, LinkSpec(f"{sid}/ssd", SSD_BANDWIDTH, 50e-6))
 
     @property
     def host_memory_free(self) -> float:

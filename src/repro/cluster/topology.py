@@ -6,6 +6,8 @@ from repro.cluster.server import Server
 from repro.simulation.engine import Simulator
 from repro.transfer.links import GB, FairShareLink, LinkSpec
 
+UPLINK_BANDWIDTH = 50.0 * GB
+
 
 class Rack:
     """A rack of servers sharing a network uplink.
@@ -14,19 +16,10 @@ class Rack:
     tracks (network bandwidth tier in §7).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rid: str,
-        servers: list[Server] | None = None,
-        *,
-        uplink_bandwidth: float = 50.0 * GB,
-    ):
+    def __init__(self, sim: Simulator, rid: str):
         self.rid = rid
         self.servers: list[Server] = []
-        self.uplink = FairShareLink(sim, LinkSpec(f"{rid}/uplink", uplink_bandwidth, 50e-6))
-        for server in servers or []:
-            self.add_server(server)
+        self.uplink = FairShareLink(sim, LinkSpec(f"{rid}/uplink", UPLINK_BANDWIDTH, 50e-6))
 
     def add_server(self, server: Server) -> None:
         server.rack_id = self.rid

@@ -2,9 +2,11 @@
 
 Model graphs, profiles and granularity ladders are immutable and costly to
 build (the Eq. 2 DP over ~450 operators), so they are cached at module
-level keyed by (``ModelSpec.shape``, cost-config, stage set) and shared
-across runs and same-shape tenants.  An entry built for one tenant is
-bound to another's name by ``ModelProfile.bind``/``GranularityLadder.bind``.
+level keyed by ``ModelSpec.shape`` (a ladder also by its stage set) and
+shared across runs and same-shape tenants; the cost model has a single
+calibration, so nothing else can change an entry.  An entry built for one
+tenant is bound to another's name by ``ModelProfile.bind``/
+``GranularityLadder.bind``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from repro.cluster.allocator import GPUAllocator
 from repro.cluster.cluster import Cluster
 from repro.cluster.hrg import HierarchicalResourceGraph
-from repro.models.costs import CostModel, CostModelConfig
+from repro.models.costs import CostModel
 from repro.models.graph import ComputationGraph
 from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
@@ -38,20 +40,19 @@ def get_graph(spec: ModelSpec) -> ComputationGraph:
 
 
 def get_profile(spec: ModelSpec, cost_model: CostModel) -> ModelProfile:
-    key = (spec.shape, cost_model.config)
-    profile = _PROFILE_CACHE.get(key)
+    profile = _PROFILE_CACHE.get(spec.shape)
     if profile is None:
         profile = ModelProfile(
             spec=spec, graph=get_graph(spec), cost_model=cost_model
         )
-        _PROFILE_CACHE[key] = profile
+        _PROFILE_CACHE[spec.shape] = profile
     return profile if profile.spec == spec else profile.bind(spec)
 
 
 def get_ladder(
     spec: ModelSpec, cost_model: CostModel, stage_counts: tuple[int, ...]
 ) -> GranularityLadder:
-    key = (spec.shape, cost_model.config, tuple(stage_counts))
+    key = (spec.shape, tuple(stage_counts))
     ladder = _LADDER_CACHE.get(key)
     if ladder is None:
         ladder = GranularityLadder(
@@ -81,15 +82,12 @@ class ServingContext:
         sim: Simulator,
         cluster: Cluster,
         streams: RandomStreams,
-        *,
-        cost_config: CostModelConfig | None = None,
     ) -> "ServingContext":
-        cost_model = CostModel(cost_config)
         return cls(
             sim=sim,
             cluster=cluster,
             streams=streams,
-            cost_model=cost_model,
+            cost_model=CostModel(),
             allocator=GPUAllocator(cluster),
             hrg=HierarchicalResourceGraph(cluster),
             data_mover=DataMover(),
@@ -99,7 +97,5 @@ class ServingContext:
     def profile(self, spec: ModelSpec) -> ModelProfile:
         return get_profile(spec, self.cost_model)
 
-    def ladder(
-        self, spec: ModelSpec, stage_counts: tuple[int, ...] = (2, 4, 8, 16, 32)
-    ) -> GranularityLadder:
+    def ladder(self, spec: ModelSpec, stage_counts: tuple[int, ...]) -> GranularityLadder:
         return get_ladder(spec, self.cost_model, stage_counts)

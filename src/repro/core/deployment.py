@@ -14,6 +14,7 @@ from typing import Callable
 from repro.cluster.allocator import StageReservation
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
+from repro.models.costs import WARM_LOAD_OVERHEAD
 from repro.models.profiler import ModelProfile
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.batching import BatcherConfig
@@ -293,11 +294,11 @@ class ReplicaFactory:
             # move at the full tier bandwidth (fair-share contention on top).
             if host_warm > 0:
                 parts.append(
-                    (server.pcie, host_warm, None, cm.config.warm_load_overhead)
+                    (server.pcie, host_warm, None, WARM_LOAD_OVERHEAD)
                 )
             if ssd_warm > 0:
                 parts.append(
-                    (server.ssd, ssd_warm, None, cm.config.warm_load_overhead)
+                    (server.ssd, ssd_warm, None, WARM_LOAD_OVERHEAD)
                 )
             if cold > 0:
                 # Per-stream rate reproduces the calibrated load-time curve

@@ -23,7 +23,7 @@ from repro.core.context import ServingContext
 from repro.core.deployment import ReplicaFactory
 from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
-from repro.partitioning.ladder import GranularityLadder
+from repro.partitioning.ladder import FULL_LADDER, GranularityLadder
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.sizing import floor_footprint
 from repro.refactoring.executor import RefactoringExecutor
@@ -35,11 +35,13 @@ from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.decision import G_MAX, scaling_granularity
 from repro.scaling.warm_cache import HostParamCache
 from repro.simulation.processes import PeriodicProcess
+from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS, SLO_LATENCY
 
 # Algorithm 1's control interval; the max-CV cache refreshes on it too.
 CONTROL_INTERVAL = 1.0
-# The candidate granularities G and the rung each model starts at.
-STAGE_COUNTS = (2, 4, 8, 16, 32)
+# The candidate granularities G (every pipelined rung of the full
+# ladder) and the rung each model starts at.
+STAGE_COUNTS = FULL_LADDER[1:]
 INITIAL_STAGES = 4
 SWITCH_MARGIN = 1.35  # hysteresis: a new rung's Eq. 4 score must win decisively
 REFACTOR_DWELL = 20.0  # min seconds between refactors per model
@@ -78,9 +80,9 @@ class FlexPipeSystem(ServingSystem):
         enable_hrg: bool = True,
         enable_affinity: bool = True,
         batch_cap: int | None = None,
-        prompt_tokens: int = 512,
-        output_tokens: int = 16,
-        slo_deadline: float = 5.0,
+        prompt_tokens: int = PROMPT_TOKENS,
+        output_tokens: int = OUTPUT_TOKENS,
+        slo_deadline: float = SLO_LATENCY,
         cache_policy: str = "lru",
         pipelined_loading: bool = False,
         # None keeps the historical floor max(MIN_REPLICAS,

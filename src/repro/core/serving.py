@@ -100,7 +100,6 @@ class ServingSystem(abc.ABC):
         classes: dict[str, SLOClass],
         *,
         aging: float | None = 10.0,
-        attainment_window: float = 30.0,
         share_caps: dict[str, float] | None = None,
         elastic: bool = False,
     ) -> None:
@@ -126,9 +125,7 @@ class ServingSystem(abc.ABC):
         if unknown:
             raise KeyError(f"{self.name} does not serve model(s) {unknown}")
         self.qos_classes = dict(classes)
-        self.qos_tracker = AttainmentTracker(
-            lambda: self.sim.now, window=attainment_window
-        )
+        self.qos_tracker = AttainmentTracker(lambda: self.sim.now)
         # Every router, including out-of-band pools (DistServe keys its
         # decode routers "<model>/decode"): a batch backlog in a decode
         # pool starves interactive work exactly like one in the primary

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.context import ServingContext, get_profile
 from repro.core.flexpipe import STAGE_COUNTS
 from repro.experiments.common import build_environment
-from repro.experiments.runner import make_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.systems import (
     PAPER_SYSTEMS,
     SERVERLESS_FRACTION,
@@ -58,10 +58,11 @@ from repro.transfer.migration import (
 from repro.workloads.cv import count_cv
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
-# Every multi-run driver below accepts (jobs, use_cache, runner): the cells
-# fan out across processes through repro.experiments.runner and land in its
-# on-disk cache, so re-rendering a figure recomputes nothing unless the
-# spec or the code changed.
+# Every multi-run driver below takes a ``runner`` (default: an
+# ExperimentRunner configured by REPRO_JOBS / REPRO_NO_CACHE): the cells fan
+# out across processes through it and land in its on-disk cache, so
+# re-rendering a figure recomputes nothing unless the spec or the code
+# changed.
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +124,8 @@ def audited_summary(report: ScenarioReport) -> RunSummary:
     return report.aggregate
 
 
-def _summaries(cases, runner, jobs, use_cache) -> list[RunSummary]:
-    reports = run_cases(cases, runner=runner, jobs=jobs, use_cache=use_cache)
+def _summaries(cases, runner) -> list[RunSummary]:
+    reports = run_cases(cases, runner=runner)
     return [audited_summary(report) for report in reports]
 
 
@@ -284,8 +285,6 @@ def fig3_rows(
     cvs=(0.1, 1.0, 2.0, 4.0, 8.0),
     seed: int = 0,
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ) -> list[dict]:
     """A static 4-stage OPT-66B deployment under growing burstiness."""
@@ -301,7 +300,7 @@ def fig3_rows(
         for cv in cvs
     ]
     rows = []
-    for cv, summary in zip(cvs, _summaries(cases, runner, jobs, use_cache)):
+    for cv, summary in zip(cvs, _summaries(cases, runner)):
         rows.append(
             {
                 "cv": cv,
@@ -326,8 +325,6 @@ def fig4_rows(
     stage_counts=(4, 8, 16),
     seed: int = 0,
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ):
     grid = [(cv, k) for cv in cvs for k in stage_counts]
@@ -348,7 +345,7 @@ def fig4_rows(
             "p95": summary.latency_percentiles[95],
         }
         for (cv, k), summary in zip(
-            grid, _summaries(cases, runner, jobs, use_cache)
+            grid, _summaries(cases, runner)
         )
     ]
 
@@ -362,8 +359,6 @@ def system_sweep(
     seed: int = 0,
     background_model: str | None = "BERT-21B",
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ) -> dict[float, dict[str, RunSummary]]:
     """Run the comparison systems across CVs; reused by Figs. 8, 10-12.
@@ -381,7 +376,7 @@ def system_sweep(
     ]
     out: dict[float, dict[str, RunSummary]] = {cv: {} for cv in cvs}
     for (cv, name), summary in zip(
-        grid, _summaries(cases, runner, jobs, use_cache)
+        grid, _summaries(cases, runner)
     ):
         out[cv][name] = summary
     return out
@@ -451,8 +446,6 @@ def fig9_series(
     seed: int = 0,
     window: float = 15.0,
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ) -> dict:
     # The paper plots a 300 s slice of a long-running (warm) deployment, so
@@ -464,7 +457,7 @@ def fig9_series(
         "fig9", cv=8.0, background="BERT-21B", duration=450.0, warmup=150.0
     )
     names = ("FlexPipe", "AlpaServe", "MuxServe")
-    results = make_runner(runner, jobs=jobs, use_cache=use_cache).map(
+    results = (runner or ExperimentRunner()).map(
         live_cell,
         [(ScenarioCase(spec, name, seed), completed_records) for name in names],
     )
@@ -496,8 +489,6 @@ def fig9_series(
 def fig13_rows(
     seed: int = 0,
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ) -> list[dict]:
     models = ("WHISPER-9B", "LLAMA2-7B", "BERT-21B", "OPT-66B")
@@ -519,7 +510,7 @@ def fig13_rows(
             "p95_latency": summary.latency_percentiles[95],
         }
         for (model, name), summary in zip(
-            grid, _summaries(cases, runner, jobs, use_cache)
+            grid, _summaries(cases, runner)
         )
     ]
 
@@ -527,13 +518,7 @@ def fig13_rows(
 # ----------------------------------------------------------------------
 # §9.6 — production case study: reservation, wait time, init latency
 # ----------------------------------------------------------------------
-def case_study_rows(
-    seed: int = 0,
-    *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    runner=None,
-) -> dict:
+def case_study_rows(seed: int = 0, *, runner=None) -> dict:
     """§9.6: always-on reservation, service parity, wait and init latency.
 
     "Reservation" is the provisioning policy's always-on share of peak
@@ -543,10 +528,8 @@ def case_study_rows(
     cold whole-pipeline deployment.
     """
     spec = figure_spec("case-study", cv=4.0)
-    exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
-    (flex,) = _summaries(
-        [ScenarioCase(spec, "FlexPipe", seed)], exp_runner, jobs, use_cache
-    )
+    exp_runner = runner or ExperimentRunner()
+    (flex,) = _summaries([ScenarioCase(spec, "FlexPipe", seed)], exp_runner)
     # Cold whole-pipeline deployment time, measured from the static
     # system's own initial loads (the baseline every elastic scale-out of
     # FlexPipe is compared against).
@@ -579,8 +562,6 @@ def ablation_rows(
     seed: int = 0,
     cv: float = 4.0,
     *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     runner=None,
 ) -> list[dict]:
     variants = {
@@ -606,7 +587,7 @@ def ablation_rows(
             "mean_init": summary.mean_init_time,
         }
         for name, summary in zip(
-            variants, _summaries(cases, runner, jobs, use_cache)
+            variants, _summaries(cases, runner)
         )
     ]
 
@@ -629,7 +610,7 @@ def eq1_rows() -> list[dict]:
                     "cv": cv,
                     "stages": stages,
                     "delay": model.total_delay(),
-                    "optimal": optimal_stage_count(cv),
+                    "optimal": optimal_stage_count(cv, candidates=STAGE_COUNTS),
                 }
             )
     return rows

@@ -213,15 +213,3 @@ class ExperimentRunner:
                         key_fn(items[i], self._fingerprint), (value, None)
                     )
         return results
-
-
-def make_runner(
-    runner: ExperimentRunner | None = None,
-    *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-) -> ExperimentRunner:
-    """Use the caller-provided runner, or build one from the knobs."""
-    if runner is not None:
-        return runner
-    return ExperimentRunner(jobs=jobs, use_cache=use_cache)

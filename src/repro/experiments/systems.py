@@ -25,6 +25,7 @@ from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.core.serving import ServingSystem
 from repro.models.zoo import get_model
+from repro.partitioning.ladder import FULL_LADDER
 from repro.pipeline.sizing import operating_batch
 from repro.refactoring.granularity import estimate_throughput
 
@@ -52,7 +53,7 @@ def replicas_for_fraction(
     primary = spec.models[0]
     model = get_model(primary.model)
     profile = ctx.profile(model)
-    ladder = ctx.ladder(model, (1, 2, 4, 8, 16, 32))
+    ladder = ctx.ladder(model, FULL_LADDER)
     counts = ladder.stage_counts
     stages = n_stages if n_stages in counts else min(
         counts, key=lambda c: abs(c - n_stages)

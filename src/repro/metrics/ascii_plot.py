@@ -1,8 +1,5 @@
-"""Terminal rendering of series and distributions, without a plotting stack.
-
-* :func:`sparkline` — one-line series (trace arrival rates);
-* :func:`histogram` — distribution shape (Fig. 4b, Fig. 13b).
-"""
+"""Terminal rendering of a series as a one-line sparkline (trace arrival
+rates), without a plotting stack."""
 
 from __future__ import annotations
 
@@ -11,7 +8,6 @@ import math
 import numpy as np
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-_BAR_CHAR = "█"
 
 
 def sparkline(values: list[float], width: int | None = None) -> str:
@@ -44,29 +40,3 @@ def sparkline(values: list[float], width: int | None = None) -> str:
         level = 0 if span == 0 else int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
         chars.append(_SPARK_LEVELS[level])
     return "".join(chars)
-
-
-def histogram(
-    values: list[float],
-    *,
-    bins: int = 12,
-    width: int = 40,
-    title: str | None = None,
-) -> str:
-    """Vertical-label histogram of a latency (or any scalar) distribution."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    data = np.asarray(values, dtype=float)
-    data = data[np.isfinite(data)]
-    lines = []
-    if title:
-        lines.append(title)
-    if data.size == 0:
-        lines.append("(no data)")
-        return "\n".join(lines)
-    counts, edges = np.histogram(data, bins=bins)
-    cmax = counts.max()
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        n = 0 if cmax == 0 else int(round(count / cmax * width))
-        lines.append(f"[{lo:9.3g}, {hi:9.3g}) | {_BAR_CHAR * n} {count}")
-    return "\n".join(lines)

@@ -14,6 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# §9.3: a stall opens above STALL_FACTOR x the baseline (the
+# BASELINE_QUANTILE-th percentile latency) and closes under RECOVER_FACTOR
+# x it, on the series smoothed by a SMOOTH_WINDOW-point moving median.
+STALL_FACTOR = 1.5
+RECOVER_FACTOR = 1.2
+BASELINE_QUANTILE = 25.0
+SMOOTH_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class StallEpisode:
@@ -43,15 +51,7 @@ def _moving_median(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def detect_stalls(
-    completion_times,
-    latencies,
-    *,
-    stall_factor: float = 1.5,
-    recover_factor: float = 1.2,
-    baseline_quantile: float = 25.0,
-    smooth_window: int = 5,
-) -> list[StallEpisode]:
+def detect_stalls(completion_times, latencies) -> list[StallEpisode]:
     """Find stall episodes in a latency series (per the §9.3 definitions)."""
     t = np.asarray(list(completion_times), dtype=float)
     lat = np.asarray(list(latencies), dtype=float)
@@ -61,12 +61,12 @@ def detect_stalls(
         return []
     order = np.argsort(t)
     t, lat = t[order], lat[order]
-    baseline = float(np.percentile(lat, baseline_quantile))
+    baseline = float(np.percentile(lat, BASELINE_QUANTILE))
     if baseline <= 0:
         return []
-    smoothed = _moving_median(lat, smooth_window)
-    stall_at = baseline * stall_factor
-    recover_at = baseline * recover_factor
+    smoothed = _moving_median(lat, SMOOTH_WINDOW)
+    stall_at = baseline * STALL_FACTOR
+    recover_at = baseline * RECOVER_FACTOR
     episodes: list[StallEpisode] = []
     start: float | None = None
     for ti, li in zip(t, smoothed):

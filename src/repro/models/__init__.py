@@ -19,7 +19,7 @@ from repro.models.zoo import (
     ModelSpec,
     get_model,
 )
-from repro.models.costs import CostModel, CostModelConfig, floor_pow2
+from repro.models.costs import CostModel, floor_pow2
 from repro.models.profiler import ModelProfile, StageProfile
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "WHISPER_9B",
     "get_model",
     "CostModel",
-    "CostModelConfig",
     "floor_pow2",
     "ModelProfile",
     "StageProfile",

@@ -8,8 +8,8 @@ We derive every constant from it:
   rows — i.e. a ~0.435 TB/s effective weight-streaming rate plus a fixed
   per-stage dispatch cost.  Batch adds a compute-bound term
   ``batch x flops_per_token / peak_flops``.
-* **Comm.** fits ``(K-1) x (1.9 ms + act_bytes/12.5 GB/s)`` exactly at the
-  batch-128 operating point (2.1 ms per hop).
+* **Comm.** fits ``(K-1) x (1.9 ms + act_bytes/B_NIC)`` with the 100 Gbps
+  NIC exactly at the batch-128 operating point (2.1 ms per hop).
 * **Load** times are log-log interpolated through the four measured points
   (47.14 s @ 30 GiB ... 5.43 s @ 3.75 GiB); other models reuse the curve by
   stage size.
@@ -21,9 +21,38 @@ We derive every constant from it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.transfer.links import GB
+from repro.cluster.gpu import GPU_MEMORY
+from repro.transfer.links import GB, NIC_BANDWIDTH, PCIE_BANDWIDTH
+
+# Calibration constants (see the module docstring for provenance).  The
+# hop rate is the NIC's, warm loads run at the PCIe rate, and batches are
+# sized against the device's memory: the links and GPUs serving uses.
+
+# Per-stage iteration: fixed dispatch + weight-streaming term.
+COMPUTE_FIXED = 1.06e-3
+COMPUTE_PER_BYTE = 2.296e-3 / GB  # ≈ 0.435 TB/s effective
+# Batch-dependent compute term (fp16: flops_per_token == param_bytes).
+PEAK_FLOPS = 150e12
+# Prefill dispatch overhead per stage pass.
+PREFILL_OVERHEAD = 0.5e-3
+# Inter-stage hop: fixed serverless network-stack overhead + wire time.
+HOP_OVERHEAD = 1.9e-3
+# Cold parameter load curve (bytes, seconds), from Table 2's Load column.
+LOAD_POINTS = (
+    (3.75 * GB, 5.43),
+    (7.5 * GB, 9.19),
+    (15.0 * GB, 13.05),
+    (30.0 * GB, 47.14),
+)
+# Warm start: host-memory -> GPU over PCIe, after a fixed set-up.
+WARM_LOAD_OVERHEAD = 0.05
+# Memory model: device memory no runtime holds back, and the batch cap.
+RUNTIME_RESERVED = 0.0 * GB
+MAX_BATCH_CAP = 1024
+
+_LOG_SIZES = [math.log(s) for s, _ in LOAD_POINTS]
+_LOG_TIMES = [math.log(t) for _, t in LOAD_POINTS]
 
 
 def floor_pow2(x: float) -> int:
@@ -33,51 +62,8 @@ def floor_pow2(x: float) -> int:
     return 1 << (int(x).bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class CostModelConfig:
-    """Calibration constants (see module docstring for provenance)."""
-
-    # Per-stage iteration: fixed dispatch + weight-streaming term.
-    compute_fixed: float = 1.06e-3
-    compute_per_byte: float = 2.296e-3 / GB  # ≈ 0.435 TB/s effective
-    # Batch-dependent compute term (fp16: flops_per_token == param_bytes).
-    peak_flops: float = 150e12
-    # Prefill dispatch overhead per stage pass.
-    prefill_overhead: float = 0.5e-3
-    # Inter-stage hop: fixed serverless network-stack overhead + wire time.
-    hop_overhead: float = 1.9e-3
-    network_bandwidth: float = 12.5 * GB  # 100 Gbps
-    # Cold parameter load curve (bytes, seconds), from Table 2's Load column.
-    load_points: tuple = (
-        (3.75 * GB, 5.43),
-        (7.5 * GB, 9.19),
-        (15.0 * GB, 13.05),
-        (30.0 * GB, 47.14),
-    )
-    # Warm start: host-memory -> GPU over PCIe.
-    warm_load_overhead: float = 0.05
-    pcie_bandwidth: float = 24.0 * GB
-    # Memory model.
-    gpu_memory: float = 80.0 * GB
-    runtime_reserved: float = 0.0 * GB
-    max_batch_cap: int = 1024
-
-    def __post_init__(self) -> None:
-        if len(self.load_points) < 2:
-            raise ValueError("load curve needs at least two calibration points")
-        sizes = [p[0] for p in self.load_points]
-        if sizes != sorted(sizes):
-            raise ValueError("load curve points must be sorted by size")
-
-
 class CostModel:
     """All hardware timing queries used by the simulator."""
-
-    def __init__(self, config: CostModelConfig | None = None):
-        self.config = config or CostModelConfig()
-        pts = self.config.load_points
-        self._log_sizes = [math.log(s) for s, _ in pts]
-        self._log_times = [math.log(t) for _, t in pts]
 
     # ------------------------------------------------------------------
     # Compute
@@ -86,23 +72,20 @@ class CostModel:
         """One decode iteration of a stage: weight stream + batched compute."""
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
-        cfg = self.config
-        stream = cfg.compute_fixed + stage_param_bytes * cfg.compute_per_byte
-        compute = batch * stage_param_bytes / cfg.peak_flops
+        stream = COMPUTE_FIXED + stage_param_bytes * COMPUTE_PER_BYTE
+        compute = batch * stage_param_bytes / PEAK_FLOPS
         return stream + compute
 
     def prefill_time(self, stage_flops_per_token: float, total_tokens: float) -> float:
         """Prefill pass of a stage over ``total_tokens`` (= batch x prompt)."""
-        cfg = self.config
-        return cfg.prefill_overhead + total_tokens * stage_flops_per_token / cfg.peak_flops
+        return PREFILL_OVERHEAD + total_tokens * stage_flops_per_token / PEAK_FLOPS
 
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
     def hop_time(self, activation_bytes: float) -> float:
         """One inter-stage activation transfer."""
-        cfg = self.config
-        return cfg.hop_overhead + activation_bytes / cfg.network_bandwidth
+        return HOP_OVERHEAD + activation_bytes / NIC_BANDWIDTH
 
     # ------------------------------------------------------------------
     # Parameter loading
@@ -116,7 +99,7 @@ class CostModel:
         if stage_param_bytes <= 0:
             return 0.0
         x = math.log(stage_param_bytes)
-        xs, ys = self._log_sizes, self._log_times
+        xs, ys = _LOG_SIZES, _LOG_TIMES
         if x <= xs[0]:
             i = 0
         elif x >= xs[-1]:
@@ -128,8 +111,7 @@ class CostModel:
 
     def warm_load_time(self, stage_param_bytes: float) -> float:
         """Load a stage from the host-memory warm cache over PCIe."""
-        cfg = self.config
-        return cfg.warm_load_overhead + stage_param_bytes / cfg.pcie_bandwidth
+        return WARM_LOAD_OVERHEAD + stage_param_bytes / PCIE_BANDWIDTH
 
     # ------------------------------------------------------------------
     # Memory / batching
@@ -140,11 +122,10 @@ class CostModel:
         kv_bytes_per_request_stage: float,
     ) -> int:
         """KV-capacity-limited batch size for a stage, floored to a power of 2."""
-        cfg = self.config
-        free = cfg.gpu_memory - cfg.runtime_reserved - stage_param_bytes
+        free = GPU_MEMORY - RUNTIME_RESERVED - stage_param_bytes
         if free <= 0:
             return 0
         if kv_bytes_per_request_stage <= 0:
-            return cfg.max_batch_cap
+            return MAX_BATCH_CAP
         raw = free / kv_bytes_per_request_stage
-        return max(min(floor_pow2(raw), cfg.max_batch_cap), 0)
+        return max(min(floor_pow2(raw), MAX_BATCH_CAP), 0)

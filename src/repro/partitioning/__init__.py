@@ -8,7 +8,7 @@ resident parameters and splitting only loads the complement.
 """
 
 from repro.partitioning.plan import PartitionPlan, StagePlan
-from repro.partitioning.partitioner import Partitioner, PartitionerConfig
+from repro.partitioning.partitioner import Partitioner
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.batch_scaling import activation_bytes, fit_alpha
 
@@ -16,7 +16,6 @@ __all__ = [
     "PartitionPlan",
     "StagePlan",
     "Partitioner",
-    "PartitionerConfig",
     "GranularityLadder",
     "activation_bytes",
     "fit_alpha",

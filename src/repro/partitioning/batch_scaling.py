@@ -13,37 +13,26 @@ import math
 
 import numpy as np
 
-DEFAULT_ALPHA = 0.18
-DEFAULT_BASE_BATCH = 128
+ALPHA = 0.18  # the fitted alpha of the calibration (see fit_alpha)
+BASE_BATCH = 128  # b_base: the batch the base sizes are stated at
 _MIN_FACTOR = 0.25
 
 
-def activation_bytes(
-    base_bytes: float,
-    batch: int,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    base_batch: int = DEFAULT_BASE_BATCH,
-) -> float:
+def activation_bytes(base_bytes: float, batch: int) -> float:
     """Predicted per-iteration activation transfer size at ``batch``."""
     if base_bytes < 0:
         raise ValueError(f"negative base size: {base_bytes}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    factor = 1.0 + alpha * math.log(batch / base_batch)
+    factor = 1.0 + ALPHA * math.log(batch / BASE_BATCH)
     return base_bytes * max(factor, _MIN_FACTOR)
 
 
-def fit_alpha(
-    batches: list[int],
-    observed_bytes: list[float],
-    *,
-    base_batch: int = DEFAULT_BASE_BATCH,
-) -> float:
+def fit_alpha(batches: list[int], observed_bytes: list[float]) -> float:
     """Least-squares fit of alpha from history (the paper's regression).
 
     Solves ``bytes/base - 1 = alpha * log(b/b_base)`` for alpha, where
-    ``base`` is the observation at (or interpolated to) ``base_batch``.
+    ``base`` is the observation at (or interpolated to) ``BASE_BATCH``.
     """
     if len(batches) != len(observed_bytes):
         raise ValueError("batches and observed_bytes must have equal length")
@@ -54,7 +43,7 @@ def fit_alpha(
     if np.any(b < 1) or np.any(s <= 0):
         raise ValueError("observations must have batch >= 1 and bytes > 0")
     # Estimate the base size at b_base by interpolating in log space.
-    log_b = np.log(b / base_batch)
+    log_b = np.log(b / BASE_BATCH)
     base = float(np.exp(np.interp(0.0, np.sort(log_b), np.log(s[np.argsort(log_b)]))))
     x = log_b
     y = s / base - 1.0

@@ -14,9 +14,14 @@ import copy
 import math
 from dataclasses import dataclass, replace
 
+from repro.cluster.gpu import GPU_MEMORY
 from repro.models.profiler import ModelProfile
-from repro.partitioning.partitioner import Partitioner, PartitionerConfig
+from repro.partitioning.partitioner import Partitioner
 from repro.partitioning.plan import PartitionPlan, build_plan
+
+# Every granularity a ladder can plan: the baselines' candidate set.
+# FlexPipe's G of Eq. 4 (``core.flexpipe.STAGE_COUNTS``) drops the 1.
+FULL_LADDER = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -33,18 +38,12 @@ class LadderRung:
 class GranularityLadder:
     """Builds and indexes the nested plans for one model."""
 
-    DEFAULT_STAGE_COUNTS = (1, 2, 4, 8, 16, 32)
-
     def __init__(
-        self,
-        profile: ModelProfile,
-        *,
-        stage_counts: tuple[int, ...] | None = None,
-        partitioner_config: PartitionerConfig | None = None,
+        self, profile: ModelProfile, *, stage_counts: tuple[int, ...] = FULL_LADDER
     ):
         self.profile = profile
-        counts = tuple(sorted(set(stage_counts or self.DEFAULT_STAGE_COUNTS)))
-        partitioner = Partitioner(profile, partitioner_config)
+        counts = tuple(sorted(set(stage_counts)))
+        partitioner = Partitioner(profile)
         feasible = self._feasible_counts(counts, partitioner)
         if not feasible:
             raise ValueError(
@@ -101,7 +100,6 @@ class GranularityLadder:
         # (its quality filter drops mid-block cuts): shallow models can
         # have fewer legal positions than raw graph cut points.
         n_boundaries = partitioner.n_positions
-        gpu_memory = self.profile.cost_model.config.gpu_memory
         total = self.profile.graph.total_param_bytes
         for count in counts:
             if count > n_boundaries:
@@ -110,9 +108,9 @@ class GranularityLadder:
             # necessary condition is total/K <= cap (balanced), a sufficient
             # check is done by the DP itself — use the cheap necessary test
             # plus a guard for the single-stage case.
-            if total / count > gpu_memory and count > 1:
+            if total / count > GPU_MEMORY and count > 1:
                 continue
-            if count == 1 and total > gpu_memory:
+            if count == 1 and total > GPU_MEMORY:
                 continue
             out.append(count)
         return out
@@ -131,13 +129,12 @@ class GranularityLadder:
         for s in fine:
             prefix.append(prefix[-1] + self.profile.stage_compute_time(s.profile, 1))
             bytes_prefix.append(bytes_prefix[-1] + s.param_bytes)
-        gpu_memory = self.profile.cost_model.config.gpu_memory
 
         infinity = math.inf
 
         def group_cost(i: int, j: int) -> float:
             """Cost of merging fine stages [i, j) into one coarse stage."""
-            if bytes_prefix[j] - bytes_prefix[i] > gpu_memory:
+            if bytes_prefix[j] - bytes_prefix[i] > GPU_MEMORY:
                 return infinity
             return prefix[j] - prefix[i]
 

@@ -16,25 +16,21 @@ constraint ``s_p(S_k) <= M_GPU``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro.cluster.gpu import GPU_MEMORY
 from repro.models.profiler import ModelProfile
 from repro.partitioning.plan import PartitionPlan, build_plan
+from repro.transfer.links import NIC_BANDWIDTH
 
-
-@dataclass(frozen=True)
-class PartitionerConfig:
-    """Eq. 2 hyper-parameters."""
-
-    bandwidth: float = 12.5 * 1024**3  # B: inter-stage bandwidth (bytes/s)
-    overlap_budget: float = 2.0  # C: tolerated reload seconds per stage
-    boundary_weight: float = 5e-3  # lambda: refactorability regulariser
-    reference_batch: int = 1  # batch at which t_c is evaluated
-    gpu_memory: float | None = None  # defaults to cost-model GPU memory
-    # Only consider cuts at boundaries of at least this quality (0.5 = block
-    # boundaries).  Lower values enlarge the DP search space with awkward
-    # mid-block cuts the Eq. 2 regulariser would reject anyway.
-    min_boundary_quality: float = 0.5
+# Eq. 2 hyper-parameters.  B, the inter-stage bandwidth, is the NIC's, and
+# M_GPU, the per-stage memory cap, is the device's (GPU_MEMORY).
+OVERLAP_BUDGET = 2.0  # C: tolerated reload seconds per stage
+BOUNDARY_WEIGHT = 5e-3  # lambda: refactorability regulariser
+REFERENCE_BATCH = 1  # batch at which t_c is evaluated
+# Only consider cuts at boundaries of at least this quality (0.5 = block
+# boundaries).  Lower values enlarge the DP search space with awkward
+# mid-block cuts the Eq. 2 regulariser would reject anyway.
+MIN_BOUNDARY_QUALITY = 0.5
 
 
 class InfeasiblePartition(ValueError):
@@ -44,15 +40,14 @@ class InfeasiblePartition(ValueError):
 class Partitioner:
     """Computes optimal K-stage plans over a model profile."""
 
-    def __init__(self, profile: ModelProfile, config: PartitionerConfig | None = None):
+    def __init__(self, profile: ModelProfile):
         self.profile = profile
-        self.config = config or PartitionerConfig()
         self.graph = profile.graph
         # Legal stage boundaries: operator index i means "cut after op i".
         self._cuts = [
             i
             for i in self.graph.cut_points()
-            if self.graph.boundary_quality(i) >= self.config.min_boundary_quality
+            if self.graph.boundary_quality(i) >= MIN_BOUNDARY_QUALITY
         ]
 
     @property
@@ -140,16 +135,10 @@ class Partitioner:
 
     def _stage_cost(self, start: int, end: int) -> float | None:
         """Eq. 2 stage cost, or None if the stage violates the memory cap."""
-        cfg = self.config
         stage = self.profile.stage(start, end)
-        gpu_memory = (
-            cfg.gpu_memory
-            if cfg.gpu_memory is not None
-            else self.profile.cost_model.config.gpu_memory
-        )
-        if stage.param_bytes > gpu_memory:
+        if stage.param_bytes > GPU_MEMORY:
             return None
-        t_c = self.profile.stage_compute_time(stage, cfg.reference_batch)
-        reload_penalty = max(stage.param_bytes / cfg.bandwidth - cfg.overlap_budget, 0.0)
-        boundary_penalty = cfg.boundary_weight * (1.0 - stage.boundary_quality)
+        t_c = self.profile.stage_compute_time(stage, REFERENCE_BATCH)
+        reload_penalty = max(stage.param_bytes / NIC_BANDWIDTH - OVERLAP_BUDGET, 0.0)
+        boundary_penalty = BOUNDARY_WEIGHT * (1.0 - stage.boundary_quality)
         return t_c + reload_penalty + boundary_penalty

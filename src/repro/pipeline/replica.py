@@ -20,14 +20,16 @@ import math
 from typing import Callable
 
 from repro.cluster.allocator import StageReservation
+from repro.models.costs import HOP_OVERHEAD, PEAK_FLOPS, PREFILL_OVERHEAD
 from repro.models.profiler import ModelProfile
-from repro.partitioning.batch_scaling import activation_bytes
+from repro.partitioning.batch_scaling import BASE_BATCH, activation_bytes
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.batching import BatcherConfig, DynamicBatcher
 from repro.pipeline.sizing import full_batch
 from repro.pipeline.stage import BatchJob, StageRuntime
 from repro.qos.queueing import PriorityPendingQueue
 from repro.simulation.engine import Simulator
+from repro.transfer.links import NIC_BANDWIDTH
 from repro.workloads.requests import Request
 
 _job_ids = itertools.count()
@@ -134,7 +136,7 @@ class PipelineReplica:
         last = self.plan.n_stages - 1
         per_stage = []
         for k, s in enumerate(self.plan.stages):
-            act_base = 128 * s.profile.boundary_act_bytes_per_token  # Eq. 3 base batch
+            act_base = BASE_BATCH * s.profile.boundary_act_bytes_per_token
             hop = cm.hop_time(activation_bytes(act_base, batch)) if k < last else 0.0
             iter_time = cm.decode_iter_time(s.param_bytes, batch)
             per_stage.append((s.profile.flops_per_token, iter_time, act_base, hop))
@@ -282,9 +284,8 @@ class PipelineReplica:
         ``prefill_time``, ``decode_iter_time`` and ``hop_time``."""
         batch = len(requests)
         factor, per_stage = self._costs_by_batch.get(batch) or self._batch_costs(batch)
-        cfg = self.profile.cost_model.config
-        prefill_overhead, peak_flops = cfg.prefill_overhead, cfg.peak_flops
-        hop_overhead, bandwidth = cfg.hop_overhead, cfg.network_bandwidth
+        prefill_overhead, peak_flops = PREFILL_OVERHEAD, PEAK_FLOPS
+        hop_overhead, bandwidth = HOP_OVERHEAD, NIC_BANDWIDTH
         mean_prompt = math.fsum([r.prompt_tokens for r in requests]) / batch
         mean_out = math.fsum([r.output_tokens for r in requests]) / batch
         tokens = batch * mean_prompt

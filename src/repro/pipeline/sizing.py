@@ -35,7 +35,7 @@ def full_batch(plan, batch_cap: int | None) -> int:
     return max(operating_batch(plan, batch_cap), 1)
 
 
-def degrade_until_fit(batch, attempt, *, floor: int = DEGRADE_FLOOR):
+def degrade_until_fit(batch, attempt):
     """Run ``attempt(batch)``, halving the batch on :class:`AllocationError`
     until it fits; at the floor the error propagates.  Returns
     ``(batch, result)`` with the batch that actually fit."""
@@ -43,7 +43,7 @@ def degrade_until_fit(batch, attempt, *, floor: int = DEGRADE_FLOOR):
         try:
             return batch, attempt(batch)
         except AllocationError:
-            if batch <= floor:
+            if batch <= DEGRADE_FLOOR:
                 raise
             batch //= 2
 

@@ -31,30 +31,26 @@ from repro.core.admission import (
 from repro.qos.classes import SLOClass
 from repro.workloads.requests import Request
 
+# Under overload a ``fair`` tenant sheds BASE_SHED / weight of its arrivals.
+BASE_SHED = 1.0
+# ``protect`` tenants' SLO-feasibility estimate is this many times looser.
+PROTECT_HEADROOM = 2.0
+
 
 class WeightedFairShedPolicy(AdmissionPolicy):
     """Overload shedding in inverse proportion to the class weight.
 
     While ``overloaded()`` holds, a ``fair`` tenant sheds a deterministic
-    ``base_shed / weight`` fraction of its arrivals (error-diffusion, no
+    ``BASE_SHED / weight`` fraction of its arrivals (error-diffusion, no
     randomness), a ``first`` tenant sheds everything, and a ``protect``
     tenant sheds nothing here — its only shed path is SLO feasibility.
     Off overload the policy admits unconditionally and its credit resets,
     so fairness pressure never leaks into calm periods.
     """
 
-    def __init__(
-        self,
-        overloaded: Callable[[], bool],
-        slo_class: SLOClass,
-        *,
-        base_shed: float = 1.0,
-    ):
-        if base_shed <= 0:
-            raise ValueError(f"base_shed must be positive, got {base_shed}")
+    def __init__(self, overloaded: Callable[[], bool], slo_class: SLOClass):
         self.overloaded = overloaded
         self.slo_class = slo_class
-        self.base_shed = base_shed
         self._credit = 0.0
 
     def admit(self, request: Request) -> bool:
@@ -66,7 +62,7 @@ class WeightedFairShedPolicy(AdmissionPolicy):
             return True
         if shed == "first":
             return False
-        self._credit += min(1.0, self.base_shed / self.slo_class.weight)
+        self._credit += min(1.0, BASE_SHED / self.slo_class.weight)
         if self._credit >= 1.0:
             self._credit -= 1.0
             return False
@@ -167,7 +163,6 @@ def build_tenant_controller(
     classes: dict[str, SLOClass],
     *,
     cap: int = 0,
-    protect_headroom: float = 2.0,
 ) -> TenantAdmissionController:
     """Compose the canonical per-tenant chain in front of ``system``.
 
@@ -178,7 +173,7 @@ def build_tenant_controller(
     ``system.enable_qos`` to have run (the tracker provides the capacity
     and service estimates).
 
-    ``protect_headroom`` loosens the feasibility estimate for ``protect``
+    ``PROTECT_HEADROOM`` loosens the feasibility estimate for ``protect``
     classes only: shedding a protected tenant on a noisy drain estimate
     (capacity dips transiently during every reclamation) is the worst
     admission error, and its own queue cap still bounds the backlog the
@@ -224,7 +219,7 @@ def build_tenant_controller(
                 lambda m=model: _finite_or_large(tracker.completion_rate(m)),
                 lambda request, m=model: tracker.mean_service(m),
                 headroom=(
-                    protect_headroom if slo_class.shed == "protect" else 1.0
+                    PROTECT_HEADROOM if slo_class.shed == "protect" else 1.0
                 ),
             )
         )

@@ -30,6 +30,9 @@ from typing import Callable
 from repro.qos.classes import SLOClass, effective_deadline
 from repro.workloads.requests import Request
 
+# The attainment a tenant is owed: below it, its scaling urgency grows.
+SLO_FLOOR = 0.95
+
 
 @dataclass
 class _TenantWindow:
@@ -73,15 +76,11 @@ class AttainmentTracker:
         clock: Callable[[], float],
         *,
         window: float = 30.0,
-        slo_floor: float = 0.95,
     ):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if not 0 < slo_floor <= 1:
-            raise ValueError(f"slo_floor must be in (0,1], got {slo_floor}")
         self._clock = clock
         self.window = window
-        self.slo_floor = slo_floor
         self._tenants: dict[str, _TenantWindow] = {}
         self._started = clock()
 
@@ -146,5 +145,5 @@ class AttainmentTracker:
         attainment = self.attainment(model)
         if attainment is None:
             return 0.0
-        deficit = max(0.0, self.slo_floor - attainment)
+        deficit = max(0.0, SLO_FLOOR - attainment)
         return slo_class.weight * deficit

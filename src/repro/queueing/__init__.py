@@ -10,19 +10,16 @@ from repro.queueing.ggs import (
     optimal_stage_count,
     pipeline_delay,
 )
-from repro.queueing.kingman import GG1Station, capacity_for_wait, tandem_wait
+from repro.queueing.kingman import GG1Station
 from repro.queueing.erlang import (
     erlang_b,
     erlang_c,
-    mms_mean_queue_length,
     mms_mean_wait,
     mms_wait_quantile,
     servers_for_wait,
 )
 from repro.queueing.bubbles import (
-    StallModel,
     bubble_fraction,
-    effective_throughput,
     microbatches_for_bubble,
 )
 
@@ -31,16 +28,11 @@ __all__ = [
     "optimal_stage_count",
     "pipeline_delay",
     "GG1Station",
-    "capacity_for_wait",
-    "tandem_wait",
     "erlang_b",
     "erlang_c",
     "mms_mean_wait",
-    "mms_mean_queue_length",
     "mms_wait_quantile",
     "servers_for_wait",
     "bubble_fraction",
     "microbatches_for_bubble",
-    "effective_throughput",
-    "StallModel",
 ]

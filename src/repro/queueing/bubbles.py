@@ -6,16 +6,13 @@ classic GPipe bound gives
 
     bubble_fraction = (S - 1) / (m + S - 1).
 
-These helpers quantify that overhead, the micro-batch count needed to
-amortise it, and the stall-cycle inflation under bursty arrivals that
-Fig. 3(c) measures (stalls grow superlinearly with CV because a burst
-empties and refills the pipe repeatedly).
+These helpers quantify that overhead and the micro-batch count needed to
+amortise it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def bubble_fraction(n_stages: int, n_microbatches: int) -> float:
@@ -37,145 +34,3 @@ def microbatches_for_bubble(n_stages: int, max_bubble: float) -> int:
         return 1
     # (S-1)/(m+S-1) <= b  =>  m >= (S-1)(1-b)/b
     return max(int(math.ceil((n_stages - 1) * (1.0 - max_bubble) / max_bubble)), 1)
-
-
-def effective_throughput(
-    n_stages: int,
-    n_microbatches: int,
-    stage_time: float,
-    hop_time: float = 0.0,
-) -> float:
-    """Steady-state micro-batches/second including fill/drain overhead.
-
-    One round processes ``m`` micro-batches in ``(m + S - 1)`` stage slots
-    of ``stage_time`` (plus the per-round handoff chain).
-    """
-    if stage_time <= 0:
-        raise ValueError(f"stage_time must be positive, got {stage_time}")
-    if hop_time < 0:
-        raise ValueError("hop_time cannot be negative")
-    slots = n_microbatches + n_stages - 1
-    round_time = slots * stage_time + (n_stages - 1) * hop_time
-    return n_microbatches / round_time
-
-
-@dataclass(frozen=True)
-class StallModel:
-    """Stall-cycle inflation under bursty arrivals (Fig. 3c's mechanism).
-
-    A stall happens when a burst gap empties the pipe (drain) and the next
-    burst refills it (fill): each such cycle wastes ``(S-1) * stage_time``
-    twice.  For a renewal process with inter-arrival CV ``cv``, the
-    probability an inter-arrival gap exceeds the pipe's holding time grows
-    with cv (heavy-tailed gaps), modelled here with a gamma tail — the
-    same family the workload generator draws from.
-    """
-
-    n_stages: int
-    stage_time: float
-    arrival_rate: float
-
-    def __post_init__(self) -> None:
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if self.stage_time <= 0:
-            raise ValueError("stage_time must be positive")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-
-    @property
-    def drain_threshold(self) -> float:
-        """Gap long enough to empty the pipeline."""
-        return self.n_stages * self.stage_time
-
-    def gap_exceed_probability(self, cv: float) -> float:
-        """P(inter-arrival gap > drain threshold) for a gamma renewal process.
-
-        Gamma with shape k = 1/cv^2 and mean 1/lambda.  Note this tail
-        *probability* is not monotone in cv (very bursty processes pack
-        most gaps inside bursts); the monotone burstiness measure is the
-        expected exceedance below.
-        """
-        if cv <= 0:
-            raise ValueError("cv must be positive")
-        shape = 1.0 / (cv * cv)
-        rate = shape * self.arrival_rate  # so mean = 1/lambda
-        return _gamma_sf(shape, rate * self.drain_threshold)
-
-    def expected_gap_exceedance(self, cv: float) -> float:
-        """E[(gap - drain_threshold)+]: mean pipe-empty time per gap.
-
-        Uses the gamma identity ∫_t^∞ x f_{k,r}(x) dx = (k/r)·SF_{k+1,r}(t),
-        so E[(X-t)+] = mean·SF_{k+1}(rt) - t·SF_k(rt).  Because gamma with
-        fixed mean is convex-ordered in cv and (x-t)+ is convex, this is
-        monotone increasing in cv — the property Fig. 3c's blow-up rests on.
-        """
-        if cv <= 0:
-            raise ValueError("cv must be positive")
-        shape = 1.0 / (cv * cv)
-        rate = shape * self.arrival_rate
-        t = self.drain_threshold
-        mean = 1.0 / self.arrival_rate
-        return mean * _gamma_sf(shape + 1.0, rate * t) - t * _gamma_sf(
-            shape, rate * t
-        )
-
-    def stall_cycle_fraction(self, cv: float) -> float:
-        """Expected fraction of time lost to drain+fill stall cycles.
-
-        Two components per long gap: the pipe sits empty for the gap's
-        exceedance over the drain threshold, and the next burst pays a
-        fill of (S-1) stage slots.  Normalised by the mean inter-arrival
-        time (gap frequency = lambda); saturates at 1.
-        """
-        idle = self.expected_gap_exceedance(cv)
-        fill = self.gap_exceed_probability(cv) * (self.n_stages - 1) * self.stage_time
-        return min((idle + fill) * self.arrival_rate, 1.0)
-
-
-def _gamma_sf(shape: float, x: float) -> float:
-    """Survival function of Gamma(shape, 1) at x (upper regularised gamma).
-
-    Series expansion of the lower incomplete gamma for x < shape+1, and a
-    Lentz continued fraction otherwise — the standard Numerical-Recipes
-    split, accurate to ~1e-10 over the parameter range the stall model
-    uses.
-    """
-    if x < 0 or shape <= 0:
-        raise ValueError("invalid gamma parameters")
-    if x == 0:
-        return 1.0
-    if x < shape + 1.0:
-        # Lower series: P(a,x) = gamma(a,x)/Gamma(a)
-        term = 1.0 / shape
-        total = term
-        a = shape
-        for _ in range(500):
-            a += 1.0
-            term *= x / a
-            total += term
-            if abs(term) < abs(total) * 1e-12:
-                break
-        lower = total * math.exp(-x + shape * math.log(x) - math.lgamma(shape))
-        return max(1.0 - lower, 0.0)
-    # Upper continued fraction (modified Lentz).
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h * math.exp(-x + shape * math.log(x) - math.lgamma(shape))

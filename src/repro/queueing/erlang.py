@@ -59,14 +59,6 @@ def mms_mean_wait(arrival_rate: float, service_rate: float, servers: int) -> flo
     return c / (servers * service_rate - arrival_rate)
 
 
-def mms_mean_queue_length(
-    arrival_rate: float, service_rate: float, servers: int
-) -> float:
-    """Mean number waiting (not in service), by Little's law."""
-    wait = mms_mean_wait(arrival_rate, service_rate, servers)
-    return float("inf") if math.isinf(wait) else arrival_rate * wait
-
-
 def mms_wait_quantile(
     arrival_rate: float, service_rate: float, servers: int, quantile: float
 ) -> float:

@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Insight 3's depth constant, on the paper's testbed: S = 8 * sqrt(CV_a).
+INSIGHT3_SCALE = 8.0
+
 
 def pipeline_delay(n_stages: int, stage_time: float, hop_time: float) -> float:
     """Deterministic pipeline latency: T = S*tau + (S-1)*delta."""
@@ -70,15 +73,14 @@ class GGSModel:
         return self.queue_latency() + self.congestion_delay()
 
 
-def optimal_stage_count(
-    cv_arrival: float, *, scale: float = 8.0, candidates=(2, 4, 8, 16, 32)
-) -> int:
-    """Insight 3: S ∝ sqrt(CV_a), snapped to the candidate set.
+def optimal_stage_count(cv_arrival: float, *, candidates: tuple[int, ...]) -> int:
+    """Insight 3: S = INSIGHT3_SCALE * sqrt(CV_a), snapped to the candidate set.
 
-    With the default scale, CV=1 -> 8 stages and CV=4 -> 16 stages, matching
-    the paper's observation that the 16-stage pipeline wins at CV=4.
+    Over FlexPipe's ladder, CV=1 -> 8 stages and CV=4 -> 16 stages,
+    matching the paper's observation that the 16-stage pipeline wins at
+    CV=4.
     """
     if cv_arrival <= 0:
         return min(candidates)
-    ideal = scale * math.sqrt(cv_arrival)
+    ideal = INSIGHT3_SCALE * math.sqrt(cv_arrival)
     return min(candidates, key=lambda s: abs(s - ideal))

@@ -59,38 +59,3 @@ class GG1Station:
         """Little's law applied to the waiting room."""
         wait = self.mean_wait()
         return float("inf") if wait == float("inf") else self.arrival_rate * wait
-
-
-def capacity_for_wait(
-    arrival_rate: float,
-    target_wait: float,
-    cv_arrival: float = 1.0,
-    cv_service: float = 1.0,
-) -> float:
-    """Service rate needed so Kingman's mean wait meets ``target_wait``.
-
-    Solving W_q = (rho/(1-rho)) * V * tau for the service rate ``mu`` with
-    rho = lambda/mu and tau = 1/mu gives a quadratic in mu; we return the
-    stable root.  Used by capacity-planning examples to size replica
-    counts from a latency budget.
-    """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    if target_wait <= 0:
-        raise ValueError("target_wait must be positive")
-    variability = (cv_arrival**2 + cv_service**2) / 2.0
-    lam, w = arrival_rate, target_wait
-    # W = V*lam / (mu * (mu - lam))  =>  w*mu^2 - w*lam*mu - V*lam = 0
-    disc = (w * lam) ** 2 + 4.0 * w * variability * lam
-    mu = (w * lam + disc**0.5) / (2.0 * w)
-    return mu
-
-
-def tandem_wait(stations: list[GG1Station]) -> float:
-    """Total queueing delay through a tandem of G/G/1 stations.
-
-    Uses the standard decomposition approximation: each station is
-    analysed in isolation with its own CVs (departure-process corrections
-    are second-order for the utilizations the benches exercise).
-    """
-    return sum(station.mean_wait() for station in stations)

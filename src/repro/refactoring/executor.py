@@ -52,6 +52,7 @@ from repro.cluster.allocator import (
 )
 from repro.core.context import ServingContext
 from repro.metrics.collector import MetricsCollector, ScalingEvent
+from repro.models.costs import WARM_LOAD_OVERHEAD
 from repro.models.profiler import ModelProfile
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.kvcache import KVCacheState, delta_sync, snapshot_transfer
@@ -617,7 +618,7 @@ class RefactoringExecutor:
                 # at NVMe bandwidth (conservative — host-resident bytes
                 # would move faster).
                 options.append(
-                    cm.config.warm_load_overhead
+                    WARM_LOAD_OVERHEAD
                     + missing / dst_server.ssd_bandwidth
                 )
         options.append(cm.cold_load_time(missing))

@@ -11,14 +11,20 @@ import math
 from dataclasses import dataclass
 
 from repro.models.profiler import ModelProfile
-from repro.partitioning.batch_scaling import activation_bytes
+from repro.partitioning.batch_scaling import BASE_BATCH, activation_bytes
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.sizing import operating_batch
+from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS
 
 # Eq. 5's coordination overhead: a g-stage replica delivers T / (β1 + β2·g).
 BETA1 = 1.0
 BETA2 = 0.02
+# Eq. 4's CV set-points ν_k = (η_k / scale)²: the Insight-3 law
+# S ∝ sqrt(CV), with the constant calibrated to this substrate (the
+# paper's testbed constant is 8; our cost model's comm/compute balance
+# puts the optimum at 4).
+CV_SETPOINT_SCALE = 4.0
 
 
 def estimate_throughput(
@@ -26,8 +32,8 @@ def estimate_throughput(
     plan: PartitionPlan,
     *,
     batch: int | None = None,
-    prompt_tokens: int = 512,
-    output_tokens: int = 16,
+    prompt_tokens: int = PROMPT_TOKENS,
+    output_tokens: int = OUTPUT_TOKENS,
 ) -> float:
     """Steady-state requests/second of one replica of ``plan``.
 
@@ -50,12 +56,12 @@ def estimate_latency(
     profile: ModelProfile,
     plan: PartitionPlan,
     *,
-    batch: int = 1,
-    prompt_tokens: int = 512,
-    output_tokens: int = 16,
+    prompt_tokens: int = PROMPT_TOKENS,
+    output_tokens: int = OUTPUT_TOKENS,
 ) -> float:
-    """Unloaded single-batch response time of ``plan`` (exec + comm)."""
+    """Unloaded response time of ``plan`` for one request (exec + comm)."""
     cm = profile.cost_model
+    batch = 1
     total = 0.0
     stages = plan.stages
     for k, stage in enumerate(stages):
@@ -63,7 +69,7 @@ def estimate_latency(
         total += output_tokens * cm.decode_iter_time(stage.param_bytes, batch)
         if k < len(stages) - 1:
             act_ptok = stage.profile.boundary_act_bytes_per_token
-            base = 128 * act_ptok
+            base = BASE_BATCH * act_ptok
             total += cm.hop_time(activation_bytes(base * prompt_tokens, batch))
             total += output_tokens * cm.hop_time(activation_bytes(base, batch))
     return total
@@ -100,13 +106,8 @@ class GranularityPolicy:
         *,
         alpha: float = 0.5,  # α: throughput-latency weight
         sigma: float = 1.2,  # σ: CV-matching sharpness
-        # ν_k = (η_k / scale)²: the Insight-3 law S ∝ sqrt(CV), with the
-        # constant calibrated to this substrate (the paper's testbed
-        # constant is 8; our cost model's comm/compute balance puts the
-        # optimum at 4).
-        cv_setpoint_scale: float = 4.0,
-        prompt_tokens: int = 512,
-        output_tokens: int = 16,
+        prompt_tokens: int = PROMPT_TOKENS,
+        output_tokens: int = OUTPUT_TOKENS,
         batch_cap: int | None = None,
     ):
         if not 0 <= alpha <= 1:
@@ -137,7 +138,7 @@ class GranularityPolicy:
                     prompt_tokens=prompt_tokens,
                     output_tokens=output_tokens,
                 ),
-                cv_setpoint=(count / cv_setpoint_scale) ** 2,
+                cv_setpoint=(count / CV_SETPOINT_SCALE) ** 2,
             )
         self._t_max = max(e.throughput for e in self.estimates.values())
         self._l_min = min(e.latency for e in self.estimates.values())

@@ -27,6 +27,7 @@ from repro.refactoring.granularity import estimate_throughput, instance_count
 from repro.refactoring.monitor import WorkloadMonitor
 from repro.simulation.engine import Simulator
 from repro.simulation.processes import PeriodicProcess
+from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS, SLO_LATENCY
 
 if TYPE_CHECKING:
     from repro.core.deployment import ReplicaFactory
@@ -39,13 +40,13 @@ TARGET_UTILIZATION = 0.6  # Eq. 5 capacity headroom for μ_total
 @dataclass(frozen=True)
 class AutoscalerConfig:
     interval: float = 0.5
-    slo_deadline: float = 5.0
+    slo_deadline: float = SLO_LATENCY
     idle_window: float = 30.0  # reclamation window before scale-in
     min_replicas: int = 1
     max_replicas: int = 8
     scale_out_cooldown: float = 1.0
-    prompt_tokens: int = 512
-    output_tokens: int = 16
+    prompt_tokens: int = PROMPT_TOKENS
+    output_tokens: int = OUTPUT_TOKENS
     # Eq. 12's burst-feasibility headroom: effective target utilization is
     # divided by (1 + cv_headroom * CV), so bursty workloads hold spare
     # capacity proportional to their variability.  0 disables (baselines

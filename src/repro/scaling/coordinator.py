@@ -15,6 +15,11 @@ from repro.cluster.hrg import HierarchicalResourceGraph
 from repro.refactoring.placement import multiplexing_penalty
 from repro.scaling.affinity import AffinityScheduler
 
+# Score weights of the HRG contention term and the Eq. 6/9 isolation term,
+# against the Eq. 13 affinity score.
+CONTENTION_WEIGHT = 0.5
+ISOLATION_WEIGHT = 2.0
+
 
 class ScalingCoordinator:
     """Builds placement scorers and records scaling traffic on the HRG."""
@@ -24,16 +29,12 @@ class ScalingCoordinator:
         hrg: HierarchicalResourceGraph,
         affinity: AffinityScheduler,
         *,
-        contention_weight: float = 0.5,
-        isolation_weight: float = 2.0,
         use_hrg: bool = True,
         use_affinity: bool = True,
         cv_fn: Callable[[], float] | None = None,
     ):
         self.hrg = hrg
         self.affinity = affinity
-        self.contention_weight = contention_weight
-        self.isolation_weight = isolation_weight
         self.use_hrg = use_hrg
         self.use_affinity = use_affinity
         self.cv_fn = cv_fn
@@ -54,12 +55,8 @@ class ScalingCoordinator:
             if self.use_affinity:
                 value += self.affinity.score(model, server, now)
             if self.use_hrg:
-                value -= self.contention_weight * self.hrg.contention_score(
-                    server, now
-                )
-            value -= (
-                self.isolation_weight * penalty * gpu.colocated_model_count
-            )
+                value -= CONTENTION_WEIGHT * self.hrg.contention_score(server, now)
+            value -= ISOLATION_WEIGHT * penalty * gpu.colocated_model_count
             return value
 
         return score

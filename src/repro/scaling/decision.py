@@ -5,17 +5,14 @@ from __future__ import annotations
 import math
 
 G_MAX = 32  # finest scaling granularity
+# Eq. 11's sigmoid offset β and steepness γ, and the queue length q̂
+# normalises by.
+BETA = 40.0
+GAMMA = 10.0
+QUEUE_CAPACITY = 512
 
 
-def scaling_granularity(
-    cv: float,
-    queue_length: int,
-    *,
-    g_max: int = G_MAX,
-    beta: float = 40.0,
-    gamma: float = 10.0,
-    queue_capacity: int = 512,
-) -> int:
+def scaling_granularity(cv: float, queue_length: int, *, g_max: int = G_MAX) -> int:
     """Eq. 11: sigmoid decision between coarse and fine scaling units.
 
         m_j = ceil( G_max / (1 + beta * exp(-gamma * cv_j * q̂_j)) )
@@ -28,8 +25,8 @@ def scaling_granularity(
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
-    q_hat = min(max(queue_length, 0) / max(queue_capacity, 1), 1.0)
-    m = g_max / (1.0 + beta * math.exp(-gamma * max(cv, 0.0) * q_hat))
+    q_hat = min(max(queue_length, 0) / QUEUE_CAPACITY, 1.0)
+    m = g_max / (1.0 + BETA * math.exp(-GAMMA * max(cv, 0.0) * q_hat))
     return max(int(math.ceil(m)), 1)
 
 

@@ -796,8 +796,6 @@ def run_scenarios(
     seed: int = 0,
     quick: bool = False,
     runner=None,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
     shards: int = 0,
 ) -> list[ScenarioReport]:
     """Run every (scenario, system) cell, order-stable.
@@ -811,26 +809,20 @@ def run_scenarios(
         for spec in specs
         for system in chosen
     ]
-    return run_cases(cases, runner=runner, jobs=jobs, use_cache=use_cache)
+    return run_cases(cases, runner=runner)
 
 
-def run_cases(
-    cases: list[ScenarioCase],
-    *,
-    runner=None,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-) -> list[ScenarioReport]:
+def run_cases(cases: list[ScenarioCase], *, runner=None) -> list[ScenarioReport]:
     """Run every case, order-stable, one report each.
 
-    Cases fan out through the parallel experiment runner and consult its
+    Cases fan out through ``runner`` (default: an ``ExperimentRunner``
+    configured by ``REPRO_JOBS`` / ``REPRO_NO_CACHE``) and consult its
     on-disk result cache: re-running a sweep only recomputes cells whose
     spec, system, seed, overrides or the source tree changed.
     """
-    from repro.experiments.runner import make_runner
+    from repro.experiments.runner import ExperimentRunner
 
-    exp_runner = make_runner(runner, jobs=jobs, use_cache=use_cache)
-    return exp_runner.cached_map(
+    return (runner or ExperimentRunner()).cached_map(
         run_scenario_case,
         cases,
         scenario_cache_key,

@@ -41,7 +41,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.cluster import server_placements
-from repro.cluster.gpu import GPUSpec
+from repro.cluster.gpu import GPU_MEMORY
 from repro.experiments.runner import ExperimentRunner
 from repro.models.zoo import get_model
 from repro.metrics.collector import Populations, RunSummary, summarize_populations
@@ -95,7 +95,7 @@ def _traffic_weight(script) -> float:
 def _min_gpus(script) -> int:
     """Fewest GPUs that can hold one replica of the tenant's model."""
     spec = get_model(script.model)
-    usable = GPUSpec().memory * 0.9  # headroom for KV cache / runtime
+    usable = GPU_MEMORY * 0.9  # headroom for KV cache / runtime
     return max(int(math.ceil(spec.checkpoint_bytes / usable)), 1)
 
 

@@ -33,6 +33,8 @@ SEGMENT_KINDS = ("steady", "burst", "diurnal", "replay", "azure2019")
 EVENT_ACTIONS = ("reclaim", "fail_server", "drain", "refactor", "scale_out")
 CLUSTERS = ("paper", "small")
 QOS_MODES = ("auto", "on", "off")
+# ``--quick`` never compresses a segment below this many seconds.
+QUICK_MIN_SEGMENT = 5.0
 
 
 # JSON value kinds accepted per annotated field type (``X | None`` also
@@ -505,14 +507,12 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    def quick(
-        self, factor: float = 3.0, *, min_segment: float = 5.0
-    ) -> "ScenarioSpec":
+    def quick(self, factor: float = 3.0) -> "ScenarioSpec":
         """A time-compressed variant for smoke tests (``--quick``).
 
         Every segment offset, segment duration and event time shrinks by
         one *uniform* effective factor — ``factor``, capped so the
-        shortest segment stays at least ``min_segment`` seconds — and
+        shortest segment stays at least ``QUICK_MIN_SEGMENT`` seconds — and
         rates are kept.  Uniform scaling is what preserves the scenario's
         *shape*: relative phasing (sequential phases stay sequential,
         deliberate overlaps stay overlaps), burst-vs-trough structure and
@@ -524,7 +524,7 @@ class ScenarioSpec:
         shortest = min(
             s.duration for m in self.models for s in m.segments
         )
-        effective = max(min(factor, shortest / min_segment), 1.0)
+        effective = max(min(factor, shortest / QUICK_MIN_SEGMENT), 1.0)
 
         def shrink_segment(s: ArrivalSegment) -> ArrivalSegment:
             return replace(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.transfer.links import GB
+from repro.transfer.links import GB, PCIE_BANDWIDTH
 
 
 class TransferMethod(enum.Enum):
@@ -39,7 +39,7 @@ class TransferCosts:
     nccl_setup: float = 2.8  # "several seconds" connection establishment
     nccl_bandwidth: float = 11.0 * GB
     local_setup: float = 20e-6
-    local_bandwidth: float = 24.0 * GB  # PCIe gen4 x16 effective
+    local_bandwidth: float = PCIE_BANDWIDTH
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ from repro.simulation.engine import Event, Simulator
 
 GB = 1024**3
 MB = 1024**2
+# Every server's two data links (paper testbed, A100 nodes): PCIe gen4 x16
+# host-to-GPU and a 100 Gbps NIC.  The cost model, the Eq. 2 partitioner
+# and the data mover plan against the links the servers then serve on.
+PCIE_BANDWIDTH = 24.0 * GB
+NIC_BANDWIDTH = 12.5 * GB
 
 _MIN_RATE = 1e-9  # rates stay positive for the completion math
 _COMPACT_MIN = 64  # heaps smaller than this are never worth rebuilding

@@ -235,12 +235,12 @@ class InvariantAuditor:
                         f"from the recompute {recomputed!r}",
                     )
                 )
-            if gpu.used_memory > gpu.spec.memory + _CAPACITY_EPS:
+            if gpu.used_memory > gpu.memory + _CAPACITY_EPS:
                 out.append(
                     Violation(
                         "memory-accounting",
                         f"{gpu.gid} over capacity: used {gpu.used_memory:.0f} "
-                        f"of {gpu.spec.memory:.0f} bytes",
+                        f"of {gpu.memory:.0f} bytes",
                     )
                 )
         return out

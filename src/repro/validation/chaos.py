@@ -174,16 +174,15 @@ def audit_seeds(
     seeds: int = 10,
     systems: list[str] | None = None,
     runner=None,
-    jobs: int | None = None,
     duration: float = 30.0,
 ) -> list[ScenarioReport]:
     """Run :func:`chaos_spec` for seeds ``0..seeds-1`` on each system.
 
-    Cases fan out through the parallel experiment runner's worker pool
-    (``--jobs`` / ``REPRO_JOBS``); the result cache is bypassed — a chaos
-    audit must always re-execute.
+    Cases fan out through ``runner``'s worker pool (default: an
+    ``ExperimentRunner`` sized by ``REPRO_JOBS``); the result cache is
+    never consulted — a chaos audit must always re-execute.
     """
-    from repro.experiments.runner import make_runner
+    from repro.experiments.runner import ExperimentRunner
 
     chosen = resolve_systems(systems)
     specs = [chaos_spec(seed, duration=duration) for seed in range(seeds)]
@@ -192,6 +191,4 @@ def audit_seeds(
         for system in chosen
         for seed, spec in enumerate(specs)
     ]
-    return make_runner(runner, jobs=jobs, use_cache=False).map(
-        run_scenario_case, cases
-    )
+    return (runner or ExperimentRunner(use_cache=False)).map(run_scenario_case, cases)

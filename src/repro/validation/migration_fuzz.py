@@ -778,13 +778,12 @@ def fuzz_seeds(
     *,
     seeds: int = 10,
     runner=None,
-    jobs: int | None = None,
     case_kwargs: dict | None = None,
 ) -> list[MigrationFuzzReport]:
-    """Run the migration fuzzer over ``seeds`` seeded cases."""
-    from repro.experiments.runner import make_runner
+    """Run the migration fuzzer over ``seeds`` seeded cases on ``runner``'s
+    pool (default: an ``ExperimentRunner`` sized by ``REPRO_JOBS``)."""
+    from repro.experiments.runner import ExperimentRunner
 
     kwargs = case_kwargs or {}
     cases = [MigrationFuzzCase(seed=seed, **kwargs) for seed in range(seeds)]
-    exp_runner = make_runner(runner, jobs=jobs, use_cache=False)
-    return exp_runner.map(fuzz_migration_case, cases)
+    return (runner or ExperimentRunner(use_cache=False)).map(fuzz_migration_case, cases)

@@ -178,8 +178,8 @@ class MMPPArrivals(ArrivalProcess):
 class DiurnalArrivals(ArrivalProcess):
     """Sinusoidally rate-modulated Poisson arrivals (diurnal swing).
 
-    The instantaneous rate is ``rate * (1 + amplitude*sin(2*pi*(t+phase)/
-    period))``, sampled by Poisson thinning against the peak rate, so long
+    The instantaneous rate is ``rate * (1 + amplitude*sin(2*pi*t/period))``,
+    sampled by Poisson thinning against the peak rate, so long
     measurement windows see the day-scale swing of Fig. 1 while short
     windows stay locally Poisson.  The process keeps its own clock (the
     sum of emitted gaps), which matches simulated time as long as every
@@ -194,7 +194,6 @@ class DiurnalArrivals(ArrivalProcess):
         *,
         amplitude: float = 0.6,
         period: float = 86_400.0,
-        phase: float = 0.0,
     ):
         super().__init__(rate, rng)
         if not 0 <= amplitude < 1:
@@ -203,12 +202,11 @@ class DiurnalArrivals(ArrivalProcess):
             raise ValueError(f"period must be positive, got {period}")
         self.amplitude = amplitude
         self.period = period
-        self.phase = phase
         self._t = 0.0
         self._peak = rate * (1.0 + amplitude)
 
     def rate_at(self, t: float) -> float:
-        swing = math.sin(2 * math.pi * (t + self.phase) / self.period)
+        swing = math.sin(2 * math.pi * t / self.period)
         return self.rate * max(1.0 + self.amplitude * swing, 1e-6)
 
     def next_interarrival(self) -> float:

@@ -456,7 +456,6 @@ class MintStats:
 def iter_minted_stamps(
     counts: np.ndarray,
     *,
-    bin_seconds: float = BIN_SECONDS,
     scale: float = 1.0,
     stats: MintStats | None = None,
 ):
@@ -475,8 +474,8 @@ def iter_minted_stamps(
         c = int(c)
         if c <= 0:
             continue
-        offsets = np.linspace(0.0, bin_seconds, num=c, endpoint=False)
-        stamps = (minute * bin_seconds + offsets) * scale
+        offsets = np.linspace(0.0, BIN_SECONDS, num=c, endpoint=False)
+        stamps = (minute * BIN_SECONDS + offsets) * scale
         if stats is not None:
             stats.total += c
             stats.minutes += 1

@@ -95,6 +95,14 @@ def rid_namespace(name: str) -> int:
     return ((stable_hash(name) & 0x7FFFFFFF) | 0x1) << 32
 
 
+# The default request shape and SLO: the medians a sampler draws around.
+# Every planner that prices a rung for no particular workload (the Eq. 4
+# estimates, the autoscaler's Eq. 12 feasibility) assumes the same shape.
+PROMPT_TOKENS = 512
+OUTPUT_TOKENS = 16
+SLO_LATENCY = 5.0
+
+
 class RequestSampler:
     """Draws request shapes (prompt/output lengths) for a model.
 
@@ -110,14 +118,14 @@ class RequestSampler:
         *,
         prompt: LengthDistribution | None = None,
         output: LengthDistribution | None = None,
-        slo_latency: float = 5.0,
+        slo_latency: float = SLO_LATENCY,
         rid_base: int = 0,
         slo_class: str | None = None,
     ):
         self.model = model
         self.rng = rng
-        self.prompt = prompt or LengthDistribution(median=512, sigma=0.6, lo=16, hi=4096)
-        self.output = output or LengthDistribution(median=16, sigma=0.7, lo=1, hi=256)
+        self.prompt = prompt or LengthDistribution(median=PROMPT_TOKENS, sigma=0.6, lo=16, hi=4096)
+        self.output = output or LengthDistribution(median=OUTPUT_TOKENS, sigma=0.7, lo=1, hi=256)
         self.slo_latency = slo_latency
         self.rid_base = rid_base
         self.slo_class = slo_class

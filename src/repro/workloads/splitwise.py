@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.requests import LengthDistribution, Request, RequestSampler
+from repro.workloads.requests import (
+    SLO_LATENCY,
+    LengthDistribution,
+    Request,
+    RequestSampler,
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class SplitwiseScenario:
         model: str,
         rng: np.random.Generator,
         *,
-        slo_latency: float = 5.0,
+        slo_latency: float = SLO_LATENCY,
     ) -> RequestSampler:
         """A request sampler drawing this scenario's token shapes."""
         return RequestSampler(
@@ -101,7 +106,7 @@ class MixedCorpusSampler:
         rng: np.random.Generator,
         *,
         weights: dict[str, float] | None = None,
-        slo_latency: float = 5.0,
+        slo_latency: float = SLO_LATENCY,
     ):
         if weights is None:
             weights = {"conversation": 0.7, "coding": 0.3}

@@ -261,7 +261,7 @@ class TestMemoHitSideEffects:
             if gpu.free_memory > 0:
                 allocator.reserve_on("fill", gpu, gpu.free_memory)
         with pytest.raises(AllocationError):
-            allocator.allocate_stages("batch", [2 * ctx.cluster.gpus[0].spec.memory])
+            allocator.allocate_stages("batch", [2 * ctx.cluster.gpus[0].memory])
         assert len(allocator.open_reclaim_demands()) == 1
         # Settle the demand by hand (no capacity change), then retry: the
         # memo hit must still press the lender again.
@@ -269,7 +269,7 @@ class TestMemoHitSideEffects:
         scans = _counting(allocator)
         failed = allocator.failed_requests
         with pytest.raises(AllocationError):
-            allocator.allocate_stages("batch", [2 * ctx.cluster.gpus[0].spec.memory])
+            allocator.allocate_stages("batch", [2 * ctx.cluster.gpus[0].memory])
         assert scans == []
         assert allocator.failed_requests == failed + 1
         assert len(allocator.open_reclaim_demands()) == 1

@@ -1,12 +1,10 @@
-"""Tests for the ASCII figure renderers."""
+"""Tests for the ASCII sparkline renderer."""
 
 from __future__ import annotations
 
 import math
 
-import pytest
-
-from repro.metrics.ascii_plot import histogram, sparkline
+from repro.metrics.ascii_plot import sparkline
 
 
 class TestSparkline:
@@ -31,22 +29,3 @@ class TestSparkline:
         line = sparkline(list(range(100)), width=10)
         assert len(line) == 10
         assert line[0] == "▁" and line[-1] == "█"
-
-
-class TestHistogram:
-    def test_counts_sum_to_samples(self):
-        out = histogram([1, 1, 2, 3, 3, 3], bins=3)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 6
-
-    def test_empty_data(self):
-        assert "(no data)" in histogram([], title="h")
-
-    def test_filters_non_finite(self):
-        out = histogram([1.0, math.inf, math.nan, 2.0], bins=2)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 2
-
-    def test_validates_bins(self):
-        with pytest.raises(ValueError, match="bins"):
-            histogram([1.0], bins=0)

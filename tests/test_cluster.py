@@ -11,7 +11,7 @@ import pytest
 from repro.cluster.allocator import AllocationError, GPUAllocator
 from repro.cluster.cluster import make_paper_cluster, make_small_cluster
 from repro.cluster.fragmentation import FragmentationConfig, FragmentationModel
-from repro.cluster.gpu import GPU, GPUSpec
+from repro.cluster.gpu import GPU
 from repro.cluster.hrg import HierarchicalResourceGraph, HRGWeights
 from repro.cluster.server import Server
 from repro.simulation.randomness import RandomStreams
@@ -86,10 +86,6 @@ class TestGPU:
         assert gpu.utilization(10.0) == pytest.approx(0.5)
         assert gpu.utilization(2.0) == 1.0  # capped
         assert gpu.utilization(0.0) == 0.0
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            GPUSpec(memory=-1.0)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_cached_serving_mem_equals_the_recompute(self, seed):

@@ -46,7 +46,7 @@ class TestContextCaches:
     def test_graph_cache_shares_instances(self):
         assert get_graph(LLAMA2_7B) is get_graph(LLAMA2_7B)
 
-    def test_profile_cache_keyed_by_cost_config(self, ctx):
+    def test_profile_cache_keyed_by_shape(self, ctx):
         p1 = ctx.profile(LLAMA2_7B)
         p2 = ctx.profile(LLAMA2_7B)
         assert p1 is p2

@@ -17,9 +17,17 @@ imports it (directly, aliased, or through re-exports) and uses the bound
 name, or that reaches it as an attribute of an imported module.  Dunder
 names (``__getattr__``) are hooks the interpreter calls.
 
-``ALLOWED_UNIMPORTED`` and ``ALLOWED_UNREFERENCED`` list the known
-exceptions.  An entry that no longer exists, or that a run path now
-reaches, fails the census too, so the lists only shrink.
+Options: every keyword-only parameter with a default in ``src/repro``
+needs a setter outside its own function — a ``name=`` keyword or a
+``"name"`` string (a dict key such as a ``ScenarioCase`` override) in
+``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.
+An option nothing sets is a constant that says it is a knob: make it
+one in its module.  Setters are matched by name, so this is a floor.
+
+``ALLOWED_UNIMPORTED``, ``ALLOWED_UNREFERENCED`` and
+``ALLOWED_UNSET_OPTIONS`` list the known exceptions.  An entry that no
+longer exists, or that a run path now reaches (or code now sets), fails
+the census too, so the lists only shrink.
 """
 
 from __future__ import annotations
@@ -42,17 +50,12 @@ ALLOWED_UNREFERENCED = {
     # Paper-equation references, kept next to the code they document.
     "repro.partitioning.batch_scaling.fit_alpha",  # Eq. 3's alpha fit
     "repro.scaling.decision.slo_feasible_stages",  # Eq. 12
-    # Queueing extras awaiting ROADMAP item 7's decision on
-    # examples/capacity_planning.py.
-    "repro.queueing.bubbles.StallModel",
-    "repro.queueing.bubbles.effective_throughput",
-    "repro.queueing.erlang.mms_mean_queue_length",
-    "repro.queueing.kingman.capacity_for_wait",
-    "repro.queueing.kingman.tandem_wait",
-    # The distribution renderer (Fig. 4b/13b shapes): only its tests call
-    # it; ROADMAP item 7 decides between a figure caller and deletion.
-    "repro.metrics.ascii_plot.histogram",
 }
+
+# ``module.Function.param`` (``module.Class.method.param``) of keyword-only
+# options that stay unset on purpose; none do.
+ALLOWED_UNSET_OPTIONS: set[str] = set()
+OPTION_SETTER_DIRS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 
 def _module_name(path: Path) -> str:
@@ -297,4 +300,68 @@ def test_name_allowlist_holds_only_live_dead_names():
     assert stale == [], (
         f"allowlist entries {stale} are missing or now referenced: remove "
         "them from ALLOWED_UNREFERENCED"
+    )
+
+
+def _defaulted_options(modules: dict[str, Path]):
+    """Yield ``(dotted name, path, function node, parameter)`` for every
+    keyword-only parameter with a default under ``src/repro``."""
+    for module, path in modules.items():
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(module, tree.body)]
+        while scopes:
+            prefix, body = scopes.pop()
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{prefix}.{node.name}", node.body))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            yield f"{prefix}.{node.name}.{arg.arg}", path, node, arg.arg
+                    scopes.append((f"{prefix}.{node.name}", node.body))
+
+
+def _option_setters() -> dict[str, list[tuple[Path, int]]]:
+    """Parameter name -> ``(file, line)`` of every ``name=`` keyword and
+    every string constant equal to a name."""
+    setters: dict[str, list[tuple[Path, int]]] = {}
+    for directory in OPTION_SETTER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    setters.setdefault(node.arg, []).append((path, node.lineno))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    setters.setdefault(node.value, []).append((path, node.lineno))
+    return setters
+
+
+def option_census(modules: dict[str, Path]) -> tuple[list[str], list[str]]:
+    """``(unset options, stale allowlist entries)``, both sorted."""
+    setters = _option_setters()
+    unset = {
+        name
+        for name, path, function, param in _defaulted_options(modules)
+        if not any(
+            site != path or not function.lineno <= line <= function.end_lineno
+            for site, line in setters.get(param, ())
+        )
+    }
+    return sorted(unset - ALLOWED_UNSET_OPTIONS), sorted(ALLOWED_UNSET_OPTIONS - unset)
+
+
+def test_every_keyword_option_is_set_somewhere():
+    unset, _ = option_census(_modules())
+    assert unset == [], (
+        f"nothing sets the keyword-only options {unset}: make each a "
+        "constant in its module, or pass it from src/, tests/, benchmarks/, "
+        "examples/ or perfbench/"
+    )
+
+
+def test_option_allowlist_holds_only_unset_options():
+    _, stale = option_census(_modules())
+    assert stale == [], (
+        f"allowlist entries {stale} are missing or now set: remove them "
+        "from ALLOWED_UNSET_OPTIONS"
     )

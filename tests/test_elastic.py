@@ -410,7 +410,7 @@ class TestBorrowLedger:
         limit = 0.1 * fleet
         gpu = allocator.cluster.gpus[0]
         # An uncapped tenant holds bytes without ever entering the ledger.
-        allocator.reserve_on("free", gpu, 0.5 * gpu.spec.memory)
+        allocator.reserve_on("free", gpu, 0.5 * gpu.memory)
         assert "free" not in allocator._borrows
         allocator.allocate_stages("it", [0.6 * limit, 0.4 * limit])
         # No other *capped* tenant exists, so there is nothing to borrow.

@@ -10,7 +10,10 @@ import pytest
 from repro.core import deployment, flexpipe
 from repro.experiments import figures
 from repro.experiments.common import build_environment
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.systems import SYSTEMS, build_system
+from repro.models import costs
+from repro.partitioning import partitioner
 from repro.refactoring import executor, granularity
 from repro.scaling import affinity, autoscaler
 from repro.scenarios import SCENARIOS
@@ -108,7 +111,9 @@ class TestFigureAudit:
 
         monkeypatch.setattr(InvariantAuditor, "audit_quiesce", broken)
         with pytest.raises(RuntimeError) as info:
-            figures.fig3_rows(cvs=(1.0,), jobs=1, use_cache=False)
+            figures.fig3_rows(
+                cvs=(1.0,), runner=ExperimentRunner(jobs=1, use_cache=False)
+            )
         message = str(info.value)
         for part in ("fig3-cv1", "AlpaServe", "seed 0", "request-conservation"):
             assert part in message
@@ -271,38 +276,34 @@ _FLEXPIPE = {
 }
 
 
-def _hardware(system, model: str) -> dict:
+def _hardware(system) -> dict:
     """The calibration and hardware values one live system reads: the
     Table 2 cost model, the Eq. 2 partitioner, the devices and links."""
-    from repro.partitioning.partitioner import Partitioner
-
-    cost = system.ctx.cost_model.config
-    partitioner = Partitioner(system.profiles[model]).config
     cluster = system.ctx.cluster
     return {
         "cost_model": {
-            "compute_fixed": cost.compute_fixed,
-            "compute_per_byte": cost.compute_per_byte,
-            "peak_flops": cost.peak_flops,
-            "prefill_overhead": cost.prefill_overhead,
-            "hop_overhead": cost.hop_overhead,
-            "hop_bandwidth": cost.network_bandwidth,
-            "load_points": tuple(cost.load_points),
-            "warm_load_overhead": cost.warm_load_overhead,
-            "pcie_bandwidth": cost.pcie_bandwidth,
-            "gpu_memory": cost.gpu_memory,
-            "runtime_reserved": cost.runtime_reserved,
-            "max_batch_cap": cost.max_batch_cap,
+            "compute_fixed": costs.COMPUTE_FIXED,
+            "compute_per_byte": costs.COMPUTE_PER_BYTE,
+            "peak_flops": costs.PEAK_FLOPS,
+            "prefill_overhead": costs.PREFILL_OVERHEAD,
+            "hop_overhead": costs.HOP_OVERHEAD,
+            "hop_bandwidth": costs.NIC_BANDWIDTH,
+            "load_points": costs.LOAD_POINTS,
+            "warm_load_overhead": costs.WARM_LOAD_OVERHEAD,
+            "pcie_bandwidth": costs.PCIE_BANDWIDTH,
+            "gpu_memory": costs.GPU_MEMORY,
+            "runtime_reserved": costs.RUNTIME_RESERVED,
+            "max_batch_cap": costs.MAX_BATCH_CAP,
         },
         "eq2": {
-            "bandwidth": partitioner.bandwidth,
-            "overlap_budget": partitioner.overlap_budget,
-            "boundary_weight": partitioner.boundary_weight,
-            "reference_batch": partitioner.reference_batch,
-            "gpu_memory": partitioner.gpu_memory or cost.gpu_memory,
-            "min_boundary_quality": partitioner.min_boundary_quality,
+            "bandwidth": partitioner.NIC_BANDWIDTH,
+            "overlap_budget": partitioner.OVERLAP_BUDGET,
+            "boundary_weight": partitioner.BOUNDARY_WEIGHT,
+            "reference_batch": partitioner.REFERENCE_BATCH,
+            "gpu_memory": partitioner.GPU_MEMORY,
+            "min_boundary_quality": partitioner.MIN_BOUNDARY_QUALITY,
         },
-        "gpu_memory": {g.spec.memory for g in cluster.gpus},
+        "gpu_memory": {g.memory for g in cluster.gpus},
         "server_links": {
             (s.pcie.spec.bandwidth, s.nic.spec.bandwidth, s.ssd.spec.bandwidth)
             for s in cluster.servers
@@ -426,7 +427,7 @@ class TestProvisioningWitness:
     @pytest.mark.parametrize("name", sorted(DEFAULT))
     def test_paper_hardware(self, name):
         system = self._build(name)
-        assert _hardware(system, "OPT-66B") == _HARDWARE
+        assert _hardware(system) == _HARDWARE
         system.shutdown()
 
     def test_coldstart_economy_routes_flexpipe_overrides(self):

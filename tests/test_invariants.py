@@ -15,6 +15,7 @@ from repro.cluster.allocator import AllocationError, GPUAllocator
 from repro.cluster.cluster import make_small_cluster
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.systems import SYSTEMS
 from repro.models.zoo import LLAMA2_7B
 from repro.pipeline.replica import ReplicaState
@@ -31,6 +32,7 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import LengthDistribution, RequestSampler
 
 CHAOS_SEEDS = (0, 1, 2)
+SEQUENTIAL = ExperimentRunner(jobs=1, use_cache=False)
 
 
 def run_chaos(system: str, seed: int, spec=None):
@@ -74,7 +76,7 @@ class TestChaosHarness:
         )
 
     def test_audit_seeds_fans_out_and_reports(self):
-        reports = audit_seeds(seeds=2, systems=["FlexPipe"], jobs=1)
+        reports = audit_seeds(seeds=2, systems=["FlexPipe"], runner=SEQUENTIAL)
         assert len(reports) == 2
         assert [r.seed for r in reports] == [0, 1]
         assert [r.scenario for r in reports] == ["chaos-0", "chaos-1"]
@@ -87,7 +89,7 @@ class TestChaosHarness:
         kinds = [(s.cluster, s.model_names) for s in map(chaos_spec, range(4))]
         assert kinds[:3] == [("small", ("LLAMA2-7B",))] * 3
         assert kinds[3][0] == "paper" and len(kinds[3][1]) >= 2
-        reports = audit_seeds(seeds=4, systems=["FlexPipe"], jobs=1)
+        reports = audit_seeds(seeds=4, systems=["FlexPipe"], runner=SEQUENTIAL)
         assert set(reports[3].tenants) == set(kinds[3][1])
         assert all(r.ok for r in reports), [
             str(v) for r in reports for v in r.violations
@@ -104,7 +106,7 @@ class TestChaosHarness:
             )
             assert all(e.at < 10.0 for e in spec.events)
         reports = audit_seeds(
-            seeds=1, systems=["FlexPipe"], jobs=1, duration=10.0
+            seeds=1, systems=["FlexPipe"], runner=SEQUENTIAL, duration=10.0
         )
         assert reports[0].ok and reports[0].offered > 0
 
@@ -360,7 +362,7 @@ class TestAllocatorBalanceProperty:
         for gpu in cluster.gpus:
             expect = by_gpu.get(gpu.gid, 0.0)
             assert gpu.serving_mem == pytest.approx(expect, abs=1e-3)
-            assert gpu.used_memory <= gpu.spec.memory + 1e-3
+            assert gpu.used_memory <= gpu.memory + 1e-3
         assert allocator.total_reserved() == pytest.approx(
             sum(by_gpu.values()), abs=1e-3
         )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.transfer.datamover import DataMover, TransferMethod, TransferPlan
@@ -55,7 +56,9 @@ class TestSeededFuzz:
         )
 
     def test_fan_out_reports_per_seed(self):
-        reports = fuzz_seeds(seeds=3, jobs=1, case_kwargs={"rounds": 5})
+        reports = fuzz_seeds(
+            seeds=3, runner=ExperimentRunner(jobs=1, use_cache=False), case_kwargs={"rounds": 5}
+        )
         assert [r.case.seed for r in reports] == [0, 1, 2]
         assert all(r.ok for r in reports)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.models.costs import CostModelConfig, floor_pow2
+from repro.models import costs
+from repro.models.costs import floor_pow2
 from repro.models.operators import OpKind
 from repro.models.transformer import build_transformer
 from repro.models.zoo import BERT_21B, LLAMA2_7B, MODEL_ZOO, OPT_66B, WHISPER_9B, get_model
@@ -135,11 +136,12 @@ class TestCostModel:
         assert cost_model.max_batch(85 * GB, 1.0) == 0
 
     def test_max_batch_capped(self, cost_model):
-        assert cost_model.max_batch(1 * GB, 1.0) == cost_model.config.max_batch_cap
+        assert cost_model.max_batch(1 * GB, 1.0) == costs.MAX_BATCH_CAP
 
-    def test_config_requires_sorted_load_points(self):
-        with pytest.raises(ValueError):
-            CostModelConfig(load_points=((2 * GB, 1.0), (1 * GB, 2.0)))
+    def test_load_curve_points_are_sorted(self):
+        # The log-log interpolation needs at least two points, by size.
+        sizes = [size for size, _ in costs.LOAD_POINTS]
+        assert len(sizes) >= 2 and sizes == sorted(sizes)
 
 
 class TestTable2MaxBatch:

@@ -5,17 +5,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.gpu import GPU_MEMORY
 from repro.models.costs import CostModel
 from repro.models.graph import ComputationGraph
 from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
 from repro.models.zoo import BERT_21B, LLAMA2_7B, OPT_66B, WHISPER_9B
 from repro.partitioning.batch_scaling import activation_bytes, fit_alpha
+from repro.partitioning import partitioner as partitioner_module
 from repro.partitioning.ladder import GranularityLadder
 from repro.partitioning.partitioner import (
     InfeasiblePartition,
     Partitioner,
-    PartitionerConfig,
 )
 from repro.partitioning.plan import PartitionPlan
 from repro.transfer.links import GB
@@ -77,7 +78,7 @@ class TestPartitioner:
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4, 8, 16])
     def test_plans_satisfy_structural_invariants(self, llama_profile, llama_partitioner, n_stages):
         plan = llama_partitioner.plan(n_stages)
-        validate_plan(plan, llama_profile.graph, CostModel().config.gpu_memory)
+        validate_plan(plan, llama_profile.graph, GPU_MEMORY)
         assert plan.n_stages == n_stages
 
     def test_single_stage_infeasible_for_large_model(self, opt_profile):
@@ -109,10 +110,9 @@ class TestPartitioner:
         qualities = [llama_profile.graph.boundary_quality(c - 1) for c in plan.cuts]
         assert sum(1 for q in qualities if q >= 0.5) == len(qualities)
 
-    def test_memory_constraint_tighter_config(self, llama_profile):
-        config = PartitionerConfig(gpu_memory=2 * GB)
-        partitioner = Partitioner(llama_profile, config)
-        plan = partitioner.plan(8)
+    def test_memory_constraint_tighter_config(self, llama_profile, monkeypatch):
+        monkeypatch.setattr(partitioner_module, "GPU_MEMORY", 2 * GB)
+        plan = Partitioner(llama_profile).plan(8)
         assert max(s.param_bytes for s in plan.stages) <= 2 * GB
 
     def test_plan_max_batch_is_min_over_stages(self, llama_partitioner):
@@ -134,7 +134,7 @@ class TestLadder:
         ladder = GranularityLadder(profile)
         validate_ladder(ladder)
         for count in ladder.stage_counts:
-            validate_plan(ladder.plan(count), profile.graph, CostModel().config.gpu_memory)
+            validate_plan(ladder.plan(count), profile.graph, GPU_MEMORY)
 
     def test_opt_excludes_infeasible_single_stage(self, opt_profile):
         ladder = GranularityLadder(opt_profile, stage_counts=(1, 2, 4, 8, 16, 32))
@@ -211,7 +211,7 @@ class TestPartitionProperties:
     def test_any_feasible_stage_count_partitions_exactly(self, n_stages):
         profile = _LLAMA_PROFILE
         plan = Partitioner(profile).plan(n_stages)
-        validate_plan(plan, profile.graph, CostModel().config.gpu_memory)
+        validate_plan(plan, profile.graph, GPU_MEMORY)
 
     @given(
         batch=st.integers(min_value=1, max_value=2048),

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.flexpipe import STAGE_COUNTS
 from repro.queueing.ggs import GGSModel, optimal_stage_count, pipeline_delay
 
 
@@ -74,15 +75,15 @@ class TestGGSModel:
 class TestOptimalStageCount:
     def test_insight3_paper_anchor(self):
         """S ∝ sqrt(CV) with the paper's constant: 16 stages at CV=4."""
-        assert optimal_stage_count(4.0) == 16
-        assert optimal_stage_count(1.0) == 8
+        assert optimal_stage_count(4.0, candidates=STAGE_COUNTS) == 16
+        assert optimal_stage_count(1.0, candidates=STAGE_COUNTS) == 8
 
     def test_monotone_in_cv(self):
-        picks = [optimal_stage_count(cv) for cv in (0.1, 1.0, 4.0, 16.0)]
+        picks = [optimal_stage_count(cv, candidates=STAGE_COUNTS) for cv in (0.1, 1.0, 4.0, 16.0)]
         assert picks == sorted(picks)
 
     def test_zero_cv_picks_coarsest(self):
-        assert optimal_stage_count(0.0) == 2
+        assert optimal_stage_count(0.0, candidates=STAGE_COUNTS) == 2
 
     def test_respects_candidate_set(self):
         assert optimal_stage_count(4.0, candidates=(4, 8)) == 8

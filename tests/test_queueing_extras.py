@@ -13,22 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queueing.bubbles import (
-    StallModel,
-    _gamma_sf,
-    bubble_fraction,
-    effective_throughput,
-    microbatches_for_bubble,
-)
+from repro.queueing.bubbles import bubble_fraction, microbatches_for_bubble
 from repro.queueing.erlang import (
     erlang_b,
     erlang_c,
-    mms_mean_queue_length,
     mms_mean_wait,
     mms_wait_quantile,
     servers_for_wait,
 )
-from repro.queueing.kingman import GG1Station, capacity_for_wait, tandem_wait
+from repro.queueing.kingman import GG1Station
 
 
 class TestKingman:
@@ -66,24 +59,6 @@ class TestKingman:
             GG1Station(1.0, 0.0)
         with pytest.raises(ValueError):
             GG1Station(1.0, 1.0, cv_arrival=-0.1)
-
-    def test_capacity_for_wait_inverts_kingman(self):
-        lam, target = 8.0, 0.05
-        mu = capacity_for_wait(lam, target, cv_arrival=1.5, cv_service=0.5)
-        achieved = GG1Station(lam, 1.0 / mu, 1.5, 0.5).mean_wait()
-        assert achieved == pytest.approx(target, rel=1e-6)
-
-    def test_capacity_for_wait_validates(self):
-        with pytest.raises(ValueError):
-            capacity_for_wait(0.0, 1.0)
-        with pytest.raises(ValueError):
-            capacity_for_wait(1.0, 0.0)
-
-    def test_tandem_sums_stations(self):
-        stations = [GG1Station(1.0, 0.2), GG1Station(1.0, 0.4)]
-        assert tandem_wait(stations) == pytest.approx(
-            stations[0].mean_wait() + stations[1].mean_wait()
-        )
 
     @given(
         lam=st.floats(min_value=0.1, max_value=5.0),
@@ -123,12 +98,6 @@ class TestErlang:
     def test_wait_decreases_with_servers(self):
         waits = [mms_mean_wait(8.0, 1.0, s) for s in range(9, 15)]
         assert all(a > b for a, b in zip(waits, waits[1:]))
-
-    def test_queue_length_littles_law(self):
-        lam, mu, s = 5.0, 1.0, 8
-        assert mms_mean_queue_length(lam, mu, s) == pytest.approx(
-            lam * mms_mean_wait(lam, mu, s)
-        )
 
     def test_wait_quantile_zero_when_wait_unlikely(self):
         # Very lightly loaded: P(wait) < 1%, so the P50 of wait is 0.
@@ -191,88 +160,8 @@ class TestBubbles:
     def test_microbatches_single_stage(self):
         assert microbatches_for_bubble(1, 0.5) == 1
 
-    def test_effective_throughput_ideal_limit(self):
-        """With many micro-batches throughput approaches 1/stage_time."""
-        t = effective_throughput(4, 10_000, stage_time=0.01)
-        assert t == pytest.approx(100.0, rel=0.01)
-
-    def test_effective_throughput_counts_hops(self):
-        with_hops = effective_throughput(4, 8, 0.01, hop_time=0.005)
-        without = effective_throughput(4, 8, 0.01, hop_time=0.0)
-        assert with_hops < without
-
     def test_validation(self):
         with pytest.raises(ValueError):
             bubble_fraction(0, 1)
         with pytest.raises(ValueError):
             microbatches_for_bubble(4, 1.5)
-        with pytest.raises(ValueError):
-            effective_throughput(4, 8, 0.0)
-
-
-class TestStallModel:
-    def make(self):
-        return StallModel(n_stages=4, stage_time=0.05, arrival_rate=20.0)
-
-    def test_exceedance_increases_with_cv(self):
-        """Convex ordering: mean pipe-empty time per gap grows with CV."""
-        model = self.make()
-        excess = [model.expected_gap_exceedance(cv) for cv in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        assert all(a < b for a, b in zip(excess, excess[1:]))
-
-    def test_exponential_exceedance_closed_form(self):
-        """For cv=1 (Poisson), E[(X-t)+] = e^(-lambda t) / lambda."""
-        model = self.make()
-        expected = math.exp(-20.0 * model.drain_threshold) / 20.0
-        assert model.expected_gap_exceedance(1.0) == pytest.approx(expected, rel=1e-6)
-
-    def test_exponential_special_case(self):
-        """cv=1 is a Poisson process: P(gap > t) = exp(-lambda t)."""
-        model = self.make()
-        expected = math.exp(-20.0 * model.drain_threshold)
-        assert model.gap_exceed_probability(1.0) == pytest.approx(expected, rel=1e-6)
-
-    def test_stall_fraction_bounded(self):
-        model = self.make()
-        for cv in (0.1, 1.0, 8.0):
-            assert 0.0 <= model.stall_cycle_fraction(cv) <= 1.0
-
-    def test_stall_fraction_superlinear_in_cv(self):
-        """Fig. 3c's shape: stalls blow up as CV grows."""
-        model = self.make()
-        low = model.stall_cycle_fraction(1.0)
-        high = model.stall_cycle_fraction(4.0)
-        assert high > 5 * low
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StallModel(0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            self.make().gap_exceed_probability(0.0)
-
-
-class TestGammaSF:
-    def test_exponential_case(self):
-        assert _gamma_sf(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
-
-    def test_at_zero(self):
-        assert _gamma_sf(3.0, 0.0) == 1.0
-
-    def test_matches_scipy(self):
-        from scipy.stats import gamma as scipy_gamma
-
-        for shape in (0.25, 1.0, 2.5, 9.0):
-            for x in (0.1, 1.0, 5.0, 20.0):
-                assert _gamma_sf(shape, x) == pytest.approx(
-                    float(scipy_gamma.sf(x, shape)), rel=1e-8, abs=1e-12
-                )
-
-    def test_monotone_decreasing_in_x(self):
-        values = [_gamma_sf(2.0, x) for x in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            _gamma_sf(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            _gamma_sf(1.0, -1.0)

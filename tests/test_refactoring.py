@@ -369,7 +369,7 @@ class TestExecutor:
         free = (max(mems16) + max(mems32)) / 2
         for gpu in ctx.cluster.gpus:
             gpu.background_mem = max(
-                gpu.spec.memory - gpu.serving_mem - free, 0.0
+                gpu.memory - gpu.serving_mem - free, 0.0
             )
         assert executor.refactor(replica, 4)
         ctx.sim.run_until_idle()

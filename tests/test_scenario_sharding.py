@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.scenarios import driver as driver_module
 from repro.scenarios.driver import (
     ScenarioCase,
@@ -359,9 +360,13 @@ def test_nested_pools_match_sequential():
     """Cells on a --jobs pool, each fanning its groups out on its own
     --shards pool, equal the all-in-one-process sweep."""
     specs = [SCENARIOS["paper-multi-burst"], SCENARIOS["trace-replay"]]
-    kwargs = dict(systems=["FlexPipe"], quick=True, use_cache=False)
-    nested = run_scenarios(specs, jobs=2, shards=2, **kwargs)
-    sequential = run_scenarios(specs, jobs=1, shards=1, **kwargs)
+    kwargs = dict(systems=["FlexPipe"], quick=True)
+    nested = run_scenarios(
+        specs, runner=ExperimentRunner(jobs=2, use_cache=False), shards=2, **kwargs
+    )
+    sequential = run_scenarios(
+        specs, runner=ExperimentRunner(jobs=1, use_cache=False), shards=1, **kwargs
+    )
     assert all(r.shards > 1 for r in sequential)
     assert [canonical(r) for r in nested] == [
         canonical(r) for r in sequential

@@ -396,7 +396,9 @@ class TestScenarioDriver:
 
     def test_unknown_system_rejected(self):
         with pytest.raises(KeyError):
-            run_scenarios([MINI], ["NoSuchSystem"], jobs=1, use_cache=False)
+            run_scenarios(
+                [MINI], ["NoSuchSystem"], runner=ExperimentRunner(jobs=1, use_cache=False)
+            )
 
     def test_crash_becomes_attributed_violation(self, monkeypatch):
         import repro.scenarios.driver as driver_mod

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster.gpu import GPU_MEMORY
 from repro.core import context
 from repro.core.context import get_graph, get_ladder, get_profile
 from repro.models.costs import CostModel
@@ -101,7 +102,7 @@ def oracle_group_rung(profile, fine_plan, n_stages) -> LadderRung:
     for s in fine:
         prefix.append(prefix[-1] + profile.stage_compute_time(s.profile, 1))
         bytes_prefix.append(bytes_prefix[-1] + s.param_bytes)
-    gpu_memory = profile.cost_model.config.gpu_memory
+    gpu_memory = GPU_MEMORY
 
     def group_cost(i, j):
         if bytes_prefix[j] - bytes_prefix[i] > gpu_memory:
@@ -136,7 +137,7 @@ def oracle_ladder(spec: ModelSpec, stage_counts):
     """(profile, fine plan, {count: rung}) built from scratch for ``spec``."""
     profile = ModelProfile(spec=spec, graph=build_transformer(spec), cost_model=CostModel())
     partitioner = PerKPartitioner(profile)
-    gpu_memory = profile.cost_model.config.gpu_memory
+    gpu_memory = GPU_MEMORY
     total = profile.graph.total_param_bytes
     feasible = [
         count
