@@ -567,7 +567,6 @@ class GPUAllocator:
         reservations: Sequence[StageReservation],
         cancel: Callable[[], None],
         *,
-        priority: int | None = None,
         kind: str = "deploy",
     ) -> PendingClaim | None:
         """Track a loading deploy as preemptible; no-op while arbitration
@@ -575,14 +574,12 @@ class GPUAllocator:
         :meth:`claim_resolved` when the replica activates or tears down.
         ``kind="prepared-chain"`` marks an inflight refactoring's prepared
         target chain (cancel rolls back to the still-serving old chain)."""
-        if priority is None:
-            if self.qos_priority_of is None:
-                return None
-            priority = int(self.qos_priority_of(model))
+        if self.qos_priority_of is None:
+            return None
         claim = PendingClaim(
             next(self._claim_counter),
             model,
-            priority,
+            int(self.qos_priority_of(model)),
             list(reservations),
             cancel,
             kind=kind,

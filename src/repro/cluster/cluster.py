@@ -180,10 +180,9 @@ def make_cluster_subset(sim: Simulator, kind: str, server_indices) -> Cluster:
         gpus = [GPU(f"gpu-{placement.gpu_start + j}") for j in range(placement.n_gpus)]
         sub_gpus += placement.n_gpus
         server = Server(sim, f"server-{i}", gpus, rdma=placement.rdma)
-        rack = racks.setdefault(
-            placement.rack, Rack(sim, f"rack-{placement.rack}")
-        )
-        rack.add_server(server)
+        if placement.rack not in racks:
+            racks[placement.rack] = Rack(sim, f"rack-{placement.rack}")
+        racks[placement.rack].add_server(server)
     storage = DEFAULT_STORAGE_BANDWIDTH * sub_gpus / total_gpus
     return Cluster(
         sim,

@@ -23,6 +23,9 @@ from repro.simulation.processes import PeriodicProcess
 from repro.workloads.requests import Request
 
 QUEUE_SAMPLE_INTERVAL = 0.25  # queue-length and GPU-holding sampling period
+# Under QoS a waiting request gains one priority rank per QOS_AGING seconds
+# (anti-starvation), in router queues and in batch formation alike.
+QOS_AGING = 10.0
 
 
 class ServingSystem(abc.ABC):
@@ -99,7 +102,6 @@ class ServingSystem(abc.ABC):
         self,
         classes: dict[str, SLOClass],
         *,
-        aging: float | None = 10.0,
         share_caps: dict[str, float] | None = None,
         elastic: bool = False,
     ) -> None:
@@ -136,7 +138,7 @@ class ServingSystem(abc.ABC):
                 PriorityPendingQueue(
                     lambda: self.sim.now,
                     lambda request, d=default: request_priority(request, d),
-                    aging=aging,
+                    aging=QOS_AGING,
                 )
             )
         # Resource-layer arbitration: deploys carry their tenant's class
@@ -166,10 +168,10 @@ class ServingSystem(abc.ABC):
         factory = getattr(self, "factory", None)
         if factory is not None:
             factory.batch_priority_of = batch_priority
-            factory.batch_aging = aging
+            factory.batch_aging = QOS_AGING
         for replica in self.all_replicas():
             if replica.state is not ReplicaState.RELEASED:
-                replica.use_priority_batcher(batch_priority, aging=aging)
+                replica.use_priority_batcher(batch_priority, aging=QOS_AGING)
 
     def qos_class_of(self, model: str) -> SLOClass:
         """The tenant's SLO class (``standard`` when unannotated)."""
