@@ -195,7 +195,10 @@ def _eq9(system) -> tuple[float, float]:
 
 
 def _hyperparameters(system, model: str) -> dict:
-    """Every paper hyper-parameter one system applies to ``model``."""
+    """Every paper hyper-parameter one system applies to ``model``, and
+    what it wires into the shared substrate: the factory's loading
+    speed-up, the colocation preference, a warm cache, a scaling
+    coordinator, and whether it autoscales at all."""
     monitor = system.monitors[model]
     replica = system.factory.deploy(
         system.profiles[model], system.ctx.ladder(system.specs[model], (4,)).plan(4)
@@ -210,12 +213,18 @@ def _hyperparameters(system, model: str) -> dict:
             system.factory.startup_overhead,
             deployment.WARM_STARTUP_FACTOR,
         ),
+        "loading_speedup": system.factory.loading_speedup,
+        "prefer_colocation": getattr(system, "prefer_colocation", False),
+        "warm_cache": system.factory.warm_cache is not None,
+        "coordinator": system.factory.coordinator is not None,
     }
     if type(system).__name__ != "FlexPipeSystem":
+        out["autoscaled"] = bool(system.autoscalers)
         out["autoscaler"] = _scaler_values(system.autoscalers.get(model))
         return out
     state = system._models[model]
     out.update(
+        autoscaled=bool(system._models),
         autoscaler=_scaler_values(state.autoscaler),
         eq4=(
             state.policy.alpha,
@@ -244,6 +253,10 @@ _SHARED = {
     "queue_sample_interval": 0.25,
     "batcher_max_wait": 0.3,
     "startup": (5.0, 0.2),
+    "loading_speedup": 1.0,
+    "prefer_colocation": False,
+    "warm_cache": False,
+    "coordinator": False,
 }
 _REACTIVE = {
     "interval": 0.5,
@@ -259,6 +272,9 @@ _REACTIVE = {
 _FLEXPIPE = {
     **_SHARED,
     "cv_refresh": 1.0,
+    "warm_cache": True,
+    "coordinator": True,
+    "autoscaled": True,
     "autoscaler": {
         **_REACTIVE,
         "idle_window": 300.0,
@@ -384,17 +400,28 @@ class TestProvisioningWitness:
     }
 
     HYPERPARAMETERS = {
-        "AlpaServe": {**_SHARED, "autoscaler": None},
-        "DistServe": {**_SHARED, "autoscaler": _REACTIVE},
+        "AlpaServe": {**_SHARED, "autoscaled": False, "autoscaler": None},
+        "DistServe": {**_SHARED, "autoscaled": True, "autoscaler": _REACTIVE},
         "FlexPipe": _FLEXPIPE,
-        "MuxServe": {**_SHARED, "eq9": (0.12, 0.25), "autoscaler": None},
+        "MuxServe": {
+            **_SHARED,
+            "eq9": (0.12, 0.25),
+            "prefer_colocation": True,
+            "autoscaled": False,
+            "autoscaler": None,
+        },
         "ServerlessLLM": {
             **_SHARED,
             "startup": (12.0, 0.2),
+            "loading_speedup": 3.0,
+            "autoscaled": True,
             "autoscaler": {**_REACTIVE, "idle_window": 10.0},
         },
         "Tetris": {
             **_SHARED,
+            "loading_speedup": 1.3,
+            "prefer_colocation": True,
+            "autoscaled": True,
             "autoscaler": {**_REACTIVE, "interval": 2.0, "cooldown": 5.0},
         },
     }
