@@ -12,27 +12,9 @@ simply wrong, which is the paper's critique.
 from __future__ import annotations
 
 from repro.baselines.base import StaticPipelineSystem
-from repro.core.context import ServingContext
-from repro.models.zoo import ModelSpec
 
 
 class AlpaServeSystem(StaticPipelineSystem):
     name = "AlpaServe"
-
-    def __init__(
-        self,
-        ctx: ServingContext,
-        model_specs: list[ModelSpec],
-        *,
-        historical_cv: float = 1.0,
-        initial_replicas: int = 1,
-        **kwargs,
-    ):
-        super().__init__(
-            ctx,
-            model_specs,
-            initial_replicas=initial_replicas,
-            reactive=False,  # static provisioning for peak
-            historical_cv=historical_cv,  # offline optimisation
-            **kwargs,
-        )
+    reactive = False  # static provisioning for peak
+    historical_cv = 1.0  # offline optimisation

@@ -63,7 +63,6 @@ class DistServeSystem(StaticPipelineSystem):
             model_specs,
             n_stages=prefill_stages,
             initial_replicas=initial_replicas,
-            reactive=True,
             **kwargs,
         )
         self.prefill_fraction = prefill_fraction
@@ -105,25 +104,16 @@ class DistServeSystem(StaticPipelineSystem):
     # ------------------------------------------------------------------
     def start(self) -> None:
         for model in self.plans:
-            profile = self.profiles[model]
             n_prefill = max(round(self.initial_replicas * self.prefill_fraction), 1)
             n_decode = max(self.initial_replicas - n_prefill, 1)
-            for _ in range(n_prefill):
-                replica = self._deploy(profile, self.plans[model], event_kind="initial")
-                scaler = self.autoscalers.get(model)
-                if scaler is not None:
-                    scaler.loading.append(replica)
+            self._deploy_initial(model, n_prefill)
             for _ in range(n_decode):
-                self._deploy_decode(profile, model)
+                self._deploy_decode(model)
 
-    def _deploy_decode(self, profile, model: str):
+    def _deploy_decode(self, model: str):
         """Decode-pool replicas attach to the decode router on activation."""
-        plan = self.decode_plans[model]
-        replica = self.factory.deploy(
-            profile,
-            plan,
-            scorer=self._scorer(model),
-            event_kind="initial",
+        replica = self._deploy(
+            self.profiles[model], self.decode_plans[model], event_kind="initial"
         )
         # Rebind activation/teardown to the decode router: the factory
         # wired the shared (prefill) router by default.

@@ -11,29 +11,11 @@ exactly the trade-off Fig. 8/9 of the paper exposes.
 from __future__ import annotations
 
 from repro.baselines.base import StaticPipelineSystem
-from repro.core.context import ServingContext
-from repro.models.zoo import ModelSpec
 
 
 class MuxServeSystem(StaticPipelineSystem):
     name = "MuxServe"
-
-    def __init__(
-        self,
-        ctx: ServingContext,
-        model_specs: list[ModelSpec],
-        *,
-        historical_cv: float = 1.0,
-        initial_replicas: int = 1,
-        **kwargs,
-    ):
-        super().__init__(
-            ctx,
-            model_specs,
-            initial_replicas=initial_replicas,
-            reactive=False,  # multiplexing instead of scaling
-            prefer_colocation=True,
-            gamma0=0.12,  # sharing-heavy placement amplifies interference
-            historical_cv=historical_cv,
-            **kwargs,
-        )
+    reactive = False  # multiplexing instead of scaling
+    prefer_colocation = True
+    gamma0 = 0.12  # sharing-heavy placement amplifies interference
+    historical_cv = 1.0

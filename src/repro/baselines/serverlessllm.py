@@ -10,35 +10,13 @@ every scale-out pays a full-pipeline load, and granularity never adapts.
 from __future__ import annotations
 
 from repro.baselines.base import StaticPipelineSystem
-from repro.core.context import ServingContext
-from repro.models.zoo import ModelSpec
 
 
 class ServerlessLLMSystem(StaticPipelineSystem):
     name = "ServerlessLLM"
-
-    def __init__(
-        self,
-        ctx: ServingContext,
-        model_specs: list[ModelSpec],
-        *,
-        n_stages: int = 4,
-        initial_replicas: int = 1,
-        loading_speedup: float = 3.0,  # multi-tier checkpoint streaming
-        idle_window: float = 10.0,  # aggressive serverless reclamation
-        **kwargs,
-    ):
-        super().__init__(
-            ctx,
-            model_specs,
-            n_stages=n_stages,
-            initial_replicas=initial_replicas,
-            reactive=True,
-            loading_speedup=loading_speedup,
-            idle_window=idle_window,
-            **kwargs,
-        )
-        # Whole-pipeline units pay full distributed-runtime initialization
-        # (process group setup across every stage) on each scale-up; there
-        # is no warm-start path to amortise it.
-        self.factory.startup_overhead = 12.0
+    loading_speedup = 3.0  # multi-tier checkpoint streaming
+    # Whole-pipeline units pay full distributed-runtime initialization
+    # (process group setup across every stage) on each scale-up; there
+    # is no warm-start path to amortise it.
+    startup_overhead = 12.0
+    idle_window = 10.0  # aggressive serverless reclamation

@@ -25,7 +25,10 @@ from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.warm_cache import HostParamCache
 from repro.workloads.requests import Request
 
-# A warm start (§7) pays this share of the serverless start-up overhead.
+# Serverless container/runtime initialization paid on every scale-up in
+# addition to parameter loading; a warm start (§7) pays
+# WARM_STARTUP_FACTOR of it.
+STARTUP_OVERHEAD = 5.0
 WARM_STARTUP_FACTOR = 0.2
 
 
@@ -49,10 +52,7 @@ class ReplicaFactory:
         # exhaust the cluster and later cold starts block on allocation.
         batch_cap: int | None = None,
         loading_speedup: float = 1.0,
-        cache_on_release: bool = True,
-        # Serverless container/runtime initialization paid on every scale-up
-        # in addition to parameter loading; warm starts (§7) skip most of it.
-        startup_overhead: float = 5.0,
+        startup_overhead: float = STARTUP_OVERHEAD,
         # PipeBoost-style pipelined loading: stage transfers are sequenced
         # front-to-back, the replica activates once stage 0 lands, and
         # later stages open their gates as their own transfers complete.
@@ -67,7 +67,6 @@ class ReplicaFactory:
         self.interference = interference
         self.batch_cap = batch_cap
         self.loading_speedup = loading_speedup
-        self.cache_on_release = cache_on_release
         self.startup_overhead = startup_overhead
         self.pipelined_loading = pipelined_loading
         # Per-system, so replica names depend only on this simulation.
@@ -391,14 +390,10 @@ class ReplicaFactory:
             reservation = stage.reservation
             if reservation.released:
                 continue
-            if (
-                self.cache_on_release
-                and self.warm_cache is not None
-                and stage.params_resident
-                # A cancelled deploy's stages whose transfers never landed
-                # hold no parameters — caching them would fabricate warm
-                # coverage for bytes that never moved.
-            ):
+            # A cancelled deploy's stages whose transfers never landed hold
+            # no parameters: caching them would fabricate warm coverage for
+            # bytes that never moved.
+            if self.warm_cache is not None and stage.params_resident:
                 self.warm_cache.put(
                     reservation.gpu.server,
                     model,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.context import ServingContext
-from repro.core.deployment import ReplicaFactory
 from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
 from repro.partitioning.ladder import FULL_LADDER, GranularityLadder
@@ -28,9 +27,7 @@ from repro.partitioning.plan import PartitionPlan
 from repro.pipeline.sizing import floor_footprint
 from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import GranularityPolicy
-from repro.refactoring.placement import interference_multiplier
 from repro.scaling.affinity import AffinityScheduler
-from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
 from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.decision import G_MAX, scaling_granularity
 from repro.scaling.warm_cache import HostParamCache
@@ -45,12 +42,6 @@ STAGE_COUNTS = FULL_LADDER[1:]
 INITIAL_STAGES = 4
 SWITCH_MARGIN = 1.35  # hysteresis: a new rung's Eq. 4 score must win decisively
 REFACTOR_DWELL = 20.0  # min seconds between refactors per model
-IDLE_WINDOW = 300.0  # the paper's 5-minute reclamation window (§9.4)
-MIN_REPLICAS = 1
-MAX_REPLICAS = 16
-# Eq. 12 burst-feasibility headroom: the target utilization divides by
-# (1 + CV_HEADROOM * CV), holding spare capacity under bursty load.
-CV_HEADROOM = 0.25
 
 
 @dataclass
@@ -59,7 +50,6 @@ class _ModelState:
     ladder: GranularityLadder
     policy: GranularityPolicy
     executor: RefactoringExecutor
-    autoscaler: Autoscaler
     current_stages: int
     last_target_change: float = -1e9
 
@@ -68,6 +58,12 @@ class FlexPipeSystem(ServingSystem):
     """The full FlexPipe stack on the simulated substrate."""
 
     name = "FlexPipe"
+    cv_refresh = CONTROL_INTERVAL
+    idle_window = 300.0  # the paper's 5-minute reclamation window (§9.4)
+    max_replicas = 16
+    # Eq. 12 burst-feasibility headroom: the target utilization divides by
+    # (1 + cv_headroom * CV), holding spare capacity under bursty load.
+    cv_headroom = 0.25
 
     def __init__(
         self,
@@ -85,57 +81,42 @@ class FlexPipeSystem(ServingSystem):
         slo_deadline: float = SLO_LATENCY,
         cache_policy: str = "lru",
         pipelined_loading: bool = False,
-        # None keeps the historical floor max(MIN_REPLICAS,
-        # initial_replicas); 0 enables full scale-to-zero serverless churn.
+        # None keeps the historical floor max(1, initial_replicas); 0
+        # enables full scale-to-zero serverless churn.
         min_replicas: int | None = None,
         scale_in_idle_window: float | None = None,
     ):
-        super().__init__(ctx, model_specs, cv_refresh=CONTROL_INTERVAL)
-        self.enable_refactoring = enable_refactoring
-        self.initial_replicas = initial_replicas
+        # The policy attributes the substrate is built from.
         self.pipelined_loading = pipelined_loading
         self.warm_cache = (
             HostParamCache(policy=cache_policy) if enable_warm_cache else None
         )
-        self.affinity = AffinityScheduler()
         self.coordinator = ScalingCoordinator(
             ctx.hrg,
-            self.affinity,
+            AffinityScheduler(),
             use_hrg=enable_hrg,
             use_affinity=enable_affinity,
             cv_fn=self.max_cv,
         )
-        self.factory = ReplicaFactory(
+        # The always-on reservation (30% of peak) is a floor: elastic
+        # capacity above it is reclaimed, the floor never is (§9.6).
+        # An explicit min_replicas overrides it (0 = scale-to-zero).
+        if min_replicas is None:
+            min_replicas = max(self.min_replicas, initial_replicas)
+        self.min_replicas = min_replicas
+        if scale_in_idle_window is not None:
+            self.idle_window = scale_in_idle_window
+        super().__init__(
             ctx,
-            routers=self.routers,
-            metrics=self.metrics,
-            on_request_complete=self._on_request_complete,
-            warm_cache=self.warm_cache,
-            coordinator=self.coordinator,
-            interference=self._interference,
+            model_specs,
+            initial_replicas=initial_replicas,
             batch_cap=batch_cap,
-            pipelined_loading=pipelined_loading,
-        )
-        scaler_config = AutoscalerConfig(
-            slo_deadline=slo_deadline,
-            idle_window=(
-                IDLE_WINDOW if scale_in_idle_window is None else scale_in_idle_window
-            ),
-            # The always-on reservation (30% of peak) is a floor: elastic
-            # capacity above it is reclaimed, the floor never is (§9.6).
-            # An explicit min_replicas overrides it (0 = scale-to-zero).
-            min_replicas=(
-                max(MIN_REPLICAS, initial_replicas)
-                if min_replicas is None
-                else min_replicas
-            ),
-            max_replicas=MAX_REPLICAS,
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
-            cv_headroom=CV_HEADROOM,
+            slo_deadline=slo_deadline,
         )
+        self.enable_refactoring = enable_refactoring
         self._models: dict[str, _ModelState] = {}
-        sweep = ControlSweep(ctx.sim, scaler_config.interval)
         for spec in model_specs:
             profile = self.profiles[spec.name]
             ladder = ctx.ladder(spec, STAGE_COUNTS)
@@ -155,33 +136,21 @@ class FlexPipeSystem(ServingSystem):
                 factory=self.factory,
                 pipelined_loading=pipelined_loading,
             )
-            initial = self._initial_stages(ladder)
-            state = _ModelState(
+            self._models[spec.name] = _ModelState(
                 spec=spec,
                 ladder=ladder,
                 policy=policy,
                 executor=executor,
-                autoscaler=None,  # set below (needs plan_for closure)
-                current_stages=initial,
+                current_stages=self._initial_stages(ladder),
             )
-            state.autoscaler = Autoscaler(
-                ctx.sim,
-                self.routers[spec.name],
-                self.monitors[spec.name],
-                profile,
-                self.metrics,
-                self.factory.deploy,
-                self.factory.release,
-                self._make_plan_for(state),
-                scaler_config,
-                sweep=sweep,
-                factory=self.factory,
-            )
+        self._build_autoscalers(
+            {name: self._make_plan_for(state) for name, state in self._models.items()}
+        )
+        for scaler in self.autoscalers.values():
             # A deploy builds its placement scorer before allocating, and
             # that reads (and may refresh) the max-CV cache; a parked tick
             # skips the deploy, so it makes the same read.
-            state.autoscaler.on_park = self.max_cv
-            self._models[spec.name] = state
+            scaler.on_park = self.max_cv
         self._controller = PeriodicProcess(
             ctx.sim, CONTROL_INTERVAL, self._control_tick
         )
@@ -210,29 +179,19 @@ class FlexPipeSystem(ServingSystem):
 
         return plan_for
 
-    def _interference(self, gpu) -> float:
-        """Eq. 9 execution-time inflation on shared GPUs.
-
-        Uses the control-interval CV cache: this runs on *every* stage
-        start, and the windowed CV only moves on the control-loop timescale.
-        """
-        return interference_multiplier(gpu, self.max_cv())
+    def _initial_plan(self, model: str) -> PartitionPlan:
+        """The always-on replica set starts at the initial granularity."""
+        state = self._models[model]
+        return state.ladder.plan(state.current_stages)
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Deploy the always-on replica set at the initial granularity."""
-        for state in self._models.values():
-            plan = state.ladder.plan(state.current_stages)
-            for _ in range(self.initial_replicas):
-                replica = self.factory.deploy(
-                    self.profiles[state.spec.name],
-                    plan,
-                    event_kind="initial",
-                )
-                state.autoscaler.loading.append(replica)
-
-    # ------------------------------------------------------------------
-    def enable_qos(self, classes, **kwargs) -> None:
+    def enable_qos(
+        self,
+        classes,
+        *,
+        share_caps: dict[str, float] | None = None,
+        elastic: bool = False,
+    ) -> None:
         """QoS on FlexPipe also drives the *adaptive* layers.
 
         Beyond the base mechanisms (priority routing + attainment
@@ -242,20 +201,13 @@ class FlexPipeSystem(ServingSystem):
         interactive tenant scales out and refactors before a happy batch
         tenant gets a turn at scarce GPUs.
         """
-        super().enable_qos(classes, **kwargs)
-        for name, state in self._models.items():
+        super().enable_qos(classes, share_caps=share_caps, elastic=elastic)
+        for name, scaler in self.autoscalers.items():
             slo_class = self.qos_class_of(name)
-            state.autoscaler.slo_pressure = (
+            scaler.slo_pressure = (
                 lambda n=name, c=slo_class: self.qos_tracker.pressure(n, c)
             )
-            # Share-cap awareness: the autoscaler only asks for replicas
-            # the tenant's remaining headroom can host.  With elastic
-            # contracts on, share_headroom already includes borrowable
-            # idle headroom, so the same hook becomes contract-aware.
-            state.autoscaler.share_headroom = (
-                lambda n=name: self.ctx.allocator.share_headroom(n)
-            )
-        if kwargs.get("elastic"):
+        if elastic:
             # Elastic mode arms the transition-machinery extensions too:
             # in-place resize/merge on live replicas (chosen per
             # transition by the executor's cost model) and preemptible
@@ -293,9 +245,8 @@ class FlexPipeSystem(ServingSystem):
             # the refactoring monitor reacts on the violation timescale,
             # not the calm-weather hysteresis timescale.
             dwell = REFACTOR_DWELL
-            if state.autoscaler.slo_pressure is not None and (
-                state.autoscaler.slo_pressure() > 0
-            ):
+            pressure = self.autoscalers[state.spec.name].slo_pressure
+            if pressure is not None and pressure() > 0:
                 dwell *= 0.5
             if (
                 monitor.window_count(now) >= 4
@@ -351,8 +302,6 @@ class FlexPipeSystem(ServingSystem):
     def shutdown(self) -> None:
         super().shutdown()
         self._controller.stop()
-        for state in self._models.values():
-            state.autoscaler.stop()
 
     # ------------------------------------------------------------------
     # Introspection for tests/benchmarks

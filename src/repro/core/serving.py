@@ -1,26 +1,42 @@
 """Base class shared by FlexPipe and every baseline system.
 
-Owns the per-model routers, workload monitors, metric collection and the
-queue/GPU-holding samplers, so that system implementations only differ in
-*policy*: how they partition, place, scale and adapt.
+Owns the substrate every system runs on: per-model routers, workload
+monitors, metric collection, the queue/GPU-holding sampler, the
+:class:`ReplicaFactory`, the :class:`ControlSweep` and one
+:class:`Autoscaler` per tenant.  System implementations differ only in
+*policy*: the class attributes below, the plan each tenant starts at, the
+placement scorer, and whatever adaptive loop a system adds on top.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from typing import Callable
 
 from repro.core.context import ServingContext
+from repro.core.deployment import STARTUP_OVERHEAD, ReplicaFactory
 from repro.metrics.collector import MetricsCollector, RunSummary
+from repro.models.profiler import ModelProfile
 from repro.models.zoo import ModelSpec
-from repro.pipeline.replica import ReplicaState
+from repro.partitioning.plan import PartitionPlan
+from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.router import FleetQueue, ModelRouter
 from repro.qos.classes import DEFAULT_CLASS, SLO_CLASSES, SLOClass, request_priority
 from repro.qos.queueing import PriorityPendingQueue
 from repro.qos.signals import AttainmentTracker
 from repro.refactoring.monitor import WorkloadMonitor
+from repro.refactoring.placement import GAMMA0, interference_multiplier
+from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig, ControlSweep
+from repro.scaling.coordinator import ScalingCoordinator
+from repro.scaling.warm_cache import HostParamCache
 from repro.simulation.processes import PeriodicProcess
-from repro.workloads.requests import Request
+from repro.workloads.requests import (
+    OUTPUT_TOKENS,
+    PROMPT_TOKENS,
+    SLO_LATENCY,
+    Request,
+)
 
 QUEUE_SAMPLE_INTERVAL = 0.25  # queue-length and GPU-holding sampling period
 # Under QoS a waiting request gains one priority rank per QOS_AGING seconds
@@ -29,16 +45,58 @@ QOS_AGING = 10.0
 
 
 class ServingSystem(abc.ABC):
-    """A serving system instance bound to one simulated cluster."""
+    """A serving system instance bound to one simulated cluster.
+
+    ``initial_replicas`` replicas of each tenant start at ``start()``.
+    Every tenant's autoscaler plans for one request shape and SLO
+    (``prompt_tokens``/``output_tokens``/``slo_deadline``: the primary
+    tenant's), and every replica serves at ``batch_cap`` unless the
+    system fixes its own.  The class attributes are the system's policy
+    constants; the substrate reads them once, at construction.
+    """
 
     name = "base"
+    # Max-over-monitors CV, refreshed at most once per ``cv_refresh``
+    # seconds of simulated time.  Consumers (Eq. 9 interference, placement
+    # scoring) query it on every stage start; the value held for a
+    # control interval is part of the interference model, so reading the
+    # monitors live would change decisions, not just cost.
+    cv_refresh = 0.5
+    # Parameter loading: the cold-load speed-up and the serverless
+    # start-up overhead every scale-up pays.
+    loading_speedup = 1.0
+    startup_overhead = STARTUP_OVERHEAD
+    # Placement: a preference for GPUs other models occupy (Eq. 6 with
+    # its sign flipped), and Eq. 9's base multiplexing penalty.
+    prefer_colocation = False
+    gamma0 = GAMMA0
+    # A batch cap the system serves at whatever the experiment's is
+    # (None: the experiment's).
+    fixed_batch_cap: int | None = None
+    # FlexPipe's deploy mechanisms: the host-memory parameter cache, the
+    # HRG/affinity scaling coordinator and pipelined stage loading.
+    warm_cache: HostParamCache | None = None
+    coordinator: ScalingCoordinator | None = None
+    pipelined_loading = False
+    # Scaling: whether the system autoscales at all, and its settings.
+    reactive = True
+    scale_interval = AutoscalerConfig.interval
+    scale_cooldown = AutoscalerConfig.scale_out_cooldown
+    idle_window = AutoscalerConfig.idle_window
+    min_replicas = AutoscalerConfig.min_replicas
+    max_replicas = AutoscalerConfig.max_replicas
+    cv_headroom = AutoscalerConfig.cv_headroom
 
     def __init__(
         self,
         ctx: ServingContext,
         model_specs: list[ModelSpec],
         *,
-        cv_refresh: float = 0.5,
+        initial_replicas: int = 1,
+        batch_cap: int | None = None,
+        prompt_tokens: int = PROMPT_TOKENS,
+        output_tokens: int = OUTPUT_TOKENS,
+        slo_deadline: float = SLO_LATENCY,
     ):
         if not model_specs:
             raise ValueError("serving system needs at least one model")
@@ -64,17 +122,112 @@ class ServingSystem(abc.ABC):
         self._gpu_holding_integral = 0.0
         self._last_sample = ctx.sim.now
         self._epoch_start = ctx.sim.now
-        # Max-over-monitors CV, refreshed at most once per ``cv_refresh``
-        # of simulated time.  Consumers (Eq. 9 interference, placement
-        # scoring) query it on every stage start; the value held for a
-        # control interval is part of the interference model, so reading
-        # the monitors live would change decisions, not just cost.
-        self._cv_refresh = cv_refresh
         self._cv_cache = 0.0
         self._cv_cache_time = -math.inf
         self._sampler = PeriodicProcess(
             ctx.sim, QUEUE_SAMPLE_INTERVAL, self._sample, start_delay=0.0
         )
+        self.initial_replicas = initial_replicas
+        self.factory = ReplicaFactory(
+            ctx,
+            routers=self.routers,
+            metrics=self.metrics,
+            on_request_complete=self._on_request_complete,
+            warm_cache=self.warm_cache,
+            coordinator=self.coordinator,
+            interference=self._interference,
+            batch_cap=(
+                batch_cap if self.fixed_batch_cap is None else self.fixed_batch_cap
+            ),
+            loading_speedup=self.loading_speedup,
+            startup_overhead=self.startup_overhead,
+            pipelined_loading=self.pipelined_loading,
+        )
+        # The request shape and SLO every tenant's autoscaler plans for;
+        # a system's offline planners read the shape from here too.
+        self.scaler_config = AutoscalerConfig(
+            interval=self.scale_interval,
+            slo_deadline=slo_deadline,
+            idle_window=self.idle_window,
+            min_replicas=self.min_replicas,
+            max_replicas=self.max_replicas,
+            scale_out_cooldown=self.scale_cooldown,
+            prompt_tokens=prompt_tokens,
+            output_tokens=output_tokens,
+            cv_headroom=self.cv_headroom,
+        )
+        self._sweep = ControlSweep(ctx.sim, self.scale_interval)
+        self.autoscalers: dict[str, Autoscaler] = {}
+
+    def _build_autoscalers(
+        self,
+        plan_for: dict[str, PartitionPlan | Callable[[float, int], PartitionPlan]],
+    ) -> None:
+        """One autoscaler per tenant on the shared sweep (none unless
+        ``reactive``); ``plan_for`` maps each model to its scale-out plan,
+        fixed or chosen per tick.
+
+        A subclass calls this once its per-model policy exists.  The first
+        join starts the sweep's process, so a control loop the subclass
+        creates afterwards fires after the sweep at a shared instant.
+        """
+        if not self.reactive:
+            return
+        for model, plan in plan_for.items():
+            self.autoscalers[model] = Autoscaler(
+                self.sim,
+                self.routers[model],
+                self.monitors[model],
+                self.profiles[model],
+                self.metrics,
+                self._deploy,
+                self.factory.release,
+                plan,
+                self.scaler_config,
+                sweep=self._sweep,
+                factory=self.factory,
+            )
+
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _initial_plan(self, model: str) -> PartitionPlan:
+        """The plan ``start`` deploys ``model`` at."""
+
+    def _scorer(self, model: str) -> Callable | None:
+        """The placement scorer of a deploy of ``model`` (None: the
+        factory's own, the coordinator's where one is wired)."""
+        return None
+
+    def _deploy(
+        self, profile: ModelProfile, plan: PartitionPlan, **kwargs
+    ) -> PipelineReplica:
+        """Deploy one replica with this system's placement scorer."""
+        return self.factory.deploy(
+            profile, plan, scorer=self._scorer(profile.spec.name), **kwargs
+        )
+
+    def _interference(self, gpu) -> float:
+        """Eq. 9 execution-time inflation on shared GPUs, at this system's γ0.
+
+        Uses the max-CV cache: this runs on *every* stage start, and the
+        windowed CV only moves on the control-loop timescale.
+        """
+        return interference_multiplier(gpu, self.max_cv(), gamma0=self.gamma0)
+
+    def start(self) -> None:
+        """Deploy the initial replicas; called once before the workload starts."""
+        for model in self.specs:
+            self._deploy_initial(model, self.initial_replicas)
+
+    def _deploy_initial(self, model: str, count: int) -> None:
+        """Deploy ``count`` replicas of ``model``'s initial plan; its
+        autoscaler counts them as loading."""
+        plan = self._initial_plan(model)
+        scaler = self.autoscalers.get(model)
+        for _ in range(count):
+            replica = self._deploy(self.profiles[model], plan, event_kind="initial")
+            if scaler is not None:
+                scaler.loading.append(replica)
 
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
@@ -165,13 +318,19 @@ class ServingSystem(abc.ABC):
         def batch_priority(request: Request) -> int:
             return request_priority(request, self.qos_class_of(request.model))
 
-        factory = getattr(self, "factory", None)
-        if factory is not None:
-            factory.batch_priority_of = batch_priority
-            factory.batch_aging = QOS_AGING
+        self.factory.batch_priority_of = batch_priority
+        self.factory.batch_aging = QOS_AGING
         for replica in self.all_replicas():
             if replica.state is not ReplicaState.RELEASED:
                 replica.use_priority_batcher(batch_priority, aging=QOS_AGING)
+        # Share-cap awareness: an autoscaler only asks for replicas the
+        # tenant's remaining headroom can host.  With elastic contracts
+        # on, share_headroom already includes borrowable idle headroom,
+        # so the same hook becomes contract-aware.
+        for model, scaler in self.autoscalers.items():
+            scaler.share_headroom = (
+                lambda m=model: self.ctx.allocator.share_headroom(m)
+            )
 
     def qos_class_of(self, model: str) -> SLOClass:
         """The tenant's SLO class (``standard`` when unannotated)."""
@@ -201,14 +360,10 @@ class ServingSystem(abc.ABC):
                 active.append((replica, live))
         loading.sort(key=lambda pair: pair[0].created_at, reverse=True)
         active.sort(key=lambda pair: pair[0].activated_at or 0.0, reverse=True)
-        factory = getattr(self, "factory", None)
         for replica, live in loading + active:
             if remaining <= 0.0:
                 break
-            if factory is not None:
-                factory.release(replica)
-            else:
-                replica.drain()
+            self.factory.release(replica)
             remaining -= live
 
     # ------------------------------------------------------------------
@@ -234,10 +389,8 @@ class ServingSystem(abc.ABC):
         injection and the invariant auditor both discover through this.
         """
         seen: dict[int, object] = {}
-        factory = getattr(self, "factory", None)
-        if factory is not None:
-            for replica in factory.replicas:
-                seen[id(replica)] = replica
+        for replica in self.factory.replicas:
+            seen[id(replica)] = replica
         for router in self.all_routers().values():
             for replica in router.replicas:
                 seen.setdefault(id(replica), replica)
@@ -257,7 +410,7 @@ class ServingSystem(abc.ABC):
     def max_cv(self) -> float:
         """Largest per-model inter-arrival CV, cached per refresh interval."""
         now = self.sim.now
-        if now - self._cv_cache_time >= self._cv_refresh:
+        if now - self._cv_cache_time >= self.cv_refresh:
             self._cv_cache = max(
                 (m.cv(now) for m in self.monitors.values()), default=0.0
             )
@@ -302,12 +455,7 @@ class ServingSystem(abc.ABC):
         extend this to stop their own control loops.
         """
         self._sampler.stop()
-        factory = getattr(self, "factory", None)
-        if factory is not None:
-            for replica in factory.live_replicas():
-                factory.release(replica)
-
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def start(self) -> None:
-        """Deploy initial replicas; called once before the workload starts."""
+        for replica in self.factory.live_replicas():
+            self.factory.release(replica)
+        for scaler in self.autoscalers.values():
+            scaler.stop()

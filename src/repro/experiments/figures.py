@@ -295,7 +295,7 @@ def fig3_rows(
             figure_spec("fig3", cv=cv),
             "AlpaServe",
             seed,
-            overrides={"n_stages": 4, "historical_cv": 1.0},
+            overrides={"historical_cv": 1.0},
         )
         for cv in cvs
     ]
@@ -333,7 +333,8 @@ def fig4_rows(
             figure_spec("fig4", cv=cv),
             "AlpaServe",
             seed,
-            overrides={"n_stages": k, "historical_cv": (k / 4.0) ** 2},
+            # Eq. 4 at CV (k/4)^2 picks k stages: the set-point of rung k.
+            overrides={"historical_cv": (k / 4.0) ** 2},
         )
         for cv, k in grid
     ]

@@ -80,15 +80,13 @@ class Provisioning:
     offline optimisers).  A row whose ``fixed`` overrides set
     ``initial_replicas`` has no ``always_on`` share.  ``fixed`` holds
     keyword arguments the system always gets unless the caller overrides
-    them; every system but Tetris also serves at the experiment's batch
-    cap.
+    them.
     """
 
     system: type[ServingSystem]
     always_on: float | None
     plan_stages: int | None = None
     fixed: tuple[tuple[str, Any], ...] = ()
-    shares_batch_cap: bool = True
 
 
 SYSTEMS: dict[str, Provisioning] = {
@@ -96,10 +94,7 @@ SYSTEMS: dict[str, Provisioning] = {
     "AlpaServe": Provisioning(AlpaServeSystem, STATIC_FRACTION),
     "MuxServe": Provisioning(MuxServeSystem, STATIC_FRACTION),
     "ServerlessLLM": Provisioning(ServerlessLLMSystem, SERVERLESS_FRACTION, 4),
-    # Tetris keeps its own batch cap (16): no pipeline-aware batching.
-    "Tetris": Provisioning(
-        TetrisSystem, SERVERLESS_FRACTION, 1, shares_batch_cap=False
-    ),
+    "Tetris": Provisioning(TetrisSystem, SERVERLESS_FRACTION, 1),
     # Sized for the small chaos cluster: DistServe's paper defaults
     # (16 decode stages, peak-fraction replica counts) cannot even start
     # on 16 fragmented GPUs.
@@ -123,7 +118,8 @@ def build_system(
     ``spec``; ``overrides`` win over the row.
 
     The system serves every tenant of the spec, sized and shaped for the
-    primary tenant (the first): its peak QPS, request shape and SLO.
+    primary tenant (the first): its peak QPS, request shape and SLO, at
+    the spec's batch cap unless the system fixes its own.
     """
     try:
         row = SYSTEMS[name]
@@ -131,10 +127,7 @@ def build_system(
         raise KeyError(
             f"unknown system {name!r}; available: {sorted(SYSTEMS)}"
         ) from None
-    kwargs = dict(row.fixed)
-    if row.shares_batch_cap:
-        kwargs["batch_cap"] = spec.batch_cap
-    kwargs.update(overrides)
+    kwargs = {"batch_cap": spec.batch_cap, **dict(row.fixed), **overrides}
     initial = kwargs.pop("initial_replicas", None)
     chosen_plan = row.plan_stages is None and row.always_on is not None
     if initial is None and not chosen_plan:

@@ -62,7 +62,7 @@ class ScenarioCase:
     recorder) for this run.  Traced runs never consult the result cache.
 
     ``overrides``: keyword arguments forwarded to the system factory
-    (the ablation switches, AlpaServe's ``n_stages``/``historical_cv``).
+    (the ablation switches, AlpaServe's ``historical_cv``).
     Given as a dict or pairs, stored as sorted ``(key, value)`` pairs so
     equal overrides hash and cache-key alike.  A key that one of the
     spec's knobs already sets (``min_replicas`` under ``scale_to_zero``)
@@ -183,7 +183,7 @@ def action_scale_out(system, rng, model: str | None = None) -> str:
     elif deploy_decode is not None and rng.random() < 0.5:
         # DistServe: also churn the decode pool, or drains could
         # empty it permanently with no event ever re-growing it.
-        deploy = lambda: deploy_decode(profile, model)
+        deploy = lambda: deploy_decode(model)
     else:  # baselines: their fixed granularity
         plan = system.plans[model]
         deploy = lambda: system._deploy(profile, plan)

@@ -201,9 +201,10 @@ class TestFlexPipeSystem:
         """The autoscaler and the refactoring executor read the cap from
         the factory, so changing it there changes it everywhere."""
         system = FlexPipeSystem(ctx, [LLAMA2_7B], batch_cap=32)
-        state = system._models[LLAMA2_7B.name]
+        scaler = system.autoscalers[LLAMA2_7B.name]
+        executor = system.executors()[LLAMA2_7B.name]
         system.factory.batch_cap = 8
-        assert state.autoscaler.batch_cap == state.executor.batch_cap == 8
+        assert scaler.batch_cap == executor.batch_cap == 8
         system.shutdown()
 
     def test_initial_stages_snap_to_feasible_rung(self, ctx, monkeypatch):
@@ -221,8 +222,8 @@ class TestMeasurementEpoch:
     class _Dummy(ServingSystem):
         name = "dummy"
 
-        def start(self) -> None:
-            pass
+        def _initial_plan(self, model):
+            raise NotImplementedError
 
     def test_summary_without_epoch_reset(self, ctx):
         system = self._Dummy(ctx, [LLAMA2_7B])

@@ -206,7 +206,7 @@ def _hyperparameters(system, model: str) -> dict:
     out = {
         "eq9": _eq9(system),
         "cv_window": monitor.window.window,
-        "cv_refresh": system._cv_refresh,
+        "cv_refresh": system.cv_refresh,
         "queue_sample_interval": system._sampler.interval,
         "batcher_max_wait": replica.batcher.config.max_wait,
         "startup": (
@@ -214,18 +214,16 @@ def _hyperparameters(system, model: str) -> dict:
             deployment.WARM_STARTUP_FACTOR,
         ),
         "loading_speedup": system.factory.loading_speedup,
-        "prefer_colocation": getattr(system, "prefer_colocation", False),
+        "prefer_colocation": system.prefer_colocation,
         "warm_cache": system.factory.warm_cache is not None,
         "coordinator": system.factory.coordinator is not None,
+        "autoscaled": bool(system.autoscalers),
+        "autoscaler": _scaler_values(system.autoscalers.get(model)),
     }
     if type(system).__name__ != "FlexPipeSystem":
-        out["autoscaled"] = bool(system.autoscalers)
-        out["autoscaler"] = _scaler_values(system.autoscalers.get(model))
         return out
     state = system._models[model]
     out.update(
-        autoscaled=bool(system._models),
-        autoscaler=_scaler_values(state.autoscaler),
         eq4=(
             state.policy.alpha,
             state.policy.sigma,
@@ -233,7 +231,7 @@ def _hyperparameters(system, model: str) -> dict:
         ),
         # Eq. 11's scale-out rung at calm, mid-burst and saturated inputs.
         eq11=[
-            state.autoscaler.plan_for(cv, queue).n_stages
+            system.autoscalers[model].plan_for(cv, queue).n_stages
             for cv, queue in ((0.0, 0), (2.0, 100), (4.0, 512))
         ],
         control_interval=system._controller.interval,

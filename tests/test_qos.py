@@ -398,9 +398,9 @@ class TestEnableQoS:
 
     def test_enable_wires_autoscaler_pressure(self, system):
         system.enable_qos({"LLAMA2-7B": SLO_CLASSES["interactive"]})
-        for state in system._models.values():
-            assert state.autoscaler.slo_pressure is not None
-            assert state.autoscaler.slo_pressure() == 0.0  # no data yet
+        for scaler in system.autoscalers.values():
+            assert scaler.slo_pressure is not None
+            assert scaler.slo_pressure() == 0.0  # no data yet
 
     def test_enable_rejects_unknown_model(self, system):
         with pytest.raises(KeyError, match="does not serve"):
@@ -472,8 +472,8 @@ class TestEnableQoS:
             {"LLAMA2-7B": SLO_CLASSES["interactive"]},
             share_caps={"LLAMA2-7B": 0.25},
         )
-        capped = system._models["LLAMA2-7B"].autoscaler
-        uncapped = system._models["BERT-21B"].autoscaler
+        capped = system.autoscalers["LLAMA2-7B"]
+        uncapped = system.autoscalers["BERT-21B"]
         assert capped.share_headroom is not None
         fleet = system.ctx.allocator.fleet_memory()
         assert capped.share_headroom() <= 0.25 * fleet

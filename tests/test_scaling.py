@@ -797,19 +797,20 @@ def _polling_autoscaler():
 
 
 def _report_digest(spec, system, seed):
-    """Report hash with ``engine_events`` masked: a sleeping tenant's
-    skipped ticks are engine events, and nothing else may move."""
+    """Report hash with ``engine_events`` masked (a sleeping tenant's
+    skipped ticks are engine events, and nothing else may move), and the
+    system that produced it."""
     import dataclasses
     import hashlib
     import json
 
     from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 
-    report = ScenarioDriver(ScenarioCase(spec, system, seed)).run()
-    fields = dataclasses.asdict(report)
+    driver = ScenarioDriver(ScenarioCase(spec, system, seed))
+    fields = dataclasses.asdict(driver.run())
     fields["engine_events"] = None
     blob = json.dumps(fields, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(blob.encode()).hexdigest(), driver.system
 
 
 def _pinned_binding_caps():
@@ -856,19 +857,22 @@ class TestAutoscalerPollingOracle:
     def test_reports_match_the_polling_autoscaler(
         self, monkeypatch, scenario, system, seed
     ):
-        import repro.baselines.base
-        import repro.core.flexpipe
+        import repro.core.serving
         from repro.scenarios.library import get_scenario
 
         if scenario == "chaos-3-binding-caps":
             spec = _pinned_binding_caps()
         else:
             spec = get_scenario(scenario).quick()
-        new = _report_digest(spec, system, seed)
+        new, _ = _report_digest(spec, system, seed)
         polling = _polling_autoscaler()
-        monkeypatch.setattr(repro.baselines.base, "Autoscaler", polling)
-        monkeypatch.setattr(repro.core.flexpipe, "Autoscaler", polling)
-        assert _report_digest(spec, system, seed) == new
+        monkeypatch.setattr(repro.core.serving, "Autoscaler", polling)
+        old, served = _report_digest(spec, system, seed)
+        # Every tenant ran the polling autoscaler, so the match is not
+        # vacuous.
+        assert set(served.autoscalers) == set(served.specs)
+        assert all(type(s) is polling for s in served.autoscalers.values())
+        assert old == new
 
 
 class TestControlSweep:
@@ -963,7 +967,7 @@ class TestControlSweep:
         system = FlexPipeSystem(
             ctx, [LLAMA2_7B], initial_replicas=0, min_replicas=0
         )
-        scaler = system._models[LLAMA2_7B.name].autoscaler
+        scaler = system.autoscalers[LLAMA2_7B.name]
         ticks = _tick_times(scaler)
         outcome = []
         ctx.sim.schedule_at(
@@ -1035,7 +1039,7 @@ class TestControlSweep:
         from repro.models.zoo import LLAMA2_7B
 
         system = FlexPipeSystem(ctx, [LLAMA2_7B], initial_replicas=1)
-        scaler = system._models[LLAMA2_7B.name].autoscaler
+        scaler = system.autoscalers[LLAMA2_7B.name]
         ticks = _tick_times(scaler)
         system.start()
         ctx.sim.run(until=20.0)
@@ -1061,7 +1065,7 @@ class TestControlSweep:
         system = FlexPipeSystem(
             ctx, [LLAMA2_7B], initial_replicas=1, scale_in_idle_window=5.0
         )
-        scaler = system._models[LLAMA2_7B.name].autoscaler
+        scaler = system.autoscalers[LLAMA2_7B.name]
         ticks = _tick_times(scaler)
         system.start()
         outcome = []
@@ -1145,7 +1149,7 @@ class TestControlSweep:
         system = FlexPipeSystem(
             ctx, [LLAMA2_7B], initial_replicas=0, min_replicas=0
         )
-        scaler = system._models[LLAMA2_7B.name].autoscaler
+        scaler = system.autoscalers[LLAMA2_7B.name]
         ticks = _tick_times(scaler)
         ctx.sim.schedule_at(
             2.2,
