@@ -1,9 +1,10 @@
 """Byte-identity gate over the quick scenario catalog.
 
 ``catalog_digests.json`` records the sha256 of every quick-catalog
-(scenario, system) report at seed 0: ``dataclasses.asdict(report)`` as
-JSON with sorted keys and ``default=repr``, the canonical form of
-perfbench's ``report_digest``.  A refactor must leave every digest in
+(scenario, system) report at seeds 0 and 1: ``dataclasses.asdict(report)``
+as JSON with sorted keys and ``default=repr``, the canonical form of
+perfbench's ``report_digest``.  Two seeds, because how sleeping tenants
+wake and park differs by seed.  A refactor must leave every digest in
 place; a deliberate model change rewrites the file, so the cells it
 moved show up as a reviewed diff.
 
@@ -28,6 +29,7 @@ from repro.scenarios import SCENARIOS
 from repro.scenarios.driver import ScenarioCase, run_cases
 
 DIGESTS = pathlib.Path(__file__).with_name("catalog_digests.json")
+SEEDS = (0, 1)
 
 
 def report_digest(report) -> str:
@@ -35,18 +37,29 @@ def report_digest(report) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def catalog_digests() -> dict[str, dict[str, str]]:
-    """``{scenario: {system: digest}}`` for every quick-catalog cell."""
-    cells = [(name, system) for name in SCENARIOS for system in SYSTEMS]
+def catalog_digests() -> dict[str, dict[str, dict[str, str]]]:
+    """``{seed: {scenario: {system: digest}}}`` for every quick-catalog
+    cell at every seed in ``SEEDS``."""
+    cells = [
+        (seed, name, system)
+        for seed in SEEDS
+        for name in SCENARIOS
+        for system in SYSTEMS
+    ]
     cases = [
-        ScenarioCase(SCENARIOS[name].quick(), system, 0) for name, system in cells
+        ScenarioCase(SCENARIOS[name].quick(), system, seed)
+        for seed, name, system in cells
     ]
     runner = ExperimentRunner(
         jobs=int(os.environ.get("REPRO_JOBS") or 1), use_cache=False
     )
-    digests: dict[str, dict[str, str]] = {}
-    for (name, system), report in zip(cells, run_cases(cases, runner=runner)):
-        digests.setdefault(name, {})[system] = report_digest(report)
+    digests: dict[str, dict[str, dict[str, str]]] = {}
+    for (seed, name, system), report in zip(
+        cells, run_cases(cases, runner=runner)
+    ):
+        digests.setdefault(str(seed), {}).setdefault(name, {})[system] = (
+            report_digest(report)
+        )
     return digests
 
 
@@ -54,12 +67,14 @@ def test_catalog_digests_unchanged():
     expected = json.loads(DIGESTS.read_text())
     actual = catalog_digests()
     moved = sorted(
-        f"{scenario} x {system}"
-        for scenario in expected.keys() | actual.keys()
-        for system in expected.get(scenario, {}).keys()
-        | actual.get(scenario, {}).keys()
-        if expected.get(scenario, {}).get(system)
-        != actual.get(scenario, {}).get(system)
+        f"seed {seed}: {scenario} x {system}"
+        for seed in expected.keys() | actual.keys()
+        for scenario in expected.get(seed, {}).keys()
+        | actual.get(seed, {}).keys()
+        for system in expected.get(seed, {}).get(scenario, {}).keys()
+        | actual.get(seed, {}).get(scenario, {}).keys()
+        if expected.get(seed, {}).get(scenario, {}).get(system)
+        != actual.get(seed, {}).get(scenario, {}).get(system)
     )
     assert not moved, (
         f"{len(moved)} quick-catalog report(s) moved: {moved}; if the change "

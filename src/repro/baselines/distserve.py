@@ -110,6 +110,13 @@ class DistServeSystem(StaticPipelineSystem):
             for _ in range(n_decode):
                 self._deploy_decode(model)
 
+    def deploy_extra(self, model: str, rng):
+        """A scripted scale-out grows either pool with equal odds, or
+        drains could empty the decode pool with nothing re-growing it."""
+        if rng.random() < 0.5:
+            return self._deploy_decode(model)
+        return super().deploy_extra(model, rng)
+
     def _deploy_decode(self, model: str):
         """Decode-pool replicas attach to the decode router on activation."""
         replica = self._deploy(

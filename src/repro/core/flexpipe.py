@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.core.context import ServingContext
 from repro.core.serving import ServingSystem
 from repro.models.zoo import ModelSpec
 from repro.partitioning.ladder import FULL_LADDER, GranularityLadder
 from repro.partitioning.plan import PartitionPlan
+from repro.pipeline.replica import PipelineReplica
 from repro.pipeline.sizing import floor_footprint
 from repro.refactoring.executor import RefactoringExecutor
 from repro.refactoring.granularity import GranularityPolicy
@@ -31,7 +34,7 @@ from repro.scaling.affinity import AffinityScheduler
 from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.decision import G_MAX, scaling_granularity
 from repro.scaling.warm_cache import HostParamCache
-from repro.simulation.processes import PeriodicProcess
+from repro.simulation.processes import PeriodicProcess, VisitSet, arm, disarm
 from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS, SLO_LATENCY
 
 # Algorithm 1's control interval; the max-CV cache refreshes on it too.
@@ -52,6 +55,8 @@ class _ModelState:
     executor: RefactoringExecutor
     current_stages: int
     last_target_change: float = -1e9
+    # Marks the tenant live; set while it rests (see _control_tick).
+    mark: Callable[[], None] | None = None
 
 
 class FlexPipeSystem(ServingSystem):
@@ -143,6 +148,10 @@ class FlexPipeSystem(ServingSystem):
                 executor=executor,
                 current_stages=self._initial_stages(ladder),
             )
+        # The tenants the refactoring loop visits without QoS (indices
+        # into _states, the loop's order); see _control_tick.
+        self._states = list(self._models.values())
+        self._live = VisitSet(range(len(self._states)))
         self._build_autoscalers(
             {name: self._make_plan_for(state) for name, state in self._models.items()}
         )
@@ -184,6 +193,13 @@ class FlexPipeSystem(ServingSystem):
         state = self._models[model]
         return state.ladder.plan(state.current_stages)
 
+    def deploy_extra(self, model: str, rng) -> PipelineReplica:
+        """A scripted scale-out lands on a random ladder rung."""
+        ladder = self._models[model].ladder
+        counts = ladder.stage_counts
+        plan = ladder.plan(int(counts[int(rng.integers(len(counts)))]))
+        return self._deploy(self.profiles[model], plan)
+
     # ------------------------------------------------------------------
     def enable_qos(
         self,
@@ -202,6 +218,10 @@ class FlexPipeSystem(ServingSystem):
         tenant gets a turn at scarce GPUs.
         """
         super().enable_qos(classes, share_caps=share_caps, elastic=elastic)
+        # The loop now visits every tenant in urgency order.
+        for state in self._states:
+            if state.mark is not None:
+                self._revive(state)
         for name, scaler in self.autoscalers.items():
             slo_class = self.qos_class_of(name)
             scaler.slo_pressure = (
@@ -234,45 +254,82 @@ class FlexPipeSystem(ServingSystem):
 
     # ------------------------------------------------------------------
     def _control_tick(self) -> None:
-        """Algorithm 1's main loop body."""
+        """Algorithm 1's main loop body.
+
+        Under QoS every tenant is visited, most urgent first (the ordering
+        reads the attainment windows, which prunes their running sums).
+        Otherwise only *live* tenants are: a visit with fewer than four
+        arrivals in the window, and every active replica at the target
+        granularity, neither retargets nor refactors, and neither can a
+        later one until an arrival, a replica activation or a plan switch
+        marks the tenant live again.  Skipping a visit also skips its
+        ``monitor.cv`` read, which is value-neutral (see SlidingWindowCV).
+        """
         now = self.sim.now
-        for state in self._qos_ordered_states():
-            if not self.enable_refactoring:
-                continue
-            monitor = self.monitors[state.spec.name]
-            cv = monitor.cv(now)
-            # A tenant actively missing its class SLO halves its dwell:
-            # the refactoring monitor reacts on the violation timescale,
-            # not the calm-weather hysteresis timescale.
-            dwell = REFACTOR_DWELL
-            pressure = self.autoscalers[state.spec.name].slo_pressure
-            if pressure is not None and pressure() > 0:
-                dwell *= 0.5
-            if (
-                monitor.window_count(now) >= 4
-                and now - state.last_target_change >= dwell
-            ):
-                target = state.policy.select(cv)
-                if target != state.current_stages:
-                    scores = state.policy.scores(cv)
-                    if scores[target] >= SWITCH_MARGIN * scores[
-                        state.current_stages
-                    ]:
-                        state.current_stages = target
-                        state.last_target_change = now
-            # Converge replicas toward the target granularity, one per
-            # interval (staggered so serving capacity never dips).  A
-            # refactor transiently co-resides old and new chains, so a
-            # tenant without share-cap headroom for even the most degraded
-            # target chain skips the attempt instead of churning the
-            # allocator against its own cap every interval.
-            if not self._share_allows_refactor(state):
-                continue
-            router = self.routers[state.spec.name]
-            for replica in router.active_replicas:
-                if replica.plan.n_stages != state.current_stages:
-                    if state.executor.refactor(replica, state.current_stages):
-                        break
+        if self.qos_tracker is not None:
+            states = self._qos_ordered_states()
+            if self.enable_refactoring:
+                for state in states:
+                    self._visit(state, now)
+            return
+        if not self.enable_refactoring:
+            return
+        states = self._states
+        for rank in self._live.visit():
+            state = states[rank]
+            if state.mark is not None:
+                self._revive(state)
+            if self._visit(state, now):
+                self._rest(state, rank)
+
+    def _visit(self, state: _ModelState, now: float) -> bool:
+        """One tenant's turn; returns whether it can rest (no QoS)."""
+        monitor = self.monitors[state.spec.name]
+        cv = monitor.cv(now)
+        # A tenant actively missing its class SLO halves its dwell:
+        # the refactoring monitor reacts on the violation timescale,
+        # not the calm-weather hysteresis timescale.
+        dwell = REFACTOR_DWELL
+        pressure = self.autoscalers[state.spec.name].slo_pressure
+        if pressure is not None and pressure() > 0:
+            dwell *= 0.5
+        arrivals = monitor.window_count(now)
+        if arrivals >= 4 and now - state.last_target_change >= dwell:
+            target = state.policy.select(cv)
+            if target != state.current_stages:
+                scores = state.policy.scores(cv)
+                if scores[target] >= SWITCH_MARGIN * scores[
+                    state.current_stages
+                ]:
+                    state.current_stages = target
+                    state.last_target_change = now
+        # Converge replicas toward the target granularity, one per
+        # interval (staggered so serving capacity never dips).  A
+        # refactor transiently co-resides old and new chains, so a
+        # tenant without share-cap headroom for even the most degraded
+        # target chain skips the attempt instead of churning the
+        # allocator against its own cap every interval.
+        if not self._share_allows_refactor(state):
+            return False
+        settled = arrivals < 4
+        for replica in self.routers[state.spec.name].active_replicas:
+            if replica.plan.n_stages != state.current_stages:
+                settled = False
+                if state.executor.refactor(replica, state.current_stages):
+                    break
+        return settled
+
+    def _rest(self, state: _ModelState, rank: int) -> None:
+        """Leave the live set until the tenant's monitor or router moves."""
+        self._live.discard(rank)
+        state.mark = partial(self._live.add, rank)
+        arm(self.monitors[state.spec.name], state.mark)
+        arm(self.routers[state.spec.name], state.mark)
+
+    def _revive(self, state: _ModelState) -> None:
+        disarm(self.monitors[state.spec.name], state.mark)
+        disarm(self.routers[state.spec.name], state.mark)
+        state.mark = None
 
     def _share_allows_refactor(self, state: _ModelState) -> bool:
         """Whether the tenant's share cap could host a prepared chain."""

@@ -206,6 +206,17 @@ class ServingSystem(abc.ABC):
             profile, plan, scorer=self._scorer(profile.spec.name), **kwargs
         )
 
+    def deploy_extra(self, model: str, rng) -> PipelineReplica:
+        """Deploy one replica of ``model`` beyond what its autoscaler
+        counts (a scripted scale-out), at the plan ``start`` deploys.
+        Systems with a choice to make draw it from ``rng``.  Raises
+        :class:`AllocationError` when the cluster cannot host it."""
+        return self._deploy(self.profiles[model], self._initial_plan(model))
+
+    def executors(self) -> dict:
+        """Per-model refactoring executors (none: granularity is fixed)."""
+        return {}
+
     def _interference(self, gpu) -> float:
         """Eq. 9 execution-time inflation on shared GPUs, at this system's γ0.
 
@@ -227,7 +238,7 @@ class ServingSystem(abc.ABC):
         for _ in range(count):
             replica = self._deploy(self.profiles[model], plan, event_kind="initial")
             if scaler is not None:
-                scaler.loading.append(replica)
+                scaler.track(replica)
 
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:

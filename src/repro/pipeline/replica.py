@@ -397,6 +397,8 @@ class PipelineReplica:
             max_wait=self.batcher.config.max_wait,
         )
         self.reconfig_count += 1
+        if self.router is not None:
+            self.router.moved()
         # A chain with no in-flight work retires immediately.
         old_key = id(old_stages)
         if self._chain_jobs.get(old_key, 0) == 0:

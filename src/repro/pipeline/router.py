@@ -11,11 +11,15 @@ Queue signals are kept incrementally: each replica reports changes to its
 is ACTIVE, and the router folds them into its own running sums and into a
 :class:`FleetQueue` shared by every router of one serving system.  The
 invariant auditor's ``queue-ledger`` check recomputes both.
+
+A control loop sleeping until the fleet moves puts its mark in
+``sleepers``; :meth:`ModelRouter.moved` calls them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from repro.pipeline.replica import PipelineReplica
 from repro.simulation.engine import Simulator
@@ -65,6 +69,7 @@ class ModelRouter:
         self.queued = 0
         self.waiting = 0
         self.fleet = fleet if fleet is not None else FleetQueue()
+        self.sleepers: tuple[Callable[[], None], ...] = ()
 
     # ------------------------------------------------------------------
     def add(self, replica: PipelineReplica) -> None:
@@ -76,9 +81,13 @@ class ModelRouter:
                 replica.router = self
                 if replica.accepting:
                     self.shift(replica.queue_length, len(replica.batcher))
+            self.moved()
         self._drain_pending()
 
     def remove(self, replica: PipelineReplica) -> None:
+        """Unregister ``replica``.  The factory also calls this when a
+        replica that never activated is torn down, so a loading replica
+        leaving the fleet moves it too."""
         if replica in self.replicas:
             self.replicas.remove(replica)
             self.gateway_updates += 1
@@ -86,6 +95,14 @@ class ModelRouter:
                 replica.router = None
                 if replica.accepting:
                     self.shift(-replica.queue_length, -len(replica.batcher))
+        self.moved()
+
+    def moved(self) -> None:
+        """The fleet moved: a replica joined, left, stopped accepting or
+        switched plans, or the pending queue turned non-empty.  Marks
+        every control loop sleeping on this router."""
+        for mark in self.sleepers:
+            mark()
 
     def shift(self, queued: int, waiting: int) -> None:
         """Fold a change of an accepting replica's ``queue_length`` and
@@ -118,6 +135,8 @@ class ModelRouter:
             trace = request.trace
             if trace is not None:
                 trace.parked_at = self.sim.now
+            if not self.pending:
+                self.moved()
             self.pending.append(request)
             self.fleet.pending += 1
             return

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.workloads.cv import SlidingWindowCV
 
 
@@ -14,15 +16,22 @@ class WorkloadMonitor:
     empty.  Every call is O(1) amortised: ``window`` keeps ν_t as running
     sums (see :class:`SlidingWindowCV`), which the auditor's ``cv-window``
     invariant holds to the Eq. 4 recompute.
+
+    ``sleepers`` holds the marks of the control loops sleeping until this
+    tenant's next arrival; each arrival calls them.
     """
 
     def __init__(self, window: float = 30.0):  # ν_t's sliding window (s)
         self.window = SlidingWindowCV(window=window)
         self.total_observed = 0
+        self.sleepers: tuple[Callable[[], None], ...] = ()
 
     def observe(self, timestamp: float) -> None:
         self.window.observe(timestamp)
         self.total_observed += 1
+        if self.sleepers:
+            for mark in self.sleepers:
+                mark()
 
     # ------------------------------------------------------------------
     def cv(self, now: float) -> float:

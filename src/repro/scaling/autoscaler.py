@@ -7,13 +7,16 @@ not create one at all.
 
 A serving system ticks all of its autoscalers from one
 :class:`ControlSweep`; a tenant whose ticks provably decide nothing
-sleeps until an input of its decision moves.
+sleeps until an input of its decision moves, and the event that moves it
+marks the tenant due.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.allocator import AllocationError, InfeasibleCertificate
@@ -26,10 +29,11 @@ from repro.pipeline.sizing import floor_footprint, operating_batch
 from repro.refactoring.granularity import estimate_throughput, instance_count
 from repro.refactoring.monitor import WorkloadMonitor
 from repro.simulation.engine import Simulator
-from repro.simulation.processes import PeriodicProcess
+from repro.simulation.processes import PeriodicProcess, VisitSet, arm, disarm
 from repro.workloads.requests import OUTPUT_TOKENS, PROMPT_TOKENS, SLO_LATENCY
 
 if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
     from repro.core.deployment import ReplicaFactory
 
 
@@ -54,15 +58,22 @@ class AutoscalerConfig:
     cv_headroom: float = 0.0
 
 
-def _never() -> bool:
-    return False
-
-
 def _has_accepting(router: ModelRouter) -> bool:
     for replica in router.replicas:
         if replica.accepting:
             return True
     return False
+
+
+def _hook(name: str, doc: str) -> property:
+    """An optional input of every tick; installing one marks the tenant."""
+    attr = "_" + name
+
+    def install(self, hook) -> None:
+        setattr(self, attr, hook)
+        self._mark()
+
+    return property(attrgetter(attr), install, doc=doc)
 
 
 class ControlSweep:
@@ -76,19 +87,31 @@ class ControlSweep:
     sweep is created, and the process starts when the first one joins,
     so it takes that member's place in the event queue.
 
-    A sleeping member (``Autoscaler._wake`` set) is not ticked: the sweep
-    asks its wake check instead (O(fleet) at most), and ticks it at the
-    first grid instant the check fires.
+    A sleeping member (``Autoscaler._wake`` set) is not ticked.  Each
+    instant visits, in joining order, the awake members and the sleepers
+    marked *due* since their last visit; a due sleeper's wake check decides
+    whether it ticks.  The events that move a sleeper's inputs mark it
+    (see ``Autoscaler._sleep_at_floor`` and ``Autoscaler._park``).
+    A parked sleeper's certificate lapses exactly when the cluster's
+    capacity epoch moves, so every parked sleeper is marked when the
+    sweep sees the epoch move: at the start of an instant, and after
+    each tick.
     """
 
     def __init__(self, sim: Simulator, interval: float):
         self.sim = sim
         self.interval = interval
-        self._members: tuple[Autoscaler, ...] = ()
+        self._members: list[Autoscaler] = []  # by rank: joining order
+        self._joined: set[int] = set()  # ranks that have not left
+        self._due = VisitSet()  # awake members and marked sleepers
+        self._parked: set[int] = set()
+        self._cluster: Cluster | None = None  # whose epoch parks read
+        self._epoch = 0  # the epoch every parked sleeper was checked at
         self._process: PeriodicProcess | None = None
         self._origin = sim.now
 
-    def join(self, scaler: "Autoscaler") -> None:
+    def join(self, scaler: "Autoscaler") -> int:
+        """Add ``scaler`` (awake) and return its rank."""
         if scaler.config.interval != self.interval:
             raise ValueError(
                 f"autoscaler interval {scaler.config.interval} differs from "
@@ -102,19 +125,65 @@ class ControlSweep:
             )
         if self._process is None:
             self._process = PeriodicProcess(self.sim, self.interval, self._tick)
-        self._members += (scaler,)
+        rank = len(self._members)
+        self._members.append(scaler)
+        self._joined.add(rank)
+        self._due.add(rank)
+        return rank
 
-    def leave(self, scaler: "Autoscaler") -> None:
-        """Drop ``scaler``; the process stops with the last member."""
-        self._members = tuple(m for m in self._members if m is not scaler)
-        if not self._members and self._process is not None:
+    def leave(self, rank: int) -> None:
+        """Drop a member; the process stops with the last one."""
+        self._joined.discard(rank)
+        self._due.discard(rank)
+        self._parked.discard(rank)
+        if not self._joined and self._process is not None:
             self._process.stop()
 
+    def mark(self, rank: int) -> None:
+        """An input of the member's decision moved: visit it next (a
+        member that left is never visited again)."""
+        if rank in self._joined:
+            self._due.add(rank)
+
+    def rest(self, rank: int) -> None:
+        """The member fell asleep: visit it only once marked."""
+        self._due.discard(rank)
+
+    def park(self, rank: int, cluster: Cluster) -> None:
+        """The member fell asleep on a certificate of ``cluster``'s
+        current capacity epoch: mark it too once the epoch moves."""
+        self.rest(rank)
+        if not self._parked:
+            self._cluster = cluster
+            self._epoch = cluster.capacity_epoch
+        self._parked.add(rank)
+
+    def wake(self, rank: int) -> None:
+        """The member is awake: visit it every instant."""
+        self._parked.discard(rank)
+        self.mark(rank)
+
+    def _check_epoch(self) -> None:
+        epoch = self._cluster.capacity_epoch
+        if epoch != self._epoch:
+            self._epoch = epoch
+            for rank in self._parked:
+                self._due.add(rank)
+
     def _tick(self) -> None:
-        for scaler in self._members:
+        members = self._members
+        due = self._due
+        if self._parked:
+            self._check_epoch()
+        for rank in due.visit():
+            scaler = members[rank]
             wake = scaler._wake
-            if wake is None or wake():
-                scaler.tick()
+            if wake is not None and not wake():
+                due.discard(rank)  # still asleep
+                continue
+            scaler.tick()
+            if self._parked:
+                self._check_epoch()  # the tick may have released capacity
 
 
 class Autoscaler:
@@ -162,22 +231,9 @@ class Autoscaler:
         # queue = 0 (Eq. 5 floors at one replica, scale-to-zero at zero).
         self._floor = min(self.config.min_replicas, self.config.max_replicas)
         self.loading: list[PipelineReplica] = []
-        # Optional QoS hook: a callable returning the tenant's scale-out
-        # urgency (>= 0, see AttainmentTracker.pressure).  While the
-        # tenant misses its class SLO the effective utilization target
-        # drops, so a violated interactive tenant scales out before a
-        # happy batch tenant.  None (the default) changes nothing.
-        self.slo_pressure: Callable[[], float] | None = None
-        # Optional QoS hook: bytes this tenant may still reserve under its
-        # share cap (math.inf = uncapped).  When set, scale-out desire is
-        # clamped to what the cap can host, so the autoscaler never churns
-        # the allocator with deploys the cap is guaranteed to refuse.
-        # None (the default) changes nothing.
-        self.share_headroom: Callable[[], float] | None = None
-        # Optional hook run by a parked tick in place of the deploy it
-        # skips, for deploy paths that touch state before they allocate.
-        # None (the default) changes nothing.
-        self.on_park: Callable[[], object] | None = None
+        self._slo_pressure: Callable[[], float] | None = None
+        self._share_headroom: Callable[[], float] | None = None
+        self._on_park: Callable[[], object] | None = None
         self._blocked_since: float | None = None
         # The plan whose scale-out last failed, with the allocator's proof
         # that it cannot place until capacity is added (None = not parked).
@@ -192,11 +248,71 @@ class Autoscaler:
         self._sweep = sweep if sweep is not None else ControlSweep(
             sim, self.config.interval
         )
-        self._sweep.join(self)
+        self._rank = self._sweep.join(self)
+        # Called by the events that move an input of a sleeping tenant.
+        self._mark = partial(self._sweep.mark, self._rank)
+
+    slo_pressure = _hook(
+        "slo_pressure",
+        """Optional QoS hook: a callable returning the tenant's scale-out
+        urgency (>= 0, see AttainmentTracker.pressure).  While the tenant
+        misses its class SLO the effective utilization target drops, so a
+        violated interactive tenant scales out before a happy batch
+        tenant.  None (the default) changes nothing.""",
+    )
+    share_headroom = _hook(
+        "share_headroom",
+        """Optional QoS hook: bytes this tenant may still reserve under its
+        share cap (math.inf = uncapped).  When set, scale-out desire is
+        clamped to what the cap can host, so the autoscaler never churns
+        the allocator with deploys the cap is guaranteed to refuse.  None
+        (the default) changes nothing.""",
+    )
+    on_park = _hook(
+        "on_park",
+        """Optional hook run by a parked tick in place of the deploy it
+        skips, for deploy paths that touch state before they allocate.
+        None (the default) changes nothing.""",
+    )
 
     def stop(self) -> None:
-        self._wake = _never  # a member stopped mid-sweep is not ticked
-        self._sweep.leave(self)
+        self._disarm()
+        self._wake = None
+        self._sweep.leave(self._rank)
+
+    def track(self, replica: PipelineReplica) -> None:
+        """Count ``replica``, deployed for this tenant, as loading."""
+        self.loading.append(replica)
+        self._mark()
+
+    # ------------------------------------------------------------------
+    def _sleep_at_floor(self) -> None:
+        """Skip ticks until an arrival, the router's fleet or its pending
+        queue, or a hook moves: ``_floor_woken`` then decides."""
+        self._observed = self.monitor.total_observed
+        self._wake = self._floor_woken
+        self._sweep.rest(self._rank)
+        arm(self.monitor, self._mark)
+        arm(self.router, self._mark)
+
+    def _park(self) -> None:
+        """Skip ticks until the router's fleet, ``loading`` or a hook
+        moves, or the capacity epoch does: ``_parked_woken`` then
+        decides.  Arrivals cannot unpark a fixed plan."""
+        self._wake = self._parked_woken
+        self._sweep.park(self._rank, self._parked[1].allocator.cluster)
+        arm(self.router, self._mark)
+
+    def _wake_up(self) -> None:
+        self._disarm()
+        self._wake = None
+        self._sweep.wake(self._rank)
+
+    def _disarm(self) -> None:
+        """Take back the marks a sleep armed (none while awake)."""
+        if self._wake is not None:
+            disarm(self.monitor, self._mark)
+            disarm(self.router, self._mark)
 
     # ------------------------------------------------------------------
     @property
@@ -242,7 +358,8 @@ class Autoscaler:
     def tick(self) -> None:
         now = self.sim.now
         cfg = self.config
-        self._wake = None
+        if self._wake is not None:
+            self._wake_up()
         if self.loading:
             self.loading = [
                 r for r in self.loading if r.state is ReplicaState.LOADING
@@ -264,8 +381,7 @@ class Autoscaler:
             self._low_since = None
             # Every later tick takes this path too until an input moves,
             # and it rewrites only what it just wrote: sleep.
-            self._observed = self.monitor.total_observed
-            self._wake = self._floor_woken
+            self._sleep_at_floor()
             return
         cv = self.monitor.cv(now)
         rate = self.monitor.arrival_rate(now)
@@ -406,7 +522,7 @@ class Autoscaler:
             if self.on_park is not None:
                 self.on_park()
             elif self._sleeps_while_parked():
-                self._wake = self._parked_woken
+                self._park()
             return
         wait = now - self._blocked_since if self._blocked_since is not None else 0.0
         for _ in range(n):
@@ -417,7 +533,7 @@ class Autoscaler:
                 self._parked = (plan, cert) if cert is not None else None
                 if cert is not None and self._sleeps_while_parked():
                     # The next tick would reach the park above: sleep now.
-                    self._wake = self._parked_woken
+                    self._park()
                 # One event per blocked episode, not per retry: retained
                 # events must not grow with the retry rate.
                 if self._blocked_since is None:

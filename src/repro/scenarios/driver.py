@@ -172,23 +172,8 @@ def pick_model(system, rng) -> str:
 def action_scale_out(system, rng, model: str | None = None) -> str:
     """Deploy one more replica for ``model`` (random if omitted)."""
     model = model or pick_model(system, rng)
-    profile = system.profiles[model]
-    states = getattr(system, "_models", None)
-    deploy_decode = getattr(system, "_deploy_decode", None)
-    if states is not None:  # FlexPipe: random ladder rung
-        ladder = states[model].ladder
-        counts = ladder.stage_counts
-        plan = ladder.plan(int(counts[int(rng.integers(len(counts)))]))
-        deploy = lambda: system.factory.deploy(profile, plan)
-    elif deploy_decode is not None and rng.random() < 0.5:
-        # DistServe: also churn the decode pool, or drains could
-        # empty it permanently with no event ever re-growing it.
-        deploy = lambda: deploy_decode(model)
-    else:  # baselines: their fixed granularity
-        plan = system.plans[model]
-        deploy = lambda: system._deploy(profile, plan)
     try:
-        deploy()
+        system.deploy_extra(model, rng)
     except AllocationError:
         return "blocked"
     return "ok"
@@ -210,28 +195,26 @@ def action_refactor(
     system, rng, model: str | None = None, target_stages: int | None = None
 ) -> str:
     """Force an inflight refactor of one active replica (FlexPipe only)."""
-    states = getattr(system, "_models", None)
-    if not states:
+    executors = system.executors()
+    if not executors:
         return "unsupported"
     model = model or pick_model(system, rng)
-    state = states[model]
+    executor = executors[model]
     active = system.routers[model].active_replicas
     if not active:
         return "noop"
     replica = active[int(rng.integers(len(active)))]
+    counts = executor.ladder.stage_counts
     if target_stages is not None:
-        counts = state.ladder.stage_counts
         target = min(counts, key=lambda c: abs(c - target_stages))
         if target == replica.plan.n_stages:
             return "noop"
     else:
-        targets = [
-            c for c in state.ladder.stage_counts if c != replica.plan.n_stages
-        ]
+        targets = [c for c in counts if c != replica.plan.n_stages]
         if not targets:
             return "noop"
         target = int(targets[int(rng.integers(len(targets)))])
-    started = state.executor.refactor(replica, int(target))
+    started = executor.refactor(replica, int(target))
     return "ok" if started else "declined"
 
 

@@ -422,9 +422,10 @@ class TestAutoscalerBlockedEpisodes:
             return loading[-1]
 
         metrics = MetricsCollector("test")
+        router = ModelRouter(ctx.sim, "LLAMA2-7B")
         Autoscaler(
             ctx.sim,
-            ModelRouter(ctx.sim, "LLAMA2-7B"),
+            router,
             WorkloadMonitor(),
             llama_profile,
             metrics,
@@ -446,6 +447,7 @@ class TestAutoscalerBlockedEpisodes:
         ctx.sim.run(until=6.0)  # the deploy lands: the episode closes
         assert len(loading) == 1
         loading[0].state = ReplicaState.RELEASED  # lost before activating
+        router.remove(loading[0])  # as the factory's teardown does
         blocked[0] = True
         ctx.sim.run(until=10.0)  # a second episode
         times = [e.time for e in blocked_events()]
@@ -459,6 +461,7 @@ class _ScriptedMonitor:
         self.rate = 0.0
         self.count = 0
         self.total_observed = 0
+        self.sleepers = ()
 
     def cv(self, now):
         return 0.0
@@ -472,6 +475,8 @@ class _ScriptedMonitor:
     def arrive(self):
         self.rate, self.count = 1.0, 5
         self.total_observed += 5
+        for mark in self.sleepers:
+            mark()
 
     def go_quiet(self):
         self.rate, self.count = 0.0, 0
@@ -723,8 +728,13 @@ def _polling_autoscaler():
                 scaler.sim, scaler.config.interval, scaler.tick
             )
 
-        def leave(self, scaler):
+            return 0
+
+        def leave(self, rank):
             self.process.stop()
+
+        def mark(self, rank):
+            """Nobody sleeps: every tick runs."""
 
     class PollingAutoscaler(Autoscaler):
         def __init__(self, *args, sweep=None, **kwargs):
@@ -796,6 +806,99 @@ def _polling_autoscaler():
     return PollingAutoscaler
 
 
+def _polling_control_tick(self):
+    """FlexPipe's refactoring loop before live sets: every tenant visited
+    every control interval."""
+    from repro.core.flexpipe import REFACTOR_DWELL, SWITCH_MARGIN
+
+    now = self.sim.now
+    for state in self._qos_ordered_states():
+        if not self.enable_refactoring:
+            continue
+        monitor = self.monitors[state.spec.name]
+        cv = monitor.cv(now)
+        dwell = REFACTOR_DWELL
+        pressure = self.autoscalers[state.spec.name].slo_pressure
+        if pressure is not None and pressure() > 0:
+            dwell *= 0.5
+        if (
+            monitor.window_count(now) >= 4
+            and now - state.last_target_change >= dwell
+        ):
+            target = state.policy.select(cv)
+            if target != state.current_stages:
+                scores = state.policy.scores(cv)
+                if scores[target] >= SWITCH_MARGIN * scores[state.current_stages]:
+                    state.current_stages = target
+                    state.last_target_change = now
+        if not self._share_allows_refactor(state):
+            continue
+        router = self.routers[state.spec.name]
+        for replica in router.active_replicas:
+            if replica.plan.n_stages != state.current_stages:
+                if state.executor.refactor(replica, state.current_stages):
+                    break
+
+
+def _superset_sweep(checks):
+    """A sweep that, at every instant, before and after its pass, also
+    evaluates every sleeper's wake check (they only read state): each one
+    that fires must be due.  ``checks`` counts the evaluations."""
+    from repro.scaling.autoscaler import ControlSweep
+
+    class SupersetSweep(ControlSweep):
+        def _tick(self):
+            self._assert_due()
+            super()._tick()
+            self._assert_due()
+
+        def _assert_due(self):
+            if self._parked:
+                self._check_epoch()  # what the pass does first
+            for rank in sorted(self._joined):
+                wake = self._members[rank]._wake
+                if wake is None:
+                    continue
+                checks["sleepers"] += 1
+                assert not wake() or rank in self._due.ranks, (
+                    f"member {rank} would wake at t={self.sim.now} "
+                    f"but nothing marked it"
+                )
+
+    return SupersetSweep
+
+
+def _resting_checked_control_tick(checks):
+    """FlexPipe's loop, asserting before and after each pass that every
+    resting tenant's visit would change nothing: fewer than four arrivals
+    in its window and every active replica at the target granularity."""
+    from repro.core.flexpipe import FlexPipeSystem
+
+    control_tick = FlexPipeSystem._control_tick
+
+    def assert_resting_idle(system):
+        if system.qos_tracker is not None or not system.enable_refactoring:
+            return
+        now = system.sim.now
+        for rank, state in enumerate(system._states):
+            if rank in system._live.ranks:
+                continue
+            checks["resting"] += 1
+            name = state.spec.name
+            assert system.monitors[name].window_count(now) < 4, (name, now)
+            assert all(
+                r.plan.n_stages == state.current_stages
+                for r in system.routers[name].active_replicas
+            ), (name, now)
+
+    def checked(self):
+        assert_resting_idle(self)
+        control_tick(self)
+        assert_resting_idle(self)
+
+    return checked
+
+
 def _report_digest(spec, system, seed):
     """Report hash with ``engine_events`` masked (a sleeping tenant's
     skipped ticks are engine events, and nothing else may move), and the
@@ -823,9 +926,12 @@ def _pinned_binding_caps():
 
 
 class TestAutoscalerPollingOracle:
-    """The control sweep, its sleeping tenants, the floor rule and the
-    certified park change no report: per-tenant polling produces
-    byte-identical reports (engine event counts aside)."""
+    """The control sweep, its sleeping tenants, the floor rule, the
+    certified park and FlexPipe's live set change no report: per-tenant
+    polling, and a refactoring loop visiting every tenant, produce
+    byte-identical reports (engine event counts aside).  The event-driven
+    run is checked as it goes: a sleeper whose wake check fires was always
+    marked due, and a resting tenant's visit would have changed nothing."""
 
     @pytest.mark.parametrize(
         "scenario, system, seed",
@@ -860,13 +966,29 @@ class TestAutoscalerPollingOracle:
         import repro.core.serving
         from repro.scenarios.library import get_scenario
 
+        from collections import Counter
+
+        from repro.core.flexpipe import FlexPipeSystem
+
         if scenario == "chaos-3-binding-caps":
             spec = _pinned_binding_caps()
         else:
             spec = get_scenario(scenario).quick()
-        new, _ = _report_digest(spec, system, seed)
+        checks = Counter()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                repro.core.serving, "ControlSweep", _superset_sweep(checks)
+            )
+            patch.setattr(
+                FlexPipeSystem, "_control_tick",
+                _resting_checked_control_tick(checks),
+            )
+            new, _ = _report_digest(spec, system, seed)
+        # Tenants slept, so the superset check was not vacuous.
+        assert checks["sleepers"] > 0
         polling = _polling_autoscaler()
         monkeypatch.setattr(repro.core.serving, "Autoscaler", polling)
+        monkeypatch.setattr(FlexPipeSystem, "_control_tick", _polling_control_tick)
         old, served = _report_digest(spec, system, seed)
         # Every tenant ran the polling autoscaler, so the match is not
         # vacuous.
@@ -947,10 +1069,12 @@ class TestControlSweep:
         assert deployed == [3.5]
 
     def test_pending_request_wakes(self, sim, llama_profile):
+        from types import SimpleNamespace
+
         scaler, ticks, deployed = self._scaler(
             sim, llama_profile, self._plan(llama_profile), min_replicas=0
         )
-        sim.schedule_at(2.2, scaler.router.pending.append, object())
+        sim.schedule_at(2.2, scaler.router.submit, SimpleNamespace(trace=None))
         sim.run(until=10.0)
         assert ticks[:2] == [0.5, 2.5]
         assert deployed == [2.5]
@@ -1029,7 +1153,7 @@ class TestControlSweep:
             sim, llama_profile, self._plan(llama_profile), min_replicas=1
         )
         scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
-        sim.schedule_at(2.2, scaler.router.pending.append, object())
+        sim.schedule_at(2.2, scaler.router.submit, SimpleNamespace(trace=None))
         sim.run(until=4.0)
         # Queued work keeps every later tick awake.
         assert ticks == [0.5, 2.5, 3.0, 3.5, 4.0]
@@ -1120,6 +1244,52 @@ class TestControlSweep:
         assert calls == [0.5, 5.5]
         assert ticks == [0.5, 5.5]
 
+    def test_a_tick_that_releases_capacity_wakes_a_later_parked_sleeper(
+        self, ctx, llama_profile
+    ):
+        """A release inside an earlier member's tick lapses the
+        certificate of a sleeper the same pass reaches later."""
+        from repro.pipeline.sizing import degrade_until_fit
+        from repro.scaling.autoscaler import ControlSweep
+
+        allocator = ctx.allocator
+        fills = [
+            allocator.reserve_on("fill", gpu, gpu.free_memory - 3 * GB)
+            for gpu in ctx.cluster.gpus
+        ]
+        plan = self._plan(llama_profile)
+        calls = []
+
+        def deploy(profile, p, *, wait_time=0.0):
+            calls.append(ctx.sim.now)
+            kv = profile.spec.kv_bytes_per_request
+            return degrade_until_fit(
+                p.max_batch,
+                lambda b: allocator.allocate_stages(
+                    profile.spec.name, p.memory_per_stage(b, kv)
+                ),
+            )
+
+        sweep = ControlSweep(ctx.sim, 0.5)
+        first, _, _ = self._scaler(
+            ctx.sim, llama_profile, plan, sweep=sweep, min_replicas=0
+        )
+        parked, ticks, _ = self._scaler(
+            ctx.sim, llama_profile, plan, sweep=sweep, min_replicas=1
+        )
+        parked.deploy = deploy
+
+        def pressure():
+            # Runs inside the first member's tick at every instant.
+            if ctx.sim.now == 5.5:
+                allocator.release(fills[0])
+            return 0.0
+
+        first.slo_pressure = pressure
+        ctx.sim.run(until=7.0)
+        assert calls == [0.5, 5.5]
+        assert ticks == [0.5, 5.5]
+
     def test_a_plan_choice_never_sleeps_parked(self, ctx, llama_profile):
         from repro.cluster.allocator import AllocationError, InfeasibleCertificate
 
@@ -1140,6 +1310,65 @@ class TestControlSweep:
         ctx.sim.run(until=5.0)
         assert len(ticks) == 10
         assert scaler._wake is None
+
+    def test_cancelled_loading_replica_wakes_a_floor_sleeper(self, ctx):
+        """A loading replica torn down before it activates leaves the
+        fleet without ever reaching the router."""
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+
+        system = FlexPipeSystem(ctx, [LLAMA2_7B], initial_replicas=1)
+        scaler = system.autoscalers[LLAMA2_7B.name]
+        ticks = _tick_times(scaler)
+        system.start()
+        (first,) = system.all_replicas()
+        ctx.sim.schedule_at(1.2, system.factory.release, first)
+        ctx.sim.run(until=2.0)
+        assert first.activated_at is None
+        # Asleep at the floor while it loads; the cancel wakes the tenant,
+        # which redeploys.
+        assert ticks == [0.5, 1.5, 2.0]
+        assert [r.created_at for r in system.all_replicas()] == [0.0, 1.5]
+
+    def test_late_start_wakes_a_sleeping_tenant(self, ctx):
+        """Replicas ``start`` deploys join the tenant's loading fleet."""
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+
+        system = FlexPipeSystem(
+            ctx, [LLAMA2_7B], initial_replicas=1, min_replicas=0
+        )
+        scaler = system.autoscalers[LLAMA2_7B.name]
+        ticks = _tick_times(scaler)
+        ctx.sim.schedule_at(2.2, system.start)
+        ctx.sim.run(until=4.0)
+        assert ticks[:2] == [0.5, 2.5]
+
+    def test_forced_refactor_revives_a_resting_tenant(self, ctx):
+        """A plan switch puts a resting tenant back in FlexPipe's live
+        set, whose loop converges the replica back to the target."""
+        import numpy as np
+
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.models.zoo import LLAMA2_7B
+        from repro.scenarios.driver import action_refactor
+
+        system = FlexPipeSystem(ctx, [LLAMA2_7B], initial_replicas=1)
+        system.start()
+        ctx.sim.run(until=30.0)
+        (replica,) = system.all_replicas()
+        target = system.current_granularity(LLAMA2_7B.name)
+        assert replica.accepting and replica.n_stages == target
+        assert not system._live.ranks  # no arrivals: resting
+        outcome = action_refactor(
+            system, np.random.default_rng(0), LLAMA2_7B.name, target_stages=8
+        )
+        assert outcome == "ok"
+        ctx.sim.run(until=200.0)
+        executor = system.executors()[LLAMA2_7B.name]
+        assert executor.transitions_completed == 2
+        assert replica.n_stages == target
+        assert not system._live.ranks
 
     def test_enable_qos_wakes(self, ctx):
         from repro.core.flexpipe import FlexPipeSystem
@@ -1188,6 +1417,57 @@ class TestControlSweep:
         sim.run(until=0.2)
         with pytest.raises(ValueError):
             self._scaler(sim, llama_profile, plan, sweep=sweep)
+
+
+class TestEventDrivenControlCounts:
+    """On the seed-0 ``coldstart-economy`` quick cells (108 mostly idle
+    tenants), wake checks and refactoring visits scale with the tenants
+    whose inputs moved, not with fleet x instants (the polling sweep
+    made 75,744 floor checks on FlexPipe and 53,734 parked checks on
+    DistServe, and the polling loop 42,120 refactoring visits)."""
+
+    def _run(self, monkeypatch, system):
+        from collections import Counter
+
+        from repro.core.flexpipe import FlexPipeSystem
+        from repro.scaling.autoscaler import Autoscaler, ControlSweep
+        from repro.scenarios.driver import ScenarioCase, ScenarioDriver
+        from repro.scenarios.library import get_scenario
+
+        counts = Counter()
+
+        def count(cls, name, key):
+            method = getattr(cls, name)
+
+            def counted(self, *args):
+                counts[key] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(Autoscaler, "_floor_woken", "floor")
+        count(Autoscaler, "_parked_woken", "parked")
+        # Parking itself asks the parked check once; those are not polls.
+        count(Autoscaler, "_sleeps_while_parked", "parks")
+        count(ControlSweep, "_tick", "instants")
+        count(FlexPipeSystem, "_control_tick", "intervals")
+        count(FlexPipeSystem, "_share_allows_refactor", "visits")
+        spec = get_scenario("coldstart-economy").quick()
+        driver = ScenarioDriver(ScenarioCase(spec, system, 0))
+        driver.run()
+        return counts, len(driver.system.specs)
+
+    def test_flexpipe(self, monkeypatch):
+        counts, tenants = self._run(monkeypatch, "FlexPipe")
+        polls = tenants * counts["instants"]
+        assert counts["floor"] <= 0.01 * polls
+        assert counts["visits"] <= 0.1 * tenants * counts["intervals"]
+
+    def test_distserve(self, monkeypatch):
+        counts, tenants = self._run(monkeypatch, "DistServe")
+        polls = tenants * counts["instants"]
+        assert counts["floor"] <= 0.01 * polls
+        assert counts["parked"] - counts["parks"] <= 0.03 * polls
 
 
 def _tick_times(scaler):

@@ -12,7 +12,7 @@ import pytest
 from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 from repro.scenarios.library import get_scenario
 from repro.simulation.engine import SimulationError, Simulator
-from repro.simulation.processes import PeriodicProcess
+from repro.simulation.processes import PeriodicProcess, VisitSet
 from repro.simulation.randomness import RandomStreams
 
 
@@ -380,6 +380,33 @@ class TestPeriodicProcess:
     def test_invalid_interval_rejected(self, sim):
         with pytest.raises(ValueError):
             PeriodicProcess(sim, 0.0, lambda: None)
+
+
+class TestVisitSet:
+    """A pass visits ranks in order; one added during the pass joins it
+    only while still ahead of the member being visited."""
+
+    def test_additions_ahead_join_the_pass_and_behind_wait(self):
+        due = VisitSet([1, 5])
+        seen = []
+        for rank in due.visit():
+            seen.append(rank)
+            if rank == 1:
+                due.add(3)  # ahead: this pass
+                due.add(0)  # behind: the next pass
+        assert seen == [1, 3, 5]
+        assert list(due.visit()) == [0, 1, 3, 5]
+
+    def test_discards_ahead_are_skipped_and_readds_visited_once(self):
+        due = VisitSet([0, 1, 2])
+        seen = []
+        for rank in due.visit():
+            seen.append(rank)
+            if rank == 0:
+                due.discard(2)
+                due.discard(1)
+                due.add(1)
+        assert seen == [0, 1]
 
 
 class TestRandomStreams:
