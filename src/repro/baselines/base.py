@@ -74,9 +74,8 @@ class StaticPipelineSystem(ServingSystem):
         return self.plans[model]
 
     def _scorer(self, model: str):
-        monitor = self.monitors[model]
         return make_eq6_scorer(
-            lambda: monitor.cv(self.sim.now),
+            self.monitors[model].cv(self.sim.now),
             gamma0=self.gamma0,
             prefer_colocation=self.prefer_colocation,
         )

@@ -42,11 +42,12 @@ Blocked tenants retry the same placement every control tick.  A failed
 placement that a matching certificate proves impossible for *every*
 scorer is memoised against the cluster's capacity epoch, so identical
 retries raise without scanning the fleet until some change adds
-placement room.  Failures that are only the scorer's bad luck are never
-memoised: HRG contention and warm-cache coverage move at a fixed epoch,
-so the retry may succeed.  A memoised failure hands its caller an
-:class:`InfeasibleCertificate`, which lets the autoscaler skip retries
-until the certificate lapses.
+placement room.  A tenant that hosts no stage is memoised by its stage
+sizes alone, so one proof serves every same-shape tenant.  Failures that
+are only the scorer's bad luck are never memoised: HRG contention and
+warm-cache coverage move at a fixed epoch, so the retry may succeed.  A
+memoised failure hands its caller an :class:`InfeasibleCertificate`,
+which lets the autoscaler skip retries while the memo holds its key.
 """
 
 from __future__ import annotations
@@ -72,23 +73,22 @@ class AllocationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class InfeasibleCertificate:
-    """A placement the allocator's memo records as impossible at ``epoch``.
+    """A placement the allocator's memo records as impossible.
 
-    It holds while the memo still records ``key`` at ``epoch`` and the
-    cluster's capacity epoch has not moved past it, so the memo (which
-    :meth:`GPUAllocator.audit_balance` re-derives) stays the single
-    source of truth.
+    It holds while the memo records ``key`` at the cluster's current
+    capacity epoch, whoever certified it there: after the epoch moves, a
+    same-shape tenant's rescan that fails again renews every certificate
+    of that key.  The memo (which :meth:`GPUAllocator.audit_balance`
+    re-derives) stays the single source of truth.
     """
 
     allocator: GPUAllocator
     key: tuple
-    epoch: int
 
     def holds(self) -> bool:
         allocator = self.allocator
         return (
             allocator._infeasible.get(self.key)
-            == self.epoch
             == allocator.cluster.capacity_epoch
         )
 
@@ -179,8 +179,15 @@ class GPUAllocator:
         self.cluster = cluster
         self._counter = itertools.count()
         self.live: dict[str, StageReservation] = {}
+        # gid -> live reservations on that GPU (absent at zero).
+        self._live_on: dict[str, int] = {}
         self.failed_requests = 0
         self.granted_requests = 0
+        # Outcomes of the memoised placement pass, one count each.
+        self.placed = 0
+        self.memo_hits = 0
+        self.new_certificates = 0
+        self.failed_with_matching = 0
         # --- QoS arbitration state (inert until enable_arbitration) ---
         # model -> strict-priority rank (0 = most urgent); None = off.
         self.qos_priority_of: Callable[[str], int] | None = None
@@ -213,7 +220,8 @@ class GPUAllocator:
         # allocator has no simulator handle; ``_clock`` stamps events).
         self.recorder = None
         # (model, stage bytes, excluded gids) -> capacity epoch at which
-        # the matching certificate proved the placement impossible.
+        # the matching certificate proved the placement impossible; model
+        # is None for a tenant hosting no stage (see _place_memoised).
         self._infeasible: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
@@ -694,6 +702,7 @@ class GPUAllocator:
         gpu.reserve(res_id, nbytes, model=model)
         reservation = StageReservation(res_id, model, gpu, nbytes)
         self.live[res_id] = reservation
+        self._live_on[gpu.gid] = self._live_on.get(gpu.gid, 0) + 1
         self._book_tenant(model, nbytes)
         return reservation
 
@@ -781,39 +790,56 @@ class GPUAllocator:
         A retry of a placement certified impossible at the current
         capacity epoch raises without scanning the fleet.  Every certified
         failure, hit or new entry, carries its certificate.
+
+        A tenant hosting no stage has every GPU eligible, so it is keyed
+        by ``(None, sizes, banned)``: within an epoch capacity only
+        shrinks and a tenant's hosting only grows (a release moves the
+        epoch), so no matching for that key means none for any same-shape
+        tenant until the epoch moves.  A tenant hosting a stage loses
+        those GPUs to anti-affinity and keeps its own model key.
         """
         exclude = tuple(exclude)
         banned = frozenset(g.gid for g in exclude)
-        key = (model, tuple(mem_per_stage), banned)
+        owner = model if model in self.cluster.hosting_gpus else None
+        key = (owner, tuple(mem_per_stage), banned)
         epoch = self.cluster.capacity_epoch
         if self._infeasible.get(key) == epoch:
+            self.memo_hits += 1
             exc = AllocationError(
                 f"no placement for {model!r}: {len(mem_per_stage)} stages "
                 f"exceed the eligible free fragments (certified at capacity "
                 f"epoch {epoch})"
             )
-            exc.certificate = InfeasibleCertificate(self, key, epoch)
+            exc.certificate = InfeasibleCertificate(self, key)
             raise exc
         try:
-            return self._place_stages(
+            reservations = self._place_stages(
                 model, mem_per_stage, scorer, exclude, stage_bonuses
             )
         except AllocationError as exc:
-            if not self._matching_exists(model, mem_per_stage, banned):
+            if self._matching_exists(owner, mem_per_stage, banned):
+                self.failed_with_matching += 1
+            else:
+                self.new_certificates += 1
                 self._infeasible[key] = epoch  # one entry per key, not per retry
-                exc.certificate = InfeasibleCertificate(self, key, epoch)
+                exc.certificate = InfeasibleCertificate(self, key)
             raise
+        self.placed += 1
+        return reservations
 
     def _matching_exists(
-        self, model: str, mem_per_stage: Sequence[float], banned: frozenset[str]
+        self,
+        model: str | None,
+        mem_per_stage: Sequence[float],
+        banned: frozenset[str],
     ) -> bool:
         """Could *any* scorer place every stage on the fleet as it is now?
 
         A stage fits an eligible GPU (not banned, not cordoned, not
-        hosting ``model``) iff the GPU's free bytes reach the stage's
-        size, so the stages' candidate sets are nested and Hall's
-        condition reduces to one sorted pass: the i-th largest free
-        fragment must hold the i-th largest stage.
+        hosting ``model``; ``None``, a shape key, hosts nowhere) iff the
+        GPU's free bytes reach the stage's size, so the stages' candidate
+        sets are nested and Hall's condition reduces to one sorted pass:
+        the i-th largest free fragment must hold the i-th largest stage.
         """
         free = sorted(
             (
@@ -973,9 +999,14 @@ class GPUAllocator:
         """Return a reservation's memory to its GPU."""
         if reservation.released:
             raise AllocationError(f"double release of {reservation.res_id}")
-        reservation.gpu.release(reservation.res_id, model=reservation.model)
+        gpu = reservation.gpu
+        gpu.release(reservation.res_id, model=reservation.model)
         reservation.released = True
-        self.live.pop(reservation.res_id, None)
+        if self.live.pop(reservation.res_id, None) is not None:
+            if self._live_on[gpu.gid] == 1:
+                del self._live_on[gpu.gid]
+            else:
+                self._live_on[gpu.gid] -= 1
         self._book_tenant(reservation.model, -reservation.nbytes)
 
     def resize(self, reservation: StageReservation, nbytes: float) -> None:
@@ -1002,12 +1033,14 @@ class GPUAllocator:
         # runs on every chaos-audit tick.
         snapshots: dict[str, dict[str, float]] = {}
         tenant_live: dict[str, float] = {}
+        live_on: dict[str, int] = {}
         for res_id, res in self.live.items():
             if res.released:
                 problems.append(
                     f"{res_id} is marked released but still tracked live"
                 )
             tenant_live[res.model] = tenant_live.get(res.model, 0.0) + res.nbytes
+            live_on[res.gpu.gid] = live_on.get(res.gpu.gid, 0) + 1
             allocs = snapshots.get(res.gpu.gid)
             if allocs is None:
                 allocs = snapshots[res.gpu.gid] = res.gpu.stage_allocations
@@ -1021,15 +1054,31 @@ class GPUAllocator:
                     f"{res_id} bytes mismatch on {res.gpu.gid}: "
                     f"reservation {res.nbytes}, GPU {allocs[res_id]}"
                 )
+        # The incremental counts behind gpus_in_use and the memo's
+        # hosting test must equal their recompute.
+        if live_on != self._live_on:
+            problems.append(
+                f"live reservations per GPU are counted as {self._live_on} "
+                f"but number {live_on}"
+            )
+        hosting: dict[str, int] = {}
+        for gpu in self.cluster.gpus:
+            for model in gpu.model_tags:
+                hosting[model] = hosting.get(model, 0) + 1
+        if hosting != self.cluster.hosting_gpus:
+            problems.append(
+                f"hosting GPUs per model are counted as "
+                f"{self.cluster.hosting_gpus} but number {hosting}"
+            )
         # A memo entry of the current epoch must still be infeasible when
         # the certificate is recomputed from live GPU state.
         epoch = self.cluster.capacity_epoch
         for (model, sizes, banned), stamp in self._infeasible.items():
             if stamp == epoch and self._matching_exists(model, sizes, banned):
                 problems.append(
-                    f"stale placement memo: {model} {len(sizes)}-stage "
-                    f"placement certified infeasible at capacity epoch "
-                    f"{epoch} now has a matching"
+                    f"stale placement memo: {model or 'any tenant'} "
+                    f"{len(sizes)}-stage placement certified infeasible at "
+                    f"capacity epoch {epoch} now has a matching"
                 )
         # Per-tenant running totals must mirror the live reservation set
         # exactly — the share-cap checks are only as sound as these books.
@@ -1048,4 +1097,5 @@ class GPUAllocator:
         return sum(r.nbytes for r in self.live.values())
 
     def gpus_in_use(self) -> int:
-        return len({r.gpu.gid for r in self.live.values()})
+        """GPUs holding at least one live reservation."""
+        return len(self._live_on)

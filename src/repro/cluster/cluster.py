@@ -41,6 +41,9 @@ class Cluster:
         self._racks = {rack.rid: rack for rack in racks}
         # Monotone count of capacity-adding changes (see repro.cluster.gpu).
         self.capacity_epoch = 0
+        # model -> GPUs with a stage of it resident, kept by GPU.reserve and
+        # GPU.release, so whether a tenant hosts any stage is one read.
+        self.hosting_gpus: dict[str, int] = {}
         for gpu in self._gpus.values():
             gpu.cluster = self
 

@@ -13,7 +13,9 @@ Every change that can *add* placement room — a release, a shrinking
 resize, a background-load decrease, an uncordon — bumps the owning
 cluster's ``capacity_epoch``; reserves, growth, background attach and
 cordons leave it alone.  The allocator keys its certified-infeasible
-placements on that epoch.
+placements on that epoch.  The cluster also counts, per model, the GPUs
+whose ``model_tags`` hold it; ``reserve`` and ``release`` keep that count
+where the tags gain or lose the model.
 """
 
 from __future__ import annotations
@@ -127,7 +129,11 @@ class GPU:
         self._stage_mem[alloc_id] = nbytes
         self._serving_mem = None
         if model is not None:
-            self.model_tags[model] = self.model_tags.get(model, 0) + 1
+            count = self.model_tags.get(model, 0)
+            if not count and self.cluster is not None:
+                hosting = self.cluster.hosting_gpus
+                hosting[model] = hosting.get(model, 0) + 1
+            self.model_tags[model] = count + 1
             self.model_bytes[model] = self.model_bytes.get(model, 0.0) + nbytes
 
     def release(self, alloc_id: str, model: str | None = None) -> None:
@@ -141,7 +147,12 @@ class GPU:
         if model is not None:
             count = self.model_tags.get(model, 0) - 1
             if count <= 0:
-                self.model_tags.pop(model, None)
+                if self.model_tags.pop(model, None) and self.cluster is not None:
+                    hosting = self.cluster.hosting_gpus
+                    if hosting[model] == 1:
+                        del hosting[model]
+                    else:
+                        hosting[model] -= 1
                 self.model_bytes.pop(model, None)
             else:
                 self.model_tags[model] = count

@@ -419,11 +419,20 @@ class ServingSystem(abc.ABC):
 
     # ------------------------------------------------------------------
     def max_cv(self) -> float:
-        """Largest per-model inter-arrival CV, cached per refresh interval."""
+        """Largest per-model inter-arrival CV, cached per refresh interval.
+
+        Every CV is >= 0, so a monitor too short of stamps to have one
+        (its CV is exactly 0.0) is not read.
+        """
         now = self.sim.now
         if now - self._cv_cache_time >= self.cv_refresh:
             self._cv_cache = max(
-                (m.cv(now) for m in self.monitors.values()), default=0.0
+                (
+                    m.cv(now)
+                    for m in self.monitors.values()
+                    if not m.window.too_few_stamps()
+                ),
+                default=0.0,
             )
             self._cv_cache_time = now
         return self._cv_cache

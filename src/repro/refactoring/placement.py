@@ -37,23 +37,24 @@ def interference_multiplier(gpu: GPU, cv: float, *, gamma0: float = GAMMA0) -> f
 
 
 def make_eq6_scorer(
-    cv_of_model: Callable[[], float],
+    cv: float,
     *,
     gamma0: float = GAMMA0,
     prefer_colocation: bool = False,
 ) -> Callable[[GPU], float]:
-    """Placement scorer implementing the Eq. 6 objective.
+    """Placement scorer implementing the Eq. 6 objective at workload CV
+    ``cv`` (fixed for one placement, so it is read once per scorer).
 
     Default behaviour (FlexPipe): prefer empty GPUs when the workload is
     bursty — the penalty term dominates — but tolerate consolidation for
     stable workloads.  ``prefer_colocation=True`` flips the sign of the
     sharing term (MuxServe-style statistical multiplexing).
     """
+    penalty = multiplexing_penalty(cv, gamma0=gamma0)
 
     def score(gpu: GPU) -> float:
         free_frac = gpu.free_fraction  # throughput-per-memory proxy (T/m)
         shared = gpu.colocated_model_count > 0
-        penalty = multiplexing_penalty(cv_of_model(), gamma0=gamma0)
         if prefer_colocation:
             return free_frac + (0.5 if shared else 0.0)
         return free_frac - (penalty if shared else 0.0)

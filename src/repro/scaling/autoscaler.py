@@ -92,10 +92,12 @@ class ControlSweep:
     marked *due* since their last visit; a due sleeper's wake check decides
     whether it ticks.  The events that move a sleeper's inputs mark it
     (see ``Autoscaler._sleep_at_floor`` and ``Autoscaler._park``).
-    A parked sleeper's certificate lapses exactly when the cluster's
+    A parked sleeper's certificate can lapse only when the cluster's
     capacity epoch moves, so every parked sleeper is marked when the
     sweep sees the epoch move: at the start of an instant, and after
-    each tick.
+    each tick.  The first of them to rescan and fail again renews the
+    certificate of every same-shape sleeper, whose wake checks then
+    stay false.
     """
 
     def __init__(self, sim: Simulator, interval: float):
@@ -514,7 +516,8 @@ class Autoscaler:
         parked = self._parked
         if parked is not None and parked[0] == plan and parked[1].holds():
             # The last deploy of this plan failed on a placement certified
-            # impossible at the current capacity epoch.  ReplicaFactory
+            # impossible at the current capacity epoch (by this tenant or a
+            # same-shape one, which is the same proof).  ReplicaFactory
             # fails last on its degradation-floor batch; stage sizes grow
             # with the batch and the matching test is monotone in them,
             # so every rung of a new deploy would fail too: return as

@@ -142,6 +142,12 @@ class SlidingWindowCV:
         var = self._sq / m - drift * drift
         return math.sqrt(var) / mean if var > 0 else 0.0
 
+    def too_few_stamps(self) -> bool:
+        """Whether ``value`` is 0.0 now, decided without trimming: the
+        window already holds too few stamps, and trimming only drops
+        them."""
+        return len(self._times) < max(self.min_samples, 3)
+
     def stamps(self, now: float) -> list[float]:
         """The in-window arrival stamps at ``now``, oldest first."""
         self._trim(now)

@@ -112,13 +112,13 @@ class TestPlacement:
         assert interference_multiplier(gpu, cv=4.0) > 1.0
 
     def test_scorer_avoids_sharing_by_default(self, small_cluster):
-        scorer = make_eq6_scorer(lambda: 2.0)
+        scorer = make_eq6_scorer(2.0)
         empty, shared = small_cluster.gpus[0], small_cluster.gpus[1]
         shared.reserve("x", 1.0, model="other")
         assert scorer(empty) > scorer(shared)
 
     def test_scorer_prefers_sharing_for_muxserve(self, small_cluster):
-        scorer = make_eq6_scorer(lambda: 0.5, prefer_colocation=True)
+        scorer = make_eq6_scorer(0.5, prefer_colocation=True)
         empty, shared = small_cluster.gpus[0], small_cluster.gpus[1]
         shared.reserve("x", 1.0, model="other")
         assert scorer(shared) > scorer(empty)

@@ -1290,14 +1290,62 @@ class TestControlSweep:
         assert calls == [0.5, 5.5]
         assert ticks == [0.5, 5.5]
 
+    def test_a_sibling_renewal_keeps_a_lapsed_sleeper_asleep(
+        self, ctx, llama_profile
+    ):
+        """Two same-shape tenants park on one shape proof.  When the epoch
+        moves, the first one's rescan fails again and renews the proof,
+        so the second one's wake check in the same pass stays false."""
+        from repro.pipeline.sizing import degrade_until_fit
+        from repro.scaling.autoscaler import ControlSweep
+
+        allocator = ctx.allocator
+        fills = [
+            allocator.reserve_on("fill", gpu, gpu.free_memory - 3 * GB)
+            for gpu in ctx.cluster.gpus
+        ]
+        plan = self._plan(llama_profile)
+        calls = []
+
+        def deployer(tenant):
+            def deploy(profile, p, *, wait_time=0.0):
+                calls.append((tenant, ctx.sim.now))
+                kv = profile.spec.kv_bytes_per_request
+                return degrade_until_fit(
+                    p.max_batch,
+                    lambda b: allocator.allocate_stages(
+                        tenant, p.memory_per_stage(b, kv)
+                    ),
+                )
+
+            return deploy
+
+        sweep = ControlSweep(ctx.sim, 0.5)
+        scalers, ticks = [], []
+        for tenant in ("t0", "t1"):
+            scaler, times, _ = self._scaler(
+                ctx.sim, llama_profile, plan, sweep=sweep, min_replicas=1
+            )
+            scaler.deploy = deployer(tenant)
+            scalers.append(scaler)
+            ticks.append(times)
+        ctx.sim.schedule_at(5.2, allocator.release, fills[0])
+        ctx.sim.run(until=10.0)
+        # t1's first deploy is a memo hit on t0's shape proof; after the
+        # release only t0 rescans.
+        assert calls == [("t0", 0.5), ("t1", 0.5), ("t0", 5.5)]
+        assert ticks == [[0.5, 5.5], [0.5]]
+        assert scalers[0]._parked[1].key == scalers[1]._parked[1].key
+        assert all(s._wake is not None for s in scalers)
+        # Every degradation rung: certified by t0 twice, hit by t1 once.
+        assert allocator.new_certificates == 2 * allocator.memo_hits > 0
+
     def test_a_plan_choice_never_sleeps_parked(self, ctx, llama_profile):
         from repro.cluster.allocator import AllocationError, InfeasibleCertificate
 
         plan = self._plan(llama_profile)
         error = AllocationError("no room")
-        error.certificate = InfeasibleCertificate(
-            ctx.allocator, ("k",), ctx.cluster.capacity_epoch
-        )
+        error.certificate = InfeasibleCertificate(ctx.allocator, ("k",))
         ctx.allocator._infeasible[("k",)] = ctx.cluster.capacity_epoch
 
         def deploy(profile, p, *, wait_time=0.0):
