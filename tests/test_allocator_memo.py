@@ -192,11 +192,18 @@ class TestMatchingCertificate:
                 _brute_force_fits(allocator, "m", sizes, banned)
             )
 
-    @pytest.mark.parametrize("owner", ["m", None])
-    def test_audit_flags_a_stale_memo(self, blocked, owner):
+    def test_audit_flags_a_stale_memo(self, blocked):
         assert blocked.allocator.audit_balance() == []
         # Forge an entry for a placement that fits at the current epoch.
-        key = (owner, (10 * GB,), frozenset())
+        key = ("m", (10 * GB,), frozenset())
+        blocked.allocator._infeasible[key] = blocked.cluster.capacity_epoch
+        problems = blocked.allocator.audit_balance()
+        assert any("stale placement memo" in p for p in problems)
+
+    def test_audit_flags_a_stale_shape_memo(self, blocked):
+        assert blocked.allocator.audit_balance() == []
+        # Same forgery under a shape key (no owner): it must be audited too.
+        key = (None, (10 * GB,), frozenset())
         blocked.allocator._infeasible[key] = blocked.cluster.capacity_epoch
         problems = blocked.allocator.audit_balance()
         assert any("stale placement memo" in p for p in problems)
