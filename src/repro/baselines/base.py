@@ -11,6 +11,13 @@ from repro.refactoring.granularity import GranularityPolicy
 from repro.refactoring.placement import make_eq6_scorer
 
 
+def snap_stages(ladder: GranularityLadder, requested: int) -> int:
+    """``requested`` stages, snapped up to the nearest feasible rung
+    (the finest when none is as fine)."""
+    counts = ladder.stage_counts
+    return min((c for c in counts if c >= requested), default=max(counts))
+
+
 class StaticPipelineSystem(ServingSystem):
     """A fixed-granularity serving system, optionally reactive.
 
@@ -19,13 +26,15 @@ class StaticPipelineSystem(ServingSystem):
     GPU-sharing preference); none of them can change pipeline granularity
     at runtime — the capability FlexPipe adds.
 
-    ``historical_cv`` selects the offline optimiser (AlpaServe, MuxServe):
-    each model is served at the Eq. 4 best rung for that CV and the
-    experiment's request shape, and ``n_stages`` is ignored.  The other
-    keywords are :class:`ServingSystem`'s.
+    Every model is served at ``n_stages``, snapped to a feasible ladder
+    rung; without it, at the class's own rung (:meth:`default_stages`).
+    The other keywords are :class:`ServingSystem`'s.
     """
 
     name = "static"
+    # The offline optimiser's historical CV (AlpaServe, MuxServe): its
+    # default rung is Eq. 4's best for this CV and the experiment's
+    # request shape.
     historical_cv: float | None = None
 
     def __init__(
@@ -33,42 +42,36 @@ class StaticPipelineSystem(ServingSystem):
         ctx: ServingContext,
         model_specs: list[ModelSpec],
         *,
-        n_stages: int = 4,
-        historical_cv: float | None = None,
+        n_stages: int | None = None,
         **kwargs,
     ):
         super().__init__(ctx, model_specs, **kwargs)
-        if historical_cv is not None:
-            self.historical_cv = historical_cv
         self.plans: dict[str, PartitionPlan] = {}
         self.ladders: dict[str, GranularityLadder] = {}
         for spec in model_specs:
             ladder = ctx.ladder(spec, FULL_LADDER)
             self.ladders[spec.name] = ladder
-            self.plans[spec.name] = ladder.plan(
-                self.choose_stages(spec, ladder, n_stages)
+            stages = (
+                self.default_stages(spec, ladder)
+                if n_stages is None
+                else snap_stages(ladder, n_stages)
             )
+            self.plans[spec.name] = ladder.plan(stages)
         self._build_autoscalers(self.plans)  # granularity is fixed
 
     # ------------------------------------------------------------------
-    def choose_stages(
-        self, spec: ModelSpec, ladder: GranularityLadder, requested: int
-    ) -> int:
-        """The offline optimiser's rung, or else the requested stage count
-        snapped to a feasible ladder rung."""
-        if self.historical_cv is not None:
-            policy = GranularityPolicy(
-                self.profiles[spec.name],
-                ladder,
-                prompt_tokens=self.scaler_config.prompt_tokens,
-                output_tokens=self.scaler_config.output_tokens,
-            )
-            return policy.select(self.historical_cv)
-        counts = ladder.stage_counts
-        if requested in counts:
-            return requested
-        feasible = [c for c in counts if c >= requested]
-        return min(feasible) if feasible else max(counts)
+    def default_stages(self, spec: ModelSpec, ladder: GranularityLadder) -> int:
+        """The rung a model is served at when no stage count is asked
+        for: the offline optimiser's, or else 4 stages."""
+        if self.historical_cv is None:
+            return snap_stages(ladder, 4)
+        policy = GranularityPolicy(
+            self.profiles[spec.name],
+            ladder,
+            prompt_tokens=self.scaler_config.prompt_tokens,
+            output_tokens=self.scaler_config.output_tokens,
+        )
+        return policy.select(self.historical_cv)
 
     def _initial_plan(self, model: str) -> PartitionPlan:
         return self.plans[model]

@@ -22,7 +22,7 @@ pool's granularity at runtime — the capability FlexPipe adds.
 
 from __future__ import annotations
 
-from repro.baselines.base import StaticPipelineSystem
+from repro.baselines.base import StaticPipelineSystem, snap_stages
 from repro.core.context import ServingContext
 from repro.models.zoo import ModelSpec
 from repro.pipeline.router import ModelRouter
@@ -39,14 +39,15 @@ class DistServeSystem(StaticPipelineSystem):
         ctx: ServingContext,
         model_specs: list[ModelSpec],
         *,
-        prefill_stages: int = 4,
         decode_stages: int = 16,
         prefill_fraction: float = 0.5,
         phase_ratio_threshold: float = 16.0,
         initial_replicas: int = 2,
         **kwargs,
     ):
-        """``phase_ratio_threshold`` classifies a request as prefill-heavy
+        """The prefill pool serves at ``n_stages`` (the base class's
+        keyword, 4 by default) and the decode pool at ``decode_stages``.
+        ``phase_ratio_threshold`` classifies a request as prefill-heavy
         when ``prompt_tokens / output_tokens`` exceeds it; 16 matches the
         coding-vs-conversation split of the Splitwise corpus.
         ``prefill_fraction`` is the share of initial replicas given to the
@@ -59,11 +60,7 @@ class DistServeSystem(StaticPipelineSystem):
         if phase_ratio_threshold <= 0:
             raise ValueError("phase_ratio_threshold must be positive")
         super().__init__(
-            ctx,
-            model_specs,
-            n_stages=prefill_stages,
-            initial_replicas=initial_replicas,
-            **kwargs,
+            ctx, model_specs, initial_replicas=initial_replicas, **kwargs
         )
         self.prefill_fraction = prefill_fraction
         self.phase_ratio_threshold = phase_ratio_threshold
@@ -73,8 +70,9 @@ class DistServeSystem(StaticPipelineSystem):
         self.decode_routers: dict[str, ModelRouter] = {}
         for spec in model_specs:
             ladder = self.ladders[spec.name]
-            stages = self.choose_stages(spec, ladder, decode_stages)
-            self.decode_plans[spec.name] = ladder.plan(stages)
+            self.decode_plans[spec.name] = ladder.plan(
+                snap_stages(ladder, decode_stages)
+            )
             self.decode_routers[spec.name] = ModelRouter(
                 ctx.sim, f"{spec.name}/decode", self.fleet_queue
             )

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from repro.baselines.base import StaticPipelineSystem
 from repro.models.zoo import ModelSpec
+from repro.partitioning.ladder import GranularityLadder
 
 
 class TetrisSystem(StaticPipelineSystem):
     name = "Tetris"
-    # No paged/pipeline-aware batching: its own cap, whatever the
-    # experiment's.
-    fixed_batch_cap = 16
     loading_speedup = 1.3  # tensor sharing skips duplicate loads
     prefer_colocation = True  # pack instances densely
     # A slow reconciliation loop: Tetris scales out late and seldom.
     scale_interval = 2.0
     scale_cooldown = 5.0
 
-    def choose_stages(self, spec: ModelSpec, ladder, requested: int) -> int:
+    def default_stages(self, spec: ModelSpec, ladder: GranularityLadder) -> int:
         """Coarsest feasible granularity: whole model on one GPU if it fits."""
         return ladder.coarsest

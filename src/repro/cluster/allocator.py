@@ -68,7 +68,11 @@ class AllocationError(RuntimeError):
     way (see :meth:`GPUAllocator.allocate_stages`).
     """
 
-    certificate: InfeasibleCertificate | None = None
+    def __init__(
+        self, message: str, certificate: InfeasibleCertificate | None = None
+    ):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,7 +718,6 @@ class GPUAllocator:
         scorer: Callable[[GPU], float] | None = None,
         stage_bonuses: Sequence[Callable[[GPU], float]] | None = None,
         exclude: Iterable[GPU] = (),
-        priority: int | None = None,
     ) -> list[StageReservation]:
         """Atomically reserve one GPU per stage (all succeed or none).
 
@@ -725,19 +728,19 @@ class GPUAllocator:
         ``scorer``) lets a caller express *per-stage* preferences — e.g.
         warm-cache coverage of a stage's byte range on a specific server.
 
-        ``priority`` is the requesting tenant's strict-priority rank; when
-        arbitration is on it defaults to the tenant's registered class.  A
-        prioritised request that finds no feasible placement preempts
-        strictly lower-priority *pending deploys* (never ACTIVE replicas)
-        one at a time, retrying after each, before giving up — the
-        preempt-or-wait rule.
+        When arbitration is on, the tenant's registered class gives its
+        strict-priority rank.  A prioritised request that finds no
+        feasible placement preempts strictly lower-priority *pending
+        deploys* (never ACTIVE replicas) one at a time, retrying after
+        each, before giving up — the preempt-or-wait rule.
 
         A failure carries an :class:`InfeasibleCertificate` only when a
         retry must fail the same way until capacity is added: no priority
         (so no preempt-or-wait), no elastic contracts (so no lender is
         pressed), and the memo proved the placement impossible.
         """
-        if priority is None and self.qos_priority_of is not None:
+        priority = None
+        if self.qos_priority_of is not None:
             priority = int(self.qos_priority_of(model))
         self._check_share(model, sum(mem_per_stage))
         try:
@@ -805,13 +808,15 @@ class GPUAllocator:
         epoch = self.cluster.capacity_epoch
         if self._infeasible.get(key) == epoch:
             self.memo_hits += 1
-            exc = AllocationError(
+            # Raised unbound: a local holding it would close a cycle
+            # (exception -> traceback -> this frame -> exception) that only
+            # the cyclic GC could free, once per memo hit.
+            raise AllocationError(
                 f"no placement for {model!r}: {len(mem_per_stage)} stages "
                 f"exceed the eligible free fragments (certified at capacity "
-                f"epoch {epoch})"
+                f"epoch {epoch})",
+                InfeasibleCertificate(self, key),
             )
-            exc.certificate = InfeasibleCertificate(self, key)
-            raise exc
         try:
             reservations = self._place_stages(
                 model, mem_per_stage, scorer, exclude, stage_bonuses

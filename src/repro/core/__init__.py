@@ -13,7 +13,6 @@ from repro.core.flexpipe import FlexPipeSystem
 from repro.core.admission import (
     AdmissionGate,
     AdmissionPolicy,
-    AlwaysAdmit,
     QueueCapPolicy,
     SLOFeasiblePolicy,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "FlexPipeSystem",
     "AdmissionGate",
     "AdmissionPolicy",
-    "AlwaysAdmit",
     "QueueCapPolicy",
     "SLOFeasiblePolicy",
 ]

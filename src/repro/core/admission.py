@@ -10,18 +10,18 @@ analytic counterpart).
 
 The gate composes with any sink::
 
-    gate = AdmissionGate(system.submit, policy)
+    gate = AdmissionGate(system.submit, [policy])
     WorkloadGenerator(sim, arrivals, sampler, gate.submit, duration)
 
 Rejected requests are marked ``rejected`` and never reach the system, so
-its own metrics keep counting only admitted work; the gate tracks its own
-offered/shed statistics.
+its own metrics keep counting only admitted work; the gate books its own
+offered/admitted/shed triples, in aggregate and per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.qos.classes import effective_deadline
 from repro.workloads.requests import Request
@@ -32,13 +32,6 @@ class AdmissionPolicy:
 
     def admit(self, request: Request) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-class AlwaysAdmit(AdmissionPolicy):
-    """The null policy (what every system in the paper's evaluation does)."""
-
-    def admit(self, request: Request) -> bool:
-        return True
 
 
 class QueueCapPolicy(AdmissionPolicy):
@@ -94,7 +87,7 @@ class SLOFeasiblePolicy(AdmissionPolicy):
         return estimate <= effective_deadline(request) * self.headroom
 
 
-@dataclass
+@dataclass(slots=True)
 class GateStats:
     """What the gate saw and what it shed."""
 
@@ -108,30 +101,67 @@ class GateStats:
 
 
 class AdmissionGate:
-    """Wraps a serving system's ``submit`` with an admission policy."""
+    """Wraps a serving system's ``submit`` with per-model policy chains.
+
+    ``policies`` is the chain of every model that has no chain of its own;
+    :meth:`register` gives a tenant its own.  A request is admitted when
+    every policy of its chain admits it, evaluated in order and stopping
+    at the first rejection (a stateful policy sees only the requests that
+    reached it); an empty chain admits everything, the policy of every
+    system in the paper's evaluation.  Each request is booked under its
+    model as well as in the aggregate ``stats``, so the per-model triples
+    sum to the aggregate.
+    """
 
     def __init__(
         self,
         sink: Callable[[Request], None],
-        policy: AdmissionPolicy | None = None,
+        policies: Sequence[AdmissionPolicy] = (),
         *,
         on_reject: Callable[[Request], None] | None = None,
     ):
         self.sink = sink
-        self.policy = policy or AlwaysAdmit()
-        self.on_reject = on_reject
+        self.policies = list(policies)
+        self.on_reject = on_reject  # e.g. AttainmentTracker.observe_shed
         self.stats = GateStats()
+        # Model -> (its policy chain, its books).
+        self._tenants: dict[str, tuple[list[AdmissionPolicy], GateStats]] = {}
         # Observability: a FlightRecorder installed by a traced run (the
         # gate holds no simulator handle, so the tap lives here).
         self.recorder = None
 
+    def register(self, model: str, policies: Sequence[AdmissionPolicy]) -> None:
+        """Give ``model`` its own policy chain."""
+        if model in self._tenants:
+            raise ValueError(f"tenant {model!r} already registered")
+        self._tenants[model] = (list(policies), GateStats())
+
+    def tenant_stats(self) -> dict[str, GateStats]:
+        """Per-model offered/admitted/shed triples."""
+        return {model: books for model, (_, books) in self._tenants.items()}
+
     def submit(self, request: Request) -> None:
-        self.stats.offered += 1
-        if self.policy.admit(request):
-            self.stats.admitted += 1
-            self.sink(request)
-            return
+        try:
+            policies, books = self._tenants[request.model]
+        except KeyError:
+            policies, books = self._tenants[request.model] = (
+                self.policies,
+                GateStats(),
+            )
+        stats = self.stats
+        stats.offered += 1
+        books.offered += 1
+        for policy in policies:
+            if not policy.admit(request):
+                self._shed(request, books)
+                return
+        stats.admitted += 1
+        books.admitted += 1
+        self.sink(request)
+
+    def _shed(self, request: Request, books: GateStats) -> None:
         self.stats.rejected += 1
+        books.rejected += 1
         request.rejected = True
         if self.recorder is not None:
             self.recorder.record(

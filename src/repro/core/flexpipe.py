@@ -132,15 +132,7 @@ class FlexPipeSystem(ServingSystem):
                 output_tokens=output_tokens,
                 batch_cap=self.factory.batch_cap,
             )
-            executor = RefactoringExecutor(
-                ctx,
-                profile,
-                ladder,
-                self.metrics,
-                warm_cache=self.warm_cache,
-                factory=self.factory,
-                pipelined_loading=pipelined_loading,
-            )
+            executor = RefactoringExecutor(profile, ladder, self.factory)
             self._models[spec.name] = _ModelState(
                 spec=spec,
                 ladder=ladder,

@@ -50,9 +50,9 @@ class ServingSystem(abc.ABC):
     ``initial_replicas`` replicas of each tenant start at ``start()``.
     Every tenant's autoscaler plans for one request shape and SLO
     (``prompt_tokens``/``output_tokens``/``slo_deadline``: the primary
-    tenant's), and every replica serves at ``batch_cap`` unless the
-    system fixes its own.  The class attributes are the system's policy
-    constants; the substrate reads them once, at construction.
+    tenant's), and every replica serves at ``batch_cap``.  The class
+    attributes are the system's policy constants; the substrate reads
+    them once, at construction.
     """
 
     name = "base"
@@ -70,9 +70,6 @@ class ServingSystem(abc.ABC):
     # its sign flipped), and Eq. 9's base multiplexing penalty.
     prefer_colocation = False
     gamma0 = GAMMA0
-    # A batch cap the system serves at whatever the experiment's is
-    # (None: the experiment's).
-    fixed_batch_cap: int | None = None
     # FlexPipe's deploy mechanisms: the host-memory parameter cache, the
     # HRG/affinity scaling coordinator and pipelined stage loading.
     warm_cache: HostParamCache | None = None
@@ -136,9 +133,7 @@ class ServingSystem(abc.ABC):
             warm_cache=self.warm_cache,
             coordinator=self.coordinator,
             interference=self._interference,
-            batch_cap=(
-                batch_cap if self.fixed_batch_cap is None else self.fixed_batch_cap
-            ),
+            batch_cap=batch_cap,
             loading_speedup=self.loading_speedup,
             startup_overhead=self.startup_overhead,
             pipelined_loading=self.pipelined_loading,

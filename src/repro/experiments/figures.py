@@ -288,14 +288,9 @@ def fig3_rows(
     runner=None,
 ) -> list[dict]:
     """A static 4-stage OPT-66B deployment under growing burstiness."""
-    # historical_cv=1.0 is the Eq. 4 setpoint of a 4-stage pipeline
-    # ((eta/4)^2), i.e. the paper's static 4-stage configuration.
     cases = [
         ScenarioCase(
-            figure_spec("fig3", cv=cv),
-            "AlpaServe",
-            seed,
-            overrides={"historical_cv": 1.0},
+            figure_spec("fig3", cv=cv), "AlpaServe", seed, overrides={"n_stages": 4}
         )
         for cv in cvs
     ]
@@ -333,8 +328,7 @@ def fig4_rows(
             figure_spec("fig4", cv=cv),
             "AlpaServe",
             seed,
-            # Eq. 4 at CV (k/4)^2 picks k stages: the set-point of rung k.
-            overrides={"historical_cv": (k / 4.0) ** 2},
+            overrides={"n_stages": k},
         )
         for cv, k in grid
     ]

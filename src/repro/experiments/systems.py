@@ -94,7 +94,11 @@ SYSTEMS: dict[str, Provisioning] = {
     "AlpaServe": Provisioning(AlpaServeSystem, STATIC_FRACTION),
     "MuxServe": Provisioning(MuxServeSystem, STATIC_FRACTION),
     "ServerlessLLM": Provisioning(ServerlessLLMSystem, SERVERLESS_FRACTION, 4),
-    "Tetris": Provisioning(TetrisSystem, SERVERLESS_FRACTION, 1),
+    # No paged/pipeline-aware batching: Tetris serves at its own cap,
+    # whatever the experiment's.
+    "Tetris": Provisioning(
+        TetrisSystem, SERVERLESS_FRACTION, 1, fixed=(("batch_cap", 16),)
+    ),
     # Sized for the small chaos cluster: DistServe's paper defaults
     # (16 decode stages, peak-fraction replica counts) cannot even start
     # on 16 fragmented GPUs.
@@ -119,7 +123,7 @@ def build_system(
 
     The system serves every tenant of the spec, sized and shaped for the
     primary tenant (the first): its peak QPS, request shape and SLO, at
-    the spec's batch cap unless the system fixes its own.
+    the spec's batch cap unless the row fixes its own.
     """
     try:
         row = SYSTEMS[name]

@@ -30,11 +30,7 @@ from repro.qos.classes import (
 from repro.qos.queueing import PriorityPendingQueue
 from repro.qos.signals import AttainmentTracker
 
-_LAZY = {
-    "TenantAdmissionController",
-    "WeightedFairShedPolicy",
-    "build_tenant_controller",
-}
+_LAZY = {"WeightedFairShedPolicy", "build_tenant_gate"}
 
 
 def __getattr__(name: str):
@@ -51,9 +47,8 @@ __all__ = [
     "PriorityPendingQueue",
     "SLOClass",
     "SLO_CLASSES",
-    "TenantAdmissionController",
     "WeightedFairShedPolicy",
-    "build_tenant_controller",
+    "build_tenant_gate",
     "effective_deadline",
     "get_slo_class",
     "request_priority",

@@ -1,14 +1,10 @@
 """Per-tenant admission: class-aware policy chains behind one front door.
 
-The historical harness puts one shared :class:`~repro.core.admission.
-AdmissionGate` (a single queue-cap) in front of the whole fleet, so a
-batch tenant's backlog sheds everyone indiscriminately.  The
-:class:`TenantAdmissionController` replaces that with one *policy chain
-per tenant* — queue-cap, weighted-fair overload shedding, SLO
-feasibility — while keeping the gate contract every existing consumer
-(auditor, reports) relies on: an aggregate ``stats`` triple plus
-per-tenant triples, with ``offered == admitted + shed`` at both levels by
-construction.
+The null policy puts one shared queue-cap chain in front of the whole
+fleet, so a batch tenant's backlog sheds everyone indiscriminately.
+:func:`build_tenant_gate` gives each tenant its own chain on the same
+:class:`~repro.core.admission.AdmissionGate` — queue-cap, weighted-fair
+overload shedding, SLO feasibility.
 
 Shedding is deterministic (an error-diffusion credit per tenant, no RNG),
 so two runs of the same seeded scenario shed the same requests — the
@@ -19,12 +15,11 @@ both build on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.admission import (
+    AdmissionGate,
     AdmissionPolicy,
-    GateStats,
     QueueCapPolicy,
     SLOFeasiblePolicy,
 )
@@ -69,101 +64,15 @@ class WeightedFairShedPolicy(AdmissionPolicy):
         return True
 
 
-@dataclass
-class _Tenant:
-    """One registered tenant: its class, policy chain and accounting."""
-
-    slo_class: SLOClass
-    policies: list[AdmissionPolicy] = field(default_factory=list)
-    stats: GateStats = field(default_factory=GateStats)
-
-
-class TenantAdmissionController:
-    """Routes each request through its own tenant's admission chain.
-
-    Mirrors :class:`~repro.core.admission.AdmissionGate`'s interface
-    (``submit``, ``stats``, ``on_reject``) so the auditor and every
-    report treat it as just another gate; tenants additionally expose
-    per-model accounting through :meth:`tenant_stats`.  Requests of an
-    unregistered model pass through unconditionally (the null policy) but
-    still count in the aggregate, so the books always balance.
-    """
-
-    def __init__(
-        self,
-        sink: Callable[[Request], None],
-        *,
-        on_reject: Callable[[Request], None] | None = None,
-        on_shed: Callable[[str], None] | None = None,
-    ):
-        self.sink = sink
-        self.on_reject = on_reject
-        self.on_shed = on_shed  # e.g. AttainmentTracker.observe_shed
-        self.stats = GateStats()
-        self._tenants: dict[str, _Tenant] = {}
-        # Observability: a FlightRecorder installed by a traced run (same
-        # tap contract as AdmissionGate).
-        self.recorder = None
-
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        model: str,
-        slo_class: SLOClass,
-        policies: list[AdmissionPolicy],
-    ) -> None:
-        if model in self._tenants:
-            raise ValueError(f"tenant {model!r} already registered")
-        self._tenants[model] = _Tenant(slo_class, list(policies))
-
-    @property
-    def tenants(self) -> dict[str, SLOClass]:
-        return {name: t.slo_class for name, t in self._tenants.items()}
-
-    def tenant_stats(self) -> dict[str, GateStats]:
-        """Per-tenant offered/admitted/shed triples (accounting surface)."""
-        return {name: t.stats for name, t in self._tenants.items()}
-
-    # ------------------------------------------------------------------
-    def submit(self, request: Request) -> None:
-        self.stats.offered += 1
-        tenant = self._tenants.get(request.model)
-        if tenant is None:
-            self.stats.admitted += 1
-            self.sink(request)
-            return
-        tenant.stats.offered += 1
-        if all(policy.admit(request) for policy in tenant.policies):
-            tenant.stats.admitted += 1
-            self.stats.admitted += 1
-            self.sink(request)
-            return
-        tenant.stats.rejected += 1
-        self.stats.rejected += 1
-        request.rejected = True
-        if self.recorder is not None:
-            self.recorder.record(
-                request.arrival_time,
-                "shed",
-                rid=request.rid,
-                model=request.model,
-                slo_class=request.slo_class,
-            )
-        if self.on_shed is not None:
-            self.on_shed(request.model)
-        if self.on_reject is not None:
-            self.on_reject(request)
-
-
 # ----------------------------------------------------------------------
 # The standard composition (used by the scenario driver)
 # ----------------------------------------------------------------------
-def build_tenant_controller(
+def build_tenant_gate(
     system,
     classes: dict[str, SLOClass],
     *,
     cap: int = 0,
-) -> TenantAdmissionController:
+) -> AdmissionGate:
     """Compose the canonical per-tenant chain in front of ``system``.
 
     Per tenant: a queue cap on *its own* backlog, weighted-fair shedding
@@ -182,7 +91,7 @@ def build_tenant_controller(
     tracker = getattr(system, "qos_tracker", None)
     if tracker is None:
         raise ValueError(
-            "build_tenant_controller needs system.enable_qos() first "
+            "build_tenant_gate needs system.enable_qos() first "
             "(the SLO-feasibility policy consumes its attainment tracker)"
         )
 
@@ -198,9 +107,7 @@ def build_tenant_controller(
         ]
 
     overloaded = (lambda: system.total_queue() > cap) if cap else (lambda: False)
-    controller = TenantAdmissionController(
-        system.submit, on_shed=tracker.observe_shed
-    )
+    gate = AdmissionGate(system.submit, on_reject=tracker.observe_shed)
     for model, slo_class in classes.items():
         routers = routers_of(model)
         policies: list[AdmissionPolicy] = []
@@ -223,8 +130,8 @@ def build_tenant_controller(
                 ),
             )
         )
-        controller.register(model, slo_class, policies)
-    return controller
+        gate.register(model, policies)
+    return gate
 
 
 def _finite_or_large(rate: float) -> float:

@@ -91,8 +91,8 @@ class AttainmentTracker:
         service = request.exec_time + request.comm_time
         self._tenant(request.model).add(self._clock(), met, service)
 
-    def observe_shed(self, model: str) -> None:
-        self._tenant(model).add(self._clock(), False, math.nan)
+    def observe_shed(self, request: Request) -> None:
+        self._tenant(request.model).add(self._clock(), False, math.nan)
 
     def _tenant(self, model: str) -> _TenantWindow:
         tenant = self._tenants.get(model)

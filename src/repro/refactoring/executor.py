@@ -50,15 +50,13 @@ from repro.cluster.allocator import (
     PendingClaim,
     StageReservation,
 )
-from repro.core.context import ServingContext
-from repro.metrics.collector import MetricsCollector, ScalingEvent
+from repro.metrics.collector import ScalingEvent
 from repro.models.costs import WARM_LOAD_OVERHEAD
 from repro.models.profiler import ModelProfile
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.kvcache import KVCacheState, delta_sync, snapshot_transfer
 from repro.pipeline.replica import PipelineReplica, ReplicaState
 from repro.pipeline.sizing import degrade_until_fit, full_batch
-from repro.scaling.warm_cache import HostParamCache
 
 if TYPE_CHECKING:
     from repro.core.deployment import ReplicaFactory
@@ -143,27 +141,18 @@ class RefactoringExecutor:
 
     def __init__(
         self,
-        ctx: ServingContext,
         profile: ModelProfile,
         ladder: GranularityLadder,
-        metrics: MetricsCollector,
-        *,
-        warm_cache: HostParamCache | None = None,
-        # The ReplicaFactory that deploys this model's replicas: it owns
-        # the batch cap new chains are sized at (none: uncapped).
-        factory: ReplicaFactory | None = None,
-        # Pipelined chain transitions: switch to the new chain as soon as
-        # its first stage has loaded, gating later stages until their own
-        # loads complete (mirrors ReplicaFactory's pipelined deploys).
-        pipelined_loading: bool = False,
+        factory: ReplicaFactory,
     ):
-        self.ctx = ctx
+        # The factory that deploys this model's replicas owns the context,
+        # metrics, warm cache, pipelined loading and the batch cap new
+        # chains are sized at; a transition reads each from it.
+        self.factory = factory
+        self.ctx = factory.ctx
+        self.metrics = factory.metrics
         self.profile = profile
         self.ladder = ladder
-        self.metrics = metrics
-        self.warm_cache = warm_cache
-        self.factory = factory
-        self.pipelined_loading = pipelined_loading
         self.transitions_started = 0
         self.transitions_completed = 0
         self.transitions_aborted = 0
@@ -193,7 +182,7 @@ class RefactoringExecutor:
     @property
     def batch_cap(self) -> int | None:
         """The batch cap new chains are sized at, owned by the factory."""
-        return None if self.factory is None else self.factory.batch_cap
+        return self.factory.batch_cap
 
     def refactoring(self, replica: PipelineReplica) -> bool:
         return replica.name in self._inflight
@@ -434,7 +423,9 @@ class RefactoringExecutor:
         # Pipelined chain transitions swap once the first stage is ready
         # (later stages stay gated until their own loads land); otherwise
         # the switch waits for the slowest stage.
-        pipelined = self.pipelined_loading and not inplace and bool(stage_times)
+        pipelined = (
+            self.factory.pipelined_loading and not inplace and bool(stage_times)
+        )
         load_duration = (
             stage_times[0] if pipelined else max(stage_times, default=0.0)
         )
@@ -607,8 +598,9 @@ class RefactoringExecutor:
             dst_rdma=dst_server.rdma,
         )
         options.append(peer.duration)
-        if self.warm_cache is not None:
-            host_warm, ssd_warm = self.warm_cache.coverage_by_tier(
+        cache = self.factory.warm_cache
+        if cache is not None:
+            host_warm, ssd_warm = cache.coverage_by_tier(
                 dst_server, self.profile, stage_plan.start, stage_plan.end
             )
             if host_warm >= missing:
@@ -652,8 +644,9 @@ class RefactoringExecutor:
             if reservation.nbytes > final:
                 self.ctx.allocator.resize(reservation, final)
             return
-        if self.warm_cache is not None:
-            self.warm_cache.put(
+        cache = self.factory.warm_cache
+        if cache is not None:
+            cache.put(
                 reservation.gpu.server,
                 self.profile.spec.name,
                 stage.plan.start,
@@ -694,8 +687,12 @@ class RefactoringExecutor:
         # The prepared chain only holds KV for ``plan.batch`` requests; a
         # degraded transition therefore also caps the batcher until the
         # next transition re-sizes it.
-        swap = replica.swap_stages_inplace if plan.inplace else replica.swap_stages
-        swap(new_plan, plan.reservations, batch_cap=plan.batch)
+        if plan.inplace:
+            replica.swap_stages_inplace(
+                new_plan, plan.reservations, batch_cap=plan.batch
+            )
+        else:
+            replica.swap_stages(new_plan, plan.reservations, batch_cap=plan.batch)
         if plan.stage_load_times:
             # Pipelined chain transition: the swap happened once stage 0
             # was ready; stages whose loads outlast the preparation window

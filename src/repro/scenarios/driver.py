@@ -32,7 +32,7 @@ from repro.core.context import ServingContext
 from repro.experiments.common import build_environment, make_workload_sampler
 from repro.experiments.systems import SYSTEMS, build_system
 from repro.metrics.collector import MetricsCollector, RunSummary
-from repro.qos.admission import build_tenant_controller
+from repro.qos.admission import build_tenant_gate
 from repro.qos.classes import DEFAULT_CLASS, get_slo_class
 from repro.scenarios.spec import ArrivalSegment, ModelScript, ScenarioSpec
 from repro.validation.auditor import InvariantAuditor, Violation
@@ -62,7 +62,7 @@ class ScenarioCase:
     recorder) for this run.  Traced runs never consult the result cache.
 
     ``overrides``: keyword arguments forwarded to the system factory
-    (the ablation switches, AlpaServe's ``historical_cv``).
+    (the ablation switches, a static system's ``n_stages``).
     Given as a dict or pairs, stored as sorted ``(key, value)`` pairs so
     equal overrides hash and cache-key alike.  A key that one of the
     spec's knobs already sets (``min_replicas`` under ``scale_to_zero``)
@@ -421,17 +421,16 @@ class ScenarioDriver:
                 share_caps=share_caps or None,
                 elastic=spec.elastic,
             )
-            self.gate = build_tenant_controller(
+            self.gate = build_tenant_gate(
                 system, class_map, cap=int(spec.admission_cap)
             )
         else:
-            # The null policy: one shared queue-cap gate (or nothing).
-            policy = (
-                QueueCapPolicy(system.total_queue, int(spec.admission_cap))
-                if spec.admission_cap
-                else None
+            # The null policy: one shared queue-cap chain (or none).
+            cap = int(spec.admission_cap)
+            self.gate = AdmissionGate(
+                system.submit,
+                [QueueCapPolicy(system.total_queue, cap)] if cap else [],
             )
-            self.gate = AdmissionGate(system.submit, policy)
         if self.recorder is not None:
             self.gate.recorder = self.recorder
         # Streaming accounting: per-tenant collectors are fed at arrival

@@ -590,10 +590,7 @@ class InvariantAuditor:
                         f"{stats.admitted} + shed {stats.rejected}",
                     )
                 )
-            tenant_stats = getattr(gate, "tenant_stats", None)
-            if tenant_stats is None:
-                continue
-            tenants = tenant_stats()
+            tenants = gate.tenant_stats()
             for model, t in tenants.items():
                 if t.offered != t.admitted + t.rejected:
                     out.append(
@@ -603,20 +600,17 @@ class InvariantAuditor:
                             f"!= admitted {t.admitted} + shed {t.rejected}",
                         )
                     )
-            # Tenant triples must sum to (at most) the aggregate: the
-            # difference is exactly the unregistered pass-through traffic,
-            # which by construction is never shed.
-            spill = stats.offered - sum(t.offered for t in tenants.values())
-            shed_spill = stats.rejected - sum(
-                t.rejected for t in tenants.values()
-            )
-            if spill < 0 or shed_spill != 0:
+            # Every request is booked under its model: the tenant triples
+            # sum to the aggregate exactly.
+            offered = sum(t.offered for t in tenants.values())
+            shed = sum(t.rejected for t in tenants.values())
+            if (offered, shed) != (stats.offered, stats.rejected):
                 out.append(
                     Violation(
                         "admission-accounting",
-                        f"gate#{i}: tenant triples do not reconcile with "
-                        f"the aggregate (offered spill {spill}, shed "
-                        f"spill {shed_spill})",
+                        f"gate#{i}: tenant triples sum to offered {offered}, "
+                        f"shed {shed}; the aggregate books {stats.offered}, "
+                        f"{stats.rejected}",
                     )
                 )
         if self.gates and self.generators:

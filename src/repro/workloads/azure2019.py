@@ -697,11 +697,7 @@ def _fixture_window(source: Azure2019Source) -> Azure2019Window:
 
 def write_2019_dataset(
     directory: str | pathlib.Path,
-    dataset: SynthDataset | None = None,
-    *,
-    seed: int = _FIXTURE_SEED,
-    n_functions: int = _FIXTURE_FUNCTIONS,
-    days: int = 1,
+    dataset: SynthDataset,
 ) -> list[pathlib.Path]:
     """Write a synthetic dataset as real-format day-files.
 
@@ -710,13 +706,10 @@ def write_2019_dataset(
     file-parsing path (and any external 2019 tooling) reads it
     unchanged.  Returns the written paths.
     """
-    ds = dataset or synthesize_2019_dataset(
-        seed=seed, n_functions=n_functions, days=days
-    )
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     written = []
-    for day in range(1, ds.days + 1):
+    for day in range(1, dataset.days + 1):
         lo = (day - 1) * MINUTES_PER_DAY
         hi = day * MINUTES_PER_DAY
         inv = root / INVOCATIONS_PATTERN.format(day=day)
@@ -725,11 +718,11 @@ def write_2019_dataset(
             writer.writerow(
                 INVOCATION_HEADER + [str(m + 1) for m in range(MINUTES_PER_DAY)]
             )
-            for i in range(len(ds.functions)):
-                owner, app, function, trigger = _fixture_identity(ds, i)
+            for i in range(len(dataset.functions)):
+                owner, app, function, trigger = _fixture_identity(dataset, i)
                 writer.writerow(
                     [owner, app, function, trigger]
-                    + ds.counts[i, lo:hi].tolist()
+                    + dataset.counts[i, lo:hi].tolist()
                 )
         written.append(inv)
 
@@ -746,14 +739,14 @@ def write_2019_dataset(
                     "percentile_Average_100",
                 ]
             )
-            for i in range(len(ds.functions)):
-                owner, app, function, _ = _fixture_identity(ds, i)
-                avg = float(ds.durations_ms[i])
+            for i in range(len(dataset.functions)):
+                owner, app, function, _ = _fixture_identity(dataset, i)
+                avg = float(dataset.durations_ms[i])
                 writer.writerow(
                     [owner, app, function]
                     + [
                         f"{avg:.2f}",
-                        int(ds.counts[i, lo:hi].sum()),
+                        int(dataset.counts[i, lo:hi].sum()),
                         f"{avg * 0.2:.2f}", f"{avg * 5.0:.2f}",
                         f"{avg * 0.2:.2f}", f"{avg * 0.3:.2f}",
                         f"{avg * 0.7:.2f}", f"{avg:.2f}",
@@ -765,9 +758,9 @@ def write_2019_dataset(
 
         mem = root / MEMORY_PATTERN.format(day=day)
         seen_apps: dict[tuple[str, str], float] = {}
-        for i in range(len(ds.functions)):
-            owner, app, _, _ = _fixture_identity(ds, i)
-            seen_apps.setdefault((owner, app), float(ds.memory_mb[i]))
+        for i in range(len(dataset.functions)):
+            owner, app, _, _ = _fixture_identity(dataset, i)
+            seen_apps.setdefault((owner, app), float(dataset.memory_mb[i]))
         with mem.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(

@@ -6,17 +6,17 @@ import pytest
 
 from repro.core.admission import (
     AdmissionGate,
-    AlwaysAdmit,
+    AdmissionPolicy,
     QueueCapPolicy,
     SLOFeasiblePolicy,
 )
 from repro.workloads.requests import Request
 
 
-def make_request(rid=0, t=0.0, slo=5.0, slo_class=None):
+def make_request(rid=0, t=0.0, slo=5.0, slo_class=None, model="m"):
     return Request(
         rid=rid,
-        model="m",
+        model=model,
         arrival_time=t,
         prompt_tokens=100,
         output_tokens=10,
@@ -39,7 +39,9 @@ class TestGate:
         seen = []
         rejected = []
         gate = AdmissionGate(
-            seen.append, QueueCapPolicy(lambda: 100, cap=10), on_reject=rejected.append
+            seen.append,
+            [QueueCapPolicy(lambda: 100, cap=10)],
+            on_reject=rejected.append,
         )
         request = make_request()
         gate.submit(request)
@@ -51,7 +53,7 @@ class TestGate:
     def test_stats_track_mixed_stream(self):
         queue = {"n": 0}
         gate = AdmissionGate(
-            lambda r: None, QueueCapPolicy(lambda: queue["n"], cap=5)
+            lambda r: None, [QueueCapPolicy(lambda: queue["n"], cap=5)]
         )
         for i in range(10):
             queue["n"] = i  # queue grows past the cap halfway through
@@ -59,6 +61,43 @@ class TestGate:
         assert gate.stats.offered == 10
         assert gate.stats.admitted == 6  # queue 0..5 admitted
         assert gate.stats.rejected == 4
+
+    def test_registered_chain_replaces_the_shared_one(self):
+        shed_all = QueueCapPolicy(lambda: 1, cap=0)
+        gate = AdmissionGate(lambda r: None, [shed_all])
+        gate.register("own", [])
+        gate.submit(make_request(0, model="m"))
+        gate.submit(make_request(1, model="own"))
+        books = gate.tenant_stats()
+        assert (books["m"].offered, books["m"].rejected) == (1, 1)
+        assert (books["own"].offered, books["own"].admitted) == (1, 1)
+
+    def test_every_request_is_booked_under_its_model(self):
+        queue = {"n": 0}
+        cap = QueueCapPolicy(lambda: queue["n"], cap=2)
+        gate = AdmissionGate(lambda r: None, [cap])
+        gate.register("b", [QueueCapPolicy(lambda: 0, cap=0)])
+        for i in range(9):
+            queue["n"] = i
+            gate.submit(make_request(i, model="abc"[i % 3]))
+        books = gate.tenant_stats().values()
+        for field in ("offered", "admitted", "rejected"):
+            assert sum(getattr(t, field) for t in books) == getattr(
+                gate.stats, field
+            )
+        assert gate.stats.rejected > 0
+
+    def test_chain_stops_at_the_first_rejection(self):
+        seen = []
+
+        class Spy(AdmissionPolicy):
+            def admit(self, request):
+                seen.append(request.rid)
+                return True
+
+        gate = AdmissionGate(lambda r: None, [QueueCapPolicy(lambda: 1, cap=0), Spy()])
+        gate.submit(make_request())
+        assert seen == []
 
 
 class TestQueueCap:
@@ -127,10 +166,10 @@ class TestEndToEndGoodputProtection:
             request.completion_time = finish
             completed.append(request)
 
-        def run(policy) -> float:
+        def run(policies) -> float:
             completed.clear()
             clock["free_at"] = 0.0
-            gate = AdmissionGate(serve, policy)
+            gate = AdmissionGate(serve, policies)
             for i in range(40):  # 2 req/s offered for 20 s: 2x overload
                 clock["now"] = i * 0.5
                 gate.submit(make_request(i, t=clock["now"], slo=3.0))
@@ -142,13 +181,15 @@ class TestEndToEndGoodputProtection:
             return good / 40.0
 
         # Backlog in "requests" = seconds of queued work at 1 req/s.
-        ungated = run(AlwaysAdmit())
+        ungated = run([])
         gated = run(
-            SLOFeasiblePolicy(
-                lambda: max(clock["free_at"] - clock["now"], 0.0),
-                lambda: 1.0,
-                lambda r: 1.0,
-            )
+            [
+                SLOFeasiblePolicy(
+                    lambda: max(clock["free_at"] - clock["now"], 0.0),
+                    lambda: 1.0,
+                    lambda r: 1.0,
+                )
+            ]
         )
         # Without the gate almost everything finishes late; with it the
         # feasible fraction completes on time.

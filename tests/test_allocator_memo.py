@@ -10,8 +10,10 @@ the oracle.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +327,24 @@ class TestInfeasibleCertificate:
         allocator.release(fills[0])  # capacity added: the proof lapses
         assert not first.holds() and not hit.holds()
 
+    def test_memo_hit_error_is_freed_without_the_cyclic_gc(self, sim):
+        cluster = make_small_cluster(sim, n_servers=6, gpus_per_server=2)
+        allocator = GPUAllocator(cluster)
+        _leave_free(allocator, 40 * GB)
+        _failure(allocator, "m", [50 * GB, 50 * GB])
+        hits = allocator.memo_hits
+        gc.disable()
+        try:
+            try:
+                allocator.allocate_stages("m", [50 * GB, 50 * GB])
+            except AllocationError as exc:
+                assert exc.certificate is not None
+                ref = weakref.ref(exc)
+            assert allocator.memo_hits == hits + 1
+            assert ref() is None  # reference counting alone freed it
+        finally:
+            gc.enable()
+
     def test_scorer_luck_never_certifies(self, sim):
         cluster = make_small_cluster(sim, n_servers=2, gpus_per_server=2)
         allocator = GPUAllocator(cluster)
@@ -343,11 +363,6 @@ class TestInfeasibleCertificate:
         for _ in range(2):
             err = _failure(allocator, "m", [50 * GB, 50 * GB])
             assert err.certificate is None
-        # An explicit priority on a plain allocator is the same rule.
-        plain = GPUAllocator(make_small_cluster(sim, n_servers=6, gpus_per_server=2))
-        _leave_free(plain, 40 * GB)
-        err = _failure(plain, "m", [50 * GB, 50 * GB], priority=1)
-        assert err.certificate is None
 
     def test_elastic_shares_never_certify(self, ctx):
         allocator = ctx.allocator

@@ -3,19 +3,56 @@
 from __future__ import annotations
 
 
+import pytest
+
 from repro.baselines import (
     AlpaServeSystem,
     MuxServeSystem,
     ServerlessLLMSystem,
+    StaticPipelineSystem,
     TetrisSystem,
 )
+from repro.experiments import figures
+from repro.experiments.systems import SYSTEMS, build_system
 from repro.models.zoo import LLAMA2_7B, OPT_66B
+from repro.partitioning.ladder import FULL_LADDER
+from repro.refactoring.granularity import GranularityPolicy
+
+STATIC = sorted(
+    name
+    for name, row in SYSTEMS.items()
+    if issubclass(row.system, StaticPipelineSystem)
+)
+
+
+class TestStageCount:
+    @pytest.mark.parametrize("name", STATIC)
+    @pytest.mark.parametrize("n_stages", [2, 8])
+    def test_every_static_system_serves_an_explicit_count(self, ctx, name, n_stages):
+        system = SYSTEMS[name].system(ctx, [LLAMA2_7B], n_stages=n_stages)
+        assert system.plans[LLAMA2_7B.name].n_stages == n_stages
+        system.shutdown()
+
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_eq4_at_the_setpoint_selects_that_rung_on_opt66b(self, ctx, k):
+        """Figs. 3 and 4 ask AlpaServe for k stages with ``n_stages=k``;
+        Eq. 4 at the set-point (k/4)^2, the keyword they used before,
+        selects the same rung."""
+        script = figures.figure_spec("fig4").models[0]
+        policy = GranularityPolicy(
+            ctx.profile(OPT_66B),
+            ctx.ladder(OPT_66B, FULL_LADDER),
+            prompt_tokens=script.prompt_median,
+            output_tokens=script.output_median,
+        )
+        assert policy.select((k / 4.0) ** 2) == k
 
 
 class TestAlpaServe:
-    def test_offline_granularity_tracks_historical_cv(self, ctx):
-        calm = AlpaServeSystem(ctx, [LLAMA2_7B], historical_cv=0.25)
-        bursty = AlpaServeSystem(ctx, [LLAMA2_7B], historical_cv=8.0)
+    def test_offline_granularity_tracks_historical_cv(self, ctx, monkeypatch):
+        calm = AlpaServeSystem(ctx, [LLAMA2_7B])
+        monkeypatch.setattr(AlpaServeSystem, "historical_cv", 8.0)
+        bursty = AlpaServeSystem(ctx, [LLAMA2_7B])
         k_calm = calm.plans[LLAMA2_7B.name].n_stages
         k_bursty = bursty.plans[LLAMA2_7B.name].n_stages
         assert k_bursty > k_calm
@@ -68,8 +105,11 @@ class TestTetris:
         system.shutdown()
 
     def test_modest_batch_and_slow_scaling(self, ctx):
+        spec = figures.figure_spec("tetris")
+        system = build_system("Tetris", ctx, spec)
+        assert spec.batch_cap == 32 and system.factory.batch_cap == 16
+        system.shutdown()
         system = TetrisSystem(ctx, [LLAMA2_7B])
-        assert system.factory.batch_cap == 16
         scaler = system.autoscalers[LLAMA2_7B.name]
         assert scaler.config.interval >= 2.0
         assert scaler.config.scale_out_cooldown >= 5.0

@@ -64,7 +64,7 @@ class TestAdmissionInFrontOfSystem:
             lambda: 20.0,
             lambda r: 0.5,
         )
-        gate = AdmissionGate(system.submit, policy)
+        gate = AdmissionGate(system.submit, [policy])
         generator = WorkloadGenerator(
             sim,
             ReplayArrivals(

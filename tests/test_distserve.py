@@ -31,7 +31,7 @@ def distserve():
     cluster = make_small_cluster(sim, n_servers=10, gpus_per_server=2)
     ctx = ServingContext.create(sim, cluster, streams)
     system = DistServeSystem(
-        ctx, [LLAMA2_7B], initial_replicas=2, prefill_stages=2, decode_stages=8
+        ctx, [LLAMA2_7B], initial_replicas=2, n_stages=2, decode_stages=8
     )
     return sim, system
 

@@ -36,6 +36,18 @@ from repro.validation.migration_fuzz import (
 )
 from repro.workloads.requests import RequestSampler
 
+
+def bare_factory(ctx, metrics, **options) -> ReplicaFactory:
+    """A factory with no routers: what a lone executor reads its inputs from."""
+    return ReplicaFactory(
+        ctx,
+        routers={},
+        metrics=metrics,
+        on_request_complete=lambda r: None,
+        **options,
+    )
+
+
 GB = 2**30
 PINNED_BINDING_CAPS = Path(__file__).parent / "data" / "chaos-3-binding-caps.json"
 
@@ -97,7 +109,9 @@ class TestInPlaceTransitions:
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         metrics = MetricsCollector("test")
         executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, metrics, warm_cache=HostParamCache()
+            llama_profile,
+            ladder,
+            bare_factory(ctx, metrics, warm_cache=HostParamCache()),
         )
         executor.elastic = True
         return ctx, ladder, metrics, executor
@@ -186,7 +200,7 @@ class TestInPlaceTransitions:
     def test_chain_mode_still_counts_as_chain(self, ctx, llama_profile):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, MetricsCollector("test")
+            llama_profile, ladder, bare_factory(ctx, MetricsCollector("test"))
         )
         assert not executor.elastic
         replica = self._deploy(ctx, llama_profile, ladder, 2, [])
@@ -208,16 +222,8 @@ class TestRepeatedInPlaceTransitions:
         ctx = ServingContext.create(sim, make_paper_cluster(sim), RandomStreams(0))
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4, 8))
         metrics = MetricsCollector("test")
-        factory = ReplicaFactory(
-            ctx,
-            routers={},
-            metrics=metrics,
-            on_request_complete=lambda r: None,
-            batch_cap=8,
-        )
-        executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, metrics, factory=factory
-        )
+        factory = bare_factory(ctx, metrics, batch_cap=8)
+        executor = RefactoringExecutor(llama_profile, ladder, factory)
         replica = TestInPlaceTransitions._deploy(
             self, ctx, llama_profile, ladder, 2, []
         )
@@ -266,7 +272,7 @@ class TestPreparedClaims:
     def setup(self, ctx, llama_profile):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, MetricsCollector("test")
+            llama_profile, ladder, bare_factory(ctx, MetricsCollector("test"))
         )
         executor.elastic = True
         return ctx, ladder, executor

@@ -492,11 +492,10 @@ class TestShedAccountingDetection:
         sim, ctx, system, auditor = clean_run
         gate = AdmissionGate(lambda r: None)
         # Replay the generated population through the gate's books so the
-        # aggregate triple matches ground truth.
+        # aggregate and per-model triples match ground truth.
         for generator in auditor.generators:
             for request in generator.requests:
-                gate.stats.offered += 1
-                gate.stats.admitted += 1
+                gate.submit(request)
         auditor.gates = [gate]
         return sim, ctx, system, auditor, gate
 
@@ -510,13 +509,16 @@ class TestShedAccountingDetection:
         assert "admission-accounting" in invariants_of(auditor.audit_quiesce())
 
     def test_imbalanced_tenant_triple_flagged(self, gated_run):
-        from repro.qos import TenantAdmissionController, get_slo_class
-
         *_, auditor, gate = gated_run
-        controller = TenantAdmissionController(lambda r: None)
-        controller.register("m", get_slo_class("interactive"), [])
-        controller._tenants["m"].stats.offered = 5  # 5 != 0 + 0
-        auditor.gates = [gate, controller]
+        next(iter(gate.tenant_stats().values())).admitted -= 1
+        assert "admission-accounting" in invariants_of(auditor.audit_quiesce())
+
+    def test_request_booked_only_in_the_aggregate_flagged(self, gated_run):
+        """Both triples balance, but the aggregate holds a request no
+        model's books do: the tenant triples no longer sum to it."""
+        *_, auditor, gate = gated_run
+        gate.stats.offered += 1
+        gate.stats.admitted += 1
         assert "admission-accounting" in invariants_of(auditor.audit_quiesce())
 
     def test_unmarked_shed_flagged(self, gated_run):

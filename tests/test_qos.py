@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.admission import SLOFeasiblePolicy
+from repro.core.admission import AdmissionGate, SLOFeasiblePolicy
 from repro.qos import (
     SLO_CLASSES,
     AttainmentTracker,
     PriorityPendingQueue,
     SLOClass,
-    TenantAdmissionController,
     WeightedFairShedPolicy,
     effective_deadline,
     get_slo_class,
@@ -241,61 +240,53 @@ class TestWeightedFairShed:
 
 
 # ----------------------------------------------------------------------
-# Tenant admission controller
+# Tenant admission control: per-tenant chains on the admission gate
 # ----------------------------------------------------------------------
 class TestTenantAdmissionController:
-    def make_controller(self, sink=None, **kwargs):
-        return TenantAdmissionController(sink or (lambda r: None), **kwargs)
-
     def test_books_balance_per_tenant_and_aggregate(self):
-        controller = self.make_controller()
+        gate = AdmissionGate(lambda r: None)
         shed_all = WeightedFairShedPolicy(
             lambda: True, get_slo_class("best_effort")
         )
-        controller.register("be", get_slo_class("best_effort"), [shed_all])
-        controller.register("it", get_slo_class("interactive"), [])
+        gate.register("be", [shed_all])
+        gate.register("it", [])
         for i in range(10):
-            controller.submit(make_request(i, model="be"))
-            controller.submit(make_request(100 + i, model="it"))
-        stats = controller.tenant_stats()
+            gate.submit(make_request(i, model="be"))
+            gate.submit(make_request(100 + i, model="it"))
+        stats = gate.tenant_stats()
         assert stats["be"].offered == 10 and stats["be"].rejected == 10
         assert stats["it"].offered == 10 and stats["it"].admitted == 10
-        agg = controller.stats
+        agg = gate.stats
         assert agg.offered == agg.admitted + agg.rejected == 20
         for t in stats.values():
             assert t.offered == t.admitted + t.rejected
 
     def test_unregistered_tenant_passes_through(self):
         seen = []
-        controller = self.make_controller(sink=seen.append)
-        controller.submit(make_request(0, model="stranger"))
+        gate = AdmissionGate(seen.append)
+        gate.submit(make_request(0, model="stranger"))
         assert len(seen) == 1
-        assert controller.stats.admitted == 1
-        assert controller.tenant_stats() == {}
+        assert gate.stats.admitted == 1
+        assert gate.tenant_stats()["stranger"].admitted == 1
 
     def test_shed_marks_request_and_fires_hooks(self):
-        rejected, shed_models = [], []
-        controller = TenantAdmissionController(
-            lambda r: None,
-            on_reject=rejected.append,
-            on_shed=shed_models.append,
-        )
-        controller.register(
+        clock = {"now": 0.0}
+        tracker = AttainmentTracker(lambda: clock["now"], window=10.0)
+        gate = AdmissionGate(lambda r: None, on_reject=tracker.observe_shed)
+        gate.register(
             "be",
-            get_slo_class("best_effort"),
             [WeightedFairShedPolicy(lambda: True, get_slo_class("best_effort"))],
         )
         request = make_request(model="be")
-        controller.submit(request)
+        gate.submit(request)
         assert request.rejected
-        assert rejected == [request]
-        assert shed_models == ["be"]
+        assert tracker.attainment("be") == 0.0
 
     def test_double_registration_rejected(self):
-        controller = self.make_controller()
-        controller.register("m", get_slo_class("standard"), [])
+        gate = AdmissionGate(lambda r: None)
+        gate.register("m", [])
         with pytest.raises(ValueError, match="already"):
-            controller.register("m", get_slo_class("batch"), [])
+            gate.register("m", [])
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +316,7 @@ class TestAttainmentTracker:
         clock = {"now": 0.0}
         tracker = self.make_tracker(clock)
         tracker.observe_completion(self.complete("m", latency=1.0))
-        tracker.observe_shed("m")
+        tracker.observe_shed(make_request(model="m"))
         assert tracker.attainment("m") == 0.5
 
     def test_completion_judged_against_class_deadline(self):
@@ -341,7 +332,7 @@ class TestAttainmentTracker:
         clock = {"now": 0.0}
         tracker = self.make_tracker(clock)
         assert tracker.completion_rate("m") == float("inf")
-        tracker.observe_shed("m")  # sheds are not completions
+        tracker.observe_shed(make_request(model="m"))  # not a completion
         assert tracker.completion_rate("m") == float("inf")
         clock["now"] = 2.0
         tracker.observe_completion(self.complete("m", latency=1.0))

@@ -28,6 +28,17 @@ from repro.simulation.randomness import RandomStreams
 from repro.workloads.requests import Request, RequestSampler
 
 
+def bare_factory(ctx, metrics, **options) -> ReplicaFactory:
+    """A factory with no routers: what a lone executor reads its inputs from."""
+    return ReplicaFactory(
+        ctx,
+        routers={},
+        metrics=metrics,
+        on_request_complete=lambda r: None,
+        **options,
+    )
+
+
 class TestMonitor:
     def test_cv_tracks_arrival_process(self):
         monitor = WorkloadMonitor(window=100.0)
@@ -149,7 +160,9 @@ class TestExecutor:
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         metrics = MetricsCollector("test")
         executor = RefactoringExecutor(
-            ctx, llama_profile, ladder, metrics, warm_cache=HostParamCache()
+            llama_profile,
+            ladder,
+            bare_factory(ctx, metrics, warm_cache=HostParamCache()),
         )
         return ctx, ladder, metrics, executor
 
@@ -344,18 +357,9 @@ class TestExecutor:
         batch rather than failing outright."""
         ctx, ladder, metrics, _ = setup
         executor = RefactoringExecutor(
-            ctx,
             llama_profile,
             ladder,
-            metrics,
-            warm_cache=HostParamCache(),
-            factory=ReplicaFactory(
-                ctx,
-                routers={},
-                metrics=metrics,
-                on_request_complete=lambda r: None,
-                batch_cap=32,
-            ),
+            bare_factory(ctx, metrics, warm_cache=HostParamCache(), batch_cap=32),
         )
         completed = []
         replica = self._deploy(ctx, llama_profile, ladder, 2, completed)
@@ -387,11 +391,9 @@ class TestExecutor:
         # A latency far above the preparation window makes it visible.
         monkeypatch.setattr(executor_module, "DECISION_LATENCY", 5.0)
         executor = RefactoringExecutor(
-            ctx,
             llama_profile,
             ladder,
-            metrics,
-            warm_cache=HostParamCache(),
+            bare_factory(ctx, metrics, warm_cache=HostParamCache()),
         )
         replica = self._deploy(ctx, llama_profile, ladder, 2, [])
         start = ctx.sim.now

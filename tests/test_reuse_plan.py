@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.allocator import AllocationError
 from repro.cluster.cluster import make_paper_cluster
 from repro.core.context import ServingContext
+from repro.core.deployment import ReplicaFactory
 from repro.metrics.collector import MetricsCollector
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -143,7 +144,14 @@ def test_preparation_reuses_exactly_the_marked_stages(model_ladder, inplace):
         ctx = ServingContext.create(sim, make_paper_cluster(sim), RandomStreams(0))
         replica = _deploy(ctx, profile, ladder, src)
         executor = RefactoringExecutor(
-            ctx, profile, ladder, MetricsCollector("test")
+            profile,
+            ladder,
+            ReplicaFactory(
+                ctx,
+                routers={},
+                metrics=MetricsCollector("test"),
+                on_request_complete=lambda r: None,
+            ),
         )
         old_rung, new_rung = ladder.rung(src), ladder.rung(dst)
         mems = new_rung.plan.memory_per_stage(

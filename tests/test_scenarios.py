@@ -20,6 +20,7 @@ from repro.scenarios import (
     run_scenarios,
 )
 from repro.experiments.systems import SYSTEMS
+from repro.scenarios.driver import ScenarioDriver
 
 # A small, fast scenario exercising every segment kind and several event
 # actions — the workhorse of the driver tests below.
@@ -612,6 +613,26 @@ class TestQoSScenarios:
             on.tenants["BERT-21B"].shed_rate
             > on.tenants["LLAMA2-7B"].shed_rate
         )
+
+
+class TestGateBooks:
+    """Every request is booked under its model, so the gate's tenant
+    triples sum to its aggregate: on the null path (one shared queue-cap
+    chain, which sheds here) and with one chain per tenant."""
+
+    @pytest.mark.parametrize("qos", ["off", "on"])
+    def test_tenant_triples_sum_to_the_aggregate(self, qos):
+        spec = replace(get_scenario("priority-inversion"), qos=qos).quick()
+        driver = ScenarioDriver(ScenarioCase(spec, "FlexPipe", 0))
+        driver.run()
+        gate = driver.gate
+        assert gate.stats.rejected > 0
+        books = gate.tenant_stats().values()
+        assert len(books) == len(spec.models)
+        for field in ("offered", "admitted", "rejected"):
+            assert sum(getattr(t, field) for t in books) == getattr(
+                gate.stats, field
+            )
 
 
 class TestGpuContentionScenario:
