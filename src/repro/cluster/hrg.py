@@ -42,12 +42,10 @@ class HierarchicalResourceGraph:
         self._rack_events: dict[str, deque] = {}
         self._cluster_events: deque = deque()
         self.events_registered = 0
-        # Level sums valid for one (now, events_registered) key.  Only a
-        # registration changes a deque's contents, trimming is value-neutral
-        # because the horizon only moves forward with simulated time, and
-        # the weights are frozen, so a sum is exact for as long as its key
-        # holds.  Keys: ("server", sid), ("rack", rack_id), ("cluster", "").
-        self._sums_key: tuple[float, int] | None = None
+        # Level sums of one instant, keyed ("server", sid), ("rack",
+        # rack_id) and ("cluster", ""); a registration at that instant
+        # adds its exp(-0.0) == 1.0 to each (docs/architecture.md).
+        self._sums_now: float | None = None
         self._sums: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
@@ -58,13 +56,17 @@ class HierarchicalResourceGraph:
         scored again (full, cordoned, reclaimed) keeps only its recent events.
         """
         horizon = self._horizon(now)
-        for events in (
-            self._server_events.setdefault(server.sid, deque()),
-            self._rack_events.setdefault(server.rack_id, deque()),
-            self._cluster_events,
+        sums = self._sums_at(now)
+        sid, rack_id = server.sid, server.rack_id
+        for key, events in (
+            (("server", sid), self._server_events.setdefault(sid, deque())),
+            (("rack", rack_id), self._rack_events.setdefault(rack_id, deque())),
+            (("cluster", ""), self._cluster_events),
         ):
             _trim(events, horizon)
             events.append(now)
+            if key in sums:
+                sums[key] += 1.0
         self.events_registered += 1
 
     def contention_score(self, server: Server, now: float) -> float:
@@ -73,9 +75,7 @@ class HierarchicalResourceGraph:
         Higher means more contention; the scaling coordinator prefers
         low-score servers.
         """
-        key = (now, self.events_registered)
-        if key != self._sums_key:
-            self._sums_key, self._sums = key, {}
+        self._sums_at(now)
         w = self.weights
         sid, rack_id = server.sid, server.rack_id
         score = w.server * self._sum("server", sid, self._server_events.get(sid), now)
@@ -93,18 +93,26 @@ class HierarchicalResourceGraph:
         # meaningfully and are trimmed.
         return now - 5.0 / self.weights.decay
 
+    def _sums_at(self, now: float) -> dict[tuple[str, str], float]:
+        """The level sums of instant ``now``; a new instant clears them."""
+        if now != self._sums_now:
+            self._sums_now, self._sums = now, {}
+        return self._sums
+
     def _sum(self, level: str, name: str, events: deque | None, now: float) -> float:
-        """``_decayed`` of one level, computed at most once per key."""
+        """``_decayed`` of one level, computed at most once per instant."""
         value = self._sums.get((level, name))
         if value is None:
             value = self._sums[level, name] = self._decayed(events, now)
         return value
 
     def _decayed(self, events: deque | None, now: float) -> float:
-        if not events:
-            return 0.0
-        _trim(events, self._horizon(now))
-        return sum(math.exp(-self.weights.decay * (now - t)) for t in events)
+        if events:
+            _trim(events, self._horizon(now))
+        decay, total = self.weights.decay, 0.0  # left to right, unlike 3.12's sum
+        for t in events or ():
+            total += math.exp(-decay * (now - t))
+        return total
 
 
 def _trim(events: deque, horizon: float) -> None:

@@ -166,15 +166,14 @@ class FlexPipeSystem(ServingSystem):
         return min(counts, key=lambda c: abs(c - INITIAL_STAGES))
 
     def _make_plan_for(self, state: _ModelState):
+        g_max = min(G_MAX, state.ladder.finest)
+        idle = scaling_granularity(0.0, 0, g_max=g_max)  # Eq. 11 at q̂ = 0
+
         def plan_for(cv: float, queue: int) -> PartitionPlan:
             """Scale-out granularity: Eq. 11, snapped to a ladder rung."""
-            m = scaling_granularity(
-                cv, queue, g_max=min(G_MAX, state.ladder.finest)
-            )
+            m = scaling_granularity(cv, queue, g_max=g_max) if queue > 0 else idle
             counts = state.ladder.stage_counts
-            snapped = min(
-                (c for c in counts if c >= m), default=counts[-1]
-            )
+            snapped = min((c for c in counts if c >= m), default=counts[-1])
             # Never scale out with a coarser unit than the serving target.
             return state.ladder.plan(max(snapped, state.current_stages))
 

@@ -21,6 +21,7 @@ from repro.baselines import (
     ServerlessLLMSystem,
     TetrisSystem,
 )
+from repro.baselines.base import snap_stages
 from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.core.serving import ServingSystem
@@ -54,11 +55,7 @@ def replicas_for_fraction(
     model = get_model(primary.model)
     profile = ctx.profile(model)
     ladder = ctx.ladder(model, FULL_LADDER)
-    counts = ladder.stage_counts
-    stages = n_stages if n_stages in counts else min(
-        counts, key=lambda c: abs(c - n_stages)
-    )
-    plan = ladder.plan(stages)
+    plan = ladder.plan(snap_stages(ladder, n_stages))  # the rung it serves
     throughput = estimate_throughput(
         profile,
         plan,

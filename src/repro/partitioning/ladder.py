@@ -51,6 +51,7 @@ class GranularityLadder:
             )
         self.fine_plan = partitioner.plan(feasible[-1])
         self._rungs = self._group_rungs(feasible)
+        self.stage_counts = tuple(sorted(self._rungs))  # bind's copy shares it
 
     def bind(self, profile: ModelProfile) -> "GranularityLadder":
         """This ladder for ``profile``'s tenant, a model of the same shape:
@@ -69,16 +70,12 @@ class GranularityLadder:
 
     # ------------------------------------------------------------------
     @property
-    def stage_counts(self) -> list[int]:
-        return sorted(self._rungs)
-
-    @property
     def finest(self) -> int:
-        return max(self._rungs)
+        return self.stage_counts[-1]
 
     @property
     def coarsest(self) -> int:
-        return min(self._rungs)
+        return self.stage_counts[0]
 
     def rung(self, n_stages: int) -> LadderRung:
         try:

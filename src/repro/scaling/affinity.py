@@ -28,9 +28,6 @@ class AffinityScheduler:
     def record_placement(self, model: str, server: Server, now: float) -> None:
         self._history.setdefault(model, {})[server.sid] = now
 
-    def history(self, model: str) -> dict[str, float]:
-        return dict(self._history.get(model, {}))
-
     def score(
         self, model: str, server: Server, now: float, min_free_bytes: float = 0.0
     ) -> float:
@@ -44,15 +41,5 @@ class AffinityScheduler:
         available = len(server.free_gpus(min_free_bytes))
         return temporal + W_G * available
 
-    def rank(
-        self,
-        model: str,
-        servers: list[Server],
-        now: float,
-        min_free_bytes: float = 0.0,
-    ) -> list[Server]:
-        return sorted(
-            servers,
-            key=lambda s: self.score(model, s, now, min_free_bytes),
-            reverse=True,
-        )
+    def rank(self, model: str, servers: list[Server], now: float) -> list[Server]:
+        return sorted(servers, key=lambda s: self.score(model, s, now), reverse=True)

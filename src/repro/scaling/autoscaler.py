@@ -196,7 +196,7 @@ class Autoscaler:
     CV and queue.  ``sweep`` is the serving system's shared
     :class:`ControlSweep`; without one the autoscaler gets its own.
     ``factory`` is the :class:`ReplicaFactory` that sizes the tenant's
-    replicas; capacity estimates read its batch cap (none: uncapped).
+    replicas; capacity estimates read its batch cap.
     """
 
     def __init__(
@@ -212,7 +212,7 @@ class Autoscaler:
         config: AutoscalerConfig | None = None,
         *,
         sweep: ControlSweep | None = None,
-        factory: ReplicaFactory | None = None,
+        factory: ReplicaFactory,
     ):
         self.sim = sim
         self.factory = factory
@@ -320,7 +320,7 @@ class Autoscaler:
     @property
     def batch_cap(self) -> int | None:
         """The operating batch cap, owned by the deploying factory."""
-        return None if self.factory is None else self.factory.batch_cap
+        return self.factory.batch_cap
 
     def replica_throughput(
         self, plan: PartitionPlan, batch: int | None = None

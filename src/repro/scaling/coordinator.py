@@ -47,17 +47,25 @@ class ScalingCoordinator:
         objective (avoid multiplexing with other models under bursty load).
         """
         cv = self.cv_fn() if self.cv_fn is not None else 0.0
-        penalty = multiplexing_penalty(cv)
+        isolation = ISOLATION_WEIGHT * multiplexing_penalty(cv)
+        cluster = self.hrg.cluster
+        # The server part, once per server: within one deploy only a
+        # release (preemption, lender reclaim) moves it, through Eq. 13's
+        # free-GPU count, and every release moves the capacity epoch.
+        servers: dict[tuple[int, str], float] = {}
 
         def score(gpu: GPU) -> float:
             server = gpu.server
-            value = 0.0
-            if self.use_affinity:
-                value += self.affinity.score(model, server, now)
-            if self.use_hrg:
-                value -= CONTENTION_WEIGHT * self.hrg.contention_score(server, now)
-            value -= ISOLATION_WEIGHT * penalty * gpu.colocated_model_count
-            return value
+            key = (cluster.capacity_epoch, server.sid)
+            value = servers.get(key)
+            if value is None:
+                value = 0.0
+                if self.use_affinity:
+                    value += self.affinity.score(model, server, now)
+                if self.use_hrg:
+                    value -= CONTENTION_WEIGHT * self.hrg.contention_score(server, now)
+                servers[key] = value
+            return value - isolation * gpu.colocated_model_count
 
         return score
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.cluster import make_small_cluster
 from repro.core.context import ServingContext
+from repro.core.deployment import ReplicaFactory
 from repro.models.costs import CostModel
 from repro.models.transformer import build_transformer
 from repro.models.zoo import LLAMA2_7B, OPT_66B
@@ -51,3 +52,20 @@ def llama_profile(cost_model) -> ModelProfile:
     return ModelProfile(
         spec=LLAMA2_7B, graph=build_transformer(LLAMA2_7B), cost_model=cost_model
     )
+
+
+@pytest.fixture(scope="session")
+def bare_factory():
+    """Builds a factory with no routers from ``(ctx, metrics, **options)``:
+    what a lone executor or autoscaler reads its inputs from."""
+
+    def make(ctx, metrics, **options) -> ReplicaFactory:
+        return ReplicaFactory(
+            ctx,
+            routers={},
+            metrics=metrics,
+            on_request_complete=lambda r: None,
+            **options,
+        )
+
+    return make

@@ -350,20 +350,26 @@ class TestCoverageSteering:
 
 
 class TestScaleToZero:
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
+
     def _scaler(self, ctx, llama_profile, router, released, **cfg):
         plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        metrics = MetricsCollector("test")
         scaler = Autoscaler(
             ctx.sim,
             router,
             WorkloadMonitor(),
             llama_profile,
-            MetricsCollector("test"),
+            metrics,
             lambda profile, p, **kw: SimpleNamespace(
                 state=ReplicaState.LOADING
             ),
             released.append,
             lambda cv, queue: plan,
             AutoscalerConfig(**cfg),
+            factory=self.bare_factory(ctx, metrics),
         )
         scaler.stop()  # tick manually; the periodic process never ends
         return scaler, plan

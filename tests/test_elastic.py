@@ -14,7 +14,6 @@ import pytest
 from repro.cluster.allocator import AllocationError
 from repro.cluster.cluster import make_paper_cluster
 from repro.core.context import ServingContext
-from repro.core.deployment import ReplicaFactory
 from repro.metrics.collector import MetricsCollector, RunSummary
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -35,17 +34,6 @@ from repro.validation.migration_fuzz import (
     random_groups,
 )
 from repro.workloads.requests import RequestSampler
-
-
-def bare_factory(ctx, metrics, **options) -> ReplicaFactory:
-    """A factory with no routers: what a lone executor reads its inputs from."""
-    return ReplicaFactory(
-        ctx,
-        routers={},
-        metrics=metrics,
-        on_request_complete=lambda r: None,
-        **options,
-    )
 
 
 GB = 2**30
@@ -105,7 +93,7 @@ class TestInPlaceTransitions:
         return replica
 
     @pytest.fixture
-    def setup(self, ctx, llama_profile):
+    def setup(self, ctx, llama_profile, bare_factory):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         metrics = MetricsCollector("test")
         executor = RefactoringExecutor(
@@ -197,7 +185,7 @@ class TestInPlaceTransitions:
         with pytest.raises(RuntimeError, match="swap_stages_inplace"):
             replica.swap_stages_inplace(replica.plan, reservations)
 
-    def test_chain_mode_still_counts_as_chain(self, ctx, llama_profile):
+    def test_chain_mode_still_counts_as_chain(self, ctx, llama_profile, bare_factory):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         executor = RefactoringExecutor(
             llama_profile, ladder, bare_factory(ctx, MetricsCollector("test"))
@@ -215,7 +203,7 @@ class TestRepeatedInPlaceTransitions:
     chain has retired must not lose its growth to the first one's trim."""
 
     @pytest.fixture
-    def switched(self, llama_profile):
+    def switched(self, llama_profile, bare_factory):
         """LLAMA2-7B at ``batch_cap=8`` on the paper cluster, 8 requests in
         flight, switched 2 -> 4 in place; the old chain still serves."""
         sim = Simulator()
@@ -269,7 +257,7 @@ class TestRepeatedInPlaceTransitions:
 # ----------------------------------------------------------------------
 class TestPreparedClaims:
     @pytest.fixture
-    def setup(self, ctx, llama_profile):
+    def setup(self, ctx, llama_profile, bare_factory):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         executor = RefactoringExecutor(
             llama_profile, ladder, bare_factory(ctx, MetricsCollector("test"))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.deployment import ReplicaFactory
 from repro.metrics.collector import MetricsCollector
 from repro.partitioning.ladder import GranularityLadder
 from repro.pipeline.batching import BatcherConfig
@@ -26,17 +25,6 @@ from repro.refactoring.placement import (
 from repro.scaling.warm_cache import HostParamCache
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.requests import Request, RequestSampler
-
-
-def bare_factory(ctx, metrics, **options) -> ReplicaFactory:
-    """A factory with no routers: what a lone executor reads its inputs from."""
-    return ReplicaFactory(
-        ctx,
-        routers={},
-        metrics=metrics,
-        on_request_complete=lambda r: None,
-        **options,
-    )
 
 
 class TestMonitor:
@@ -156,7 +144,7 @@ class TestExecutor:
         return replica
 
     @pytest.fixture
-    def setup(self, ctx, llama_profile):
+    def setup(self, ctx, llama_profile, bare_factory):
         ladder = GranularityLadder(llama_profile, stage_counts=(2, 4))
         metrics = MetricsCollector("test")
         executor = RefactoringExecutor(
@@ -350,7 +338,7 @@ class TestExecutor:
         assert replica.plan.n_stages == 4
 
     def test_memory_degradation_halves_batch_instead_of_aborting(
-        self, setup, llama_profile
+        self, setup, llama_profile, bare_factory
     ):
         """Mirror of deploy's fallback: when the target rung cannot fit
         at the full batch's KV reservation, the transition degrades the
@@ -382,7 +370,7 @@ class TestExecutor:
         assert replica.max_batch <= 16  # degraded below the 32 cap
 
     def test_refactor_event_includes_decision_latency(
-        self, setup, llama_profile, monkeypatch
+        self, setup, llama_profile, monkeypatch, bare_factory
     ):
         """Fig. 6-style accounting: the recorded transition time must be
         decision latency + preparation window + switch pause — what the

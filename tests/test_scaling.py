@@ -204,6 +204,10 @@ class TestAutoscalerEffectiveCapacity:
     valued at ``plan.max_batch``, suppressing burst scale-outs exactly
     when capacity was most impaired (ROADMAP open item)."""
 
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
+
     def _make_scaler(self, ctx, llama_profile, router):
         from types import SimpleNamespace
 
@@ -224,16 +228,18 @@ class TestAutoscalerEffectiveCapacity:
             deployed.append(p)
             return SimpleNamespace(state=ReplicaState.LOADING)
 
+        metrics = MetricsCollector("test")
         scaler = Autoscaler(
             ctx.sim,
             router,
             WorkloadMonitor(),
             llama_profile,
-            MetricsCollector("test"),
+            metrics,
             deploy,
             lambda r: None,
             lambda cv, queue: plan,
             AutoscalerConfig(max_replicas=16),
+            factory=self.bare_factory(ctx, metrics),
         )
         return scaler, plan, deployed
 
@@ -303,6 +309,10 @@ class TestAutoscalerShareCap:
     a capped tenant never churns the allocator with deploys the cap is
     guaranteed to refuse (QoS resource arbitration)."""
 
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
+
     def _make_scaler(self, ctx, llama_profile, min_replicas=4):
         from types import SimpleNamespace
 
@@ -320,16 +330,18 @@ class TestAutoscalerShareCap:
             deployed.append(p)
             return SimpleNamespace(state=ReplicaState.LOADING)
 
+        metrics = MetricsCollector("test")
         scaler = Autoscaler(
             ctx.sim,
             ModelRouter(ctx.sim, "LLAMA2-7B"),
             WorkloadMonitor(),
             llama_profile,
-            MetricsCollector("test"),
+            metrics,
             deploy,
             lambda r: None,
             lambda cv, queue: plan,
             AutoscalerConfig(min_replicas=min_replicas, max_replicas=16),
+            factory=self.bare_factory(ctx, metrics),
         )
         return scaler, plan, deployed
 
@@ -400,7 +412,7 @@ class TestAutoscalerBlockedEpisodes:
     ``alloc_blocked`` event per episode, so retained events do not grow
     with the retry rate."""
 
-    def test_one_event_per_blocked_episode(self, ctx, llama_profile):
+    def test_one_event_per_blocked_episode(self, ctx, llama_profile, bare_factory):
         from types import SimpleNamespace
 
         from repro.cluster.allocator import AllocationError
@@ -433,6 +445,7 @@ class TestAutoscalerBlockedEpisodes:
             lambda r: None,
             lambda cv, queue: plan,
             AutoscalerConfig(min_replicas=1),
+            factory=bare_factory(ctx, metrics),
         )
 
         def blocked_events():
@@ -482,21 +495,25 @@ class _ScriptedMonitor:
         self.rate, self.count = 0.0, 0
 
 
-def _scripted_scaler(ctx, profile, deploy, plan_for, *, monitor=None, **config):
+def _scripted_scaler(
+    bare_factory, ctx, profile, deploy, plan_for, *, monitor=None, **config
+):
     from repro.metrics.collector import MetricsCollector
     from repro.pipeline.router import ModelRouter
     from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
 
+    metrics = MetricsCollector("test")
     return Autoscaler(
         ctx.sim,
         ModelRouter(ctx.sim, profile.spec.name),
         monitor or _ScriptedMonitor(),
         profile,
-        MetricsCollector("test"),
+        metrics,
         deploy,
         lambda r: None,
         plan_for,
         AutoscalerConfig(**config),
+        factory=bare_factory(ctx, metrics),
     )
 
 
@@ -506,6 +523,10 @@ def _blocked_events(scaler):
 
 class TestAutoscalerIdleFastPath:
     """A fully idle scale-to-zero tenant returns before pricing a plan."""
+
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
 
     def _scaler(self, ctx, llama_profile, min_replicas=0):
         plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
@@ -519,7 +540,8 @@ class TestAutoscalerIdleFastPath:
             raise AssertionError("an idle tenant never deploys")
 
         scaler = _scripted_scaler(
-            ctx, llama_profile, deploy, plan_for, min_replicas=min_replicas
+            self.bare_factory, ctx, llama_profile, deploy, plan_for,
+            min_replicas=min_replicas,
         )
         scaler.stop()  # ticks are driven by hand
         return scaler, plan, planned
@@ -571,6 +593,10 @@ class TestAutoscalerCertifiedPark:
     """A tenant whose scale-out the allocator certified impossible stops
     calling deploy until the certificate lapses or the plan changes."""
 
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
+
     def _blocked(self, ctx, llama_profile):
         from types import SimpleNamespace
 
@@ -600,7 +626,8 @@ class TestAutoscalerCertifiedPark:
             return SimpleNamespace(state=ReplicaState.LOADING)
 
         scaler = _scripted_scaler(
-            ctx, llama_profile, deploy, lambda cv, queue: wanted[0], min_replicas=1
+            self.bare_factory, ctx, llama_profile, deploy,
+            lambda cv, queue: wanted[0], min_replicas=1,
         )
         return SimpleNamespace(
             scaler=scaler, calls=calls, fills=fills, ladder=ladder, wanted=wanted
@@ -651,7 +678,10 @@ class TestAutoscalerCertifiedPark:
             raise AllocationError("no room")  # no certificate attached
 
         plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
-        _scripted_scaler(ctx, llama_profile, deploy, lambda cv, q: plan, min_replicas=1)
+        _scripted_scaler(
+            self.bare_factory, ctx, llama_profile, deploy, lambda cv, q: plan,
+            min_replicas=1,
+        )
         ctx.sim.run(until=5.0)
         assert len(attempts) == 10
 
@@ -660,6 +690,10 @@ class TestAutoscalerBlockedEpisodeEnds:
     """A blocked episode ends when demand stops exceeding the fleet, so a
     later first-try deploy is charged no wait and a later failure opens a
     new episode."""
+
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
 
     def _scaler(self, ctx, llama_profile):
         from types import SimpleNamespace
@@ -679,8 +713,8 @@ class TestAutoscalerBlockedEpisodeEnds:
 
         monitor = _ScriptedMonitor()
         scaler = _scripted_scaler(
-            ctx, llama_profile, deploy, lambda cv, q: plan, monitor=monitor,
-            min_replicas=0,
+            self.bare_factory, ctx, llama_profile, deploy, lambda cv, q: plan,
+            monitor=monitor, min_replicas=0,
         )
         return scaler, monitor, blocked, waits
 
@@ -1002,14 +1036,21 @@ class TestControlSweep:
     and certified-parked tenants sleep until an input of their decision
     moves, then tick at the next grid instant."""
 
+    @pytest.fixture(autouse=True)
+    def _bare_factory(self, bare_factory):
+        self.bare_factory = bare_factory
+
     def _scaler(self, sim, profile, plan_for, *, sweep=None, **config):
         from types import SimpleNamespace
 
+        from repro.cluster.cluster import make_small_cluster
+        from repro.core.context import ServingContext
         from repro.metrics.collector import MetricsCollector
         from repro.pipeline.replica import ReplicaState
         from repro.pipeline.router import ModelRouter
         from repro.refactoring.monitor import WorkloadMonitor
         from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+        from repro.simulation.randomness import RandomStreams
 
         deployed = []
 
@@ -1017,17 +1058,20 @@ class TestControlSweep:
             deployed.append(sim.now)
             return SimpleNamespace(state=ReplicaState.LOADING)
 
+        metrics = MetricsCollector("test")
+        ctx = ServingContext.create(sim, make_small_cluster(sim), RandomStreams(0))
         scaler = Autoscaler(
             sim,
             ModelRouter(sim, profile.spec.name),
             WorkloadMonitor(),
             profile,
-            MetricsCollector("test"),
+            metrics,
             deploy,
             lambda r: None,
             plan_for,
             AutoscalerConfig(**config),
             sweep=sweep,
+            factory=self.bare_factory(ctx, metrics),
         )
         return scaler, _tick_times(scaler), deployed
 

@@ -163,7 +163,7 @@ def assert_matches_oracle(spec: ModelSpec, stage_counts) -> None:
         return
     ladder = get_ladder(spec, CostModel(), stage_counts)
     assert ladder.profile.spec == spec
-    assert ladder.stage_counts == sorted(rungs)
+    assert ladder.stage_counts == tuple(sorted(rungs))
     assert ladder.fine_plan == fine_plan
     assert ladder.rung(ladder.finest).plan is ladder.fine_plan
     for count, rung in rungs.items():

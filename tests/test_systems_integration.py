@@ -8,10 +8,20 @@ pipelined execution -> scaling/refactoring -> metrics), through
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.figures import figure_spec
-from repro.experiments.systems import PAPER_SYSTEMS, replicas_for_fraction
+from repro.experiments import systems
+from repro.experiments.systems import (
+    PAPER_SYSTEMS,
+    SYSTEMS,
+    build_system,
+    replicas_for_fraction,
+)
+from repro.models.zoo import get_model
+from repro.partitioning.ladder import FULL_LADDER
 from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 
 FAST = dict(duration=60.0, settle=120.0, warmup=20.0, drain=20.0, qps=10.0)
@@ -122,3 +132,23 @@ class TestProvisioning:
         low = replicas_for_fraction(ctx, spec, 4, 0.30)
         high = replicas_for_fraction(ctx, spec, 4, 0.75)
         assert high >= low >= 1
+
+    def test_five_stage_row_plans_and_serves_at_eight(self, ctx, monkeypatch):
+        """Capacity is planned at the rung the system serves: a 5-stage
+        row snaps up to 8 for both (the closest rung would plan at 4)."""
+        planned = []
+        estimate = systems.estimate_throughput
+
+        def recording(profile, plan, **kwargs):
+            planned.append(plan.n_stages)
+            return estimate(profile, plan, **kwargs)
+
+        monkeypatch.setattr(systems, "estimate_throughput", recording)
+        row = replace(SYSTEMS["ServerlessLLM"], plan_stages=5, fixed=(("n_stages", 5),))
+        monkeypatch.setitem(SYSTEMS, "ServerlessLLM", row)
+        spec = figure_spec("t")
+        system = build_system("ServerlessLLM", ctx, spec)
+        assert 4 in ctx.ladder(get_model(spec.models[0].model), FULL_LADDER).stage_counts
+        assert planned == [8]
+        assert system.plans[spec.models[0].model].n_stages == 8
+        system.shutdown()
