@@ -45,6 +45,7 @@ on 2 vCPUs (``REPRO_JOBS=2``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -78,6 +79,32 @@ def _choose(
         )
         return None
     return chosen
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type of a duration: a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, got {text!r}"
+        )
+    return value
 
 
 def _report_violations(failures: list, describe) -> int:
@@ -691,7 +718,10 @@ def build_parser() -> argparse.ArgumentParser:
         "interleavings and assert the lifecycle invariants",
     )
     audit.add_argument(
-        "--seeds", type=int, default=10, help="seeds per system (default 10)"
+        "--seeds",
+        type=_positive_int,
+        default=10,
+        help="seeds per system (default 10)",
     )
     audit.add_argument(
         "--systems",
@@ -701,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--duration",
-        type=float,
+        type=_positive_seconds,
         default=30.0,
         help="traffic/chaos window per case in simulated seconds",
     )
@@ -790,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         "contention vs link physics",
     )
     fuzz.add_argument(
-        "--seeds", type=int, default=10, help="seeded cases (default 10)"
+        "--seeds", type=_positive_int, default=10, help="seeded cases (default 10)"
     )
     trace = sub.add_parser(
         "trace",

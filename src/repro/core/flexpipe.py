@@ -281,7 +281,8 @@ class FlexPipeSystem(ServingSystem):
         # the refactoring monitor reacts on the violation timescale,
         # not the calm-weather hysteresis timescale.
         dwell = REFACTOR_DWELL
-        pressure = self.autoscalers[state.spec.name].slo_pressure
+        scaler = self.autoscalers[state.spec.name]
+        pressure = scaler.slo_pressure
         if pressure is not None and pressure() > 0:
             dwell *= 0.5
         arrivals = monitor.window_count(now)
@@ -294,6 +295,7 @@ class FlexPipeSystem(ServingSystem):
                 ]:
                     state.current_stages = target
                     state.last_target_change = now
+                    scaler.mark()  # plan_for reads the serving target
         # Converge replicas toward the target granularity, one per
         # interval (staggered so serving capacity never dips).  A
         # refactor transiently co-resides old and new chains, so a

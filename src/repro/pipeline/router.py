@@ -12,8 +12,9 @@ is ACTIVE, and the router folds them into its own running sums and into a
 :class:`FleetQueue` shared by every router of one serving system.  The
 invariant auditor's ``queue-ledger`` check recomputes both.
 
-A control loop sleeping until the fleet moves puts its mark in
-``sleepers``; :meth:`ModelRouter.moved` calls them.
+A control loop sleeping until the fleet or the queue moves puts its mark
+in ``sleepers``; :meth:`ModelRouter.moved` and a change of
+``total_queue`` call them.
 """
 
 from __future__ import annotations
@@ -99,19 +100,23 @@ class ModelRouter:
 
     def moved(self) -> None:
         """The fleet moved: a replica joined, left, stopped accepting or
-        switched plans, or the pending queue turned non-empty.  Marks
-        every control loop sleeping on this router."""
+        switched plans, or the pending queue grew.  Marks every control
+        loop sleeping on this router."""
         for mark in self.sleepers:
             mark()
 
     def shift(self, queued: int, waiting: int) -> None:
         """Fold a change of an accepting replica's ``queue_length`` and
-        ``len(batcher)`` into this router's and the fleet's sums."""
+        ``len(batcher)`` into this router's and the fleet's sums.  A move
+        of ``total_queue`` marks the sleepers (a dispatch moves none)."""
         self.queued += queued
         self.waiting += waiting
         fleet = self.fleet
         fleet.queued += queued
         fleet.waiting += waiting
+        if self.sleepers and queued:
+            for mark in self.sleepers:
+                mark()
 
     # ------------------------------------------------------------------
     def use_priority_queue(self, queue) -> None:
@@ -135,9 +140,8 @@ class ModelRouter:
             trace = request.trace
             if trace is not None:
                 trace.parked_at = self.sim.now
-            if not self.pending:
-                self.moved()
             self.pending.append(request)
+            self.moved()
             self.fleet.pending += 1
             return
         self.routed += 1

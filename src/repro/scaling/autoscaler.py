@@ -14,8 +14,10 @@ marks the tenant due.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -65,13 +67,19 @@ def _has_accepting(router: ModelRouter) -> bool:
     return False
 
 
+def _marked() -> bool:
+    """A settled sleeper's wake check: every mark is a move of one of its
+    inputs (or its alarm), so a marked settled sleeper ticks."""
+    return True
+
+
 def _hook(name: str, doc: str) -> property:
     """An optional input of every tick; installing one marks the tenant."""
     attr = "_" + name
 
     def install(self, hook) -> None:
         setattr(self, attr, hook)
-        self._mark()
+        self.mark()
 
     return property(attrgetter(attr), install, doc=doc)
 
@@ -91,7 +99,10 @@ class ControlSweep:
     instant visits, in joining order, the awake members and the sleepers
     marked *due* since their last visit; a due sleeper's wake check decides
     whether it ticks.  The events that move a sleeper's inputs mark it
-    (see ``Autoscaler._sleep_at_floor`` and ``Autoscaler._park``).
+    (see ``Autoscaler._settle`` and ``Autoscaler._park``), and so does the
+    sleeper's *alarm*: the first grid instant at which the clock alone
+    could change a settled sleeper's decision, added to the due set at
+    the start of that instant.
     A parked sleeper's certificate can lapse only when the cluster's
     capacity epoch moves, so every parked sleeper is marked when the
     sweep sees the epoch move: at the start of an instant, and after
@@ -111,6 +122,13 @@ class ControlSweep:
         self._epoch = 0  # the epoch every parked sleeper was checked at
         self._process: PeriodicProcess | None = None
         self._origin = sim.now
+        # The grid as the process steps it: the latest instant fired (the
+        # origin before the first) and the instants after it stepped so far.
+        self._last = sim.now
+        self._ahead: list[float] = []
+        # Alarms: a heap of (instant, rank) and each sleeper's live one.
+        self._alarms: list[tuple[float, int]] = []
+        self._alarm_of: dict[int, float] = {}
 
     def join(self, scaler: "Autoscaler") -> int:
         """Add ``scaler`` (awake) and return its rank."""
@@ -138,6 +156,7 @@ class ControlSweep:
         self._joined.discard(rank)
         self._due.discard(rank)
         self._parked.discard(rank)
+        self._alarm_of.pop(rank, None)
         if not self._joined and self._process is not None:
             self._process.stop()
 
@@ -147,9 +166,16 @@ class ControlSweep:
         if rank in self._joined:
             self._due.add(rank)
 
-    def rest(self, rank: int) -> None:
-        """The member fell asleep: visit it only once marked."""
+    def rest(self, rank: int, alarm: float | None = None) -> None:
+        """The member fell asleep: visit it only once marked, or at the
+        grid instant ``alarm``."""
         self._due.discard(rank)
+        if alarm is None:
+            self._alarm_of.pop(rank, None)
+        elif self._alarm_of.get(rank) != alarm:
+            # (The same alarm set again is in the heap already.)
+            self._alarm_of[rank] = alarm
+            heappush(self._alarms, (alarm, rank))
 
     def park(self, rank: int, cluster: Cluster) -> None:
         """The member fell asleep on a certificate of ``cluster``'s
@@ -161,9 +187,55 @@ class ControlSweep:
         self._parked.add(rank)
 
     def wake(self, rank: int) -> None:
-        """The member is awake: visit it every instant."""
+        """The member is awake: visit it every instant.  (Its alarm may
+        still fire: a mark of an awake member changes nothing.)"""
         self._parked.discard(rank)
         self.mark(rank)
+
+    def first(self, holds: Callable[[float], bool], near: float) -> float:
+        """The first grid instant after the latest one fired at which
+        ``holds`` is true.
+
+        ``holds`` must be monotone over the grid (once true, true at every
+        later instant) and come true eventually.  The grid is stepped as
+        the process steps it, ``t + interval``, so each instant is the
+        float the sweep will fire at, and only ``holds`` at such instants
+        decides.  ``near`` (a closed-form estimate) only picks where the
+        walk starts: it steps back while the previous instant holds, then
+        forward until one does.
+        """
+        self.next_instant()  # the grid holds one instant at least
+        ahead = self._ahead
+        while ahead[-1] < near:
+            ahead.append(ahead[-1] + self.interval)
+        i = bisect_left(ahead, near)
+        while i and holds(ahead[i - 1]):
+            i -= 1
+        while True:
+            if i == len(ahead):
+                ahead.append(ahead[-1] + self.interval)
+            if holds(ahead[i]):
+                return ahead[i]
+            i += 1
+
+    def next_instant(self) -> float:
+        """The first grid instant after the latest one fired."""
+        ahead = self._ahead
+        while ahead and ahead[0] <= self._last:
+            del ahead[0]  # fired since it was stepped
+        if not ahead:
+            ahead.append(self._last + self.interval)
+        return ahead[0]
+
+    def before(self, holds: Callable[[float], bool], alarm: float) -> float | None:
+        """The first grid instant after the latest one fired, and before
+        the stepped instant ``alarm``, at which the monotone ``holds`` is
+        true (None if none is)."""
+        ahead = self._ahead
+        hi = bisect_left(ahead, alarm)
+        if not hi or not holds(ahead[hi - 1]):
+            return None
+        return ahead[bisect_left(ahead, True, key=holds, hi=hi - 1)]
 
     def _check_epoch(self) -> None:
         epoch = self._cluster.capacity_epoch
@@ -175,6 +247,13 @@ class ControlSweep:
     def _tick(self) -> None:
         members = self._members
         due = self._due
+        now = self._last = self.sim.now
+        alarms = self._alarms
+        while alarms and alarms[0][0] <= now:
+            alarm, rank = heappop(alarms)
+            if self._alarm_of.get(rank) == alarm:
+                del self._alarm_of[rank]
+                self.mark(rank)
         if self._parked:
             self._check_epoch()
         for rank in due.visit():
@@ -243,16 +322,19 @@ class Autoscaler:
         self._low_since: float | None = None
         self._last_scale_out = -math.inf
         self._throughput_cache: dict[tuple, float] = {}
-        # The sleeping tenant's wake check (None = awake), and the arrival
-        # count an idle sleeper went to sleep at.
+        # The sleeping tenant's wake check (None = awake).
         self._wake: Callable[[], bool] | None = None
-        self._observed = 0
         self._sweep = sweep if sweep is not None else ControlSweep(
             sim, self.config.interval
         )
         self._rank = self._sweep.join(self)
-        # Called by the events that move an input of a sleeping tenant.
-        self._mark = partial(self._sweep.mark, self._rank)
+        # Called by the events that move an input of a sleeping tenant
+        # (FlexPipe calls it when its serving target, read by ``plan_for``,
+        # moves).
+        self.mark = partial(self._sweep.mark, self._rank)
+        # The mark a sleep armed and its sources (empty while awake).
+        self._armed: tuple = ()
+        self._rouse = self._roused
 
     slo_pressure = _hook(
         "slo_pressure",
@@ -285,17 +367,49 @@ class Autoscaler:
     def track(self, replica: PipelineReplica) -> None:
         """Count ``replica``, deployed for this tenant, as loading."""
         self.loading.append(replica)
-        self._mark()
+        self.mark()
 
     # ------------------------------------------------------------------
-    def _sleep_at_floor(self) -> None:
-        """Skip ticks until an arrival, the router's fleet or its pending
-        queue, or a hook moves: ``_floor_woken`` then decides."""
-        self._observed = self.monitor.total_observed
-        self._wake = self._floor_woken
-        self._sweep.rest(self._rank)
-        arm(self.monitor, self._mark)
-        arm(self.router, self._mark)
+    def _settle(
+        self, threshold: int | None = None, fixed=(), cooldown: bool = False
+    ) -> None:
+        """Sleep after a tick that acted on nothing, until an input moves
+        (an arrival, the router's fleet or queue, ``loading``, a hook,
+        FlexPipe's serving target) or the clock alone could change the
+        decision: the oldest window stamp expires, the scale-in countdown
+        or (``cooldown``) the scale-out cooldown ends, or desired (from
+        the rate and ``fixed``) falls below ``threshold``.  The alarm is
+        the first grid instant at which one of the tick's own tests flips,
+        evaluated without trimming the window (docs/architecture.md)."""
+        sweep = self._sweep
+        following = sweep.next_instant()
+        window = self.monitor.window
+        alarm = None
+        if len(window):
+            if window.expires(following):
+                return  # it would tick there anyway: stay awake
+            alarm = sweep.first(window.expires, window.oldest + window.window)
+        low = self._low_since
+        if low is not None:
+            idle = self.config.idle_window
+            ends = sweep.first(lambda t: not t - low < idle, low + idle)
+            alarm = ends if alarm is None else min(alarm, ends)
+        if cooldown:
+            last, wait = self._last_scale_out, self.config.scale_out_cooldown
+            ends = sweep.first(lambda t: not t - last < wait, last + wait)
+            alarm = ends if alarm is None else min(alarm, ends)
+        if threshold is not None and alarm is not None:
+            # Until an expiry, rate = n / span only falls, so desired is
+            # non-increasing and the test is monotone.
+            desired = self._desired
+            alarm = sweep.before(
+                lambda t: desired(window.rate_at(t), *fixed) < threshold, alarm
+            ) or alarm
+        if alarm == following:
+            return  # likewise
+        self._wake = _marked
+        sweep.rest(self._rank, alarm)
+        self._arm(self._rouse, self.monitor, self.router)
 
     def _park(self) -> None:
         """Skip ticks until the router's fleet, ``loading`` or a hook
@@ -303,18 +417,34 @@ class Autoscaler:
         decides.  Arrivals cannot unpark a fixed plan."""
         self._wake = self._parked_woken
         self._sweep.park(self._rank, self._parked[1].allocator.cluster)
-        arm(self.router, self._mark)
+        self._arm(self.mark, self.router)
 
     def _wake_up(self) -> None:
         self._disarm()
         self._wake = None
         self._sweep.wake(self._rank)
 
+    def _arm(self, mark: Callable[[], None], *sources) -> None:
+        """Have each input source call ``mark`` when it moves."""
+        for source in sources:
+            arm(source, mark)
+        self._armed = (mark, sources)
+
     def _disarm(self) -> None:
         """Take back the marks a sleep armed (none while awake)."""
-        if self._wake is not None:
-            disarm(self.monitor, self._mark)
-            disarm(self.router, self._mark)
+        if self._armed:
+            mark, sources = self._armed
+            for source in sources:
+                disarm(source, mark)
+            self._armed = ()
+
+    def _roused(self) -> None:
+        """An input of a settled sleeper moved: mark it due.  Every mark
+        makes it tick, so its later moves before that tick change nothing
+        and the marks are taken back at once (a parked sleeper, whose wake
+        check may keep it asleep, keeps its marks)."""
+        self._disarm()
+        self.mark()
 
     # ------------------------------------------------------------------
     @property
@@ -381,9 +511,7 @@ class Autoscaler:
             # float sums, so a tenant with one always takes the full body.)
             self._end_blocked_episode()
             self._low_since = None
-            # Every later tick takes this path too until an input moves,
-            # and it rewrites only what it just wrote: sleep.
-            self._sleep_at_floor()
+            self._settle()  # the window is empty: no alarm
             return
         cv = self.monitor.cv(now)
         rate = self.monitor.arrival_rate(now)
@@ -398,9 +526,7 @@ class Autoscaler:
         effective_util = TARGET_UTILIZATION / (
             (1.0 + cfg.cv_headroom * cv) * (1.0 + pressure)
         )
-        desired = instance_count(
-            rate / max(effective_util, 1e-6), per_replica, plan.n_stages
-        )
+        lower = cfg.min_replicas
         # Burst pressure: queued work the current capacity cannot clear in
         # one SLO budget demands more instances now (Eq. 12 spirit).
         # The right-hand side is at least QUEUE_FACTOR (>= 0), so below it
@@ -411,53 +537,68 @@ class Autoscaler:
             backlog_units = math.ceil(
                 queue / max(per_replica * cfg.slo_deadline * 0.5, 1.0)
             )
-            desired = max(desired, len(active) + backlog_units)
+            lower = max(lower, len(active) + backlog_units)
+        scale = max(effective_util, 1e-6)
+        desired = self._desired(rate, scale, per_replica, plan.n_stages, lower)
         if cfg.min_replicas == 0 and rate <= 0.0 and queue == 0:
             # Scale-to-zero: Eq. 5's instance count floors at one replica,
             # so an explicit zero floor with no arrivals in the monitor
             # window and nothing queued means the tenant is truly idle.
-            desired = 0
-        desired = min(max(desired, cfg.min_replicas), cfg.max_replicas)
+            desired = self._floor
 
         total = len(active) + len(self.loading)
-        if self.share_headroom is not None and desired > total:
+        capped = self.share_headroom is not None and desired > total
+        if capped:
             # Respect the tenant's share cap: only ask for replicas the
             # remaining headroom can actually host.  The clamp never
             # *lowers* desired below the current fleet — the cap blocks
             # growth, it does not force scale-in.
             fit = self._replicas_within_headroom(plan)
             desired = min(desired, max(total + fit, total))
+        # A tick that neither deploys, releases nor opens a blocked episode
+        # settles (see _settle); it wakes where its branch could change.
+        # Some stay awake instead.  The pressure hook moves with time and
+        # the headroom with other tenants' reservations, and neither marks.
+        # A tenant whose replicas hold queued work and whose window expects
+        # an arrival within the interval is nearly always marked (by a
+        # completion or an arrival) before the next instant: settling it
+        # would only cost.
+        settles = (
+            self.slo_pressure is None
+            and not capped
+            and not (self.router.queued and rate * cfg.interval >= 1.0)
+        )
         if desired > total:
+            if now - self._last_scale_out < cfg.scale_out_cooldown:
+                if settles:
+                    fixed = (scale, per_replica, plan.n_stages, lower)
+                    self._settle(total + 1, fixed, cooldown=True)
+                return
             self._scale_out(desired - total, plan, now)
             return
         self._end_blocked_episode()
         if desired < len(active) and queue == 0:
-            self._maybe_scale_in(active, desired, now)
+            if self._low_since is None:
+                self._low_since = now
+            elif not now - self._low_since < cfg.idle_window:
+                self._scale_in(active, desired)
+                return
+            if settles:
+                self._settle()
         else:
             self._low_since = None
+            if settles:
+                fixed = (scale, per_replica, plan.n_stages, lower)
+                self._settle(len(active) if queue == 0 else None, fixed)
 
-    def _floor_woken(self) -> bool:
-        """Whether a floor sleeper's tick could leave the idle path.
-
-        The window only loses stamps between arrivals, so it stays empty
-        until ``total_observed`` moves; the queue, the hook and the fleet
-        (accepting replicas plus ``loading`` still LOADING) are read as
-        the tick would read them.
-        """
-        if (
-            self.monitor.total_observed != self._observed
-            or self.router.total_queue
-            or self.slo_pressure is not None
-        ):
-            return True
-        fleet = 0
-        for replica in self.router.replicas:
-            if replica.accepting:
-                fleet += 1
-        for replica in self.loading:
-            if replica.state is ReplicaState.LOADING:
-                fleet += 1
-        return fleet != self._floor
+    def _desired(
+        self, rate: float, scale: float, per_replica: float, n_stages: int, lower: int
+    ) -> int:
+        """Eq. 5's instance count at ``rate``, clamped to ``lower`` and the
+        ceiling: the tick's desired, and its value at instants ahead for a
+        settled sleeper's alarm."""
+        count = instance_count(rate / scale, per_replica, n_stages)
+        return min(max(count, lower), self.config.max_replicas)
 
     def _sleeps_while_parked(self) -> bool:
         """Whether every tick parks again until the wake check fires.
@@ -511,8 +652,6 @@ class Autoscaler:
 
     # ------------------------------------------------------------------
     def _scale_out(self, n: int, plan: PartitionPlan, now: float) -> None:
-        if now - self._last_scale_out < self.config.scale_out_cooldown:
-            return
         parked = self._parked
         if parked is not None and parked[0] == plan and parked[1].holds():
             # The last deploy of this plan failed on a placement certified
@@ -551,14 +690,7 @@ class Autoscaler:
         self._end_blocked_episode()
         self._last_scale_out = now
 
-    def _maybe_scale_in(
-        self, active: list[PipelineReplica], desired: int, now: float
-    ) -> None:
-        if self._low_since is None:
-            self._low_since = now
-            return
-        if now - self._low_since < self.config.idle_window:
-            return
+    def _scale_in(self, active: list[PipelineReplica], desired: int) -> None:
         # Reclaim the most recently activated replicas first: older ones
         # carry the longest-lived warm state.
         excess = len(active) - desired

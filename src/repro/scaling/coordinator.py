@@ -38,6 +38,11 @@ class ScalingCoordinator:
         self.use_hrg = use_hrg
         self.use_affinity = use_affinity
         self.cv_fn = cv_fn
+        # CONTENTION_WEIGHT x each server's HRG score, shared by every
+        # scorer built while the instant and the HRG's registrations stand
+        # (a registration moves the cluster-level sum, so every server's).
+        self._contention_key: tuple[float, int] | None = None
+        self._contention: dict[str, float] = {}
 
     def scorer(self, model: str, now: float) -> Callable[[GPU], float]:
         """Higher-is-better GPU placement score for one scaling operation.
@@ -63,11 +68,22 @@ class ScalingCoordinator:
                 if self.use_affinity:
                     value += self.affinity.score(model, server, now)
                 if self.use_hrg:
-                    value -= CONTENTION_WEIGHT * self.hrg.contention_score(server, now)
+                    value -= self._weighted_contention(server, now)
                 servers[key] = value
             return value - isolation * gpu.colocated_model_count
 
         return score
+
+    def _weighted_contention(self, server, now: float) -> float:
+        hrg = self.hrg
+        key = (now, hrg.events_registered)
+        if key != self._contention_key:
+            self._contention_key, self._contention = key, {}
+        value = self._contention.get(server.sid)
+        if value is None:
+            value = CONTENTION_WEIGHT * hrg.contention_score(server, now)
+            self._contention[server.sid] = value
+        return value
 
     def record_scaling(self, model: str, gpus: list[GPU], now: float) -> None:
         """Mark parameter-ingest traffic on every touched server."""

@@ -22,6 +22,7 @@ simulator is :mod:`repro.scenarios.driver`'s job.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from repro.models.zoo import get_model
@@ -77,6 +78,22 @@ def _build(cls, data: dict, where: str = ""):
                 f"{owner}: field {f.name!r} must be {expected}, got {value!r}"
             )
     return cls(**data)
+
+
+def _require_finite(spec) -> None:
+    """Reject NaN and infinity in every number field of ``spec``: the range
+    checks are comparisons, and NaN passes them all."""
+    for name, value in vars(spec).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{type(spec).__name__}: field {name!r} must be finite, "
+                f"got {value!r}"
+            )
+
+
+def _reject_constant(name: str):
+    """``json.loads`` hook: NaN and Infinity are not spec numbers."""
+    raise ValueError(f"non-finite number {name} in scenario JSON")
 
 
 def _entries(owner: str, data: dict, key: str):
@@ -149,6 +166,7 @@ class ArrivalSegment:
     slo_class: str | None = None  # per-segment QoS class override
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(
                 f"unknown segment kind {self.kind!r}; choose from {SEGMENT_KINDS}"
@@ -225,6 +243,7 @@ class ModelScript:
     stream: str | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         try:
             # Resolves zoo models and synthetic FLEET-* tenants alike.
             get_model(self.model)
@@ -296,6 +315,7 @@ class ScenarioEvent:
     target_stages: int | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.action not in EVENT_ACTIONS:
             raise ValueError(
                 f"unknown event action {self.action!r}; choose from {EVENT_ACTIONS}"
@@ -375,6 +395,7 @@ class ScenarioSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.qos not in QOS_MODES:
             raise ValueError(
                 f"unknown qos mode {self.qos!r}; choose from {QOS_MODES}"
@@ -504,7 +525,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
     # ------------------------------------------------------------------
     def quick(self, factor: float = 3.0) -> "ScenarioSpec":

@@ -106,6 +106,21 @@ class SlidingWindowCV:
             if (self._sq / m - drift) * _REBUILD_RATIO < drift:
                 self._rebuild()
 
+    def __len__(self) -> int:
+        """Stamps held, untrimmed (``count`` trims first)."""
+        return len(self._times)
+
+    @property
+    def oldest(self) -> float:
+        """The oldest stamp held, untrimmed (the window must hold one)."""
+        return self._times[0]
+
+    def expires(self, now: float) -> bool:
+        """Whether a read at ``now`` drops the oldest stamp (``_trim``'s
+        test), evaluated without trimming."""
+        times = self._times
+        return bool(times) and times[0] < now - self.window
+
     def _trim(self, now: float) -> None:
         horizon = now - self.window
         times = self._times
@@ -156,10 +171,16 @@ class SlidingWindowCV:
     def arrival_rate(self, now: float) -> float:
         """Requests/second over the current window."""
         self._trim(now)
-        if not self._times:
+        return self.rate_at(now)
+
+    def rate_at(self, now: float) -> float:
+        """``arrival_rate(now)`` without the trim: the same value while
+        ``expires(now)`` is false."""
+        times = self._times
+        if not times:
             return 0.0
-        span = min(self.window, max(now - self._times[0], 1e-9))
-        return len(self._times) / span
+        span = min(self.window, max(now - times[0], 1e-9))
+        return len(times) / span
 
     def count(self, now: float) -> int:
         self._trim(now)

@@ -194,6 +194,39 @@ class TestGateCommands:
             assert f"coldstart gate held: {claim.text}" in out
 
 
+class TestMalformedNumbers:
+    """Malformed counts and durations are usage errors (exit 2, no
+    traceback), never an empty run that reports success."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--duration", "-5"],
+            ["audit", "--duration", "0"],
+            ["audit", "--duration", "nan"],
+            ["audit", "--duration", "inf"],
+            ["audit", "--seeds", "-1"],
+            ["audit", "--seeds", "0"],
+            ["audit", "--seeds", "two"],
+            ["fuzz", "--seeds", "-2"],
+            ["fuzz", "--seeds", "1.5"],
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--no-cache", *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+
+    def test_valid_numbers_parse(self):
+        args = build_parser().parse_args(
+            ["audit", "--seeds", "3", "--duration", "12.5"]
+        )
+        assert (args.seeds, args.duration) == (3, 12.5)
+        assert build_parser().parse_args(["fuzz", "--seeds", "1"]).seeds == 1
+
+
 class TestAuditCommand:
     ARGS = ["--jobs", "1", "audit", "--seeds", "4", "--systems", "FlexPipe"]
 

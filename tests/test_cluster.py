@@ -510,13 +510,50 @@ class TestPlacementScoreOracle:
                 overfull.background_mem = 0.0
         assert compared > 3000 and releases > 20
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scorers_sharing_an_instant(self, sim, seed):
+        """Many deploys at one sweep instant each build a scorer, for
+        several models, with registrations between them.  Every scorer
+        prices every GPU as the reference does at the moment it is used;
+        scorers built since the last registration agree with each other
+        whenever they are read."""
+        cluster = make_small_cluster(sim, n_servers=6, gpus_per_server=2)
+        hrg = HierarchicalResourceGraph(cluster)
+        affinity = AffinityScheduler()
+        coordinator = ScalingCoordinator(hrg, affinity, cv_fn=lambda: self.CV)
+        ref = _ReferenceHRG(hrg.weights)
+        gpus, models = cluster.gpus, ["a", "b", "c"]
+        rng = random.Random(seed)
+        now, compared = 0.0, 0
+        for _ in range(8):
+            now += rng.uniform(0.5, 30.0)
+            current = []  # (model, scorer) built since the last registration
+            for _ in range(rng.randint(3, 8)):
+                if rng.random() < 0.5:
+                    placed = rng.sample(gpus, rng.randint(1, 3))
+                    coordinator.record_scaling(rng.choice(models), placed, now)
+                    for server in dict.fromkeys(g.server for g in placed):
+                        ref.register(server, now)
+                    current = []
+                model = rng.choice(models)
+                current.append((model, coordinator.scorer(model, now)))
+                for model, scorer in current:
+                    for gpu in rng.sample(gpus, len(gpus)):
+                        expected = self._reference(ref, affinity, model, gpu, now)
+                        assert scorer(gpu) == expected
+                        compared += 1
+        assert compared > 500
+
 
 class TestPlacementScoringCounts:
     """The seed-0 ``azure-replay-2019`` quick FlexPipe cell (220 tenants)
     evaluated ``_decayed`` 11,294 times and ``contention_score`` 14,847
     times when every same-instant registration dropped the level sums and
     every GPU priced its server.  Sums updated in place and one server
-    part per scorer leave 788 and 9,172; the counters live here, not in
+    part per scorer leave 788 and 9,172, and sharing the HRG part between
+    the scorers of one instant until a registration 9,167 (nearly every
+    scorer follows a deploy's registration, which moves the cluster-level
+    sum and so every server's part); the counters live here, not in
     ``src/``."""
 
     def test_azure_fleet_cell(self, monkeypatch):
@@ -534,4 +571,4 @@ class TestPlacementScoringCounts:
             monkeypatch.setattr(HierarchicalResourceGraph, name, counted)
         spec = get_scenario("azure-replay-2019").quick()
         ScenarioDriver(ScenarioCase(spec, "FlexPipe", 0)).run()
-        assert counts == {"_decayed": 788, "contention_score": 9172}
+        assert counts == {"_decayed": 788, "contention_score": 9167}

@@ -384,7 +384,9 @@ class TestScaleToZero:
 
     def test_idle_tenant_scales_to_zero(self, ctx, llama_profile):
         released: list = []
-        router = SimpleNamespace(active_replicas=[], total_queue=0, sleepers=())
+        router = SimpleNamespace(
+            active_replicas=[], total_queue=0, queued=0, sleepers=()
+        )
         scaler, plan = self._scaler(
             ctx, llama_profile, router, released, min_replicas=0, idle_window=1.0
         )
@@ -396,7 +398,9 @@ class TestScaleToZero:
 
     def test_min_replicas_one_never_reaches_zero(self, ctx, llama_profile):
         released: list = []
-        router = SimpleNamespace(active_replicas=[], total_queue=0, sleepers=())
+        router = SimpleNamespace(
+            active_replicas=[], total_queue=0, queued=0, sleepers=()
+        )
         scaler, plan = self._scaler(
             ctx, llama_profile, router, released, min_replicas=1, idle_window=1.0
         )
@@ -408,7 +412,9 @@ class TestScaleToZero:
 
     def test_queued_work_blocks_scale_to_zero(self, ctx, llama_profile):
         released: list = []
-        router = SimpleNamespace(active_replicas=[], total_queue=3, sleepers=())
+        router = SimpleNamespace(
+            active_replicas=[], total_queue=3, queued=0, sleepers=()
+        )
         scaler, plan = self._scaler(
             ctx, llama_profile, router, released, min_replicas=0, idle_window=1.0
         )

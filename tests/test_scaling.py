@@ -468,7 +468,11 @@ class TestAutoscalerBlockedEpisodes:
 
 
 class _ScriptedMonitor:
-    """A WorkloadMonitor stand-in whose arrival window the test sets."""
+    """A WorkloadMonitor stand-in whose arrival window the test sets.  It
+    holds no stamps that could expire: every scripted change marks the
+    sleepers instead."""
+
+    window = ()
 
     def __init__(self):
         self.rate = 0.0
@@ -493,6 +497,8 @@ class _ScriptedMonitor:
 
     def go_quiet(self):
         self.rate, self.count = 0.0, 0
+        for mark in self.sleepers:
+            mark()
 
 
 def _scripted_scaler(
@@ -837,6 +843,20 @@ def _polling_autoscaler():
             self._blocked_since = None
             self._last_scale_out = now
 
+        def _maybe_scale_in(self, active, desired, now):
+            if self._low_since is None:
+                self._low_since = now
+                return
+            if now - self._low_since < self.config.idle_window:
+                return
+            excess = len(active) - desired
+            victims = sorted(
+                active, key=lambda r: r.activated_at or 0.0, reverse=True
+            )[:excess]
+            for victim in victims:
+                self.release_replica(victim)
+            self._low_since = None
+
     return PollingAutoscaler
 
 
@@ -874,29 +894,83 @@ def _polling_control_tick(self):
                     break
 
 
+def _tick_would_act(scaler):
+    """A read-only evaluation of the full tick body at the current instant
+    (the polling formulas): whether the tick would deploy or park, release,
+    or write any of its decision state (the blocked episode, the scale-in
+    countdown).  Its reads of the window trim it at the current instant,
+    which is value-neutral (see SlidingWindowCV)."""
+    from repro.pipeline.replica import ReplicaState
+    from repro.refactoring.granularity import instance_count
+
+    assert scaler.slo_pressure is None  # such tenants never settle
+    now = scaler.sim.now
+    cfg = scaler.config
+    loading = [r for r in scaler.loading if r.state is ReplicaState.LOADING]
+    active = scaler.router.active_replicas
+    queue = scaler.router.total_queue
+    cv = scaler.monitor.cv(now)
+    rate = scaler.monitor.arrival_rate(now)
+    plan = scaler.plan_for(cv, queue)
+    per_replica = scaler.replica_throughput(plan)
+    effective_util = TARGET_UTILIZATION / (1.0 + cfg.cv_headroom * cv)
+    desired = instance_count(
+        rate / max(effective_util, 1e-6), per_replica, plan.n_stages
+    )
+    capacity_now = sum(scaler.replica_capacity(r) for r in active)
+    if queue > QUEUE_FACTOR * max(capacity_now * cfg.interval, 1.0):
+        backlog_units = math.ceil(
+            queue / max(per_replica * cfg.slo_deadline * 0.5, 1.0)
+        )
+        desired = max(desired, len(active) + backlog_units)
+    if cfg.min_replicas == 0 and rate <= 0.0 and queue == 0:
+        desired = 0
+    desired = min(max(desired, cfg.min_replicas), cfg.max_replicas)
+    total = len(active) + len(loading)
+    if scaler.share_headroom is not None and desired > total:
+        fit = scaler._replicas_within_headroom(plan)
+        desired = min(desired, max(total + fit, total))
+    if desired > total:
+        return not now - scaler._last_scale_out < cfg.scale_out_cooldown
+    if scaler._blocked_since is not None or scaler._parked is not None:
+        return True
+    low = scaler._low_since
+    if desired < len(active) and queue == 0:
+        return low is None or not now - low < cfg.idle_window
+    return low is not None
+
+
 def _superset_sweep(checks):
     """A sweep that, at every instant, before and after its pass, also
-    evaluates every sleeper's wake check (they only read state): each one
-    that fires must be due.  ``checks`` counts the evaluations."""
-    from repro.scaling.autoscaler import ControlSweep
+    checks every sleeper that is not due: a parked sleeper's wake check
+    must not fire, and a settled sleeper's tick, evaluated read-only, must
+    decide nothing.  ``checks`` counts the evaluations."""
+    from repro.scaling.autoscaler import ControlSweep, _marked
 
     class SupersetSweep(ControlSweep):
         def _tick(self):
-            self._assert_due()
+            self._assert_due(self._alarm_of)  # alarms join the pass first
             super()._tick()
-            self._assert_due()
+            self._assert_due({})
 
-        def _assert_due(self):
+        def _assert_due(self, alarms):
+            now = self.sim.now
             if self._parked:
                 self._check_epoch()  # what the pass does first
             for rank in sorted(self._joined):
-                wake = self._members[rank]._wake
-                if wake is None:
+                member = self._members[rank]
+                wake = member._wake
+                if wake is None or rank in self._due.ranks:
                     continue
                 checks["sleepers"] += 1
-                assert not wake() or rank in self._due.ranks, (
-                    f"member {rank} would wake at t={self.sim.now} "
-                    f"but nothing marked it"
+                if wake is _marked:
+                    checks["settled"] += 1
+                    acts = alarms.get(rank) != now and _tick_would_act(member)
+                else:
+                    acts = wake()
+                assert not acts, (
+                    f"member {rank} would act at t={now} but nothing "
+                    f"marked it"
                 )
 
     return SupersetSweep
@@ -1018,8 +1092,8 @@ class TestAutoscalerPollingOracle:
                 _resting_checked_control_tick(checks),
             )
             new, _ = _report_digest(spec, system, seed)
-        # Tenants slept, so the superset check was not vacuous.
-        assert checks["sleepers"] > 0
+        # Tenants slept settled, so the superset check was not vacuous.
+        assert checks["settled"] > 0
         polling = _polling_autoscaler()
         monkeypatch.setattr(repro.core.serving, "Autoscaler", polling)
         monkeypatch.setattr(FlexPipeSystem, "_control_tick", _polling_control_tick)
@@ -1199,8 +1273,10 @@ class TestControlSweep:
         scaler.loading.append(SimpleNamespace(state=ReplicaState.LOADING))
         sim.schedule_at(2.2, scaler.router.submit, SimpleNamespace(trace=None))
         sim.run(until=4.0)
-        # Queued work keeps every later tick awake.
-        assert ticks == [0.5, 2.5, 3.0, 3.5, 4.0]
+        # The request waits on the loading replica, which is all the
+        # demand: the tenant settles again.
+        assert ticks == [0.5, 2.5]
+        assert scaler._wake is not None
 
     def test_release_wakes_a_floor_sleeper_which_redeploys(self, ctx):
         from repro.core.flexpipe import FlexPipeSystem
@@ -1211,13 +1287,14 @@ class TestControlSweep:
         ticks = _tick_times(scaler)
         system.start()
         ctx.sim.run(until=20.0)
-        # One loading, then active, replica at a floor of one: asleep.
-        assert ticks == [0.5]
+        # One loading, then active, replica at a floor of one: asleep,
+        # but for the tick its activation marks.
         (first,) = system.all_replicas()
         assert first.accepting
+        assert ticks == [0.5, _next_instant(first.activated_at)]
         ctx.sim.schedule_at(20.2, system.factory.release, first)
         ctx.sim.run(until=21.0)
-        assert ticks == [0.5, 20.5, 21.0]
+        assert ticks[2:] == [20.5, 21.0]
         replacement = [r for r in system.all_replicas() if r is not first]
         assert len(replacement) == 1
         assert replacement[0].created_at == 20.5
@@ -1248,12 +1325,13 @@ class TestControlSweep:
         ctx.sim.run(until=120.0)
         assert outcome == ["ok"]
         first, extra = system.all_replicas()
-        woke = math.floor(extra.activated_at / 0.5) * 0.5 + 0.5
-        assert ticks[:2] == [0.5, woke]
-        # Awake above the floor until the idle window reclaims the extra
-        # replica (the newest), then asleep at the floor again.
-        assert ticks[-1] == woke + 5.5
-        assert ticks[1:] == [woke + 0.5 * i for i in range(12)]
+        woke = _next_instant(extra.activated_at)
+        assert ticks[:3] == [0.5, _next_instant(first.activated_at), woke]
+        # Settled above the floor, the countdown's alarm wakes it when the
+        # idle window reclaims the extra replica (the newest); then it is
+        # asleep at the floor again.  Polling ticked 12 times in between.
+        assert ticks[-2:] == [woke + 5.0, woke + 5.5]
+        assert len(ticks[2:]) < 12
         assert first.accepting and not extra.accepting
         assert scaler._wake is not None
 
@@ -1511,17 +1589,200 @@ class TestControlSweep:
             self._scaler(sim, llama_profile, plan, sweep=sweep)
 
 
+class _FakeReplica:
+    """A replica the settled-alarm test loads, activates and releases."""
+
+    def __init__(self, plan):
+        from repro.pipeline.replica import ReplicaState
+
+        self.plan = plan
+        self.max_batch = plan.max_batch
+        self.state = ReplicaState.LOADING
+        self.accepting = False
+        self.router = None
+        self.queue_length = 0
+        self.batcher = ()
+        self.activated_at = None
+
+
+def _brute_alarm(snap, cfg, window, desired):
+    """Step the grid one instant at a time from the settling tick and
+    evaluate each of its clock-driven tests on the untrimmed window.
+    Returns (first instant at which one flips or None, which tests flip
+    there, whether a stamp was exactly ``window`` old at an instant)."""
+    stamps, low, last = snap["stamps"], snap["low"], snap["last"]
+    threshold, fixed = snap["threshold"], snap["fixed"]
+    t, exact = snap["grid"], False
+    if not stamps and low is None and not snap["cooldown"]:
+        return None, (), exact  # nothing moves with the clock
+    while True:
+        t = t + cfg.interval
+        flips = []
+        if stamps:
+            exact = exact or stamps[0] == t - window
+            if stamps[0] < t - window:
+                flips.append("expiry")
+        if low is not None and not t - low < cfg.idle_window:
+            flips.append("countdown")
+        if snap["cooldown"] and not t - last < cfg.scale_out_cooldown:
+            flips.append("cooldown")
+        if threshold is not None and stamps:
+            rate = len(stamps) / min(window, max(t - stamps[0], 1e-9))
+            if desired(rate, *fixed) < threshold:
+                flips.append("desired")
+        if flips:
+            return t, flips, exact
+
+
+class TestSettledAlarms:
+    """A settled sleeper's alarm is the first grid instant at which a
+    clock-driven test of its tick flips: the oldest stamp's expiry, the
+    scale-in countdown's end, the scale-out cooldown's end or desired
+    falling below its threshold.  Checked against stepping the grid one
+    instant at a time, on seeded bursts, sweeps whose origin is not a
+    multiple of the interval, and a stamp exactly ``window`` seconds old
+    at a grid instant (not yet expired: the trim test is strict)."""
+
+    WINDOW = 6.0
+
+    def _run(self, seed, llama_profile, bare_factory, monkeypatch, settle, records):
+        import random
+
+        from repro.cluster.cluster import make_small_cluster
+        from repro.core.context import ServingContext
+        from repro.metrics.collector import MetricsCollector
+        from repro.pipeline.replica import ReplicaState
+        from repro.pipeline.router import ModelRouter
+        from repro.refactoring.monitor import WorkloadMonitor
+        from repro.scaling.autoscaler import Autoscaler, AutoscalerConfig
+        from repro.simulation.engine import Simulator
+        from repro.simulation.randomness import RandomStreams
+
+        rng = random.Random(seed)
+        sim = Simulator()
+        origin = rng.choice([0.1, 0.3, 0.7, 1.2]) + rng.random() * 1e-3
+        sim.run(until=origin)
+        plan = GranularityLadder(llama_profile, stage_counts=(2, 4)).plan(2)
+        router = ModelRouter(sim, llama_profile.spec.name)
+        monitor = WorkloadMonitor(window=self.WINDOW)
+        cfg = AutoscalerConfig(
+            min_replicas=rng.choice([0, 1]),
+            max_replicas=64,
+            idle_window=rng.uniform(1.0, 5.0),
+            scale_out_cooldown=rng.uniform(0.5, 3.0),
+        )
+
+        def activate(replica):
+            if replica.state is ReplicaState.LOADING:
+                replica.state = ReplicaState.ACTIVE
+                replica.accepting = True
+                replica.activated_at = sim.now
+                router.add(replica)
+
+        def deploy(profile, p, *, wait_time=0.0):
+            replica = _FakeReplica(p)
+            sim.schedule(rng.uniform(0.2, 2.0), activate, replica)
+            return replica
+
+        def release(replica):
+            router.remove(replica)
+            replica.state = ReplicaState.RELEASED
+            replica.accepting = False
+
+        metrics = MetricsCollector("test")
+        ctx = ServingContext.create(sim, make_small_cluster(sim), RandomStreams(0))
+        scaler = Autoscaler(
+            sim,
+            router,
+            monitor,
+            llama_profile,
+            metrics,
+            deploy,
+            release,
+            plan,
+            cfg,
+            factory=bare_factory(ctx, metrics),
+        )
+        per_replica = scaler.replica_throughput(plan)
+        # Accelerating bursts separated by silences, so windows fill,
+        # decay and empty, and desired climbs during cooldowns.
+        t = origin
+        for _ in range(8):
+            t += rng.uniform(0.0, 12.0)
+            rate = per_replica * rng.uniform(0.02, 0.5)
+            for i in range(rng.randint(2, 60)):
+                t += rng.expovariate(rate * (1.0 + i / 8))
+                sim.schedule_at(t, monitor.observe, t)
+        # A lone stamp exactly WINDOW seconds before a grid instant.
+        grid = origin
+        for _ in range(int((t + 5.0 - origin) / cfg.interval)):
+            grid = grid + cfg.interval
+        sim.schedule_at(grid - self.WINDOW, monitor.observe, grid - self.WINDOW)
+
+        def recorded(self, threshold=None, fixed=(), cooldown=False):
+            snap = dict(
+                stamps=list(self.monitor.window._times),
+                low=self._low_since,
+                last=self._last_scale_out,
+                threshold=threshold,
+                fixed=fixed,
+                cooldown=cooldown,
+                grid=self._sweep._last,
+            )
+            assert snap["grid"] == self.sim.now  # settles only while ticking
+            settle(self, threshold, fixed, cooldown)
+            asleep = self._wake is not None
+            records.append(
+                (snap, asleep, self._sweep._alarm_of.get(self._rank), scaler)
+            )
+
+        monkeypatch.setattr(Autoscaler, "_settle", recorded)
+        sim.run(until=grid + 2 * self.WINDOW)
+
+    def test_alarms_match_brute_force(self, llama_profile, bare_factory, monkeypatch):
+        from collections import Counter
+
+        from repro.scaling.autoscaler import Autoscaler
+
+        settle = Autoscaler._settle  # each run patches over it again
+
+        decided, kinds, exact = 0, Counter(), 0
+        for seed in range(16):
+            records = []
+            self._run(seed, llama_profile, bare_factory, monkeypatch, settle, records)
+            for snap, asleep, alarm, scaler in records:
+                first, flips, at_edge = _brute_alarm(
+                    snap, scaler.config, self.WINDOW, scaler._desired
+                )
+                exact += at_edge
+                if first == snap["grid"] + scaler.config.interval:
+                    assert not asleep  # it ticks at the next instant anyway
+                    continue
+                assert asleep and alarm == first, (seed, snap, alarm, first)
+                decided += 1
+                kinds.update(flips)
+        assert decided > 300
+        assert exact > 0
+        for kind in ("expiry", "countdown", "cooldown", "desired"):
+            assert kinds[kind] > 0, kinds
+
+
 class TestEventDrivenControlCounts:
     """On the seed-0 ``coldstart-economy`` quick cells (108 mostly idle
-    tenants), wake checks and refactoring visits scale with the tenants
-    whose inputs moved, not with fleet x instants (the polling sweep
-    made 75,744 floor checks on FlexPipe and 53,734 parked checks on
-    DistServe, and the polling loop 42,120 refactoring visits)."""
+    tenants), ticks, wake checks and refactoring visits scale with the
+    tenants whose inputs moved, not with fleet x instants (the polling
+    sweep made 75,744 floor checks on FlexPipe and 53,734 parked checks on
+    DistServe, and the polling loop 42,120 refactoring visits).  Settled
+    tenants sleep too: full-body ticks fell from 8,395 to 1,222 on the
+    FlexPipe cell, from 4,867 to 1,371 on the DistServe cell, and from
+    12,360 to 3,341 on the seed-0 ``azure-replay-2019`` quick FlexPipe
+    cell (220 tenants)."""
 
-    def _run(self, monkeypatch, system):
+    def _run(self, monkeypatch, system, scenario="coldstart-economy"):
         from collections import Counter
 
         from repro.core.flexpipe import FlexPipeSystem
+        from repro.refactoring.monitor import WorkloadMonitor
         from repro.scaling.autoscaler import Autoscaler, ControlSweep
         from repro.scenarios.driver import ScenarioCase, ScenarioDriver
         from repro.scenarios.library import get_scenario
@@ -1537,29 +1798,46 @@ class TestEventDrivenControlCounts:
 
             monkeypatch.setattr(cls, name, counted)
 
-        count(Autoscaler, "_floor_woken", "floor")
+        count(Autoscaler, "tick", "ticks")
+        # Only the full tick body reads the arrival rate; the rest of the
+        # ticks return on the idle-at-floor path.
+        count(WorkloadMonitor, "arrival_rate", "full")
         count(Autoscaler, "_parked_woken", "parked")
         # Parking itself asks the parked check once; those are not polls.
         count(Autoscaler, "_sleeps_while_parked", "parks")
         count(ControlSweep, "_tick", "instants")
         count(FlexPipeSystem, "_control_tick", "intervals")
         count(FlexPipeSystem, "_share_allows_refactor", "visits")
-        spec = get_scenario("coldstart-economy").quick()
+        spec = get_scenario(scenario).quick()
         driver = ScenarioDriver(ScenarioCase(spec, system, 0))
         driver.run()
+        counts["floor"] = counts["ticks"] - counts["full"]
         return counts, len(driver.system.specs)
 
     def test_flexpipe(self, monkeypatch):
         counts, tenants = self._run(monkeypatch, "FlexPipe")
         polls = tenants * counts["instants"]
         assert counts["floor"] <= 0.01 * polls
+        assert counts["full"] <= 1_300
         assert counts["visits"] <= 0.1 * tenants * counts["intervals"]
 
     def test_distserve(self, monkeypatch):
         counts, tenants = self._run(monkeypatch, "DistServe")
         polls = tenants * counts["instants"]
         assert counts["floor"] <= 0.01 * polls
+        assert counts["full"] <= 1_450
         assert counts["parked"] - counts["parks"] <= 0.03 * polls
+
+    def test_azure_fleet_flexpipe(self, monkeypatch):
+        counts, tenants = self._run(monkeypatch, "FlexPipe", "azure-replay-2019")
+        # A short run: each tenant's first tick returns on the floor path.
+        assert counts["floor"] <= tenants + 0.01 * tenants * counts["instants"]
+        assert counts["full"] <= 3_500
+
+
+def _next_instant(t):
+    """The first 0.5 s grid instant after ``t`` (a sweep created at 0)."""
+    return math.floor(t / 0.5) * 0.5 + 0.5
 
 
 def _tick_times(scaler):

@@ -3,6 +3,7 @@ catalog coverage, and runner determinism/caching (tier-1, fixed seeds)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -126,6 +127,53 @@ class TestScenarioSpec:
     def test_bad_segments_rejected(self, bad):
         with pytest.raises(ValueError):
             ArrivalSegment(**bad)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["start", "duration", "qps", "cv", "burst_cycle", "amplitude", "period"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_segment_fields_rejected(self, field, value):
+        """NaN fails every range comparison, so each number field is
+        checked for finiteness first."""
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            ArrivalSegment(**{field: value})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ScenarioEvent(at=v, action="drain"),
+            lambda v: ModelScript("LLAMA2-7B", slo_latency=v),
+            lambda v: ModelScript("LLAMA2-7B", share_cap=v),
+            *(
+                lambda v, f=f: replace(MINI, **{f: v})
+                for f in (
+                    "settle",
+                    "drain",
+                    "warmup",
+                    "downtime_mean",
+                    "idle_window",
+                    "host_cache_gb",
+                    "ssd_cache_gb",
+                    "storage_gbps",
+                    "min_duration",
+                )
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spec_fields_rejected(self, build, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(value)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_numbers_rejected(self, constant):
+        document = (
+            '{"name": "x", "models": [{"model": "LLAMA2-7B", '
+            f'"segments": [{{"duration": {constant}}}]}}]}}'
+        )
+        with pytest.raises(ValueError, match=f"non-finite number {constant}"):
+            ScenarioSpec.from_json(document)
 
     def test_bad_events_and_specs_rejected(self):
         with pytest.raises(ValueError):
