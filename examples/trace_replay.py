@@ -32,7 +32,7 @@ from repro.workloads.azure2019 import (
     load_window_cached,
 )
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.splitwise import MixedCorpusSampler
+from repro.workloads.requests import LengthDistribution, RequestSampler
 
 #: The whole fixture day, every function.
 DAY = Azure2019Source(start_minute=0, end_minute=1440, top_k=260)
@@ -63,8 +63,8 @@ def main() -> None:
     cluster = make_paper_cluster(sim)
     FragmentationModel(sim, cluster, streams).warm_up()
     ctx = ServingContext.create(sim, cluster, streams)
-    # The controller's capacity model must know the corpus shape: a mixed
-    # coding/conversation stream averages ~1800 prompt / ~60 output tokens.
+    # The controller's capacity model must know the request shape: long,
+    # coding-style prompts (~1800 tokens) with short outputs (~60 tokens).
     system = FlexPipeSystem(
         ctx,
         [LLAMA2_7B],
@@ -82,10 +82,11 @@ def main() -> None:
         ),
         streams.stream("replay"),
     )
-    sampler = MixedCorpusSampler(
+    sampler = RequestSampler(
         LLAMA2_7B.name,
         streams.stream("requests"),
-        weights={"coding": 0.8, "conversation": 0.2},
+        prompt=LengthDistribution(median=1800, sigma=0.7, lo=64, hi=8192),
+        output=LengthDistribution(median=60, sigma=0.9, lo=1, hi=1024),
         slo_latency=15.0,
     )
     WorkloadGenerator(sim, arrivals, sampler, system.submit, duration=replay_seconds)

@@ -92,11 +92,6 @@ class Cluster:
         )
         return hits / len(servers)
 
-    def mean_serving_utilization(self, elapsed: float) -> float:
-        """Average serving-side SM utilization over ``elapsed`` seconds."""
-        gpus = self.gpus
-        return sum(g.utilization(elapsed) for g in gpus) / len(gpus)
-
 
 @dataclass(frozen=True)
 class ServerPlacement:

@@ -200,10 +200,6 @@ class GPU:
         self.busy_seconds += duration
         return self._busy_until
 
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` wall-clock spent executing serving work."""
         if elapsed <= 0:

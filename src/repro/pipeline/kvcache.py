@@ -105,10 +105,6 @@ class KVCacheState:
         )
 
     @property
-    def bytes_valid(self) -> float:
-        return self.mask.count * self.bytes_per_token
-
-    @property
     def bytes_total(self) -> float:
         return self.generated * self.bytes_per_token
 

@@ -475,9 +475,3 @@ class PipelineReplica:
     def kv_bytes_in_flight(self) -> float:
         """Approximate KV resident for requests currently in the pipeline."""
         return self.inflight_requests * self.profile.spec.kv_bytes_per_request
-
-    @property
-    def init_latency(self) -> float | None:
-        if self.activated_at is None:
-            return None
-        return self.activated_at - self.created_at

@@ -12,9 +12,10 @@ is ACTIVE, and the router folds them into its own running sums and into a
 :class:`FleetQueue` shared by every router of one serving system.  The
 invariant auditor's ``queue-ledger`` check recomputes both.
 
-A control loop sleeping until the fleet or the queue moves puts its mark
-in ``sleepers``; :meth:`ModelRouter.moved` and a change of
-``total_queue`` call them.
+A control loop sleeping until the fleet moves puts its mark in
+``sleepers``, which :meth:`ModelRouter.moved` calls.  One that also reads
+the queue puts it in ``queue_moves.sleepers`` too, which a change of
+``total_queue`` (a replica's queue, or the pending queue growing) calls.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ class FleetQueue:
         return self.pending + self.waiting
 
 
+class QueueMoves:
+    """A router's ``total_queue`` as an input of its own: only a settled
+    autoscaler reads the queue, so only it sleeps on its moves."""
+
+    __slots__ = ("sleepers",)
+
+    def __init__(self) -> None:
+        self.sleepers: tuple[Callable[[], None], ...] = ()
+
+
 class ModelRouter:
     """Routes one model's requests over its replica set."""
 
@@ -71,6 +82,7 @@ class ModelRouter:
         self.waiting = 0
         self.fleet = fleet if fleet is not None else FleetQueue()
         self.sleepers: tuple[Callable[[], None], ...] = ()
+        self.queue_moves = QueueMoves()
 
     # ------------------------------------------------------------------
     def add(self, replica: PipelineReplica) -> None:
@@ -100,22 +112,24 @@ class ModelRouter:
 
     def moved(self) -> None:
         """The fleet moved: a replica joined, left, stopped accepting or
-        switched plans, or the pending queue grew.  Marks every control
-        loop sleeping on this router."""
+        switched plans.  Marks every control loop sleeping on this
+        router."""
         for mark in self.sleepers:
             mark()
 
     def shift(self, queued: int, waiting: int) -> None:
         """Fold a change of an accepting replica's ``queue_length`` and
         ``len(batcher)`` into this router's and the fleet's sums.  A move
-        of ``total_queue`` marks the sleepers (a dispatch moves none)."""
+        of ``total_queue`` marks the queue's sleepers (a dispatch moves
+        none)."""
         self.queued += queued
         self.waiting += waiting
         fleet = self.fleet
         fleet.queued += queued
         fleet.waiting += waiting
-        if self.sleepers and queued:
-            for mark in self.sleepers:
+        sleepers = self.queue_moves.sleepers
+        if sleepers and queued:
+            for mark in sleepers:
                 mark()
 
     # ------------------------------------------------------------------
@@ -141,7 +155,8 @@ class ModelRouter:
             if trace is not None:
                 trace.parked_at = self.sim.now
             self.pending.append(request)
-            self.moved()
+            for mark in self.queue_moves.sleepers:
+                mark()
             self.fleet.pending += 1
             return
         self.routed += 1

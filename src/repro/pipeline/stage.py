@@ -38,10 +38,6 @@ class BatchJob:
     # (a repro.observability.tracer.JobMarks); None unless tracing is on.
     marks: object | None = None
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.requests)
-
 
 class StageRuntime:
     """Executes jobs FIFO on its GPU; downstream hand-off via callback.

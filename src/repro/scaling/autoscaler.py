@@ -328,6 +328,7 @@ class Autoscaler:
             sim, self.config.interval
         )
         self._rank = self._sweep.join(self)
+        self._stopped = False  # left the sweep: a tick never sleeps
         # Called by the events that move an input of a sleeping tenant
         # (FlexPipe calls it when its serving target, read by ``plan_for``,
         # moves).
@@ -362,6 +363,7 @@ class Autoscaler:
     def stop(self) -> None:
         self._disarm()
         self._wake = None
+        self._stopped = True
         self._sweep.leave(self._rank)
 
     def track(self, replica: PipelineReplica) -> None:
@@ -380,7 +382,10 @@ class Autoscaler:
         or (``cooldown``) the scale-out cooldown ends, or desired (from
         the rate and ``fixed``) falls below ``threshold``.  The alarm is
         the first grid instant at which one of the tick's own tests flips,
-        evaluated without trimming the window (docs/architecture.md)."""
+        evaluated without trimming the window (docs/architecture.md).
+        A stopped tenant, ticked by hand, does not sleep."""
+        if self._stopped:
+            return
         sweep = self._sweep
         following = sweep.next_instant()
         window = self.monitor.window
@@ -409,12 +414,15 @@ class Autoscaler:
             return  # likewise
         self._wake = _marked
         sweep.rest(self._rank, alarm)
-        self._arm(self._rouse, self.monitor, self.router)
+        router = self.router
+        self._arm(self._rouse, self.monitor, router, router.queue_moves)
 
     def _park(self) -> None:
         """Skip ticks until the router's fleet, ``loading`` or a hook
         moves, or the capacity epoch does: ``_parked_woken`` then
         decides.  Arrivals cannot unpark a fixed plan."""
+        if self._stopped:
+            return
         self._wake = self._parked_woken
         self._sweep.park(self._rank, self._parked[1].allocator.cluster)
         self._arm(self.mark, self.router)

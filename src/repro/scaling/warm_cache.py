@@ -321,9 +321,6 @@ class HostParamCache:
     def server_bytes(self, server: Server) -> float:
         return sum(e.nbytes for e in self._host.get(server.sid, ()))
 
-    def ssd_bytes(self, server: Server) -> float:
-        return sum(e.nbytes for e in self._ssd.get(server.sid, ()))
-
     def entry_count(self, server: Server, tier: str = "host") -> int:
         store = self._host if tier == "host" else self._ssd
         return len(store.get(server.sid, ()))

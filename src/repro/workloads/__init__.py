@@ -32,13 +32,6 @@ from repro.workloads.azure2019 import (
     synthesize_2019_dataset,
     write_2019_dataset,
 )
-from repro.workloads.splitwise import (
-    CODING,
-    CONVERSATION,
-    MixedCorpusSampler,
-    SplitwiseScenario,
-    get_scenario,
-)
 
 __all__ = [
     "ArrivalProcess",
@@ -62,9 +55,4 @@ __all__ = [
     "map_functions_to_zoo",
     "synthesize_2019_dataset",
     "write_2019_dataset",
-    "SplitwiseScenario",
-    "CONVERSATION",
-    "CODING",
-    "MixedCorpusSampler",
-    "get_scenario",
 ]

@@ -424,6 +424,28 @@ class TestScaleToZero:
         ctx.sim.run_until_idle()
         assert released == []
 
+    def test_a_stopped_autoscaler_never_sleeps(self, ctx, llama_profile):
+        """A tick that would settle with an alarm (the scale-in countdown
+        starts) arms no mark and pushes no alarm once stopped."""
+        released: list = []
+        router = SimpleNamespace(
+            active_replicas=[],
+            total_queue=0,
+            queued=0,
+            sleepers=(),
+            queue_moves=SimpleNamespace(sleepers=()),
+        )
+        scaler, plan = self._scaler(
+            ctx, llama_profile, router, released, min_replicas=0, idle_window=1.0
+        )
+        router.active_replicas = [self._idle_replica(plan)]
+        ctx.sim.schedule(0.0, scaler.tick)
+        ctx.sim.run_until_idle()
+        assert scaler._low_since == 0.0  # the countdown started
+        assert router.sleepers == () and router.queue_moves.sleepers == ()
+        assert scaler.monitor.sleepers == ()
+        assert [a for a in scaler._sweep._alarms if a[1] == scaler._rank] == []
+
 
 class TestFlexPipeBatchCap:
     def test_scale_out_deploys_honour_the_operating_cap(self, ctx):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import pathlib
 import random
 
 import pytest
 
+# The seed engine (tests/_seed_engine.py): a heap of ``Event`` objects
+# ordered by ``Event.__lt__``, no live counter, no compaction.  It is the
+# reference the (time, seq) tuple heap must match event for event.
+from _seed_engine import Simulator as SeedSimulator
 from repro.scenarios.driver import ScenarioCase, ScenarioDriver
 from repro.scenarios.library import get_scenario
 from repro.simulation.engine import SimulationError, Simulator
@@ -214,21 +216,8 @@ class TestLiveEventCounter:
         assert sim.pending_count() == 0
 
 
-# The seed engine: a heap of ``Event`` objects ordered by ``Event.__lt__``,
-# no live counter, no compaction.  It is the reference the (time, seq)
-# tuple heap must match event for event.
-_REFERENCE_ENGINE = (
-    pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "_seed_engine.py"
-)
 # A small set of delays, so equal timestamps (FIFO ties) are common.
 _DELAYS = (0.0, 0.5, 1.0, 1.0, 1.5, 2.0)
-
-
-def _reference_simulator():
-    spec = importlib.util.spec_from_file_location("reference_engine", _REFERENCE_ENGINE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Simulator()
 
 
 class _Program:
@@ -270,7 +259,7 @@ class TestDifferentialAgainstReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_fire_order_and_counters(self, seed):
-        new, ref = _Program(Simulator()), _Program(_reference_simulator())
+        new, ref = _Program(Simulator()), _Program(SeedSimulator())
         rng = random.Random(seed)
         compacted = False
         for _ in range(300):

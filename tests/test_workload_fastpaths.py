@@ -18,7 +18,6 @@ import pytest
 from repro.workloads import cv as cv_module
 from repro.workloads.cv import SlidingWindowCV, interarrival_cv
 from repro.workloads.requests import LengthDistribution, RequestSampler
-from repro.workloads.splitwise import CODING, CONVERSATION
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
 
@@ -33,10 +32,11 @@ def _sample_reference(dist: LengthDistribution, rng: np.random.Generator) -> int
 DISTRIBUTIONS = [
     LengthDistribution(median=512, sigma=0.6, lo=16, hi=4096),
     LengthDistribution(median=16, sigma=0.7, lo=1, hi=256),
-    CONVERSATION.prompt,
-    CONVERSATION.output,
-    CODING.prompt,
-    CODING.output,
+    # Chat-style and code-completion prompt/output shapes.
+    LengthDistribution(median=1020, sigma=0.9, lo=16, hi=8192),
+    LengthDistribution(median=205, sigma=0.8, lo=1, hi=1024),
+    LengthDistribution(median=1930, sigma=0.7, lo=64, hi=8192),
+    LengthDistribution(median=13, sigma=0.9, lo=1, hi=256),
     # Clamps on both sides most of the time.
     LengthDistribution(median=100, sigma=3.0, lo=90, hi=110),
     LengthDistribution(median=7.5, sigma=0.01, lo=1, hi=1000),
